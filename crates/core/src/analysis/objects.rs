@@ -4,9 +4,11 @@
 //! breakdown per structure.
 
 use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::objects::ObjectRegistry;
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::{ObjectId, Trace};
+use mempersp_extrae::{ObjectId, RowView, Trace};
 use mempersp_memsim::MemLevel;
+use mempersp_pebs::PebsSample;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -49,28 +51,23 @@ fn source_index(l: MemLevel) -> usize {
     }
 }
 
-/// Aggregate every PEBS sample in the trace by resolved object,
-/// sorted by descending sample count. Samples outside `window`
-/// (cycles) are ignored when a window is given — pass the execution
-/// phase's extent to reproduce the paper's setup-excluded analysis.
-pub fn object_stats(trace: &Trace, window: Option<(u64, u64)>) -> Vec<ObjectStat> {
-    struct Acc {
-        loads: u64,
-        stores: u64,
-        lat_sum: u64,
-        by_source: [u64; 4],
-        addr_min: u64,
-        addr_max: u64,
-    }
-    let mut map: BTreeMap<Option<u32>, Acc> = BTreeMap::new();
-    for (_, s, obj) in trace.pebs_events() {
-        if let Some((lo, hi)) = window {
-            if s.timestamp < lo || s.timestamp > hi {
-                continue;
-            }
-        }
-        let key = obj.map(|o| o.0);
-        let acc = map.entry(key).or_insert(Acc {
+/// Per-object accumulator behind [`object_stats`] and
+/// [`object_stats_source`].
+#[derive(Default)]
+struct ObjectAccs(BTreeMap<Option<u32>, Acc>);
+
+struct Acc {
+    loads: u64,
+    stores: u64,
+    lat_sum: u64,
+    by_source: [u64; 4],
+    addr_min: u64,
+    addr_max: u64,
+}
+
+impl ObjectAccs {
+    fn add(&mut self, s: &PebsSample, object: Option<ObjectId>) {
+        let acc = self.0.entry(object.map(|o| o.0)).or_insert(Acc {
             loads: 0,
             stores: 0,
             lat_sum: 0,
@@ -88,43 +85,62 @@ pub fn object_stats(trace: &Trace, window: Option<(u64, u64)>) -> Vec<ObjectStat
         acc.addr_min = acc.addr_min.min(s.addr);
         acc.addr_max = acc.addr_max.max(s.addr);
     }
-    let mut out: Vec<ObjectStat> = map
-        .into_iter()
-        .map(|(key, a)| {
-            let (id, name) = match key {
-                Some(raw) => {
-                    let id = ObjectId(raw);
-                    let name = trace
-                        .objects
-                        .get(id)
-                        .map(|o| o.name.clone())
-                        .unwrap_or_else(|| format!("<object {raw}>"));
-                    (Some(id), name)
+
+    /// Name the objects and sort by descending sample count.
+    fn finish(self, objects: &ObjectRegistry) -> Vec<ObjectStat> {
+        let mut out: Vec<ObjectStat> = self
+            .0
+            .into_iter()
+            .map(|(key, a)| {
+                let (id, name) = match key {
+                    Some(raw) => {
+                        let id = ObjectId(raw);
+                        let name = objects
+                            .get(id)
+                            .map(|o| o.name.clone())
+                            .unwrap_or_else(|| format!("<object {raw}>"));
+                        (Some(id), name)
+                    }
+                    None => (None, "<unresolved>".to_string()),
+                };
+                let total = a.loads + a.stores;
+                ObjectStat {
+                    id,
+                    name,
+                    loads: a.loads,
+                    stores: a.stores,
+                    mean_latency: if total == 0 { 0.0 } else { a.lat_sum as f64 / total as f64 },
+                    by_source: a.by_source,
+                    addr_min: a.addr_min,
+                    addr_max: a.addr_max,
                 }
-                None => (None, "<unresolved>".to_string()),
-            };
-            let total = a.loads + a.stores;
-            ObjectStat {
-                id,
-                name,
-                loads: a.loads,
-                stores: a.stores,
-                mean_latency: if total == 0 { 0.0 } else { a.lat_sum as f64 / total as f64 },
-                by_source: a.by_source,
-                addr_min: a.addr_min,
-                addr_max: a.addr_max,
-            }
-        })
-        .collect();
-    out.sort_by_key(|s| std::cmp::Reverse(s.total()));
-    out
+            })
+            .collect();
+        out.sort_by_key(|s| std::cmp::Reverse(s.total()));
+        out
+    }
 }
 
-/// [`object_stats`] over any [`TraceSource`]. Only PEBS events — the
-/// single kind this analysis reads — are pulled from the source, and
-/// the window (when given) is pushed down as a time predicate, so an
-/// indexed `.mps` store decodes only the chunks that can contribute.
-/// Returns the stats together with the scan's cost accounting.
+/// Aggregate every PEBS sample in the trace by resolved object,
+/// sorted by descending sample count. Samples outside `window`
+/// (cycles) are ignored when a window is given — pass the execution
+/// phase's extent to reproduce the paper's setup-excluded analysis.
+pub fn object_stats(trace: &Trace, window: Option<(u64, u64)>) -> Vec<ObjectStat> {
+    let mut accs = ObjectAccs::default();
+    for (_, s, obj) in trace.pebs_events() {
+        if window.is_none_or(|(lo, hi)| (lo..=hi).contains(&s.timestamp)) {
+            accs.add(s, obj);
+        }
+    }
+    accs.finish(&trace.objects)
+}
+
+/// [`object_stats`] over any [`TraceSource`], read straight off the
+/// scan's PEBS columns — no event rows are built. Only PEBS events —
+/// the single kind this analysis reads — are scanned, and the window
+/// (when given) is pushed down as a time predicate, so an indexed
+/// `.mps` store decodes only the chunks that can contribute. Returns
+/// the stats together with the scan's cost accounting.
 pub fn object_stats_source(
     source: &mut dyn TraceSource,
     window: Option<(u64, u64)>,
@@ -135,8 +151,15 @@ pub fn object_stats_source(
         // envelope-time predicate is exactly the sample window.
         q = q.in_time(lo, hi);
     }
-    let (trace, stats) = source.filtered(&q)?;
-    Ok((object_stats(&trace, window), stats))
+    let mut accs = ObjectAccs::default();
+    let stats = source.scan_batches(&q, &mut |batch| {
+        for row in batch.rows() {
+            if let RowView::Pebs(p) = row.view {
+                accs.add(&p.sample(), p.object());
+            }
+        }
+    })?;
+    Ok((accs.finish(&source.header()?.objects), stats))
 }
 
 /// The fraction of samples that resolved to an object (the paper's

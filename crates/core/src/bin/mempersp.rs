@@ -332,20 +332,7 @@ fn load(args: &[String]) -> Trace {
 }
 
 fn print_scan_stats(stats: &ScanStats) {
-    eprintln!(
-        "scan: {} matched / {} scanned events; {} payload bytes; chunks: {} decoded, {} cached, {} skipped{}",
-        stats.events_matched,
-        stats.events_scanned,
-        stats.payload_bytes_decoded,
-        stats.chunks_decoded,
-        stats.chunks_cached,
-        stats.chunks_skipped,
-        if stats.chunks_damaged > 0 {
-            format!(", {} DAMAGED", stats.chunks_damaged)
-        } else {
-            String::new()
-        }
-    );
+    eprintln!("scan: {stats}");
 }
 
 /// Convert between the text `.prv` trace and the binary `.mps` store.

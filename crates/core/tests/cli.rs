@@ -6,15 +6,17 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mempersp"))
 }
 
-fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("mempersp_cli_{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel
+/// threads and each removes its directory when done.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("mempersp_cli_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
 
 #[test]
 fn run_info_objects_fold_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("run_info_objects_fold_pipeline");
     let trace = dir.join("hpcg.prv");
 
     // run
@@ -89,7 +91,7 @@ fn run_info_objects_fold_pipeline() {
 
 #[test]
 fn fold_unknown_region_fails_cleanly() {
-    let dir = tmpdir();
+    let dir = tmpdir("fold_unknown_region_fails_cleanly");
     let trace = dir.join("stream.prv");
     let out = bin()
         .args(["run", "--workload", "stream", "-o"])
@@ -111,7 +113,7 @@ fn fold_unknown_region_fails_cleanly() {
 
 #[test]
 fn convert_round_trip_is_byte_identical_and_queries_work() {
-    let dir = tmpdir();
+    let dir = tmpdir("convert_round_trip_is_byte_identical_and_queries_work");
     let prv = dir.join("rt.prv");
     let mps = dir.join("rt.mps");
     let back = dir.join("rt_back.prv");
@@ -154,7 +156,7 @@ fn convert_round_trip_is_byte_identical_and_queries_work() {
 
 #[test]
 fn convert_format_flag_writes_v3_and_round_trips() {
-    let dir = tmpdir();
+    let dir = tmpdir("convert_format_flag_writes_v3_and_round_trips");
     let prv = dir.join("f.prv");
     let v3 = dir.join("f_v3.mps");
     let v4 = dir.join("f_v4.mps");
@@ -199,7 +201,7 @@ fn convert_format_flag_writes_v3_and_round_trips() {
 
 #[test]
 fn query_time_window_prunes_chunks_on_a_store() {
-    let dir = tmpdir();
+    let dir = tmpdir("query_time_window_prunes_chunks_on_a_store");
     let prv = dir.join("w.prv");
     let mps = dir.join("w.mps");
     let out = bin()

@@ -28,6 +28,7 @@
 //! list plus the source map and the data-object registry — everything
 //! the Folding crate needs.
 
+pub mod batch;
 pub mod events;
 pub mod harness;
 pub mod json;
@@ -41,6 +42,7 @@ pub mod trace_format;
 pub mod trace_source;
 pub mod tracer;
 
+pub use batch::{EventBatch, Row, RowView};
 pub use events::{EventPayload, TraceEvent};
 pub use harness::{AppContext, MemRequest, NullContext, Workload};
 pub use objects::{ObjectId, ObjectKind, ObjectRegistry, ResolvedObject};
@@ -48,5 +50,5 @@ pub use query::{EventClass, KindMask, Query};
 pub use sim_alloc::SimAllocator;
 pub use source::{CodeLocation, Ip, SourceMap};
 pub use stream_writer::{EventSink, PrvSink, StreamWriter};
-pub use trace_source::{MaterializedSource, ScanStats, TraceSource};
+pub use trace_source::{scan_events, MaterializedSource, ScanStats, TraceSource};
 pub use tracer::{Trace, TraceMeta, Tracer, TracerConfig};

@@ -10,13 +10,18 @@
 //! A source separates the *header* — metadata, region names, symbol
 //! map, object registry, resolution counters; small, always resident —
 //! from the *event stream*, which may be orders of magnitude larger
-//! and is only touched through [`TraceSource::scan`] with a [`Query`].
+//! and is only touched through [`TraceSource::scan_batches`] with a
+//! [`Query`]: one [`EventBatch`] of decoded columns per surviving
+//! chunk. Consumers that need rows ([`TraceSource::filtered`], the
+//! store's `query*`) materialize them from the batches; folding and
+//! the object statistics read the columns directly.
 
+use crate::batch::{transpose_batches, EventBatch};
 use crate::query::Query;
 use crate::tracer::Trace;
 use std::io;
 
-/// Cost accounting of one [`TraceSource::scan`].
+/// Cost accounting of one [`TraceSource::scan_batches`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Events that matched the query and were delivered to the sink.
@@ -42,6 +47,40 @@ pub struct ScanStats {
     pub payload_bytes_decoded: u64,
 }
 
+impl ScanStats {
+    /// Add another scan's costs to this one (phases of one analysis,
+    /// shards of one store, workers of one parallel scan).
+    pub fn merge(&mut self, other: &ScanStats) {
+        self.events_matched += other.events_matched;
+        self.events_scanned += other.events_scanned;
+        self.chunks_decoded += other.chunks_decoded;
+        self.chunks_skipped += other.chunks_skipped;
+        self.chunks_cached += other.chunks_cached;
+        self.chunks_damaged += other.chunks_damaged;
+        self.payload_bytes_decoded += other.payload_bytes_decoded;
+    }
+}
+
+/// The `--stats` line of the CLI.
+impl std::fmt::Display for ScanStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} matched / {} scanned events; {} payload bytes; chunks: {} decoded, {} cached, {} skipped",
+            self.events_matched,
+            self.events_scanned,
+            self.payload_bytes_decoded,
+            self.chunks_decoded,
+            self.chunks_cached,
+            self.chunks_skipped,
+        )?;
+        if self.chunks_damaged > 0 {
+            write!(f, ", {} DAMAGED", self.chunks_damaged)?;
+        }
+        Ok(())
+    }
+}
+
 /// A trace opened for reading, independent of its container format.
 pub trait TraceSource {
     /// The header as a [`Trace`] with an **empty** event list: meta,
@@ -49,12 +88,13 @@ pub trait TraceSource {
     /// are populated; `events` is empty.
     fn header(&mut self) -> io::Result<Trace>;
 
-    /// Stream every event matching `query`, in trace order, into
-    /// `sink`. Returns what the scan cost.
-    fn scan(
+    /// Hand `sink` the events matching `query` as column batches — one
+    /// per surviving chunk, in trace order, each fully decoded and
+    /// validated before the sink sees it. Returns what the scan cost.
+    fn scan_batches(
         &mut self,
         query: &Query,
-        sink: &mut dyn FnMut(crate::events::TraceEvent),
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats>;
 
     /// A human-readable name of the backing container ("prv", "mps").
@@ -67,13 +107,12 @@ pub trait TraceSource {
     }
 
     /// Materialize a query-filtered trace: the full header plus only
-    /// the matching events. This is the bridge that lets event-list
-    /// consumers (folding, analyses) run out-of-core sources without
-    /// paying for the events they would ignore.
+    /// the matching events, for event-list consumers (`query`, text
+    /// export, the analyses that walk a [`Trace`]).
     fn filtered(&mut self, query: &Query) -> io::Result<(Trace, ScanStats)> {
         let mut trace = self.header()?;
         let mut events = Vec::new();
-        let stats = self.scan(query, &mut |e| events.push(e))?;
+        let stats = self.scan_batches(query, &mut |b| b.materialize_into(&mut events))?;
         trace.events = events;
         Ok((trace, stats))
     }
@@ -119,19 +158,12 @@ impl TraceSource for MaterializedSource {
         Ok(t)
     }
 
-    fn scan(
+    fn scan_batches(
         &mut self,
         query: &Query,
-        sink: &mut dyn FnMut(crate::events::TraceEvent),
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        let mut stats = ScanStats { events_scanned: self.trace.events.len() as u64, ..Default::default() };
-        for e in &self.trace.events {
-            if query.matches(e) {
-                stats.events_matched += 1;
-                sink(e.clone());
-            }
-        }
-        Ok(stats)
+        Ok(scan_events(&self.trace.events, query, sink))
     }
 
     fn format_name(&self) -> &'static str {
@@ -141,6 +173,21 @@ impl TraceSource for MaterializedSource {
     fn materialize(&mut self) -> io::Result<Trace> {
         Ok(self.trace.clone())
     }
+}
+
+/// Scan an in-memory event list: the events matching `query`,
+/// transposed into column batches. The in-memory counterpart of a
+/// store scan, shared by [`MaterializedSource`] and the `&Trace` entry
+/// points of the analyses.
+pub fn scan_events(
+    events: &[crate::events::TraceEvent],
+    query: &Query,
+    sink: &mut dyn FnMut(&EventBatch<'_>),
+) -> ScanStats {
+    let mut stats = ScanStats { events_scanned: events.len() as u64, ..Default::default() };
+    let matching = events.iter().filter(|e| query.matches(e)).inspect(|_| stats.events_matched += 1);
+    transpose_batches(matching, sink);
+    stats
 }
 
 #[cfg(test)]
@@ -189,6 +236,38 @@ mod tests {
         assert_eq!(stats.events_scanned, 30);
         assert_eq!(stats.chunks_decoded, 0, "in-memory source decodes nothing");
         assert!(t.events.iter().all(|e| e.core == 1));
+    }
+
+    #[test]
+    fn merge_sums_every_field_and_the_stats_line_flags_damage() {
+        let part = ScanStats {
+            events_matched: 1,
+            events_scanned: 2,
+            chunks_decoded: 3,
+            chunks_skipped: 4,
+            chunks_cached: 5,
+            chunks_damaged: 6,
+            payload_bytes_decoded: 7,
+        };
+        let mut sum = part;
+        sum.merge(&part);
+        assert_eq!(
+            sum,
+            ScanStats {
+                events_matched: 2,
+                events_scanned: 4,
+                chunks_decoded: 6,
+                chunks_skipped: 8,
+                chunks_cached: 10,
+                chunks_damaged: 12,
+                payload_bytes_decoded: 14,
+            }
+        );
+        assert_eq!(
+            sum.to_string(),
+            "2 matched / 4 scanned events; 14 payload bytes; chunks: 6 decoded, 10 cached, 8 skipped, 12 DAMAGED"
+        );
+        assert!(!ScanStats::default().to_string().contains("DAMAGED"));
     }
 
     #[test]

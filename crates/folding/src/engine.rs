@@ -1,12 +1,13 @@
 //! The single-pass, multi-region parallel folding engine.
 //!
-//! [`fold_regions`] folds **all requested regions from one walk of the
-//! trace**: instance collection runs once for every region
-//! ([`collect_instances_multi`]), pooling dispatches each sample into
-//! every containing region ([`pool_all`]), and the per-(region,
-//! counter) curve fits plus the per-region address/line panel sorts
-//! become independent **work items** executed on a deterministic
-//! worker pool.
+//! [`fold_regions`] / [`fold_regions_source`] fold **all requested
+//! regions from two pruned scans of the trace**, both consumed as
+//! column batches with no event rows in between: the boundary scan
+//! feeds the instance-collection kernel once for every region, the
+//! sample scan feeds the pooling kernel, which dispatches each sample
+//! into every containing region; the per-(region, counter) curve fits
+//! plus the per-region address/line panel sorts then become
+//! independent **work items** executed on a deterministic worker pool.
 //!
 //! Determinism: every work item owns its input buffers, is internally
 //! sequential, and writes only its own output slot; the thread count
@@ -18,13 +19,14 @@
 
 use crate::curve::MonotoneCurve;
 use crate::fold::{FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
-use crate::instances::{collect_instances_multi, RegionInstance};
+use crate::instances::{boundary_query, InstanceCollector, RegionInstance};
 use crate::pava::pava_nondecreasing;
-use crate::pool::{pool_all, sort_pairs_with, AddrPoint, LinePoint};
+use crate::pool::{sample_query, sort_pairs_with, AddrPoint, LinePoint, PooledSamples, Pooler};
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::Trace;
+use mempersp_extrae::{scan_events, EventBatch, Trace};
 use mempersp_pebs::EventKind;
+use std::convert::Infallible;
 
 const NKINDS: usize = EventKind::ALL.len();
 
@@ -194,19 +196,25 @@ fn average_total(instances: &[RegionInstance], kind: EventKind) -> f64 {
         / instances.len() as f64
 }
 
-/// Per-request instance collection, shared by the in-memory and
-/// source-backed entry points: resolved + gated instances per
-/// surviving slot, plus the already-failed slots' errors.
-struct Prepared {
-    results: Vec<Option<Result<FoldedRegion, FoldError>>>,
-    kept: Vec<(usize, Vec<RegionInstance>, usize)>,
-}
-
-/// Resolve region names, collect every region's instances in one event
-/// pass, and apply the per-request gates. `trace` only needs the
-/// header plus the region enter/exit events — instances derive from
-/// the boundary events alone (their counter snapshots included).
-fn prepare(trace: &Trace, requests: &[RegionRequest]) -> Prepared {
+/// The fold pipeline over any way of scanning a trace. `scan(query,
+/// sink)` hands `sink` the matching events as column batches in trace
+/// order (a store scan, or [`scan_events`] over an in-memory trace);
+/// `header` carries the region names, source map, core count and
+/// frequency.
+///
+/// Phase 1 scans only the region **boundary** events — on an indexed
+/// `.mps` store every sample-only chunk is skipped outright — into the
+/// instance collector. Phase 2 scans only the **sample** events,
+/// time-bounded to the hull of the kept instances, into the pooler, so
+/// chunks wholly outside any folded region and chunks with no samples
+/// are never decoded. Both kernels see rows in trace order whatever the
+/// container or chunking, so every path yields byte-identical folds.
+fn fold_scans<E>(
+    header: &Trace,
+    requests: &[RegionRequest],
+    threads: usize,
+    mut scan: impl FnMut(&Query, &mut dyn FnMut(&EventBatch<'_>)) -> Result<ScanStats, E>,
+) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), E> {
     let n = requests.len();
     let mut results: Vec<Option<Result<FoldedRegion, FoldError>>> = (0..n).map(|_| None).collect();
 
@@ -215,7 +223,7 @@ fn prepare(trace: &Trace, requests: &[RegionRequest]) -> Prepared {
     let mut filters = Vec::with_capacity(n);
     let mut ok_slots: Vec<usize> = Vec::with_capacity(n);
     for (i, req) in requests.iter().enumerate() {
-        match trace.region_id(&req.region) {
+        match header.region_id(&req.region) {
             Some(id) => {
                 ok_slots.push(i);
                 ids.push(id);
@@ -225,10 +233,12 @@ fn prepare(trace: &Trace, requests: &[RegionRequest]) -> Prepared {
         }
     }
 
-    // One event pass collects every region's instances.
-    let collected = collect_instances_multi(trace, &ids, &filters);
+    // Phase 1: instances (including their counter snapshots) derive
+    // entirely from enter/exit events; then the per-request gates.
+    let mut collector = InstanceCollector::new(&ids, header.meta.num_cores);
+    let mut stats = scan(&boundary_query(), &mut |b| collector.push(b))?;
     let mut kept: Vec<(usize, Vec<RegionInstance>, usize)> = Vec::new();
-    for (k, (instances, rejected)) in collected.into_iter().enumerate() {
+    for (k, (instances, rejected)) in collector.finish(&filters).into_iter().enumerate() {
         let slot = ok_slots[k];
         let need = requests[slot].cfg.min_instances.max(1);
         if instances.len() < need {
@@ -238,27 +248,32 @@ fn prepare(trace: &Trace, requests: &[RegionRequest]) -> Prepared {
             kept.push((slot, instances, rejected));
         }
     }
-    Prepared { results, kept }
+
+    // Phase 2: samples. With nothing kept every slot already holds its
+    // error — skip the scan.
+    let mut pooled = Vec::new();
+    if !kept.is_empty() {
+        let instances = kept.iter().flat_map(|(_, v, _)| v.iter());
+        let lo = instances.clone().map(|i| i.start_cycles).min().expect("kept is non-empty");
+        let hi = instances.map(|i| i.end_cycles).max().expect("kept is non-empty");
+        let slices: Vec<&[RegionInstance]> = kept.iter().map(|(_, v, _)| v.as_slice()).collect();
+        let mut pooler = Pooler::new(header, &slices);
+        stats.merge(&scan(&sample_query().in_time(lo, hi), &mut |b| pooler.push(b))?);
+        pooled = pooler.finish();
+    }
+    Ok((fit_kept(header, requests, results, kept, pooled, threads), stats))
 }
 
-/// Pool + fit the surviving slots and assemble the request-ordered
-/// result vector. `sample_trace` provides the counter/PEBS events (and
-/// the source map for line resolution); it may be the full trace or a
-/// pre-filtered sample-only view — pooling drops out-of-instance
-/// samples either way, so both yield byte-identical folds.
-fn fold_kept(
-    sample_trace: &Trace,
+/// Fit the surviving slots' pooled samples and assemble the
+/// request-ordered result vector.
+fn fit_kept(
+    header: &Trace,
     requests: &[RegionRequest],
-    prepared: Prepared,
+    mut results: Vec<Option<Result<FoldedRegion, FoldError>>>,
+    kept: Vec<(usize, Vec<RegionInstance>, usize)>,
+    mut pooled: Vec<PooledSamples>,
     threads: usize,
 ) -> Vec<Result<FoldedRegion, FoldError>> {
-    let Prepared { mut results, kept } = prepared;
-    let trace = sample_trace;
-
-    // One event pass pools samples for every surviving region.
-    let slices: Vec<&[RegionInstance]> = kept.iter().map(|(_, v, _)| v.as_slice()).collect();
-    let mut pooled = pool_all(trace, &slices);
-
     // Fan the fold out into independent work items: one per (region,
     // counter) plus one per address/line panel, each owning its input
     // buffers (taken from the pooled SoA storage, returned below).
@@ -310,7 +325,7 @@ fn fold_kept(
             instances_used: instances.len(),
             instances_rejected: rejected,
             avg_duration_cycles: avg_duration,
-            freq_mhz: trace.meta.freq_mhz,
+            freq_mhz: header.meta.freq_mhz,
             counters: counters.into_iter().map(|c| c.expect("counter job ran")).collect(),
             pooled,
         }));
@@ -322,8 +337,8 @@ fn fold_kept(
         .collect()
 }
 
-/// Fold every requested region from **one pass** over the trace, with
-/// the per-(region, counter, panel) fold work spread over `threads`
+/// Fold every requested region of an in-memory trace, with the
+/// per-(region, counter, panel) fold work spread over `threads`
 /// deterministic workers. The result vector keeps request order; a
 /// failing region (unknown name, too few instances) fails only its own
 /// slot.
@@ -332,58 +347,28 @@ pub fn fold_regions(
     requests: &[RegionRequest],
     threads: usize,
 ) -> Vec<Result<FoldedRegion, FoldError>> {
-    let prepared = prepare(trace, requests);
-    fold_kept(trace, requests, prepared, threads)
+    let scan = |q: &Query, sink: &mut dyn FnMut(&EventBatch<'_>)| {
+        Ok::<_, Infallible>(scan_events(&trace.events, q, sink))
+    };
+    match fold_scans(trace, requests, threads, scan) {
+        Ok((results, _)) => results,
+        Err(never) => match never {},
+    }
 }
 
-/// [`fold_regions`] over any [`TraceSource`], as a two-phase pruned
-/// scan. Phase 1 pulls only the region **boundary** events (a union
-/// [`Query`] across the requests) — on an indexed `.mps` store every
-/// sample-only chunk is skipped outright — and collects each region's
-/// instances from them. Phase 2 pulls only the **sample** events,
-/// time-bounded to the hull of the kept instances, so chunks wholly
-/// outside any folded region (setup, teardown) and chunks with no
-/// samples are never decoded. The two filtered views feed the same
-/// [`fold_regions`] pipeline, so the result is byte-identical to
-/// folding the materialized trace; the returned [`ScanStats`] is the
-/// sum of both phases.
+/// [`fold_regions`] over any [`TraceSource`]: the same two pruned
+/// scans, issued as [`TraceSource::scan_batches`], so no event row is
+/// built between the store's decoded columns and the fold. The result
+/// is byte-identical to folding the materialized trace; the returned
+/// [`ScanStats`] is the sum of both scans.
 pub fn fold_regions_source(
     source: &mut dyn TraceSource,
     requests: &[RegionRequest],
     threads: usize,
 ) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
     let io_err = |e: std::io::Error| FoldError::Io(e.to_string());
-
-    // Phase 1: region boundaries. Instances (including their counter
-    // snapshots) derive entirely from enter/exit events.
-    let boundary_queries: Vec<Query> = requests
-        .iter()
-        .map(|_| Query::all().with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit]))
-        .collect();
-    let q1 = Query::union_of(&boundary_queries);
-    let (boundary, mut stats) = source.filtered(&q1).map_err(io_err)?;
-    let prepared = prepare(&boundary, requests);
-
-    // Phase 2: samples, bounded to the kept instances' time hull. With
-    // nothing kept every slot already holds its error — skip the scan.
-    if prepared.kept.is_empty() {
-        return Ok((fold_kept(&boundary, requests, prepared, threads), stats));
-    }
-    let instances = prepared.kept.iter().flat_map(|(_, v, _)| v.iter());
-    let lo = instances.clone().map(|i| i.start_cycles).min().expect("kept is non-empty");
-    let hi = instances.map(|i| i.end_cycles).max().expect("kept is non-empty");
-    let q2 = Query::all()
-        .with_kinds(&[EventClass::CounterSample, EventClass::Pebs])
-        .in_time(lo, hi);
-    let (samples, s2) = source.filtered(&q2).map_err(io_err)?;
-    stats.events_matched += s2.events_matched;
-    stats.events_scanned += s2.events_scanned;
-    stats.chunks_decoded += s2.chunks_decoded;
-    stats.chunks_skipped += s2.chunks_skipped;
-    stats.chunks_cached += s2.chunks_cached;
-    stats.payload_bytes_decoded += s2.payload_bytes_decoded;
-
-    Ok((fold_kept(&samples, requests, prepared, threads), stats))
+    let header = source.header().map_err(io_err)?;
+    fold_scans(&header, requests, threads, |q, sink| source.scan_batches(q, sink)).map_err(io_err)
 }
 
 #[cfg(test)]

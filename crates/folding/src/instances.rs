@@ -5,8 +5,9 @@
 //! from the typical one (perturbed by OS noise, signals, or trace
 //! flushes); we use the robust median ± k·MAD criterion.
 
-use mempersp_extrae::events::{EventPayload, RegionId};
-use mempersp_extrae::Trace;
+use mempersp_extrae::events::RegionId;
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::{scan_events, EventBatch, RowView, Trace};
 use mempersp_pebs::CounterSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -85,10 +86,13 @@ pub fn collect_instances(
         .expect("one slot per requested region")
 }
 
+/// The events instance collection reads: region boundaries.
+pub(crate) fn boundary_query() -> Query {
+    Query::all().with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit])
+}
+
 /// [`collect_instances`] for many regions in **one pass** over the
-/// trace events: per-(region, core) depth counters track top-level
-/// nesting for every requested region simultaneously, so folding N
-/// regions costs one event scan instead of N.
+/// trace events.
 ///
 /// `regions[s]` and `filters[s]` describe slot `s`; the result keeps
 /// slot order. Duplicate region ids are allowed (each slot accumulates
@@ -98,60 +102,82 @@ pub fn collect_instances_multi(
     regions: &[RegionId],
     filters: &[InstanceFilter],
 ) -> Vec<(Vec<RegionInstance>, usize)> {
-    assert_eq!(regions.len(), filters.len(), "one filter per region");
-    let nr = regions.len();
-    let nc = trace.meta.num_cores;
-    let mut all: Vec<Vec<RegionInstance>> = vec![Vec::new(); nr];
+    let mut collector = InstanceCollector::new(regions, trace.meta.num_cores);
+    scan_events(&trace.events, &boundary_query(), &mut |b| collector.push(b));
+    collector.finish(filters)
+}
+
+/// Instance collection as a column kernel: fed the boundary rows of a
+/// trace batch by batch, in trace order, it tracks top-level nesting
+/// per (slot, core) for every requested region simultaneously — the
+/// depth counters and open-instance starts carry across batches, so an
+/// instance may straddle any number of chunks.
+pub(crate) struct InstanceCollector {
+    regions: Vec<RegionId>,
+    num_cores: usize,
     // State arrays indexed slot * num_cores + core.
-    let mut depth = vec![0u32; nr * nc];
-    let mut start: Vec<Option<(u64, CounterSnapshot)>> = vec![None; nr * nc];
-    for e in &trace.events {
-        if e.core >= nc {
-            continue;
+    depth: Vec<u32>,
+    start: Vec<Option<(u64, CounterSnapshot)>>,
+    all: Vec<Vec<RegionInstance>>,
+}
+
+impl InstanceCollector {
+    pub(crate) fn new(regions: &[RegionId], num_cores: usize) -> Self {
+        let n = regions.len() * num_cores;
+        Self {
+            regions: regions.to_vec(),
+            num_cores,
+            depth: vec![0; n],
+            start: vec![None; n],
+            all: vec![Vec::new(); regions.len()],
         }
-        match &e.payload {
-            EventPayload::RegionEnter { region: r, counters } => {
-                for (slot, reg) in regions.iter().enumerate() {
-                    if reg == r {
-                        let s = slot * nc + e.core;
-                        if depth[s] == 0 {
-                            start[s] = Some((e.cycles, *counters));
-                        }
-                        depth[s] += 1;
+    }
+
+    /// Consume the boundary rows of one batch (other rows are ignored).
+    pub(crate) fn push(&mut self, batch: &EventBatch<'_>) {
+        for row in batch.rows() {
+            let RowView::Boundary(b) = row.view else { continue };
+            if row.core >= self.num_cores {
+                continue;
+            }
+            let region = b.region();
+            for (slot, _) in self.regions.iter().enumerate().filter(|(_, r)| **r == region) {
+                let s = slot * self.num_cores + row.core;
+                if b.enter {
+                    if self.depth[s] == 0 {
+                        self.start[s] = Some((row.cycles, b.counters()));
+                    }
+                    self.depth[s] += 1;
+                } else if self.depth[s] > 0 {
+                    self.depth[s] -= 1;
+                    if self.depth[s] == 0 {
+                        let (st, cin) = self.start[s].take().expect("enter recorded");
+                        self.all[slot].push(RegionInstance {
+                            core: row.core,
+                            start_cycles: st,
+                            end_cycles: row.cycles,
+                            counters_in: cin,
+                            counters_out: b.counters(),
+                        });
                     }
                 }
             }
-            EventPayload::RegionExit { region: r, counters } => {
-                for (slot, reg) in regions.iter().enumerate() {
-                    if reg == r && depth[slot * nc + e.core] > 0 {
-                        let s = slot * nc + e.core;
-                        depth[s] -= 1;
-                        if depth[s] == 0 {
-                            let (st, cin) = start[s].take().expect("enter recorded");
-                            all[slot].push(RegionInstance {
-                                core: e.core,
-                                start_cycles: st,
-                                end_cycles: e.cycles,
-                                counters_in: cin,
-                                counters_out: *counters,
-                            });
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
-    // The legacy single-region collector walked cores in the outer
-    // loop, producing core-major, start-ascending order; reproduce it
-    // so downstream instance indices are byte-identical.
-    for v in &mut all {
-        v.sort_by_key(|i| (i.core, i.start_cycles, i.end_cycles));
+
+    /// Order each slot's instances and apply its outlier filter:
+    /// `(kept, rejected_count)` per slot.
+    pub(crate) fn finish(self, filters: &[InstanceFilter]) -> Vec<(Vec<RegionInstance>, usize)> {
+        assert_eq!(self.regions.len(), filters.len(), "one filter per region");
+        let mut all = self.all;
+        // The legacy single-region collector walked cores in the outer
+        // loop, producing core-major, start-ascending order; reproduce it
+        // so downstream instance indices are byte-identical.
+        for v in &mut all {
+            v.sort_by_key(|i| (i.core, i.start_cycles, i.end_cycles));
+        }
+        all.into_iter().zip(filters).map(|(v, &f)| apply_filter(v, f)).collect()
     }
-    all.into_iter()
-        .zip(filters)
-        .map(|(v, &f)| apply_filter(v, f))
-        .collect()
 }
 
 /// Apply the outlier filter to one region's collected instances.

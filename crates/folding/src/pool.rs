@@ -7,9 +7,10 @@
 //! *source-line* panel; timer samples contribute to the source-line
 //! and *performance* panels.
 //!
-//! Pooling is **single-pass and multi-region**: [`pool_all`] walks the
-//! trace once and dispatches every sample into the accumulators of all
-//! regions whose instances contain it. Counter points are stored as
+//! Pooling is **single-pass and multi-region**: the [`Pooler`] column
+//! kernel is fed the trace's sample rows once, batch by batch, and
+//! dispatches every sample into the accumulators of all regions whose
+//! instances contain it. Counter points are stored as
 //! structure-of-arrays (`counter_xs` / `counter_ys`) so the binning
 //! pass in the fold engine streams two flat `f64` buffers, and source
 //! files are interned into a per-region string table ([`FileId`]) so a
@@ -17,8 +18,8 @@
 //! `String`.
 
 use crate::instances::RegionInstance;
-use mempersp_extrae::events::EventPayload;
-use mempersp_extrae::{ObjectId, Trace};
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::{scan_events, EventBatch, ObjectId, RowView, SourceMap, Trace};
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::EventKind;
 use serde::{Deserialize, Serialize};
@@ -229,7 +230,7 @@ type LineMemo = HashMap<u64, (Option<FileId>, Option<u32>)>;
 /// Resolve an ip to interned source coordinates, memoized per region
 /// (each region owns its string table, so ids are region-local).
 fn resolve_line(
-    trace: &Trace,
+    source: &SourceMap,
     memo: &mut LineMemo,
     samples: &mut PooledSamples,
     ip: u64,
@@ -237,12 +238,17 @@ fn resolve_line(
     if let Some(&r) = memo.get(&ip) {
         return r;
     }
-    let r = match trace.source.resolve(mempersp_extrae::Ip(ip)) {
+    let r = match source.resolve(mempersp_extrae::Ip(ip)) {
         Some(loc) => (Some(samples.intern_file(&loc.file)), Some(loc.line)),
         None => (None, None),
     };
     memo.insert(ip, r);
     r
+}
+
+/// The events pooling reads: counter and PEBS samples.
+pub(crate) fn sample_query() -> Query {
+    Query::all().with_kinds(&[EventClass::CounterSample, EventClass::Pebs])
 }
 
 /// Pool every in-instance sample of the trace into folded coordinates
@@ -254,66 +260,102 @@ fn resolve_line(
 /// via [`PooledSamples::sort_deterministic`] or the fold engine's
 /// per-panel work items.
 pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples> {
-    let nslots = kept.len();
-    let mut out: Vec<PooledSamples> = (0..nslots).map(|_| PooledSamples::default()).collect();
-    if nslots == 0 {
-        return out;
+    let mut pooler = Pooler::new(trace, kept);
+    if !kept.is_empty() {
+        scan_events(&trace.events, &sample_query(), &mut |b| pooler.push(b));
     }
-    let indices: Vec<InstanceIndex> = kept
-        .iter()
-        .map(|k| InstanceIndex::new(k, trace.meta.num_cores))
-        .collect();
-    let mut memos: Vec<LineMemo> = vec![LineMemo::new(); nslots];
+    pooler.finish()
+}
 
-    for e in &trace.events {
-        match &e.payload {
-            EventPayload::CounterSample { ip, counters, .. } => {
-                for slot in 0..nslots {
-                    let Some(idx) = indices[slot].find(e.core, e.cycles) else {
-                        continue;
-                    };
-                    let inst = &kept[slot][idx];
-                    let x = inst.normalize(e.cycles);
-                    for kind in EventKind::ALL {
-                        let c0 = inst.counters_in.get(kind);
-                        let c1 = inst.counters_out.get(kind);
-                        if c1 <= c0 {
-                            continue; // counter did not advance in this instance
-                        }
-                        let c = counters.get(kind).clamp(c0, c1);
-                        let y = (c - c0) as f64 / (c1 - c0) as f64;
-                        out[slot].push_counter(kind, x, y);
-                    }
-                    let (file, line) = resolve_line(trace, &mut memos[slot], &mut out[slot], ip.0);
-                    out[slot].line_points.push(LinePoint { x, ip: ip.0, file, line });
-                }
-            }
-            EventPayload::Pebs { sample, object } => {
-                for slot in 0..nslots {
-                    let Some(idx) = indices[slot].find(sample.core, sample.timestamp) else {
-                        continue;
-                    };
-                    let inst = &kept[slot][idx];
-                    let x = inst.normalize(sample.timestamp);
-                    out[slot].addr_points.push(AddrPoint {
-                        x,
-                        addr: sample.addr,
-                        ip: sample.ip,
-                        is_store: sample.is_store,
-                        latency: sample.latency,
-                        source: sample.source,
-                        object: *object,
-                        instance: idx,
-                    });
-                    let (file, line) =
-                        resolve_line(trace, &mut memos[slot], &mut out[slot], sample.ip);
-                    out[slot].line_points.push(LinePoint { x, ip: sample.ip, file, line });
-                }
-            }
-            _ => {}
+/// Pooling as a column kernel: fed the sample rows of a trace batch by
+/// batch, **in trace order**, it appends to each slot's panels in that
+/// order — which, with the stable per-panel sorts downstream, is what
+/// keeps the address and line panels byte-identical across containers
+/// and chunkings. The accumulators and per-slot line memos carry
+/// across batches.
+pub(crate) struct Pooler<'a> {
+    source: &'a SourceMap,
+    kept: &'a [&'a [RegionInstance]],
+    indices: Vec<InstanceIndex>,
+    memos: Vec<LineMemo>,
+    out: Vec<PooledSamples>,
+}
+
+impl<'a> Pooler<'a> {
+    /// `header` supplies the source map and the core count.
+    pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]]) -> Self {
+        Self {
+            source: &header.source,
+            kept,
+            indices: kept.iter().map(|k| InstanceIndex::new(k, header.meta.num_cores)).collect(),
+            memos: vec![LineMemo::new(); kept.len()],
+            out: kept.iter().map(|_| PooledSamples::default()).collect(),
         }
     }
-    out
+
+    /// Consume the counter-sample and PEBS rows of one batch (other
+    /// rows are ignored). Payload columns are read only for rows that
+    /// fall inside a kept instance.
+    pub(crate) fn push(&mut self, batch: &EventBatch<'_>) {
+        for row in batch.rows() {
+            match row.view {
+                RowView::Sample(s) => {
+                    let mut payload = None;
+                    for slot in 0..self.kept.len() {
+                        let Some(idx) = self.indices[slot].find(row.core, row.cycles) else {
+                            continue;
+                        };
+                        let (ip, counters) = *payload.get_or_insert_with(|| (s.ip().0, s.counters()));
+                        let inst = &self.kept[slot][idx];
+                        let out = &mut self.out[slot];
+                        let x = inst.normalize(row.cycles);
+                        for kind in EventKind::ALL {
+                            let c0 = inst.counters_in.get(kind);
+                            let c1 = inst.counters_out.get(kind);
+                            if c1 <= c0 {
+                                continue; // counter did not advance in this instance
+                            }
+                            let c = counters.get(kind).clamp(c0, c1);
+                            let y = (c - c0) as f64 / (c1 - c0) as f64;
+                            out.push_counter(kind, x, y);
+                        }
+                        let (file, line) = resolve_line(self.source, &mut self.memos[slot], out, ip);
+                        out.line_points.push(LinePoint { x, ip, file, line });
+                    }
+                }
+                RowView::Pebs(p) => {
+                    let mut payload = None;
+                    for slot in 0..self.kept.len() {
+                        let Some(idx) = self.indices[slot].find(row.core, row.cycles) else {
+                            continue;
+                        };
+                        let (sample, object) =
+                            *payload.get_or_insert_with(|| (p.sample(), p.object()));
+                        let out = &mut self.out[slot];
+                        let x = self.kept[slot][idx].normalize(row.cycles);
+                        out.addr_points.push(AddrPoint {
+                            x,
+                            addr: sample.addr,
+                            ip: sample.ip,
+                            is_store: sample.is_store,
+                            latency: sample.latency,
+                            source: sample.source,
+                            object,
+                            instance: idx,
+                        });
+                        let (file, line) =
+                            resolve_line(self.source, &mut self.memos[slot], out, sample.ip);
+                        out.line_points.push(LinePoint { x, ip: sample.ip, file, line });
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    pub(crate) fn finish(self) -> Vec<PooledSamples> {
+        self.out
+    }
 }
 
 /// Pool every in-instance sample of the trace into folded coordinates

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::{Query, Trace, TraceEvent};
+use mempersp_extrae::{EventBatch, Query, Trace};
 use mempersp_store::{CacheStats, CancelToken, MpsSource, RecoveryMode};
 
 fn bad_name(name: &str, why: &str) -> io::Error {
@@ -171,23 +171,14 @@ impl TraceSource for CancellableSource<'_> {
         Ok(self.src.store_header().clone())
     }
 
-    fn scan(
+    fn scan_batches(
         &mut self,
         query: &Query,
-        sink: &mut dyn FnMut(TraceEvent),
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        match self.src.query_cancel(query, self.cancel) {
-            Ok((events, stats)) => {
-                for e in events {
-                    sink(e);
-                }
-                Ok(stats)
-            }
-            Err(e) => {
-                self.last_err = Some(e.kind());
-                Err(e)
-            }
-        }
+        self.src.scan_batches_cancel(query, self.cancel, sink).inspect_err(|e| {
+            self.last_err = Some(e.kind());
+        })
     }
 
     fn format_name(&self) -> &'static str {

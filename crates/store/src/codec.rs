@@ -39,6 +39,7 @@
 //! of global time order.
 
 use crate::varint::{self, get_bytes, get_i64, get_u64, put_bytes, put_i64, put_u64, CodecError};
+use mempersp_extrae::batch::{level_from_code, Transposer};
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp_extrae::objects::ObjectId;
 use mempersp_extrae::query::{EventClass, KindMask, Query};
@@ -60,23 +61,11 @@ fn get_counters(buf: &[u8], pos: &mut usize) -> Result<CounterSnapshot, CodecErr
     Ok(CounterSnapshot::from_values(vals))
 }
 
-pub(crate) fn level_code(l: MemLevel) -> u8 {
-    match l {
-        MemLevel::L1 => 0,
-        MemLevel::L2 => 1,
-        MemLevel::L3 => 2,
-        MemLevel::Dram => 3,
-    }
-}
+pub(crate) use mempersp_extrae::batch::level_code;
 
 pub(crate) fn level_from(code: u8, at: usize) -> Result<MemLevel, CodecError> {
-    match code {
-        0 => Ok(MemLevel::L1),
-        1 => Ok(MemLevel::L2),
-        2 => Ok(MemLevel::L3),
-        3 => Ok(MemLevel::Dram),
-        other => Err(CodecError { offset: at, message: format!("bad memory level code {other}") }),
-    }
+    level_from_code(code)
+        .ok_or_else(|| CodecError { offset: at, message: format!("bad memory level code {code}") })
 }
 
 /// Append one event to `out`. `prev_cycles` is the running timestamp
@@ -408,6 +397,9 @@ pub struct DecodeScratch {
     /// `[class][column]`; inner vectors keep their capacity across
     /// chunks and queries.
     pub(crate) class_cols: [Vec<Vec<u64>>; NSTREAMS],
+    /// v1–v3: the adapter that turns a chunk's decoded rows into the
+    /// column batch every scan hands its sink.
+    pub(crate) transposer: Transposer,
 }
 
 /// The parsed section table of a v2 or v4 chunk (both share the

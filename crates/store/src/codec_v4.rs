@@ -31,27 +31,26 @@
 //! * MuxSwitch: `event_index`, `label_len`, raw concatenated labels
 //! * User: `kind`, `value`
 //!
-//! The scan is **late-materializing**: it decodes only the tag, delta
-//! and core columns, evaluates the pushed-down time/core/kind
-//! predicates into a selection vector of `(row, class-occurrence)`
-//! pairs, and then decodes payload columns only for classes with
-//! selected rows — and only the control-byte groups covering the
-//! selected occurrence range. `TraceEvent` records are built for
-//! selected rows alone; unfiltered scans take the classic
-//! materialize-everything path. The bytes actually read are counted
-//! into [`ScanOutcome::payload_bytes`], which is how the "filtered
-//! queries decode strictly fewer payload bytes" invariant is asserted.
+//! The scan ([`select_v4`]) **never builds rows**: it decodes only the
+//! tag, delta and core columns, evaluates the pushed-down
+//! time/core/kind predicates into a selection vector of `(row,
+//! class-occurrence)` pairs, decodes payload columns only for classes
+//! with selected rows — and only the control-byte groups covering the
+//! selected occurrence range — applies the PEBS object-id predicate to
+//! the decoded column, and lends the result out as an
+//! [`EventBatch`]. Whoever needs `TraceEvent`s calls
+//! [`EventBatch::materialize_into`]. The bytes actually read are
+//! counted into [`ScanOutcome::payload_bytes`], which is how the
+//! "filtered queries decode strictly fewer payload bytes" invariant is
+//! asserted.
 
-use crate::codec::{
-    level_code, level_from, split_sections, DecodeScratch, ScanOutcome, NCOUNTERS, NSTREAMS,
-};
+use crate::codec::{level_code, split_sections, DecodeScratch, ScanOutcome, NCOUNTERS, NSTREAMS};
 use crate::svb::{zigzag, ColBuf, SvbColumn};
 use crate::varint::{put_u64, CodecError};
+use mempersp_extrae::batch::{column_count, ClassColumns, EventBatch, PEBS_HAS_OBJECT};
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
-use mempersp_extrae::objects::ObjectId;
 use mempersp_extrae::query::{EventClass, KindMask, Query};
-use mempersp_extrae::source::Ip;
-use mempersp_pebs::{CounterSnapshot, PebsSample};
+use mempersp_pebs::CounterSnapshot;
 
 fn err(offset: usize, message: String) -> CodecError {
     CodecError { offset, message }
@@ -381,20 +380,6 @@ pub fn encode_events_v4(events: &[TraceEvent]) -> Vec<u8> {
 
 // ---------------------------------------------------------------- decode
 
-/// Number of numeric column slots a class needs in the scratch
-/// (CounterSample: ip + 12 counters + stack_len + stack + offsets).
-fn num_cols(k: usize) -> usize {
-    match EventClass::ALL[k] {
-        EventClass::RegionEnter | EventClass::RegionExit => 1 + NCOUNTERS,
-        EventClass::CounterSample => 1 + NCOUNTERS + 2 + 1, // + stack offsets
-        EventClass::Pebs => 5,
-        EventClass::Alloc => 3,
-        EventClass::Free => 1,
-        EventClass::MuxSwitch => 2 + 1, // + label offsets
-        EventClass::User => 2,
-    }
-}
-
 /// Parse the next column and decode it — fully (`range == None`) or
 /// just the control-byte groups covering `range` — into `out`,
 /// charging the touched bytes to `bytes`. Returns the occurrence
@@ -457,8 +442,9 @@ fn prefix_offsets(lens: &[u64], offs: &mut Vec<u64>) -> Result<usize, CodecError
     usize::try_from(total).map_err(|_| err(0, "length column overflows".to_string()))
 }
 
-/// Everything the materialization loop needs about one decoded class:
-/// where its numeric columns start (`base`) and its raw byte columns.
+/// What [`decode_class`] reports besides the numeric columns it
+/// filled: the occurrence their element 0 stands for, and the class's
+/// raw byte columns (whole, indexed from occurrence 0).
 #[derive(Default, Clone, Copy)]
 struct ClassView<'a> {
     base: usize,
@@ -474,7 +460,6 @@ fn decode_class<'a>(
     n: usize,
     range: Option<(usize, usize)>,
     cols: &mut [Vec<u64>],
-    tmp: &mut Vec<u64>,
     bytes: &mut u64,
 ) -> Result<ClassView<'a>, CodecError> {
     let mut pos = 0usize;
@@ -541,24 +526,24 @@ fn decode_class<'a>(
     // lengths are functions of their control bytes, so any slack or
     // shortfall is corruption.
     expect_end(sec, pos, k)?;
-    let _ = tmp;
     Ok(view)
 }
 
-/// Scan a v4 chunk. Decodes the tag/timestamp/core columns, builds a
-/// selection vector from the pushed-down time/core/kind predicates,
-/// then decodes payload columns only for classes — and control-byte
-/// group ranges — with selected rows, materializing just those events
-/// (the residual `Query::matches` runs on each before it is emitted).
-/// With `query == None` every section is decoded and validated — the
+/// Select and decode a v4 chunk into a column batch. Decodes the
+/// tag/timestamp/core columns, builds a selection vector from the
+/// pushed-down time/core/kind predicates, decodes payload columns only
+/// for classes — and control-byte group ranges — with selected rows,
+/// then drops selected PEBS rows that fail the object-id predicate.
+/// The batch borrows `scratch` and `buf`; it is returned only once
+/// every selected row is known readable ([`EventBatch::new`]). With
+/// `query == None` every section is decoded and validated — the
 /// `materialize()` / deep-verify path.
-pub fn scan_events_v4(
-    buf: &[u8],
+pub fn select_v4<'a>(
+    buf: &'a [u8],
     count: usize,
     query: Option<&Query>,
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<TraceEvent>,
-) -> Result<ScanOutcome, CodecError> {
+    scratch: &'a mut DecodeScratch,
+) -> Result<(EventBatch<'a>, ScanOutcome), CodecError> {
     let s = split_sections(buf, count)?;
 
     let mut pos = 0usize;
@@ -586,10 +571,14 @@ pub fn scan_events_v4(
         nk[t as usize] += 1;
     }
 
-    let (time, kinds, core_set) = match query {
-        Some(q) => (q.time, q.kinds, q.cores.as_deref()),
-        None => (None, KindMask::ALL, None),
+    let (time, mut kinds, core_set, object) = match query {
+        Some(q) => (q.time, q.kinds, q.cores.as_deref(), q.object),
+        None => (None, KindMask::ALL, None, None),
     };
+    if object.is_some() {
+        // Only a PEBS sample carries an object resolution.
+        kinds = KindMask(kinds.0 & EventClass::Pebs.bit());
+    }
     let active: [bool; NSTREAMS] = std::array::from_fn(|k| kinds.0 & (1u8 << k) != 0);
 
     // Selection pass: record (row, class-occurrence) for every row
@@ -662,122 +651,72 @@ pub fn scan_events_v4(
             Some((jmin[k], jmax[k] + 1))
         };
         let cols = &mut scratch.class_cols[k];
-        cols.resize_with(num_cols(k), Vec::new);
-        views[k] = decode_class(
-            k,
-            s.streams[k],
-            nk[k],
-            range,
-            cols,
-            &mut scratch.tmp,
-            &mut payload_bytes,
-        )?;
+        cols.resize_with(column_count(EventClass::ALL[k]), Vec::new);
+        views[k] = decode_class(k, s.streams[k], nk[k], range, cols, &mut payload_bytes)?;
     }
 
-    // Late materialization: build TraceEvents for selected rows only.
-    // The selection pass enforced the time/core/kind predicates
-    // exactly, so the per-event residual check is only needed for the
-    // one predicate that lives in the payload: the PEBS object id.
-    let residual = query.is_some_and(|q| q.object.is_some());
-    out.reserve(scratch.sel.len());
-    let mut matched = 0u64;
-    for &(i, j) in &scratch.sel {
-        let (i, j) = (i as usize, j as usize);
-        let k = s.tags[i] as usize;
-        let cycles = scratch.cycles[i];
-        let core = scratch.cores[i] as usize;
-        let cols = &scratch.class_cols[k];
-        let jj = j - views[k].base;
-        let payload = match EventClass::ALL[k] {
-            class @ (EventClass::RegionEnter | EventClass::RegionExit) => {
-                let region = RegionId(cols[0][jj] as u32);
-                let mut vals = [0u64; NCOUNTERS];
-                for (c, v) in vals.iter_mut().enumerate() {
-                    *v = cols[1 + c][jj];
-                }
-                let counters = CounterSnapshot::from_values(vals);
-                if class == EventClass::RegionEnter {
-                    EventPayload::RegionEnter { region, counters }
-                } else {
-                    EventPayload::RegionExit { region, counters }
-                }
-            }
-            EventClass::CounterSample => {
-                let ip = Ip(cols[0][jj]);
-                let mut vals = [0u64; NCOUNTERS];
-                for (c, v) in vals.iter_mut().enumerate() {
-                    *v = cols[1 + c][jj];
-                }
-                let len = cols[1 + NCOUNTERS][jj] as usize;
-                let off = cols[1 + NCOUNTERS + 2][jj] as usize;
-                let stack =
-                    cols[1 + NCOUNTERS + 1][off..off + len].iter().map(|&r| RegionId(r as u32)).collect();
-                EventPayload::CounterSample {
-                    ip,
-                    counters: CounterSnapshot::from_values(vals),
-                    stack,
-                }
-            }
-            EventClass::Pebs => {
-                let flags = views[k].raw_a[j];
-                let source = level_from(views[k].raw_b[j], j)?;
-                let object =
-                    if flags & 0b100 != 0 { Some(ObjectId(cols[4][jj] as u32)) } else { None };
-                EventPayload::Pebs {
-                    sample: PebsSample {
-                        timestamp: cycles,
-                        core,
-                        ip: cols[0][jj],
-                        addr: cols[1][jj],
-                        size: cols[2][jj] as u32,
-                        is_store: flags & 0b001 != 0,
-                        latency: cols[3][jj] as u32,
-                        source,
-                        tlb_miss: flags & 0b010 != 0,
-                    },
-                    object,
-                }
-            }
-            EventClass::Alloc => EventPayload::Alloc {
-                base: cols[0][jj],
-                size: cols[1][jj],
-                callsite: Ip(cols[2][jj]),
-            },
-            EventClass::Free => EventPayload::Free { base: cols[0][jj] },
-            EventClass::MuxSwitch => {
-                let len = cols[1][jj] as usize;
-                let off = cols[2][jj] as usize;
-                let label = std::str::from_utf8(&views[k].raw_a[off..off + len])
-                    .map_err(|_| err(off, "mux label is not UTF-8".to_string()))?
-                    .to_string();
-                EventPayload::MuxSwitch { event_index: cols[0][jj] as usize, label }
-            }
-            EventClass::User => {
-                EventPayload::User { kind: cols[0][jj] as u32, value: cols[1][jj] }
-            }
-        };
-        let event = TraceEvent { cycles, core, payload };
-        if !residual || query.is_some_and(|q| q.matches(&event)) {
-            matched += 1;
-            out.push(event);
-        }
+    // The one predicate that lives in the payload: the PEBS object
+    // id, checked against the decoded column (every selected row is a
+    // PEBS row here — `kinds` was narrowed above).
+    if let Some(want) = object {
+        let k = EventClass::Pebs as usize;
+        let (v, objects) = (views[k], scratch.class_cols[k].get(4));
+        scratch.sel.retain(|&(_, j)| {
+            let j = j as usize;
+            v.raw_a[j] & PEBS_HAS_OBJECT != 0
+                && objects.is_some_and(|col| col[j - v.base] as u32 == want.0)
+        });
     }
-    Ok(ScanOutcome { scanned: count as u64, matched, payload_bytes })
+
+    let scratch = &*scratch;
+    let classes = std::array::from_fn(|k| {
+        // Rebase the per-occurrence PEBS byte columns like the numeric
+        // ones; mux labels are not per-occurrence (and `base` is 0).
+        let v = views[k];
+        let from = if k == EventClass::Pebs as usize { v.base } else { 0 };
+        ClassColumns {
+            base: v.base,
+            cols: &scratch.class_cols[k],
+            raw_a: v.raw_a.get(from..).unwrap_or(&[]),
+            raw_b: v.raw_b.get(from..).unwrap_or(&[]),
+        }
+    });
+    let batch = EventBatch::new(&scratch.cycles, &scratch.cores, s.tags, &scratch.sel, classes)
+        .map_err(|message| err(0, message))?;
+    let outcome =
+        ScanOutcome { scanned: count as u64, matched: scratch.sel.len() as u64, payload_bytes };
+    Ok((batch, outcome))
 }
 
 /// Decode exactly `count` events from a v4 chunk payload.
 pub fn decode_events_v4(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, CodecError> {
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     let mut scratch = DecodeScratch::default();
-    scan_events_v4(buf, count, None, &mut scratch, &mut out)?;
+    select_v4(buf, count, None, &mut scratch)?.0.materialize_into(&mut out);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempersp_extrae::objects::ObjectId;
     use mempersp_extrae::query::EventClass;
+    use mempersp_extrae::source::Ip;
     use mempersp_memsim::MemLevel;
+    use mempersp_pebs::PebsSample;
+
+    /// Select + materialize: what `StoreReader::query` does per chunk.
+    fn scan_events_v4(
+        buf: &[u8],
+        count: usize,
+        query: Option<&Query>,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<ScanOutcome, CodecError> {
+        let (batch, outcome) = select_v4(buf, count, query, scratch)?;
+        batch.materialize_into(out);
+        Ok(outcome)
+    }
 
     fn events() -> Vec<TraceEvent> {
         let c = CounterSnapshot::from_values([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);

@@ -43,16 +43,17 @@
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::cancel::CancelToken;
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
-use crate::codec::{decode_events, scan_events_v2, DecodeScratch};
-use crate::codec_v4::scan_events_v4;
+use crate::codec::{decode_events, scan_events_v2, DecodeScratch, ScanOutcome};
+use crate::codec_v4::select_v4;
 use crate::crc::{crc32c, Crc32c};
 use crate::lz;
 use crate::mmap::Mapping;
-use crate::varint::get_u64;
+use crate::varint::{get_u64, CodecError};
 use crate::writer::{
     MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V4, TRAILER_LEN, TRAILER_LEN_V2, TRAILER_MAGIC,
     TRAILER_MAGIC_V2, TRAILER_MAGIC_V4,
 };
+use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::ScanStats;
@@ -497,22 +498,21 @@ impl StoreReader {
         (keep, skipped)
     }
 
-    /// Scan one chunk into `out`, updating `stats`. In salvage mode a
-    /// damaged chunk contributes nothing (and is recorded) instead of
-    /// failing the query.
+    /// Decode one chunk for `q` (`None`: every event, every section
+    /// validated) and hand its batch to `sink`, updating `stats`. The
+    /// sink runs only once the chunk is fully decoded and validated,
+    /// so in salvage mode a damaged chunk contributes nothing (and is
+    /// recorded) instead of failing the scan.
     fn scan_chunk(
         &self,
         idx: usize,
-        q: &Query,
+        q: Option<&Query>,
         scratch: &mut DecodeScratch,
-        out: &mut Vec<TraceEvent>,
         stats: &mut ScanStats,
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<()> {
-        let mark = out.len();
-        match self.scan_chunk_strict(idx, q, scratch, out, stats) {
-            Ok(()) => Ok(()),
+        match self.scan_chunk_strict(idx, q, scratch, stats, sink) {
             Err(e) if self.mode == RecoveryMode::Salvage => {
-                out.truncate(mark); // drop any partially-decoded events
                 stats.chunks_damaged += 1;
                 self.damage
                     .lock()
@@ -520,17 +520,17 @@ impl StoreReader {
                     .record_chunk(idx, self.metas[idx].offset, e.to_string());
                 Ok(())
             }
-            Err(e) => Err(e),
+            res => res,
         }
     }
 
     fn scan_chunk_strict(
         &self,
         idx: usize,
-        q: &Query,
+        q: Option<&Query>,
         scratch: &mut DecodeScratch,
-        out: &mut Vec<TraceEvent>,
         stats: &mut ScanStats,
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<()> {
         let (data, decoded) = self.chunk_data(idx)?;
         if decoded {
@@ -539,34 +539,15 @@ impl StoreReader {
             stats.chunks_cached += 1;
         }
         let m = &self.metas[idx];
-        match self.format {
-            Format::V4 => {
-                let o = scan_events_v4(&data, m.events as usize, Some(q), scratch, out)
-                    .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                stats.events_scanned += o.scanned;
-                stats.events_matched += o.matched;
-                stats.payload_bytes_decoded += o.payload_bytes;
-            }
-            Format::V2 | Format::V3 => {
-                let o = scan_events_v2(&data, m.events as usize, Some(q), scratch, out)
-                    .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                stats.events_scanned += o.scanned;
-                stats.events_matched += o.matched;
-                stats.payload_bytes_decoded += o.payload_bytes;
-            }
-            Format::V1 => {
-                let events = decode_events(&data, m.events as usize)
-                    .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                stats.events_scanned += events.len() as u64;
-                stats.payload_bytes_decoded += m.raw_len as u64;
-                for e in events {
-                    if q.matches(&e) {
-                        stats.events_matched += 1;
-                        out.push(e);
-                    }
-                }
-            }
+        let (batch, o) = match self.format {
+            Format::V4 => select_v4(&data, m.events as usize, q, scratch),
+            legacy => select_legacy(legacy, &data, m, q, scratch),
         }
+        .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
+        stats.events_scanned += o.scanned;
+        stats.events_matched += o.matched;
+        stats.payload_bytes_decoded += o.payload_bytes;
+        sink(&batch);
         Ok(())
     }
 
@@ -576,20 +557,30 @@ impl StoreReader {
         q: &Query,
         skipped: u64,
         cancel: &CancelToken,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
+        sink: &mut dyn FnMut(&EventBatch<'_>),
+    ) -> io::Result<ScanStats> {
         let mut stats = ScanStats { chunks_skipped: skipped, ..Default::default() };
         let mut scratch = self.take_scratch();
-        let mut out = Vec::new();
-        let res = (|| -> io::Result<()> {
-            for &idx in candidates {
-                cancel.check()?;
-                self.scan_chunk(idx, q, &mut scratch, &mut out, &mut stats)?;
-            }
-            Ok(())
-        })();
+        let res = candidates.iter().try_for_each(|&idx| {
+            cancel.check()?;
+            self.scan_chunk(idx, Some(q), &mut scratch, &mut stats, sink)
+        });
         self.put_scratch(scratch);
-        res?;
-        Ok((out, stats))
+        res.map(|()| stats)
+    }
+
+    /// Scan the chunks the footer cannot rule out for `q`, in stored
+    /// order, handing `sink` one column batch per chunk. `cancel` is
+    /// checked at every chunk boundary: an expired deadline surfaces
+    /// as `ErrorKind::TimedOut`, an explicit cancel as `Interrupted`.
+    pub fn scan_batches_cancel(
+        &self,
+        q: &Query,
+        cancel: &CancelToken,
+        sink: &mut dyn FnMut(&EventBatch<'_>),
+    ) -> io::Result<ScanStats> {
+        let (candidates, skipped) = self.candidates(q);
+        self.scan_candidates(&candidates, q, skipped, cancel, sink)
     }
 
     /// Run a query sequentially. Returns matching events in stored
@@ -598,16 +589,16 @@ impl StoreReader {
         self.query_cancel(q, &CancelToken::new())
     }
 
-    /// [`StoreReader::query`] with a cancellation token checked at
-    /// every chunk boundary. An expired deadline surfaces as
-    /// `ErrorKind::TimedOut`, an explicit cancel as `Interrupted`.
+    /// [`StoreReader::query`] with a cancellation token
+    /// ([`StoreReader::scan_batches_cancel`], materialized).
     pub fn query_cancel(
         &self,
         q: &Query,
         cancel: &CancelToken,
     ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let (candidates, skipped) = self.candidates(q);
-        self.scan_candidates(&candidates, q, skipped, cancel)
+        let mut out = Vec::new();
+        let stats = self.scan_batches_cancel(q, cancel, &mut |b| b.materialize_into(&mut out))?;
+        Ok((out, stats))
     }
 
     /// Run a query with the surviving chunks spread over `threads`
@@ -631,7 +622,7 @@ impl StoreReader {
         let (candidates, skipped) = self.candidates(q);
         let threads = threads.clamp(1, candidates.len().max(1));
         if threads <= 1 || candidates.len() < PARALLEL_MIN_CHUNKS {
-            return self.scan_candidates(&candidates, q, skipped, cancel);
+            return self.query_cancel(q, cancel);
         }
 
         let per_worker = candidates.len().div_ceil(threads);
@@ -640,18 +631,10 @@ impl StoreReader {
                 .chunks(per_worker)
                 .map(|slice| {
                     s.spawn(move || {
-                        let mut stats = ScanStats::default();
-                        let mut scratch = self.take_scratch();
                         let mut out = Vec::new();
-                        let res = (|| -> io::Result<()> {
-                            for &idx in slice {
-                                cancel.check()?;
-                                self.scan_chunk(idx, q, &mut scratch, &mut out, &mut stats)?;
-                            }
-                            Ok(())
-                        })();
-                        self.put_scratch(scratch);
-                        res?;
+                        let stats = self.scan_candidates(slice, q, 0, cancel, &mut |b| {
+                            b.materialize_into(&mut out)
+                        })?;
                         Ok((out, stats))
                     })
                 })
@@ -664,12 +647,7 @@ impl StoreReader {
         for part in parts {
             let (events, p) = part?;
             out.extend(events);
-            stats.events_matched += p.events_matched;
-            stats.events_scanned += p.events_scanned;
-            stats.chunks_decoded += p.chunks_decoded;
-            stats.chunks_cached += p.chunks_cached;
-            stats.chunks_damaged += p.chunks_damaged;
-            stats.payload_bytes_decoded += p.payload_bytes_decoded;
+            stats.merge(&p);
         }
         Ok((out, stats))
     }
@@ -699,73 +677,32 @@ impl StoreReader {
         }
         let mut scratch = self.take_scratch();
         let mut events = Vec::new();
-        for (idx, m) in self.metas.iter().enumerate() {
-            if let Err(e) = cancel.check() {
-                self.put_scratch(scratch);
-                return Err(e);
-            }
+        let res = self.metas.iter().enumerate().try_for_each(|(idx, m)| {
+            cancel.check()?;
             if !qs.iter().any(|q| m.may_match(q)) {
                 stats.chunks_skipped += 1;
-                continue;
+                return Ok(());
             }
             events.clear();
-            let decode = (|| -> io::Result<bool> {
-                let (data, decoded) = self.chunk_data(idx)?;
-                match self.format {
-                    Format::V4 => {
-                        let o =
-                            scan_events_v4(&data, m.events as usize, None, &mut scratch, &mut events)
-                                .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                        stats.payload_bytes_decoded += o.payload_bytes;
-                    }
-                    Format::V2 | Format::V3 => {
-                        let o =
-                            scan_events_v2(&data, m.events as usize, None, &mut scratch, &mut events)
-                                .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                        stats.payload_bytes_decoded += o.payload_bytes;
-                    }
-                    Format::V1 => {
-                        events = decode_events(&data, m.events as usize)
-                            .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
-                        stats.payload_bytes_decoded += m.raw_len as u64;
-                    }
-                }
-                Ok(decoded)
-            })();
-            match decode {
-                Ok(decoded) => {
-                    if decoded {
-                        stats.chunks_decoded += 1;
-                    } else {
-                        stats.chunks_cached += 1;
-                    }
-                }
-                Err(e) if self.mode == RecoveryMode::Salvage => {
-                    events.clear();
-                    stats.chunks_damaged += 1;
-                    self.damage
-                        .lock()
-                        .expect("damage log poisoned")
-                        .record_chunk(idx, m.offset, e.to_string());
-                    continue;
-                }
-                Err(e) => {
-                    self.put_scratch(scratch);
-                    return Err(e);
-                }
-            }
-            stats.events_scanned += events.len() as u64;
+            let mut chunk = ScanStats::default();
+            self.scan_chunk(idx, None, &mut scratch, &mut chunk, &mut |b| {
+                b.materialize_into(&mut events)
+            })?;
+            // Matches are counted per query, not per decoded row.
+            chunk.events_matched = 0;
             for e in &events {
                 for (q, out) in qs.iter().zip(&mut outs) {
                     if q.matches(e) {
-                        stats.events_matched += 1;
+                        chunk.events_matched += 1;
                         out.push(e.clone());
                     }
                 }
             }
-        }
+            stats.merge(&chunk);
+            Ok(())
+        });
         self.put_scratch(scratch);
-        Ok((outs, stats))
+        res.map(|()| (outs, stats))
     }
 
     /// Materialize the whole trace: header plus every event, in
@@ -805,24 +742,32 @@ impl StoreReader {
 
     fn verify_chunk_deep(&self, idx: usize, scratch: &mut DecodeScratch) -> io::Result<()> {
         self.check_chunk(idx)?;
-        let (data, _) = self.chunk_data(idx)?;
-        let m = &self.metas[idx];
-        let mut sink = Vec::new();
-        match self.format {
-            Format::V4 => {
-                scan_events_v4(&data, m.events as usize, None, scratch, &mut sink)
-                    .map_err(|e| bad_data(format!("{e}")))?;
-            }
-            Format::V2 | Format::V3 => {
-                scan_events_v2(&data, m.events as usize, None, scratch, &mut sink)
-                    .map_err(|e| bad_data(format!("{e}")))?;
-            }
-            Format::V1 => {
-                decode_events(&data, m.events as usize).map_err(|e| bad_data(format!("{e}")))?;
-            }
-        }
-        Ok(())
+        self.scan_chunk_strict(idx, None, scratch, &mut ScanStats::default(), &mut |_| {})
     }
+}
+
+/// v1–v3 chunks: decode the rows matching `q` with the legacy codecs,
+/// then transpose them into the column batch every scan hands its
+/// sink.
+fn select_legacy<'a>(
+    format: Format,
+    data: &[u8],
+    m: &ChunkMeta,
+    q: Option<&Query>,
+    scratch: &'a mut DecodeScratch,
+) -> Result<(EventBatch<'a>, ScanOutcome), CodecError> {
+    let n = m.events as usize;
+    let mut rows = Vec::new();
+    let outcome = if format == Format::V1 {
+        rows = decode_events(data, n)?;
+        rows.retain(|e| q.is_none_or(|q| q.matches(e)));
+        ScanOutcome { scanned: n as u64, matched: rows.len() as u64, payload_bytes: m.raw_len as u64 }
+    } else {
+        scan_events_v2(data, n, q, scratch, &mut rows)?
+    };
+    scratch.transposer.clear();
+    rows.iter().for_each(|e| scratch.transposer.push(e));
+    Ok((scratch.transposer.batch(), outcome))
 }
 
 /// Parse the trailer + footer index, validating every chunk's bounds

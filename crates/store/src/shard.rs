@@ -49,6 +49,7 @@ use crate::writer::{
     sync_parent_dir, tmp_path, StoreSummary, StoreWriter, DEFAULT_CHUNK_BYTES,
     DEFAULT_INFLIGHT_PER_THREAD,
 };
+use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
 use mempersp_extrae::stream_writer::EventSink;
@@ -438,15 +439,25 @@ impl ShardedReader {
         let mut stats = ScanStats::default();
         for (events, p) in parts {
             out.extend(events);
-            stats.chunks_skipped += p.chunks_skipped;
-            stats.chunks_decoded += p.chunks_decoded;
-            stats.chunks_cached += p.chunks_cached;
-            stats.chunks_damaged += p.chunks_damaged;
-            stats.events_scanned += p.events_scanned;
-            stats.events_matched += p.events_matched;
-            stats.payload_bytes_decoded += p.payload_bytes_decoded;
+            stats.merge(&p);
         }
         (out, stats)
+    }
+
+    /// Scan every shard in order, handing `sink` one column batch per
+    /// surviving chunk; `cancel` is checked at every chunk boundary of
+    /// every shard.
+    pub fn scan_batches_cancel(
+        &self,
+        q: &Query,
+        cancel: &CancelToken,
+        sink: &mut dyn FnMut(&EventBatch<'_>),
+    ) -> io::Result<ScanStats> {
+        let mut stats = ScanStats::default();
+        for s in &self.shards {
+            stats.merge(&s.scan_batches_cancel(q, cancel, sink)?);
+        }
+        Ok(stats)
     }
 
     /// Run a query over every shard in order.
@@ -454,18 +465,16 @@ impl ShardedReader {
         self.query_cancel(q, &CancelToken::new())
     }
 
-    /// [`ShardedReader::query`] with a cancellation token checked at
-    /// every chunk boundary of every shard.
+    /// [`ShardedReader::query`] with a cancellation token
+    /// ([`ShardedReader::scan_batches_cancel`], materialized).
     pub fn query_cancel(
         &self,
         q: &Query,
         cancel: &CancelToken,
     ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            parts.push(s.query_cancel(q, cancel)?);
-        }
-        Ok(Self::merge(parts))
+        let mut out = Vec::new();
+        let stats = self.scan_batches_cancel(q, cancel, &mut |b| b.materialize_into(&mut out))?;
+        Ok((out, stats))
     }
 
     /// Run a query with shards fanned out over `threads` workers;
@@ -522,13 +531,7 @@ impl ShardedReader {
             for (out, part) in outs.iter_mut().zip(parts) {
                 out.extend(part);
             }
-            stats.chunks_skipped += p.chunks_skipped;
-            stats.chunks_decoded += p.chunks_decoded;
-            stats.chunks_cached += p.chunks_cached;
-            stats.chunks_damaged += p.chunks_damaged;
-            stats.events_scanned += p.events_scanned;
-            stats.events_matched += p.events_matched;
-            stats.payload_bytes_decoded += p.payload_bytes_decoded;
+            stats.merge(&p);
         }
         Ok((outs, stats))
     }

@@ -7,6 +7,7 @@ use crate::cache::{CacheConfig, CacheStats};
 use crate::cancel::CancelToken;
 use crate::reader::{RecoveryMode, StoreReader};
 use crate::shard::{is_shard_dir, ShardedReader};
+use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::{MaterializedSource, ScanStats, TraceSource};
@@ -119,6 +120,21 @@ impl MpsSource {
         }
     }
 
+    /// Scan the store for `q`, handing `sink` one column batch per
+    /// surviving chunk in stored order; `cancel` is checked at every
+    /// chunk boundary.
+    pub fn scan_batches_cancel(
+        &self,
+        q: &Query,
+        cancel: &CancelToken,
+        sink: &mut dyn FnMut(&EventBatch<'_>),
+    ) -> io::Result<ScanStats> {
+        match &self.inner {
+            Inner::Single(r) => r.scan_batches_cancel(q, cancel, sink),
+            Inner::Sharded(s) => s.scan_batches_cancel(q, cancel, sink),
+        }
+    }
+
     /// Block-cache counters (summed across shards for a sharded store).
     pub fn cache_stats(&self) -> CacheStats {
         match &self.inner {
@@ -155,12 +171,6 @@ impl MpsSource {
         }
     }
 
-    fn materialize_inner(&self) -> io::Result<Trace> {
-        match &self.inner {
-            Inner::Single(r) => r.materialize(),
-            Inner::Sharded(s) => s.materialize(),
-        }
-    }
 }
 
 impl TraceSource for MpsSource {
@@ -168,16 +178,12 @@ impl TraceSource for MpsSource {
         Ok(self.store_header().clone())
     }
 
-    fn scan(
+    fn scan_batches(
         &mut self,
         query: &Query,
-        sink: &mut dyn FnMut(TraceEvent),
+        sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        let (events, stats) = self.query(query)?;
-        for e in events {
-            sink(e);
-        }
-        Ok(stats)
+        self.scan_batches_cancel(query, &CancelToken::new(), sink)
     }
 
     fn format_name(&self) -> &'static str {
@@ -185,10 +191,6 @@ impl TraceSource for MpsSource {
             Inner::Single(_) => "mps",
             Inner::Sharded(_) => "mps.d",
         }
-    }
-
-    fn materialize(&mut self) -> io::Result<Trace> {
-        self.materialize_inner()
     }
 }
 

@@ -5,13 +5,18 @@
 //! never panic, and never allocate anywhere near the claimed sizes.
 
 use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::tracer::{Tracer, TracerConfig};
-use mempersp_pebs::CounterSnapshot;
+use mempersp_extrae::{EventBatch, RowView};
+use mempersp_folding::{fold_regions_source, FoldError, RegionRequest};
+use mempersp_memsim::MemLevel;
+use mempersp_pebs::{CounterSnapshot, PebsSample};
 use mempersp_store::cache::CacheConfig;
 use mempersp_store::chunk::{ChunkMeta, Compression};
 use mempersp_store::reader::RecoveryMode;
+use mempersp_store::svb::SvbColumn;
 use mempersp_store::writer::write_store_chunked;
-use mempersp_store::{ShardedReader, StoreReader};
+use mempersp_store::{CancelToken, MpsSource, ShardedReader, StoreReader};
 use proptest::prelude::*;
 
 fn trace(n: u64) -> mempersp_extrae::tracer::Trace {
@@ -235,6 +240,191 @@ fn sharded_manifest_mismatch_strict_errors_salvage_notes_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A foldable trace with every event class and high-entropy payloads
+/// (so chunks stay Raw and a byte of the file is a byte of a column).
+fn rich_trace(iters: u64) -> mempersp_extrae::tracer::Trace {
+    let mut t = Tracer::new(TracerConfig::default(), 2);
+    let ip = t.location("k.cpp", 7, "k");
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rnd = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut c = [0u64; 12];
+    let mut snap = |r: u64| {
+        for (i, v) in c.iter_mut().enumerate() {
+            *v += 1 + (r >> (4 * i)) % 1000;
+        }
+        CounterSnapshot::from_values(c)
+    };
+    for i in 0..iters {
+        let core = (i % 2) as usize;
+        let now = i * 100;
+        t.enter(core, "R", snap(rnd()), now);
+        t.record_counter_sample(core, ip, snap(rnd()), now + 20);
+        let r = rnd();
+        t.record_pebs(PebsSample {
+            timestamp: now + 40,
+            core,
+            ip: ip.0,
+            addr: r >> 8,
+            size: 8,
+            is_store: r & 1 == 0,
+            latency: (r % 400) as u32,
+            source: MemLevel::L3,
+            tlb_miss: r & 2 == 0,
+        });
+        if i % 16 == 0 {
+            t.record_mux_switch(core, (i % 4) as usize, "loads", now + 50);
+        }
+        t.user_event(core, 3, rnd(), now + 60);
+        t.exit(core, "R", snap(rnd()), now + 80);
+    }
+    t.finish("rich corruption trace")
+}
+
+/// Where three columns of a raw v4 chunk sit in the file.
+struct ColumnOffsets {
+    first_tag: usize,
+    first_pebs_level: usize,
+    first_stack_len_data: usize,
+}
+
+/// Write `rich_trace` as a v4 store and locate columns of its first
+/// raw chunk holding PEBS and counter samples.
+fn rich_store(name: &str) -> (std::path::PathBuf, ColumnOffsets) {
+    let path = tmpdir().join(name);
+    write_store_chunked(&path, &rich_trace(300), 1024).expect("write");
+    let reader = StoreReader::open(&path).unwrap();
+    assert_eq!(reader.format_version(), 4);
+    let m = reader
+        .chunks()
+        .iter()
+        .find(|m| m.compression == Compression::Raw)
+        .expect("high-entropy chunks stay raw");
+    let bytes = std::fs::read(&path).unwrap();
+    let chunk = &bytes[m.offset as usize..(m.offset + m.stored_len as u64) as usize];
+    let n = m.events as usize;
+
+    // 10 section lengths (deltas, cores, 8 class streams), then tags.
+    let mut pos = 0usize;
+    let lens: Vec<usize> =
+        (0..10).map(|_| mempersp_store::varint::get_u64(chunk, &mut pos).unwrap() as usize).collect();
+    let tags = &chunk[pos..pos + n];
+    let count = |k: EventClass| tags.iter().filter(|&&t| t == k as u8).count();
+    let stream_start = |k: EventClass| pos + n + lens[..2 + k as usize].iter().sum::<usize>();
+
+    // PEBS stream: flags[n], ip, addr, size, latency, then level[n].
+    let (np, start) = (count(EventClass::Pebs), stream_start(EventClass::Pebs));
+    let sec = &chunk[start..start + lens[2 + EventClass::Pebs as usize]];
+    let mut p = np;
+    for _ in 0..4 {
+        SvbColumn::parse(sec, &mut p, np).unwrap();
+    }
+    let first_pebs_level = m.offset as usize + start + p;
+
+    // SAMP stream: ip, 12 counters, then stack_len (control bytes
+    // first, data after).
+    let (ns, start) = (count(EventClass::CounterSample), stream_start(EventClass::CounterSample));
+    let sec = &chunk[start..start + lens[2 + EventClass::CounterSample as usize]];
+    let mut p = 0usize;
+    for _ in 0..13 {
+        SvbColumn::parse(sec, &mut p, ns).unwrap();
+    }
+    let first_stack_len_data = m.offset as usize + start + p + ns.div_ceil(4);
+    assert!(np > 0 && ns > 0);
+    (path, ColumnOffsets { first_tag: m.offset as usize + pos, first_pebs_level, first_stack_len_data })
+}
+
+fn corrupt(path: &std::path::Path, at: usize, value: u8) {
+    let mut bytes = std::fs::read(path).unwrap();
+    assert_ne!(bytes[at], value);
+    bytes[at] = value;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// A fold over `path` with checksum verification off, so the corrupt
+/// bytes reach the decoder.
+fn unverified_fold(
+    path: &std::path::Path,
+    mode: RecoveryMode,
+) -> Result<mempersp_extrae::trace_source::ScanStats, FoldError> {
+    let mut src = MpsSource::open_with_options(path, mode, false).expect("open is lazy");
+    fold_regions_source(&mut src, &[RegionRequest::new("R")], 1).map(|(results, stats)| {
+        assert!(results[0].is_ok(), "{:?}", results[0].as_ref().err());
+        stats
+    })
+}
+
+/// Corrupt columns the CRC would normally shield — a PEBS level byte,
+/// an event tag, a stack length — and read with verification off: the
+/// new batch path must describe the damage in Strict mode and skip
+/// exactly the damaged chunk in Salvage mode.
+#[test]
+fn corrupt_v4_columns_fail_a_strict_fold_and_are_skipped_by_salvage() {
+    type Pick = fn(&ColumnOffsets) -> usize;
+    let cases: [(&str, Pick, u8, &str); 3] = [
+        ("level.mps", |o| o.first_pebs_level, 9, "bad memory level code 9"),
+        ("tag.mps", |o| o.first_tag, 0xEE, "unknown event tag 238"),
+        ("stack.mps", |o| o.first_stack_len_data, 0xFF, "chunk"),
+    ];
+    for (name, pick, value, expect) in cases {
+        let (path, offsets) = rich_store(name);
+        let clean = unverified_fold(&path, RecoveryMode::Strict).expect("clean store folds");
+        assert_eq!(clean.chunks_damaged, 0);
+        corrupt(&path, pick(&offsets), value);
+
+        match unverified_fold(&path, RecoveryMode::Strict) {
+            Err(FoldError::Io(msg)) => assert!(msg.contains(expect), "{name}: {msg}"),
+            other => panic!("{name}: strict fold must fail with FoldError::Io, got {other:?}"),
+        }
+        let salvaged = unverified_fold(&path, RecoveryMode::Salvage).expect("salvage folds the rest");
+        // The damaged chunk is met by the boundary scan, the sample
+        // scan, or both — once per scan that decodes the bad column.
+        assert!((1..=2).contains(&salvaged.chunks_damaged), "{name}: {salvaged:?}");
+        assert!(salvaged.events_matched < clean.events_matched, "{name}");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// One flipped payload byte under checksum verification: a Salvage
+/// fold reports the damaged chunk in the stats it returns and in the
+/// `--stats` line the CLI prints from them. (The boundary scan meets
+/// the bad chunk; having lost its instances, the sample scan's time
+/// window starts after it.)
+#[test]
+fn salvage_fold_counts_the_damaged_chunk() {
+    let (path, offsets) = rich_store("salvage_fold.mps");
+    corrupt(&path, offsets.first_pebs_level, 9);
+    let mut src = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+    let (results, stats) = fold_regions_source(&mut src, &[RegionRequest::new("R")], 1).unwrap();
+    assert!(results[0].is_ok());
+    assert_eq!(stats.chunks_damaged, 1, "{stats:?}");
+    assert!(stats.to_string().ends_with(", 1 DAMAGED"), "{stats}");
+    assert_eq!(src.damage_report().len(), 1);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Read every field every typed row view offers.
+fn touch_every_accessor(batch: &EventBatch<'_>) {
+    let mut sink = 0u64;
+    for row in batch.rows() {
+        sink ^= row.cycles ^ row.core as u64;
+        match row.view {
+            RowView::Boundary(b) => sink ^= u64::from(b.region().0) ^ b.counters().values()[11],
+            RowView::Sample(s) => sink ^= s.ip().0 ^ s.counters().values()[0],
+            RowView::Pebs(p) => {
+                sink ^= p.sample().addr ^ u64::from(p.object().map_or(0, |o| o.0));
+            }
+            RowView::Other(_) => {}
+        }
+    }
+    std::hint::black_box(sink);
+    batch.materialize_into(&mut Vec::new());
+}
+
 proptest! {
     /// Arbitrary byte flips anywhere in the file: `open` may succeed
     /// or fail, but neither it nor a subsequent full query / scan may
@@ -260,6 +450,41 @@ proptest! {
                 let _ = reader.materialize();
             }
         }
+    }
+
+    /// Byte flips with checksum verification **off**, so they reach
+    /// the column decoder and the batch: whatever survives
+    /// `EventBatch::new` must be readable through every accessor, in
+    /// either recovery mode, and a fold must end in `Ok` or `Err`.
+    #[test]
+    fn byte_flips_never_panic_unverified_batches(
+        flips in prop::collection::vec((0usize..usize::MAX, 1u8..=255), 1..6),
+        case in any::<u64>(),
+    ) {
+        let path = tmpdir().join(format!("flip_batch_{case}.mps"));
+        write_store_chunked(&path, &rich_trace(120), 1024).expect("write");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Keep the flips inside the chunk region: header and footer
+        // damage is `open`'s business, covered above.
+        let data_end = StoreReader::open(&path).unwrap().chunks().last().map_or(8, |m| m.offset as usize);
+        for (pos, xor) in flips {
+            bytes[8 + pos % (data_end - 8)] ^= xor;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+            let Ok(mut src) = MpsSource::open_with_options(&path, mode, false) else { continue };
+            for q in [
+                Query::all(),
+                Query::all().with_kinds(&[EventClass::Pebs]).in_time(500, 9_000),
+                Query::all().touching_object(mempersp_extrae::ObjectId(0)),
+                Query::all().on_cores(&[1]).with_kinds(&[EventClass::CounterSample, EventClass::MuxSwitch]),
+            ] {
+                let _ = src.scan_batches_cancel(&q, &CancelToken::new(), &mut touch_every_accessor);
+            }
+            let _ = fold_regions_source(&mut src, &[RegionRequest::new("R")], 2);
+            let _ = src.materialize();
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// The same flip sweep over a v3 (LEB128) store: the default

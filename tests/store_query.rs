@@ -122,3 +122,27 @@ fn parallel_store_scan_is_deterministic() {
         assert_eq!(par, seq, "threads={threads}");
     }
 }
+
+/// `mempersp objects` reads the store's PEBS columns directly; the
+/// answer must be the one the row-wise analysis gives on the
+/// materialized trace, whole-run and windowed (where the window is
+/// pushed down and prunes chunks).
+#[test]
+fn object_stats_from_columns_equal_the_materialized_analysis() {
+    use mempersp::core::analysis::objects::{object_stats, object_stats_source};
+    let (trace, prv, mps) = fixture();
+    let span = trace.events.last().unwrap().cycles;
+    for window in [None, Some((span / 3, span / 2))] {
+        let want = object_stats(trace, window);
+        assert!(want.iter().map(|s| s.total()).sum::<u64>() > 0, "{window:?} selects no samples");
+        for path in [prv, mps] {
+            let mut src = open_trace_source(path).unwrap();
+            let (got, stats) = object_stats_source(src.as_mut(), window).unwrap();
+            assert_eq!(got, want, "{} {window:?}", path.display());
+            assert_eq!(stats.events_matched, want.iter().map(|s| s.total()).sum::<u64>());
+            if window.is_some() && path == mps {
+                assert!(stats.chunks_skipped > 0, "the window must prune chunks: {stats:?}");
+            }
+        }
+    }
+}
