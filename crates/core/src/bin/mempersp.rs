@@ -216,9 +216,9 @@ fn cmd_export(args: &[String]) {
 /// Simulate a workload while streaming its trace straight into the
 /// output format — text `.prv`, single-file `.mps` store or sharded
 /// `.mps.d` directory, chosen by suffix. Events flow to the writer at
-/// every epoch boundary, so peak memory stays O(epoch) instead of
-/// O(trace); the bytes match a materialized run piped through
-/// `convert` exactly.
+/// every epoch boundary, so the tracer holds an epoch's events plus
+/// those above the slowest core's clock instead of the whole trace;
+/// the bytes match a materialized run piped through `convert` exactly.
 fn cmd_run(args: &[String]) {
     let workload_name = arg_value(args, "--workload").unwrap_or_else(|| usage());
     let out = arg_value(args, "-o")
@@ -285,8 +285,8 @@ fn cmd_run(args: &[String]) {
     let elapsed = wall.elapsed().as_secs_f64();
     let accesses = report.stats.total_cores().accesses();
     eprintln!(
-        "done: {} events streamed, {} cycles",
-        report.events_streamed, report.wall_cycles
+        "done: {} events streamed (at most {} buffered), {} cycles",
+        report.events_streamed, report.max_buffered_events, report.wall_cycles
     );
     eprintln!(
         "simulated {accesses} accesses in {elapsed:.2}s ({:.2} M accesses/s, {threads} thread{})",

@@ -24,9 +24,9 @@
 //! sequential simulation. Results are bit-identical for any thread
 //! count, including 1.
 
-use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::{
-    AppContext, CodeLocation, EventSink, Ip, MemRequest, Trace, Tracer, TracerConfig, Workload,
+    AppContext, CodeLocation, EventSink, Ip, LaneStats, MemRequest, Trace, Tracer, TracerConfig,
+    Workload,
 };
 use mempersp_memsim::{
     AccessKind, AccessResult, Addr, BatchOp, HierarchyConfig, MemLevel, MemorySystem,
@@ -173,6 +173,14 @@ pub struct RunReport {
     pub wall_cycles: u64,
     /// Events handed to the streaming sink (0 for a materialized run).
     pub events_streamed: u64,
+    /// Peak number of events the tracer held at once. A streaming run
+    /// buffers an epoch's events plus every event above the watermark
+    /// (the slowest core's clock), so a workload whose cores run one
+    /// after another holds most of its trace; a materialized run holds
+    /// all of it. Depends on `epoch_cap`, not on `threads`.
+    pub max_buffered_events: u64,
+    /// What keeping the tracer's lanes sorted cost.
+    pub lane_stats: LaneStats,
 }
 
 impl RunReport {
@@ -244,8 +252,6 @@ pub struct Machine {
     /// First sink I/O failure; once set, draining stops and
     /// `run_streaming` returns the error.
     sink_error: Option<std::io::Error>,
-    /// Reused scratch for watermark drains.
-    drain_buf: Vec<TraceEvent>,
     events_streamed: u64,
 }
 
@@ -294,7 +300,6 @@ impl Machine {
             ph_dirs: vec![Vec::new(); n],
             sink: None,
             sink_error: None,
-            drain_buf: Vec::new(),
             events_streamed: 0,
         }
     }
@@ -311,21 +316,28 @@ impl Machine {
     pub fn run(&mut self, workload: &mut dyn Workload) -> RunReport {
         workload.run(self);
         self.flush_epoch();
-        let name = workload.name();
+        self.take_report(&workload.name())
+    }
+
+    /// Finish the tracer (leaving a fresh one behind) and gather the
+    /// run's report.
+    fn take_report(&mut self, name: &str) -> RunReport {
         let tracer = std::mem::replace(&mut self.tracer, Tracer::new(self.cfg.tracer, self.cfg.cores));
-        let trace = tracer.finish(&name);
         RunReport {
-            trace,
+            max_buffered_events: tracer.max_buffered_events() as u64,
+            lane_stats: tracer.lane_stats(),
+            trace: tracer.finish(name),
             stats: self.mem.stats(),
             mux_stats: self.cores.iter().map(|c| c.mux.as_ref().map(|m| m.stats())).collect(),
             wall_cycles: self.cores.iter().map(|c| c.clock()).max().unwrap_or(0),
-            events_streamed: 0,
+            events_streamed: std::mem::take(&mut self.events_streamed),
         }
     }
 
     /// Run a workload while streaming its events into `sink` as the
-    /// simulation progresses, never holding more than one epoch's
-    /// events in the tracer. At every epoch flush, events timestamped
+    /// simulation progresses, holding only one epoch's events plus
+    /// those above the watermark in the tracer
+    /// ([`RunReport::max_buffered_events`]). At every epoch flush, events timestamped
     /// at or before the minimum per-core clock are final (clocks only
     /// move forward), so they are drained — in exactly the order
     /// [`Tracer::finish`] would emit them — and handed to the sink;
@@ -346,26 +358,17 @@ impl Machine {
         assert!(self.sink.is_none(), "run_streaming is not reentrant");
         self.sink = Some(sink);
         self.sink_error = None;
-        self.events_streamed = 0;
         workload.run(self);
         self.flush_epoch();
         // Everything still buffered is final now.
         self.forward_ready(u64::MAX);
-        let name = workload.name();
-        let tracer = std::mem::replace(&mut self.tracer, Tracer::new(self.cfg.tracer, self.cfg.cores));
-        let trace = tracer.finish(&name);
+        let report = self.take_report(&workload.name());
         let mut sink = self.sink.take().expect("installed above");
         if let Some(err) = self.sink_error.take() {
             return Err(err);
         }
-        sink.finish(&trace)?;
-        Ok(RunReport {
-            trace,
-            stats: self.mem.stats(),
-            mux_stats: self.cores.iter().map(|c| c.mux.as_ref().map(|m| m.stats())).collect(),
-            wall_cycles: self.cores.iter().map(|c| c.clock()).max().unwrap_or(0),
-            events_streamed: self.events_streamed,
-        })
+        sink.finish(&report.trace)?;
+        Ok(report)
     }
 
     /// Drain tracer events that can no longer be preceded — those at
@@ -383,15 +386,13 @@ impl Machine {
         if self.sink_error.is_some() {
             return;
         }
-        self.tracer.drain_ready(watermark, &mut self.drain_buf);
-        for e in self.drain_buf.drain(..) {
-            if let Err(err) = sink.append_event(&e) {
-                self.sink_error = Some(err);
-                break;
-            }
-            self.events_streamed += 1;
-        }
-        self.drain_buf.clear();
+        let streamed = &mut self.events_streamed;
+        let res = self.tracer.drain_ready_with(watermark, |e| {
+            sink.append_event(e)?;
+            *streamed += 1;
+            Ok(())
+        });
+        self.sink_error = res.err();
     }
 
     /// Advance `core`'s clock by `cycles` and keep its cycle counter
@@ -617,15 +618,10 @@ impl Machine {
             let now = self.cores[core].clock();
             let st = &mut self.cores[core];
             let mux = st.mux.as_mut().expect("checked above");
-            let idx = mux.active_index(now);
-            let rotated = idx != st.last_mux_index;
-            st.last_mux_index = idx;
-            let sample = mux.observe(core, &op, now);
-            let label = rotated.then(|| {
-                mux.stats().per_event[idx].0.clone()
-            });
-            if let Some(label) = label {
-                self.tracer.record_mux_switch(core, idx, &label, now);
+            let (idx, sample) = mux.observe_slot(core, &op, now);
+            if idx != st.last_mux_index {
+                st.last_mux_index = idx;
+                self.tracer.record_mux_switch(core, idx, mux.label(idx), now);
             }
             if let Some(s) = sample {
                 self.tracer.record_pebs(s);

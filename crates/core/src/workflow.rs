@@ -100,7 +100,9 @@ pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn Eve
 
 /// The one-pass trace-production pipeline: simulate `workload` on a
 /// fresh machine while events stream straight into the on-disk format
-/// named by `out` — no materialized event list, peak memory O(epoch).
+/// named by `out` — no materialized event list; the tracer holds one
+/// epoch's events plus those above the watermark (the slowest core's
+/// clock), reported as [`RunReport::max_buffered_events`].
 /// The bytes written are identical to materializing the trace and
 /// converting it afterwards, for any writer thread count.
 pub fn run_streaming_to_path(

@@ -51,4 +51,4 @@ pub use sim_alloc::SimAllocator;
 pub use source::{CodeLocation, Ip, SourceMap};
 pub use stream_writer::{EventSink, PrvSink, StreamWriter};
 pub use trace_source::{scan_events, MaterializedSource, ScanStats, TraceSource};
-pub use tracer::{Trace, TraceMeta, Tracer, TracerConfig};
+pub use tracer::{LaneStats, Trace, TraceMeta, Tracer, TracerConfig};

@@ -13,7 +13,7 @@ use crate::sim_alloc::SimAllocator;
 use crate::source::{CodeLocation, Ip, SourceMap};
 use mempersp_pebs::{CounterSnapshot, PebsSample};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Tracer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,12 +154,35 @@ struct GroupCapture {
     members: u64,
 }
 
+/// What keeping the lanes sorted cost: the count guard that recording
+/// and draining stay linear in events.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneStats {
+    /// Events recorded with a timestamp below their lane's newest (a
+    /// timer sample fired right after a PEBS sample, an allocation
+    /// issued from a core whose clock lags).
+    pub backdated_pushes: u64,
+    /// Buffered events stepped over (and shifted) to place them.
+    pub displaced_events: u64,
+}
+
+/// A buffered event with its global recording number.
+type Buffered = (u64, TraceEvent);
+
 /// The monitoring runtime.
 #[derive(Debug)]
 pub struct Tracer {
     cfg: TracerConfig,
     num_cores: usize,
-    events: Vec<TraceEvent>,
+    /// Buffered events, one lane per core plus a last one for the
+    /// allocation events (stamped `core: 0` whichever core's clock
+    /// timed them); every lane is sorted by `(cycles, seq)`.
+    lanes: Vec<VecDeque<Buffered>>,
+    /// Recording number of the next event.
+    next_seq: u64,
+    buffered: usize,
+    max_buffered: usize,
+    lane_stats: LaneStats,
     source: SourceMap,
     objects: ObjectRegistry,
     alloc: SimAllocator,
@@ -180,7 +203,11 @@ impl Tracer {
             alloc: SimAllocator::new(cfg.aslr_seed),
             cfg,
             num_cores,
-            events: Vec::new(),
+            lanes: vec![VecDeque::new(); num_cores + 1],
+            next_seq: 0,
+            buffered: 0,
+            max_buffered: 0,
+            lane_stats: LaneStats::default(),
             source: SourceMap::new(),
             objects: ObjectRegistry::new(),
             region_names: Vec::new(),
@@ -217,7 +244,7 @@ impl Tracer {
     pub fn enter(&mut self, core: usize, name: &str, counters: CounterSnapshot, now: u64) -> RegionId {
         let id = self.region(name);
         self.region_stacks[core].push(id);
-        self.events.push(TraceEvent {
+        self.push(core, TraceEvent {
             cycles: now,
             core,
             payload: EventPayload::RegionEnter { region: id, counters },
@@ -241,7 +268,7 @@ impl Tracer {
             "unbalanced instrumentation: exiting {name:?} but innermost is {:?}",
             self.region_names[top.0 as usize]
         );
-        self.events.push(TraceEvent {
+        self.push(core, TraceEvent {
             cycles: now,
             core,
             payload: EventPayload::RegionExit { region: id, counters },
@@ -253,7 +280,7 @@ impl Tracer {
     /// real Extrae captures the call stack.
     pub fn record_counter_sample(&mut self, core: usize, ip: Ip, counters: CounterSnapshot, now: u64) {
         let stack = self.region_stacks[core].clone();
-        self.events.push(TraceEvent {
+        self.push(core, TraceEvent {
             cycles: now,
             core,
             payload: EventPayload::CounterSample { ip, counters, stack },
@@ -269,7 +296,7 @@ impl Tracer {
         } else {
             self.resolution.unresolved += 1;
         }
-        self.events.push(TraceEvent {
+        self.push(sample.core, TraceEvent {
             cycles: sample.timestamp,
             core: sample.core,
             payload: EventPayload::Pebs { sample, object },
@@ -278,7 +305,7 @@ impl Tracer {
 
     /// Record a multiplexer rotation.
     pub fn record_mux_switch(&mut self, core: usize, event_index: usize, label: &str, now: u64) {
-        self.events.push(TraceEvent {
+        self.push(core, TraceEvent {
             cycles: now,
             core,
             payload: EventPayload::MuxSwitch { event_index, label: label.to_string() },
@@ -287,7 +314,7 @@ impl Tracer {
 
     /// Free-form user event.
     pub fn user_event(&mut self, core: usize, kind: u32, value: u64, now: u64) {
-        self.events.push(TraceEvent { cycles: now, core, payload: EventPayload::User { kind, value } });
+        self.push(core, TraceEvent { cycles: now, core, payload: EventPayload::User { kind, value } });
     }
 
     // ----- allocation interposition ---------------------------------
@@ -307,7 +334,7 @@ impl Tracer {
         if size >= self.cfg.alloc_threshold {
             self.objects.register_dynamic(&callsite.file_line(), base, size);
             self.alloc_sites.insert(base, ip);
-            self.events.push(TraceEvent {
+            self.push(self.num_cores, TraceEvent {
                 cycles: now,
                 core: 0,
                 payload: EventPayload::Alloc { base, size, callsite: ip },
@@ -322,7 +349,7 @@ impl Tracer {
         if self.alloc.free(base).is_some()
             && self.objects.remove_dynamic(base).is_some() {
                 self.alloc_sites.remove(&base);
-                self.events.push(TraceEvent { cycles: now, core: 0, payload: EventPayload::Free { base } });
+                self.push(self.num_cores, TraceEvent { cycles: now, core: 0, payload: EventPayload::Free { base } });
             }
     }
 
@@ -379,14 +406,79 @@ impl Tracer {
         &self.source
     }
 
-    /// Events recorded so far.
+    /// Events currently buffered (recorded and not yet drained).
     pub fn num_events(&self) -> usize {
-        self.events.len()
+        self.buffered
+    }
+
+    /// The most events ever buffered at once: the memory a streaming
+    /// run really needed (an epoch's events plus everything above the
+    /// watermark), or the whole trace for a run that never drains.
+    pub fn max_buffered_events(&self) -> usize {
+        self.max_buffered
+    }
+
+    /// Cost counters of the sorted lanes.
+    pub fn lane_stats(&self) -> LaneStats {
+        self.lane_stats
     }
 
     /// Current resolution statistics.
     pub fn resolution(&self) -> ResolutionStats {
         self.resolution
+    }
+
+    /// Buffer one event in `lane`, keeping the lane sorted by
+    /// `(cycles, seq)`. A core's clock only moves forward, so this is
+    /// an append unless the event is back-dated; then it is placed
+    /// after the last buffered event that is not later — its position
+    /// in a stable sort by `cycles` — found from the back, where it is
+    /// at most a few events away.
+    fn push(&mut self, lane: usize, event: TraceEvent) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.buffered += 1;
+        self.max_buffered = self.max_buffered.max(self.buffered);
+        let lane = &mut self.lanes[lane];
+        let later = lane.iter().rev().take_while(|(_, e)| e.cycles > event.cycles).count();
+        if later == 0 {
+            lane.push_back((seq, event));
+        } else {
+            self.lane_stats.backdated_pushes += 1;
+            self.lane_stats.displaced_events += later as u64;
+            lane.insert(lane.len() - later, (seq, event));
+        }
+    }
+
+    /// The next stretch of the global `(cycles, seq)` order that lies
+    /// at or below `watermark`: the lane whose head is the smallest,
+    /// and how many of its leading events precede every other lane's
+    /// head. Looks at lane heads, plus the events it counts.
+    fn next_run(&self, watermark: u64) -> Option<(usize, usize)> {
+        let key = |&(seq, ref e): &Buffered| (e.cycles, seq);
+        let mut best: Option<(usize, (u64, u64))> = None;
+        // Smallest head among the other lanes; nothing if they are empty.
+        let mut bound = (u64::MAX, u64::MAX);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let Some(head) = lane.front().map(key) else { continue };
+            match best {
+                Some((_, k)) if k < head => bound = bound.min(head),
+                Some((_, k)) => {
+                    bound = k;
+                    best = Some((i, head));
+                }
+                None => best = Some((i, head)),
+            }
+        }
+        let (lane, head) = best?;
+        if head.0 > watermark {
+            return None;
+        }
+        let run = self.lanes[lane]
+            .iter()
+            .take_while(|&b| b.1.cycles <= watermark && key(b) < bound)
+            .count();
+        Some((lane, run))
     }
 
     /// Streaming support: hand over every buffered event whose
@@ -399,25 +491,42 @@ impl Tracer {
     /// the watermark is the minimum of all per-core clocks at an epoch
     /// boundary — core clocks only move forward). Under that contract,
     /// concatenating successive drains with the events left for
-    /// `finish` reproduces the finish-time sort byte for byte: the
-    /// sort is stable, drained events were recorded before any future
-    /// ones, and ties on the watermark itself therefore keep their
-    /// recording order.
+    /// `finish` reproduces the finish-time order byte for byte: it is
+    /// a merge of the lanes by `(cycles, seq)`, later events cannot
+    /// sort before the watermark, and ties on the watermark itself
+    /// were recorded — so numbered — before any future one.
+    ///
+    /// The cost is proportional to the events handed over, not to the
+    /// events buffered: a call that drains nothing reads the lane
+    /// heads and returns.
     pub fn drain_ready(&mut self, watermark: u64, out: &mut Vec<TraceEvent>) {
-        if self.events.is_empty() {
-            return;
+        while let Some((lane, run)) = self.next_run(watermark) {
+            out.extend(self.lanes[lane].drain(..run).map(|(_, e)| e));
+            self.buffered -= run;
         }
-        // Same stable sort as `finish`; repeating it over the residue
-        // plus newly recorded events composes with previous drains
-        // (equal timestamps stay in recording order throughout).
-        self.events.sort_by_key(|e| e.cycles);
-        let ready = self.events.partition_point(|e| e.cycles <= watermark);
-        out.extend(self.events.drain(..ready));
+    }
+
+    /// [`Tracer::drain_ready`] without the copy: every ready event is
+    /// shown to `sink` where it lies and then dropped. Stops at the
+    /// first error (the events of the stretch it struck in are gone).
+    pub fn drain_ready_with<E>(
+        &mut self,
+        watermark: u64,
+        mut sink: impl FnMut(&TraceEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        while let Some((lane, run)) = self.next_run(watermark) {
+            let lane = &mut self.lanes[lane];
+            let res = lane.range(..run).try_for_each(|(_, e)| sink(e));
+            lane.drain(..run);
+            self.buffered -= run;
+            res?;
+        }
+        Ok(())
     }
 
     /// Finish the run and produce the trace. Panics if any region is
     /// still open (unbalanced instrumentation).
-    pub fn finish(self, description: &str) -> Trace {
+    pub fn finish(mut self, description: &str) -> Trace {
         for (core, stack) in self.region_stacks.iter().enumerate() {
             assert!(
                 stack.is_empty(),
@@ -426,10 +535,10 @@ impl Tracer {
                 stack.iter().map(|r| &self.region_names[r.0 as usize]).collect::<Vec<_>>()
             );
         }
-        let mut events = self.events;
-        // Events from different cores interleave; keep a stable global
-        // time order for consumers.
-        events.sort_by_key(|e| e.cycles);
+        // Events from different cores interleave; merging the lanes
+        // gives consumers a stable global time order.
+        let mut events = Vec::with_capacity(self.buffered);
+        self.drain_ready(u64::MAX, &mut events);
         Trace {
             meta: TraceMeta {
                 freq_mhz: self.cfg.freq_mhz,
@@ -660,6 +769,73 @@ mod tests {
         t.drain_ready(u64::MAX, &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(t.num_events(), 0);
+    }
+
+    #[test]
+    fn stuck_watermark_drains_nothing_and_moves_nothing() {
+        // A rank that has not started holds the watermark at 0 while
+        // the others fill their lanes.
+        let mut t = Tracer::new(TracerConfig::default(), 4);
+        for i in 0..100_000u64 {
+            t.user_event((i % 3) as usize, 1, i, 1 + i / 3);
+        }
+        let mut out = Vec::new();
+        for _ in 0..1_000 {
+            t.drain_ready(0, &mut out);
+            t.drain_ready_with(0, |_| -> Result<(), ()> { panic!("nothing is ready") }).unwrap();
+        }
+        assert!(out.is_empty() && out.capacity() == 0, "nothing handed over");
+        assert_eq!(t.num_events(), 100_000);
+        assert_eq!(t.max_buffered_events(), 100_000);
+        assert_eq!(t.lane_stats(), LaneStats::default(), "in-order pushes displace nothing");
+        let values: Vec<u64> = t
+            .finish("stuck")
+            .events
+            .iter()
+            .map(|e| match e.payload {
+                EventPayload::User { value, .. } => value,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert!(values.iter().copied().eq(0..100_000), "recording order, untouched");
+    }
+
+    fn kind(e: &TraceEvent) -> (u64, &'static str) {
+        let name = match e.payload {
+            EventPayload::User { .. } => "user",
+            EventPayload::MuxSwitch { .. } => "mux",
+            EventPayload::Pebs { .. } => "pebs",
+            EventPayload::CounterSample { .. } => "sample",
+            EventPayload::Alloc { .. } => "alloc",
+            EventPayload::Free { .. } => "free",
+            _ => "region",
+        };
+        (e.cycles, name)
+    }
+
+    #[test]
+    fn backdated_events_take_their_stable_position() {
+        let mut t = Tracer::new(TracerConfig::default(), 2);
+        let c = CounterSnapshot::default();
+        t.user_event(0, 1, 0, 10);
+        t.record_mux_switch(0, 1, "stores", 20);
+        t.record_pebs(sample(64, 20));
+        // The timer fired at 15 and at 20, noticed after the sample.
+        t.record_counter_sample(0, Ip(1), c, 15);
+        t.record_counter_sample(0, Ip(2), c, 20);
+        // An allocation timed by core 1's lagging clock is stamped
+        // core 0 but does not disturb core 0's lane.
+        let base = t.malloc(4096, &loc(1), 12);
+        assert_eq!(t.lane_stats(), LaneStats { backdated_pushes: 1, displaced_events: 2 });
+        let mut out = Vec::new();
+        t.drain_ready(15, &mut out);
+        let order: Vec<(u64, &str)> = out.iter().map(kind).collect();
+        assert_eq!(order, [(10, "user"), (12, "alloc"), (15, "sample")]);
+        t.free(base, 12);
+        assert_eq!(t.lane_stats().backdated_pushes, 1, "the allocation lane was empty again");
+        let rest = t.finish("backdated").events;
+        let order: Vec<(u64, &str)> = rest.iter().map(kind).collect();
+        assert_eq!(order, [(12, "free"), (20, "mux"), (20, "pebs"), (20, "sample")]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the monitoring runtime.
 
+use mempersp_extrae::events::{EventPayload, TraceEvent};
 use mempersp_extrae::trace_format::{parse_trace, write_trace};
 use mempersp_extrae::{CodeLocation, SimAllocator, Tracer, TracerConfig};
 use mempersp_memsim::MemLevel;
@@ -191,5 +192,110 @@ proptest! {
         } else {
             prop_assert_eq!((r.resolved, r.unresolved), (0, 1));
         }
+    }
+
+    /// Streaming drains compose to the finish order. The oracle is
+    /// the specification itself: every recorded event in a plain
+    /// `Vec`, stably sorted by `cycles` once. The feed is what the
+    /// machine produces — per-core clocks that only move forward (and
+    /// often tie across cores), timer samples back-dated behind the
+    /// PEBS sample just recorded, `malloc`/`free` stamped `core: 0`
+    /// from whichever core's clock issued them — drained at a
+    /// non-decreasing watermark that never exceeds the slowest clock.
+    #[test]
+    fn drains_and_finish_equal_one_stable_sort(
+        ops in prop::collection::vec(
+            (0usize..4, 0u8..6, 0u64..4, 0u64..12, 0u8..3, 0u64..5),
+            1..300,
+        ),
+    ) {
+        const CORES: usize = 4;
+        let site = CodeLocation::new("oracle.rs", 7, "feed");
+        let counters = CounterSnapshot::default();
+        let mut t = Tracer::new(TracerConfig::default(), CORES);
+        let site_ip = t.location(&site.file, site.line, &site.function);
+        let mut oracle: Vec<TraceEvent> = Vec::new();
+        let mut got: Vec<TraceEvent> = Vec::new();
+        let mut clock = [0u64; CORES];
+        let mut watermark = 0u64;
+        let mut live: Vec<u64> = Vec::new();
+
+        let region = t.region("work");
+        for core in 0..CORES {
+            t.enter(core, "work", counters, 0);
+            oracle.push(TraceEvent { cycles: 0, core, payload: EventPayload::RegionEnter { region, counters } });
+        }
+        for (n, &(core, kind, advance, back, drain, frac)) in ops.iter().enumerate() {
+            let n = n as u64;
+            clock[core] += advance;
+            let now = clock[core];
+            // A timer sample may lie in the past, never below what
+            // has been declared final.
+            let past = now.saturating_sub(back).max(watermark);
+            match kind {
+                0 => {
+                    t.user_event(core, 1, n, now);
+                    oracle.push(TraceEvent { cycles: now, core, payload: EventPayload::User { kind: 1, value: n } });
+                }
+                1 | 2 => {
+                    let sample = PebsSample {
+                        timestamp: now, core, ip: n, addr: 64 + n, size: 8, is_store: kind == 2,
+                        latency: 3, source: MemLevel::L2, tlb_miss: false,
+                    };
+                    t.record_pebs(sample);
+                    oracle.push(TraceEvent { cycles: now, core, payload: EventPayload::Pebs { sample, object: None } });
+                    t.record_counter_sample(core, site_ip, counters, past);
+                    oracle.push(TraceEvent {
+                        cycles: past,
+                        core,
+                        payload: EventPayload::CounterSample { ip: site_ip, counters, stack: vec![region] },
+                    });
+                }
+                3 => {
+                    t.record_mux_switch(core, n as usize, "stores", now);
+                    oracle.push(TraceEvent {
+                        cycles: now,
+                        core,
+                        payload: EventPayload::MuxSwitch { event_index: n as usize, label: "stores".into() },
+                    });
+                }
+                4 => {
+                    let size = 4096 + n;
+                    let base = t.malloc(size, &site, now);
+                    live.push(base);
+                    oracle.push(TraceEvent { cycles: now, core: 0, payload: EventPayload::Alloc { base, size, callsite: site_ip } });
+                }
+                _ => {
+                    if let Some(base) = live.pop() {
+                        t.free(base, now);
+                        oracle.push(TraceEvent { cycles: now, core: 0, payload: EventPayload::Free { base } });
+                    }
+                }
+            }
+            if drain > 0 {
+                // Somewhere between the last watermark and the slowest
+                // clock, both ends included.
+                let slowest = *clock.iter().min().unwrap();
+                watermark += (slowest - watermark) * frac / 4;
+                let before = got.len();
+                if drain == 1 {
+                    t.drain_ready(watermark, &mut got);
+                } else {
+                    t.drain_ready_with(watermark, |e| -> Result<(), ()> {
+                        got.push(e.clone());
+                        Ok(())
+                    }).unwrap();
+                }
+                prop_assert!(got[before..].iter().all(|e| e.cycles <= watermark));
+            }
+        }
+        for (core, &end) in clock.iter().enumerate() {
+            t.exit(core, "work", counters, end);
+            oracle.push(TraceEvent { cycles: end, core, payload: EventPayload::RegionExit { region, counters } });
+        }
+        prop_assert_eq!(t.num_events() + got.len(), oracle.len());
+        got.extend(t.finish("oracle").events);
+        oracle.sort_by_key(|e| e.cycles);
+        prop_assert_eq!(got, oracle);
     }
 }

@@ -27,9 +27,17 @@ pub struct MultiplexStats {
 #[derive(Debug, Clone)]
 pub struct Multiplexer {
     engines: Vec<PebsEngine>,
+    /// Trace label of each engine's event.
+    labels: Vec<String>,
     /// Length of each slice, in cycles.
     slice_cycles: u64,
     rotations: u64,
+    /// The slice the last observed cycle fell in, `[lo, hi)`, and its
+    /// engine: consecutive operations nearly always share a slice, so
+    /// the divisions are paid once per slice, not once per operation.
+    slice_lo: u64,
+    slice_hi: u64,
+    slice_index: usize,
 }
 
 impl Multiplexer {
@@ -38,10 +46,15 @@ impl Multiplexer {
     pub fn new(configs: Vec<SamplingConfig>, slice_cycles: u64) -> Self {
         assert!(!configs.is_empty(), "need at least one PEBS event");
         assert!(slice_cycles >= 1, "slice must be at least one cycle");
+        let engines: Vec<PebsEngine> = configs.into_iter().map(PebsEngine::new).collect();
         Self {
-            engines: configs.into_iter().map(PebsEngine::new).collect(),
+            labels: engines.iter().map(|e| e.event().label()).collect(),
+            engines,
             slice_cycles,
             rotations: 0,
+            slice_lo: 0,
+            slice_hi: slice_cycles,
+            slice_index: 0,
         }
     }
 
@@ -50,16 +63,30 @@ impl Multiplexer {
         ((now / self.slice_cycles) % self.engines.len() as u64) as usize
     }
 
+    /// Trace label of event `index`.
+    pub fn label(&self, index: usize) -> &str {
+        &self.labels[index]
+    }
+
     /// Feed one retired memory op; only the engine whose slice covers
     /// `now` observes it.
     pub fn observe(&mut self, core: usize, op: &MemOp, now: u64) -> Option<PebsSample> {
-        let idx = self.active_index(now);
-        // Track rotations for diagnostics (monotonic `now` assumed).
-        let abs_slice = now / self.slice_cycles;
-        if abs_slice > self.rotations {
-            self.rotations = abs_slice;
+        self.observe_slot(core, op, now).1
+    }
+
+    /// [`Multiplexer::observe`], also returning the index of the
+    /// engine that was active at `now`.
+    pub fn observe_slot(&mut self, core: usize, op: &MemOp, now: u64) -> (usize, Option<PebsSample>) {
+        if now < self.slice_lo || now >= self.slice_hi {
+            let abs_slice = now / self.slice_cycles;
+            self.slice_lo = abs_slice * self.slice_cycles;
+            self.slice_hi = self.slice_lo.saturating_add(self.slice_cycles);
+            self.slice_index = self.active_index(now);
+            // Track rotations for diagnostics (monotonic `now` assumed).
+            self.rotations = self.rotations.max(abs_slice);
         }
-        self.engines[idx].observe(core, op, now)
+        let idx = self.slice_index;
+        (idx, self.engines[idx].observe(core, op, now))
     }
 
     /// Number of configured events.
@@ -73,7 +100,8 @@ impl Multiplexer {
             per_event: self
                 .engines
                 .iter()
-                .map(|e| (e.event().label(), e.matched(), e.captured()))
+                .zip(&self.labels)
+                .map(|(e, label)| (label.clone(), e.matched(), e.captured()))
                 .collect(),
             rotations: self.rotations,
         }
@@ -118,6 +146,23 @@ mod tests {
         assert_eq!(m.active_index(100), 1);
         assert_eq!(m.active_index(199), 1);
         assert_eq!(m.active_index(200), 0);
+    }
+
+    #[test]
+    fn cached_slice_agrees_with_active_index() {
+        // Forward, backward and far jumps: the cached slot, the
+        // rotation count and the labels must be what the per-call
+        // divisions gave.
+        let mut m = mux(100);
+        let mut max_slice = 0;
+        for now in [0, 99, 100, 101, 350, 399, 400, 120, 0, 7_919, 7_900, u64::MAX, 5] {
+            let (idx, _) = m.observe_slot(0, &op(AccessKind::Load, now), now);
+            assert_eq!(idx, m.active_index(now), "slot at {now}");
+            max_slice = max_slice.max(now / 100);
+            assert_eq!(m.stats().rotations, max_slice, "rotations at {now}");
+        }
+        assert_eq!(m.label(0), "loads(lat>=0)");
+        assert_eq!(m.label(1), m.stats().per_event[1].0);
     }
 
     #[test]

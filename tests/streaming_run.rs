@@ -151,6 +151,109 @@ impl Workload for TwoCore {
     }
 }
 
+/// Four ranks that run one after another, as HPCG's do: core *k*
+/// issues nothing until core *k−1* is done, so the slowest clock — the
+/// drain watermark — stays near 0 until the last rank starts and most
+/// of the trace waits in the tracer. Every rank allocates scratch
+/// memory mid-run from its own (lagging) clock.
+struct RankSequential {
+    n: u64,
+}
+
+impl Workload for RankSequential {
+    fn name(&self) -> String {
+        "ranksequential".into()
+    }
+
+    fn run(&mut self, ctx: &mut dyn AppContext) {
+        let ip = ctx.location("rs.rs", 1, "rank");
+        let slab = 1u64 << 18;
+        let cores = ctx.core_count();
+        let base = ctx.malloc(0, slab * cores as u64, &CodeLocation::new("rs.rs", 2, "slabs"));
+        for core in 0..cores {
+            let mine = base + core as u64 * slab;
+            ctx.enter(core, "rank");
+            let mut scratch = 0;
+            for i in 0..self.n {
+                if i == self.n / 2 {
+                    scratch = ctx.malloc(core, 8192, &CodeLocation::new("rs.rs", 3, "scratch"));
+                }
+                if i % 3 == 0 {
+                    ctx.store(core, ip, mine + (i * 72) % slab, 8);
+                } else {
+                    ctx.load(core, ip, mine + (i * 40) % slab, 8);
+                }
+                ctx.compute(core, ip, 2, 1);
+            }
+            ctx.free(core, scratch);
+            ctx.exit(core, "rank");
+        }
+    }
+}
+
+fn rank_sequential_config(epoch_cap: usize, threads: usize) -> MachineConfig {
+    let mut cfg = MachineConfig::small();
+    cfg.cores = 4;
+    cfg.threads = threads;
+    cfg.epoch_cap = epoch_cap;
+    // Dense sampling on every core, and a timer fast enough that its
+    // samples are noticed after (so recorded behind) a PEBS sample.
+    cfg.pebs_events[0].period = 7;
+    cfg.pebs_events[1].period = 5;
+    cfg.counter_sample_period = 40;
+    cfg.mux_slice_cycles = 1_000;
+    cfg
+}
+
+#[test]
+fn rank_sequential_lag_streams_identically_and_linearly() {
+    let reference = {
+        let mut machine = Machine::new(rank_sequential_config(mempersp::core::DEFAULT_EPOCH_CAP, 1));
+        machine.run(&mut RankSequential { n: 5000 })
+    };
+    let events = reference.trace.events.len() as u64;
+    assert_eq!(reference.max_buffered_events, events, "a materialized run holds everything");
+    let ref_path = tmp("ranks_ref.mps");
+    write_store_with(&ref_path, &reference.trace, DEFAULT_CHUNK_BYTES, 1).unwrap();
+    let ref_bytes = std::fs::read(&ref_path).unwrap();
+    std::fs::remove_file(&ref_path).ok();
+
+    for cap in [1usize, 7, 32_768] {
+        for threads in [1usize, 2] {
+            let path = tmp(&format!("ranks_c{cap}_t{threads}.mps"));
+            let opts = StreamOptions { writer_threads: threads, ..StreamOptions::default() };
+            let report = run_streaming_to_path(
+                rank_sequential_config(cap, threads),
+                &mut RankSequential { n: 5000 },
+                &path,
+                &opts,
+            )
+            .unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(bytes, ref_bytes, "cap {cap}, {threads} threads: streamed store differs");
+            assert_eq!(report.events_streamed, events);
+            assert_eq!(report.wall_cycles, reference.wall_cycles);
+            assert_eq!(report.mux_stats, reference.mux_stats);
+
+            // The lag is real, and reported: the first three ranks'
+            // events wait for the fourth.
+            assert!(
+                report.max_buffered_events > events / 2 && report.max_buffered_events <= events,
+                "cap {cap}: {} of {events} events buffered at the peak",
+                report.max_buffered_events
+            );
+            // The count guard that recording stayed linear through it:
+            // a back-dated event steps over the one or two events of
+            // its own access, not over the residue.
+            let lanes = report.lane_stats;
+            assert_eq!(lanes, reference.lane_stats, "placement is independent of draining");
+            assert!(lanes.backdated_pushes > 500, "timer samples must be back-dated: {lanes:?}");
+            assert!(lanes.displaced_events <= 2 * lanes.backdated_pushes, "{lanes:?}");
+        }
+    }
+}
+
 fn two_core_config(epoch_cap: usize) -> MachineConfig {
     let mut cfg = MachineConfig::small();
     cfg.cores = 2;
