@@ -33,7 +33,7 @@
 use mempersp_bench::gentrace::{generate, GenConfig};
 use mempersp_bench::{cross_thread_speedup, host_cpus, host_info, peak_rss_bytes};
 use mempersp_extrae::trace_format::{load_trace, save_trace};
-use mempersp_store::{write_store_with, StoreWriter, DEFAULT_CHUNK_BYTES};
+use mempersp_store::{write_store_with, StoreWriter, WriterOptions, DEFAULT_CHUNK_BYTES};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -66,7 +66,8 @@ fn best_of(n: usize, mut f: impl FnMut() -> Measure) -> Measure {
 /// The fused pass: generate and append in one loop, nothing resident.
 fn stream_once(cfg: &GenConfig, path: &std::path::Path, threads: usize) -> u64 {
     let header = cfg.header();
-    let mut w = StoreWriter::with_threads(path, DEFAULT_CHUNK_BYTES, threads).expect("create");
+    let opts = WriterOptions { threads, ..Default::default() };
+    let mut w = StoreWriter::new(path, opts).expect("create");
     for e in cfg.events() {
         w.append(&e).expect("append");
     }

@@ -1,19 +1,13 @@
-//! Trace-store throughput at the one-million-event scale: the v4
+//! Trace-store throughput at the one-million-event scale: the
 //! stream-vbyte `.mps` container against the text `.prv` parse path,
-//! the legacy v1 row codec and the v3 LEB128 columnar codec, on a
-//! selective window query over a synthetic PEBS-heavy trace
+//! on a selective window query over a synthetic PEBS-heavy trace
 //! ([`mempersp_bench::gentrace`]).
 //!
 //! Scan scenarios:
 //!
 //! * `prv_parse_filter` — parse the whole text trace, then filter
 //!   linearly (the pre-store baseline every analysis paid);
-//! * `mps_v1_cold_scan` — fresh reader over the *v1 row-format* file:
-//!   the original row codec, kept as the far comparator;
-//! * `mps_v3_cold_scan` — fresh reader over the v3 LEB128 columnar
-//!   file: the codec this PR replaces. `v4_vs_v3_speedup` against
-//!   `mps_cold_scan` is asserted >= 1.5 on capable hosts;
-//! * `mps_cold_scan` — fresh reader over the v4 stream-vbyte file:
+//! * `mps_cold_scan` — fresh reader over the store file:
 //!   footer pruning, mmap zero-copy chunk access, SIMD control-byte
 //!   decode and selection-vector late materialization;
 //! * `mps_cached_scan` — the same reader re-queried (block cache /
@@ -27,9 +21,9 @@
 //!   CRC32C verification disabled (`set_verify(false)`, the `query
 //!   --no-verify` escape hatch). The gap between this and
 //!   `mps_cold_scan` is the price of the durability checksums,
-//!   asserted < 30% on capable hosts (the v4 scan is fast enough that
-//!   a one-pass CRC over the candidate bytes is a visible fraction of
-//!   it; the absolute cost is unchanged from v3).
+//!   asserted < 30% on capable hosts (the scan is fast enough that a
+//!   one-pass CRC over the candidate bytes is a visible fraction of
+//!   it).
 //!
 //! The filtered cold scan must also decode strictly fewer payload
 //! bytes than a full materialization of the same store — the
@@ -50,10 +44,7 @@ use mempersp_bench::gentrace::{generate, GenConfig};
 use mempersp_bench::{cross_thread_speedup, host_cpus, host_info};
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_format::{load_trace, save_trace};
-use mempersp_store::{
-    write_store_v1, write_store_v3, write_store_with, StoreReader, DEFAULT_CHUNK_BYTES,
-    PARALLEL_MIN_CHUNKS,
-};
+use mempersp_store::{write_store_with, StoreReader, DEFAULT_CHUNK_BYTES, PARALLEL_MIN_CHUNKS};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -84,7 +75,7 @@ fn best_of(n: usize, mut f: impl FnMut() -> Measure) -> Measure {
 
 fn main() {
     // One million generated events (MEMPERSP_BENCH_EVENTS overrides),
-    // written in all three containers.
+    // written as text and as a store.
     let events: u64 = std::env::var("MEMPERSP_BENCH_EVENTS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -95,12 +86,8 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
     let prv = dir.join("bench.prv");
     let mps = dir.join("bench.mps");
-    let mps_v1 = dir.join("bench_v1.mps");
-    let mps_v3 = dir.join("bench_v3.mps");
     save_trace(&prv, &trace).expect("write prv");
     let summary = write_store_with(&mps, &trace, DEFAULT_CHUNK_BYTES, 1).expect("write mps");
-    write_store_v1(&mps_v1, &trace, DEFAULT_CHUNK_BYTES).expect("write v1 mps");
-    write_store_v3(&mps_v3, &trace, DEFAULT_CHUNK_BYTES).expect("write v3 mps");
     let span = trace.events.last().map(|e| e.cycles).unwrap_or(0);
 
     // A selective query: PEBS samples in the middle quarter of the run
@@ -114,32 +101,6 @@ fn main() {
         let matched = parsed.events.iter().filter(|e| q.matches(e)).count() as u64;
         black_box(&parsed);
         Measure { name: "prv_parse_filter", matched, seconds: t.elapsed().as_secs_f64() }
-    });
-
-    let v1_cold = best_of(TRIALS, || {
-        let reader = StoreReader::open(&mps_v1).expect("open v1");
-        let t = Instant::now();
-        let (events, _) = reader.query(&q).expect("query v1");
-        let m = Measure {
-            name: "mps_v1_cold_scan",
-            matched: events.len() as u64,
-            seconds: t.elapsed().as_secs_f64(),
-        };
-        black_box(events);
-        m
-    });
-
-    let v3_cold = best_of(TRIALS, || {
-        let reader = StoreReader::open(&mps_v3).expect("open v3");
-        let t = Instant::now();
-        let (events, _) = reader.query(&q).expect("query v3");
-        let m = Measure {
-            name: "mps_v3_cold_scan",
-            matched: events.len() as u64,
-            seconds: t.elapsed().as_secs_f64(),
-        };
-        black_box(events);
-        m
     });
 
     let mut cold_stats = None;
@@ -201,8 +162,6 @@ fn main() {
     });
 
     assert_eq!(prv_parse.matched, cold.matched, "containers must agree");
-    assert_eq!(v1_cold.matched, cold.matched, "codecs must agree");
-    assert_eq!(v3_cold.matched, cold.matched, "v3 and v4 codecs must agree");
     assert_eq!(cold.matched, cached.matched);
     assert_eq!(cold.matched, parallel.matched);
     assert_eq!(cold.matched, no_verify.matched, "verification must not change the answer");
@@ -269,12 +228,11 @@ fn main() {
     let parallel_bytes = std::fs::read(dir.join("ingest_parallel.mps")).expect("read parallel");
     assert_eq!(serial_bytes, parallel_bytes, "compressor pool must not change the bytes");
 
-    // The durability-tax gate. The v4 selection-vector scan decodes a
+    // The durability-tax gate. The selection-vector scan decodes a
     // candidate chunk faster than the CRC pass reads it, so the
-    // checksum is a visible fraction of the cold scan now — the
-    // budget is 30% of scan time (its absolute cost is the same
-    // one-pass CRC32C v3 paid). Host-gated like the thread-count
-    // asserts — a 1-cpu container's timer jitter swamps a few percent.
+    // checksum is a visible fraction of the cold scan — the budget is
+    // 30% of scan time. Host-gated like the thread-count asserts — a
+    // 1-cpu container's timer jitter swamps a few percent.
     let crc_overhead = cold.seconds / no_verify.seconds - 1.0;
     if host_cpus() >= 4 {
         assert!(
@@ -289,8 +247,6 @@ fn main() {
 
     let measures = [
         &prv_parse,
-        &v1_cold,
-        &v3_cold,
         &cold,
         &no_verify,
         &cached,
@@ -315,23 +271,7 @@ fn main() {
         }));
     }
     let cold_vs_prv = prv_parse.seconds / cold.seconds;
-    let v2_vs_v1 = v1_cold.seconds / cold.seconds;
-    let v4_vs_v3 = v3_cold.seconds / cold.seconds;
     let cached_vs_cold = cold.seconds / cached.seconds;
-
-    // The headline gate of the stream-vbyte PR: the v4 cold scan must
-    // beat the v3 LEB128 scan by at least 1.5x. Host-gated like the
-    // other timing asserts — single-core container jitter is not a
-    // codec regression.
-    if host_cpus() >= 4 {
-        assert!(
-            v4_vs_v3 >= 1.5,
-            "v4 cold scan ({:.4}s) is only {v4_vs_v3:.2}x the v3 scan ({:.4}s); \
-             the stream-vbyte decode must deliver >= 1.5x",
-            cold.seconds,
-            v3_cold.seconds
-        );
-    }
     let (parallel_vs_cold, parallel_skip) =
         cross_thread_speedup(4, 1.0 / parallel.seconds, 1.0 / cold.seconds);
     let (ingest_speedup, ingest_skip) =
@@ -340,9 +280,7 @@ fn main() {
         "pruning: {} candidate / {} skipped chunks ({} total, {} events in store)",
         candidates, stats.chunks_skipped, summary.chunks, summary.events
     );
-    println!("cold v4 scan vs prv parse+filter:  {cold_vs_prv:.2}x");
-    println!("cold v4 scan vs cold v1 scan:      {v2_vs_v1:.2}x");
-    println!("cold v4 scan vs cold v3 scan:      {v4_vs_v3:.2}x");
+    println!("cold scan vs prv parse+filter:     {cold_vs_prv:.2}x");
     println!("cached re-query vs cold scan:      {cached_vs_cold:.2}x");
     println!(
         "payload bytes, filtered vs full:   {payload_filtered} / {payload_full} \
@@ -368,8 +306,6 @@ fn main() {
         "query_chunks_skipped": stats.chunks_skipped,
         "scenarios": scenarios,
         "cold_vs_prv_speedup": cold_vs_prv,
-        "v2_vs_v1_speedup": v2_vs_v1,
-        "v4_vs_v3_speedup": v4_vs_v3,
         "payload_bytes_filtered": payload_filtered,
         "payload_bytes_full": payload_full,
         "scratch_allocs": scratch_allocs,

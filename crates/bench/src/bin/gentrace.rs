@@ -12,7 +12,7 @@
 //! memory use stays flat no matter how many events are requested.
 
 use mempersp_bench::gentrace::GenConfig;
-use mempersp_store::{ShardedWriter, StoreWriter, DEFAULT_CHUNK_BYTES, SHARD_DIR_SUFFIX};
+use mempersp_store::{ShardedWriter, StoreWriter, WriterOptions, SHARD_DIR_SUFFIX};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -67,18 +67,17 @@ fn main() {
     let header = cfg.header();
     let sharded = shard_events.is_some()
         || out.to_string_lossy().ends_with(SHARD_DIR_SUFFIX);
+    let opts = WriterOptions { threads, ..Default::default() };
     let result = if sharded {
         let per_shard =
             shard_events.unwrap_or(mempersp_store::shard::DEFAULT_EVENTS_PER_SHARD);
-        let mut w = ShardedWriter::with_options(&out, DEFAULT_CHUNK_BYTES, threads, per_shard)
-            .expect("create sharded store");
+        let mut w = ShardedWriter::new(&out, opts, per_shard).expect("create sharded store");
         for e in cfg.events() {
             w.append(&e).expect("append");
         }
         w.finish(&header).expect("finish")
     } else {
-        let mut w = StoreWriter::with_threads(&out, DEFAULT_CHUNK_BYTES, threads)
-            .expect("create store");
+        let mut w = StoreWriter::new(&out, opts).expect("create store");
         for e in cfg.events() {
             w.append(&e).expect("append");
         }

@@ -19,7 +19,7 @@
 //! selective analyses decode only the chunks their predicates touch.
 //!
 //! Durability verbs: `mempersp fsck <trace>` verifies every checksum
-//! of a v3 store and prints a damage map; `mempersp recover <in> -o
+//! of a store and prints a damage map; `mempersp recover <in> -o
 //! <out>` salvages the readable chunks of a damaged (or torn `.tmp`)
 //! store into a clean one.
 //!
@@ -57,7 +57,7 @@ fn usage() -> ! {
          mempersp export <trace> [--dir <dir>] [--prefix <name>]\n  \
          mempersp profile <trace>\n  \
          mempersp convert <trace> -o <out.prv|out.mps|out.mps.d> \
-         [--format v3|v4] [--shard-events N] [--threads N|auto] [--force]\n  \
+         [--shard-events N] [--threads N|auto] [--force]\n  \
          mempersp query <trace> [--time lo:hi] [--cores 0,2] [--kinds ENTER,PEBS] \
          [--object N] [--threads N|auto] [--print N] [--json] [--stats] [--no-verify]\n  \
          mempersp serve --root <repo-dir> [--addr host:port] [--max-inflight N] \
@@ -137,13 +137,7 @@ fn cmd_fsck(args: &[String]) {
         println!("header: LOST (salvage will synthesize one)");
     }
     if report.is_clean() {
-        if report.format_version >= 3 {
-            println!("clean: every frame, payload, header and index checksum verified");
-        } else {
-            println!(
-                "clean: structure and payloads decode (pre-v3 store, no checksums to verify)"
-            );
-        }
+        println!("clean: every frame, payload, header and index checksum verified");
         return;
     }
     println!("damage ({} finding{}):", report.damage.len(), if report.damage.len() == 1 { "" } else { "s" });
@@ -154,7 +148,7 @@ fn cmd_fsck(args: &[String]) {
 }
 
 /// Salvage the readable chunks of a damaged store into a fresh,
-/// fully-checksummed v3 store.
+/// fully-checksummed store.
 fn cmd_recover(args: &[String]) {
     let input = trace_path(args).clone();
     let out = arg_value(args, "-o").or_else(|| arg_value(args, "--out")).unwrap_or_else(|| usage());
@@ -342,6 +336,12 @@ fn print_scan_stats(stats: &ScanStats) {
 /// output) writes a sharded store that rolls a new file every N
 /// events; `--threads` sizes the writer's compression pool.
 fn cmd_convert(args: &[String]) {
+    // Unknown flags are ignored, so a leftover `--format v3` would
+    // silently produce a v4 file.
+    if args.iter().any(|a| a == "--format") {
+        eprintln!("convert: `--format` was removed: v4 is the only store format");
+        exit(1);
+    }
     let out = arg_value(args, "-o").unwrap_or_else(|| usage());
     let out_path = std::path::Path::new(&out);
     let force = args.iter().any(|a| a == "--force");
@@ -351,14 +351,6 @@ fn cmd_convert(args: &[String]) {
     }
     let t = load(args);
     let threads = threads_arg(args);
-    let format = match arg_value(args, "--format").as_deref() {
-        None | Some("v4") => mempersp_store::StoreFormat::V4,
-        Some("v3") => mempersp_store::StoreFormat::V3,
-        Some(other) => {
-            eprintln!("--format expects v3 or v4, got {other:?}");
-            exit(1);
-        }
-    };
     let shard_events: Option<u64> =
         arg_value(args, "--shard-events").map(|v| {
             v.parse().unwrap_or_else(|_| {
@@ -373,10 +365,6 @@ fn cmd_convert(args: &[String]) {
         );
     };
     let result = if shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) {
-        if format != mempersp_store::StoreFormat::V4 {
-            eprintln!("convert: --format v3 is only supported for single-file .mps output");
-            exit(1);
-        }
         let per_shard = shard_events.unwrap_or(mempersp_store::shard::DEFAULT_EVENTS_PER_SHARD);
         mempersp_store::write_store_sharded(
             out_path,
@@ -387,14 +375,8 @@ fn cmd_convert(args: &[String]) {
         )
         .map(report)
     } else if out.ends_with(".mps") {
-        mempersp_store::write_store_format(
-            out_path,
-            &t,
-            mempersp_store::DEFAULT_CHUNK_BYTES,
-            threads,
-            format,
-        )
-        .map(report)
+        mempersp_store::write_store_with(out_path, &t, mempersp_store::DEFAULT_CHUNK_BYTES, threads)
+            .map(report)
     } else {
         save_trace(out_path, &t)
     };

@@ -9,7 +9,7 @@ use crate::analysis::sweeps::{sweep_split_x, symgs_sweeps, SweepInfo};
 use crate::machine::{Machine, MachineConfig, RunReport};
 use mempersp_extrae::stream_writer::PrvSink;
 use mempersp_extrae::{EventSink, ObjectId, Workload};
-use mempersp_store::{ShardedWriter, StoreWriter, DEFAULT_CHUNK_BYTES, SHARD_DIR_SUFFIX};
+use mempersp_store::{ShardedWriter, StoreWriter, WriterOptions, SHARD_DIR_SUFFIX};
 use std::io;
 use std::path::Path;
 use mempersp_folding::{fold_regions, FoldedRegion, FoldingConfig, RegionRequest};
@@ -72,7 +72,11 @@ impl Default for StreamOptions {
 /// → single-file store, anything else → Paraver text via [`PrvSink`].
 pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn EventSink>> {
     mempersp_store::check_clobber(out, opts.force)?;
-    let threads = opts.writer_threads.max(1);
+    let writer_opts = WriterOptions {
+        threads: opts.writer_threads.max(1),
+        max_inflight: opts.max_inflight,
+        ..Default::default()
+    };
     let is_shard_dir = out
         .file_name()
         .and_then(|n| n.to_str())
@@ -80,20 +84,10 @@ pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn Eve
     if is_shard_dir || opts.shard_events.is_some() {
         let per_shard =
             opts.shard_events.unwrap_or(mempersp_store::DEFAULT_EVENTS_PER_SHARD);
-        let w = match opts.max_inflight {
-            Some(b) => {
-                ShardedWriter::with_budget(out, DEFAULT_CHUNK_BYTES, threads, per_shard, b)?
-            }
-            None => ShardedWriter::with_options(out, DEFAULT_CHUNK_BYTES, threads, per_shard)?,
-        };
-        return Ok(Box::new(w));
+        return Ok(Box::new(ShardedWriter::new(out, writer_opts, per_shard)?));
     }
     if out.extension().is_some_and(|e| e == "mps") {
-        let w = match opts.max_inflight {
-            Some(b) => StoreWriter::with_options(out, DEFAULT_CHUNK_BYTES, threads, b)?,
-            None => StoreWriter::with_threads(out, DEFAULT_CHUNK_BYTES, threads)?,
-        };
-        return Ok(Box::new(w));
+        return Ok(Box::new(StoreWriter::new(out, writer_opts)?));
     }
     Ok(Box::new(PrvSink::create(out)?))
 }

@@ -155,12 +155,10 @@ fn convert_round_trip_is_byte_identical_and_queries_work() {
 }
 
 #[test]
-fn convert_format_flag_writes_v3_and_round_trips() {
-    let dir = tmpdir("convert_format_flag_writes_v3_and_round_trips");
+fn removed_format_flag_and_old_stores_fail_loudly() {
+    let dir = tmpdir("removed_format_flag_and_old_stores_fail_loudly");
     let prv = dir.join("f.prv");
-    let v3 = dir.join("f_v3.mps");
-    let v4 = dir.join("f_v4.mps");
-    let back = dir.join("f_back.prv");
+    let mps = dir.join("f.mps");
 
     let out = bin()
         .args(["run", "--workload", "stream", "--nx", "32", "-o"])
@@ -169,32 +167,24 @@ fn convert_format_flag_writes_v3_and_round_trips() {
         .unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
-    // --format v3 emits the LEB128 container (MPSTORE3 magic), the
-    // default emits v4 (MPSTORE4); both carry the same events.
-    let out =
-        bin().args(["convert"]).arg(&prv).args(["--format", "v3", "-o"]).arg(&v3).output().unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let out = bin().args(["convert"]).arg(&prv).arg("-o").arg(&v4).output().unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(&std::fs::read(&v3).unwrap()[..8], b"MPSTORE3");
-    assert_eq!(&std::fs::read(&v4).unwrap()[..8], b"MPSTORE4");
+    // Unknown flags are ignored, so without an explicit check a
+    // leftover `--format v3` would quietly write a v4 file.
+    for value in ["v3", "v4"] {
+        let out =
+            bin().args(["convert"]).arg(&prv).args(["--format", value, "-o"]).arg(&mps).output().unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`--format` was removed: v4 is the only store format"), "{stderr}");
+        assert!(!mps.exists(), "a refused convert must write nothing");
+    }
 
-    // v3 -> prv reproduces the text trace exactly (v4 is covered by
-    // convert_round_trip_is_byte_identical_and_queries_work).
-    let out = bin().args(["convert"]).arg(&v3).arg("-o").arg(&back).output().unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(std::fs::read(&prv).unwrap(), std::fs::read(&back).unwrap());
-
-    // An unknown format is a usage error, not a silent default.
-    let out = bin()
-        .args(["convert"])
-        .arg(&prv)
-        .args(["--format", "v9", "-o"])
-        .arg(dir.join("nope.mps"))
-        .output()
-        .unwrap();
+    // A store of an earlier format is named as such by every command
+    // that opens a trace, not handed to the text parser.
+    std::fs::write(&mps, b"MPSTORE3 and then anything at all").unwrap();
+    let out = bin().arg("info").arg(&mps).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("store format v3 is no longer supported (this build reads v4)"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

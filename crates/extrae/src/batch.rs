@@ -4,10 +4,10 @@
 //! An [`EventBatch`] is one chunk's worth of events in columnar form:
 //! the per-row `cycles` / `cores` / `tags` envelope columns, a
 //! **selection vector** naming the rows that matched the scan's query
-//! (in row order), and per-class payload columns. The v4 store borrows
+//! (in row order), and per-class payload columns. The store borrows
 //! all of it straight from its decode scratch; row containers (`.prv`,
-//! v1–v3 chunks, an in-memory [`Trace`](crate::Trace)) reach the same
-//! type through the [`Transposer`].
+//! an in-memory [`Trace`](crate::Trace)) reach the same type through
+//! the [`Transposer`].
 //!
 //! Per-class numeric columns (`ClassColumns::cols`, indexed by field):
 //!

@@ -42,13 +42,13 @@ impl Compression {
 /// Sentinel for "this chunk has no object-resolved PEBS sample".
 pub const NO_OBJECTS: (u32, u32) = (u32::MAX, 0);
 
-/// Leading magic of a v3 per-chunk frame.
+/// Leading magic of a per-chunk frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"MPC3";
-/// Encoded size of a v3 chunk frame, preceding every chunk payload.
+/// Encoded size of a chunk frame, preceding every chunk payload.
 pub const FRAME_LEN: usize = 28;
 
 /// The self-delimiting header written immediately before each chunk
-/// payload in format v3. It carries enough to (a) verify the payload
+/// payload. It carries enough to (a) verify the payload
 /// against bit-rot (`payload_crc`), (b) verify *itself* against torn
 /// writes (`header_crc`), and (c) rebuild a usable [`ChunkMeta`] when
 /// the footer index never made it to disk — a forward scan hops
@@ -145,7 +145,7 @@ pub struct ChunkMeta {
     pub offset: u64,
     /// Stored (possibly compressed) payload length in bytes.
     pub stored_len: u32,
-    /// Raw encoded length (what [`crate::codec::decode_events`] sees).
+    /// Raw encoded length (what [`crate::codec::select_v4`] sees).
     pub raw_len: u32,
     pub compression: Compression,
     /// Number of events in the chunk.

@@ -1,272 +1,171 @@
-//! The chunk payload codec: `Vec<TraceEvent>` ⇄ bytes.
+//! The chunk payload codec: stream-vbyte columns and the
+//! selection-vector scan.
 //!
-//! Two generations share this module. **v1** (files led by
-//! `MPSTORE1`) interleaves every event's fields:
-//!
-//! ```text
-//! event := tag:u8                  (EventClass discriminant)
-//!          Δcycles:ivarint         (delta vs. previous event in chunk)
-//!          core:uvarint
-//!          payload                 (per tag, varint fields)
-//! ```
-//!
-//! **v2** (`MPSTORE2`, what the writer emits today) transposes a chunk
-//! into columns so decode is batch work over homogeneous runs of bytes
-//! instead of a per-event tag dispatch:
+//! A chunk is a 10-uvarint section table, a tag column, and one
+//! payload section per event class. Every run of integers is a
+//! [stream-vbyte column](crate::svb): a control stream that says how
+//! wide each value is and a data stream of plain little-endian bytes,
+//! decoded four values per `pshufb`. Payload sections are themselves
+//! columnar *per field* (all `ip`s, then all `addr`s, …), so a field's
+//! column can be range-decoded — or skipped entirely — without
+//! touching its neighbours:
 //!
 //! ```text
 //! chunk := section lengths (10 uvarints: deltas, cores, stream 0..7)
 //!          tags    — one byte per event, in stored order
-//!          deltas  — zig-zag varint timestamp deltas, one per event
-//!          cores   — uvarint core ids, one per event
-//!          stream[k] — the concatenated payload fields of every
-//!                      class-k event, in stored order (same field
-//!                      encodings as v1)
+//!          deltas  — svb column of zig-zag timestamp deltas
+//!          cores   — svb column of core ids
+//!          stream[k] — class-k fields, one svb column per field
+//!                      (byte-wide fields — PEBS flags/level, mux
+//!                      label bytes — stay raw byte runs)
 //! ```
 //!
-//! The tag column drives reassembly: event *i*'s payload is the next
-//! unread record of `stream[tags[i]]`. Columns make three things fast:
-//! the timestamp/core columns decode in tight unrolled loops over the
-//! word-at-a-time [`varint::Reader`], selective queries test the
-//! time/core/kind columns *before* materializing a `TraceEvent`
-//! (non-matching payloads are skipped, not built), and similar bytes
-//! sit next to each other, which the LZ pass rewards.
+//! Per-class field columns (`n` = class-k events in the chunk):
+//!
+//! * RegionEnter/Exit: `region`, 12 counter columns
+//! * CounterSample: `ip`, 12 counters, `stack_len`, then one flattened
+//!   `stack` column of Σ`stack_len` region ids
+//! * Pebs: raw `flags[n]`, `ip`, `addr`, `size`, `latency`, raw
+//!   `level[n]`, `object` (0 where absent; presence lives in `flags`)
+//! * Alloc: `base`, `size`, `callsite` — Free: `base`
+//! * MuxSwitch: `event_index`, `label_len`, raw concatenated labels
+//! * User: `kind`, `value`
 //!
 //! Timestamps are delta-encoded because consecutive events are close
-//! in time — the deltas are tiny varints where absolute cycle counts
-//! would be 4–6 bytes each. Deltas are *signed*: a streamed body is
+//! in time. Deltas are *signed* (zig-zag folded): a streamed body is
 //! written in emission order, which may interleave cores slightly out
 //! of global time order.
+//!
+//! The scan ([`select_v4`]) **never builds rows**: it decodes only the
+//! tag, delta and core columns, evaluates the pushed-down
+//! time/core/kind predicates into a selection vector of `(row,
+//! class-occurrence)` pairs, decodes payload columns only for classes
+//! with selected rows — and only the control-byte groups covering the
+//! selected occurrence range — applies the PEBS object-id predicate to
+//! the decoded column, and lends the result out as an
+//! [`EventBatch`]. Whoever needs `TraceEvent`s calls
+//! [`EventBatch::materialize_into`]. The bytes actually read are
+//! counted into [`ScanOutcome::payload_bytes`], which is how the
+//! "filtered queries decode strictly fewer payload bytes" invariant is
+//! asserted.
 
-use crate::varint::{self, get_bytes, get_i64, get_u64, put_bytes, put_i64, put_u64, CodecError};
-use mempersp_extrae::batch::{level_from_code, Transposer};
+use crate::svb::{zigzag, ColBuf, SvbColumn};
+use crate::varint::{get_u64, put_u64, CodecError};
+use mempersp_extrae::batch::{
+    column_count, level_code, ClassColumns, EventBatch, PEBS_HAS_OBJECT,
+};
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
-use mempersp_extrae::objects::ObjectId;
 use mempersp_extrae::query::{EventClass, KindMask, Query};
-use mempersp_extrae::source::Ip;
-use mempersp_memsim::MemLevel;
-use mempersp_pebs::{CounterSnapshot, EventKind, PebsSample};
-
-fn put_counters(out: &mut Vec<u8>, c: &CounterSnapshot) {
-    for v in c.values() {
-        put_u64(out, *v);
-    }
-}
-
-fn get_counters(buf: &[u8], pos: &mut usize) -> Result<CounterSnapshot, CodecError> {
-    let mut vals = [0u64; EventKind::ALL.len()];
-    for v in &mut vals {
-        *v = get_u64(buf, pos)?;
-    }
-    Ok(CounterSnapshot::from_values(vals))
-}
-
-pub(crate) use mempersp_extrae::batch::level_code;
-
-pub(crate) fn level_from(code: u8, at: usize) -> Result<MemLevel, CodecError> {
-    level_from_code(code)
-        .ok_or_else(|| CodecError { offset: at, message: format!("bad memory level code {code}") })
-}
-
-/// Append one event to `out`. `prev_cycles` is the running timestamp
-/// of the previous event in the same chunk (0 for the first) and is
-/// updated in place.
-pub fn encode_event(out: &mut Vec<u8>, e: &TraceEvent, prev_cycles: &mut u64) {
-    out.push(EventClass::of(&e.payload) as u8);
-    put_i64(out, e.cycles.wrapping_sub(*prev_cycles) as i64);
-    *prev_cycles = e.cycles;
-    put_u64(out, e.core as u64);
-    match &e.payload {
-        EventPayload::RegionEnter { region, counters }
-        | EventPayload::RegionExit { region, counters } => {
-            put_u64(out, region.0 as u64);
-            put_counters(out, counters);
-        }
-        EventPayload::CounterSample { ip, counters, stack } => {
-            put_u64(out, ip.0);
-            put_counters(out, counters);
-            put_u64(out, stack.len() as u64);
-            for r in stack {
-                put_u64(out, r.0 as u64);
-            }
-        }
-        EventPayload::Pebs { sample, object } => {
-            // timestamp and core are reconstructed from the event
-            // envelope; only the sample-specific fields are stored.
-            let flags = u8::from(sample.is_store)
-                | (u8::from(sample.tlb_miss) << 1)
-                | (u8::from(object.is_some()) << 2);
-            out.push(flags);
-            put_u64(out, sample.ip);
-            put_u64(out, sample.addr);
-            put_u64(out, sample.size as u64);
-            put_u64(out, sample.latency as u64);
-            out.push(level_code(sample.source));
-            if let Some(o) = object {
-                put_u64(out, o.0 as u64);
-            }
-        }
-        EventPayload::Alloc { base, size, callsite } => {
-            put_u64(out, *base);
-            put_u64(out, *size);
-            put_u64(out, callsite.0);
-        }
-        EventPayload::Free { base } => {
-            put_u64(out, *base);
-        }
-        EventPayload::MuxSwitch { event_index, label } => {
-            put_u64(out, *event_index as u64);
-            put_bytes(out, label.as_bytes());
-        }
-        EventPayload::User { kind, value } => {
-            put_u64(out, *kind as u64);
-            put_u64(out, *value);
-        }
-    }
-}
-
-/// Encode a whole chunk of events.
-pub fn encode_events(events: &[TraceEvent]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * 16);
-    let mut prev = 0u64;
-    for e in events {
-        encode_event(&mut out, e, &mut prev);
-    }
-    out
-}
-
-/// Decode exactly `count` events from `buf` (the whole chunk payload).
-pub fn decode_events(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, CodecError> {
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(decode_event(buf, &mut pos, &mut prev)?);
-    }
-    if pos != buf.len() {
-        return Err(CodecError {
-            offset: pos,
-            message: format!("{} trailing bytes after final event", buf.len() - pos),
-        });
-    }
-    Ok(out)
-}
-
-fn decode_event(buf: &[u8], pos: &mut usize, prev_cycles: &mut u64) -> Result<TraceEvent, CodecError> {
-    let at = *pos;
-    let tag = *buf
-        .get(*pos)
-        .ok_or_else(|| CodecError { offset: at, message: "truncated event tag".into() })?;
-    *pos += 1;
-    let delta = get_i64(buf, pos)?;
-    let cycles = prev_cycles.wrapping_add(delta as u64);
-    *prev_cycles = cycles;
-    let core = get_u64(buf, pos)? as usize;
-    let payload = match tag {
-        t if t == EventClass::RegionEnter as u8 || t == EventClass::RegionExit as u8 => {
-            let region = RegionId(get_u64(buf, pos)? as u32);
-            let counters = get_counters(buf, pos)?;
-            if t == EventClass::RegionEnter as u8 {
-                EventPayload::RegionEnter { region, counters }
-            } else {
-                EventPayload::RegionExit { region, counters }
-            }
-        }
-        t if t == EventClass::CounterSample as u8 => {
-            let ip = Ip(get_u64(buf, pos)?);
-            let counters = get_counters(buf, pos)?;
-            let n = get_u64(buf, pos)? as usize;
-            if n > buf.len() {
-                return Err(CodecError { offset: at, message: format!("stack of {n} entries overruns chunk") });
-            }
-            let mut stack = Vec::with_capacity(n);
-            for _ in 0..n {
-                stack.push(RegionId(get_u64(buf, pos)? as u32));
-            }
-            EventPayload::CounterSample { ip, counters, stack }
-        }
-        t if t == EventClass::Pebs as u8 => {
-            let flags = *buf
-                .get(*pos)
-                .ok_or_else(|| CodecError { offset: *pos, message: "truncated PEBS flags".into() })?;
-            *pos += 1;
-            let ip = get_u64(buf, pos)?;
-            let addr = get_u64(buf, pos)?;
-            let size = get_u64(buf, pos)? as u32;
-            let latency = get_u64(buf, pos)? as u32;
-            let lvl = *buf
-                .get(*pos)
-                .ok_or_else(|| CodecError { offset: *pos, message: "truncated PEBS level".into() })?;
-            *pos += 1;
-            let source = level_from(lvl, *pos - 1)?;
-            let object = if flags & 0b100 != 0 {
-                Some(ObjectId(get_u64(buf, pos)? as u32))
-            } else {
-                None
-            };
-            EventPayload::Pebs {
-                sample: PebsSample {
-                    timestamp: cycles,
-                    core,
-                    ip,
-                    addr,
-                    size,
-                    is_store: flags & 0b001 != 0,
-                    latency,
-                    source,
-                    tlb_miss: flags & 0b010 != 0,
-                },
-                object,
-            }
-        }
-        t if t == EventClass::Alloc as u8 => EventPayload::Alloc {
-            base: get_u64(buf, pos)?,
-            size: get_u64(buf, pos)?,
-            callsite: Ip(get_u64(buf, pos)?),
-        },
-        t if t == EventClass::Free as u8 => EventPayload::Free { base: get_u64(buf, pos)? },
-        t if t == EventClass::MuxSwitch as u8 => {
-            let event_index = get_u64(buf, pos)? as usize;
-            let label = String::from_utf8(get_bytes(buf, pos)?.to_vec())
-                .map_err(|_| CodecError { offset: at, message: "mux label is not UTF-8".into() })?;
-            EventPayload::MuxSwitch { event_index, label }
-        }
-        t if t == EventClass::User as u8 => EventPayload::User {
-            kind: get_u64(buf, pos)? as u32,
-            value: get_u64(buf, pos)?,
-        },
-        other => {
-            return Err(CodecError { offset: at, message: format!("unknown event tag {other}") })
-        }
-    };
-    Ok(TraceEvent { cycles, core, payload })
-}
-
-// ---------------------------------------------------------------- v2
+use mempersp_pebs::{CounterSnapshot, EventKind};
 
 /// Counters carried by every region/sample event.
-pub(crate) const NCOUNTERS: usize = EventKind::ALL.len();
+const NCOUNTERS: usize = EventKind::ALL.len();
 /// Number of payload streams (one per [`EventClass`]).
-pub(crate) const NSTREAMS: usize = EventClass::ALL.len();
+const NSTREAMS: usize = EventClass::ALL.len();
 
-/// Incremental encoder of one v2 columnar chunk. The writer feeds it
-/// events one at a time; each field goes straight into its column, so
-/// sealing a chunk is a concatenation, not a re-encode.
-#[derive(Default)]
-pub struct ChunkBuilder {
-    tags: Vec<u8>,
-    deltas: Vec<u8>,
-    cores: Vec<u8>,
-    streams: [Vec<u8>; NSTREAMS],
-    prev_cycles: u64,
+fn err(offset: usize, message: String) -> CodecError {
+    CodecError { offset, message }
 }
 
-impl ChunkBuilder {
-    pub fn new() -> ChunkBuilder {
-        ChunkBuilder::default()
+// ---------------------------------------------------------------- encode
+
+#[derive(Default)]
+struct RegionCols {
+    region: ColBuf,
+    counters: [ColBuf; NCOUNTERS],
+}
+
+impl RegionCols {
+    fn push(&mut self, region: RegionId, counters: &CounterSnapshot) {
+        self.region.push(region.0 as u64);
+        for (col, v) in self.counters.iter_mut().zip(counters.values()) {
+            col.push(*v);
+        }
     }
 
-    /// Events appended since the last [`ChunkBuilder::serialize`].
+    fn encoded_len(&self) -> usize {
+        self.region.encoded_len()
+            + self.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
+    }
+
+    fn write_into(&self, out: &mut Vec<u8>) {
+        self.region.write_into(out);
+        for c in &self.counters {
+            c.write_into(out);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.region.clear();
+        for c in &mut self.counters {
+            c.clear();
+        }
+    }
+}
+
+#[derive(Default)]
+struct SampleCols {
+    ip: ColBuf,
+    counters: [ColBuf; NCOUNTERS],
+    stack_len: ColBuf,
+    stack: ColBuf,
+}
+
+#[derive(Default)]
+struct PebsCols {
+    flags: Vec<u8>,
+    ip: ColBuf,
+    addr: ColBuf,
+    size: ColBuf,
+    latency: ColBuf,
+    level: Vec<u8>,
+    object: ColBuf,
+}
+
+#[derive(Default)]
+struct AllocCols {
+    base: ColBuf,
+    size: ColBuf,
+    callsite: ColBuf,
+}
+
+#[derive(Default)]
+struct MuxCols {
+    event_index: ColBuf,
+    label_len: ColBuf,
+    labels: Vec<u8>,
+}
+
+#[derive(Default)]
+struct UserCols {
+    kind: ColBuf,
+    value: ColBuf,
+}
+
+/// Incremental encoder of one chunk: the writer feeds it events one
+/// at a time, each field lands in its own column, and sealing
+/// concatenates the columns.
+#[derive(Default)]
+pub struct ChunkBuilderV4 {
+    tags: Vec<u8>,
+    deltas: ColBuf,
+    cores: ColBuf,
+    prev_cycles: u64,
+    regions: [RegionCols; 2],
+    sample: SampleCols,
+    pebs: PebsCols,
+    alloc: AllocCols,
+    free: ColBuf,
+    mux: MuxCols,
+    user: UserCols,
+}
+
+impl ChunkBuilderV4 {
+    pub fn new() -> ChunkBuilderV4 {
+        ChunkBuilderV4::default()
+    }
+
+    /// Events appended since the last [`ChunkBuilderV4::serialize`].
     pub fn events(&self) -> usize {
         self.tags.len()
     }
@@ -275,62 +174,158 @@ impl ChunkBuilder {
     /// ~11-byte section-length prefix).
     pub fn encoded_len(&self) -> usize {
         self.tags.len()
-            + self.deltas.len()
-            + self.cores.len()
-            + self.streams.iter().map(Vec::len).sum::<usize>()
+            + self.deltas.encoded_len()
+            + self.cores.encoded_len()
+            + self.regions.iter().map(RegionCols::encoded_len).sum::<usize>()
+            + self.sample.ip.encoded_len()
+            + self.sample.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
+            + self.sample.stack_len.encoded_len()
+            + self.sample.stack.encoded_len()
+            + self.pebs.flags.len()
+            + self.pebs.ip.encoded_len()
+            + self.pebs.addr.encoded_len()
+            + self.pebs.size.encoded_len()
+            + self.pebs.latency.encoded_len()
+            + self.pebs.level.len()
+            + self.pebs.object.encoded_len()
+            + self.alloc.base.encoded_len()
+            + self.alloc.size.encoded_len()
+            + self.alloc.callsite.encoded_len()
+            + self.free.encoded_len()
+            + self.mux.event_index.encoded_len()
+            + self.mux.label_len.encoded_len()
+            + self.mux.labels.len()
+            + self.user.kind.encoded_len()
+            + self.user.value.encoded_len()
     }
 
     /// Append one event's fields to the columns.
     pub fn push(&mut self, e: &TraceEvent) {
         let class = EventClass::of(&e.payload);
         self.tags.push(class as u8);
-        put_i64(&mut self.deltas, e.cycles.wrapping_sub(self.prev_cycles) as i64);
+        self.deltas.push(zigzag(e.cycles.wrapping_sub(self.prev_cycles) as i64));
         self.prev_cycles = e.cycles;
-        put_u64(&mut self.cores, e.core as u64);
-        let out = &mut self.streams[class as usize];
+        self.cores.push(e.core as u64);
         match &e.payload {
-            EventPayload::RegionEnter { region, counters }
-            | EventPayload::RegionExit { region, counters } => {
-                put_u64(out, region.0 as u64);
-                put_counters(out, counters);
+            EventPayload::RegionEnter { region, counters } => {
+                self.regions[0].push(*region, counters);
+            }
+            EventPayload::RegionExit { region, counters } => {
+                self.regions[1].push(*region, counters);
             }
             EventPayload::CounterSample { ip, counters, stack } => {
-                put_u64(out, ip.0);
-                put_counters(out, counters);
-                put_u64(out, stack.len() as u64);
+                self.sample.ip.push(ip.0);
+                for (col, v) in self.sample.counters.iter_mut().zip(counters.values()) {
+                    col.push(*v);
+                }
+                self.sample.stack_len.push(stack.len() as u64);
                 for r in stack {
-                    put_u64(out, r.0 as u64);
+                    self.sample.stack.push(r.0 as u64);
                 }
             }
             EventPayload::Pebs { sample, object } => {
                 let flags = u8::from(sample.is_store)
                     | (u8::from(sample.tlb_miss) << 1)
                     | (u8::from(object.is_some()) << 2);
-                out.push(flags);
-                put_u64(out, sample.ip);
-                put_u64(out, sample.addr);
-                put_u64(out, sample.size as u64);
-                put_u64(out, sample.latency as u64);
-                out.push(level_code(sample.source));
-                if let Some(o) = object {
-                    put_u64(out, o.0 as u64);
-                }
+                self.pebs.flags.push(flags);
+                self.pebs.ip.push(sample.ip);
+                self.pebs.addr.push(sample.addr);
+                self.pebs.size.push(sample.size as u64);
+                self.pebs.latency.push(sample.latency as u64);
+                self.pebs.level.push(level_code(sample.source));
+                self.pebs.object.push(object.map_or(0, |o| o.0 as u64));
             }
             EventPayload::Alloc { base, size, callsite } => {
-                put_u64(out, *base);
-                put_u64(out, *size);
-                put_u64(out, callsite.0);
+                self.alloc.base.push(*base);
+                self.alloc.size.push(*size);
+                self.alloc.callsite.push(callsite.0);
             }
             EventPayload::Free { base } => {
-                put_u64(out, *base);
+                self.free.push(*base);
             }
             EventPayload::MuxSwitch { event_index, label } => {
-                put_u64(out, *event_index as u64);
-                put_bytes(out, label.as_bytes());
+                self.mux.event_index.push(*event_index as u64);
+                self.mux.label_len.push(label.len() as u64);
+                self.mux.labels.extend_from_slice(label.as_bytes());
             }
             EventPayload::User { kind, value } => {
-                put_u64(out, *kind as u64);
-                put_u64(out, *value);
+                self.user.kind.push(*kind as u64);
+                self.user.value.push(*value);
+            }
+        }
+    }
+
+    fn write_stream(&self, k: usize, out: &mut Vec<u8>) {
+        match EventClass::ALL[k] {
+            EventClass::RegionEnter => self.regions[0].write_into(out),
+            EventClass::RegionExit => self.regions[1].write_into(out),
+            EventClass::CounterSample => {
+                self.sample.ip.write_into(out);
+                for c in &self.sample.counters {
+                    c.write_into(out);
+                }
+                self.sample.stack_len.write_into(out);
+                self.sample.stack.write_into(out);
+            }
+            EventClass::Pebs => {
+                out.extend_from_slice(&self.pebs.flags);
+                self.pebs.ip.write_into(out);
+                self.pebs.addr.write_into(out);
+                self.pebs.size.write_into(out);
+                self.pebs.latency.write_into(out);
+                out.extend_from_slice(&self.pebs.level);
+                self.pebs.object.write_into(out);
+            }
+            EventClass::Alloc => {
+                self.alloc.base.write_into(out);
+                self.alloc.size.write_into(out);
+                self.alloc.callsite.write_into(out);
+            }
+            EventClass::Free => self.free.write_into(out),
+            EventClass::MuxSwitch => {
+                self.mux.event_index.write_into(out);
+                self.mux.label_len.write_into(out);
+                out.extend_from_slice(&self.mux.labels);
+            }
+            EventClass::User => {
+                self.user.kind.write_into(out);
+                self.user.value.write_into(out);
+            }
+        }
+    }
+
+    fn stream_len(&self, k: usize) -> usize {
+        match EventClass::ALL[k] {
+            EventClass::RegionEnter => self.regions[0].encoded_len(),
+            EventClass::RegionExit => self.regions[1].encoded_len(),
+            EventClass::CounterSample => {
+                self.sample.ip.encoded_len()
+                    + self.sample.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
+                    + self.sample.stack_len.encoded_len()
+                    + self.sample.stack.encoded_len()
+            }
+            EventClass::Pebs => {
+                self.pebs.flags.len()
+                    + self.pebs.ip.encoded_len()
+                    + self.pebs.addr.encoded_len()
+                    + self.pebs.size.encoded_len()
+                    + self.pebs.latency.encoded_len()
+                    + self.pebs.level.len()
+                    + self.pebs.object.encoded_len()
+            }
+            EventClass::Alloc => {
+                self.alloc.base.encoded_len()
+                    + self.alloc.size.encoded_len()
+                    + self.alloc.callsite.encoded_len()
+            }
+            EventClass::Free => self.free.encoded_len(),
+            EventClass::MuxSwitch => {
+                self.mux.event_index.encoded_len()
+                    + self.mux.label_len.encoded_len()
+                    + self.mux.labels.len()
+            }
+            EventClass::User => {
+                self.user.kind.encoded_len() + self.user.value.encoded_len()
             }
         }
     }
@@ -339,42 +334,68 @@ impl ChunkBuilder {
     /// reset the builder (buffers keep their capacity).
     pub fn serialize(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len() + 16);
-        put_u64(&mut out, self.deltas.len() as u64);
-        put_u64(&mut out, self.cores.len() as u64);
-        for s in &self.streams {
-            put_u64(&mut out, s.len() as u64);
+        put_u64(&mut out, self.deltas.encoded_len() as u64);
+        put_u64(&mut out, self.cores.encoded_len() as u64);
+        for k in 0..NSTREAMS {
+            put_u64(&mut out, self.stream_len(k) as u64);
         }
         out.extend_from_slice(&self.tags);
-        out.extend_from_slice(&self.deltas);
-        out.extend_from_slice(&self.cores);
-        for s in &mut self.streams {
-            out.extend_from_slice(s);
-            s.clear();
+        self.deltas.write_into(&mut out);
+        self.cores.write_into(&mut out);
+        for k in 0..NSTREAMS {
+            self.write_stream(k, &mut out);
         }
+
         self.tags.clear();
         self.deltas.clear();
         self.cores.clear();
         self.prev_cycles = 0;
+        for r in &mut self.regions {
+            r.clear();
+        }
+        self.sample.ip.clear();
+        for c in &mut self.sample.counters {
+            c.clear();
+        }
+        self.sample.stack_len.clear();
+        self.sample.stack.clear();
+        self.pebs.flags.clear();
+        self.pebs.ip.clear();
+        self.pebs.addr.clear();
+        self.pebs.size.clear();
+        self.pebs.latency.clear();
+        self.pebs.level.clear();
+        self.pebs.object.clear();
+        self.alloc.base.clear();
+        self.alloc.size.clear();
+        self.alloc.callsite.clear();
+        self.free.clear();
+        self.mux.event_index.clear();
+        self.mux.label_len.clear();
+        self.mux.labels.clear();
+        self.user.kind.clear();
+        self.user.value.clear();
         out
     }
 }
 
-/// Encode a whole event slice as one v2 chunk payload.
-pub fn encode_events_v2(events: &[TraceEvent]) -> Vec<u8> {
-    let mut b = ChunkBuilder::new();
+/// Encode a whole event slice as one v4 chunk payload.
+pub fn encode_events_v4(events: &[TraceEvent]) -> Vec<u8> {
+    let mut b = ChunkBuilderV4::new();
     for e in events {
         b.push(e);
     }
     b.serialize()
 }
 
+// ---------------------------------------------------------------- decode
+
 /// Per-chunk counters a columnar scan reports upward into
 /// [`ScanStats`](mempersp_extrae::trace_source::ScanStats).
 /// `payload_bytes` counts the payload-section bytes the scan actually
-/// read: v2 charges every active class stream in full; v4 charges
-/// control bytes plus only the data-byte groups a selection touched,
-/// which is what makes "filtered decodes strictly fewer payload bytes
-/// than full materialization" an assertable invariant.
+/// read: control bytes plus only the data-byte groups a selection
+/// touched, which is what makes "filtered decodes strictly fewer
+/// payload bytes than full materialization" an assertable invariant.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutcome {
     pub scanned: u64,
@@ -387,32 +408,26 @@ pub struct ScanOutcome {
 /// repeated queries over one reader) allocates the columns once.
 #[derive(Default)]
 pub struct DecodeScratch {
-    pub(crate) cycles: Vec<u64>,
-    pub(crate) cores: Vec<u32>,
-    /// v4: generic stream-vbyte decode target (core ids, class columns).
-    pub(crate) tmp: Vec<u64>,
-    /// v4: selection vector of `(row, class-occurrence)` index pairs.
-    pub(crate) sel: Vec<(u32, u32)>,
-    /// v4: decoded numeric columns, per class. Indexed
-    /// `[class][column]`; inner vectors keep their capacity across
-    /// chunks and queries.
-    pub(crate) class_cols: [Vec<Vec<u64>>; NSTREAMS],
-    /// v1–v3: the adapter that turns a chunk's decoded rows into the
-    /// column batch every scan hands its sink.
-    pub(crate) transposer: Transposer,
+    cycles: Vec<u64>,
+    cores: Vec<u32>,
+    /// Generic stream-vbyte decode target (core ids, class columns).
+    tmp: Vec<u64>,
+    /// Selection vector of `(row, class-occurrence)` index pairs.
+    sel: Vec<(u32, u32)>,
+    /// Decoded numeric columns, per class. Indexed `[class][column]`;
+    /// inner vectors keep their capacity across chunks and queries.
+    class_cols: [Vec<Vec<u64>>; NSTREAMS],
 }
 
-/// The parsed section table of a v2 or v4 chunk (both share the
-/// 10-uvarint length prefix and tag column; only the per-section byte
-/// encodings differ).
-pub(crate) struct Sections<'a> {
-    pub(crate) tags: &'a [u8],
-    pub(crate) deltas: &'a [u8],
-    pub(crate) cores: &'a [u8],
-    pub(crate) streams: [&'a [u8]; NSTREAMS],
+/// The parsed section table of a chunk.
+struct Sections<'a> {
+    tags: &'a [u8],
+    deltas: &'a [u8],
+    cores: &'a [u8],
+    streams: [&'a [u8]; NSTREAMS],
 }
 
-pub(crate) fn split_sections(buf: &[u8], count: usize) -> Result<Sections<'_>, CodecError> {
+fn split_sections(buf: &[u8], count: usize) -> Result<Sections<'_>, CodecError> {
     let mut pos = 0usize;
     let deltas_len = get_u64(buf, &mut pos)? as usize;
     let cores_len = get_u64(buf, &mut pos)? as usize;
@@ -447,273 +462,343 @@ pub(crate) fn split_sections(buf: &[u8], count: usize) -> Result<Sections<'_>, C
     Ok(Sections { tags, deltas, cores, streams })
 }
 
-/// Decode the timestamp column (zig-zag deltas, prefix-summed) and the
-/// core column into `scratch`, unrolled four events per iteration.
-fn decode_columns(s: &Sections<'_>, count: usize, scratch: &mut DecodeScratch) -> Result<(), CodecError> {
-    scratch.cycles.clear();
-    scratch.cycles.reserve(count);
-    let mut r = varint::Reader::new(s.deltas);
-    let mut prev = 0u64;
-    let mut i = 0;
-    while i + 4 <= count {
-        // Four at a time: the serial prefix-sum dependence stays, but
-        // loop control and bounds work amortize across the block.
-        let d0 = r.i64()?;
-        let d1 = r.i64()?;
-        let d2 = r.i64()?;
-        let d3 = r.i64()?;
-        let c0 = prev.wrapping_add(d0 as u64);
-        let c1 = c0.wrapping_add(d1 as u64);
-        let c2 = c1.wrapping_add(d2 as u64);
-        let c3 = c2.wrapping_add(d3 as u64);
-        scratch.cycles.extend_from_slice(&[c0, c1, c2, c3]);
-        prev = c3;
-        i += 4;
+/// Parse the next column and decode it — fully (`range == None`) or
+/// just the control-byte groups covering `range` — into `out`,
+/// charging the touched bytes to `bytes`. Returns the occurrence
+/// index of `out[0]`.
+fn decode_col(
+    sec: &[u8],
+    pos: &mut usize,
+    n: usize,
+    range: Option<(usize, usize)>,
+    out: &mut Vec<u64>,
+    bytes: &mut u64,
+) -> Result<usize, CodecError> {
+    let col = SvbColumn::parse(sec, pos, n)?;
+    match range {
+        None => {
+            col.decode_into(out);
+            *bytes += col.total_len() as u64;
+            Ok(0)
+        }
+        Some((lo, hi)) => {
+            let base = col.decode_range_into(lo, hi, out);
+            *bytes += (col.ctrl_len() + col.range_data_len(lo, hi)) as u64;
+            Ok(base)
+        }
     }
-    while i < count {
-        prev = prev.wrapping_add(r.i64()? as u64);
-        scratch.cycles.push(prev);
-        i += 1;
-    }
-    if !r.is_done() {
-        return Err(CodecError { offset: r.pos(), message: "trailing bytes in delta column".into() });
-    }
+}
 
-    scratch.cores.clear();
-    scratch.cores.reserve(count);
-    let mut r = varint::Reader::new(s.cores);
-    let mut i = 0;
-    while i + 4 <= count {
-        let a = r.u64()? as u32;
-        let b = r.u64()? as u32;
-        let c = r.u64()? as u32;
-        let d = r.u64()? as u32;
-        scratch.cores.extend_from_slice(&[a, b, c, d]);
-        i += 4;
-    }
-    while i < count {
-        scratch.cores.push(r.u64()? as u32);
-        i += 1;
-    }
-    if !r.is_done() {
-        return Err(CodecError { offset: r.pos(), message: "trailing bytes in core column".into() });
+fn take_raw<'a>(sec: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], CodecError> {
+    let end = pos
+        .checked_add(n)
+        .filter(|&e| e <= sec.len())
+        .ok_or_else(|| err(*pos, format!("byte column of {n} overruns section")))?;
+    let s = &sec[*pos..end];
+    *pos = end;
+    Ok(s)
+}
+
+fn expect_end(sec: &[u8], pos: usize, k: usize) -> Result<(), CodecError> {
+    if pos != sec.len() {
+        return Err(err(
+            pos,
+            format!("{} trailing bytes in payload stream {k}", sec.len() - pos),
+        ));
     }
     Ok(())
 }
 
-/// Decode one class-`tag` payload record from its stream.
-fn decode_payload(
-    tag: u8,
-    r: &mut varint::Reader<'_>,
-    cycles: u64,
-    core: usize,
-) -> Result<EventPayload, CodecError> {
-    Ok(match tag {
-        t if t == EventClass::RegionEnter as u8 || t == EventClass::RegionExit as u8 => {
-            let region = RegionId(r.u64()? as u32);
-            let mut vals = [0u64; NCOUNTERS];
-            for v in &mut vals {
-                *v = r.u64()?;
-            }
-            let counters = CounterSnapshot::from_values(vals);
-            if t == EventClass::RegionEnter as u8 {
-                EventPayload::RegionEnter { region, counters }
-            } else {
-                EventPayload::RegionExit { region, counters }
-            }
-        }
-        t if t == EventClass::CounterSample as u8 => {
-            let ip = Ip(r.u64()?);
-            let mut vals = [0u64; NCOUNTERS];
-            for v in &mut vals {
-                *v = r.u64()?;
-            }
-            let n = r.u64()? as usize;
-            if n > r.remaining() {
-                return Err(CodecError {
-                    offset: r.pos(),
-                    message: format!("stack of {n} entries overruns stream"),
-                });
-            }
-            let mut stack = Vec::with_capacity(n);
-            for _ in 0..n {
-                stack.push(RegionId(r.u64()? as u32));
-            }
-            EventPayload::CounterSample { ip, counters: CounterSnapshot::from_values(vals), stack }
-        }
-        t if t == EventClass::Pebs as u8 => {
-            let flags = r.u8()?;
-            let ip = r.u64()?;
-            let addr = r.u64()?;
-            let size = r.u64()? as u32;
-            let latency = r.u64()? as u32;
-            let lvl = r.u8()?;
-            let source = level_from(lvl, r.pos())?;
-            let object =
-                if flags & 0b100 != 0 { Some(ObjectId(r.u64()? as u32)) } else { None };
-            EventPayload::Pebs {
-                sample: PebsSample {
-                    timestamp: cycles,
-                    core,
-                    ip,
-                    addr,
-                    size,
-                    is_store: flags & 0b001 != 0,
-                    latency,
-                    source,
-                    tlb_miss: flags & 0b010 != 0,
-                },
-                object,
-            }
-        }
-        t if t == EventClass::Alloc as u8 => {
-            EventPayload::Alloc { base: r.u64()?, size: r.u64()?, callsite: Ip(r.u64()?) }
-        }
-        t if t == EventClass::Free as u8 => EventPayload::Free { base: r.u64()? },
-        t if t == EventClass::MuxSwitch as u8 => {
-            let event_index = r.u64()? as usize;
-            let label = String::from_utf8(r.bytes()?.to_vec()).map_err(|_| CodecError {
-                offset: r.pos(),
-                message: "mux label is not UTF-8".into(),
-            })?;
-            EventPayload::MuxSwitch { event_index, label }
-        }
-        t if t == EventClass::User as u8 => {
-            EventPayload::User { kind: r.u64()? as u32, value: r.u64()? }
-        }
-        other => {
-            return Err(CodecError { offset: r.pos(), message: format!("unknown event tag {other}") })
-        }
-    })
-}
-
-/// Advance `r` past one class-`tag` payload record without building it.
-fn skip_payload(tag: u8, r: &mut varint::Reader<'_>) -> Result<(), CodecError> {
-    match tag {
-        t if t == EventClass::RegionEnter as u8 || t == EventClass::RegionExit as u8 => {
-            r.skip_varints(1 + NCOUNTERS)
-        }
-        t if t == EventClass::CounterSample as u8 => {
-            r.skip_varints(1 + NCOUNTERS)?;
-            let n = r.u64()? as usize;
-            if n > r.remaining() {
-                return Err(CodecError {
-                    offset: r.pos(),
-                    message: format!("stack of {n} entries overruns stream"),
-                });
-            }
-            r.skip_varints(n)
-        }
-        t if t == EventClass::Pebs as u8 => {
-            let flags = r.u8()?;
-            r.skip_varints(4)?;
-            r.u8()?;
-            if flags & 0b100 != 0 {
-                r.skip_varint()?;
-            }
-            Ok(())
-        }
-        t if t == EventClass::Alloc as u8 => r.skip_varints(3),
-        t if t == EventClass::Free as u8 => r.skip_varint(),
-        t if t == EventClass::MuxSwitch as u8 => {
-            r.skip_varint()?;
-            r.bytes().map(|_| ())
-        }
-        t if t == EventClass::User as u8 => r.skip_varints(2),
-        other => Err(CodecError { offset: r.pos(), message: format!("unknown event tag {other}") }),
+/// Exclusive-prefix offsets of a length column (`offs[j]` = start of
+/// record `j` in the flattened value column); returns the total.
+fn prefix_offsets(lens: &[u64], offs: &mut Vec<u64>) -> Result<usize, CodecError> {
+    offs.clear();
+    offs.reserve(lens.len());
+    let mut total = 0u64;
+    for (j, &l) in lens.iter().enumerate() {
+        offs.push(total);
+        total = total
+            .checked_add(l)
+            .ok_or_else(|| err(j, "length column overflows".to_string()))?;
     }
+    usize::try_from(total).map_err(|_| err(0, "length column overflows".to_string()))
 }
 
-/// Scan a v2 chunk: decode the tag/timestamp/core columns, prefilter
-/// against `query`'s time window, core set and kind mask, and
-/// materialize **only** the candidate events (running the full
-/// predicate on each before it is emitted). Non-matching events cost a
-/// payload skip, not an allocation. With `query == None` every event
-/// is materialized — the decode path of `materialize()` and the
-/// round-trip tests.
-pub fn scan_events_v2(
-    buf: &[u8],
+/// What [`decode_class`] reports besides the numeric columns it
+/// filled: the occurrence their element 0 stands for, and the class's
+/// raw byte columns (whole, indexed from occurrence 0).
+#[derive(Default, Clone, Copy)]
+struct ClassView<'a> {
+    base: usize,
+    raw_a: &'a [u8], // PEBS flags / mux labels
+    raw_b: &'a [u8], // PEBS level
+}
+
+/// Decode the payload columns of class `k` (fully, or the groups
+/// covering `range`) into `scratch.class_cols[k]`.
+fn decode_class<'a>(
+    k: usize,
+    sec: &'a [u8],
+    n: usize,
+    range: Option<(usize, usize)>,
+    cols: &mut [Vec<u64>],
+    bytes: &mut u64,
+) -> Result<ClassView<'a>, CodecError> {
+    let mut pos = 0usize;
+    let mut view = ClassView::default();
+    let raw_cols = |range: Option<(usize, usize)>, n: usize, cols: usize| -> u64 {
+        match range {
+            None => (cols * n) as u64,
+            Some((lo, hi)) => (cols * (hi.min(n).saturating_sub(lo))) as u64,
+        }
+    };
+    match EventClass::ALL[k] {
+        EventClass::RegionEnter | EventClass::RegionExit => {
+            for col in cols.iter_mut().take(1 + NCOUNTERS) {
+                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
+            }
+        }
+        EventClass::CounterSample => {
+            // The flattened stack column's length is only known after
+            // the stack_len column decodes, so this class always
+            // decodes fully (`range` is ignored by the caller).
+            for col in cols.iter_mut().take(1 + NCOUNTERS + 1) {
+                decode_col(sec, &mut pos, n, None, col, bytes)?;
+            }
+            let (head, tail) = cols.split_at_mut(1 + NCOUNTERS + 1);
+            let total = prefix_offsets(&head[1 + NCOUNTERS], &mut tail[1])?;
+            decode_col(sec, &mut pos, total, None, &mut tail[0], bytes)?;
+        }
+        EventClass::Pebs => {
+            let flags = take_raw(sec, &mut pos, n)?;
+            for col in cols.iter_mut().take(4) {
+                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
+            }
+            let level = take_raw(sec, &mut pos, n)?;
+            decode_col(sec, &mut pos, n, range, &mut cols[4], bytes)?;
+            *bytes += raw_cols(range, n, 2);
+            view.raw_a = flags;
+            view.raw_b = level;
+        }
+        EventClass::Alloc => {
+            for col in cols.iter_mut().take(3) {
+                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
+            }
+        }
+        EventClass::Free => {
+            view.base = decode_col(sec, &mut pos, n, range, &mut cols[0], bytes)?;
+        }
+        EventClass::MuxSwitch => {
+            // Label offsets require the whole length column; decoded
+            // fully like CounterSample.
+            decode_col(sec, &mut pos, n, None, &mut cols[0], bytes)?;
+            decode_col(sec, &mut pos, n, None, &mut cols[1], bytes)?;
+            let (head, tail) = cols.split_at_mut(2);
+            let total = prefix_offsets(&head[1], &mut tail[0])?;
+            view.raw_a = take_raw(sec, &mut pos, total)?;
+            *bytes += total as u64;
+        }
+        EventClass::User => {
+            for col in cols.iter_mut().take(2) {
+                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
+            }
+        }
+    }
+    // Every column walk above ends exactly at the section end: column
+    // lengths are functions of their control bytes, so any slack or
+    // shortfall is corruption.
+    expect_end(sec, pos, k)?;
+    Ok(view)
+}
+
+/// Select and decode a v4 chunk into a column batch. Decodes the
+/// tag/timestamp/core columns, builds a selection vector from the
+/// pushed-down time/core/kind predicates, decodes payload columns only
+/// for classes — and control-byte group ranges — with selected rows,
+/// then drops selected PEBS rows that fail the object-id predicate.
+/// The batch borrows `scratch` and `buf`; it is returned only once
+/// every selected row is known readable ([`EventBatch::new`]). With
+/// `query == None` every section is decoded and validated — the
+/// `materialize()` / deep-verify path.
+pub fn select_v4<'a>(
+    buf: &'a [u8],
     count: usize,
     query: Option<&Query>,
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<TraceEvent>,
-) -> Result<ScanOutcome, CodecError> {
+    scratch: &'a mut DecodeScratch,
+) -> Result<(EventBatch<'a>, ScanOutcome), CodecError> {
     let s = split_sections(buf, count)?;
-    decode_columns(&s, count, scratch)?;
-    let mut readers: [varint::Reader<'_>; NSTREAMS] = [
-        varint::Reader::new(s.streams[0]),
-        varint::Reader::new(s.streams[1]),
-        varint::Reader::new(s.streams[2]),
-        varint::Reader::new(s.streams[3]),
-        varint::Reader::new(s.streams[4]),
-        varint::Reader::new(s.streams[5]),
-        varint::Reader::new(s.streams[6]),
-        varint::Reader::new(s.streams[7]),
-    ];
-    // Column prefilter, hoisted out of the per-event loop.
-    let (time, kinds, core_set) = match query {
-        Some(q) => (q.time, q.kinds, q.cores.as_deref()),
-        None => (None, KindMask::ALL, None),
+
+    let mut pos = 0usize;
+    let dcol = SvbColumn::parse(s.deltas, &mut pos, count)?;
+    if pos != s.deltas.len() {
+        return Err(err(pos, "trailing bytes in delta column".to_string()));
+    }
+    dcol.decode_zigzag_prefix_into(0, &mut scratch.cycles);
+
+    let mut pos = 0usize;
+    let ccol = SvbColumn::parse(s.cores, &mut pos, count)?;
+    if pos != s.cores.len() {
+        return Err(err(pos, "trailing bytes in core column".to_string()));
+    }
+    ccol.decode_into(&mut scratch.tmp);
+    scratch.cores.clear();
+    scratch.cores.extend(scratch.tmp.iter().map(|&v| v as u32));
+
+    // Class populations (needed to parse any payload section).
+    let mut nk = [0usize; NSTREAMS];
+    for (i, &t) in s.tags.iter().enumerate() {
+        if t as usize >= NSTREAMS {
+            return Err(err(i, format!("unknown event tag {t}")));
+        }
+        nk[t as usize] += 1;
+    }
+
+    let (time, mut kinds, core_set, object) = match query {
+        Some(q) => (q.time, q.kinds, q.cores.as_deref(), q.object),
+        None => (None, KindMask::ALL, None, None),
     };
-    // A class the kind mask excludes can never produce a match, and
-    // since every class has its own payload stream, its bytes need no
-    // per-event skip either — the whole stream is simply never read.
-    // A kind-filtered scan therefore pays only the tag/column check
-    // for excluded events.
+    if object.is_some() {
+        // Only a PEBS sample carries an object resolution.
+        kinds = KindMask(kinds.0 & EventClass::Pebs.bit());
+    }
     let active: [bool; NSTREAMS] = std::array::from_fn(|k| kinds.0 & (1u8 << k) != 0);
-    let mut matched = 0u64;
-    for i in 0..count {
-        let tag = s.tags[i];
-        if tag as usize >= NSTREAMS {
-            return Err(CodecError { offset: i, message: format!("unknown event tag {tag}") });
+
+    // Selection pass: record (row, class-occurrence) for every row
+    // that survives the column predicates, and the occurrence hull
+    // per class so payload decode can stay range-bounded.
+    //
+    // Traces are written time-sorted, so the reconstructed cycles
+    // column is almost always non-decreasing and a time window is a
+    // contiguous row range found by binary search: rows before it
+    // only bump the occurrence counters, rows after it are never
+    // visited, and rows inside skip the per-row time compare. The
+    // format itself permits out-of-order timestamps (deltas are
+    // signed), so an unsorted column falls back to per-row checks.
+    let (ilo, ihi, row_time) = match time {
+        Some((lo, hi)) if scratch.cycles[..count].is_sorted() => {
+            let c = &scratch.cycles[..count];
+            (c.partition_point(|&x| x < lo), c.partition_point(|&x| x <= hi), None)
         }
-        if !active[tag as usize] {
+        other => (0, count, other),
+    };
+    scratch.sel.clear();
+    let mut jmin = [usize::MAX; NSTREAMS];
+    let mut jmax = [0usize; NSTREAMS];
+    let mut occ = [0u32; NSTREAMS];
+    for i in 0..ilo {
+        occ[s.tags[i] as usize] += 1;
+    }
+    for i in ilo..ihi {
+        let k = s.tags[i] as usize;
+        let j = occ[k];
+        occ[k] += 1;
+        if !active[k] {
             continue;
         }
-        let cycles = scratch.cycles[i];
-        let core = scratch.cores[i] as usize;
-        let r = &mut readers[tag as usize];
-        let candidate = time.is_none_or(|(lo, hi)| cycles >= lo && cycles <= hi)
-            && core_set.is_none_or(|cs| cs.contains(&core));
-        if !candidate {
-            skip_payload(tag, r)?;
-            continue;
-        }
-        let payload = decode_payload(tag, r, cycles, core)?;
-        let event = TraceEvent { cycles, core, payload };
-        if query.is_none_or(|q| q.matches(&event)) {
-            matched += 1;
-            out.push(event);
+        let keep = row_time.is_none_or(|(lo, hi)| {
+            let c = scratch.cycles[i];
+            c >= lo && c <= hi
+        }) && core_set.is_none_or(|cs| cs.contains(&(scratch.cores[i] as usize)));
+        if keep {
+            scratch.sel.push((i as u32, j));
+            jmin[k] = jmin[k].min(j as usize);
+            jmax[k] = j as usize;
         }
     }
+
+    // Payload decode: full scans touch every section (and validate
+    // classes with no events against stray bytes); filtered scans
+    // touch only classes with selected rows.
+    let full = query.is_none_or(|q| q.is_full_scan());
     let mut payload_bytes = 0u64;
-    for (k, r) in readers.iter().enumerate() {
-        // Streams of excluded classes were (intentionally) not walked,
-        // so only the active ones can assert full consumption.
-        if active[k] && !r.is_done() {
-            return Err(CodecError {
-                offset: r.pos(),
-                message: format!("{} trailing bytes in payload stream {k}", r.remaining()),
-            });
+    let mut views = [ClassView::default(); NSTREAMS];
+    for k in 0..NSTREAMS {
+        let wanted = if full { active[k] } else { jmin[k] != usize::MAX };
+        if !wanted {
+            if full && active[k] && !s.streams[k].is_empty() {
+                // full decode is the integrity path: an empty class
+                // must have an empty section
+            } else {
+                continue;
+            }
         }
-        if active[k] {
-            payload_bytes += s.streams[k].len() as u64;
-        }
+        // Classes with flattened sub-columns can't range-decode
+        // without their whole length column; everything else decodes
+        // just the groups covering the selected occurrence hull.
+        let range = if full
+            || matches!(EventClass::ALL[k], EventClass::CounterSample | EventClass::MuxSwitch)
+        {
+            None
+        } else {
+            Some((jmin[k], jmax[k] + 1))
+        };
+        let cols = &mut scratch.class_cols[k];
+        cols.resize_with(column_count(EventClass::ALL[k]), Vec::new);
+        views[k] = decode_class(k, s.streams[k], nk[k], range, cols, &mut payload_bytes)?;
     }
-    Ok(ScanOutcome { scanned: count as u64, matched, payload_bytes })
+
+    // The one predicate that lives in the payload: the PEBS object
+    // id, checked against the decoded column (every selected row is a
+    // PEBS row here — `kinds` was narrowed above).
+    if let Some(want) = object {
+        let k = EventClass::Pebs as usize;
+        let (v, objects) = (views[k], scratch.class_cols[k].get(4));
+        scratch.sel.retain(|&(_, j)| {
+            let j = j as usize;
+            v.raw_a[j] & PEBS_HAS_OBJECT != 0
+                && objects.is_some_and(|col| col[j - v.base] as u32 == want.0)
+        });
+    }
+
+    let scratch = &*scratch;
+    let classes = std::array::from_fn(|k| {
+        // Rebase the per-occurrence PEBS byte columns like the numeric
+        // ones; mux labels are not per-occurrence (and `base` is 0).
+        let v = views[k];
+        let from = if k == EventClass::Pebs as usize { v.base } else { 0 };
+        ClassColumns {
+            base: v.base,
+            cols: &scratch.class_cols[k],
+            raw_a: v.raw_a.get(from..).unwrap_or(&[]),
+            raw_b: v.raw_b.get(from..).unwrap_or(&[]),
+        }
+    });
+    let batch = EventBatch::new(&scratch.cycles, &scratch.cores, s.tags, &scratch.sel, classes)
+        .map_err(|message| err(0, message))?;
+    let outcome =
+        ScanOutcome { scanned: count as u64, matched: scratch.sel.len() as u64, payload_bytes };
+    Ok((batch, outcome))
 }
 
-/// Decode exactly `count` events from a v2 chunk payload.
-pub fn decode_events_v2(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, CodecError> {
-    let mut out = Vec::with_capacity(count);
+/// Decode exactly `count` events from a v4 chunk payload.
+pub fn decode_events_v4(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, CodecError> {
+    let mut out = Vec::new();
     let mut scratch = DecodeScratch::default();
-    scan_events_v2(buf, count, None, &mut scratch, &mut out)?;
+    select_v4(buf, count, None, &mut scratch)?.0.materialize_into(&mut out);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempersp_extrae::objects::ObjectId;
+    use mempersp_extrae::query::EventClass;
+    use mempersp_extrae::source::Ip;
+    use mempersp_memsim::MemLevel;
+    use mempersp_pebs::PebsSample;
+
+    /// Select + materialize: what `StoreReader::query` does per chunk.
+    fn scan_events_v4(
+        buf: &[u8],
+        count: usize,
+        query: Option<&Query>,
+        scratch: &mut DecodeScratch,
+        out: &mut Vec<TraceEvent>,
+    ) -> Result<ScanOutcome, CodecError> {
+        let (batch, outcome) = select_v4(buf, count, query, scratch)?;
+        batch.materialize_into(out);
+        Ok(outcome)
+    }
 
     fn events() -> Vec<TraceEvent> {
         let c = CounterSnapshot::from_values([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
@@ -751,6 +836,24 @@ mod tests {
                 },
             },
             TraceEvent {
+                cycles: 1_150,
+                core: 2,
+                payload: EventPayload::Pebs {
+                    sample: PebsSample {
+                        timestamp: 1_150,
+                        core: 2,
+                        ip: 0x400024,
+                        addr: 0x20,
+                        size: 4,
+                        is_store: false,
+                        latency: 9,
+                        source: MemLevel::L1,
+                        tlb_miss: false,
+                    },
+                    object: None,
+                },
+            },
+            TraceEvent {
                 cycles: 1_200,
                 core: 0,
                 payload: EventPayload::Alloc { base: 1 << 40, size: 4096, callsite: Ip(0x400030) },
@@ -761,7 +864,11 @@ mod tests {
                 core: 2,
                 payload: EventPayload::MuxSwitch { event_index: 1, label: "stores — ω".into() },
             },
-            TraceEvent { cycles: 1_500, core: 0, payload: EventPayload::User { kind: 9, value: u64::MAX } },
+            TraceEvent {
+                cycles: 1_500,
+                core: 0,
+                payload: EventPayload::User { kind: 9, value: u64::MAX },
+            },
             TraceEvent {
                 cycles: 1_600,
                 core: 3,
@@ -771,67 +878,23 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_every_payload_kind() {
+    fn v4_round_trip_every_payload_kind() {
         let evs = events();
-        let buf = encode_events(&evs);
-        let back = decode_events(&buf, evs.len()).expect("decode");
+        let buf = encode_events_v4(&evs);
+        let back = decode_events_v4(&buf, evs.len()).expect("decode v4");
         assert_eq!(back, evs);
     }
 
     #[test]
-    fn pebs_envelope_reconstructed() {
+    fn v4_incremental_builder_resets_cleanly() {
         let evs = events();
-        let buf = encode_events(&evs);
-        let back = decode_events(&buf, evs.len()).unwrap();
-        if let EventPayload::Pebs { sample, .. } = &back[2].payload {
-            assert_eq!(sample.timestamp, back[2].cycles);
-            assert_eq!(sample.core, back[2].core);
-        } else {
-            panic!("expected PEBS");
-        }
-    }
-
-    #[test]
-    fn wrong_count_is_rejected() {
-        let evs = events();
-        let buf = encode_events(&evs);
-        assert!(decode_events(&buf, evs.len() - 1).is_err(), "trailing bytes");
-        assert!(decode_events(&buf, evs.len() + 1).is_err(), "truncation");
-    }
-
-    #[test]
-    fn corrupt_tag_is_rejected() {
-        let evs = events();
-        let mut buf = encode_events(&evs);
-        buf[0] = 0xEE;
-        assert!(decode_events(&buf, evs.len()).is_err());
-    }
-
-    #[test]
-    fn empty_chunk() {
-        assert_eq!(encode_events(&[]), Vec::<u8>::new());
-        assert_eq!(decode_events(&[], 0).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn v2_round_trip_every_payload_kind() {
-        let evs = events();
-        let buf = encode_events_v2(&evs);
-        let back = decode_events_v2(&buf, evs.len()).expect("decode v2");
-        assert_eq!(back, evs);
-    }
-
-    #[test]
-    fn v2_incremental_builder_equals_batch_encode() {
-        let evs = events();
-        let mut b = ChunkBuilder::new();
+        let mut b = ChunkBuilderV4::new();
         for e in &evs {
             b.push(e);
         }
         assert_eq!(b.events(), evs.len());
         let payload = b.serialize();
-        assert_eq!(payload, encode_events_v2(&evs));
-        // The builder resets and the next chunk restarts its deltas.
+        assert_eq!(payload, encode_events_v4(&evs));
         assert_eq!(b.events(), 0);
         for e in &evs {
             b.push(e);
@@ -840,9 +903,26 @@ mod tests {
     }
 
     #[test]
-    fn v2_filtered_scan_equals_decode_then_filter() {
+    fn v4_encoded_len_is_exact() {
         let evs = events();
-        let buf = encode_events_v2(&evs);
+        let mut b = ChunkBuilderV4::new();
+        for e in &evs {
+            b.push(e);
+        }
+        let polled = b.encoded_len();
+        let payload = b.serialize();
+        // The section table (10 uvarints) is the only part not polled.
+        let mut pos = 0usize;
+        for _ in 0..10 {
+            crate::varint::get_u64(&payload, &mut pos).unwrap();
+        }
+        assert_eq!(polled, payload.len() - pos);
+    }
+
+    #[test]
+    fn v4_filtered_scan_equals_decode_then_filter() {
+        let evs = events();
+        let buf = encode_events_v4(&evs);
         let queries = [
             Query::all(),
             Query::all().in_time(1_000, 1_300),
@@ -851,12 +931,13 @@ mod tests {
             Query::all().touching_object(ObjectId(7)),
             Query::all().touching_object(ObjectId(8)),
             Query::all().in_time(0, 0),
+            Query::all().in_time(1_100, 1_150).with_kinds(&[EventClass::Pebs]),
         ];
         for q in &queries {
             let mut scratch = DecodeScratch::default();
             let mut got = Vec::new();
             let outcome =
-                scan_events_v2(&buf, evs.len(), Some(q), &mut scratch, &mut got).unwrap();
+                scan_events_v4(&buf, evs.len(), Some(q), &mut scratch, &mut got).unwrap();
             let want: Vec<_> = evs.iter().filter(|e| q.matches(e)).cloned().collect();
             assert_eq!(got, want, "{q:?}");
             assert_eq!(outcome.scanned, evs.len() as u64);
@@ -865,64 +946,70 @@ mod tests {
     }
 
     #[test]
-    fn v2_rejects_wrong_count_and_corrupt_sections() {
+    fn v4_filtered_scan_reads_fewer_payload_bytes() {
         let evs = events();
-        let buf = encode_events_v2(&evs);
-        assert!(decode_events_v2(&buf, evs.len() - 1).is_err());
-        assert!(decode_events_v2(&buf, evs.len() + 1).is_err());
-        assert!(decode_events_v2(&buf[..buf.len() - 1], evs.len()).is_err());
-        // A corrupt tag column entry is caught.
+        let buf = encode_events_v4(&evs);
+        let mut scratch = DecodeScratch::default();
+        let mut all = Vec::new();
+        let full =
+            scan_events_v4(&buf, evs.len(), None, &mut scratch, &mut all).unwrap();
+        let q = Query::all().with_kinds(&[EventClass::Pebs]);
+        let mut some = Vec::new();
+        let filtered =
+            scan_events_v4(&buf, evs.len(), Some(&q), &mut scratch, &mut some).unwrap();
+        assert!(
+            filtered.payload_bytes < full.payload_bytes,
+            "filtered {} vs full {}",
+            filtered.payload_bytes,
+            full.payload_bytes
+        );
+        assert!(filtered.payload_bytes > 0);
+    }
+
+    #[test]
+    fn v4_scratch_reuse_is_deterministic() {
+        // One scratch across chunks and queries — the reader pool path.
+        let evs = events();
+        let buf = encode_events_v4(&evs);
+        let mut scratch = DecodeScratch::default();
+        for _ in 0..3 {
+            for q in [Query::all(), Query::all().with_kinds(&[EventClass::Free])] {
+                let mut got = Vec::new();
+                scan_events_v4(&buf, evs.len(), Some(&q), &mut scratch, &mut got).unwrap();
+                let want: Vec<_> = evs.iter().filter(|e| q.matches(e)).cloned().collect();
+                assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn v4_rejects_wrong_count_and_corrupt_sections() {
+        let evs = events();
+        let buf = encode_events_v4(&evs);
+        assert!(decode_events_v4(&buf, evs.len() - 1).is_err());
+        assert!(decode_events_v4(&buf, evs.len() + 1).is_err());
+        assert!(decode_events_v4(&buf[..buf.len() - 1], evs.len()).is_err());
         let mut bad = buf.clone();
-        // Section prefix is 10 varints; the tag column starts after it.
         let mut pos = 0usize;
         for _ in 0..10 {
             crate::varint::get_u64(&bad, &mut pos).unwrap();
         }
-        bad[pos] = 0xEE;
-        assert!(decode_events_v2(&bad, evs.len()).is_err());
+        bad[pos] = 0xEE; // tag column
+        assert!(decode_events_v4(&bad, evs.len()).is_err());
     }
 
     #[test]
-    fn v2_empty_chunk() {
-        let buf = encode_events_v2(&[]);
-        assert_eq!(decode_events_v2(&buf, 0).unwrap(), Vec::new());
+    fn v4_truncation_never_panics() {
+        let evs = events();
+        let buf = encode_events_v4(&evs);
+        for cut in 0..buf.len() {
+            let _ = decode_events_v4(&buf[..cut], evs.len());
+        }
     }
 
     #[test]
-    fn v2_encoding_no_larger_than_v1() {
-        // Columns carry the same varints as v1 minus nothing, plus a
-        // fixed ~11-byte section table; on any realistic chunk the
-        // transposition is a wash before compression and a win after.
-        let c = CounterSnapshot::from_values([100, 200, 10, 5, 2, 1, 40, 20, 0, 30, 15, 8]);
-        let evs: Vec<TraceEvent> = (0..1000)
-            .map(|i| TraceEvent {
-                cycles: i * 50,
-                core: (i % 4) as usize,
-                payload: EventPayload::RegionEnter { region: RegionId(1), counters: c },
-            })
-            .collect();
-        let v1 = encode_events(&evs);
-        let v2 = encode_events_v2(&evs);
-        assert!(v2.len() <= v1.len() + 16, "v2 {} vs v1 {}", v2.len(), v1.len());
-        // And the LZ pass likes columns better (or at least as much).
-        let lz1 = crate::lz::compress(&v1).len();
-        let lz2 = crate::lz::compress(&v2).len();
-        assert!(lz2 as f64 <= lz1 as f64 * 1.05, "lz(v2) {lz2} vs lz(v1) {lz1}");
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        // Region events: tag + delta + core + region + 12 counters —
-        // small numbers, so well under the in-memory footprint.
-        let c = CounterSnapshot::from_values([100, 200, 10, 5, 2, 1, 40, 20, 0, 30, 15, 8]);
-        let evs: Vec<TraceEvent> = (0..1000)
-            .map(|i| TraceEvent {
-                cycles: i * 50,
-                core: (i % 4) as usize,
-                payload: EventPayload::RegionEnter { region: RegionId(1), counters: c },
-            })
-            .collect();
-        let buf = encode_events(&evs);
-        assert!(buf.len() < evs.len() * 24, "{} bytes for {} events", buf.len(), evs.len());
+    fn v4_empty_chunk() {
+        let buf = encode_events_v4(&[]);
+        assert_eq!(decode_events_v4(&buf, 0).unwrap(), Vec::new());
     }
 }

@@ -1,6 +1,6 @@
 //! In-tree CRC32C (Castagnoli, reflected polynomial 0x82F63B78).
 //!
-//! Format v3 checksums every chunk frame, chunk payload, the header
+//! The store checksums every chunk frame, chunk payload, the header
 //! blob and the footer index with CRC32C. The store stays
 //! dependency-free (matching the in-tree LZ77 ethos), so the
 //! implementation lives here: a hardware path built on the SSE4.2

@@ -8,10 +8,11 @@
 //! selective reads (one region, one object, one time window) over
 //! traces too large to keep parsed in memory:
 //!
-//! - [`codec`] — columnar (v2) chunk encoding: tag/timestamp/core
-//!   columns plus one varint payload stream per event class, decoded
-//!   in batch with the word-at-a-time [`varint`] reader; [`lz`] — an
-//!   in-tree LZ77 pass over each chunk.
+//! - [`codec`] — columnar chunk encoding: tag/timestamp/core columns
+//!   plus per-field payload columns for each event class, all
+//!   stream-vbyte ([`svb`], SIMD-decoded), scanned through a selection
+//!   vector so only matching rows are decoded; [`lz`] — an in-tree
+//!   LZ77 pass over each chunk.
 //! - [`writer`] — [`writer::StoreWriter`] streams events into ~64 KiB
 //!   chunks, appending as it goes (O(chunk) memory), optionally
 //!   compressing on a bounded worker pool with deterministic in-order
@@ -30,17 +31,18 @@
 //!   fan out across shards.
 //! - [`source`] — [`source::MpsSource`] plugs single-file and sharded
 //!   stores into the `TraceSource` trait;
-//!   [`source::open_trace_source`] sniffs the path and serves any
-//!   format.
+//!   [`source::open_trace_source`] sniffs the path and serves `.prv`
+//!   text the same way.
 //!
 //! Round-trip guarantee: the store keeps the exact
 //! `header_sections()` text of the originating trace, and the chunk
 //! codec is lossless, so `prv → mps → prv` reproduces the text trace
 //! byte-identically.
 //!
-//! # Durability (format v3)
+//! # Durability
 //!
-//! The current container, `MPSTORE3`, is crash-safe end to end:
+//! There is one on-disk format (`MPSTORE4`), and it is crash-safe end
+//! to end:
 //!
 //! - [`crc`] — in-tree CRC32C (SSE4.2-accelerated) checksums every
 //!   chunk frame, chunk payload, the header blob and the footer
@@ -54,17 +56,17 @@
 //! - [`reader::RecoveryMode::Salvage`] reads degrade gracefully —
 //!   damaged chunks are skipped and reported, not fatal.
 //! - [`recover`] — `fsck` (full verification + damage map) and
-//!   `recover` (salvage into a clean v3 store) engines.
+//!   `recover` (salvage into a clean store) engines.
 //! - [`fault`] — deterministic IO fault injection ([`fault::FailingFile`])
 //!   driving the durability test suite.
 //!
-//! v1 and v2 files remain readable (without per-chunk checksums).
+//! Files of the three earlier formats (`MPSTORE1`–`3`) are rejected at
+//! open with an error naming their version; regenerate them.
 
 pub mod cache;
 pub mod cancel;
 pub mod chunk;
 pub mod codec;
-pub mod codec_v4;
 pub mod crc;
 pub mod fault;
 pub mod lz;
@@ -91,7 +93,6 @@ pub use source::{open_trace_source, open_trace_source_with, MpsSource};
 pub use svb::{detected_simd_level, simd_level, simd_level_name, SimdLevel};
 pub use varint::CodecError;
 pub use writer::{
-    write_store, write_store_chunked, write_store_format, write_store_v1, write_store_v2,
-    write_store_v3, write_store_with, StoreFormat, StoreSummary, StoreWriter, DEFAULT_CHUNK_BYTES,
-    DEFAULT_INFLIGHT_PER_THREAD,
+    write_store, write_store_chunked, write_store_with, StoreSummary, StoreWriter, WriterOptions,
+    DEFAULT_CHUNK_BYTES, DEFAULT_INFLIGHT_PER_THREAD,
 };

@@ -25,8 +25,8 @@
 //!
 //! # Integrity and recovery
 //!
-//! v3/v4 stores checksum everything (see [`crate::writer`]). On the
-//! read side that shows up twice:
+//! A store checksums everything (see [`crate::writer`]). On the read
+//! side that shows up twice:
 //!
 //! - Each chunk's payload CRC32C is verified **lazily**, the first
 //!   time a query touches the chunk, and the verdict is memoized — a
@@ -36,23 +36,19 @@
 //!   [`RecoveryMode::Strict`] (the default) fails closed: corruption
 //!   is an error. [`RecoveryMode::Salvage`] degrades: damaged chunks
 //!   are skipped and reported ([`StoreReader::damage_report`], the
-//!   `chunks_damaged` count in [`ScanStats`]), and a v3 file whose
+//!   `chunks_damaged` count in [`ScanStats`]), and a file whose
 //!   footer never made it to disk (a killed run) is recovered by
 //!   forward-scanning the self-delimiting chunk frames.
 
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::cancel::CancelToken;
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
-use crate::codec::{decode_events, scan_events_v2, DecodeScratch, ScanOutcome};
-use crate::codec_v4::select_v4;
+use crate::codec::{select_v4, DecodeScratch};
 use crate::crc::{crc32c, Crc32c};
 use crate::lz;
 use crate::mmap::Mapping;
-use crate::varint::{get_u64, CodecError};
-use crate::writer::{
-    MAGIC, MAGIC_V1, MAGIC_V2, MAGIC_V4, TRAILER_LEN, TRAILER_LEN_V2, TRAILER_MAGIC,
-    TRAILER_MAGIC_V2, TRAILER_MAGIC_V4,
-};
+use crate::varint::get_u64;
+use crate::writer::{MAGIC, TRAILER_LEN, TRAILER_MAGIC};
 use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
@@ -88,7 +84,7 @@ pub enum RecoveryMode {
     Strict,
     /// Degrade gracefully: skip damaged chunks (recording them in the
     /// damage report and `ScanStats::chunks_damaged`), and recover a
-    /// footer-less v3 file by forward-scanning its chunk frames.
+    /// footer-less file by forward-scanning its chunk frames.
     Salvage,
 }
 
@@ -117,21 +113,6 @@ impl std::fmt::Display for ChunkDamage {
 const VERIFY_UNKNOWN: u8 = 0;
 const VERIFY_OK: u8 = 1;
 const VERIFY_BAD: u8 = 2;
-
-/// Which chunk codec the file uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    /// `MPSTORE1`: row-oriented per-event records.
-    V1,
-    /// `MPSTORE2`: columnar tag/delta/core/payload sections.
-    V2,
-    /// `MPSTORE3`: v2 columnar payloads behind checksummed chunk
-    /// frames, checksummed footer.
-    V3,
-    /// `MPSTORE4`: stream-vbyte columnar payloads in the v3 container
-    /// (same frames, checksums and salvage story).
-    V4,
-}
 
 /// One chunk's raw (decompressed) payload — either borrowed from the
 /// mapping (raw chunks, zero-copy) or shared out of the block cache
@@ -188,13 +169,12 @@ struct FooterInfo {
 /// queries may run concurrently).
 pub struct StoreReader {
     map: Mapping,
-    format: Format,
     mode: RecoveryMode,
-    /// Verify v3 payload checksums on first touch? (`--no-verify`
-    /// turns this off for benchmarking.)
+    /// Verify payload checksums on first touch? (`--no-verify` turns
+    /// this off for benchmarking.)
     verify: bool,
     metas: Vec<ChunkMeta>,
-    /// Memoized per-chunk CRC verdicts (v3): unknown / ok / bad.
+    /// Memoized per-chunk CRC verdicts: unknown / ok / bad.
     verified: Vec<AtomicU8>,
     /// Parsed header: meta, region names, symbols, objects,
     /// resolution — with an empty event list.
@@ -267,21 +247,13 @@ impl StoreReader {
         drop(file); // the mapping outlives the descriptor
         let bytes = map.bytes();
 
-        let format = match &bytes[..8] {
-            m if m == MAGIC_V4 => Format::V4,
-            m if m == MAGIC => Format::V3,
-            m if m == MAGIC_V2 => Format::V2,
-            m if m == MAGIC_V1 => Format::V1,
-            _ => {
-                return Err(bad_data(format!("{}: not a trace store (bad magic)", path.display())))
-            }
-        };
+        check_magic(bytes, path)?;
 
         let mut damage = DamageLog::default();
         let mut verified: Vec<AtomicU8> = Vec::new();
-        let (metas, header, header_intact) = match parse_footer(bytes, format, path) {
+        let (metas, header, header_intact) = match parse_footer(bytes, path) {
             Ok(footer) => {
-                let header = parse_header_blob(bytes, format, &footer, path);
+                let header = parse_header_blob(bytes, &footer, path);
                 match header {
                     Ok(h) => (footer.metas, h, true),
                     Err(e) if mode == RecoveryMode::Salvage => {
@@ -291,20 +263,15 @@ impl StoreReader {
                     Err(e) => return Err(e),
                 }
             }
-            Err(e) if mode == RecoveryMode::Salvage && matches!(format, Format::V3 | Format::V4) => {
+            Err(e) if mode == RecoveryMode::Salvage => {
                 // No trustworthy footer: rebuild the chunk list from
                 // the self-delimiting frames. Payloads are fully
                 // CRC-checked during the scan, so mark survivors
                 // verified up front.
                 damage.record_file(0, e.to_string());
-                let metas = forward_scan_v3(bytes, &mut damage);
+                let metas = forward_scan(bytes, &mut damage);
                 verified = metas.iter().map(|_| AtomicU8::new(VERIFY_OK)).collect();
                 (metas, salvage_header(), false)
-            }
-            Err(e) if mode == RecoveryMode::Salvage => {
-                return Err(bad_data(format!(
-                    "{e} (pre-v3 store: no chunk frames to salvage from)"
-                )));
             }
             Err(e) => return Err(e),
         };
@@ -314,7 +281,6 @@ impl StoreReader {
 
         Ok(StoreReader {
             map,
-            format,
             mode,
             verify: true,
             metas,
@@ -373,22 +339,13 @@ impl StoreReader {
         self.header_intact
     }
 
-    /// Container format version: 1, 2, 3, or 4.
+    /// Container format version — the digit in the file magic. Every
+    /// store this build opens is version 4.
     pub fn format_version(&self) -> u32 {
-        match self.format {
-            Format::V1 => 1,
-            Format::V2 => 2,
-            Format::V3 => 3,
-            Format::V4 => 4,
-        }
+        u32::from(MAGIC[7] - b'0')
     }
 
-    /// Does the file carry per-chunk checksums (v3/v4)?
-    pub fn is_checksummed(&self) -> bool {
-        matches!(self.format, Format::V3 | Format::V4)
-    }
-
-    /// Toggle lazy payload-CRC verification (v3 only; on by default).
+    /// Toggle lazy payload-CRC verification (on by default).
     pub fn set_verify(&mut self, verify: bool) {
         self.verify = verify;
     }
@@ -415,10 +372,10 @@ impl StoreReader {
         self.cache.stats()
     }
 
-    /// Verify chunk `idx`'s frame + payload CRC (v3), memoizing the
+    /// Verify chunk `idx`'s frame + payload CRC, memoizing the
     /// verdict so each chunk pays for its checksum at most once.
     fn check_chunk(&self, idx: usize) -> io::Result<()> {
-        if !self.is_checksummed() || !self.verify {
+        if !self.verify {
             return Ok(());
         }
         match self.verified[idx].load(Ordering::Acquire) {
@@ -539,11 +496,8 @@ impl StoreReader {
             stats.chunks_cached += 1;
         }
         let m = &self.metas[idx];
-        let (batch, o) = match self.format {
-            Format::V4 => select_v4(&data, m.events as usize, q, scratch),
-            legacy => select_legacy(legacy, &data, m, q, scratch),
-        }
-        .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
+        let (batch, o) = select_v4(&data, m.events as usize, q, scratch)
+            .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
         stats.events_scanned += o.scanned;
         stats.events_matched += o.matched;
         stats.payload_bytes_decoded += o.payload_bytes;
@@ -714,7 +668,7 @@ impl StoreReader {
         Ok(t)
     }
 
-    /// Verify the whole file — every chunk's frame + payload CRC (v3)
+    /// Verify the whole file — every chunk's frame + payload CRC
     /// plus a full decode of every payload — and return one entry per
     /// defect. This is the engine behind `mempersp fsck`; a clean file
     /// returns open-time damage only (empty for a strict open).
@@ -746,51 +700,41 @@ impl StoreReader {
     }
 }
 
-/// v1–v3 chunks: decode the rows matching `q` with the legacy codecs,
-/// then transpose them into the column batch every scan hands its
-/// sink.
-fn select_legacy<'a>(
-    format: Format,
-    data: &[u8],
-    m: &ChunkMeta,
-    q: Option<&Query>,
-    scratch: &'a mut DecodeScratch,
-) -> Result<(EventBatch<'a>, ScanOutcome), CodecError> {
-    let n = m.events as usize;
-    let mut rows = Vec::new();
-    let outcome = if format == Format::V1 {
-        rows = decode_events(data, n)?;
-        rows.retain(|e| q.is_none_or(|q| q.matches(e)));
-        ScanOutcome { scanned: n as u64, matched: rows.len() as u64, payload_bytes: m.raw_len as u64 }
+/// Accept the one magic this build reads; name the version of any
+/// other `MPSTORE?` file so an old store is never mis-parsed.
+fn check_magic(bytes: &[u8], path: &Path) -> io::Result<()> {
+    if bytes[..8] == *MAGIC {
+        return Ok(());
+    }
+    Err(bad_data(if bytes[..7] == MAGIC[..7] {
+        format!(
+            "{}: store format v{} is no longer supported (this build reads v{}); \
+             regenerate it from the `.prv` or re-run",
+            path.display(),
+            char::from(bytes[7]).escape_default(),
+            char::from(MAGIC[7]),
+        )
     } else {
-        scan_events_v2(data, n, q, scratch, &mut rows)?
-    };
-    scratch.transposer.clear();
-    rows.iter().for_each(|e| scratch.transposer.push(e));
-    Ok((scratch.transposer.batch(), outcome))
+        format!("{}: not a trace store (bad magic)", path.display())
+    }))
 }
 
-/// Parse the trailer + footer index, validating every chunk's bounds
-/// (and, for v3, the index checksum).
-fn parse_footer(bytes: &[u8], format: Format, path: &Path) -> io::Result<FooterInfo> {
+/// Parse the trailer + footer index, validating the index checksum
+/// and every chunk's bounds.
+fn parse_footer(bytes: &[u8], path: &Path) -> io::Result<FooterInfo> {
     let len = bytes.len();
-    let (trailer_len, trailer_magic): (usize, &[u8; 8]) = match format {
-        Format::V4 => (TRAILER_LEN, TRAILER_MAGIC_V4),
-        Format::V3 => (TRAILER_LEN, TRAILER_MAGIC),
-        _ => (TRAILER_LEN_V2, TRAILER_MAGIC_V2),
-    };
-    if len < MAGIC.len() + trailer_len {
+    if len < MAGIC.len() + TRAILER_LEN {
         return Err(bad_data(format!("{}: too short for a store file", path.display())));
     }
-    let trailer = &bytes[len - trailer_len..];
-    if &trailer[trailer_len - 8..] != trailer_magic {
+    let trailer = &bytes[len - TRAILER_LEN..];
+    if trailer[TRAILER_LEN - 8..] != *TRAILER_MAGIC {
         return Err(bad_data(format!(
             "{}: truncated store (missing trailer — writer not finalized?)",
             path.display()
         )));
     }
     let index_off = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-    if index_off < MAGIC.len() as u64 || index_off > (len - trailer_len) as u64 {
+    if index_off < MAGIC.len() as u64 || index_off > (len - TRAILER_LEN) as u64 {
         return Err(bad_data(format!(
             "{}: index offset {index_off} out of bounds (file is {len} bytes)",
             path.display()
@@ -799,27 +743,22 @@ fn parse_footer(bytes: &[u8], format: Format, path: &Path) -> io::Result<FooterI
     let index_off = index_off as usize;
 
     // Footer index, parsed straight from the mapping.
-    let index = &bytes[index_off..len - trailer_len];
-    if matches!(format, Format::V3 | Format::V4) {
-        let want = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-        let got = crc32c(index);
-        if want != got {
-            return Err(bad_data(format!(
-                "{}: footer index checksum mismatch (stored {want:#010x}, computed {got:#010x})",
-                path.display()
-            )));
-        }
+    let index = &bytes[index_off..len - TRAILER_LEN];
+    let want = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
+    let got = crc32c(index);
+    if want != got {
+        return Err(bad_data(format!(
+            "{}: footer index checksum mismatch (stored {want:#010x}, computed {got:#010x})",
+            path.display()
+        )));
     }
     let mut pos = 0usize;
     let count = get_u64(index, &mut pos)? as usize;
     if count > len / 8 {
         return Err(bad_data(format!("{}: implausible chunk count {count}", path.display())));
     }
-    // v3/v4 payloads sit behind their 28-byte frame.
-    let min_payload_off = match format {
-        Format::V3 | Format::V4 => (MAGIC.len() + FRAME_LEN) as u64,
-        _ => MAGIC.len() as u64,
-    };
+    // Payloads sit behind their 28-byte frame.
+    let min_payload_off = (MAGIC.len() + FRAME_LEN) as u64;
     let mut metas = Vec::with_capacity(count);
     for i in 0..count {
         let m = ChunkMeta::decode(index, &mut pos)
@@ -864,19 +803,14 @@ fn parse_footer(bytes: &[u8], format: Format, path: &Path) -> io::Result<FooterI
     let header_raw_len = get_u64(index, &mut pos)? as usize;
     let header_stored_len = get_u64(index, &mut pos)? as usize;
 
-    // Header blob: compression byte + payload (+ CRC32C in v3/v4),
-    // inside the data region like any chunk.
-    let trail = match format {
-        Format::V3 | Format::V4 => 4usize, // trailing header CRC
-        _ => 0,
-    };
-    let blob_end = header_off
+    // Header blob: compression byte + payload + CRC32C, inside the
+    // data region like any chunk.
+    let in_bounds = header_off
         .checked_add(1)
         .and_then(|p| p.checked_add(header_stored_len))
-        .and_then(|p| p.checked_add(trail))
-        .filter(|&e| header_off >= MAGIC.len() && e <= index_off)
-        .map(|e| e - trail);
-    if blob_end.is_none() {
+        .and_then(|p| p.checked_add(4))
+        .is_some_and(|end| header_off >= MAGIC.len() && end <= index_off);
+    if !in_bounds {
         return Err(bad_data(format!(
             "{}: header blob [{header_off}, +{header_stored_len}) outside the data region",
             path.display()
@@ -891,27 +825,19 @@ fn parse_footer(bytes: &[u8], format: Format, path: &Path) -> io::Result<FooterI
     Ok(FooterInfo { metas, header_off, header_raw_len, header_stored_len })
 }
 
-/// Decode (and for v3, checksum) the header blob into the header
-/// trace.
-fn parse_header_blob(
-    bytes: &[u8],
-    format: Format,
-    footer: &FooterInfo,
-    path: &Path,
-) -> io::Result<Trace> {
+/// Checksum and decode the header blob into the header trace.
+fn parse_header_blob(bytes: &[u8], footer: &FooterInfo, path: &Path) -> io::Result<Trace> {
     let header_off = footer.header_off;
     let blob_end = header_off + 1 + footer.header_stored_len;
     let code = bytes[header_off];
     let blob = &bytes[header_off + 1..blob_end];
-    if matches!(format, Format::V3 | Format::V4) {
-        let want = u32::from_le_bytes(bytes[blob_end..blob_end + 4].try_into().expect("4 bytes"));
-        let got = Crc32c::new().chain(&[code]).chain(blob).finish();
-        if want != got {
-            return Err(bad_data(format!(
-                "{}: header blob checksum mismatch (stored {want:#010x}, computed {got:#010x})",
-                path.display()
-            )));
-        }
+    let want = u32::from_le_bytes(bytes[blob_end..blob_end + 4].try_into().expect("4 bytes"));
+    let got = Crc32c::new().chain(&[code]).chain(blob).finish();
+    if want != got {
+        return Err(bad_data(format!(
+            "{}: header blob checksum mismatch (stored {want:#010x}, computed {got:#010x})",
+            path.display()
+        )));
     }
     let header_bytes = match Compression::from_code(code).map_err(io::Error::from)? {
         Compression::Raw => blob.to_vec(),
@@ -923,12 +849,12 @@ fn parse_header_blob(
         .map_err(|e| bad_data(format!("{}: bad header: {e}", path.display())))
 }
 
-/// Rebuild a chunk list from the self-delimiting v3 frames of a file
+/// Rebuild a chunk list from the self-delimiting chunk frames of a file
 /// whose footer is missing or untrustworthy (a killed run's `.tmp`).
 /// Every accepted chunk has a valid frame *and* a matching payload
 /// CRC; everything else lands in the damage log. Returned metas carry
 /// conservative (match-anything) content summaries.
-fn forward_scan_v3(bytes: &[u8], damage: &mut DamageLog) -> Vec<ChunkMeta> {
+fn forward_scan(bytes: &[u8], damage: &mut DamageLog) -> Vec<ChunkMeta> {
     let len = bytes.len();
     let mut metas = Vec::new();
     let mut pos = MAGIC.len();
@@ -1036,7 +962,6 @@ mod tests {
         write_store_chunked(&path, &t, 4096).unwrap();
         let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.format_version(), 4);
-        assert!(r.is_checksummed());
         let back = r.materialize().unwrap();
         assert_eq!(back.events, t.events);
         assert_eq!(back.meta, t.meta);
@@ -1229,8 +1154,8 @@ mod tests {
             Ok(_) => panic!("corrupt index must not open"),
             Err(e) => e,
         };
-        // v3: the index CRC catches the flip before the bounds checks
-        // even run.
+        // The index CRC catches the flip before the bounds checks even
+        // run.
         assert!(
             err.to_string().contains("chunk")
                 || err.to_string().contains("codec")
@@ -1378,17 +1303,49 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_stores_cannot_forward_scan_but_error_cleanly() {
-        let path = tmp("v2_salvage.mps");
-        let t = trace();
-        crate::writer::write_store_v2(&path, &t, 4096).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 30]).unwrap();
-        let err = match StoreReader::open_salvage(&path) {
-            Ok(_) => panic!("a truncated pre-v3 store must not salvage"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("pre-v3"), "{err}");
+    fn old_format_magics_are_rejected_by_name_in_every_mode() {
+        let path = tmp("old_magic.mps");
+        write_store_chunked(&path, &trace_sized(200), 4096).unwrap();
+        let v4 = std::fs::read(&path).unwrap();
+        let dir = tmp("old_magic.mps.d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let shard = dir.join("shard-0000.mps");
+        std::fs::write(dir.join(crate::shard::MANIFEST_NAME), "MPSHARD1\nshard-0000.mps 600\n").unwrap();
+
+        // An otherwise valid body, garbage, and nothing at all behind
+        // each old magic: the version byte alone decides.
+        let tails: [&[u8]; 3] = [&v4[8..], &[0xA5; 100], &[]];
+        for version in [b'1', b'2', b'3', b'9'] {
+            for tail in tails {
+                let mut bytes = MAGIC.to_vec();
+                bytes[7] = version;
+                bytes.extend_from_slice(tail);
+                std::fs::write(&path, &bytes).unwrap();
+                std::fs::write(&shard, &bytes).unwrap();
+                let want = format!(
+                    "store format v{} is no longer supported (this build reads v4); \
+                     regenerate it from the `.prv` or re-run",
+                    version as char
+                );
+                for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+                    let err = StoreReader::open_with_mode(&path, CacheConfig::default(), mode)
+                        .err()
+                        .expect("an old-format store must not open");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert_eq!(err.to_string(), format!("{}: {want}", path.display()));
+                    let err = crate::shard::ShardedReader::open_with_mode(
+                        &dir,
+                        CacheConfig::default(),
+                        mode,
+                    )
+                    .err()
+                    .expect("an old-format shard must not open");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert!(err.to_string().contains(&want), "{mode:?}: {err}");
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,7 @@
 //! defect, naming the chunk — or a clean bill of health.
 //!
 //! [`recover_store`] copies every salvageable event into a fresh,
-//! fully checksummed v3 store. Damaged chunks are dropped whole (the
+//! fully checksummed store. Damaged chunks are dropped whole (the
 //! chunk is the unit of loss); surviving events keep their original
 //! order, so recovering a torn file yields an exact prefix of the
 //! events the crashed writer had committed. When the original header
@@ -19,7 +19,7 @@
 use crate::cache::CacheConfig;
 use crate::reader::{RecoveryMode, StoreReader};
 use crate::shard::ShardedReader;
-use crate::writer::{StoreWriter, DEFAULT_CHUNK_BYTES};
+use crate::writer::{StoreWriter, WriterOptions};
 use mempersp_extrae::events::{EventPayload, TraceEvent};
 use mempersp_extrae::query::Query;
 use mempersp_extrae::tracer::{Trace, TraceMeta};
@@ -113,7 +113,7 @@ pub fn fsck_store(path: &Path) -> io::Result<FsckReport> {
     })
 }
 
-/// Salvage every readable chunk of `input` into a fresh v3 store at
+/// Salvage every readable chunk of `input` into a fresh store at
 /// `output`. The output is written atomically (tmp + fsync + rename),
 /// so a crash during recovery never leaves a half-recovered file at
 /// `output`.
@@ -123,7 +123,7 @@ pub fn recover_store(input: &Path, output: &Path) -> io::Result<RecoverReport> {
         Some(h) if header_intact => h,
         _ => synthesize_header(&events),
     };
-    let mut w = StoreWriter::with_options(output, DEFAULT_CHUNK_BYTES, 1, 1)?;
+    let mut w = StoreWriter::new(output, WriterOptions::default())?;
     for e in &events {
         w.append(e)?;
     }

@@ -45,10 +45,7 @@
 use crate::cache::{CacheConfig, CacheStats};
 use crate::cancel::CancelToken;
 use crate::reader::{RecoveryMode, StoreReader};
-use crate::writer::{
-    sync_parent_dir, tmp_path, StoreSummary, StoreWriter, DEFAULT_CHUNK_BYTES,
-    DEFAULT_INFLIGHT_PER_THREAD,
-};
+use crate::writer::{sync_parent_dir, tmp_path, StoreSummary, StoreWriter, WriterOptions};
 use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
@@ -84,9 +81,8 @@ pub fn is_shard_dir(path: &Path) -> bool {
 /// Writer of a sharded logical trace.
 pub struct ShardedWriter {
     dir: PathBuf,
-    chunk_target: usize,
-    threads: usize,
-    max_inflight: usize,
+    /// Options of every shard's [`StoreWriter`].
+    opts: WriterOptions,
     events_per_shard: u64,
     /// Every shard opened so far; footers are written at `finish`,
     /// when the header is finally known.
@@ -98,46 +94,15 @@ pub struct ShardedWriter {
 
 impl ShardedWriter {
     /// Create `dir` (the `trace.mps.d` directory) and a writer that
-    /// rolls a new shard every `events_per_shard` events.
-    pub fn create(dir: &Path, events_per_shard: u64) -> io::Result<ShardedWriter> {
-        Self::with_options(dir, DEFAULT_CHUNK_BYTES, 1, events_per_shard)
-    }
-
-    /// [`ShardedWriter::create`] with explicit chunk target and
-    /// per-shard compressor threads.
-    pub fn with_options(
-        dir: &Path,
-        chunk_target: usize,
-        threads: usize,
-        events_per_shard: u64,
-    ) -> io::Result<ShardedWriter> {
-        Self::with_budget(
-            dir,
-            chunk_target,
-            threads,
-            events_per_shard,
-            threads * DEFAULT_INFLIGHT_PER_THREAD,
-        )
-    }
-
-    /// [`ShardedWriter::with_options`] with an explicit in-flight chunk
-    /// budget for the active shard's pipeline (see
-    /// [`StoreWriter::with_options`]).
-    pub fn with_budget(
-        dir: &Path,
-        chunk_target: usize,
-        threads: usize,
-        events_per_shard: u64,
-        max_inflight: usize,
-    ) -> io::Result<ShardedWriter> {
+    /// rolls a new shard, each written with `opts`, every
+    /// `events_per_shard` events.
+    pub fn new(dir: &Path, opts: WriterOptions, events_per_shard: u64) -> io::Result<ShardedWriter> {
         std::fs::create_dir_all(dir).map_err(|e| {
             io::Error::new(e.kind(), format!("creating shard dir {}: {e}", dir.display()))
         })?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
-            chunk_target,
-            threads,
-            max_inflight,
+            opts,
             events_per_shard: events_per_shard.max(1),
             shards: Vec::new(),
             current_events: 0,
@@ -147,12 +112,7 @@ impl ShardedWriter {
 
     fn open_shard(&mut self) -> io::Result<()> {
         let name = shard_name(self.shards.len());
-        let w = StoreWriter::with_options(
-            &self.dir.join(&name),
-            self.chunk_target,
-            self.threads,
-            self.max_inflight,
-        )?;
+        let w = StoreWriter::new(&self.dir.join(&name), self.opts)?;
         self.shards.push((name, w));
         self.current_events = 0;
         Ok(())
@@ -235,7 +195,8 @@ pub fn write_store_sharded(
     threads: usize,
     events_per_shard: u64,
 ) -> io::Result<StoreSummary> {
-    let mut w = ShardedWriter::with_options(dir, chunk_target, threads, events_per_shard)?;
+    let opts = WriterOptions { chunk_target, threads, max_inflight: None };
+    let mut w = ShardedWriter::new(dir, opts, events_per_shard)?;
     for e in &trace.events {
         w.append(e)?;
     }
@@ -291,8 +252,8 @@ fn parse_manifest(dir: &Path) -> io::Result<Vec<(String, u64)>> {
 /// Salvage fallback when the manifest is missing or lying: every
 /// plausible shard file in the directory, in name order (which is
 /// creation order — shard names are zero-padded). Includes `.tmp`
-/// shards a killed run left behind; the v3 forward scan recovers
-/// their complete chunks.
+/// shards a killed run left behind; the forward scan recovers their
+/// complete chunks.
 fn scan_shard_dir(dir: &Path) -> io::Result<Vec<String>> {
     let mut names = Vec::new();
     for entry in std::fs::read_dir(dir)? {

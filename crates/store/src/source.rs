@@ -143,13 +143,11 @@ impl MpsSource {
         }
     }
 
-    /// Store format version (the max across shards for a sharded store).
+    /// Store format version.
     pub fn format_version(&self) -> u32 {
         match &self.inner {
             Inner::Single(r) => r.format_version(),
-            Inner::Sharded(s) => {
-                s.shard_readers().map(|(_, r)| r.format_version()).max().unwrap_or(0)
-            }
+            Inner::Sharded(s) => s.shard_readers().next().map_or(0, |(_, r)| r.format_version()),
         }
     }
 
@@ -195,9 +193,9 @@ impl TraceSource for MpsSource {
 }
 
 /// Open a trace by path. A directory with a shard manifest is a
-/// sharded store; a file leading with a store magic (`MPSTORE4`,
-/// `MPSTORE3`, `MPSTORE2` or `MPSTORE1`) is a binary store; anything
-/// else is parsed as a text `.prv` trace.
+/// sharded store; a file leading with `MPSTORE` is a binary store of
+/// some version (the reader rejects any but the current one by name);
+/// anything else is parsed as a text `.prv` trace.
 pub fn open_trace_source(path: &Path) -> io::Result<Box<dyn TraceSource>> {
     open_trace_source_with(path, RecoveryMode::Strict, true)
 }
@@ -218,12 +216,7 @@ pub fn open_trace_source_with(
     let mut head = [0u8; 8];
     let n = file.read(&mut head)?;
     drop(file);
-    if n == 8
-        && (&head == crate::writer::MAGIC_V4
-            || &head == crate::writer::MAGIC
-            || &head == crate::writer::MAGIC_V2
-            || &head == crate::writer::MAGIC_V1)
-    {
+    if n == 8 && head[..7] == crate::writer::MAGIC[..7] {
         return Ok(Box::new(MpsSource::open_with_options(path, mode, verify)?));
     }
     Ok(Box::new(MaterializedSource::open(path)?))
@@ -268,6 +261,12 @@ mod tests {
         assert_eq!(p.format_name(), "prv");
         assert_eq!(m.format_name(), "mps");
         assert_eq!(p.materialize().unwrap().events, m.materialize().unwrap().events);
+
+        // Any `MPSTORE?` file goes to the store reader, whose error
+        // names the version; it must not fall through to the text parser.
+        std::fs::write(&mps, b"MPSTORE3 whatever follows").unwrap();
+        let err = open_trace_source(&mps).err().expect("v3 store must not open");
+        assert!(err.to_string().contains("store format v3 is no longer supported"), "{err}");
         std::fs::remove_file(&prv).ok();
         std::fs::remove_file(&mps).ok();
     }

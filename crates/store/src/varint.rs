@@ -1,10 +1,7 @@
-//! LEB128 variable-length integers, the store's primitive encoding.
-//!
-//! Event records are dominated by small numbers — deltas between
-//! consecutive timestamps, core ids, sizes, latencies — so a
-//! byte-per-7-bits encoding shrinks them far below their fixed-width
-//! forms. Signed values (timestamp deltas may be negative when cores
-//! interleave out of order) are zig-zag folded first.
+//! Unsigned LEB128 varints for the store's small metadata — the
+//! footer index and each chunk's section table — and the
+//! [`CodecError`] every decoder in this crate reports. Event columns
+//! use stream-vbyte ([`crate::svb`]), not this.
 
 /// Decoding failure: truncated or over-long input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,167 +59,6 @@ pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
-/// Zig-zag fold a signed value into an unsigned one.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append a signed varint (zig-zag + LEB128).
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    put_u64(out, zigzag(v));
-}
-
-/// Read a signed varint at `*pos`, advancing it.
-pub fn get_i64(buf: &[u8], pos: &mut usize) -> Result<i64, CodecError> {
-    Ok(unzigzag(get_u64(buf, pos)?))
-}
-
-/// A positioned varint decoder with a word-at-a-time fast path.
-///
-/// [`get_u64`] reads one byte per iteration with a bounds check each
-/// time — fine for footers, far too slow for the millions of varints
-/// a chunk decode chews through. `Reader` instead loads 8 bytes in one
-/// unaligned read, finds the terminating byte with a single
-/// `trailing_zeros`, and folds the 7-bit groups together with three
-/// shift/mask steps — no per-byte branches for the ≤8-byte varints
-/// that make up essentially all trace data. Inputs shorter than the
-/// 8-byte window and 9–10-byte varints fall back to the checked loop.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-/// Continuation bits of an 8-byte LE word of LEB128 data.
-const CONT_MASK: u64 = 0x8080_8080_8080_8080;
-
-/// Fold the 7-bit payload groups of an `n`-byte varint (already
-/// masked to its low `8n` bits, continuation bits cleared) into the
-/// decoded value.
-#[inline(always)]
-fn fold7(x: u64) -> u64 {
-    let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
-    let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
-    (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4)
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Current byte offset.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes left to read.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Has every byte been consumed?
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Read one raw byte.
-    #[inline]
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| CodecError {
-            offset: self.pos,
-            message: "truncated byte".into(),
-        })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Read an unsigned varint (word-at-a-time fast path).
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        if self.pos + 8 <= self.buf.len() {
-            let word = u64::from_le_bytes(
-                self.buf[self.pos..self.pos + 8].try_into().expect("8 bytes"),
-            );
-            let stops = !word & CONT_MASK;
-            if stops != 0 {
-                let n = (stops.trailing_zeros() >> 3) as usize + 1;
-                // Mask to the n live bytes; continuation bits vanish
-                // with the same mask since only payload bits survive.
-                let keep = if n == 8 { u64::MAX } else { (1u64 << (8 * n)) - 1 };
-                self.pos += n;
-                return Ok(fold7(word & keep & !CONT_MASK));
-            }
-            // 9–10 byte varint (value ≥ 2^56): rare, take the loop.
-        }
-        let v = get_u64(self.buf, &mut self.pos)?;
-        Ok(v)
-    }
-
-    /// Read a signed varint (zig-zag).
-    #[inline]
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(unzigzag(self.u64()?))
-    }
-
-    /// Skip one varint without decoding its value.
-    #[inline]
-    pub fn skip_varint(&mut self) -> Result<(), CodecError> {
-        if self.pos + 8 <= self.buf.len() {
-            let word = u64::from_le_bytes(
-                self.buf[self.pos..self.pos + 8].try_into().expect("8 bytes"),
-            );
-            let stops = !word & CONT_MASK;
-            if stops != 0 {
-                self.pos += (stops.trailing_zeros() >> 3) as usize + 1;
-                return Ok(());
-            }
-        }
-        get_u64(self.buf, &mut self.pos).map(|_| ())
-    }
-
-    /// Skip `n` varints.
-    #[inline]
-    pub fn skip_varints(&mut self, n: usize) -> Result<(), CodecError> {
-        for _ in 0..n {
-            self.skip_varint()?;
-        }
-        Ok(())
-    }
-
-    /// Read a length-prefixed byte string.
-    #[inline]
-    pub fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
-        get_bytes(self.buf, &mut self.pos)
-    }
-}
-
-/// Append a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Read a length-prefixed byte string at `*pos`, advancing it.
-pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CodecError> {
-    let start = *pos;
-    let len = get_u64(buf, pos)? as usize;
-    let end = pos.checked_add(len).filter(|&e| e <= buf.len()).ok_or_else(|| CodecError {
-        offset: start,
-        message: format!("byte string of length {len} overruns buffer"),
-    })?;
-    let s = &buf[*pos..end];
-    *pos = end;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,22 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn i64_round_trip_signs() {
-        for &v in &[0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
-            let mut buf = Vec::new();
-            put_i64(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_i64(&buf, &mut pos).unwrap(), v);
-        }
-    }
-
-    #[test]
     fn small_values_take_one_byte() {
         let mut buf = Vec::new();
         put_u64(&mut buf, 100);
-        assert_eq!(buf.len(), 1);
-        buf.clear();
-        put_i64(&mut buf, -50);
         assert_eq!(buf.len(), 1);
     }
 
@@ -273,72 +96,5 @@ mod tests {
         let buf = [0xFFu8; 11];
         let mut pos = 0;
         assert!(get_u64(&buf, &mut pos).is_err());
-    }
-
-    #[test]
-    fn fast_reader_agrees_with_byte_loop() {
-        // Every interesting width, including 9–10 byte encodings and
-        // values that straddle the 8-byte window at the buffer tail.
-        let values: Vec<u64> = (0..64)
-            .map(|s| 1u64 << s)
-            .chain([0, 1, 127, 128, 255, 16_383, 16_384, u32::MAX as u64, u64::MAX, u64::MAX - 1])
-            .collect();
-        let mut buf = Vec::new();
-        for &v in &values {
-            put_u64(&mut buf, v);
-        }
-        let mut r = Reader::new(&buf);
-        let mut pos = 0usize;
-        for &v in &values {
-            assert_eq!(r.u64().unwrap(), v);
-            assert_eq!(get_u64(&buf, &mut pos).unwrap(), v);
-            assert_eq!(r.pos(), pos, "fast reader must consume identical bytes");
-        }
-        assert!(r.is_done());
-
-        // Signed values through the same fast path.
-        let mut sbuf = Vec::new();
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
-            put_i64(&mut sbuf, v);
-        }
-        let mut r = Reader::new(&sbuf);
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -300, 300] {
-            assert_eq!(r.i64().unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn fast_reader_skip_matches_decode_width() {
-        let values = [0u64, 127, 128, 1 << 20, 1 << 55, u64::MAX];
-        let mut buf = Vec::new();
-        for &v in &values {
-            put_u64(&mut buf, v);
-        }
-        let mut skip = Reader::new(&buf);
-        let mut read = Reader::new(&buf);
-        for _ in &values {
-            skip.skip_varint().unwrap();
-            read.u64().unwrap();
-            assert_eq!(skip.pos(), read.pos());
-        }
-        assert!(skip.is_done());
-        let mut r = Reader::new(&buf[..buf.len() - 1]);
-        assert!(r.skip_varints(values.len()).is_err(), "truncated tail detected");
-    }
-
-    #[test]
-    fn bytes_round_trip_and_bounds_check() {
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, b"hello");
-        put_bytes(&mut buf, b"");
-        let mut pos = 0;
-        assert_eq!(get_bytes(&buf, &mut pos).unwrap(), b"hello");
-        assert_eq!(get_bytes(&buf, &mut pos).unwrap(), b"");
-        assert_eq!(pos, buf.len());
-
-        let mut bad = Vec::new();
-        put_u64(&mut bad, 1000);
-        let mut pos = 0;
-        assert!(get_bytes(&bad, &mut pos).is_err());
     }
 }

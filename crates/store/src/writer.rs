@@ -1,16 +1,15 @@
 //! The append-only store writer.
 //!
-//! File layout (`.mps`, format v4 — v3 differs only in the chunk
-//! payload codec and the `3` in both magics):
+//! File layout (`.mps`; the one format, version 4):
 //!
 //! ```text
 //! +-----------------+ offset 0
-//! | magic MPSTORE4  | 8 bytes (MPSTORE1/2/3 remain readable)
+//! | magic MPSTORE4  | 8 bytes
 //! +-----------------+
 //! | frame 0         | 28-byte self-delimiting chunk header:
 //! | chunk payload 0 |   length + CRC32C of payload + CRC of itself
-//! | frame 1         | v4 stream-vbyte columns, raw or LZ (~64 KiB
-//! | chunk payload 1 |   each; v3 files carry v2 LEB128 columns)
+//! | frame 1         | stream-vbyte columns ([`crate::codec`]), raw
+//! | chunk payload 1 |   or LZ, ~64 KiB each
 //! | ...             |
 //! +-----------------+
 //! | header blob     | compression code + header_sections() text
@@ -47,7 +46,7 @@
 //!
 //! # Pipelined compression
 //!
-//! With `threads ≥ 2` ([`StoreWriter::with_threads`]) the LZ pass
+//! With `threads ≥ 2` ([`WriterOptions::threads`]) the LZ pass
 //! comes off the ingest thread: sealed chunks are handed to a bounded
 //! pool of compressor workers, and a dedicated committer thread writes
 //! the finished payloads to the file **strictly in seal order**, so
@@ -57,8 +56,7 @@
 //! writer's memory O(threads × chunk).
 
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
-use crate::codec::ChunkBuilder;
-use crate::codec_v4::ChunkBuilderV4;
+use crate::codec::ChunkBuilderV4;
 use crate::crc::{crc32c, Crc32c};
 use crate::fault::StoreFile;
 use crate::lz;
@@ -71,29 +69,13 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-/// Leading file magic of the stream-vbyte v4 format (what this writer
-/// emits by default). The container framing is v3's — only the chunk
-/// payload codec differs.
-pub const MAGIC_V4: &[u8; 8] = b"MPSTORE4";
-/// Leading file magic of the checksummed v3 format (still writable
-/// via [`StoreFormat::V3`]).
-pub const MAGIC: &[u8; 8] = b"MPSTORE3";
-/// Leading magic of the columnar v2 format; the reader still accepts
-/// it.
-pub const MAGIC_V2: &[u8; 8] = b"MPSTORE2";
-/// Leading magic of the original row-oriented format; the reader
-/// still accepts it.
-pub const MAGIC_V1: &[u8; 8] = b"MPSTORE1";
-/// Trailing file magic of v4 (after the index offset + index CRC).
-pub const TRAILER_MAGIC_V4: &[u8; 8] = b"MPSEND04";
-/// Trailing file magic of v3 (after the index offset + index CRC).
-pub const TRAILER_MAGIC: &[u8; 8] = b"MPSEND03";
-/// Trailing file magic shared by v1 and v2 (after the index offset).
-pub const TRAILER_MAGIC_V2: &[u8; 8] = b"MPSEND01";
-/// v3 trailer size: index_off u64le + index CRC32C + magic.
+/// Leading file magic. The eighth byte is the format version; the
+/// reader names any other `MPSTORE?` version in its rejection.
+pub const MAGIC: &[u8; 8] = b"MPSTORE4";
+/// Trailing file magic (after the index offset + index CRC).
+pub const TRAILER_MAGIC: &[u8; 8] = b"MPSEND04";
+/// Trailer size: index_off u64le + index CRC32C + magic.
 pub const TRAILER_LEN: usize = 20;
-/// v1/v2 trailer size: index_off u64le + magic.
-pub const TRAILER_LEN_V2: usize = 16;
 /// Default target for one chunk's *raw* encoded payload.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 /// Default in-flight chunk budget per compressor thread (sealed but
@@ -122,70 +104,30 @@ pub fn sync_parent_dir(entry: &Path) -> io::Result<()> {
         .map_err(|e| io::Error::new(e.kind(), format!("fsync dir {}: {e}", parent.display())))
 }
 
-/// Which chunk codec (and magic pair) a [`StoreWriter`] emits. The
-/// container — frames, CRCs, footer, trailer shape, salvage — is
-/// identical; only the chunk payload encoding differs.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// LEB128 columnar chunks (`MPSTORE3`/`MPSEND03`).
-    V3,
-    /// Stream-vbyte columnar chunks (`MPSTORE4`/`MPSEND04`).
-    #[default]
-    V4,
+/// How a [`StoreWriter`] — or each shard of a
+/// [`ShardedWriter`](crate::shard::ShardedWriter) — chunks and
+/// pipelines its output. None of the three changes the bytes written
+/// for a given `chunk_target`; `threads` and `max_inflight` only move
+/// work and bound memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriterOptions {
+    /// Target for one chunk's raw encoded payload (floored at 1 KiB;
+    /// tests use small targets to force many chunks from small traces).
+    pub chunk_target: usize,
+    /// Compressor workers. `≤ 1` compresses inline on the caller
+    /// thread; more moves the LZ pass onto a bounded pool with a
+    /// deterministic in-order committer.
+    pub threads: usize,
+    /// At most this many sealed chunks wait in each of the pipeline's
+    /// two queues, so a producer that outruns the compressor pool
+    /// blocks in `append` instead of growing the heap. `None` takes
+    /// `threads × DEFAULT_INFLIGHT_PER_THREAD`.
+    pub max_inflight: Option<usize>,
 }
 
-impl StoreFormat {
-    pub fn magic(self) -> &'static [u8; 8] {
-        match self {
-            StoreFormat::V3 => MAGIC,
-            StoreFormat::V4 => MAGIC_V4,
-        }
-    }
-
-    pub fn trailer_magic(self) -> &'static [u8; 8] {
-        match self {
-            StoreFormat::V3 => TRAILER_MAGIC,
-            StoreFormat::V4 => TRAILER_MAGIC_V4,
-        }
-    }
-}
-
-/// The open chunk's encoder, picked by [`StoreFormat`].
-enum Builder {
-    // Boxed: the builders carry inline column buffers (up to ~1.9 KiB for
-    // v4) and there is one Builder per writer shard, so the indirection
-    // is free and keeps the enum itself pointer-sized.
-    V2(Box<ChunkBuilder>),
-    V4(Box<ChunkBuilderV4>),
-}
-
-impl Builder {
-    fn new(format: StoreFormat) -> Builder {
-        match format {
-            StoreFormat::V3 => Builder::V2(Box::new(ChunkBuilder::new())),
-            StoreFormat::V4 => Builder::V4(Box::new(ChunkBuilderV4::new())),
-        }
-    }
-
-    fn push(&mut self, e: &TraceEvent) {
-        match self {
-            Builder::V2(b) => b.push(e),
-            Builder::V4(b) => b.push(e),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Builder::V2(b) => b.encoded_len(),
-            Builder::V4(b) => b.encoded_len(),
-        }
-    }
-
-    fn serialize(&mut self) -> Vec<u8> {
-        match self {
-            Builder::V2(b) => b.serialize(),
-            Builder::V4(b) => b.serialize(),
-        }
+impl Default for WriterOptions {
+    fn default() -> Self {
+        WriterOptions { chunk_target: DEFAULT_CHUNK_BYTES, threads: 1, max_inflight: None }
     }
 }
 
@@ -384,9 +326,8 @@ pub struct StoreWriter {
     sink: Sink,
     target: Option<Target>,
     chunk_target: usize,
-    format: StoreFormat,
     /// Columnar encoder of the open chunk.
-    builder: Builder,
+    builder: ChunkBuilderV4,
     /// Summary of the open chunk.
     open_meta: ChunkMeta,
     /// Sealed-chunk index entries, in commit order (populated lazily
@@ -398,63 +339,20 @@ pub struct StoreWriter {
 }
 
 impl StoreWriter {
-    /// Create a store at `path` with the default ~64 KiB chunk target,
-    /// compressing inline on the caller thread.
-    pub fn create(path: &Path) -> io::Result<StoreWriter> {
-        Self::with_chunk_target(path, DEFAULT_CHUNK_BYTES)
-    }
-
-    /// Create with an explicit raw-payload chunk target (tests use
-    /// small targets to force many chunks from small traces).
-    pub fn with_chunk_target(path: &Path, chunk_target: usize) -> io::Result<StoreWriter> {
-        Self::with_threads(path, chunk_target, 1)
-    }
-
-    /// Create with `threads` compressor workers. `threads ≤ 1` keeps
-    /// compression inline; more moves it onto a bounded pool with a
-    /// deterministic in-order committer — the file bytes are identical
-    /// either way.
-    pub fn with_threads(path: &Path, chunk_target: usize, threads: usize) -> io::Result<StoreWriter> {
-        Self::with_options(path, chunk_target, threads, threads * DEFAULT_INFLIGHT_PER_THREAD)
-    }
-
-    /// [`StoreWriter::with_threads`] with an explicit in-flight chunk
-    /// budget: at most `max_inflight` sealed chunks wait in each of
-    /// the pipeline's two queues, so a producer that outruns the
-    /// compressor pool blocks in `append` instead of growing the heap.
-    /// Output bytes do not depend on the budget (or the thread count).
-    pub fn with_options(
-        path: &Path,
-        chunk_target: usize,
-        threads: usize,
-        max_inflight: usize,
-    ) -> io::Result<StoreWriter> {
-        Self::with_format(path, chunk_target, threads, max_inflight, StoreFormat::default())
-    }
-
-    /// [`StoreWriter::with_options`] with an explicit on-disk format —
-    /// the seam `convert --format v3` and the v3-vs-v4 benches use to
-    /// emit the previous codec.
-    pub fn with_format(
-        path: &Path,
-        chunk_target: usize,
-        threads: usize,
-        max_inflight: usize,
-        format: StoreFormat,
-    ) -> io::Result<StoreWriter> {
+    /// Create a store at `path`. Bytes stream into `<path>.tmp` until
+    /// [`StoreWriter::finish`] renames it into place.
+    pub fn new(path: &Path, opts: WriterOptions) -> io::Result<StoreWriter> {
         let tmp = tmp_path(path);
         let file = std::fs::File::create(&tmp).map_err(|e| {
             io::Error::new(e.kind(), format!("creating store {}: {e}", tmp.display()))
         })?;
-        Self::with_backend_format(
-            Box::new(file),
-            tmp,
-            path.to_path_buf(),
-            chunk_target,
-            threads,
-            max_inflight,
-            format,
-        )
+        Self::with_backend(Box::new(file), tmp, path.to_path_buf(), opts)
+    }
+
+    /// [`StoreWriter::new`] with the default in-flight budget. Kept
+    /// as a named constructor because `benchmark/` calls it.
+    pub fn with_threads(path: &Path, chunk_target: usize, threads: usize) -> io::Result<StoreWriter> {
+        Self::new(path, WriterOptions { chunk_target, threads, max_inflight: None })
     }
 
     /// Build a writer over an explicit backing file — the seam the
@@ -466,50 +364,27 @@ impl StoreWriter {
         file: Box<dyn StoreFile>,
         tmp: PathBuf,
         dest: PathBuf,
-        chunk_target: usize,
-        threads: usize,
-        max_inflight: usize,
-    ) -> io::Result<StoreWriter> {
-        Self::with_backend_format(
-            file,
-            tmp,
-            dest,
-            chunk_target,
-            threads,
-            max_inflight,
-            StoreFormat::default(),
-        )
-    }
-
-    /// [`StoreWriter::with_backend`] with an explicit on-disk format.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_backend_format(
-        file: Box<dyn StoreFile>,
-        tmp: PathBuf,
-        dest: PathBuf,
-        chunk_target: usize,
-        threads: usize,
-        max_inflight: usize,
-        format: StoreFormat,
+        opts: WriterOptions,
     ) -> io::Result<StoreWriter> {
         let mut out = io::BufWriter::new(file);
-        if let Err(e) = out.write_all(format.magic()).and_then(|()| out.flush()) {
+        if let Err(e) = out.write_all(MAGIC).and_then(|()| out.flush()) {
             drop(out);
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
-        let pos = format.magic().len() as u64;
-        let sink = if threads > 1 {
-            Sink::Pipelined(Pipeline::spawn(out, pos, threads, max_inflight))
+        let pos = MAGIC.len() as u64;
+        let sink = if opts.threads > 1 {
+            let max_inflight =
+                opts.max_inflight.unwrap_or(opts.threads * DEFAULT_INFLIGHT_PER_THREAD);
+            Sink::Pipelined(Pipeline::spawn(out, pos, opts.threads, max_inflight))
         } else {
             Sink::Inline { out, pos }
         };
         Ok(StoreWriter {
             sink,
             target: Some(Target { tmp, dest }),
-            chunk_target: chunk_target.max(1024),
-            format,
-            builder: Builder::new(format),
+            chunk_target: opts.chunk_target.max(1024),
+            builder: ChunkBuilderV4::new(),
             open_meta: ChunkMeta::summarize(&[]),
             metas: Vec::new(),
             total_events: 0,
@@ -645,7 +520,7 @@ impl StoreWriter {
         // Fixed-size trailer so a reader can find the index from EOF.
         out.write_all(&index_off.to_le_bytes())?;
         out.write_all(&crc32c(&index).to_le_bytes())?;
-        out.write_all(self.format.trailer_magic())?;
+        out.write_all(TRAILER_MAGIC)?;
         out.flush()?;
 
         // Durability, then atomicity: contents hit stable storage
@@ -719,183 +594,6 @@ pub fn write_store_chunked(path: &Path, trace: &Trace, chunk_target: usize) -> i
     write_store_with(path, trace, chunk_target, 1)
 }
 
-/// Write `trace` in the legacy row-oriented v1 format (`MPSTORE1`
-/// magic, [`crate::codec::encode_event`] records). Kept so the
-/// reader's v1 path stays covered and as the pre-v2 comparator in the
-/// store benchmarks; new traces should use [`write_store`].
-pub fn write_store_v1(path: &Path, trace: &Trace, chunk_target: usize) -> io::Result<StoreSummary> {
-    let file = std::fs::File::create(path).map_err(|e| {
-        io::Error::new(e.kind(), format!("creating store {}: {e}", path.display()))
-    })?;
-    let mut out = io::BufWriter::new(file);
-    out.write_all(MAGIC_V1)?;
-    let mut pos = MAGIC_V1.len() as u64;
-    let chunk_target = chunk_target.max(1024);
-
-    let mut metas = Vec::new();
-    let mut enc = Vec::new();
-    let mut prev_cycles = 0u64;
-    let mut open = ChunkMeta::summarize(&[]);
-    let mut raw_bytes = 0u64;
-    let mut seal = |enc: &mut Vec<u8>,
-                    open: &mut ChunkMeta,
-                    out: &mut io::BufWriter<std::fs::File>,
-                    pos: &mut u64|
-     -> io::Result<()> {
-        if open.events == 0 {
-            return Ok(());
-        }
-        let mut meta = std::mem::replace(open, ChunkMeta::summarize(&[]));
-        let raw = std::mem::take(enc);
-        raw_bytes += raw.len() as u64;
-        let (payload, compression, _crc, m) = compress_chunk(raw, meta);
-        meta = m;
-        meta.offset = *pos;
-        meta.stored_len = payload.len() as u32;
-        meta.compression = compression;
-        out.write_all(&payload)?;
-        *pos += payload.len() as u64;
-        metas.push(meta);
-        Ok(())
-    };
-    for e in &trace.events {
-        crate::codec::encode_event(&mut enc, e, &mut prev_cycles);
-        open.observe(e);
-        open.events += 1;
-        if enc.len() >= chunk_target {
-            seal(&mut enc, &mut open, &mut out, &mut pos)?;
-            prev_cycles = 0; // v1 deltas restart at each chunk
-        }
-    }
-    seal(&mut enc, &mut open, &mut out, &mut pos)?;
-
-    let (header_off, header_raw_len, blob_len) = write_header_blob_v2(&mut out, &mut pos, trace)?;
-    write_footer_v2(&mut out, pos, &metas, header_off, header_raw_len, blob_len)?;
-
-    Ok(StoreSummary {
-        events: trace.events.len() as u64,
-        chunks: metas.len() as u64,
-        raw_bytes,
-        stored_bytes: metas.iter().map(|m| m.stored_len as u64).sum(),
-    })
-}
-
-/// Write `trace` in the columnar-but-unchecksummed v2 format
-/// (`MPSTORE2` magic, no chunk frames, `MPSEND01` trailer). Kept so
-/// the reader's v2 path and the v2→v3 `convert`/`recover` upgrade
-/// paths stay covered by tests and benches; new traces use v3.
-pub fn write_store_v2(path: &Path, trace: &Trace, chunk_target: usize) -> io::Result<StoreSummary> {
-    let file = std::fs::File::create(path).map_err(|e| {
-        io::Error::new(e.kind(), format!("creating store {}: {e}", path.display()))
-    })?;
-    let mut out = io::BufWriter::new(file);
-    out.write_all(MAGIC_V2)?;
-    let mut pos = MAGIC_V2.len() as u64;
-    let chunk_target = chunk_target.max(1024);
-
-    let mut metas = Vec::new();
-    let mut builder = ChunkBuilder::new();
-    let mut open = ChunkMeta::summarize(&[]);
-    let mut raw_bytes = 0u64;
-    let mut total_events = 0u64;
-    let mut seal = |builder: &mut ChunkBuilder,
-                    open: &mut ChunkMeta,
-                    out: &mut io::BufWriter<std::fs::File>,
-                    pos: &mut u64|
-     -> io::Result<()> {
-        if open.events == 0 {
-            return Ok(());
-        }
-        let mut meta = std::mem::replace(open, ChunkMeta::summarize(&[]));
-        let raw = builder.serialize();
-        raw_bytes += raw.len() as u64;
-        let (payload, compression, _crc, m) = compress_chunk(raw, meta);
-        meta = m;
-        meta.offset = *pos;
-        meta.stored_len = payload.len() as u32;
-        meta.compression = compression;
-        out.write_all(&payload)?;
-        *pos += payload.len() as u64;
-        metas.push(meta);
-        Ok(())
-    };
-    for e in &trace.events {
-        builder.push(e);
-        open.observe(e);
-        open.events += 1;
-        total_events += 1;
-        if builder.encoded_len() >= chunk_target {
-            seal(&mut builder, &mut open, &mut out, &mut pos)?;
-        }
-    }
-    seal(&mut builder, &mut open, &mut out, &mut pos)?;
-
-    let (header_off, header_raw_len, blob_len) = write_header_blob_v2(&mut out, &mut pos, trace)?;
-    write_footer_v2(&mut out, pos, &metas, header_off, header_raw_len, blob_len)?;
-
-    Ok(StoreSummary {
-        events: total_events,
-        chunks: metas.len() as u64,
-        raw_bytes,
-        stored_bytes: metas.iter().map(|m| m.stored_len as u64).sum(),
-    })
-}
-
-/// The unchecksummed v1/v2 header blob: compression code + blob.
-fn write_header_blob_v2(
-    out: &mut io::BufWriter<std::fs::File>,
-    pos: &mut u64,
-    trace: &Trace,
-) -> io::Result<(u64, u64, u64)> {
-    let header_text = mempersp_extrae::trace_format::header_sections(trace);
-    let header_raw = header_text.as_bytes();
-    let header_lz = lz::compress(header_raw);
-    let header_off = *pos;
-    let (blob, code): (&[u8], u8) = if header_lz.len() < header_raw.len() {
-        (&header_lz, Compression::Lz.code())
-    } else {
-        (header_raw, Compression::Raw.code())
-    };
-    out.write_all(&[code])?;
-    out.write_all(blob)?;
-    *pos += 1 + blob.len() as u64;
-    Ok((header_off, header_raw.len() as u64, blob.len() as u64))
-}
-
-/// The unchecksummed v1/v2 footer index + 16-byte trailer.
-fn write_footer_v2(
-    out: &mut io::BufWriter<std::fs::File>,
-    index_off: u64,
-    metas: &[ChunkMeta],
-    header_off: u64,
-    header_raw_len: u64,
-    blob_len: u64,
-) -> io::Result<()> {
-    let mut index = Vec::with_capacity(metas.len() * 48 + 32);
-    crate::varint::put_u64(&mut index, metas.len() as u64);
-    for m in metas {
-        m.encode(&mut index);
-    }
-    crate::varint::put_u64(&mut index, header_off);
-    crate::varint::put_u64(&mut index, header_raw_len);
-    crate::varint::put_u64(&mut index, blob_len);
-    out.write_all(&index)?;
-    out.write_all(&index_off.to_le_bytes())?;
-    out.write_all(TRAILER_MAGIC_V2)?;
-    out.flush()
-}
-
-/// Write `trace` in the checksummed LEB128 v3 format (`MPSTORE3`).
-/// Kept so the reader's v3 path, the v3↔v4 `convert` round trip and
-/// the v4-vs-v3 bench comparator stay covered; new traces use v4.
-pub fn write_store_v3(path: &Path, trace: &Trace, chunk_target: usize) -> io::Result<StoreSummary> {
-    let mut w = StoreWriter::with_format(path, chunk_target, 1, 1, StoreFormat::V3)?;
-    for e in &trace.events {
-        w.append(e)?;
-    }
-    w.finish(trace)
-}
-
 /// [`write_store_chunked`] with a compressor pool of `threads`.
 pub fn write_store_with(
     path: &Path,
@@ -903,20 +601,7 @@ pub fn write_store_with(
     chunk_target: usize,
     threads: usize,
 ) -> io::Result<StoreSummary> {
-    write_store_format(path, trace, chunk_target, threads, StoreFormat::default())
-}
-
-/// [`write_store_with`] with an explicit on-disk format — `convert
-/// --format v3` goes through here.
-pub fn write_store_format(
-    path: &Path,
-    trace: &Trace,
-    chunk_target: usize,
-    threads: usize,
-    format: StoreFormat,
-) -> io::Result<StoreSummary> {
-    let inflight = threads.max(1) * DEFAULT_INFLIGHT_PER_THREAD;
-    let mut w = StoreWriter::with_format(path, chunk_target, threads, inflight, format)?;
+    let mut w = StoreWriter::with_threads(path, chunk_target, threads)?;
     for e in &trace.events {
         w.append(e)?;
     }
@@ -946,67 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_store_round_trips_through_reader() {
-        let path = tmp("legacy.mps");
-        let t = trace(1500);
-        let s = write_store_v1(&path, &t, 4096).unwrap();
-        assert_eq!(s.events, 3000);
-        assert!(s.chunks > 1, "small target forces multiple chunks, got {}", s.chunks);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V1);
-        let r = crate::reader::StoreReader::open(&path).unwrap();
-        let back = r.materialize().unwrap();
-        assert_eq!(back.events, t.events, "v1 files must stay readable");
-    }
-
-    #[test]
-    fn v2_store_round_trips_through_reader() {
-        let path = tmp("legacy_v2.mps");
-        let t = trace(1500);
-        let s = write_store_v2(&path, &t, 4096).unwrap();
-        assert_eq!(s.events, 3000);
-        assert!(s.chunks > 1, "small target forces multiple chunks, got {}", s.chunks);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V2);
-        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC_V2);
-        let r = crate::reader::StoreReader::open(&path).unwrap();
-        let back = r.materialize().unwrap();
-        assert_eq!(back.events, t.events, "v2 files must stay readable");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v3_store_round_trips_through_reader() {
-        let path = tmp("legacy_v3.mps");
-        let t = trace(1500);
-        let s = write_store_v3(&path, &t, 4096).unwrap();
-        assert_eq!(s.events, 3000);
-        assert!(s.chunks > 1, "small target forces multiple chunks, got {}", s.chunks);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC);
-        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC);
-        let r = crate::reader::StoreReader::open(&path).unwrap();
-        let back = r.materialize().unwrap();
-        assert_eq!(back.events, t.events, "v3 files must stay readable");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v3_and_v4_stores_decode_identically() {
-        let t = trace(1500);
-        let p3 = tmp("fmt3.mps");
-        let p4 = tmp("fmt4.mps");
-        write_store_v3(&p3, &t, 4096).unwrap();
-        write_store_chunked(&p4, &t, 4096).unwrap();
-        let t3 = crate::reader::StoreReader::open(&p3).unwrap().materialize().unwrap();
-        let t4 = crate::reader::StoreReader::open(&p4).unwrap().materialize().unwrap();
-        assert_eq!(t3.events, t4.events);
-        assert_eq!(t3.events, t.events);
-        std::fs::remove_file(&p3).ok();
-        std::fs::remove_file(&p4).ok();
-    }
-
-    #[test]
     fn file_shape_magic_frames_and_trailer() {
         let path = tmp("shape.mps");
         let t = trace(2000);
@@ -1014,8 +638,8 @@ mod tests {
         assert_eq!(s.events, 4000);
         assert!(s.chunks > 1, "small target forces multiple chunks, got {}", s.chunks);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V4);
-        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC_V4);
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC);
         let index_off = u64::from_le_bytes(
             bytes[bytes.len() - TRAILER_LEN..bytes.len() - TRAILER_LEN + 8].try_into().unwrap(),
         );
@@ -1054,7 +678,7 @@ mod tests {
         assert_eq!(s.events, 0);
         assert_eq!(s.chunks, 0);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC_V4);
+        assert_eq!(&bytes[bytes.len() - 8..], TRAILER_MAGIC);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1121,7 +745,8 @@ mod tests {
         let path = tmp("abandoned.mps");
         std::fs::remove_file(&path).ok();
         let t = trace(500);
-        let mut w = StoreWriter::with_chunk_target(&path, 1024).unwrap();
+        let mut w =
+            StoreWriter::new(&path, WriterOptions { chunk_target: 1024, ..Default::default() }).unwrap();
         for e in &t.events {
             w.append(e).unwrap();
         }

@@ -36,17 +36,19 @@ fn tmpdir() -> std::path::PathBuf {
 }
 
 /// A valid multi-chunk store file's bytes, built once per test.
-fn valid_store_bytes_v3() -> Vec<u8> {
-    let path = tmpdir().join("valid_v3.mps");
-    mempersp_store::write_store_v3(&path, &trace(400), 1024).expect("write v3");
-    std::fs::read(&path).expect("read back")
-}
-
 fn valid_store_bytes() -> Vec<u8> {
     let path = tmpdir().join(format!("valid_{:?}.mps", std::thread::current().id()));
     write_store_chunked(&path, &trace(400), 1024).expect("write");
     let bytes = std::fs::read(&path).expect("read back");
     std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// The same file behind the magic of a format this build no longer
+/// reads: nothing after the version byte may be interpreted.
+fn old_magic_store_bytes() -> Vec<u8> {
+    let mut bytes = valid_store_bytes();
+    bytes[7] = b'3';
     bytes
 }
 
@@ -76,6 +78,17 @@ fn open_rejects_truncation_at_every_byte() {
     }
     // ... and the untruncated file still opens.
     open_bytes("trunc.mps", &bytes).expect("full file opens");
+
+    // An old-format file is refused at every length, the whole file
+    // included, and by name as soon as the magic is complete.
+    let old = old_magic_store_bytes();
+    for len in 0..=old.len() {
+        let err = match open_bytes("trunc_old.mps", &old[..len]) {
+            Ok(_) => panic!("open accepted a {len}-byte prefix of a v3 store"),
+            Err(e) => e,
+        };
+        assert!(len < 8 || err.to_string().contains("v3 is no longer supported"), "{len}: {err}");
+    }
 }
 
 /// A footer that claims a gigantic raw chunk payload must be rejected
@@ -83,7 +96,7 @@ fn open_rejects_truncation_at_every_byte() {
 #[test]
 fn open_rejects_absurd_chunk_raw_len() {
     let mut meta = ChunkMeta::summarize(&[]);
-    meta.offset = 8;
+    meta.offset = CRAFTED_PAYLOAD_OFF;
     meta.stored_len = 4;
     meta.raw_len = u32::MAX; // 4 GiB claim in a 100-byte file
     meta.compression = Compression::Lz;
@@ -100,7 +113,7 @@ fn open_rejects_absurd_chunk_raw_len() {
 #[test]
 fn open_rejects_absurd_header_len() {
     let mut meta = ChunkMeta::summarize(&[]);
-    meta.offset = 8;
+    meta.offset = CRAFTED_PAYLOAD_OFF;
     meta.stored_len = 4;
     meta.raw_len = 4;
     meta.events = 1;
@@ -112,14 +125,20 @@ fn open_rejects_absurd_header_len() {
     assert!(msg.contains("header blob"), "undescriptive error: {msg}");
 }
 
-/// Build a file with the v2 magic, 4 bytes of junk chunk payload, an
-/// empty header, one crafted [`ChunkMeta`], and a well-formed trailer.
+/// Where [`open_crafted`] puts its chunk payload: behind the magic and
+/// one frame.
+const CRAFTED_PAYLOAD_OFF: u64 = (8 + mempersp_store::FRAME_LEN) as u64;
+
+/// Build a file with the store magic, a junk frame + 4 bytes of junk
+/// chunk payload, an empty header, one crafted [`ChunkMeta`], and a
+/// well-formed, correctly checksummed footer and trailer — so the
+/// claims in the index are what `open` has to judge.
 fn open_crafted(meta: ChunkMeta, header_raw_len: u64) -> std::io::Result<StoreReader> {
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"MPSTORE2");
-    bytes.extend_from_slice(&[0xAA; 4]); // the "chunk" payload
+    bytes.extend_from_slice(mempersp_store::writer::MAGIC);
+    bytes.extend_from_slice(&[0xAA; mempersp_store::FRAME_LEN + 4]); // "frame" + "payload"
     let header_off = bytes.len() as u64;
-    bytes.push(0); // raw header compression code
+    bytes.extend_from_slice(&[0; 5]); // raw header compression code + CRC field
     let index_off = bytes.len() as u64;
     let mut index = Vec::new();
     mempersp_store::varint::put_u64(&mut index, 1); // one chunk
@@ -129,7 +148,8 @@ fn open_crafted(meta: ChunkMeta, header_raw_len: u64) -> std::io::Result<StoreRe
     mempersp_store::varint::put_u64(&mut index, 0); // stored header len
     bytes.extend_from_slice(&index);
     bytes.extend_from_slice(&index_off.to_le_bytes());
-    bytes.extend_from_slice(b"MPSEND01");
+    bytes.extend_from_slice(&mempersp_store::crc32c(&index).to_le_bytes());
+    bytes.extend_from_slice(mempersp_store::writer::TRAILER_MAGIC);
     open_bytes("crafted.mps", &bytes)
 }
 
@@ -434,20 +454,23 @@ proptest! {
         flips in prop::collection::vec((0usize..usize::MAX, 1u8..=255), 1..8),
         case in any::<u64>(),
     ) {
-        let mut bytes = valid_store_bytes();
-        for (pos, xor) in flips {
-            let len = bytes.len();
-            bytes[pos % len] ^= xor;
-        }
-        match open_bytes(&format!("flip_{case}.mps"), &bytes) {
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
-            Ok(reader) => {
-                // The flip may have landed in a payload: decoding must
-                // surface it as Err, never as a panic.
-                let q = Query::all().with_kinds(&[EventClass::RegionEnter]);
-                let _ = reader.query(&q);
-                let _ = reader.query_parallel(&Query::all(), 4);
-                let _ = reader.materialize();
+        // The second input leads with an old format's magic; a flip
+        // there can only turn it into another bad magic or the real one.
+        for mut bytes in [valid_store_bytes(), old_magic_store_bytes()] {
+            for &(pos, xor) in &flips {
+                let len = bytes.len();
+                bytes[pos % len] ^= xor;
+            }
+            match open_bytes(&format!("flip_{case}.mps"), &bytes) {
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+                Ok(reader) => {
+                    // The flip may have landed in a payload: decoding must
+                    // surface it as Err, never as a panic.
+                    let q = Query::all().with_kinds(&[EventClass::RegionEnter]);
+                    let _ = reader.query(&q);
+                    let _ = reader.query_parallel(&Query::all(), 4);
+                    let _ = reader.materialize();
+                }
             }
         }
     }
@@ -485,30 +508,6 @@ proptest! {
             let _ = src.materialize();
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    /// The same flip sweep over a v3 (LEB128) store: the default
-    /// writer moved to v4, so the legacy decode path keeps its own
-    /// corruption coverage.
-    #[test]
-    fn byte_flips_never_panic_v3(
-        flips in prop::collection::vec((0usize..usize::MAX, 1u8..=255), 1..8),
-        case in any::<u64>(),
-    ) {
-        let mut bytes = valid_store_bytes_v3();
-        for (pos, xor) in flips {
-            let len = bytes.len();
-            bytes[pos % len] ^= xor;
-        }
-        match open_bytes(&format!("flip_v3_{case}.mps"), &bytes) {
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
-            Ok(reader) => {
-                let q = Query::all().with_kinds(&[EventClass::RegionEnter]);
-                let _ = reader.query(&q);
-                let _ = reader.query_parallel(&Query::all(), 4);
-                let _ = reader.materialize();
-            }
-        }
     }
 
     /// Truncation combined with a flip — the unsealed-file error path

@@ -17,7 +17,7 @@ use mempersp_extrae::tracer::{Trace, Tracer, TracerConfig};
 use mempersp_pebs::CounterSnapshot;
 use mempersp_store::writer::{tmp_path, write_store_chunked};
 use mempersp_store::{
-    recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter,
+    recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter, WriterOptions,
 };
 use proptest::prelude::*;
 use std::io;
@@ -62,9 +62,7 @@ fn attempt(
         Box::new(backend),
         tmp,
         dest.to_path_buf(),
-        CHUNK_TARGET,
-        threads,
-        threads * 2,
+        WriterOptions { chunk_target: CHUNK_TARGET, threads, max_inflight: None },
     ) {
         Ok(w) => w,
         Err(e) => return (Err(e), None, plan),

@@ -7,8 +7,7 @@ use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::source::Ip;
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::{CounterSnapshot, PebsSample};
-use mempersp_store::codec::{decode_events, encode_events};
-use mempersp_store::codec_v4::{decode_events_v4, encode_events_v4};
+use mempersp_store::codec::{decode_events_v4, encode_events_v4};
 use mempersp_store::lz;
 use mempersp_store::svb::{encode_column, unzigzag, SvbColumn};
 use mempersp_store::writer::write_store_chunked;
@@ -157,18 +156,9 @@ fn tmp(name: &str, case: u64) -> std::path::PathBuf {
 }
 
 proptest! {
-    /// `decode(encode(chunk)) == chunk` for arbitrary event mixes —
-    /// every payload kind, out-of-order timestamps, high core ids.
-    #[test]
-    fn codec_round_trips(events in prop::collection::vec(arb_event(), 0..200)) {
-        let buf = encode_events(&events);
-        let back = decode_events(&buf, events.len()).expect("decode");
-        prop_assert_eq!(back, events);
-    }
-
-    /// The v4 stream-vbyte codec round-trips the same arbitrary
-    /// mixes: every payload kind, out-of-order timestamps (negative
-    /// deltas), full-width values.
+    /// `decode(encode(chunk)) == chunk` for arbitrary event mixes:
+    /// every payload kind, out-of-order timestamps (negative deltas),
+    /// high core ids, full-width values.
     #[test]
     fn v4_codec_round_trips(events in prop::collection::vec(arb_event(), 0..200)) {
         let buf = encode_events_v4(&events);
@@ -249,7 +239,7 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..512),
         count in 0usize..64,
     ) {
-        let _ = decode_events(&data, count);
+        let _ = decode_events_v4(&data, count);
     }
 
     /// A store query equals the linear filter over the original

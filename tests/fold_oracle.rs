@@ -6,7 +6,7 @@
 //! row-wise reference kept here — one pass per region and core, linear
 //! containment search, no interval index, no batches, its own outlier
 //! filter and curve fit — and requires every engine path (in memory,
-//! `.prv`, `.mps` v1–v4, sharded `.mps.d`; 1, 2 and 4 threads) to
+//! `.prv`, `.mps`, sharded `.mps.d`; 1, 2 and 4 threads) to
 //! render byte-identically to it.
 //!
 //! The traces are deliberately hostile to instance collection:
@@ -26,10 +26,7 @@ use mempersp::folding::{
 };
 use mempersp::memsim::MemLevel;
 use mempersp::pebs::{CounterSnapshot, EventKind, PebsSample};
-use mempersp::store::{
-    open_trace_source, write_store_chunked, write_store_sharded, write_store_v1, write_store_v2,
-    write_store_v3,
-};
+use mempersp::store::{open_trace_source, write_store_chunked, write_store_sharded};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -379,12 +376,9 @@ proptest! {
 
         // 1 KiB chunks: tens of chunks, instances straddling them.
         type Writer = fn(&std::path::Path, &Trace);
-        let containers: [(&str, Writer); 6] = [
+        let containers: [(&str, Writer); 3] = [
             ("prv", |p, t| save_trace(p, t).unwrap()),
-            ("v1.mps", |p, t| { write_store_v1(p, t, 1024).unwrap(); }),
-            ("v2.mps", |p, t| { write_store_v2(p, t, 1024).unwrap(); }),
-            ("v3.mps", |p, t| { write_store_v3(p, t, 1024).unwrap(); }),
-            ("v4.mps", |p, t| { write_store_chunked(p, t, 1024).unwrap(); }),
+            ("mps", |p, t| { write_store_chunked(p, t, 1024).unwrap(); }),
             ("mps.d", |p, t| { write_store_sharded(p, t, 1024, 1, 400).unwrap(); }),
         ];
         for (ext, write) in containers {
