@@ -4,7 +4,7 @@
 //! indexing. Vendored because the build environment has no registry
 //! access (see `crates/compat/README.md`).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed/constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,22 +242,28 @@ fn escape_into(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String")
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
 
+/// In pretty mode, start a new line indented to `level`.
+fn newline(out: &mut String, indent: Option<usize>, level: usize) {
+    if let Some(w) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * level));
+    }
+}
+
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    let (nl, pad, pad_in) = match indent {
-        Some(w) => ("\n", " ".repeat(w * level), " ".repeat(w * (level + 1))),
-        None => ("", String::new(), String::new()),
-    };
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Number(n) => write!(out, "{n}").expect("writing to a String"),
         Value::String(s) => escape_into(out, s),
         Value::Array(a) => {
             if a.is_empty() {
@@ -269,12 +275,10 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad_in);
+                newline(out, indent, level + 1);
                 write_value(out, item, indent, level + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad);
+            newline(out, indent, level);
             out.push(']');
         }
         Value::Object(m) => {
@@ -287,8 +291,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(nl);
-                out.push_str(&pad_in);
+                newline(out, indent, level + 1);
                 escape_into(out, k);
                 out.push(':');
                 if indent.is_some() {
@@ -296,8 +299,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
                 }
                 write_value(out, item, indent, level + 1);
             }
-            out.push_str(nl);
-            out.push_str(&pad);
+            newline(out, indent, level);
             out.push('}');
         }
     }

@@ -434,7 +434,9 @@ fn parse_query(args: &[String]) -> Query {
 
 /// Run a predicate query against either trace format. On a store the
 /// footer index prunes chunks before any decode; `--threads` spreads
-/// the surviving chunks over a deterministic parallel scan.
+/// the surviving chunks over a deterministic parallel scan (`--json`
+/// streams one sequential scan instead: printing, not decoding, is
+/// what it waits for).
 fn cmd_query(args: &[String]) {
     let path = trace_path(args).clone();
     let q = parse_query(args);
@@ -443,9 +445,8 @@ fn cmd_query(args: &[String]) {
 
     let p = std::path::Path::new(&path);
     let verify = !args.iter().any(|a| a == "--no-verify");
-    let (events, stats) = match MpsSource::open_with_options(p, RecoveryMode::Strict, verify) {
-        Ok(src) if threads > 1 => src.query_parallel(&q, threads),
-        Ok(src) => src.query(&q),
+    let store = match MpsSource::open_with_options(p, RecoveryMode::Strict, verify) {
+        Ok(src) => Some(src),
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData && p.is_file() => {
             // A store-shaped file that fails to open is corruption,
             // not "try the text parser".
@@ -453,36 +454,50 @@ fn cmd_query(args: &[String]) {
             if head.as_deref().is_some_and(|h| h.starts_with(b"MPSTORE")) {
                 die(&format!("query failed on {path}"), &e);
             }
-            let mut src = load_source(args);
-            src.filtered(&q).map(|(t, s)| (t.events, s))
+            None
         }
-        Err(_) => {
-            // Not a store: scan the parsed text trace through the
-            // same predicate path.
-            let mut src = load_source(args);
-            src.filtered(&q).map(|(t, s)| (t.events, s))
-        }
-    }
-    .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
+        // Not a store: scan the parsed text trace through the same
+        // predicate path.
+        Err(_) => None,
+    };
 
     if args.iter().any(|a| a == "--json") {
         // One JSON object per line, the exact record schema the
         // service's `/v1/query` puts in its `events` array — so
         // `mempersp query --json` and a curl of the server diff clean.
+        // Rows are written as the scan hands their batches over; no
+        // event list is built.
         use std::io::Write;
+        let mut src: Box<dyn TraceSource> = match store {
+            Some(src) => Box::new(src),
+            None => load_source(args),
+        };
         let stdout = std::io::stdout();
         let mut out = std::io::BufWriter::new(stdout.lock());
-        for e in &events {
-            let line = serde_json::to_string(&mempersp_extrae::json::event_to_json(e))
-                .expect("serializing event");
-            writeln!(out, "{line}").unwrap_or_else(|e| die("writing output", &e));
-        }
+        let mut line = String::new();
+        let stats = src
+            .scan_batches(&q, &mut |batch| {
+                for row in batch.rows() {
+                    line.clear();
+                    mempersp_extrae::json::write_row(&mut line, &row);
+                    line.push('\n');
+                    out.write_all(line.as_bytes()).unwrap_or_else(|e| die("writing output", &e));
+                }
+            })
+            .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
         out.flush().unwrap_or_else(|e| die("writing output", &e));
         if args.iter().any(|a| a == "--stats") {
             print_scan_stats(&stats);
         }
         return;
     }
+
+    let (events, stats) = match store {
+        Some(src) if threads > 1 => src.query_parallel(&q, threads),
+        Some(src) => src.query(&q),
+        None => load_source(args).filtered(&q).map(|(t, s)| (t.events, s)),
+    }
+    .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
 
     let mut by_kind = [0u64; EventClass::ALL.len()];
     for e in &events {

@@ -146,6 +146,28 @@ fn convert_round_trip_is_byte_identical_and_queries_work() {
     assert!(text.contains("matching events"), "{text}");
     assert!(text.contains("PEBS"), "{text}");
 
+    // `--json` prints one record per match, the same bytes from either
+    // container (and at any `--threads`) as the `Value`-tree reference.
+    use mempersp_extrae::{json::event_to_json, EventClass, Query};
+    let wanted = Query::all().with_kinds(&[EventClass::Pebs, EventClass::Alloc]);
+    let trace = mempersp_store::open_trace_source(&prv).unwrap().materialize().unwrap();
+    let reference: String = trace
+        .events
+        .iter()
+        .filter(|e| wanted.matches(e))
+        .map(|e| serde_json::to_string(&event_to_json(e)).unwrap() + "\n")
+        .collect();
+    assert!(text.contains(&format!("{} matching events", reference.lines().count())), "{text}");
+    for (container, threads) in [(&prv, "1"), (&mps, "1"), (&mps, "2")] {
+        let out = bin()
+            .args(["query", "--kinds", "PEBS,ALLOC", "--json", "--threads", threads])
+            .arg(container)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), reference, "{container:?} --threads {threads}");
+    }
+
     // Analyses accept the store directly.
     let out = bin().arg("info").arg(&mps).output().unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));

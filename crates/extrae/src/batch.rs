@@ -213,11 +213,12 @@ impl SampleRow<'_> {
         self.c.counters(self.j)
     }
 
+    /// The enclosing regions, outermost first.
     #[inline]
-    fn stack(&self) -> Vec<RegionId> {
+    pub fn stack(&self) -> impl ExactSizeIterator<Item = RegionId> + '_ {
         let off = self.c.cols[STACK_OFF][self.j] as usize;
         let len = self.c.cols[STACK_LEN][self.j] as usize;
-        self.c.cols[STACK][off..off + len].iter().map(|&r| RegionId(r as u32)).collect()
+        self.c.cols[STACK][off..off + len].iter().map(|&r| RegionId(r as u32))
     }
 }
 
@@ -258,7 +259,8 @@ impl PebsRow<'_> {
 }
 
 /// A row of a class folding does not read (Alloc, Free, MuxSwitch,
-/// User); only [`EventBatch::materialize_into`] looks inside.
+/// User); only [`EventBatch::materialize_into`] and the JSON record
+/// writer look inside.
 #[derive(Clone, Copy)]
 pub struct OtherRow<'b> {
     class: EventClass,
@@ -267,8 +269,9 @@ pub struct OtherRow<'b> {
 }
 
 impl OtherRow<'_> {
+    /// The row's payload: `Alloc`, `Free`, `MuxSwitch` or `User`.
     #[inline]
-    fn payload(&self) -> EventPayload {
+    pub fn payload(&self) -> EventPayload {
         let (cols, j) = (self.c.cols, self.j);
         match self.class {
             EventClass::Alloc => {
@@ -360,7 +363,14 @@ impl<'a> EventBatch<'a> {
     /// The selected rows, in row (= trace) order.
     #[inline]
     pub fn rows(&self) -> impl Iterator<Item = Row<'_>> + '_ {
-        self.sel.iter().map(move |&(i, j)| {
+        self.rows_in(0..self.sel.len())
+    }
+
+    /// The selected rows whose rank among the selection falls in
+    /// `range` (which must lie inside `0..self.len()`).
+    #[inline]
+    pub fn rows_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = Row<'_>> + '_ {
+        self.sel[range].iter().map(move |&(i, j)| {
             let i = i as usize;
             let (cycles, core) = (self.cycles[i], self.cores[i] as usize);
             let class = EventClass::ALL[self.tags[i] as usize];
@@ -392,7 +402,7 @@ impl<'a> EventBatch<'a> {
                 RowView::Sample(s) => EventPayload::CounterSample {
                     ip: s.ip(),
                     counters: s.counters(),
-                    stack: s.stack(),
+                    stack: s.stack().collect(),
                 },
                 RowView::Pebs(p) => EventPayload::Pebs { sample: p.sample(), object: p.object() },
                 RowView::Other(o) => o.payload(),

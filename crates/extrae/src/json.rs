@@ -1,11 +1,14 @@
 //! JSON record schema for trace events, queries and scan stats.
 //!
 //! This is the wire format shared by `mempersp query --json` and the
-//! analysis service's `/v1/query` endpoint: both sides serialize
-//! through [`event_to_json`], so a CLI record and a server record for
-//! the same event are **byte-identical** — tests and CI diff them
-//! directly. Key order is fixed (construction order below) and the
-//! writer is deterministic, so equality is textual, not structural.
+//! analysis service's `/v1/query` endpoint: both sides render through
+//! [`write_row`], so a CLI record and a server record for the same
+//! event are **byte-identical** — tests and CI diff them directly.
+//! `write_row` appends a batch row's text straight to the output
+//! buffer; [`event_to_json`] builds the same record as a [`Value`]
+//! tree and is kept as the slow reference the tests (and the
+//! benchmark's render probe) compare against. Key order is fixed and
+//! both are deterministic, so equality is textual, not structural.
 //!
 //! The schema mirrors the text format's `event_record` line: one flat
 //! object per event, `cycles`/`core` first, then a `kind` mnemonic
@@ -13,13 +16,164 @@
 //! the same labels [`EventClass::label`] prints) and the
 //! payload-specific fields.
 
+use crate::batch::{Row, RowView};
 use crate::events::{EventPayload, TraceEvent};
 use crate::objects::ObjectId;
 use crate::query::{EventClass, KindMask, Query};
 use crate::trace_source::ScanStats;
 use serde_json::{json, Value};
+use std::fmt::Write as _;
 
-/// One event as a flat JSON object.
+/// `,"<key>":` — every key after `cycles` follows another member.
+macro_rules! key {
+    ($k:literal) => {
+        concat!(",\"", $k, "\":")
+    };
+}
+
+/// Append one selected batch row to `out` as the flat JSON object of
+/// the record schema: the exact bytes of
+/// `serde_json::to_string(&event_to_json(e))` for the event the row
+/// holds, without building the event or a [`Value`].
+pub fn write_row(out: &mut String, row: &Row<'_>) {
+    out.push_str("{\"cycles\":");
+    push_u64(out, row.cycles);
+    field(out, key!("core"), row.core as u64);
+    match row.view {
+        RowView::Boundary(b) => {
+            push_kind(out, if b.enter { EventClass::RegionEnter } else { EventClass::RegionExit });
+            field(out, key!("region"), u64::from(b.region().0));
+            out.push_str(key!("counters"));
+            push_array(out, b.counters().values().iter().copied());
+        }
+        RowView::Sample(s) => {
+            push_kind(out, EventClass::CounterSample);
+            field(out, key!("ip"), s.ip().0);
+            out.push_str(key!("counters"));
+            push_array(out, s.counters().values().iter().copied());
+            out.push_str(key!("stack"));
+            push_array(out, s.stack().map(|r| u64::from(r.0)));
+        }
+        RowView::Pebs(p) => {
+            let sample = p.sample();
+            push_kind(out, EventClass::Pebs);
+            field(out, key!("ip"), sample.ip);
+            field(out, key!("addr"), sample.addr);
+            field(out, key!("size"), u64::from(sample.size));
+            out.push_str(if sample.is_store { ",\"op\":\"S\"" } else { ",\"op\":\"L\"" });
+            field(out, key!("latency"), u64::from(sample.latency));
+            out.push_str(key!("source"));
+            push_label(out, sample.source.label());
+            out.push_str(if sample.tlb_miss { ",\"tlb_miss\":true" } else { ",\"tlb_miss\":false" });
+            out.push_str(key!("object"));
+            match p.object() {
+                Some(o) => push_u64(out, u64::from(o.0)),
+                None => out.push_str("null"),
+            }
+        }
+        RowView::Other(o) => match o.payload() {
+            EventPayload::Alloc { base, size, callsite } => {
+                push_kind(out, EventClass::Alloc);
+                field(out, key!("base"), base);
+                field(out, key!("size"), size);
+                field(out, key!("callsite"), callsite.0);
+            }
+            EventPayload::Free { base } => {
+                push_kind(out, EventClass::Free);
+                field(out, key!("base"), base);
+            }
+            EventPayload::MuxSwitch { event_index, label } => {
+                push_kind(out, EventClass::MuxSwitch);
+                field(out, key!("event_index"), event_index as u64);
+                out.push_str(key!("label"));
+                escape(out, &label);
+            }
+            EventPayload::User { kind, value } => {
+                push_kind(out, EventClass::User);
+                field(out, key!("user_kind"), u64::from(kind));
+                field(out, key!("value"), value);
+            }
+            other => unreachable!("{} is not an `OtherRow` class", EventClass::of(&other).label()),
+        },
+    }
+    out.push('}');
+}
+
+fn field(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    push_u64(out, v);
+}
+
+fn push_kind(out: &mut String, class: EventClass) {
+    out.push_str(key!("kind"));
+    push_label(out, class.label());
+}
+
+/// A quoted mnemonic that needs no escaping (`PEBS`, `L3`, ...).
+fn push_label(out: &mut String, label: &str) {
+    out.push('"');
+    out.push_str(label);
+    out.push('"');
+}
+
+fn push_array(out: &mut String, vals: impl Iterator<Item = u64>) {
+    out.push('[');
+    for (i, v) in vals.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, v);
+    }
+    out.push(']');
+}
+
+/// Decimal digits of `v`, formatted on the stack.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Append `s` as a JSON string literal with the escapes
+/// `serde_json::to_string` applies: `\"`, `\\`, `\n`, `\r`, `\t`, and
+/// `\u00XX` for the other control characters. Everything else,
+/// multi-byte UTF-8 included, is copied through in runs.
+fn escape(out: &mut String, s: &str) {
+    out.push('"');
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[from..i]);
+        if short.is_empty() {
+            write!(out, "\\u{b:04x}").expect("writing to a String");
+        } else {
+            out.push_str(short);
+        }
+        from = i + 1;
+    }
+    out.push_str(&s[from..]);
+    out.push('"');
+}
+
+/// One event as a flat JSON object: the reference [`write_row`] is
+/// tested against.
 pub fn event_to_json(e: &TraceEvent) -> Value {
     let mut m: Vec<(String, Value)> = vec![
         ("cycles".into(), json!(e.cycles)),
@@ -194,6 +348,17 @@ mod tests {
         TraceEvent { cycles: 123, core: 1, payload }
     }
 
+    /// `e` through the production path: transposed, then written.
+    fn written(e: &TraceEvent) -> String {
+        let mut t = crate::batch::Transposer::default();
+        t.push(e);
+        let mut out = String::new();
+        for row in t.batch().rows() {
+            write_row(&mut out, &row);
+        }
+        out
+    }
+
     #[test]
     fn every_payload_serializes_with_its_mnemonic() {
         let c = CounterSnapshot::from_values([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
@@ -231,14 +396,64 @@ mod tests {
             (EventPayload::User { kind: 7, value: 42 }, "USER"),
         ];
         for (payload, label) in cases {
-            let v = event_to_json(&ev(payload));
+            let e = ev(payload);
+            let v = event_to_json(&e);
             assert_eq!(v["kind"], *label);
             assert_eq!(v["cycles"].as_u64(), Some(123));
             assert_eq!(v["core"].as_u64(), Some(1));
             // Every record must survive a text round trip unchanged.
             let text = serde_json::to_string(&v).unwrap();
             assert_eq!(serde_json::from_str(&text).unwrap(), v);
+            assert_eq!(written(&e), text, "{label}");
         }
+    }
+
+    /// The writer against the reference at the edges of every field.
+    #[test]
+    fn writer_matches_the_reference_at_the_edges() {
+        let max = CounterSnapshot::from_values([u64::MAX; 12]);
+        let pebs = |object| EventPayload::Pebs {
+            sample: PebsSample {
+                timestamp: u64::MAX,
+                core: u32::MAX as usize,
+                ip: u64::MAX,
+                addr: u64::MAX,
+                size: u32::MAX,
+                is_store: false,
+                latency: u32::MAX,
+                source: MemLevel::L1,
+                tlb_miss: false,
+            },
+            object,
+        };
+        let mux = |label: &str| EventPayload::MuxSwitch { event_index: usize::MAX, label: label.into() };
+        let payloads = vec![
+            EventPayload::RegionEnter { region: RegionId(u32::MAX), counters: max },
+            EventPayload::RegionExit { region: RegionId(0), counters: CounterSnapshot::default() },
+            EventPayload::CounterSample { ip: Ip(u64::MAX), counters: max, stack: vec![] },
+            EventPayload::CounterSample {
+                ip: Ip(0),
+                counters: max,
+                stack: (0..64).map(|d| RegionId(u32::MAX - d)).collect(),
+            },
+            pebs(None),
+            pebs(Some(ObjectId(0))),
+            pebs(Some(ObjectId(u32::MAX))),
+            EventPayload::Alloc { base: u64::MAX, size: u64::MAX, callsite: Ip(u64::MAX) },
+            EventPayload::Free { base: 0 },
+            mux(""),
+            mux("say \"hi\" \\ back\\slash"),
+            mux("line\nfeed\rreturn\ttab\u{0}nul\u{1}\u{8}\u{c}\u{1f}\u{7f}"),
+            mux("stores — ω 日本 😀 \u{80}\u{7ff}\u{800}\u{ffff}\u{10ffff}"),
+            mux("\"\\\n"),
+            EventPayload::User { kind: u32::MAX, value: u64::MAX },
+        ];
+        for payload in payloads {
+            let e = TraceEvent { cycles: u64::MAX, core: u32::MAX as usize, payload };
+            assert_eq!(written(&e), serde_json::to_string(&event_to_json(&e)).unwrap());
+        }
+        let zero = TraceEvent { cycles: 0, core: 0, payload: EventPayload::User { kind: 0, value: 0 } };
+        assert_eq!(written(&zero), r#"{"cycles":0,"core":0,"kind":"USER","user_kind":0,"value":0}"#);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for the monitoring runtime.
 
-use mempersp_extrae::events::{EventPayload, TraceEvent};
+use mempersp_extrae::batch::transpose_batches;
+use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
+use mempersp_extrae::json::{event_to_json, write_row};
+use mempersp_extrae::source::Ip;
 use mempersp_extrae::trace_format::{parse_trace, write_trace};
-use mempersp_extrae::{CodeLocation, SimAllocator, Tracer, TracerConfig};
+use mempersp_extrae::{CodeLocation, ObjectId, SimAllocator, Tracer, TracerConfig};
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::{CounterSnapshot, PebsSample};
 use proptest::prelude::*;
@@ -16,7 +19,84 @@ fn arb_level() -> impl Strategy<Value = MemLevel> {
     ]
 }
 
+/// Mux labels over the whole escaping surface: control characters,
+/// quotes and backslashes, and 1- to 4-byte UTF-8.
+fn arb_label() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        0u32..0x20,
+        Just(u32::from('"')),
+        Just(u32::from('\\')),
+        0x20u32..0x80,
+        0x80u32..0x800,
+        0x800u32..0xD800,
+        0x1_0000u32..0x11_0000,
+    ];
+    prop::collection::vec(ch, 0..24)
+        .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// One event of class `class % 8`, its fields drawn from `v`.
+fn arb_event() -> impl Strategy<Value = TraceEvent> {
+    (
+        (0u8..8, any::<u64>(), 0usize..=u32::MAX as usize),
+        prop::collection::vec(any::<u64>(), 12..13),
+        prop::collection::vec(any::<u32>(), 0..40),
+        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<bool>(), any::<bool>()),
+        (arb_level(), any::<bool>(), arb_label()),
+    )
+        .prop_map(|((class, cycles, core), counters, stack, (a, b, c, d, p, q), (source, has, label))| {
+            let counters = CounterSnapshot::from_values(counters.try_into().expect("12 counters"));
+            let payload = match class {
+                0 => EventPayload::RegionEnter { region: RegionId(c), counters },
+                1 => EventPayload::RegionExit { region: RegionId(c), counters },
+                2 => EventPayload::CounterSample {
+                    ip: Ip(a),
+                    counters,
+                    stack: stack.into_iter().map(RegionId).collect(),
+                },
+                3 => EventPayload::Pebs {
+                    sample: PebsSample {
+                        timestamp: cycles,
+                        core,
+                        ip: a,
+                        addr: b,
+                        size: c,
+                        is_store: p,
+                        latency: d,
+                        source,
+                        tlb_miss: q,
+                    },
+                    object: has.then_some(ObjectId(d)),
+                },
+                4 => EventPayload::Alloc { base: a, size: b, callsite: Ip(u64::from(c)) },
+                5 => EventPayload::Free { base: a },
+                6 => EventPayload::MuxSwitch { event_index: b as usize, label },
+                _ => EventPayload::User { kind: c, value: b },
+            };
+            TraceEvent { cycles, core, payload }
+        })
+}
+
 proptest! {
+    /// The append-only record writer emits, for any event mix, the
+    /// bytes of the `Value`-tree reference.
+    #[test]
+    fn json_writer_equals_the_value_tree_reference(
+        events in prop::collection::vec(arb_event(), 1..40),
+    ) {
+        let mut got = Vec::new();
+        transpose_batches(&events, &mut |batch| {
+            got.extend(batch.rows().map(|row| {
+                let mut line = String::new();
+                write_row(&mut line, &row);
+                line
+            }));
+        });
+        let want: Vec<String> =
+            events.iter().map(|e| serde_json::to_string(&event_to_json(e)).unwrap()).collect();
+        prop_assert_eq!(got, want);
+    }
+
     /// Live allocations never overlap, whatever the malloc/free mix.
     #[test]
     fn allocations_never_overlap(

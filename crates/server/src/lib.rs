@@ -265,13 +265,14 @@ fn serve_connection(mut stream: TcpStream, app: &Arc<App>) {
         ),
     };
 
-    let status = resp.status;
     let bytes = http::write_response(&mut stream, &resp).unwrap_or(0);
     let _ = stream.flush();
+    // The request's latency ends with its last response byte: how long
+    // the peer then takes to close its socket is not the service's time.
+    app.metrics.record(endpoint, resp.status, start.elapsed(), bytes);
     // Error responses can be written before the request was consumed in
     // full (parse failures, oversized bodies); see close_gracefully.
     close_gracefully(stream);
-    app.metrics.record(endpoint, status, start.elapsed(), bytes);
 }
 
 // ---- blocking front-end (the `mempersp serve` verb) ----------------
@@ -392,6 +393,55 @@ mod tests {
             // must then fail or return EOF immediately.
             true
         });
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A client that reads its answer and then sits on the open socket
+    /// must not have that wait counted as request latency.
+    #[test]
+    fn latency_excludes_the_peers_time_to_close() {
+        let root = tmp_repo("linger");
+        let cfg = ServerConfig {
+            root: root.clone(),
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = start(&cfg).unwrap();
+        let linger = Duration::from_millis(300);
+
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        write!(s, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        // The server half-closes after the response, so this returns
+        // while our side of the connection is still open.
+        s.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        std::thread::sleep(linger);
+        drop(s);
+
+        // The worker releases its slot only once the peer has closed
+        // (or the drain timed out), i.e. after the linger.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.app().metrics.inflight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(POLL_INTERVAL);
+        }
+        assert_eq!(handle.app().metrics.request_count("/healthz", 200), 1);
+        let text = handle.app().metrics.render(
+            handle.app().started,
+            handle.app().repo.cache_stats(),
+            handle.app().memo.stats(),
+        );
+        let sum: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("mempersp_request_latency_seconds_sum{endpoint=\"/healthz\"} "))
+            .expect("latency sum for /healthz")
+            .parse()
+            .unwrap();
+        assert!(sum < linger.as_secs_f64() / 2.0, "latency {sum}s includes the client's linger");
+
+        handle.shutdown();
+        handle.join();
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -18,7 +18,9 @@
 //! Fold responses are memoized by content digest; a repeat fold is
 //! answered from the memo with the *byte-identical* body and an
 //! `X-Memo: hit` header (the hit marker lives in a header precisely
-//! so memoization can never change a body).
+//! so memoization can never change a body). Query and fold answers
+//! say where their time went the same way:
+//! `Server-Timing: scan;dur=<ms>, render;dur=<ms>`.
 
 use std::io;
 use std::path::Path;
@@ -26,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mempersp_extrae::json::{event_to_json, query_from_json, query_to_json, scan_stats_to_json};
+use mempersp_extrae::json::{query_from_json, query_to_json, scan_stats_to_json, write_row};
 use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::Query;
 use mempersp_folding::{
@@ -277,33 +279,68 @@ fn handle_query(app: &App, req: &Request) -> Response {
         Err(e) => return io_error_response(app, Some(&name), None, &e),
     };
 
+    // The sink counts every match but renders only the rows ranked
+    // `offset..end` among them, straight from the batch's columns.
+    let end = offset.saturating_add(limit.unwrap_or(usize::MAX));
+    let (mut total, mut returned) = (0usize, 0usize);
+    let mut events = String::new();
+    let mut render = Duration::ZERO;
     let cancel = app.cancel_token();
-    let (events, stats) = match src.query_cancel(&query, &cancel) {
-        Ok(r) => r,
+    let started = Instant::now();
+    let scanned = src.scan_batches_cancel(&query, &cancel, &mut |batch| {
+        let first = total;
+        total += batch.len();
+        let lo = offset.saturating_sub(first).min(batch.len());
+        let hi = end.saturating_sub(first).min(batch.len());
+        if lo < hi {
+            let t = Instant::now();
+            for row in batch.rows_in(lo..hi) {
+                if returned > 0 {
+                    events.push(',');
+                }
+                write_row(&mut events, &row);
+                returned += 1;
+            }
+            render += t.elapsed();
+        }
+    });
+    let scan = started.elapsed().saturating_sub(render);
+    // A scan that failed part-way (deadline, corrupt chunk) answers
+    // with the error alone; the rows rendered so far are dropped.
+    let stats = match scanned {
+        Ok(s) => s,
         Err(e) => return io_error_response(app, Some(&name), Some(&src), &e),
     };
 
-    let total = events.len();
-    let window: Vec<Value> = events
-        .iter()
-        .skip(offset)
-        .take(limit.unwrap_or(usize::MAX))
-        .map(event_to_json)
-        .collect();
-    let returned = window.len();
+    let t = Instant::now();
     // Echo the *normalized* query (what actually ran) so clients can
     // diff their intent against the server's interpretation.
-    let body = json!({
+    let head = json!({
         "trace": name,
         "query": query_to_json(&query),
         "total_matched": total,
         "offset": offset,
         "limit": match limit { Some(n) => json!(n), None => Value::Null },
         "returned": returned,
-        "events": Value::Array(window),
-        "stats": scan_stats_to_json(&stats),
     });
-    Response::json(200, to_string(&body).unwrap())
+    let stats = to_string(&scan_stats_to_json(&stats)).unwrap();
+    let mut body = to_string(&head).unwrap();
+    body.pop(); // reopen the object: "events" and "stats" follow
+    body.reserve(events.len() + stats.len() + 32);
+    body.push_str(",\"events\":[");
+    body.push_str(&events);
+    body.push_str("],\"stats\":");
+    body.push_str(&stats);
+    body.push('}');
+    render += t.elapsed();
+    Response::json(200, body).with_header("Server-Timing", &server_timing(scan, render))
+}
+
+/// The `Server-Timing` value of a query or fold: time spent producing
+/// the result from the store, then time spent rendering it as JSON.
+fn server_timing(scan: Duration, render: Duration) -> String {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    format!("scan;dur={:.3}, render;dur={:.3}", ms(scan), ms(render))
 }
 
 fn fit_from_str(s: &str) -> Result<FitModel, Response> {
@@ -443,12 +480,16 @@ fn handle_fold(app: &App, req: &Request) -> Response {
     key.write_u64(points as u64);
     let digest = key.finish();
     if let Some(body) = app.memo.get(digest) {
-        return Response::json(200, (*body).clone()).with_header("X-Memo", "hit");
+        return Response::json(200, (*body).clone())
+            .with_header("X-Memo", "hit")
+            .with_header("Server-Timing", &server_timing(Duration::ZERO, Duration::ZERO));
     }
 
     let cancel = app.cancel_token();
     let mut csrc = CancellableSource::new(&src, &cancel);
+    let started = Instant::now();
     let outcome = fold_regions_source(&mut csrc, &requests, threads);
+    let scan = started.elapsed();
     let last_kind = csrc.last_err_kind();
     let (folded, stats) = match outcome {
         Ok(r) => r,
@@ -466,6 +507,7 @@ fn handle_fold(app: &App, req: &Request) -> Response {
         }
     };
 
+    let started = Instant::now();
     let regions_json: Vec<Value> = requests
         .iter()
         .zip(&folded)
@@ -482,7 +524,9 @@ fn handle_fold(app: &App, req: &Request) -> Response {
     });
     let text = Arc::new(to_string(&body).unwrap());
     app.memo.insert(digest, Arc::clone(&text));
-    Response::json(200, (*text).clone()).with_header("X-Memo", "miss")
+    Response::json(200, (*text).clone())
+        .with_header("X-Memo", "miss")
+        .with_header("Server-Timing", &server_timing(scan, started.elapsed()))
 }
 
 #[cfg(test)]

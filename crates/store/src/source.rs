@@ -107,19 +107,6 @@ impl MpsSource {
         }
     }
 
-    /// [`MpsSource::query`] with a cancellation token checked at every
-    /// chunk boundary.
-    pub fn query_cancel(
-        &self,
-        q: &Query,
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        match &self.inner {
-            Inner::Single(r) => r.query_cancel(q, cancel),
-            Inner::Sharded(s) => s.query_cancel(q, cancel),
-        }
-    }
-
     /// Scan the store for `q`, handing `sink` one column batch per
     /// surviving chunk in stored order; `cancel` is checked at every
     /// chunk boundary.

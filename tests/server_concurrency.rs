@@ -5,15 +5,19 @@
 //!
 //! * concurrent clients mixing `/v1/traces`, `/v1/query` and
 //!   `/v1/fold` get answers **byte-identical** to the batch path
-//!   (the same `MpsSource` query + `event_to_json` schema the
-//!   `mempersp query --json` CLI emits);
+//!   (an `MpsSource` query rendered through the `event_to_json`
+//!   reference of the schema `mempersp query --json` emits);
+//! * `offset`/`limit` pages are windows over that same answer, byte
+//!   for byte, wherever the window falls relative to chunks and shards;
 //! * a repeated fold is answered from the memo (`X-Memo: hit`) with a
 //!   byte-identical body;
 //! * a corrupt store yields `502` plus a damage summary — the server
 //!   must survive, never panic;
 //! * overload yields `429` at admission, and the slot is reusable
 //!   after the hogging client goes away;
-//! * an expired deadline yields `503`.
+//! * an expired deadline yields `503`, and a scan that fails part-way
+//!   never yields a truncated `events` array;
+//! * `Server-Timing` splits a request's time into scan and render.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,11 +28,14 @@ use mempersp::core::{Machine, MachineConfig};
 use mempersp::extrae::json::{event_to_json, query_from_json};
 use mempersp::hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp::server::{start, ServerConfig};
-use mempersp::store::{write_store_chunked, MpsSource, RecoveryMode};
+use mempersp::store::{write_store_chunked, write_store_sharded, MpsSource, RecoveryMode};
 use mempersp::workloads::StreamTriad;
 
-/// One shared repository: an HPCG store, a STREAM store, and a
-/// deliberately corrupted copy of the HPCG store.
+/// Events per shard of `hpcg.mps.d`; not a multiple of [`PAGE`].
+const SHARD_EVENTS: u64 = 2500;
+
+/// One shared repository: an HPCG store (flat and sharded), a STREAM
+/// store, and a deliberately corrupted copy of the HPCG store.
 fn repo() -> &'static PathBuf {
     static CELL: OnceLock<PathBuf> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -47,6 +54,7 @@ fn repo() -> &'static PathBuf {
         });
         let hpcg = Machine::new(mcfg).run(&mut w);
         write_store_chunked(&dir.join("hpcg.mps"), &hpcg.trace, 8 * 1024).unwrap();
+        write_store_sharded(&dir.join("hpcg.mps.d"), &hpcg.trace, 8 * 1024, 1, SHARD_EVENTS).unwrap();
 
         let stream = Machine::new(MachineConfig::small()).run(&mut StreamTriad::new(1 << 13, 3));
         write_store_chunked(&dir.join("stream.mps"), &stream.trace, 8 * 1024).unwrap();
@@ -55,6 +63,16 @@ fn repo() -> &'static PathBuf {
         // region (far enough from the end to sit in a payload).
         std::fs::copy(dir.join("hpcg.mps"), dir.join("bad.mps")).unwrap();
         mempersp::server::repo::flip_byte_for_tests(&dir.join("bad.mps"), 2000).unwrap();
+
+        // And one that opens clean and scans clean up to a late chunk:
+        // the flipped byte sits in the middle of that chunk's payload.
+        let flat = MpsSource::open(&dir.join("hpcg.mps")).unwrap();
+        let chunks = flat.reader().unwrap().chunks();
+        let victim = &chunks[chunks.len() * 2 / 3];
+        let from_end = std::fs::metadata(dir.join("hpcg.mps")).unwrap().len()
+            - (victim.offset + u64::from(victim.stored_len) / 2);
+        std::fs::copy(dir.join("hpcg.mps"), dir.join("late.mps")).unwrap();
+        mempersp::server::repo::flip_byte_for_tests(&dir.join("late.mps"), from_end).unwrap();
         dir
     })
 }
@@ -132,6 +150,37 @@ fn response_events(body: &str) -> Vec<String> {
         .collect()
 }
 
+/// The text between the brackets of the response's `events` array,
+/// exactly as it came off the socket.
+fn events_text(body: &str) -> &str {
+    let open = "\"events\":[";
+    let at = body.find(open).unwrap_or_else(|| panic!("no events array in {body}")) + open.len();
+    let end = body.rfind("],\"stats\":").expect("stats follow the events");
+    &body[at..end]
+}
+
+fn field(body: &str, key: &str) -> u64 {
+    let v = serde_json::from_str(body).unwrap();
+    v.get(key).and_then(|x| x.as_u64()).unwrap_or_else(|| panic!("no {key} in {body}"))
+}
+
+/// `(scan, render)` milliseconds of a `Server-Timing` header.
+fn server_timing(head: &str) -> (f64, f64) {
+    let value = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Server-Timing: "))
+        .unwrap_or_else(|| panic!("no Server-Timing header in {head}"));
+    let dur = |metric: &str| -> f64 {
+        value
+            .split(", ")
+            .find_map(|m| m.strip_prefix(metric)?.strip_prefix(";dur="))
+            .unwrap_or_else(|| panic!("no {metric} in {value:?}"))
+            .parse()
+            .unwrap()
+    };
+    (dur("scan"), dur("render"))
+}
+
 #[test]
 fn concurrent_clients_match_the_batch_path() {
     let handle = launch(16, 4, 30_000);
@@ -179,6 +228,125 @@ fn concurrent_clients_match_the_batch_path() {
     assert_eq!(page, all[5..12].to_vec());
     let v = serde_json::from_str(&body).unwrap();
     assert_eq!(v.get("total_matched").and_then(|x| x.as_u64()), Some(all.len() as u64));
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Rows per page below: more than any chunk holds, so every page ends
+/// in a later chunk than it starts in.
+const PAGE: usize = 700;
+
+#[test]
+fn pages_concatenate_to_the_unpaginated_answer_byte_for_byte() {
+    let handle = launch(8, 2, 30_000);
+    let addr = handle.addr();
+
+    // The flat store's chunking, to show the windows really do start
+    // inside one chunk and end in another (the sharded store uses the
+    // same chunk target and also cuts at every shard end).
+    let flat = MpsSource::open(&repo().join("hpcg.mps")).unwrap();
+    let chunks: Vec<usize> =
+        flat.reader().unwrap().chunks().iter().map(|c| c.events as usize).collect();
+    assert!(chunks.iter().all(|&n| n < PAGE), "a chunk holds a whole page: {chunks:?}");
+    let starts: Vec<usize> = chunks.iter().scan(0, |at, n| Some(std::mem::replace(at, *at + n))).collect();
+    assert!(!starts.contains(&PAGE), "the second page starts on a chunk boundary");
+    assert!(MpsSource::open(&repo().join("hpcg.mps.d")).unwrap().num_shards() > 2);
+
+    for store in ["hpcg.mps", "hpcg.mps.d"] {
+        for qjson in [r#"{}"#, r#"{"kinds":["PEBS","SAMP","ALLOC","FREE","MUX"]}"#] {
+            let want = reference_events(store, qjson);
+            assert!(want.len() > 3 * PAGE, "{store} {qjson}: only {} matches", want.len());
+            let req = format!("{{\"trace\":\"{store}\",\"query\":{qjson}}}");
+            let (status, _, whole) = http(addr, "POST", "/v1/query", Some(&req));
+            assert_eq!(status, 200, "{whole}");
+            assert_eq!(events_text(&whole), want.join(","), "{store} {qjson}");
+            assert_eq!(field(&whole, "total_matched"), want.len() as u64);
+            assert_eq!(field(&whole, "returned"), want.len() as u64);
+
+            let mut pages = Vec::new();
+            for offset in (0..want.len()).step_by(PAGE) {
+                let req = format!(
+                    "{{\"trace\":\"{store}\",\"query\":{qjson},\"offset\":{offset},\"limit\":{PAGE}}}"
+                );
+                let (status, _, body) = http(addr, "POST", "/v1/query", Some(&req));
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(field(&body, "total_matched"), want.len() as u64);
+                assert_eq!(field(&body, "returned"), PAGE.min(want.len() - offset) as u64);
+                pages.push(events_text(&body).to_string());
+            }
+            assert_eq!(pages.join(","), events_text(&whole), "{store} {qjson}");
+        }
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// `offset`/`limit` saturate: every corner is a `200` whose window is
+/// the slice `skip(offset).take(limit)` would give.
+#[test]
+fn offset_and_limit_saturate() {
+    let handle = launch(8, 2, 30_000);
+    let addr = handle.addr();
+    let qjson = r#"{"kinds":["ENTER","EXIT"]}"#;
+    let all = reference_events("hpcg.mps", qjson);
+    let n = all.len();
+    let max = usize::MAX;
+
+    let cases: Vec<(String, std::ops::Range<usize>)> = vec![
+        (String::new(), 0..n),
+        (r#","offset":5"#.into(), 5..n),
+        (r#","limit":0"#.into(), 0..0),
+        (r#","offset":5,"limit":0"#.into(), 0..0),
+        (format!(r#","offset":{}"#, n - 1), n - 1..n),
+        (format!(r#","offset":{n}"#), 0..0),
+        (format!(r#","offset":{},"limit":3"#, n + 10), 0..0),
+        (format!(r#","offset":3,"limit":{max}"#), 3..n),
+        (format!(r#","offset":{max},"limit":{max}"#), 0..0),
+        (format!(r#","offset":{},"limit":{max}"#, max - 1), 0..0),
+        (format!(r#","limit":{}"#, n + 1), 0..n),
+    ];
+    for (window, range) in cases {
+        let req = format!("{{\"trace\":\"hpcg.mps\",\"query\":{qjson}{window}}}");
+        let (status, _, body) = http(addr, "POST", "/v1/query", Some(&req));
+        assert_eq!(status, 200, "{req}: {body}");
+        assert_eq!(field(&body, "total_matched"), n as u64, "{req}");
+        assert_eq!(field(&body, "returned"), range.len() as u64, "{req}");
+        assert_eq!(events_text(&body), all[range].join(","), "{req}");
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// `Server-Timing` carries a scan and a render duration that fit
+/// inside the request's wall time as the client saw it.
+#[test]
+fn server_timing_splits_scan_and_render() {
+    let handle = launch(8, 2, 60_000);
+    let addr = handle.addr();
+    let fold = r#"{"trace":"hpcg.mps","points":24}"#;
+    for (path, body, memo) in [
+        ("/v1/query", r#"{"trace":"hpcg.mps","limit":500}"#, None),
+        ("/v1/fold", fold, Some("X-Memo: miss")),
+        ("/v1/fold", fold, Some("X-Memo: hit")),
+    ] {
+        let sent = std::time::Instant::now();
+        let (status, head, _) = http(addr, "POST", path, Some(body));
+        let wall_ms = sent.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(status, 200);
+        let (scan, render) = server_timing(&head);
+        assert!(scan >= 0.0 && render >= 0.0, "{head}");
+        assert!(scan + render <= wall_ms, "{path}: {scan} + {render} ms of a {wall_ms} ms request");
+        match memo {
+            Some(marker) => assert!(head.contains(marker), "{head}"),
+            None => assert!(scan > 0.0 && render > 0.0, "a query scans and renders: {head}"),
+        }
+        if memo == Some("X-Memo: hit") {
+            assert_eq!((scan, render), (0.0, 0.0), "a memo hit does neither");
+        }
+    }
 
     handle.shutdown();
     handle.join();
@@ -243,6 +411,22 @@ fn corrupt_store_is_502_with_damage_summary_and_server_survives() {
     assert_eq!(status, 502, "{body}");
     assert!(body.contains("damage"), "{body}");
     assert!(body.contains("error"), "{body}");
+
+    // `late.mps` is damaged two thirds in: the chunks before that scan
+    // clean, so a full scan fails *after* rows were rendered. The
+    // answer is the error JSON alone, not an `events` array cut short.
+    let early = r#"{"trace":"late.mps","query":{"time":[0,1000]}}"#;
+    let (status, _, body) = http(addr, "POST", "/v1/query", Some(early));
+    assert_eq!(status, 200, "{body}");
+    assert!(field(&body, "returned") > 0, "{body}");
+    for window in ["", r#","limit":10"#, r#","offset":100,"limit":10"#] {
+        let req = format!("{{\"trace\":\"late.mps\"{window}}}");
+        let (status, _, body) = http(addr, "POST", "/v1/query", Some(&req));
+        assert_eq!(status, 502, "{body}");
+        let v = serde_json::from_str(&body).unwrap();
+        assert!(v.get("error").is_some() && v.get("damage").is_some(), "{body}");
+        assert_eq!(v.as_object().unwrap().len(), 2, "{body}");
+    }
 
     // Folding the damaged store must degrade the same way.
     let (status, _, body) = http(addr, "POST", "/v1/fold", Some(r#"{"trace":"bad.mps"}"#));
@@ -329,6 +513,34 @@ fn expired_deadline_is_503() {
     };
     let (_, resp) = handle(&app, &fold);
     assert_eq!(resp.status, 503, "{}", String::from_utf8_lossy(&resp.body));
+
+    // Deadlines that expire somewhere *inside* the scan: sweep the
+    // budget from nothing to twice an unhurried scan. Wherever it
+    // lands, the answer is the whole page or the error, never a part.
+    let unhurried = App::new(repo(), None, 4).unwrap();
+    let started = std::time::Instant::now();
+    let (_, whole) = handle(&unhurried, &req);
+    let scan = started.elapsed();
+    assert_eq!(whole.status, 200);
+    let whole = String::from_utf8(whole.body).unwrap();
+    let mut timed_out = 0;
+    for step in 0..=80u32 {
+        let app = App::new(repo(), Some(scan * step / 40), 4).unwrap();
+        let (_, resp) = handle(&app, &req);
+        let body = String::from_utf8(resp.body).unwrap();
+        match resp.status {
+            200 => {
+                assert_eq!(events_text(&body), events_text(&whole), "budget {step}/40 of a scan")
+            }
+            503 => {
+                let v = serde_json::from_str(&body).unwrap();
+                assert!(v.get("error").is_some() && v.as_object().unwrap().len() == 1, "{body}");
+                timed_out += 1;
+            }
+            other => panic!("budget {step}/40 of a scan answered {other}: {body}"),
+        }
+    }
+    assert!(timed_out > 0, "a zero budget must time out");
 }
 
 #[test]
