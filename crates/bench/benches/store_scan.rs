@@ -18,8 +18,8 @@
 //!   asserted to exceed `PARALLEL_MIN_CHUNKS`, so the fan-out path —
 //!   not the small-trace fallback — is what's measured);
 //! * `mps_cold_scan_noverify` — the same cold scan with per-chunk
-//!   CRC32C verification disabled (`set_verify(false)`, the `query
-//!   --no-verify` escape hatch). The gap between this and
+//!   CRC32C verification disabled (opened with `verify = false`, the
+//!   `query --no-verify` escape hatch). The gap between this and
 //!   `mps_cold_scan` is the price of the durability checksums,
 //!   asserted < 30% on capable hosts (the scan is fast enough that a
 //!   one-pass CRC over the candidate bytes is a visible fraction of
@@ -44,7 +44,9 @@ use mempersp_bench::gentrace::{generate, GenConfig};
 use mempersp_bench::{cross_thread_speedup, host_cpus, host_info};
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_format::{load_trace, save_trace};
-use mempersp_store::{write_store_with, StoreReader, DEFAULT_CHUNK_BYTES, PARALLEL_MIN_CHUNKS};
+use mempersp_store::{
+    write_store_with, MpsSource, RecoveryMode, StoreReader, DEFAULT_CHUNK_BYTES, PARALLEL_MIN_CHUNKS,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -135,7 +137,7 @@ fn main() {
     });
 
     let parallel = best_of(TRIALS, || {
-        let reader = StoreReader::open(&mps).expect("open");
+        let reader = MpsSource::open(&mps).expect("open");
         let t = Instant::now();
         let (events, _) = reader.query_parallel(&q, 4).expect("query");
         let m = Measure {
@@ -148,8 +150,8 @@ fn main() {
     });
 
     let no_verify = best_of(TRIALS, || {
-        let mut reader = StoreReader::open(&mps).expect("open");
-        reader.set_verify(false);
+        let reader =
+            StoreReader::open_with_options(&mps, RecoveryMode::Strict, false).expect("open");
         let t = Instant::now();
         let (events, _) = reader.query(&q).expect("query");
         let m = Measure {

@@ -38,7 +38,7 @@ use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{Trace, Workload};
 use mempersp_folding::{fold_region_source, fold_regions_source, FoldingConfig, RegionRequest};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
-use mempersp_store::{open_trace_source, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
+use mempersp_store::{open_trace_source, sniff_store, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
 use mempersp_workloads::{PointerChase, Stencil7, StreamTriad, TiledMatmul};
 use std::process::exit;
 
@@ -445,21 +445,17 @@ fn cmd_query(args: &[String]) {
 
     let p = std::path::Path::new(&path);
     let verify = !args.iter().any(|a| a == "--no-verify");
-    let store = match MpsSource::open_with_options(p, RecoveryMode::Strict, verify) {
-        Ok(src) => Some(src),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData && p.is_file() => {
-            // A store-shaped file that fails to open is corruption,
-            // not "try the text parser".
-            let head = std::fs::read(p).ok().filter(|b| b.len() >= 8).map(|b| b[..8].to_vec());
-            if head.as_deref().is_some_and(|h| h.starts_with(b"MPSTORE")) {
-                die(&format!("query failed on {path}"), &e);
-            }
-            None
-        }
-        // Not a store: scan the parsed text trace through the same
-        // predicate path.
-        Err(_) => None,
-    };
+    // A store-shaped path that fails to open is corruption, not "try
+    // the text parser"; anything else (an unreadable path included,
+    // which `load_source` reports) scans the parsed text trace through
+    // the same predicate path.
+    let store = sniff_store(p).unwrap_or(false).then(|| {
+        MpsSource::open_with_options(p, RecoveryMode::Strict, verify).unwrap_or_else(|e| {
+            // The wording each container has always had.
+            let what = if p.is_dir() { "cannot open" } else { "query failed on" };
+            die(&format!("{what} {path}"), &e)
+        })
+    });
 
     if args.iter().any(|a| a == "--json") {
         // One JSON object per line, the exact record schema the

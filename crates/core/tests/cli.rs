@@ -211,6 +211,62 @@ fn removed_format_flag_and_old_stores_fail_loudly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `query` sniffs eight bytes to pick the store or the text reader;
+/// what it then cannot open is reported in the words and with the exit
+/// code each case has always had (2 = corruption, 1 = IO).
+#[test]
+fn query_names_what_it_cannot_open() {
+    let dir = tmpdir("query_names_what_it_cannot_open");
+    let good = dir.join("good.mps");
+    let out =
+        bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&good).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let store = std::fs::read(&good).unwrap();
+
+    // A v4 store whose footer index took a bit flip.
+    let footer = dir.join("footer.mps");
+    let mut bytes = store.clone();
+    let at = bytes.len() - 40;
+    bytes[at] ^= 0x01;
+    std::fs::write(&footer, &bytes).unwrap();
+    // A store of an earlier format.
+    let v3 = dir.join("v3.mps");
+    bytes = store;
+    bytes[7] = b'3';
+    std::fs::write(&v3, &bytes).unwrap();
+    // A directory that is not a shard directory.
+    let bare_dir = dir.join("bare.mps.d");
+    std::fs::create_dir_all(&bare_dir).unwrap();
+    // Too short to carry a magic: falls to the text parser.
+    let short = dir.join("short.mps");
+    std::fs::write(&short, b"MPSTO").unwrap();
+    let missing = dir.join("missing.mps");
+
+    let show = |p: &std::path::Path| p.display().to_string();
+    let cases = [
+        (&footer, 2, format!("query failed on {0}: {0}: footer index checksum", show(&footer))),
+        (&v3, 2, format!("query failed on {0}: {0}: store format v3 is no longer", show(&v3))),
+        (&bare_dir, 1, format!("cannot open {}: Is a directory (os error 21)\n", show(&bare_dir))),
+        (&short, 2, format!("cannot open {}: trace parse error at line 1: bad header", show(&short))),
+        (&missing, 1, format!("cannot open {0}: opening trace {0}: No such file or", show(&missing))),
+    ];
+    for (path, code, message) in cases {
+        for json in [false, true] {
+            let mut cmd = bin();
+            cmd.arg("query").arg(path);
+            if json {
+                cmd.arg("--json");
+            }
+            let out = cmd.output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{}: {stderr}", path.display());
+            assert!(stderr.starts_with(&message), "{}: {stderr}", path.display());
+            assert!(out.stdout.is_empty(), "{}", path.display());
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn query_time_window_prunes_chunks_on_a_store() {
     let dir = tmpdir("query_time_window_prunes_chunks_on_a_store");

@@ -7,7 +7,7 @@
 //! *source-line* panel; timer samples contribute to the source-line
 //! and *performance* panels.
 //!
-//! Pooling is **single-pass and multi-region**: the [`Pooler`] column
+//! Pooling is **single-pass and multi-region**: the `Pooler` column
 //! kernel is fed the trace's sample rows once, batch by batch, and
 //! dispatches every sample into the accumulators of all regions whose
 //! instances contain it. Counter points are stored as

@@ -51,8 +51,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Element-wise sum, for aggregating shards of a [`ShardedReader`]
-    /// or every store in a repository.
+    /// Element-wise sum, for aggregating the shards of a store or
+    /// every store in a repository.
     pub fn merged(self, other: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,

@@ -159,7 +159,7 @@ pub struct ChunkMeta {
     pub core_mask: u64,
     /// Bitmap of the [`EventClass`]es present.
     pub kind_mask: KindMask,
-    /// Range of resolved [`ObjectId`]s among PEBS samples;
+    /// Range of resolved [`ObjectId`](mempersp_extrae::ObjectId)s among PEBS samples;
     /// [`NO_OBJECTS`] when the chunk has none.
     pub obj_lo: u32,
     pub obj_hi: u32,

@@ -2,7 +2,7 @@
 //!
 //! The writer talks to its backing file through the [`StoreFile`]
 //! trait, so tests can slide a [`FailingFile`] underneath a real
-//! [`StoreWriter`] and make the *exact same* code path that production
+//! [`StoreWriter`](crate::writer::StoreWriter) and make the *exact same* code path that production
 //! runs hit an `ENOSPC` on the 7th write, a failed fsync, a short
 //! write, or a torn write that stops mid-buffer at byte offset `k`
 //! (what a `kill -9` or power loss leaves behind). Everything is

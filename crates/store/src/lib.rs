@@ -21,18 +21,53 @@
 //!   `StreamWriter` run can tee a binary store next to its text trace.
 //! - [`chunk`] — the per-chunk [`chunk::ChunkMeta`] footer entry:
 //!   time range, core bitmap, event-kind bitmap, object-id range.
-//! - [`reader`] — [`reader::StoreReader`] `mmap`s the file
+//! - [`reader`] — [`reader::StoreReader`] `mmap`s one file
 //!   ([`mmap`]) and answers `mempersp_extrae::query::Query`s by
 //!   pruning chunks against the footer (predicate pushdown), decoding
 //!   survivors zero-copy from the mapping (raw chunks) or through the
-//!   sharded byte-block [`cache`] (LZ chunks), optionally in parallel.
+//!   sharded byte-block [`cache`] (LZ chunks).
 //! - [`shard`] — one logical trace spread over
-//!   `trace.mps.d/shard-NNNN.mps` files behind a manifest; queries
-//!   fan out across shards.
-//! - [`source`] — [`source::MpsSource`] plugs single-file and sharded
-//!   stores into the `TraceSource` trait;
-//!   [`source::open_trace_source`] sniffs the path and serves `.prv`
-//!   text the same way.
+//!   `trace.mps.d/shard-NNNN.mps` files behind a manifest: the writer
+//!   and the manifest.
+//! - [`source`] — [`source::MpsSource`], a store opened for reading:
+//!   the list of its files (one for a `.mps`, the shards of a
+//!   `.mps.d`) behind one API and the `TraceSource` trait, with the
+//!   parallel scan; [`source::open_trace_source`] sniffs the path and
+//!   serves `.prv` text the same way.
+//!
+//! # Reading a store
+//!
+//! The whole read surface, for a file ([`StoreReader`]) and for a
+//! store ([`MpsSource`]) alike:
+//!
+//! - **two opens** — `open(path)` (strict, checksums verified) and
+//!   `open_with_options(path, mode, verify)`. The [`RecoveryMode`] and
+//!   whether payload CRCs are verified are fixed for the life of the
+//!   reader; the block cache has one size. [`open_trace_source`] opens
+//!   any container ([`sniff_store`] tells a store from a `.prv`).
+//! - **one scan** — `scan_batches_cancel(&Query, &CancelToken, sink)`
+//!   hands the sink one column batch per surviving chunk, in stored
+//!   order, checking the token at every chunk boundary.
+//! - **rows on top of it** — `query` materializes the matches,
+//!   `materialize` the whole trace ([`StoreReader::materialize`], or
+//!   `TraceSource::materialize`/`filtered` for an [`MpsSource`]), and
+//!   [`MpsSource::query_parallel`] is `query` with the surviving
+//!   chunks of every file spread over worker threads — the one
+//!   fan-out on the read side.
+//! - **verification** — [`StoreReader::verify_all`] checks every
+//!   chunk's frame, CRC and decode whatever `verify` said.
+//! - **accessors** — `chunks`, `num_events`, `header`/`store_header`,
+//!   `header_intact`, `format_version`, `damage_report`,
+//!   `cache_stats`, `chunks_decoded_total`, `scratch_allocs_total`;
+//!   [`MpsSource::shards`], [`MpsSource::num_shards`] and
+//!   [`MpsSource::reader`] (the one reader of a single-file store).
+//!
+//! The repo benchmark (`benchmark/`, which a PR may not edit) compiles
+//! against `MpsSource::{open, open_with_options, query, store_header,
+//! cache_stats, reader}`, `TraceSource::{filtered, materialize}` for
+//! `MpsSource`, `StoreReader::{verify_all, chunks, cache_stats,
+//! scratch_allocs_total}`, `StoreWriter::with_threads` and
+//! `write_store_chunked`: those signatures are pinned.
 //!
 //! Round-trip guarantee: the store keeps the exact
 //! `header_sections()` text of the originating trace, and the chunk
@@ -84,12 +119,10 @@ pub use cancel::CancelToken;
 pub use chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
 pub use crc::{crc32c, Crc32c};
 pub use fault::{FailingFile, FaultConfig, FaultPlan, StoreFile};
-pub use reader::{ChunkDamage, RecoveryMode, StoreReader, PARALLEL_MIN_CHUNKS};
+pub use reader::{ChunkDamage, RecoveryMode, StoreReader};
 pub use recover::{check_clobber, fsck_store, recover_store, FsckReport, RecoverReport};
-pub use shard::{
-    write_store_sharded, ShardedReader, ShardedWriter, DEFAULT_EVENTS_PER_SHARD, SHARD_DIR_SUFFIX,
-};
-pub use source::{open_trace_source, open_trace_source_with, MpsSource};
+pub use shard::{write_store_sharded, ShardedWriter, DEFAULT_EVENTS_PER_SHARD, SHARD_DIR_SUFFIX};
+pub use source::{open_trace_source, sniff_store, MpsSource, PARALLEL_MIN_CHUNKS};
 pub use svb::{detected_simd_level, simd_level, simd_level_name, SimdLevel};
 pub use varint::CodecError;
 pub use writer::{

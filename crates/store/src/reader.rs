@@ -12,16 +12,17 @@
 //!
 //! - **Raw chunks** decode straight out of the mapping — zero copies,
 //!   zero cache traffic.
-//! - **LZ chunks** decompress into the sharded byte-block [`cache`];
-//!   repeat queries reuse the decompressed block. `chunks_decoded`
-//!   counts paid decompressions, `chunks_cached` covers both cache
-//!   hits and raw-from-mapping chunks (neither pays a decompression).
+//! - **LZ chunks** decompress into the sharded byte-block
+//!   [`cache`](crate::cache); repeat queries reuse the decompressed
+//!   block. `chunks_decoded` counts paid decompressions,
+//!   `chunks_cached` covers both cache hits and raw-from-mapping
+//!   chunks (neither pays a decompression).
 //!
-//! [`StoreReader::query_parallel`] fans the surviving chunks out over
-//! worker threads, preserving trace order in the merged result — and
-//! falls back to the sequential scan below
-//! [`PARALLEL_MIN_CHUNKS`] candidates, where thread spawn + merge
-//! costs more than the scan itself.
+//! Every read is one scan, [`StoreReader::scan_batches_cancel`];
+//! [`StoreReader::query`] and [`StoreReader::materialize`] build rows
+//! on top of it. The parallel scan lives one level up, in
+//! [`crate::source::MpsSource::query_parallel`], which spreads the
+//! surviving chunks of every file of a store over worker threads.
 //!
 //! # Integrity and recovery
 //!
@@ -30,8 +31,10 @@
 //!
 //! - Each chunk's payload CRC32C is verified **lazily**, the first
 //!   time a query touches the chunk, and the verdict is memoized — a
-//!   warm scan re-pays nothing. [`StoreReader::set_verify`] disables
-//!   the check for benchmarking (`query --no-verify`).
+//!   warm scan re-pays nothing. Opening with `verify = false`
+//!   ([`StoreReader::open_with_options`]) waives the check for
+//!   benchmarking (`query --no-verify`); [`StoreReader::verify_all`]
+//!   checks every chunk regardless.
 //! - [`RecoveryMode`] picks the failure policy.
 //!   [`RecoveryMode::Strict`] (the default) fails closed: corruption
 //!   is an error. [`RecoveryMode::Salvage`] degrades: damaged chunks
@@ -59,10 +62,6 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Below this many surviving chunks a parallel query runs
-/// sequentially: spawning + merging costs more than the scan.
-pub const PARALLEL_MIN_CHUNKS: usize = 64;
 
 /// Upper bound on one chunk's claimed raw payload — a corrupt or
 /// hostile index must not turn into a multi-gigabyte allocation.
@@ -98,6 +97,16 @@ pub struct ChunkDamage {
     /// file-level damage discovered from the trailer).
     pub offset: u64,
     pub reason: String,
+}
+
+impl ChunkDamage {
+    /// Chunk-scoped damage. Error strings from the scan path already
+    /// carry a "chunk N: " prefix; Display adds its own.
+    fn of_chunk(chunk: usize, offset: u64, reason: String) -> ChunkDamage {
+        let prefix = format!("chunk {chunk}: ");
+        let reason = reason.strip_prefix(&prefix).map(str::to_string).unwrap_or(reason);
+        ChunkDamage { chunk: Some(chunk), offset, reason }
+    }
 }
 
 impl std::fmt::Display for ChunkDamage {
@@ -148,11 +157,7 @@ impl DamageLog {
 
     fn record_chunk(&mut self, chunk: usize, offset: u64, reason: String) {
         if self.seen.insert(chunk) {
-            // Error strings from the scan path already carry a
-            // "chunk N: " prefix; Display adds its own.
-            let prefix = format!("chunk {chunk}: ");
-            let reason = reason.strip_prefix(&prefix).map(str::to_string).unwrap_or(reason);
-            self.list.push(ChunkDamage { chunk: Some(chunk), offset, reason });
+            self.list.push(ChunkDamage::of_chunk(chunk, offset, reason));
         }
     }
 }
@@ -170,8 +175,8 @@ struct FooterInfo {
 pub struct StoreReader {
     map: Mapping,
     mode: RecoveryMode,
-    /// Verify payload checksums on first touch? (`--no-verify` turns
-    /// this off for benchmarking.)
+    /// Verify payload checksums on first touch? Fixed at open
+    /// (`--no-verify` turns this off for benchmarking).
     verify: bool,
     metas: Vec<ChunkMeta>,
     /// Memoized per-chunk CRC verdicts: unknown / ok / bad.
@@ -215,26 +220,18 @@ fn salvage_header() -> Trace {
 }
 
 impl StoreReader {
-    /// Open with the default cache configuration, strict mode.
+    /// Open in strict mode with checksum verification on.
     pub fn open(path: &Path) -> io::Result<StoreReader> {
-        Self::open_with(path, CacheConfig::default())
+        Self::open_with_options(path, RecoveryMode::Strict, true)
     }
 
-    /// Open with explicit cache sizing, strict mode.
-    pub fn open_with(path: &Path, cache: CacheConfig) -> io::Result<StoreReader> {
-        Self::open_with_mode(path, cache, RecoveryMode::Strict)
-    }
-
-    /// Open in salvage mode with the default cache configuration.
-    pub fn open_salvage(path: &Path) -> io::Result<StoreReader> {
-        Self::open_with_mode(path, CacheConfig::default(), RecoveryMode::Salvage)
-    }
-
-    /// Open with an explicit [`RecoveryMode`].
-    pub fn open_with_mode(
+    /// Open with an explicit [`RecoveryMode`] and lazy payload-CRC
+    /// verification on or off. Both are facts of the reader from here
+    /// on; the block cache is sized by [`CacheConfig::default`].
+    pub fn open_with_options(
         path: &Path,
-        cache: CacheConfig,
         mode: RecoveryMode,
+        verify: bool,
     ) -> io::Result<StoreReader> {
         let file = std::fs::File::open(path).map_err(|e| {
             io::Error::new(e.kind(), format!("opening store {}: {e}", path.display()))
@@ -282,13 +279,13 @@ impl StoreReader {
         Ok(StoreReader {
             map,
             mode,
-            verify: true,
+            verify,
             metas,
             verified,
             header,
             header_intact,
             damage: Mutex::new(damage),
-            cache: ShardedCache::new(cache),
+            cache: ShardedCache::new(CacheConfig::default()),
             decoded_total: AtomicU64::new(0),
             scratch_pool: Mutex::new(Vec::new()),
             scratch_allocs: AtomicU64::new(0),
@@ -345,21 +342,10 @@ impl StoreReader {
         u32::from(MAGIC[7] - b'0')
     }
 
-    /// Toggle lazy payload-CRC verification (on by default).
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
-    }
-
     /// Every defect diagnosed so far: at open (salvage) plus anything
     /// queries have tripped over since.
     pub fn damage_report(&self) -> Vec<ChunkDamage> {
         self.damage.lock().expect("damage log poisoned").list.clone()
-    }
-
-    /// Is the file served by a real `mmap` (vs. the buffered
-    /// fallback)?
-    pub fn is_mmap(&self) -> bool {
-        self.map.is_mmap()
     }
 
     /// Lifetime count of chunk decompressions (LZ cache misses).
@@ -372,12 +358,18 @@ impl StoreReader {
         self.cache.stats()
     }
 
-    /// Verify chunk `idx`'s frame + payload CRC, memoizing the
-    /// verdict so each chunk pays for its checksum at most once.
+    /// The scan path's integrity check: nothing for a reader opened
+    /// with `verify = false`, else [`StoreReader::check_chunk_memo`].
     fn check_chunk(&self, idx: usize) -> io::Result<()> {
         if !self.verify {
             return Ok(());
         }
+        self.check_chunk_memo(idx)
+    }
+
+    /// Verify chunk `idx`'s frame + payload CRC, memoizing the
+    /// verdict so each chunk pays for its checksum at most once.
+    fn check_chunk_memo(&self, idx: usize) -> io::Result<()> {
         match self.verified[idx].load(Ordering::Acquire) {
             VERIFY_OK => return Ok(()),
             VERIFY_BAD => {
@@ -441,8 +433,9 @@ impl StoreReader {
         }
     }
 
-    /// Indices of chunks the footer cannot rule out for `q`.
-    fn candidates(&self, q: &Query) -> (Vec<usize>, u64) {
+    /// Indices of chunks the footer cannot rule out for `q`, and how
+    /// many it did rule out.
+    pub(crate) fn candidates(&self, q: &Query) -> (Vec<usize>, u64) {
         let mut keep = Vec::new();
         let mut skipped = 0u64;
         for (i, m) in self.metas.iter().enumerate() {
@@ -505,17 +498,18 @@ impl StoreReader {
         Ok(())
     }
 
-    fn scan_candidates(
+    /// Scan `candidates` in the order given with one pooled scratch,
+    /// checking `cancel` before every chunk.
+    pub(crate) fn scan_candidates(
         &self,
-        candidates: &[usize],
+        candidates: impl IntoIterator<Item = usize>,
         q: &Query,
-        skipped: u64,
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        let mut stats = ScanStats { chunks_skipped: skipped, ..Default::default() };
+        let mut stats = ScanStats::default();
         let mut scratch = self.take_scratch();
-        let res = candidates.iter().try_for_each(|&idx| {
+        let res = candidates.into_iter().try_for_each(|idx| {
             cancel.check()?;
             self.scan_chunk(idx, Some(q), &mut scratch, &mut stats, sink)
         });
@@ -533,130 +527,18 @@ impl StoreReader {
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        let (candidates, skipped) = self.candidates(q);
-        self.scan_candidates(&candidates, q, skipped, cancel, sink)
+        let (candidates, chunks_skipped) = self.candidates(q);
+        let stats = self.scan_candidates(candidates, q, cancel, sink)?;
+        Ok(ScanStats { chunks_skipped, ..stats })
     }
 
     /// Run a query sequentially. Returns matching events in stored
     /// (trace) order plus the scan's cost accounting.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        self.query_cancel(q, &CancelToken::new())
-    }
-
-    /// [`StoreReader::query`] with a cancellation token
-    /// ([`StoreReader::scan_batches_cancel`], materialized).
-    pub fn query_cancel(
-        &self,
-        q: &Query,
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
         let mut out = Vec::new();
-        let stats = self.scan_batches_cancel(q, cancel, &mut |b| b.materialize_into(&mut out))?;
+        let stats =
+            self.scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut out))?;
         Ok((out, stats))
-    }
-
-    /// Run a query with the surviving chunks spread over `threads`
-    /// workers. The result is identical to [`StoreReader::query`] —
-    /// chunks are partitioned contiguously and re-concatenated in
-    /// index order, so event order is preserved deterministically.
-    /// Below [`PARALLEL_MIN_CHUNKS`] surviving chunks the scan runs
-    /// sequentially — at that size thread spawn + merge dominates.
-    pub fn query_parallel(&self, q: &Query, threads: usize) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        self.query_parallel_cancel(q, threads, &CancelToken::new())
-    }
-
-    /// [`StoreReader::query_parallel`] with a cancellation token; every
-    /// worker checks it at its own chunk boundaries.
-    pub fn query_parallel_cancel(
-        &self,
-        q: &Query,
-        threads: usize,
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let (candidates, skipped) = self.candidates(q);
-        let threads = threads.clamp(1, candidates.len().max(1));
-        if threads <= 1 || candidates.len() < PARALLEL_MIN_CHUNKS {
-            return self.query_cancel(q, cancel);
-        }
-
-        let per_worker = candidates.len().div_ceil(threads);
-        let parts: Vec<io::Result<(Vec<TraceEvent>, ScanStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(per_worker)
-                .map(|slice| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let stats = self.scan_candidates(slice, q, 0, cancel, &mut |b| {
-                            b.materialize_into(&mut out)
-                        })?;
-                        Ok((out, stats))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-        });
-
-        let mut stats = ScanStats { chunks_skipped: skipped, ..Default::default() };
-        let mut out = Vec::new();
-        for part in parts {
-            let (events, p) = part?;
-            out.extend(events);
-            stats.merge(&p);
-        }
-        Ok((out, stats))
-    }
-
-    /// Run several queries in **one pass** over the store: a chunk is
-    /// pruned only when *no* query's predicate can match it, decoded
-    /// at most once, and its events routed to every query whose
-    /// predicate they satisfy. Per-query results keep stored (trace)
-    /// order. The shared [`ScanStats`] counts each surviving chunk's
-    /// decode and scan once (`events_matched` sums across queries).
-    pub fn query_multi(&self, qs: &[Query]) -> io::Result<(Vec<Vec<TraceEvent>>, ScanStats)> {
-        self.query_multi_cancel(qs, &CancelToken::new())
-    }
-
-    /// [`StoreReader::query_multi`] with a cancellation token checked
-    /// at every chunk boundary.
-    pub fn query_multi_cancel(
-        &self,
-        qs: &[Query],
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<Vec<TraceEvent>>, ScanStats)> {
-        let mut stats = ScanStats::default();
-        let mut outs: Vec<Vec<TraceEvent>> = qs.iter().map(|_| Vec::new()).collect();
-        if qs.is_empty() {
-            stats.chunks_skipped = self.metas.len() as u64;
-            return Ok((outs, stats));
-        }
-        let mut scratch = self.take_scratch();
-        let mut events = Vec::new();
-        let res = self.metas.iter().enumerate().try_for_each(|(idx, m)| {
-            cancel.check()?;
-            if !qs.iter().any(|q| m.may_match(q)) {
-                stats.chunks_skipped += 1;
-                return Ok(());
-            }
-            events.clear();
-            let mut chunk = ScanStats::default();
-            self.scan_chunk(idx, None, &mut scratch, &mut chunk, &mut |b| {
-                b.materialize_into(&mut events)
-            })?;
-            // Matches are counted per query, not per decoded row.
-            chunk.events_matched = 0;
-            for e in &events {
-                for (q, out) in qs.iter().zip(&mut outs) {
-                    if q.matches(e) {
-                        chunk.events_matched += 1;
-                        out.push(e.clone());
-                    }
-                }
-            }
-            stats.merge(&chunk);
-            Ok(())
-        });
-        self.put_scratch(scratch);
-        res.map(|()| (outs, stats))
     }
 
     /// Materialize the whole trace: header plus every event, in
@@ -670,33 +552,26 @@ impl StoreReader {
 
     /// Verify the whole file — every chunk's frame + payload CRC
     /// plus a full decode of every payload — and return one entry per
-    /// defect. This is the engine behind `mempersp fsck`; a clean file
-    /// returns open-time damage only (empty for a strict open).
+    /// defect, whether or not the reader was opened with `verify`.
+    /// This is the engine behind `mempersp fsck`; a clean file returns
+    /// open-time damage only (empty for a strict open).
     pub fn verify_all(&self) -> Vec<ChunkDamage> {
-        let mut scratch = self.take_scratch();
-        let mut found = Vec::new();
-        for idx in 0..self.metas.len() {
-            if let Err(e) = self.verify_chunk_deep(idx, &mut scratch) {
-                let reason = e.to_string();
-                let prefix = format!("chunk {idx}: ");
-                let reason = reason.strip_prefix(&prefix).map(str::to_string).unwrap_or(reason);
-                found.push(ChunkDamage { chunk: Some(idx), offset: self.metas[idx].offset, reason });
-            }
-        }
-        // Fold in anything already known (salvage open notes).
-        self.put_scratch(scratch);
+        // Start from anything already known (salvage open notes).
         let mut all = self.damage_report();
-        for d in found {
-            if !all.contains(&d) {
-                all.push(d);
+        let mut scratch = self.take_scratch();
+        for (idx, m) in self.metas.iter().enumerate() {
+            let deep = self.check_chunk_memo(idx).and_then(|()| {
+                self.scan_chunk_strict(idx, None, &mut scratch, &mut ScanStats::default(), &mut |_| {})
+            });
+            if let Err(e) = deep {
+                let d = ChunkDamage::of_chunk(idx, m.offset, e.to_string());
+                if !all.contains(&d) {
+                    all.push(d);
+                }
             }
         }
+        self.put_scratch(scratch);
         all
-    }
-
-    fn verify_chunk_deep(&self, idx: usize, scratch: &mut DecodeScratch) -> io::Result<()> {
-        self.check_chunk(idx)?;
-        self.scan_chunk_strict(idx, None, scratch, &mut ScanStats::default(), &mut |_| {})
     }
 }
 
@@ -929,7 +804,6 @@ fn find_magic(haystack: &[u8], needle: &[u8; 4]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::writer::{write_store_chunked, TRAILER_LEN};
-    use mempersp_extrae::query::EventClass;
     use mempersp_extrae::tracer::{Tracer, TracerConfig};
     use mempersp_pebs::CounterSnapshot;
 
@@ -1006,101 +880,6 @@ mod tests {
         assert_eq!(warm.chunks_decoded, 0, "everything cached: {warm:?}");
         assert_eq!(warm.chunks_cached, cold.chunks_decoded);
         assert_eq!(r.chunks_decoded_total(), cold.chunks_decoded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let path = tmp("par.mps");
-        let t = trace();
-        write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
-        let q = Query::all().with_kinds(&[EventClass::User]);
-        let (seq, seq_stats) = r.query(&q).unwrap();
-        for threads in [2, 3, 8] {
-            let (par, par_stats) = r.query_parallel(&q, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(par_stats.events_matched, seq_stats.events_matched);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn parallel_merge_path_covers_many_chunks() {
-        // Enough chunks to clear PARALLEL_MIN_CHUNKS so the real
-        // fan-out + in-order merge runs (the test above stays under
-        // the threshold and exercises the sequential fallback).
-        let path = tmp("par_big.mps");
-        let t = trace_sized(20_000);
-        write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
-        let q = Query::all();
-        let (candidates, _) = r.candidates(&q);
-        assert!(
-            candidates.len() >= PARALLEL_MIN_CHUNKS,
-            "need ≥{PARALLEL_MIN_CHUNKS} chunks, got {}",
-            candidates.len()
-        );
-        let (seq, seq_stats) = r.query(&q).unwrap();
-        assert_eq!(seq.len(), t.events.len());
-        for threads in [2, 5] {
-            let (par, par_stats) = r.query_parallel(&q, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(par_stats.events_matched, seq_stats.events_matched);
-            assert_eq!(par_stats.events_scanned, seq_stats.events_scanned);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn multi_query_matches_individual_queries_with_one_decode_pass() {
-        let path = tmp("multi.mps");
-        let t = trace();
-        write_store_chunked(&path, &t, 4096).unwrap();
-        let qs = [
-            Query::all().in_time(0, 5_000).with_kinds(&[EventClass::User]),
-            Query::all().in_time(100_000, 150_000),
-            Query::all().with_kinds(&[EventClass::RegionEnter]),
-        ];
-        // Individual baselines on a fresh reader (cold cache).
-        let r1 = StoreReader::open(&path).unwrap();
-        let mut individual = Vec::new();
-        let mut decoded_sum = 0u64;
-        for q in &qs {
-            let (events, s) = r1.query(q).unwrap();
-            decoded_sum += s.chunks_decoded;
-            individual.push(events);
-        }
-        let r2 = StoreReader::open(&path).unwrap();
-        let (outs, stats) = r2.query_multi(&qs).unwrap();
-        assert_eq!(outs, individual);
-        assert!(
-            stats.chunks_decoded <= decoded_sum,
-            "one pass ({}) must not decode more than {} per-query decodes",
-            stats.chunks_decoded,
-            decoded_sum
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn multi_query_prunes_chunks_no_query_needs() {
-        let path = tmp("multi_prune.mps");
-        let t = trace();
-        write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
-        // Two disjoint narrow windows leave most chunks untouched.
-        let qs = [Query::all().in_time(0, 2_000), Query::all().in_time(200_000, 202_000)];
-        let (outs, stats) = r.query_multi(&qs).unwrap();
-        assert!(stats.chunks_skipped > 0, "{stats:?}");
-        for (q, out) in qs.iter().zip(&outs) {
-            let expect: Vec<_> = t.events.iter().filter(|e| q.matches(e)).cloned().collect();
-            assert_eq!(out, &expect);
-        }
-        // No queries at all: everything skipped, nothing decoded.
-        let (empty, s0) = r.query_multi(&[]).unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(s0.chunks_decoded + s0.chunks_cached, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1184,7 +963,7 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Salvage: the scan completes, skipping exactly one chunk.
-        let s = StoreReader::open_salvage(&path).unwrap();
+        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
         let (events, stats) = s.query(&Query::all()).unwrap();
         assert_eq!(stats.chunks_damaged, 1, "{stats:?}");
         assert!(events.len() < t.events.len());
@@ -1208,8 +987,7 @@ mod tests {
         // Corrupt a payload byte in a way LZ decompression tolerates?
         // Not guaranteed — so instead verify the *happy* path: with
         // verification off a clean store still answers correctly.
-        let mut r = StoreReader::open(&path).unwrap();
-        r.set_verify(false);
+        let r = StoreReader::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
         let (events, _) = r.query(&Query::all()).unwrap();
         assert_eq!(events, t.events);
 
@@ -1219,8 +997,7 @@ mod tests {
         let victim = 8 + FRAME_LEN + 5;
         bytes[victim] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let mut r2 = StoreReader::open(&path).unwrap();
-        r2.set_verify(false);
+        let r2 = StoreReader::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
         if let Err(e) = r2.query(&Query::all()) {
             assert!(!e.to_string().contains("checksum mismatch"), "{e}");
         }
@@ -1244,7 +1021,7 @@ mod tests {
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
         assert!(StoreReader::open(&path).is_err(), "strict must reject a footer-less file");
-        let s = StoreReader::open_salvage(&path).unwrap();
+        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
         assert_eq!(s.chunks().len(), chunks, "every full chunk is recoverable");
         assert!(!s.header_intact());
         let (events, stats) = s.query(&Query::all()).unwrap();
@@ -1268,7 +1045,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
-        let s = StoreReader::open_salvage(&path).unwrap();
+        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
         assert_eq!(s.chunks().len(), 2, "two complete chunks precede the tear");
         let (events, _) = s.query(&Query::all()).unwrap();
         assert_eq!(events.len() as u64, expect_events);
@@ -1328,18 +1105,14 @@ mod tests {
                     version as char
                 );
                 for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
-                    let err = StoreReader::open_with_mode(&path, CacheConfig::default(), mode)
+                    let err = StoreReader::open_with_options(&path, mode, true)
                         .err()
                         .expect("an old-format store must not open");
                     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                     assert_eq!(err.to_string(), format!("{}: {want}", path.display()));
-                    let err = crate::shard::ShardedReader::open_with_mode(
-                        &dir,
-                        CacheConfig::default(),
-                        mode,
-                    )
-                    .err()
-                    .expect("an old-format shard must not open");
+                    let err = crate::source::MpsSource::open_with_options(&dir, mode, true)
+                        .err()
+                        .expect("an old-format shard must not open");
                     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
                     assert!(err.to_string().contains(&want), "{mode:?}: {err}");
                 }

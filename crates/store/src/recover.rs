@@ -16,9 +16,8 @@
 //! events themselves (core count, region table) so every downstream
 //! tool can still open the result.
 
-use crate::cache::CacheConfig;
-use crate::reader::{RecoveryMode, StoreReader};
-use crate::shard::ShardedReader;
+use crate::reader::RecoveryMode;
+use crate::source::{damage_line, MpsSource};
 use crate::writer::{StoreWriter, WriterOptions};
 use mempersp_extrae::events::{EventPayload, TraceEvent};
 use mempersp_extrae::query::Query;
@@ -69,46 +68,29 @@ pub struct RecoverReport {
 /// manifest), or torn `.tmp` — in salvage mode and deep-verify every
 /// byte that claims to be data.
 pub fn fsck_store(path: &Path) -> io::Result<FsckReport> {
-    if path.is_dir() {
-        let r = ShardedReader::open_with_mode(path, CacheConfig::default(), RecoveryMode::Salvage)?;
-        let mut damage = r.damage_report();
-        let mut chunks = 0usize;
-        let mut events = 0u64;
-        let mut header_intact = true;
-        let mut format_version = 0;
-        for (name, shard) in r.shard_readers() {
-            if format_version == 0 {
-                format_version = shard.format_version();
-            }
-            chunks += shard.chunks().len();
-            events += shard.num_events();
-            header_intact &= shard.header_intact();
-            for d in shard.verify_all() {
-                let line = format!("{name}: {d}");
-                if !damage.contains(&line) {
-                    damage.push(line);
-                }
+    let src = MpsSource::open_with_options(path, RecoveryMode::Salvage, true)?;
+    let mut damage = src.damage_report();
+    let mut chunks = 0usize;
+    let mut events = 0u64;
+    let mut header_intact = true;
+    for (name, shard) in src.shards() {
+        chunks += shard.chunks().len();
+        events += shard.num_events();
+        header_intact &= shard.header_intact();
+        for d in shard.verify_all() {
+            let line = damage_line(name, &d);
+            if !damage.contains(&line) {
+                damage.push(line);
             }
         }
-        return Ok(FsckReport {
-            path: path.to_path_buf(),
-            format_version,
-            shards: r.num_shards(),
-            chunks,
-            events,
-            header_intact,
-            damage,
-        });
     }
-    let r = StoreReader::open_salvage(path)?;
-    let damage = r.verify_all().iter().map(|d| d.to_string()).collect();
     Ok(FsckReport {
         path: path.to_path_buf(),
-        format_version: r.format_version(),
-        shards: 1,
-        chunks: r.chunks().len(),
-        events: r.num_events(),
-        header_intact: r.header_intact(),
+        format_version: src.format_version(),
+        shards: src.num_shards(),
+        chunks,
+        events,
+        header_intact,
         damage,
     })
 }
@@ -118,11 +100,11 @@ pub fn fsck_store(path: &Path) -> io::Result<FsckReport> {
 /// so a crash during recovery never leaves a half-recovered file at
 /// `output`.
 pub fn recover_store(input: &Path, output: &Path) -> io::Result<RecoverReport> {
-    let (events, header, header_intact, chunks, damage) = salvage_events(input)?;
-    let header = match header {
-        Some(h) if header_intact => h,
-        _ => synthesize_header(&events),
-    };
+    let src = MpsSource::open_with_options(input, RecoveryMode::Salvage, true)?;
+    let (events, _) = src.query(&Query::all())?;
+    let header_intact = src.shards().all(|(_, s)| s.header_intact());
+    let header =
+        if header_intact { src.store_header().clone() } else { synthesize_header(&events) };
     let mut w = StoreWriter::new(output, WriterOptions::default())?;
     for e in &events {
         w.append(e)?;
@@ -131,36 +113,10 @@ pub fn recover_store(input: &Path, output: &Path) -> io::Result<RecoverReport> {
     Ok(RecoverReport {
         output: output.to_path_buf(),
         events: summary.events,
-        chunks,
+        chunks: src.shards().map(|(_, s)| s.chunks().len()).sum(),
         header_intact,
-        damage,
+        damage: src.damage_report(),
     })
-}
-
-type Salvaged = (Vec<TraceEvent>, Option<Trace>, bool, usize, Vec<String>);
-
-/// Pull every readable event (in order) plus the best available
-/// header out of a possibly damaged store.
-fn salvage_events(input: &Path) -> io::Result<Salvaged> {
-    if input.is_dir() {
-        let r =
-            ShardedReader::open_with_mode(input, CacheConfig::default(), RecoveryMode::Salvage)?;
-        let (events, _) = r.query(&Query::all())?;
-        let header_intact = r.shard_readers().all(|(_, s)| s.header_intact());
-        let header = r
-            .shard_readers()
-            .find(|(_, s)| s.header_intact())
-            .map(|(_, s)| s.header().clone());
-        let chunks = r.shard_readers().map(|(_, s)| s.chunks().len()).sum();
-        let damage = r.damage_report();
-        return Ok((events, header, header_intact, chunks, damage));
-    }
-    let r = StoreReader::open_salvage(input)?;
-    let (events, _) = r.query(&Query::all())?;
-    let header_intact = r.header_intact();
-    let header = header_intact.then(|| r.header().clone());
-    let damage = r.damage_report().iter().map(|d| d.to_string()).collect();
-    Ok((events, header, header_intact, r.chunks().len(), damage))
 }
 
 /// Build a minimal header for events whose real header was lost: core
@@ -213,6 +169,7 @@ pub fn check_clobber(output: &Path, force: bool) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::chunk::FRAME_LEN;
+    use crate::reader::StoreReader;
     use crate::shard::write_store_sharded;
     use crate::writer::write_store_chunked;
     use mempersp_extrae::tracer::{Tracer, TracerConfig};

@@ -16,8 +16,9 @@
 //! Every shard is a complete store — same magic, chunks, header blob
 //! and footer — so existing tooling can open one shard directly, and
 //! a sharded trace survives losing its siblings. The manifest pins
-//! shard order and per-shard event counts; [`ShardedReader::open`]
-//! re-validates the counts against each shard's own footer.
+//! shard order and per-shard event counts; opening the directory
+//! ([`crate::source::MpsSource::open`]) re-validates the counts
+//! against each shard's own footer.
 //!
 //! # Crash consistency
 //!
@@ -26,10 +27,10 @@
 //! **last**. A crashed sharded write therefore leaves either no
 //! manifest (the directory is visibly unfinished — salvage can still
 //! dir-scan the shards) or a manifest whose every named shard is a
-//! fully finalized store. [`ShardedReader::open_with_mode`] in
-//! [`RecoveryMode::Salvage`] survives a missing or lying manifest, a
-//! corrupted shard, or a deleted shard: the broken pieces are skipped
-//! and reported, the healthy shards' events come back in shard order.
+//! fully finalized store. An open in [`RecoveryMode::Salvage`]
+//! survives a missing or lying manifest, a corrupted shard, or a
+//! deleted shard: the broken pieces are skipped and reported, the
+//! healthy shards' events come back in shard order.
 //!
 //! [`ShardedWriter`] keeps at most one compression pipeline active:
 //! rolling a shard drains its in-flight chunks
@@ -38,19 +39,16 @@
 //! end of the run, at which point [`ShardedWriter::finish`] writes
 //! every shard's footer and the manifest.
 //!
-//! [`ShardedReader`] fans queries out across shards on scoped worker
-//! threads and concatenates per-shard results in shard order, so a
-//! sharded query returns exactly what the unsharded one would.
+//! There is no sharded reader: `open_shards` hands
+//! [`crate::source::MpsSource`] one [`StoreReader`] per shard, and a
+//! store is read as that list — a single `.mps` is the one-element
+//! case — so a sharded query returns exactly what the unsharded one
+//! would.
 
-use crate::cache::{CacheConfig, CacheStats};
-use crate::cancel::CancelToken;
 use crate::reader::{RecoveryMode, StoreReader};
 use crate::writer::{sync_parent_dir, tmp_path, StoreSummary, StoreWriter, WriterOptions};
-use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
-use mempersp_extrae::query::Query;
 use mempersp_extrae::stream_writer::EventSink;
-use mempersp_extrae::trace_source::ScanStats;
 use mempersp_extrae::tracer::Trace;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -203,16 +201,6 @@ pub fn write_store_sharded(
     w.finish(trace)
 }
 
-/// A sharded trace opened for querying: one [`StoreReader`] (mapping,
-/// block cache, decode counters) per shard.
-pub struct ShardedReader {
-    shards: Vec<StoreReader>,
-    shard_names: Vec<String>,
-    /// Directory-level salvage notes (bad manifest, unopenable
-    /// shards, count mismatches).
-    notes: Vec<String>,
-}
-
 /// Parse the manifest into `(shard name, expected events)` pairs.
 fn parse_manifest(dir: &Path) -> io::Result<Vec<(String, u64)>> {
     let manifest_path = dir.join(MANIFEST_NAME);
@@ -267,250 +255,73 @@ fn scan_shard_dir(dir: &Path) -> io::Result<Vec<String>> {
     Ok(names)
 }
 
-impl ShardedReader {
-    /// Open with the default per-shard cache configuration.
-    pub fn open(dir: &Path) -> io::Result<ShardedReader> {
-        Self::open_with(dir, CacheConfig::default())
-    }
+/// The files of a store opened for reading, in trace order: one named
+/// [`StoreReader`] (mapping, block cache, decode counters) each.
+pub(crate) type Shards = Vec<(String, StoreReader)>;
 
-    /// Open with explicit per-shard cache sizing, strict mode.
-    pub fn open_with(dir: &Path, cache: CacheConfig) -> io::Result<ShardedReader> {
-        Self::open_with_mode(dir, cache, RecoveryMode::Strict)
-    }
-
-    /// Open with an explicit [`RecoveryMode`]. Strict fails on the
-    /// first inconsistency. Salvage opens what it can: a missing or
-    /// corrupt manifest falls back to a directory scan, unopenable
-    /// shards are skipped with a note, event-count mismatches are
-    /// noted but tolerated — one bad shard never takes down the rest.
-    pub fn open_with_mode(
-        dir: &Path,
-        cache: CacheConfig,
-        mode: RecoveryMode,
-    ) -> io::Result<ShardedReader> {
-        let mut notes = Vec::new();
-        let entries: Vec<(String, Option<u64>)> = match parse_manifest(dir) {
-            Ok(entries) => entries.into_iter().map(|(n, e)| (n, Some(e))).collect(),
+/// Open every shard of `dir`, in shard order, and collect the
+/// directory-level salvage notes (bad manifest, unopenable shards,
+/// count mismatches). Strict fails on the first inconsistency.
+/// Salvage opens what it can: a missing or corrupt manifest falls
+/// back to a directory scan, unopenable shards are skipped with a
+/// note, event-count mismatches are noted but tolerated — one bad
+/// shard never takes down the rest.
+pub(crate) fn open_shards(
+    dir: &Path,
+    mode: RecoveryMode,
+    verify: bool,
+) -> io::Result<(Shards, Vec<String>)> {
+    let mut notes = Vec::new();
+    let entries: Vec<(String, Option<u64>)> = match parse_manifest(dir) {
+        Ok(entries) => entries.into_iter().map(|(n, e)| (n, Some(e))).collect(),
+        Err(e) if mode == RecoveryMode::Salvage => {
+            notes.push(format!("manifest unusable ({e}); scanning directory for shards"));
+            scan_shard_dir(dir)?.into_iter().map(|n| (n, None)).collect()
+        }
+        Err(e) => return Err(e),
+    };
+    let mut shards = Vec::new();
+    for (i, (name, expected)) in entries.into_iter().enumerate() {
+        let reader = match StoreReader::open_with_options(&dir.join(&name), mode, verify) {
+            Ok(r) => r,
             Err(e) if mode == RecoveryMode::Salvage => {
-                notes.push(format!("manifest unusable ({e}); scanning directory for shards"));
-                scan_shard_dir(dir)?.into_iter().map(|n| (n, None)).collect()
+                notes.push(format!("shard {i} ({name}) unreadable, skipped: {e}"));
+                continue;
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(io::Error::new(e.kind(), format!("shard {i} ({name}): {e}"))),
         };
-        let mut shards = Vec::new();
-        let mut shard_names = Vec::new();
-        for (i, (name, expected)) in entries.iter().enumerate() {
-            let reader = match StoreReader::open_with_mode(&dir.join(name), cache, mode) {
-                Ok(r) => r,
-                Err(e) if mode == RecoveryMode::Salvage => {
-                    notes.push(format!("shard {i} ({name}) unreadable, skipped: {e}"));
-                    continue;
-                }
-                Err(e) => {
-                    return Err(io::Error::new(e.kind(), format!("shard {i} ({name}): {e}")))
-                }
-            };
-            if let Some(events) = *expected {
-                if reader.num_events() != events {
-                    let msg = format!(
-                        "shard {i} ({name}) has {} events, manifest says {events}",
-                        reader.num_events()
-                    );
-                    if mode == RecoveryMode::Salvage {
-                        notes.push(msg);
-                    } else {
-                        return Err(bad_data(format!("{}: {msg}", dir.display())));
-                    }
+        if let Some(events) = expected {
+            if reader.num_events() != events {
+                let msg = format!(
+                    "shard {i} ({name}) has {} events, manifest says {events}",
+                    reader.num_events()
+                );
+                if mode == RecoveryMode::Salvage {
+                    notes.push(msg);
+                } else {
+                    return Err(bad_data(format!("{}: {msg}", dir.display())));
                 }
             }
-            shards.push(reader);
-            shard_names.push(name.clone());
         }
-        if shards.is_empty() {
-            return Err(bad_data(match mode {
-                RecoveryMode::Salvage => {
-                    format!("{}: no readable shards ({})", dir.display(), notes.join("; "))
-                }
-                RecoveryMode::Strict => format!("{}: manifest lists no shards", dir.display()),
-            }));
-        }
-        Ok(ShardedReader { shards, shard_names, notes })
+        shards.push((name, reader));
     }
-
-    /// Every defect diagnosed so far: directory-level salvage notes
-    /// plus each shard's own damage report, prefixed with the shard
-    /// name.
-    pub fn damage_report(&self) -> Vec<String> {
-        let mut all = self.notes.clone();
-        for (name, s) in self.shard_names.iter().zip(&self.shards) {
-            for d in s.damage_report() {
-                all.push(format!("{name}: {d}"));
+    if shards.is_empty() {
+        return Err(bad_data(match mode {
+            RecoveryMode::Salvage => {
+                format!("{}: no readable shards ({})", dir.display(), notes.join("; "))
             }
-        }
-        all
+            RecoveryMode::Strict => format!("{}: manifest lists no shards", dir.display()),
+        }));
     }
-
-    /// The per-shard readers, in shard order (for fsck-style deep
-    /// verification).
-    pub fn shard_readers(&self) -> impl Iterator<Item = (&str, &StoreReader)> {
-        self.shard_names.iter().map(String::as_str).zip(self.shards.iter())
-    }
-
-    /// Toggle lazy payload-CRC verification on every shard.
-    pub fn set_verify(&mut self, verify: bool) {
-        for s in &mut self.shards {
-            s.set_verify(verify);
-        }
-    }
-
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total events across all shards.
-    pub fn num_events(&self) -> u64 {
-        self.shards.iter().map(StoreReader::num_events).sum()
-    }
-
-    /// Total chunks across all shards.
-    pub fn num_chunks(&self) -> usize {
-        self.shards.iter().map(|s| s.chunks().len()).sum()
-    }
-
-    /// The header trace (every shard carries the same one).
-    pub fn header(&self) -> &Trace {
-        self.shards[0].header()
-    }
-
-    /// Lifetime chunk decompressions summed over shards.
-    pub fn chunks_decoded_total(&self) -> u64 {
-        self.shards.iter().map(StoreReader::chunks_decoded_total).sum()
-    }
-
-    /// Block-cache counters summed over every shard's cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shards
-            .iter()
-            .map(StoreReader::cache_stats)
-            .fold(CacheStats::default(), CacheStats::merged)
-    }
-
-    fn merge(parts: Vec<(Vec<TraceEvent>, ScanStats)>) -> (Vec<TraceEvent>, ScanStats) {
-        let mut out = Vec::new();
-        let mut stats = ScanStats::default();
-        for (events, p) in parts {
-            out.extend(events);
-            stats.merge(&p);
-        }
-        (out, stats)
-    }
-
-    /// Scan every shard in order, handing `sink` one column batch per
-    /// surviving chunk; `cancel` is checked at every chunk boundary of
-    /// every shard.
-    pub fn scan_batches_cancel(
-        &self,
-        q: &Query,
-        cancel: &CancelToken,
-        sink: &mut dyn FnMut(&EventBatch<'_>),
-    ) -> io::Result<ScanStats> {
-        let mut stats = ScanStats::default();
-        for s in &self.shards {
-            stats.merge(&s.scan_batches_cancel(q, cancel, sink)?);
-        }
-        Ok(stats)
-    }
-
-    /// Run a query over every shard in order.
-    pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        self.query_cancel(q, &CancelToken::new())
-    }
-
-    /// [`ShardedReader::query`] with a cancellation token
-    /// ([`ShardedReader::scan_batches_cancel`], materialized).
-    pub fn query_cancel(
-        &self,
-        q: &Query,
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut out = Vec::new();
-        let stats = self.scan_batches_cancel(q, cancel, &mut |b| b.materialize_into(&mut out))?;
-        Ok((out, stats))
-    }
-
-    /// Run a query with shards fanned out over `threads` workers;
-    /// results are concatenated in shard order, so the answer is
-    /// identical to [`ShardedReader::query`]. A single-shard trace
-    /// delegates to the chunk-level [`StoreReader::query_parallel`].
-    pub fn query_parallel(
-        &self,
-        q: &Query,
-        threads: usize,
-    ) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].query_parallel(q, threads);
-        }
-        let threads = threads.clamp(1, self.shards.len());
-        if threads <= 1 {
-            return self.query(q);
-        }
-        let per_worker = self.shards.len().div_ceil(threads);
-        type ShardResults = Vec<io::Result<Vec<(Vec<TraceEvent>, ScanStats)>>>;
-        let parts: ShardResults = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .chunks(per_worker)
-                    .map(|slice| {
-                        scope.spawn(move || slice.iter().map(|s| s.query(q)).collect())
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-            });
-        let mut flat = Vec::with_capacity(self.shards.len());
-        for part in parts {
-            flat.extend(part?);
-        }
-        Ok(Self::merge(flat))
-    }
-
-    /// One pass per shard, every query routed; per-query results keep
-    /// global (shard, then trace) order.
-    pub fn query_multi(&self, qs: &[Query]) -> io::Result<(Vec<Vec<TraceEvent>>, ScanStats)> {
-        self.query_multi_cancel(qs, &CancelToken::new())
-    }
-
-    /// [`ShardedReader::query_multi`] with a cancellation token.
-    pub fn query_multi_cancel(
-        &self,
-        qs: &[Query],
-        cancel: &CancelToken,
-    ) -> io::Result<(Vec<Vec<TraceEvent>>, ScanStats)> {
-        let mut outs: Vec<Vec<TraceEvent>> = qs.iter().map(|_| Vec::new()).collect();
-        let mut stats = ScanStats::default();
-        for s in &self.shards {
-            let (parts, p) = s.query_multi_cancel(qs, cancel)?;
-            for (out, part) in outs.iter_mut().zip(parts) {
-                out.extend(part);
-            }
-            stats.merge(&p);
-        }
-        Ok((outs, stats))
-    }
-
-    /// Materialize the whole logical trace.
-    pub fn materialize(&self) -> io::Result<Trace> {
-        let (events, _) = self.query(&Query::all())?;
-        let mut t = self.header().clone();
-        t.events = events;
-        Ok(t)
-    }
+    Ok((shards, notes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::write_store_chunked;
-    use mempersp_extrae::query::EventClass;
+    use crate::source::MpsSource;
+    use mempersp_extrae::query::Query;
+    use mempersp_extrae::trace_source::TraceSource as _;
     use mempersp_extrae::tracer::{Tracer, TracerConfig};
     use mempersp_pebs::CounterSnapshot;
 
@@ -539,7 +350,7 @@ mod tests {
         let t = trace(4000);
         let s = write_store_sharded(&dir, &t, 4096, 1, 5000).unwrap();
         assert_eq!(s.events, 12_000);
-        let r = ShardedReader::open(&dir).unwrap();
+        let mut r = MpsSource::open(&dir).unwrap();
         assert_eq!(r.num_shards(), 3, "12000 events / 5000 per shard");
         assert_eq!(r.num_events(), 12_000);
         let back = r.materialize().unwrap();
@@ -550,48 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_queries_match_unsharded() {
-        let sharded = tmp("q.mps.d");
-        let single = tmp("q.mps");
-        std::fs::remove_dir_all(&sharded).ok();
-        let t = trace(3000);
-        write_store_sharded(&sharded, &t, 4096, 1, 2000).unwrap();
-        write_store_chunked(&single, &t, 4096).unwrap();
-        let rs = ShardedReader::open(&sharded).unwrap();
-        let ru = StoreReader::open(&single).unwrap();
-        assert!(rs.num_shards() > 1);
-        for q in [
-            Query::all(),
-            Query::all().in_time(0, 50_000),
-            Query::all().with_kinds(&[EventClass::User]).on_cores(&[1, 2]),
-        ] {
-            let (se, ss) = rs.query(&q).unwrap();
-            let (ue, us) = ru.query(&q).unwrap();
-            assert_eq!(se, ue);
-            assert_eq!(ss.events_matched, us.events_matched);
-            for threads in [2, 5] {
-                let (pe, ps) = rs.query_parallel(&q, threads).unwrap();
-                assert_eq!(pe, ue, "threads={threads}");
-                assert_eq!(ps.events_matched, us.events_matched);
-            }
-        }
-        // Multi-query, one pass per shard.
-        let qs =
-            [Query::all().in_time(0, 20_000), Query::all().with_kinds(&[EventClass::RegionExit])];
-        let (souts, _) = rs.query_multi(&qs).unwrap();
-        let (uouts, _) = ru.query_multi(&qs).unwrap();
-        assert_eq!(souts, uouts);
-        std::fs::remove_dir_all(&sharded).ok();
-        std::fs::remove_file(&single).ok();
-    }
-
-    #[test]
     fn each_shard_is_a_self_contained_store() {
         let dir = tmp("solo.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(2000);
         write_store_sharded(&dir, &t, 4096, 1, 2500).unwrap();
-        let r = ShardedReader::open(&dir).unwrap();
+        let r = MpsSource::open(&dir).unwrap();
         assert!(r.num_shards() >= 2);
         // Open one shard directly with the plain reader: full header,
         // its slice of the events.
@@ -612,7 +387,7 @@ mod tests {
         let manifest = dir.join(MANIFEST_NAME);
         let text = std::fs::read_to_string(&manifest).unwrap();
         std::fs::write(&manifest, text.replace("1500", "1400")).unwrap();
-        let err = match ShardedReader::open(&dir) {
+        let err = match MpsSource::open(&dir) {
             Ok(_) => panic!("mismatched manifest must not open"),
             Err(e) => e,
         };
@@ -644,10 +419,8 @@ mod tests {
         let t = trace(1000);
         write_store_sharded(&dir, &t, 4096, 1, 1500).unwrap();
         std::fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
-        assert!(ShardedReader::open(&dir).is_err());
-        let r =
-            ShardedReader::open_with_mode(&dir, CacheConfig::default(), RecoveryMode::Salvage)
-                .unwrap();
+        assert!(MpsSource::open(&dir).is_err());
+        let r = MpsSource::open_with_options(&dir, RecoveryMode::Salvage, true).unwrap();
         assert_eq!(r.num_shards(), 2);
         let (events, _) = r.query(&Query::all()).unwrap();
         assert_eq!(events, t.events);
@@ -661,9 +434,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let t = Tracer::new(TracerConfig::default(), 2).finish("empty");
         write_store_sharded(&dir, &t, 4096, 1, 1000).unwrap();
-        let r = ShardedReader::open(&dir).unwrap();
+        let r = MpsSource::open(&dir).unwrap();
         assert_eq!((r.num_shards(), r.num_events()), (1, 0));
-        assert_eq!(r.header().meta, t.meta);
+        assert_eq!(r.store_header().meta, t.meta);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -676,7 +449,7 @@ mod tests {
         let t = trace(3000);
         write_store_sharded(&dir1, &t, 4096, 1, 2000).unwrap();
         write_store_sharded(&dir2, &t, 4096, 4, 2000).unwrap();
-        for i in 0..ShardedReader::open(&dir1).unwrap().num_shards() {
+        for i in 0..MpsSource::open(&dir1).unwrap().num_shards() {
             let a = std::fs::read(dir1.join(shard_name(i))).unwrap();
             let b = std::fs::read(dir2.join(shard_name(i))).unwrap();
             assert_eq!(a, b, "shard {i} differs between serial and pipelined writers");

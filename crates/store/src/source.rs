@@ -1,12 +1,13 @@
-//! [`TraceSource`] adapter for `.mps` stores — single-file or sharded
-//! — and a format-sniffing opener so downstream analyses (folding,
-//! object stats, the CLI) accept any container without caring which
-//! one they got.
+//! [`MpsSource`]: a store opened for reading — the files of a single
+//! `.mps` or a `trace.mps.d/` shard directory behind one API and the
+//! [`TraceSource`] trait — and a format-sniffing opener so downstream
+//! analyses (folding, object stats, the CLI) accept any container
+//! without caring which one they got.
 
-use crate::cache::{CacheConfig, CacheStats};
+use crate::cache::CacheStats;
 use crate::cancel::CancelToken;
-use crate::reader::{RecoveryMode, StoreReader};
-use crate::shard::{is_shard_dir, ShardedReader};
+use crate::reader::{ChunkDamage, RecoveryMode, StoreReader};
+use crate::shard::{is_shard_dir, open_shards, Shards};
 use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
@@ -15,19 +16,31 @@ use mempersp_extrae::tracer::Trace;
 use std::io::{self, Read as _};
 use std::path::Path;
 
-/// A `.mps` store behind the [`TraceSource`] trait. Queries push
-/// predicates down into the chunk index instead of materializing the
-/// whole trace. A `trace.mps.d/` shard directory opens the same way a
-/// single file does.
+/// Below this many surviving chunks a parallel query runs
+/// sequentially: spawning + merging costs more than the scan.
+pub const PARALLEL_MIN_CHUNKS: usize = 64;
+
+/// A store is a list of files. Queries push predicates down into each
+/// file's chunk index instead of materializing the whole trace, and
+/// walk the files in order; a `trace.mps.d/` shard directory opens the
+/// same way a single file does.
 pub struct MpsSource {
-    inner: Inner,
+    /// The store's files in trace order, never empty: the shards of a
+    /// directory under their manifest names, or a single `.mps` as
+    /// one entry with an empty name.
+    shards: Shards,
+    /// Directory-level salvage notes (bad manifest, unopenable
+    /// shards, count mismatches).
+    notes: Vec<String>,
 }
 
-enum Inner {
-    // Boxed: a StoreReader (cache shards + footer) dwarfs the
-    // ShardedReader variant's Vec pointer.
-    Single(Box<StoreReader>),
-    Sharded(ShardedReader),
+/// One damage-report line: a shard's findings carry its name.
+pub(crate) fn damage_line(shard: &str, d: &ChunkDamage) -> String {
+    if shard.is_empty() {
+        d.to_string()
+    } else {
+        format!("{shard}: {d}")
+    }
 }
 
 impl MpsSource {
@@ -45,117 +58,146 @@ impl MpsSource {
         mode: RecoveryMode,
         verify: bool,
     ) -> io::Result<MpsSource> {
-        let inner = if path.is_dir() {
-            let mut s = ShardedReader::open_with_mode(path, CacheConfig::default(), mode)?;
-            s.set_verify(verify);
-            Inner::Sharded(s)
+        let (shards, notes) = if path.is_dir() {
+            open_shards(path, mode, verify)?
         } else {
-            let mut r = StoreReader::open_with_mode(path, CacheConfig::default(), mode)?;
-            r.set_verify(verify);
-            Inner::Single(Box::new(r))
+            let reader = StoreReader::open_with_options(path, mode, verify)?;
+            (vec![(String::new(), reader)], Vec::new())
         };
-        Ok(MpsSource { inner })
+        Ok(MpsSource { shards, notes })
     }
 
-    /// Every defect diagnosed so far (salvage notes plus per-chunk
-    /// damage), as printable lines.
+    /// Every defect diagnosed so far as printable lines:
+    /// directory-level salvage notes, then each file's own damage
+    /// report (prefixed with the shard name in a sharded store).
     pub fn damage_report(&self) -> Vec<String> {
-        match &self.inner {
-            Inner::Single(r) => r.damage_report().iter().map(|d| d.to_string()).collect(),
-            Inner::Sharded(s) => s.damage_report(),
+        let mut all = self.notes.clone();
+        for (name, r) in &self.shards {
+            all.extend(r.damage_report().iter().map(|d| damage_line(name, d)));
         }
+        all
     }
 
-    /// The single-file reader, when this source is not sharded (chunk
-    /// index, decode counters, cache stats).
+    /// The store's files with their readers, in trace order (for
+    /// fsck-style deep verification). A single `.mps` is one entry
+    /// with an empty name.
+    pub fn shards(&self) -> impl Iterator<Item = (&str, &StoreReader)> {
+        self.shards.iter().map(|(name, r)| (name.as_str(), r))
+    }
+
+    /// The single-file reader, when this source is not a shard
+    /// directory (chunk index, decode counters, cache stats).
     pub fn reader(&self) -> Option<&StoreReader> {
-        match &self.inner {
-            Inner::Single(r) => Some(r),
-            Inner::Sharded(_) => None,
+        match &self.shards[..] {
+            [(name, r)] if name.is_empty() => Some(r),
+            _ => None,
         }
     }
 
     /// Shard count: 1 for a single-file store.
     pub fn num_shards(&self) -> usize {
-        match &self.inner {
-            Inner::Single(_) => 1,
-            Inner::Sharded(s) => s.num_shards(),
-        }
+        self.shards.len()
     }
 
     /// Total events across all chunks (and shards).
     pub fn num_events(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(r) => r.num_events(),
-            Inner::Sharded(s) => s.num_events(),
-        }
+        self.shards.iter().map(|(_, r)| r.num_events()).sum()
     }
 
-    /// The header trace (empty event list).
+    /// The header trace (empty event list; every shard carries the
+    /// same one).
     pub fn store_header(&self) -> &Trace {
-        match &self.inner {
-            Inner::Single(r) => r.header(),
-            Inner::Sharded(s) => s.header(),
-        }
+        self.shards[0].1.header()
     }
 
-    /// Run a query sequentially.
-    pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        match &self.inner {
-            Inner::Single(r) => r.query(q),
-            Inner::Sharded(s) => s.query(q),
-        }
+    /// Block-cache counters (summed across shards for a sharded store).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.shards.iter().map(|(_, r)| r.cache_stats()).fold(CacheStats::default(), CacheStats::merged)
+    }
+
+    /// Store format version.
+    pub fn format_version(&self) -> u32 {
+        self.shards[0].1.format_version()
     }
 
     /// Scan the store for `q`, handing `sink` one column batch per
     /// surviving chunk in stored order; `cancel` is checked at every
-    /// chunk boundary.
+    /// chunk boundary of every file.
     pub fn scan_batches_cancel(
         &self,
         q: &Query,
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        match &self.inner {
-            Inner::Single(r) => r.scan_batches_cancel(q, cancel, sink),
-            Inner::Sharded(s) => s.scan_batches_cancel(q, cancel, sink),
+        let mut stats = ScanStats::default();
+        for (_, r) in &self.shards {
+            stats.merge(&r.scan_batches_cancel(q, cancel, sink)?);
         }
+        Ok(stats)
     }
 
-    /// Block-cache counters (summed across shards for a sharded store).
-    pub fn cache_stats(&self) -> CacheStats {
-        match &self.inner {
-            Inner::Single(r) => r.cache_stats(),
-            Inner::Sharded(s) => s.cache_stats(),
-        }
+    /// Run a query sequentially. Returns matching events in stored
+    /// (trace) order plus the scan's cost accounting.
+    pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
+        let mut out = Vec::new();
+        let stats =
+            self.scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut out))?;
+        Ok((out, stats))
     }
 
-    /// Store format version.
-    pub fn format_version(&self) -> u32 {
-        match &self.inner {
-            Inner::Single(r) => r.format_version(),
-            Inner::Sharded(s) => s.shard_readers().next().map_or(0, |(_, r)| r.format_version()),
-        }
-    }
-
-    /// Run a query across `threads` workers (chunks for a single
-    /// file, shards for a sharded trace); same result as
-    /// [`MpsSource::query`].
+    /// Run a query with the surviving chunks of every file spread over
+    /// `threads` workers. The result is identical to
+    /// [`MpsSource::query`]: the `(shard, chunk)` candidates are
+    /// partitioned contiguously and re-concatenated in stored order,
+    /// so event order is preserved deterministically. Below
+    /// [`PARALLEL_MIN_CHUNKS`] surviving chunks the scan runs
+    /// sequentially — at that size thread spawn + merge dominates.
     pub fn query_parallel(&self, q: &Query, threads: usize) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        match &self.inner {
-            Inner::Single(r) => r.query_parallel(q, threads),
-            Inner::Sharded(s) => s.query_parallel(q, threads),
+        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        let mut stats = ScanStats::default();
+        for (shard, (_, r)) in self.shards.iter().enumerate() {
+            let (keep, skipped) = r.candidates(q);
+            stats.chunks_skipped += skipped;
+            candidates.extend(keep.into_iter().map(|chunk| (shard, chunk)));
         }
-    }
-
-    /// Run several queries in one pass over each chunk.
-    pub fn query_multi(&self, qs: &[Query]) -> io::Result<(Vec<Vec<TraceEvent>>, ScanStats)> {
-        match &self.inner {
-            Inner::Single(r) => r.query_multi(qs),
-            Inner::Sharded(s) => s.query_multi(qs),
+        let threads = threads.clamp(1, candidates.len().max(1));
+        if threads <= 1 || candidates.len() < PARALLEL_MIN_CHUNKS {
+            return self.query(q);
         }
-    }
 
+        let cancel = &CancelToken::new();
+        let per_worker = candidates.len().div_ceil(threads);
+        let parts: Vec<io::Result<(Vec<TraceEvent>, ScanStats)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = candidates
+                .chunks(per_worker)
+                .map(|slice| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut stats = ScanStats::default();
+                        // One `scan_candidates` per run of chunks in
+                        // the same file.
+                        for run in slice.chunk_by(|a, b| a.0 == b.0) {
+                            let reader = &self.shards[run[0].0].1;
+                            let chunks = run.iter().map(|&(_, chunk)| chunk);
+                            stats.merge(&reader.scan_candidates(chunks, q, cancel, &mut |b| {
+                                b.materialize_into(&mut out)
+                            })?);
+                        }
+                        Ok((out, stats))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
+        });
+
+        let mut out = Vec::new();
+        for part in parts {
+            let (events, p) = part?;
+            out.extend(events);
+            stats.merge(&p);
+        }
+        Ok((out, stats))
+    }
 }
 
 impl TraceSource for MpsSource {
@@ -172,39 +214,34 @@ impl TraceSource for MpsSource {
     }
 
     fn format_name(&self) -> &'static str {
-        match &self.inner {
-            Inner::Single(_) => "mps",
-            Inner::Sharded(_) => "mps.d",
+        if self.reader().is_some() {
+            "mps"
+        } else {
+            "mps.d"
         }
     }
 }
 
-/// Open a trace by path. A directory with a shard manifest is a
-/// sharded store; a file leading with `MPSTORE` is a binary store of
-/// some version (the reader rejects any but the current one by name);
-/// anything else is parsed as a text `.prv` trace.
-pub fn open_trace_source(path: &Path) -> io::Result<Box<dyn TraceSource>> {
-    open_trace_source_with(path, RecoveryMode::Strict, true)
-}
-
-/// [`open_trace_source`] with an explicit failure policy and
-/// checksum-verification toggle (both only meaningful for `.mps`).
-pub fn open_trace_source_with(
-    path: &Path,
-    mode: RecoveryMode,
-    verify: bool,
-) -> io::Result<Box<dyn TraceSource>> {
-    if is_shard_dir(path) || (path.is_dir() && mode == RecoveryMode::Salvage) {
-        return Ok(Box::new(MpsSource::open_with_options(path, mode, verify)?));
+/// Is `path` a binary store — a directory with a shard manifest, or a
+/// file leading with `MPSTORE` (any version; the reader rejects all
+/// but the current one by name)? Reads 8 bytes of a file, never more.
+pub fn sniff_store(path: &Path) -> io::Result<bool> {
+    if is_shard_dir(path) {
+        return Ok(true);
     }
     let mut file = std::fs::File::open(path).map_err(|e| {
         io::Error::new(e.kind(), format!("opening trace {}: {e}", path.display()))
     })?;
     let mut head = [0u8; 8];
     let n = file.read(&mut head)?;
-    drop(file);
-    if n == 8 && head[..7] == crate::writer::MAGIC[..7] {
-        return Ok(Box::new(MpsSource::open_with_options(path, mode, verify)?));
+    Ok(n == 8 && head[..7] == crate::writer::MAGIC[..7])
+}
+
+/// Open a trace by path: a store ([`sniff_store`]) through
+/// [`MpsSource::open`], anything else parsed as a text `.prv` trace.
+pub fn open_trace_source(path: &Path) -> io::Result<Box<dyn TraceSource>> {
+    if sniff_store(path)? {
+        return Ok(Box::new(MpsSource::open(path)?));
     }
     Ok(Box::new(MaterializedSource::open(path)?))
 }

@@ -1,7 +1,7 @@
 //! Hostile-input tests for the `.mps` reader: truncations at every
 //! byte boundary, random byte flips, and hand-crafted footers with
-//! absurd length claims. `StoreReader::open` (and any query on a
-//! reader that survived `open`) must return descriptive errors —
+//! absurd length claims. `MpsSource::open` (and any query on a
+//! source that survived `open`) must return descriptive errors —
 //! never panic, and never allocate anywhere near the claimed sizes.
 
 use mempersp_extrae::query::{EventClass, Query};
@@ -11,12 +11,11 @@ use mempersp_extrae::{EventBatch, RowView};
 use mempersp_folding::{fold_regions_source, FoldError, RegionRequest};
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::{CounterSnapshot, PebsSample};
-use mempersp_store::cache::CacheConfig;
 use mempersp_store::chunk::{ChunkMeta, Compression};
 use mempersp_store::reader::RecoveryMode;
 use mempersp_store::svb::SvbColumn;
 use mempersp_store::writer::write_store_chunked;
-use mempersp_store::{CancelToken, MpsSource, ShardedReader, StoreReader};
+use mempersp_store::{CancelToken, MpsSource, StoreReader};
 use proptest::prelude::*;
 
 fn trace(n: u64) -> mempersp_extrae::tracer::Trace {
@@ -52,10 +51,10 @@ fn old_magic_store_bytes() -> Vec<u8> {
     bytes
 }
 
-fn open_bytes(name: &str, bytes: &[u8]) -> std::io::Result<StoreReader> {
+fn open_bytes(name: &str, bytes: &[u8]) -> std::io::Result<MpsSource> {
     let path = tmpdir().join(name);
     std::fs::write(&path, bytes).unwrap();
-    let r = StoreReader::open(&path);
+    let r = MpsSource::open(&path);
     std::fs::remove_file(&path).ok();
     r
 }
@@ -133,7 +132,7 @@ const CRAFTED_PAYLOAD_OFF: u64 = (8 + mempersp_store::FRAME_LEN) as u64;
 /// chunk payload, an empty header, one crafted [`ChunkMeta`], and a
 /// well-formed, correctly checksummed footer and trailer — so the
 /// claims in the index are what `open` has to judge.
-fn open_crafted(meta: ChunkMeta, header_raw_len: u64) -> std::io::Result<StoreReader> {
+fn open_crafted(meta: ChunkMeta, header_raw_len: u64) -> std::io::Result<MpsSource> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(mempersp_store::writer::MAGIC);
     bytes.extend_from_slice(&[0xAA; mempersp_store::FRAME_LEN + 4]); // "frame" + "payload"
@@ -176,7 +175,7 @@ fn sharded_flip_one_shard_strict_errors_salvage_recovers_rest() {
     bytes[at] ^= 0x40;
     std::fs::write(&victim, &bytes).unwrap();
 
-    let strict = ShardedReader::open(&dir).expect("strict open is lazy about payloads");
+    let strict = MpsSource::open(&dir).expect("strict open is lazy about payloads");
     let err = match strict.query(&Query::all()) {
         Ok(_) => panic!("strict query must refuse a corrupt chunk"),
         Err(e) => e,
@@ -185,7 +184,7 @@ fn sharded_flip_one_shard_strict_errors_salvage_recovers_rest() {
     assert!(!err.to_string().is_empty());
 
     let salvage =
-        ShardedReader::open_with_mode(&dir, CacheConfig::default(), RecoveryMode::Salvage).unwrap();
+        MpsSource::open_with_options(&dir, RecoveryMode::Salvage, true).unwrap();
     let (events, stats) = salvage.query(&Query::all()).unwrap();
     assert_eq!(stats.chunks_damaged, 1);
     assert_eq!(events.len(), t.events.len() - lost, "salvage must lose exactly one chunk");
@@ -206,14 +205,14 @@ fn sharded_deleted_shard_strict_errors_salvage_keeps_survivors() {
         .sum();
     std::fs::remove_file(dir.join("shard-0001.mps")).unwrap();
 
-    let err = match ShardedReader::open(&dir) {
+    let err = match MpsSource::open(&dir) {
         Ok(_) => panic!("strict open must fail on a missing shard"),
         Err(e) => e,
     };
     assert!(err.to_string().contains("shard-0001"), "undescriptive: {err}");
 
     let salvage =
-        ShardedReader::open_with_mode(&dir, CacheConfig::default(), RecoveryMode::Salvage).unwrap();
+        MpsSource::open_with_options(&dir, RecoveryMode::Salvage, true).unwrap();
     let (events, _) = salvage.query(&Query::all()).unwrap();
     assert_eq!(events.len() as u64, survivors);
     let head = StoreReader::open(&dir.join("shard-0000.mps")).unwrap().num_events() as usize;
@@ -246,14 +245,14 @@ fn sharded_manifest_mismatch_strict_errors_salvage_notes_it() {
         .collect();
     std::fs::write(&manifest_path, doctored).unwrap();
 
-    let err = match ShardedReader::open(&dir) {
+    let err = match MpsSource::open(&dir) {
         Ok(_) => panic!("strict open must fail on a manifest mismatch"),
         Err(e) => e,
     };
     assert!(err.to_string().contains("manifest says"), "undescriptive: {err}");
 
     let salvage =
-        ShardedReader::open_with_mode(&dir, CacheConfig::default(), RecoveryMode::Salvage).unwrap();
+        MpsSource::open_with_options(&dir, RecoveryMode::Salvage, true).unwrap();
     let (events, _) = salvage.query(&Query::all()).unwrap();
     assert_eq!(events, t.events, "a lying manifest must not cost any data");
     assert!(salvage.damage_report().iter().any(|d| d.contains("manifest says")));
@@ -305,11 +304,15 @@ fn rich_trace(iters: u64) -> mempersp_extrae::tracer::Trace {
     t.finish("rich corruption trace")
 }
 
-/// Where three columns of a raw v4 chunk sit in the file.
+/// Where three columns of a raw v4 chunk sit in the file, which chunk
+/// it is, and its last byte — User is the last class stream and
+/// `value` its last column, so that is a data byte of a User value.
 struct ColumnOffsets {
+    chunk: usize,
     first_tag: usize,
     first_pebs_level: usize,
     first_stack_len_data: usize,
+    last_user_value_data: usize,
 }
 
 /// Write `rich_trace` as a v4 store and locate columns of its first
@@ -319,10 +322,11 @@ fn rich_store(name: &str) -> (std::path::PathBuf, ColumnOffsets) {
     write_store_chunked(&path, &rich_trace(300), 1024).expect("write");
     let reader = StoreReader::open(&path).unwrap();
     assert_eq!(reader.format_version(), 4);
-    let m = reader
+    let (chunk_idx, m) = reader
         .chunks()
         .iter()
-        .find(|m| m.compression == Compression::Raw)
+        .enumerate()
+        .find(|(_, m)| m.compression == Compression::Raw)
         .expect("high-entropy chunks stay raw");
     let bytes = std::fs::read(&path).unwrap();
     let chunk = &bytes[m.offset as usize..(m.offset + m.stored_len as u64) as usize];
@@ -354,8 +358,15 @@ fn rich_store(name: &str) -> (std::path::PathBuf, ColumnOffsets) {
         SvbColumn::parse(sec, &mut p, ns).unwrap();
     }
     let first_stack_len_data = m.offset as usize + start + p + ns.div_ceil(4);
-    assert!(np > 0 && ns > 0);
-    (path, ColumnOffsets { first_tag: m.offset as usize + pos, first_pebs_level, first_stack_len_data })
+    assert!(np > 0 && ns > 0 && count(EventClass::User) > 0);
+    let offsets = ColumnOffsets {
+        chunk: chunk_idx,
+        first_tag: m.offset as usize + pos,
+        first_pebs_level,
+        first_stack_len_data,
+        last_user_value_data: (m.offset + m.stored_len as u64) as usize - 1,
+    };
+    (path, offsets)
 }
 
 fn corrupt(path: &std::path::Path, at: usize, value: u8) {
@@ -427,6 +438,28 @@ fn salvage_fold_counts_the_damaged_chunk() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `--no-verify` is an escape hatch for queries, not for `fsck`: a
+/// flipped data byte that still decodes sails through a query on a
+/// reader opened with `verify = false`, but `verify_all` checks every
+/// CRC whatever the reader was told, and names the chunk.
+#[test]
+fn verify_all_checks_crcs_the_reader_was_told_to_skip() {
+    let (path, offsets) = rich_store("noverify_fsck.mps");
+    let (clean, _) = MpsSource::open(&path).unwrap().query(&Query::all()).unwrap();
+    let original = std::fs::read(&path).unwrap()[offsets.last_user_value_data];
+    corrupt(&path, offsets.last_user_value_data, original ^ 0x01);
+
+    let src = MpsSource::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
+    let (events, stats) = src.query(&Query::all()).expect("the flipped value still decodes");
+    assert_eq!((events.len(), stats.chunks_damaged), (clean.len(), 0));
+    assert_ne!(events, clean, "the flip must have reached a decoded value");
+    let damage = src.reader().expect("single file").verify_all();
+    assert_eq!(damage.len(), 1, "{damage:?}");
+    assert_eq!(damage[0].chunk, Some(offsets.chunk));
+    assert!(damage[0].reason.contains("payload checksum mismatch"), "{}", damage[0].reason);
+    std::fs::remove_file(&path).ok();
+}
+
 /// Read every field every typed row view offers.
 fn touch_every_accessor(batch: &EventBatch<'_>) {
     let mut sink = 0u64;
@@ -463,13 +496,13 @@ proptest! {
             }
             match open_bytes(&format!("flip_{case}.mps"), &bytes) {
                 Err(e) => prop_assert!(!e.to_string().is_empty()),
-                Ok(reader) => {
+                Ok(mut src) => {
                     // The flip may have landed in a payload: decoding must
                     // surface it as Err, never as a panic.
                     let q = Query::all().with_kinds(&[EventClass::RegionEnter]);
-                    let _ = reader.query(&q);
-                    let _ = reader.query_parallel(&Query::all(), 4);
-                    let _ = reader.materialize();
+                    let _ = src.query(&q);
+                    let _ = src.query_parallel(&Query::all(), 4);
+                    let _ = src.materialize();
                 }
             }
         }
@@ -524,8 +557,8 @@ proptest! {
             let len = bytes.len();
             bytes[flip.0 % len] ^= flip.1;
         }
-        if let Ok(reader) = open_bytes(&format!("cutflip_{case}.mps"), &bytes) {
-            let _ = reader.materialize();
+        if let Ok(mut src) = open_bytes(&format!("cutflip_{case}.mps"), &bytes) {
+            let _ = src.materialize();
         }
     }
 }

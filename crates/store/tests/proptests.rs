@@ -1,5 +1,7 @@
 //! Property-based tests for the trace store: the chunk codec, the LZ
-//! pass, and the query path against a linear filter oracle.
+//! pass, and every read path of both containers against a linear
+//! filter oracle — plus the fixed cases that oracle needs to reach the
+//! parallel fan-out, a salvaged shard and a cancelled scan.
 
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp_extrae::objects::ObjectId;
@@ -10,9 +12,15 @@ use mempersp_pebs::{CounterSnapshot, PebsSample};
 use mempersp_store::codec::{decode_events_v4, encode_events_v4};
 use mempersp_store::lz;
 use mempersp_store::svb::{encode_column, unzigzag, SvbColumn};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
+use mempersp_extrae::tracer::Trace;
 use mempersp_store::writer::write_store_chunked;
-use mempersp_store::{detected_simd_level, SimdLevel, StoreReader};
+use mempersp_store::{
+    detected_simd_level, write_store_sharded, CancelToken, MpsSource, RecoveryMode, SimdLevel,
+    PARALLEL_MIN_CHUNKS,
+};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 fn arb_level() -> impl Strategy<Value = MemLevel> {
     (0u8..4).prop_map(|c| match c {
@@ -149,10 +157,227 @@ fn runnable_levels() -> Vec<SimdLevel> {
     levels
 }
 
-fn tmp(name: &str, case: u64) -> std::path::PathBuf {
+/// A header-only trace around `events`.
+fn trace_of(events: &[TraceEvent]) -> Trace {
+    let mut trace = mempersp_extrae::Tracer::new(Default::default(), 1).finish("pt");
+    trace.events = events.to_vec();
+    trace
+}
+
+/// Write `events` with 1 KiB chunks as a flat `.mps` (`shards == 0`)
+/// or as a `.mps.d` spanning at most `shards` shards.
+fn write_container(name: &str, case: u64, events: &[TraceEvent], shards: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mempersp_store_pt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}_{case}.mps"))
+    let trace = trace_of(events);
+    if shards == 0 {
+        let path = dir.join(format!("{name}_{case}.mps"));
+        write_store_chunked(&path, &trace, 1024).expect("write");
+        path
+    } else {
+        let path = dir.join(format!("{name}_{case}.mps.d"));
+        std::fs::remove_dir_all(&path).ok();
+        let per_shard = events.len().div_ceil(shards) as u64;
+        write_store_sharded(&path, &trace, 1024, 1, per_shard).expect("write sharded");
+        path
+    }
+}
+
+fn remove_container(path: &Path) {
+    if path.is_dir() {
+        std::fs::remove_dir_all(path).ok();
+    } else {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// The differential check: `query`, `query_parallel` at 2 and 4
+/// threads, `scan_batches_cancel` + `materialize_into` and
+/// `TraceSource::filtered` must all return `want`, and the parallel
+/// scans must account for the same work as the sequential one.
+/// Returns the sequential scan's stats.
+fn assert_read_paths_agree(src: &mut MpsSource, q: &Query, want: &[TraceEvent]) -> ScanStats {
+    // Which of a touched chunk's two counters moves depends on the
+    // cache, so compare their sum.
+    let account = |s: &ScanStats| {
+        let visited = s.chunks_skipped + s.chunks_decoded + s.chunks_cached;
+        (s.events_matched, s.events_scanned, visited, s.chunks_damaged)
+    };
+    let (seq, seq_stats) = src.query(q).expect("query");
+    assert_eq!(seq, want);
+    assert_eq!(seq_stats.events_matched as usize, want.len());
+    for threads in [2, 4] {
+        let (par, par_stats) = src.query_parallel(q, threads).expect("parallel query");
+        assert_eq!(par, want, "threads={threads}");
+        assert_eq!(account(&par_stats), account(&seq_stats), "threads={threads}");
+    }
+    let mut rows = Vec::new();
+    let scan_stats = src
+        .scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut rows))
+        .expect("scan");
+    assert_eq!(rows, want);
+    assert_eq!(account(&scan_stats), account(&seq_stats));
+    let (filtered, filtered_stats) = src.filtered(q).expect("filtered");
+    assert_eq!(filtered.events, want);
+    assert_eq!(account(&filtered_stats), account(&seq_stats));
+    seq_stats
+}
+
+/// A seeded mix of every event class with full-width fields — enough
+/// events that 1 KiB chunks clear [`PARALLEL_MIN_CHUNKS`].
+fn fixed_events() -> Vec<TraceEvent> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rnd = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..4000u64)
+        .map(|i| {
+            let (cycles, core, r) = (i * 50 + rnd() % 40, (rnd() % 8) as usize, rnd());
+            let counters = CounterSnapshot::from_values(std::array::from_fn(|_| rnd() >> 20));
+            let payload = match i % 7 {
+                0 => EventPayload::RegionEnter { region: RegionId((r % 9) as u32), counters },
+                1 => EventPayload::RegionExit { region: RegionId((r % 9) as u32), counters },
+                2 => EventPayload::CounterSample {
+                    ip: Ip(r),
+                    counters,
+                    stack: (0..r % 4).map(|d| RegionId(d as u32)).collect(),
+                },
+                3 | 4 => EventPayload::Pebs {
+                    sample: PebsSample {
+                        timestamp: cycles,
+                        core,
+                        ip: r,
+                        addr: rnd(),
+                        size: 8,
+                        is_store: r & 1 == 0,
+                        latency: (r % 900) as u32,
+                        source: MemLevel::L2,
+                        tlb_miss: r & 2 == 0,
+                    },
+                    object: (r & 4 == 0).then_some(ObjectId((r % 30) as u32)),
+                },
+                5 => EventPayload::Alloc { base: r, size: 1 + rnd() % 4096, callsite: Ip(rnd()) },
+                _ => EventPayload::User { kind: (r % 5) as u32, value: rnd() },
+            };
+            TraceEvent { cycles, core, payload }
+        })
+        .collect()
+}
+
+/// The queries the fixed cases run: nothing pruned, and a selective
+/// mix of every pushed-down predicate.
+fn fixed_queries() -> [Query; 2] {
+    [
+        Query::all(),
+        Query::all()
+            .with_kinds(&[EventClass::Pebs, EventClass::User])
+            .on_cores(&[1, 2, 5])
+            .in_time(20_000, 190_000),
+    ]
+}
+
+/// Candidate chunks of `q` per file of `src`.
+fn candidates_per_shard(src: &MpsSource, q: &Query) -> Vec<usize> {
+    src.shards().map(|(_, r)| r.chunks().iter().filter(|m| m.may_match(q)).count()).collect()
+}
+
+/// The fixed cases, per container: the property above keeps every
+/// trace under [`PARALLEL_MIN_CHUNKS`] chunks, so these are what
+/// drive the real fan-out across shard boundaries.
+#[test]
+fn read_paths_agree_through_the_parallel_fan_out() {
+    let events = fixed_events();
+    for shards in [0, 4] {
+        let path = write_container("fanout", 0, &events, shards);
+        let mut src = MpsSource::open(&path).expect("open");
+        for q in fixed_queries() {
+            let per_shard = candidates_per_shard(&src, &q);
+            let total: usize = per_shard.iter().sum();
+            assert!(total >= PARALLEL_MIN_CHUNKS, "{shards} shards: only {total} candidates");
+            if shards > 0 {
+                assert!(per_shard.iter().filter(|&&n| n > 0).count() >= 3, "{per_shard:?}");
+            }
+            let want: Vec<TraceEvent> = events.iter().filter(|e| q.matches(e)).cloned().collect();
+            assert!(!want.is_empty());
+            let stats = assert_read_paths_agree(&mut src, &q, &want);
+            assert_eq!((stats.chunks_decoded + stats.chunks_cached) as usize, total);
+        }
+        remove_container(&path);
+    }
+}
+
+/// Salvage with one damaged chunk in a middle shard: every read path
+/// drops exactly that chunk's events and counts it once.
+#[test]
+fn read_paths_agree_on_a_salvaged_middle_shard() {
+    let events = fixed_events();
+    let path = write_container("salvage", 0, &events, 4);
+    let clean = MpsSource::open(&path).expect("open");
+    let before: u64 = clean.shards().take(2).map(|(_, r)| r.num_events()).sum();
+    let (victim_name, victim) = clean.shards().nth(2).expect("four shards");
+    let damaged = &victim.chunks()[3];
+    let lost_from =
+        (before + victim.chunks()[..3].iter().map(|m| m.events as u64).sum::<u64>()) as usize;
+    let mut survivors = events.clone();
+    survivors.drain(lost_from..lost_from + damaged.events as usize);
+    let victim_path = path.join(victim_name);
+    let mut bytes = std::fs::read(&victim_path).unwrap();
+    bytes[damaged.offset as usize + 5] ^= 0x20;
+    drop(clean);
+    std::fs::write(&victim_path, &bytes).unwrap();
+
+    let mut src = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).expect("open");
+    for q in fixed_queries() {
+        let want: Vec<TraceEvent> = survivors.iter().filter(|e| q.matches(e)).cloned().collect();
+        let stats = assert_read_paths_agree(&mut src, &q, &want);
+        assert_eq!(stats.chunks_damaged, 1, "{stats:?}");
+    }
+    assert_eq!(src.damage_report().len(), 1, "{:?}", src.damage_report());
+    remove_container(&path);
+}
+
+/// Cancellation crosses file boundaries — the property the server's
+/// 503 path rests on. A token cancelled up front stops the scan before
+/// the sink runs once; a deadline that passes once the sink has seen
+/// the first shard (the first half of a flat file) stops it at the
+/// next chunk boundary, so the sink has seen whole chunks only.
+#[test]
+fn cancelled_scans_stop_at_the_next_chunk_boundary() {
+    let events = fixed_events();
+    for shards in [0, 4] {
+        let path = write_container("cancel", 0, &events, shards);
+        let src = MpsSource::open(&path).expect("open");
+        let q = Query::all();
+
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let mut calls = 0;
+        let err = src.scan_batches_cancel(&q, &cancelled, &mut |_| calls += 1).unwrap_err();
+        assert_eq!((err.kind(), calls), (std::io::ErrorKind::Interrupted, 0));
+
+        let (_, first) = src.shards().next().expect("a store has a file");
+        let stop_after = if shards == 0 { first.chunks().len() / 2 } else { first.chunks().len() };
+        let stop_events: usize = first.chunks()[..stop_after].iter().map(|m| m.events as usize).sum();
+        assert!(stop_events > 0 && stop_events < events.len());
+        let deadline = CancelToken::with_timeout(std::time::Duration::from_millis(300));
+        let (mut batches, mut rows) = (0, Vec::new());
+        let err = src
+            .scan_batches_cancel(&q, &deadline, &mut |b| {
+                b.materialize_into(&mut rows);
+                batches += 1;
+                while batches == stop_after && !deadline.is_cancelled() {
+                    std::thread::yield_now();
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{shards} shards: {err}");
+        assert_eq!(batches, stop_after, "{shards} shards");
+        assert_eq!(rows, events[..stop_events], "{shards} shards");
+        remove_container(&path);
+    }
 }
 
 proptest! {
@@ -242,22 +467,21 @@ proptest! {
         let _ = decode_events_v4(&data, count);
     }
 
-    /// A store query equals the linear filter over the original
-    /// events, for arbitrary traces and arbitrary predicates.
+    /// Every read path of a store equals the linear filter over the
+    /// original events, for arbitrary traces, arbitrary predicates and
+    /// either container (`shards == 0`: a flat `.mps`).
     #[test]
     fn query_equals_linear_filter(
         events in prop::collection::vec(arb_event(), 1..300),
+        shards in 0usize..5,
         window in (any::<bool>(), 0u64..1 << 48, 0u64..1 << 16),
         kind_mask in any::<u8>(),
         cores in (any::<bool>(), prop::collection::vec(0usize..128, 1..4)),
         case in any::<u64>(),
     ) {
-        let mut trace = mempersp_extrae::Tracer::new(Default::default(), 1).finish("pt");
-        trace.events = events.clone();
-
-        let path = tmp("oracle", case);
-        write_store_chunked(&path, &trace, 1024).expect("write");
-        let reader = StoreReader::open(&path).expect("open");
+        let path = write_container("oracle", case, &events, shards);
+        let mut src = MpsSource::open(&path).expect("open");
+        prop_assert!(src.num_shards() <= shards.max(1));
 
         let mut q = Query::all().with_kinds(&kinds_from_mask(kind_mask));
         if window.0 {
@@ -267,15 +491,8 @@ proptest! {
             q = q.on_cores(&cores.1);
         }
 
-        let (got, stats) = reader.query(&q).expect("query");
         let want: Vec<TraceEvent> = events.iter().filter(|e| q.matches(e)).cloned().collect();
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(stats.events_matched as usize, want.len());
-
-        // Parallel scan returns the identical answer.
-        let (par, _) = reader.query_parallel(&q, 4).expect("parallel query");
-        prop_assert_eq!(par, want);
-
-        std::fs::remove_file(&path).ok();
+        assert_read_paths_agree(&mut src, &q, &want);
+        remove_container(&path);
     }
 }

@@ -9,7 +9,7 @@ use mempersp::extrae::query::{EventClass, Query};
 use mempersp::extrae::trace_format::{load_trace, save_trace, write_trace};
 use mempersp::extrae::Trace;
 use mempersp::hpcg::{HpcgConfig, HpcgWorkload};
-use mempersp::store::{open_trace_source, write_store_chunked, StoreReader};
+use mempersp::store::{open_trace_source, write_store_chunked, MpsSource, StoreReader};
 
 fn tmpdir() -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("mempersp_store_it_{}", std::process::id()));
@@ -113,7 +113,7 @@ fn hpcg_prv_mps_prv_is_byte_identical() {
 #[test]
 fn parallel_store_scan_is_deterministic() {
     let (_, _, mps) = fixture();
-    let reader = StoreReader::open(mps).unwrap();
+    let reader = MpsSource::open(mps).unwrap();
     let q = Query::all().with_kinds(&[EventClass::Pebs]);
     let (seq, _) = reader.query(&q).unwrap();
     assert!(!seq.is_empty());
