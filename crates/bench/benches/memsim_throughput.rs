@@ -1,17 +1,16 @@
 //! Simulator-substrate throughput: accesses per second on a
-//! 4-simulated-core HPCG-like SpMV stream, comparing the pre-PR
-//! sequential issue path against the batched/pipelined one.
+//! 4-simulated-core HPCG-like SpMV stream, comparing the sequential
+//! issue path against the batched/pipelined one.
 //!
 //! Scenarios (all over the identical operation streams):
 //!
-//! * `per_access_probe_all` — one `MemorySystem::access` call per
-//!   operation with the snoop filter disabled (every store probes all
-//!   peer cores), i.e. the pre-PR sequential baseline;
-//! * `batched_filtered` — the same stream through `access_batch` with
-//!   the line directory active, still sequential;
+//! * `per_access` — one `MemorySystem::access` call per operation, the
+//!   sequential baseline;
+//! * `batched` — the same stream through `access_batch`, still
+//!   sequential;
 //! * `epoch_threads1` / `epoch_threads4` — the two-phase epoch
-//!   pipeline (private-phase per core, deterministic global replay),
-//!   with the private phase on 1 vs 4 worker threads;
+//!   pipeline (conflict check, private phase per core, deterministic
+//!   global replay), with the private phase on 1 vs 4 worker threads;
 //! * `machine_threads1` / `machine_threads4` — the full `Machine`
 //!   (PMU + PEBS + tracer) on a conflict-free 4-core workload.
 //!
@@ -20,9 +19,7 @@
 
 use mempersp_core::{Machine, MachineConfig, PebsCoreSelect};
 use mempersp_extrae::{AppContext, CodeLocation, MemRequest, Workload};
-use mempersp_memsim::{
-    AccessKind, Addr, BatchOp, HierarchyConfig, MemorySystem, PrivateResult, UncoreReq,
-};
+use mempersp_memsim::{AccessKind, BatchOp, HierarchyConfig, MemorySystem, PrivateResult, UncoreReq};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,11 +69,9 @@ impl Measure {
     }
 }
 
-/// Pre-PR equivalent: per-access calls, snoop filter off (stores probe
-/// every peer core, as the original inline snoop loop did).
+/// The sequential baseline: one `access` call per operation.
 fn bench_per_access(streams: &[Vec<BatchOp>]) -> Measure {
     let mut mem = MemorySystem::new(HierarchyConfig::haswell_like(), CORES);
-    mem.set_snoop_filter(false);
     let mut lat = 0u64;
     let t = Instant::now();
     let per_round = 4096usize;
@@ -95,13 +90,13 @@ fn bench_per_access(streams: &[Vec<BatchOp>]) -> Measure {
     }
     black_box(lat);
     Measure {
-        name: "per_access_probe_all",
+        name: "per_access",
         accesses: (len * CORES) as u64,
         seconds: t.elapsed().as_secs_f64(),
     }
 }
 
-/// Sequential batched path with the directory snoop filter.
+/// Sequential batched path.
 fn bench_batched(streams: &[Vec<BatchOp>]) -> Measure {
     let mut mem = MemorySystem::new(HierarchyConfig::haswell_like(), CORES);
     let mut out = Vec::new();
@@ -123,22 +118,20 @@ fn bench_batched(streams: &[Vec<BatchOp>]) -> Measure {
     }
     black_box(lat);
     Measure {
-        name: "batched_filtered",
+        name: "batched",
         accesses: (len * CORES) as u64,
         seconds: t.elapsed().as_secs_f64(),
     }
 }
 
-/// The two-phase epoch pipeline at memsim level: private-phase
-/// simulation of all cores (optionally on worker threads), directory
-/// sync, then the deterministic global replay against L3/DRAM.
+/// The two-phase epoch pipeline at memsim level: the conflict check,
+/// private-phase simulation of all cores (optionally on worker
+/// threads), then the deterministic global replay against L3/DRAM.
 fn bench_epoch(streams: &[Vec<BatchOp>], threads: usize, name: &'static str) -> Measure {
     let mut mem = MemorySystem::new(HierarchyConfig::haswell_like(), CORES);
     let hier = mem.config().clone();
     let mut results: Vec<Vec<PrivateResult>> = vec![Vec::new(); CORES];
     let mut reqs: Vec<Vec<UncoreReq>> = vec![Vec::new(); CORES];
-    let mut dirs: Vec<Vec<Addr>> = vec![Vec::new(); CORES];
-    let mut out = Vec::new();
     let mut lat = 0u64;
     let t = Instant::now();
     let per_round = 32_768usize;
@@ -147,7 +140,9 @@ fn bench_epoch(streams: &[Vec<BatchOp>], threads: usize, name: &'static str) -> 
     let mut now = 0u64;
     while pos < len {
         let end = (pos + per_round).min(len);
-        let epoch: Vec<&[BatchOp]> = streams.iter().map(|s| &s[pos..end]).collect();
+        // The machine buffers an epoch's operations per core.
+        let epoch: Vec<Vec<BatchOp>> = streams.iter().map(|s| s[pos..end].to_vec()).collect();
+        assert!(mem.epoch_conflict_free(&epoch), "the slabs are disjoint");
 
         // Phase 1: private paths, in parallel.
         {
@@ -155,35 +150,36 @@ fn bench_epoch(streams: &[Vec<BatchOp>], threads: usize, name: &'static str) -> 
             let mut work: Vec<_> = paths
                 .iter_mut()
                 .zip(&epoch)
-                .zip(results.iter_mut().zip(reqs.iter_mut()).zip(dirs.iter_mut()))
-                .map(|((path, ops), ((res, rq), dr))| (path, *ops, res, rq, dr))
+                .zip(results.iter_mut().zip(reqs.iter_mut()))
+                .map(|((path, ops), (res, rq))| (path, ops, res, rq))
                 .collect();
             if threads <= 1 {
-                for (path, ops, res, rq, dr) in &mut work {
-                    path.simulate_private(&hier, true, ops, res, rq, dr);
+                for (path, ops, res, rq) in &mut work {
+                    path.simulate_private(&hier, ops, res, rq);
                 }
             } else {
                 let per_chunk = work.len().div_ceil(threads);
                 std::thread::scope(|s| {
                     for chunk in work.chunks_mut(per_chunk) {
                         s.spawn(|| {
-                            for (path, ops, res, rq, dr) in chunk {
-                                path.simulate_private(&hier, true, ops, res, rq, dr);
+                            for (path, ops, res, rq) in chunk {
+                                path.simulate_private(&hier, ops, res, rq);
                             }
                         });
                     }
                 });
             }
         }
-        for (c, d) in dirs.iter_mut().enumerate() {
-            mem.sync_directory(c, d);
-        }
+        mem.merge_prefetch_pages();
 
         // Phase 2: global replay in issue order.
         for core in 0..CORES {
-            out.clear();
-            lat += mem.complete_epoch(core, &results[core], &reqs[core], now, &mut out);
-            black_box(out.len());
+            let mut cursor = 0usize;
+            for (i, pr) in results[core].iter().enumerate() {
+                let slice = &reqs[core][cursor..cursor + pr.req_len as usize];
+                cursor += pr.req_len as usize;
+                lat += mem.complete_access(core, pr, slice, now + i as u64).latency as u64;
+            }
         }
         for v in &mut results {
             v.clear();

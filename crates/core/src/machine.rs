@@ -29,8 +29,8 @@ use mempersp_extrae::{
     Workload,
 };
 use mempersp_memsim::{
-    AccessKind, AccessResult, Addr, BatchOp, HierarchyConfig, MemLevel, MemorySystem,
-    PrivateResult, UncoreReq,
+    AccessKind, AccessResult, BatchOp, HierarchyConfig, MemLevel, MemorySystem, PrivateResult,
+    UncoreReq,
 };
 use mempersp_pebs::{
     EventKind, MemOp, MultiplexStats, Multiplexer, PebsEvent, Pmu, SamplingConfig,
@@ -88,7 +88,13 @@ pub struct MachineConfig {
     /// Flush an epoch once this many operations are buffered. Smaller
     /// caps tighten the streaming pipeline's memory bound (and the
     /// latency until events reach an attached sink) at the cost of
-    /// more flushes; results are identical for every value ≥ 1.
+    /// more flushes. At any one value ≥ 1 results never depend on
+    /// `threads`; across values they are identical unless a core
+    /// re-uses, within an epoch, a line the inclusive L3 evicts during
+    /// it (a pipelined epoch back-invalidates after its private phase;
+    /// DESIGN.md §7 lists where that happens: not for HPCG on
+    /// [`MachineConfig::haswell`], but on [`MachineConfig::small`]'s
+    /// tiny L3 and where cores share lines).
     pub epoch_cap: usize,
 }
 
@@ -245,7 +251,6 @@ pub struct Machine {
     /// Reused phase-1 output buffers, indexed by core.
     ph_results: Vec<Vec<PrivateResult>>,
     ph_reqs: Vec<Vec<UncoreReq>>,
-    ph_dirs: Vec<Vec<Addr>>,
     /// Streaming sink for the current [`Machine::run_streaming`] call;
     /// `None` during materialized runs.
     sink: Option<Box<dyn EventSink>>,
@@ -297,7 +302,6 @@ impl Machine {
             epoch_mem: vec![Vec::new(); n],
             ph_results: vec![Vec::new(); n],
             ph_reqs: vec![Vec::new(); n],
-            ph_dirs: vec![Vec::new(); n],
             sink: None,
             sink_error: None,
             events_streamed: 0,
@@ -481,10 +485,8 @@ impl Machine {
     /// L3/DRAM traffic and all accounting.
     fn run_epoch_pipelined(&mut self, epoch: &[EpochOp], per_core: &[Vec<BatchOp>]) {
         let n = self.cfg.cores;
-        let track_dir = n > 1;
         let mut results = std::mem::take(&mut self.ph_results);
         let mut reqs = std::mem::take(&mut self.ph_reqs);
-        let mut dirs = std::mem::take(&mut self.ph_dirs);
 
         // Phase 1: every core's private path, in parallel when asked.
         {
@@ -494,21 +496,21 @@ impl Machine {
             let mut work: Vec<_> = paths
                 .iter_mut()
                 .zip(per_core)
-                .zip(results.iter_mut().zip(reqs.iter_mut()).zip(dirs.iter_mut()))
-                .map(|((path, ops), ((res, rq), dr))| (path, ops, res, rq, dr))
+                .zip(results.iter_mut().zip(reqs.iter_mut()))
+                .map(|((path, ops), (res, rq))| (path, ops, res, rq))
                 .filter(|(_, ops, ..)| !ops.is_empty())
                 .collect();
             if threads <= 1 || work.len() <= 1 {
-                for (path, ops, res, rq, dr) in &mut work {
-                    path.simulate_private(hier, track_dir, ops, res, rq, dr);
+                for (path, ops, res, rq) in &mut work {
+                    path.simulate_private(hier, ops, res, rq);
                 }
             } else {
                 let per_chunk = work.len().div_ceil(threads);
                 std::thread::scope(|s| {
                     for chunk in work.chunks_mut(per_chunk) {
                         s.spawn(move || {
-                            for (path, ops, res, rq, dr) in chunk {
-                                path.simulate_private(hier, track_dir, ops, res, rq, dr);
+                            for (path, ops, res, rq) in chunk {
+                                path.simulate_private(hier, ops, res, rq);
                             }
                         });
                     }
@@ -516,14 +518,9 @@ impl Machine {
             }
         }
 
-        // Bring the snoop-filter directory up to date (fixed core
-        // order — deterministic) before any phase-2 back-invalidation
-        // consults it.
-        if track_dir {
-            for (c, d) in dirs.iter_mut().enumerate() {
-                self.mem.sync_directory(c, d);
-            }
-        }
+        // Page ownership must cover what phase 1 prefetched before any
+        // phase-2 back-invalidation consults it.
+        self.mem.merge_prefetch_pages();
 
         // Phase 2: walk the global issue order; apply each op's uncore
         // requests and account it at its core's current clock.
@@ -557,7 +554,6 @@ impl Machine {
         }
         self.ph_results = results;
         self.ph_reqs = reqs;
-        self.ph_dirs = dirs;
     }
 
     /// PMU/stall/PEBS/timer accounting of one completed access — the
@@ -587,22 +583,24 @@ impl Machine {
 
         // Cycle cost, attributed to the serving level for the
         // CPI-stack analysis (the L1-hit cost counts as base pipeline
-        // work, not stall).
-        let stall = if res.source == MemLevel::L1 && !res.tlb_miss {
-            self.cfg.l1_hit_cost
+        // work, not stall — so the common access has no stall cycles
+        // to round, and `f64::round` is a library call on baseline
+        // x86-64).
+        if res.source == MemLevel::L1 && !res.tlb_miss {
+            self.advance(core, self.cfg.l1_hit_cost);
         } else {
-            (res.latency as f64 / self.cores[core].overlap).max(self.cfg.l1_hit_cost)
-        };
-        let stall_cycles = (stall - self.cfg.l1_hit_cost).max(0.0).round() as u64;
-        if stall_cycles > 0 {
-            let kind = match res.source {
-                MemLevel::L1 | MemLevel::L2 => EventKind::StallL2,
-                MemLevel::L3 => EventKind::StallL3,
-                MemLevel::Dram => EventKind::StallDram,
-            };
-            self.cores[core].pmu.add(kind, stall_cycles);
+            let stall = (res.latency as f64 / self.cores[core].overlap).max(self.cfg.l1_hit_cost);
+            let stall_cycles = (stall - self.cfg.l1_hit_cost).max(0.0).round() as u64;
+            if stall_cycles > 0 {
+                let kind = match res.source {
+                    MemLevel::L1 | MemLevel::L2 => EventKind::StallL2,
+                    MemLevel::L3 => EventKind::StallL3,
+                    MemLevel::Dram => EventKind::StallDram,
+                };
+                self.cores[core].pmu.add(kind, stall_cycles);
+            }
+            self.advance(core, stall);
         }
-        self.advance(core, stall);
 
         // PEBS.
         if self.cores[core].mux.is_some() {

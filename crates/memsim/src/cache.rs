@@ -5,7 +5,7 @@
 //! *stream* flows through the hierarchy.
 
 use crate::config::CacheConfig;
-use crate::replacement::SetState;
+use crate::replacement::Replacement;
 use crate::stats::CacheStats;
 use crate::Addr;
 
@@ -40,22 +40,31 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// One cache level.
+/// Tag of a free way. No line has it: a tag is an address shifted
+/// right by at least one bit (asserted in [`Cache::new`]).
+const EMPTY: u64 = u64::MAX;
+const DIRTY: u8 = 1;
+const PREFETCHED: u8 = 2;
+
+/// One cache level. Sets are slices of three flat arrays (`tags`,
+/// `flags`, and the replacement state), so a lookup is one indexed scan
+/// of `ways` adjacent words and a cache of any size is three heap
+/// blocks.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<CacheSet>,
+    /// `set * ways + way` → tag of the resident line, or [`EMPTY`].
+    tags: Vec<u64>,
+    /// Same index → `DIRTY | PREFETCHED` of the resident line.
+    flags: Vec<u8>,
+    repl: Replacement,
+    ways: usize,
     set_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     stats: CacheStats,
     /// Monotonic touch clock for LRU.
     clock: u64,
-}
-
-#[derive(Debug)]
-struct CacheSet {
-    ways: Vec<Option<LineMeta>>,
-    repl: SetState,
 }
 
 impl Cache {
@@ -63,19 +72,19 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate("cache");
         let num_sets = cfg.num_sets();
-        let sets = (0..num_sets)
-            .map(|i| CacheSet {
-                ways: vec![None; cfg.associativity as usize],
-                // Mix the set index into the random-policy seed so sets
-                // decorrelate.
-                repl: SetState::new(cfg.replacement, cfg.associativity, 0x9E3779B97F4A7C15 ^ i),
-            })
-            .collect();
+        let ways = cfg.associativity as usize;
+        let set_shift = cfg.line_size.trailing_zeros();
+        let set_bits = num_sets.trailing_zeros();
+        assert!(set_shift + set_bits >= 1, "a one-byte, one-set cache leaves no spare tag value");
         Self {
-            set_shift: cfg.line_size.trailing_zeros(),
+            tags: vec![EMPTY; num_sets as usize * ways],
+            flags: vec![0; num_sets as usize * ways],
+            repl: Replacement::new(cfg.replacement, num_sets as usize, cfg.associativity),
+            ways,
+            set_shift,
+            set_bits,
             set_mask: num_sets - 1,
             cfg,
-            sets,
             stats: CacheStats::default(),
             clock: 0,
         }
@@ -92,40 +101,51 @@ impl Cache {
     }
 
     fn set_index(&self, line_addr: Addr) -> usize {
-        (((line_addr) >> self.set_shift) & self.set_mask) as usize
+        ((line_addr >> self.set_shift) & self.set_mask) as usize
     }
 
     fn tag(&self, line_addr: Addr) -> u64 {
-        line_addr >> self.set_shift >> self.set_mask.count_ones()
+        line_addr >> self.set_shift >> self.set_bits
     }
 
     fn line_addr_from(&self, set: usize, tag: u64) -> Addr {
-        ((tag << self.set_mask.count_ones()) | set as u64) << self.set_shift
+        ((tag << self.set_bits) | set as u64) << self.set_shift
+    }
+
+    /// The way of `set` whose tag is `tag` (`EMPTY` finds the first
+    /// free way).
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        self.tags[base..base + self.ways].iter().position(|&t| t == tag)
     }
 
     /// Is the line containing `line_addr` resident? Does not update
     /// replacement state or counters.
     #[inline]
     pub fn probe(&self, line_addr: Addr) -> bool {
-        let set = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        self.sets[set]
-            .ways
-            .iter()
-            .any(|w| matches!(w, Some(m) if m.tag == tag))
+        self.probe_way(line_addr).is_some()
     }
 
     /// Like [`Cache::probe`], but reports *which way* holds the line.
     /// Does not update replacement state or counters.
     #[inline]
     pub fn probe_way(&self, line_addr: Addr) -> Option<u32> {
-        let set = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        self.sets[set]
-            .ways
-            .iter()
-            .position(|w| matches!(w, Some(m) if m.tag == tag))
-            .map(|w| w as u32)
+        self.find(self.set_index(line_addr), self.tag(line_addr)).map(|w| w as u32)
+    }
+
+    /// A demand hit on `way` of `set`: flags, replacement state, counters.
+    #[inline]
+    fn hit(&mut self, set: usize, way: usize, is_store: bool) -> LookupOutcome {
+        let flags = &mut self.flags[set * self.ways + way];
+        let first = *flags & PREFETCHED != 0;
+        *flags = (*flags & !PREFETCHED) | if is_store { DIRTY } else { 0 };
+        self.repl.touch(set, way as u32, self.clock);
+        self.stats.hits += 1;
+        if first {
+            self.stats.prefetch_hits += 1;
+        }
+        LookupOutcome::Hit { first_demand_after_prefetch: first }
     }
 
     /// Demand access to a line the caller knows is resident in `way`
@@ -135,24 +155,13 @@ impl Cache {
     #[inline]
     pub fn touch_resident(&mut self, line_addr: Addr, way: u32, is_store: bool) {
         self.clock += 1;
-        let set_idx = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        let meta = set.ways[way as usize]
-            .as_mut()
-            .expect("touch_resident: way is empty");
-        debug_assert_eq!(meta.tag, tag, "touch_resident: wrong line");
-        let first = meta.prefetched;
-        meta.prefetched = false;
-        if is_store {
-            meta.dirty = true;
-        }
-        set.repl.touch(way, clock);
-        self.stats.hits += 1;
-        if first {
-            self.stats.prefetch_hits += 1;
-        }
+        let set = self.set_index(line_addr);
+        debug_assert_eq!(
+            self.tags[set * self.ways + way as usize],
+            self.tag(line_addr),
+            "touch_resident: wrong line"
+        );
+        self.hit(set, way as usize, is_store);
     }
 
     /// Demand access to the line containing `line_addr`. `is_store`
@@ -162,29 +171,14 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, line_addr: Addr, is_store: bool) -> LookupOutcome {
         self.clock += 1;
-        let set_idx = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        for (w, slot) in set.ways.iter_mut().enumerate() {
-            if let Some(meta) = slot {
-                if meta.tag == tag {
-                    let first = meta.prefetched;
-                    meta.prefetched = false;
-                    if is_store {
-                        meta.dirty = true;
-                    }
-                    set.repl.touch(w as u32, clock);
-                    self.stats.hits += 1;
-                    if first {
-                        self.stats.prefetch_hits += 1;
-                    }
-                    return LookupOutcome::Hit { first_demand_after_prefetch: first };
-                }
+        let set = self.set_index(line_addr);
+        match self.find(set, self.tag(line_addr)) {
+            Some(way) => self.hit(set, way, is_store),
+            None => {
+                self.stats.misses += 1;
+                LookupOutcome::Miss
             }
         }
-        self.stats.misses += 1;
-        LookupOutcome::Miss
     }
 
     /// Install the line containing `line_addr`. Returns the line that
@@ -193,94 +187,84 @@ impl Cache {
     /// prefetch fill.
     pub fn fill(&mut self, line_addr: Addr, dirty: bool, prefetched: bool) -> Option<Evicted> {
         self.clock += 1;
-        let set_idx = self.set_index(line_addr);
+        let set = self.set_index(line_addr);
         let tag = self.tag(line_addr);
-        let clock = self.clock;
-        let assoc = self.cfg.associativity;
+        let base = set * self.ways;
 
         self.stats.fills += 1;
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
 
-        let set = &mut self.sets[set_idx];
         // Already resident (e.g. a racing prefetch): just update flags.
-        for (w, slot) in set.ways.iter_mut().enumerate() {
-            if let Some(meta) = slot {
-                if meta.tag == tag {
-                    meta.dirty |= dirty;
-                    set.repl.touch(w as u32, clock);
-                    return None;
+        if let Some(way) = self.find(set, tag) {
+            if dirty {
+                self.flags[base + way] |= DIRTY;
+            }
+            self.repl.touch(set, way as u32, self.clock);
+            return None;
+        }
+        let new_flags = (u8::from(dirty) * DIRTY) | (u8::from(prefetched) * PREFETCHED);
+        // The first free way, else a victim.
+        let (way, evicted) = match self.find(set, EMPTY) {
+            Some(way) => (way, None),
+            None => {
+                let way = self.repl.victim(set) as usize;
+                let old_dirty = self.flags[base + way] & DIRTY != 0;
+                self.stats.evictions += 1;
+                if old_dirty {
+                    self.stats.writebacks += 1;
                 }
+                let addr = self.line_addr_from(set, self.tags[base + way]);
+                (way, Some(Evicted { addr, dirty: old_dirty }))
             }
-        }
-        // Free way?
-        for (w, slot) in set.ways.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(LineMeta { tag, dirty, prefetched });
-                set.repl.touch(w as u32, clock);
-                return None;
-            }
-        }
-        // Evict.
-        let victim = set.repl.victim(assoc) as usize;
-        let old = set.ways[victim].expect("victim way must be occupied");
-        set.ways[victim] = Some(LineMeta { tag, dirty, prefetched });
-        set.repl.touch(victim as u32, clock);
-        self.stats.evictions += 1;
-        if old.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(Evicted { addr: self.line_addr_from(set_idx, old.tag), dirty: old.dirty })
+        };
+        self.tags[base + way] = tag;
+        self.flags[base + way] = new_flags;
+        self.repl.touch(set, way as u32, self.clock);
+        evicted
     }
 
     /// Remove the line containing `line_addr` if resident, returning
     /// its metadata (used for inclusive-L3 back-invalidations).
     pub fn invalidate(&mut self, line_addr: Addr) -> Option<LineMeta> {
-        let set_idx = self.set_index(line_addr);
+        let set = self.set_index(line_addr);
         let tag = self.tag(line_addr);
-        let set = &mut self.sets[set_idx];
-        for slot in set.ways.iter_mut() {
-            if let Some(meta) = slot {
-                if meta.tag == tag {
-                    let m = *meta;
-                    *slot = None;
-                    return Some(m);
-                }
-            }
-        }
-        None
+        let i = set * self.ways + self.find(set, tag)?;
+        self.tags[i] = EMPTY;
+        Some(LineMeta {
+            tag,
+            dirty: self.flags[i] & DIRTY != 0,
+            prefetched: self.flags[i] & PREFETCHED != 0,
+        })
     }
 
     /// Mark the line dirty if resident (used when a writeback from an
     /// upper level lands on a resident line).
     pub fn mark_dirty(&mut self, line_addr: Addr) -> bool {
-        let set_idx = self.set_index(line_addr);
-        let tag = self.tag(line_addr);
-        for slot in self.sets[set_idx].ways.iter_mut().flatten() {
-            if slot.tag == tag {
-                slot.dirty = true;
-                return true;
+        let set = self.set_index(line_addr);
+        match self.find(set, self.tag(line_addr)) {
+            Some(way) => {
+                self.flags[set * self.ways + way] |= DIRTY;
+                true
             }
+            None => false,
         }
-        false
     }
 
-    /// Number of resident lines (test/diagnostic helper; O(size)).
-    pub fn resident_lines(&self) -> usize {
-        self.sets
+    /// Line addresses of every resident line (test/diagnostic helper;
+    /// O(size)).
+    pub fn resident_lines(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.tags
             .iter()
-            .map(|s| s.ways.iter().filter(|w| w.is_some()).count())
-            .sum()
+            .enumerate()
+            .filter(|(_, &tag)| tag != EMPTY)
+            .map(|(i, &tag)| self.line_addr_from(i / self.ways, tag))
     }
 
-    /// Drop all lines and reset replacement state, keeping counters.
+    /// Drop all lines, keeping counters and replacement state.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for w in &mut set.ways {
-                *w = None;
-            }
-        }
+        self.tags.fill(EMPTY);
     }
 }
 
@@ -388,7 +372,7 @@ mod tests {
         let mut c = tiny(2, 2);
         c.fill(0x0, false, false);
         assert!(c.fill(0x0, true, false).is_none());
-        assert_eq!(c.resident_lines(), 1);
+        assert_eq!(c.resident_lines().count(), 1);
         // Dirty flag merged.
         c.access(0x80, false);
         c.fill(0x80, false, false);
@@ -396,7 +380,7 @@ mod tests {
         // set 0 now has 0x0(dirty), 0x100 incoming: evict candidates
         // exist; we only check that no panic occurs and counts are sane.
         c.fill(0x100, false, false);
-        assert!(c.resident_lines() <= 4);
+        assert!(c.resident_lines().count() <= 4);
     }
 
     #[test]
@@ -414,8 +398,8 @@ mod tests {
         let mut c = tiny(2, 2);
         c.fill(0x0, false, false);
         c.fill(0x40, false, false);
-        assert_eq!(c.resident_lines(), 2);
+        assert_eq!(c.resident_lines().collect::<Vec<_>>(), [0x0, 0x40]);
         c.flush();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.resident_lines().count(), 0);
     }
 }

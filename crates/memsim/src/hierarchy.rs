@@ -14,11 +14,13 @@
 //! factored into [`CorePath`] so that an epoch of accesses can be
 //! simulated per-core in parallel ([`CorePath::simulate_private`]) and
 //! the shared L3/DRAM side replayed afterwards in a deterministic
-//! global order ([`MemorySystem::complete_access`]). A directory-style
-//! snoop filter (line → presence bitmask over cores) makes both the
-//! coherence check in the sequential path and the epoch conflict test
-//! cheap: the common case — no other core has ever touched the line —
-//! is a single hash probe instead of a walk over every remote cache.
+//! global order ([`MemorySystem::complete_access`]).
+//!
+//! Coherence keeps no per-line bookkeeping, only one mask per *page*:
+//! the cores that ever demand-touched it or prefetched into it, a
+//! superset of the holders of any of its lines. Snoops, L3
+//! back-invalidations and the epoch conflict test probe only those
+//! cores' caches — for a page one core owns, none.
 
 use crate::cache::{Cache, LookupOutcome};
 use crate::config::{HierarchyConfig, WriteMissPolicy};
@@ -113,13 +115,12 @@ pub struct PrivateResult {
     pub req_len: u32,
 }
 
-/// Hasher for line-address keys: one multiply + xor-shift so the
-/// (always line-aligned, low-bits-zero) addresses spread over the
-/// whole bucket range.
+/// Hasher for page-number and line-address keys: one multiply +
+/// xor-shift so they spread over the whole bucket range.
 #[derive(Default)]
-struct LineAddrHasher(u64);
+struct AddrHasher(u64);
 
-impl Hasher for LineAddrHasher {
+impl Hasher for AddrHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -136,7 +137,8 @@ impl Hasher for LineAddrHasher {
     }
 }
 
-type LineMap = HashMap<Addr, u64, BuildHasherDefault<LineAddrHasher>>;
+/// Page number or line address → bitmask over cores.
+type CoreMaskMap = HashMap<Addr, u64, BuildHasherDefault<AddrHasher>>;
 
 /// Private lookup outcome of one line.
 enum PrivLookup {
@@ -159,10 +161,16 @@ pub struct CorePath {
     /// phase invalidate exactly the affected residency-memo entries
     /// instead of flushing the memo on every miss.
     l1_evict_scratch: Vec<Addr>,
+    /// Pages (by number) this core prefetched into while demanding a
+    /// line of a *different* page — the prefetcher does not stop at
+    /// page boundaries — until [`MemorySystem::merge_prefetch_pages`]
+    /// makes the core an owner. Not kept on single-core systems.
+    pf_pages: Vec<Addr>,
+    log_pf_pages: bool,
 }
 
 impl CorePath {
-    fn new(cfg: &HierarchyConfig) -> Self {
+    fn new(cfg: &HierarchyConfig, log_pf_pages: bool) -> Self {
         Self {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
@@ -171,6 +179,8 @@ impl CorePath {
             stats: CoreStats::default(),
             pf_scratch: Vec::new(),
             l1_evict_scratch: Vec::new(),
+            pf_pages: Vec::new(),
+            log_pf_pages,
         }
     }
 
@@ -219,11 +229,7 @@ impl CorePath {
 
     /// After the serving level of `line` is known, perform the private
     /// fills and issue the pending prefetches. Uncore-side effects
-    /// (writebacks, prefetch installs) are appended to `reqs`; lines
-    /// whose private presence may have changed are appended to `dir`
-    /// when `track_dir` is set (multi-core systems keep the snoop-filter
-    /// directory in sync from them).
-    #[allow(clippy::too_many_arguments)]
+    /// (writebacks, prefetch installs) are appended to `reqs`.
     fn finish_line(
         &mut self,
         cfg: &HierarchyConfig,
@@ -231,20 +237,18 @@ impl CorePath {
         is_store: bool,
         from_uncore: bool,
         reqs: &mut Vec<UncoreReq>,
-        dir: &mut Vec<Addr>,
-        track_dir: bool,
     ) {
         if from_uncore {
             let allocate = !is_store || cfg.l2.write_miss == WriteMissPolicy::WriteAllocate;
             if allocate {
-                self.fill_l2_private(cfg, line, false, false, reqs, dir, track_dir);
+                self.fill_l2_private(cfg, line, false, false, reqs);
             }
             self.stats.bytes_from_uncore += cfg.line_size() as u64;
         }
         {
             let allocate = !is_store || cfg.l1d.write_miss == WriteMissPolicy::WriteAllocate;
             if allocate {
-                self.fill_l1_private(cfg, line, is_store, reqs, dir, track_dir);
+                self.fill_l1_private(cfg, line, is_store, reqs);
             } else if is_store {
                 // Write-through to L2 without allocating in L1.
                 self.l2.mark_dirty(line);
@@ -254,12 +258,17 @@ impl CorePath {
         // path). The L2 side is private; the L3/DRAM side becomes a
         // Prefetch request.
         let pfs = std::mem::take(&mut self.pf_scratch);
+        let page_shift = cfg.tlb.page_size.trailing_zeros();
         for &pf in &pfs {
             if self.l2.probe(pf) {
                 continue;
             }
             reqs.push(UncoreReq::Prefetch(pf));
-            self.fill_l2_private(cfg, pf, false, true, reqs, dir, track_dir);
+            self.fill_l2_private(cfg, pf, false, true, reqs);
+            let page = pf >> page_shift;
+            if self.log_pf_pages && page != line >> page_shift && self.pf_pages.last() != Some(&page) {
+                self.pf_pages.push(page);
+            }
         }
         let mut pfs = pfs;
         pfs.clear();
@@ -267,35 +276,20 @@ impl CorePath {
     }
 
     /// Install a line into L1, handling the eviction cascade.
-    fn fill_l1_private(
-        &mut self,
-        cfg: &HierarchyConfig,
-        line: Addr,
-        dirty: bool,
-        reqs: &mut Vec<UncoreReq>,
-        dir: &mut Vec<Addr>,
-        track_dir: bool,
-    ) {
-        if track_dir {
-            dir.push(line);
-        }
+    fn fill_l1_private(&mut self, cfg: &HierarchyConfig, line: Addr, dirty: bool, reqs: &mut Vec<UncoreReq>) {
         if let Some(ev) = self.l1d.fill(line, dirty, false) {
             self.l1_evict_scratch.push(ev.addr);
             if ev.dirty {
                 // Writeback to L2; L2 is expected to hold the line
                 // (inclusive-ish), otherwise install it dirty.
                 if !self.l2.mark_dirty(ev.addr) {
-                    self.fill_l2_private(cfg, ev.addr, true, false, reqs, dir, track_dir);
+                    self.fill_l2_private(cfg, ev.addr, true, false, reqs);
                 }
-            }
-            if track_dir {
-                dir.push(ev.addr);
             }
         }
     }
 
     /// Install a line into L2, handling the eviction.
-    #[allow(clippy::too_many_arguments)]
     fn fill_l2_private(
         &mut self,
         cfg: &HierarchyConfig,
@@ -303,19 +297,11 @@ impl CorePath {
         dirty: bool,
         prefetched: bool,
         reqs: &mut Vec<UncoreReq>,
-        dir: &mut Vec<Addr>,
-        track_dir: bool,
     ) {
-        if track_dir {
-            dir.push(line);
-        }
         if let Some(ev) = self.l2.fill(line, dirty, prefetched) {
             if ev.dirty {
                 self.stats.bytes_from_uncore += cfg.line_size() as u64;
                 reqs.push(UncoreReq::Writeback(ev.addr));
-            }
-            if track_dir {
-                dir.push(ev.addr);
             }
         }
     }
@@ -329,18 +315,19 @@ impl CorePath {
     /// are updated here; served-level counters and latencies are
     /// accounted during the replay.
     ///
-    /// The caller must have established (e.g. with
-    /// [`MemorySystem::epoch_conflict_free`]) that no line touched in
+    /// The caller must have established with
+    /// [`MemorySystem::epoch_conflict_free`] that no line touched in
     /// the epoch is shared with another core, so coherence snoops are
-    /// no-ops and are skipped.
+    /// no-ops and are skipped (that call also records this core as an
+    /// owner of every page `ops` touch), and must call
+    /// [`MemorySystem::merge_prefetch_pages`] once every core's phase 1
+    /// is done, before the replay.
     pub fn simulate_private(
         &mut self,
         cfg: &HierarchyConfig,
-        track_dir: bool,
         ops: &[BatchOp],
         results: &mut Vec<PrivateResult>,
         reqs: &mut Vec<UncoreReq>,
-        dir: &mut Vec<Addr>,
     ) {
         let line_size = cfg.line_size();
         let line_mask = !(line_size as Addr - 1);
@@ -443,11 +430,11 @@ impl CorePath {
                         if MemLevel::L2 > level {
                             level = MemLevel::L2;
                         }
-                        self.finish_line(cfg, line, is_store, false, reqs, dir, track_dir);
+                        self.finish_line(cfg, line, is_store, false, reqs);
                     }
                     PrivLookup::Uncore => {
                         reqs.push(UncoreReq::Demand(line));
-                        self.finish_line(cfg, line, is_store, true, reqs, dir, track_dir);
+                        self.finish_line(cfg, line, is_store, true, reqs);
                     }
                 }
                 if line == last_line {
@@ -507,17 +494,34 @@ pub struct MemorySystem {
     dram: Dram,
     coherence_invalidations: u64,
     coherence_downgrades: u64,
-    /// Snoop-filter directory: line → bitmask of cores whose private
-    /// path *may* hold it (superset of actual holders). Only
-    /// maintained on multi-core systems.
-    directory: LineMap,
-    /// When false, snoops fall back to probing every remote core
-    /// (the pre-directory behaviour; kept for benchmarking).
-    snoop_filter: bool,
-    /// Reused scratch buffers for the sequential access path.
+    /// Page ownership: page number → the cores that ever
+    /// demand-touched the page or prefetched into it. Invariant: every
+    /// line in a core's L1D/L2 lies in a page whose mask has that
+    /// core's bit, so the mask is a superset of the line's holders.
+    /// Bits are only ever added (until `flush_all`). Only maintained
+    /// on multi-core systems.
+    owners: CoreMaskMap,
+    page_shift: u32,
+    /// Reused buffer for the sequential access path.
     req_scratch: Vec<UncoreReq>,
-    dir_scratch: Vec<Addr>,
-    classify_scratch: LineMap,
+    /// Conflict check, epochs with several active cores: lines of
+    /// shared pages → the cores that touch them in the epoch.
+    epoch_lines: CoreMaskMap,
+    /// The oracle the unit tests compare against (nothing else sets
+    /// it): ignore `owners` and probe every core.
+    probe_every_core: bool,
+}
+
+/// What one pass of [`MemorySystem::epoch_conflict_free`] over a
+/// core's operations does.
+#[derive(Clone, Copy)]
+enum EpochScan {
+    /// Record the core as an owner of every page it touches.
+    ClaimPages,
+    /// That, and test every line of a page that has another owner:
+    /// is it held by one of them, or (`several_active`) touched by
+    /// another core in this epoch?
+    Check { several_active: bool },
 }
 
 impl MemorySystem {
@@ -525,20 +529,20 @@ impl MemorySystem {
     pub fn new(cfg: HierarchyConfig, num_cores: usize) -> Self {
         cfg.validate();
         assert!(num_cores >= 1, "need at least one core");
-        assert!(num_cores <= 64, "snoop-filter directory holds at most 64 cores");
-        let cores = (0..num_cores).map(|_| CorePath::new(&cfg)).collect();
+        assert!(num_cores <= 64, "a page's owner mask holds at most 64 cores");
+        let cores = (0..num_cores).map(|_| CorePath::new(&cfg, num_cores > 1)).collect();
         Self {
             l3: Cache::new(cfg.l3),
             dram: Dram::new(cfg.dram),
+            page_shift: cfg.tlb.page_size.trailing_zeros(),
             cfg,
             cores,
             coherence_invalidations: 0,
             coherence_downgrades: 0,
-            directory: LineMap::default(),
-            snoop_filter: true,
+            owners: CoreMaskMap::default(),
             req_scratch: Vec::new(),
-            dir_scratch: Vec::new(),
-            classify_scratch: LineMap::default(),
+            epoch_lines: CoreMaskMap::default(),
+            probe_every_core: false,
         }
     }
 
@@ -552,13 +556,52 @@ impl MemorySystem {
         self.cores.len()
     }
 
-    /// Enable/disable the directory snoop filter. With the filter off,
-    /// every snoop probes every remote core's caches (the original
-    /// behaviour); results are identical either way, only the cost
-    /// differs. The directory stays maintained so the filter can be
-    /// re-enabled at any point.
-    pub fn set_snoop_filter(&mut self, enabled: bool) {
-        self.snoop_filter = enabled;
+    fn all_cores(&self) -> u64 {
+        u64::MAX >> (64 - self.cores.len())
+    }
+
+    /// Superset of the cores whose private path may hold `line`.
+    fn may_hold(&self, line: Addr) -> u64 {
+        if self.cores.len() == 1 || self.probe_every_core {
+            return self.all_cores();
+        }
+        self.owners.get(&(line >> self.page_shift)).copied().unwrap_or(0)
+    }
+
+    /// Record `core` as an owner of `page` (a page number); returns
+    /// the *other* cores that may hold lines of it.
+    fn claim_page(&mut self, core: usize, page: Addr) -> u64 {
+        let bit = 1u64 << core;
+        let mask = self.owners.entry(page).or_insert(0);
+        *mask |= bit;
+        let owners = *mask;
+        (if self.probe_every_core { self.all_cores() } else { owners }) & !bit
+    }
+
+    /// Does any core of `mask` hold `line`?
+    fn held_by_any(&self, mut mask: u64, line: Addr) -> bool {
+        while mask != 0 {
+            if self.cores[mask.trailing_zeros() as usize].holds(line) {
+                return true;
+            }
+            mask &= mask - 1;
+        }
+        false
+    }
+
+    /// Fold every core's log of pages it prefetched into from outside
+    /// into the page ownership. Call between phase 1 and the replay of
+    /// a pipelined epoch: phase 2's back-invalidations rely on it.
+    pub fn merge_prefetch_pages(&mut self) {
+        for core in 0..self.cores.len() {
+            self.merge_prefetch_pages_of(core);
+        }
+    }
+
+    fn merge_prefetch_pages_of(&mut self, core: usize) {
+        for page in self.cores[core].pf_pages.drain(..) {
+            *self.owners.entry(page).or_insert(0) |= 1u64 << core;
+        }
     }
 
     /// The per-core private paths, for parallel epoch simulation. The
@@ -586,9 +629,10 @@ impl MemorySystem {
         let line_mask = !(self.cfg.line_size() as Addr - 1);
         let page_mask = !(self.cfg.tlb.page_size - 1);
         let l1_lat = self.cfg.l1d.hit_latency;
-        let own_bit = 1u64 << core;
-        let multicore = self.cores.len() > 1;
         let mut last_l1_line = Addr::MAX;
+        // The other cores that may hold `last_l1_line`; only this core
+        // runs during the batch, so it stays what it was when looked up.
+        let mut last_others = 0u64;
         let mut last_page = Addr::MAX;
         out.reserve(ops.len());
 
@@ -600,14 +644,8 @@ impl MemorySystem {
 
             if single_line && first_line == last_l1_line {
                 // The snoop must be a no-op for the fast path: no
-                // *other* core may (per the superset directory) hold
-                // the line.
-                let exclusive = !multicore
-                    || self
-                        .directory
-                        .get(&first_line)
-                        .is_none_or(|m| m & !own_bit == 0);
-                if exclusive {
+                // *other* core may hold the line.
+                if !self.held_by_any(last_others, first_line) {
                     let _ = self.cores[core].l1d.access(first_line, is_store);
                     let st = &mut self.cores[core].stats;
                     st.tlb_hits += 1;
@@ -628,11 +666,11 @@ impl MemorySystem {
             let skip_tlb = first_page == end_page && first_page == last_page;
             let res = self.access_inner(core, op.kind, op.addr, op.size, now, skip_tlb);
             last_page = end_page;
-            last_l1_line = if single_line && self.cores[core].l1d.probe(first_line) {
-                first_line
-            } else {
-                Addr::MAX
-            };
+            last_l1_line = Addr::MAX;
+            if single_line && self.cores[core].l1d.probe(first_line) {
+                last_l1_line = first_line;
+                last_others = self.may_hold(first_line) & !(1u64 << core);
+            }
             out.push(res);
         }
     }
@@ -693,24 +731,14 @@ impl MemorySystem {
     /// core's copy; a load downgrades remote *modified* copies
     /// (writeback into L3). Returns the extra snoop latency.
     ///
-    /// With the snoop filter enabled only cores whose directory bit is
-    /// set are probed — on private data that is a single hash lookup.
-    fn snoop(&mut self, core: usize, line: Addr, is_store: bool) -> u32 {
-        let candidates = if self.snoop_filter {
-            self.directory.get(&line).copied().unwrap_or(0)
-        } else {
-            u64::MAX
-        } & !(1u64 << core);
-        if candidates == 0 {
-            return 0;
-        }
+    /// Only `candidates` — the other owners of the line's page — are
+    /// probed; on a page no other core owns that is none.
+    fn snoop(&mut self, line: Addr, is_store: bool, mut candidates: u64) -> u32 {
         let mut hit_remote = false;
         let mut dirty_remote = false;
-        for c in 0..self.cores.len() {
-            if c == core || candidates & (1u64 << c) == 0 {
-                continue;
-            }
-            let path = &mut self.cores[c];
+        while candidates != 0 {
+            let path = &mut self.cores[candidates.trailing_zeros() as usize];
+            candidates &= candidates - 1;
             if is_store {
                 // Invalidate (RFO).
                 let mut any = false;
@@ -726,7 +754,6 @@ impl MemorySystem {
                     hit_remote = true;
                     self.coherence_invalidations += 1;
                 }
-                self.dir_clear(c, line);
             } else {
                 // Downgrade M→S: clear remote dirty bits, push the
                 // data into the shared L3.
@@ -768,8 +795,12 @@ impl MemorySystem {
         // Coherence first: stores must own the line exclusively; loads
         // must observe remote modifications. (Skipped entirely on
         // single-core systems.)
-        let multicore = self.cores.len() > 1;
-        let snoop_lat = if multicore { self.snoop(core, line, is_store) } else { 0 };
+        let snoop_lat = if self.cores.len() > 1 {
+            let others = self.claim_page(core, line >> self.page_shift);
+            self.snoop(line, is_store, others)
+        } else {
+            0
+        };
 
         // Private L1/L2 lookup.
         let (level, latency) = match self.cores[core].lookup_line(line, is_store) {
@@ -784,24 +815,14 @@ impl MemorySystem {
         // the prefetches decided during lookup; apply the resulting
         // uncore traffic (writebacks, prefetch installs) immediately.
         let mut reqs = std::mem::take(&mut self.req_scratch);
-        let mut dir = std::mem::take(&mut self.dir_scratch);
-        self.cores[core].finish_line(
-            &self.cfg,
-            line,
-            is_store,
-            level > MemLevel::L2,
-            &mut reqs,
-            &mut dir,
-            multicore,
-        );
+        self.cores[core].finish_line(&self.cfg, line, is_store, level > MemLevel::L2, &mut reqs);
+        // Before the uncore traffic: an L3 eviction it causes must
+        // find this core among the owners of what it just prefetched.
+        self.merge_prefetch_pages_of(core);
         for req in reqs.drain(..) {
             self.apply_uncore_req(req, now);
         }
-        if multicore {
-            self.sync_directory(core, &mut dir);
-        }
         self.req_scratch = reqs;
-        self.dir_scratch = dir;
         // The L1-eviction log only feeds the private-phase memo; the
         // sequential path has no memo to invalidate.
         self.cores[core].l1_evict_scratch.clear();
@@ -846,31 +867,76 @@ impl MemorySystem {
 
     /// Phase 0 of an epoch: is the epoch free of cross-core line
     /// sharing? True iff every line touched by any op is touched by at
-    /// most one core *and* (per the superset directory) not resident in
-    /// any other core's private path. Under that condition the private
-    /// phase of every core commutes with every other core's, so the
-    /// epoch can run phase 1 in parallel with results identical to the
-    /// sequential order.
+    /// most one core *and* not resident in any other core's private
+    /// path. Under that condition the private phase of every core
+    /// commutes with every other core's, so the epoch can run phase 1
+    /// in parallel with results identical to the sequential order.
+    ///
+    /// Works page by page: each core is recorded as an owner of the
+    /// pages it touches (whether or not the epoch turns out free, so
+    /// the ownership invariant holds for the private phase), and only
+    /// lines of pages with another owner are looked at one by one.
     pub fn epoch_conflict_free(&mut self, per_core_ops: &[Vec<BatchOp>]) -> bool {
         if self.cores.len() <= 1 {
             return true;
         }
+        // With several active cores a page's other owners are only
+        // known once every core has claimed its pages; a single active
+        // core can claim and check in one pass.
+        let several_active = per_core_ops.iter().filter(|ops| !ops.is_empty()).count() > 1;
+        if several_active {
+            for (core, ops) in per_core_ops.iter().enumerate() {
+                self.scan_epoch(core, ops, EpochScan::ClaimPages);
+            }
+            self.epoch_lines.clear();
+        }
+        let check = EpochScan::Check { several_active };
+        per_core_ops.iter().enumerate().all(|(core, ops)| self.scan_epoch(core, ops, check))
+    }
+
+    /// One core's share of [`epoch_conflict_free`](Self::epoch_conflict_free);
+    /// false on the first conflicting line.
+    fn scan_epoch(&mut self, core: usize, ops: &[BatchOp], scan: EpochScan) -> bool {
         let line_size = self.cfg.line_size();
-        let scratch = &mut self.classify_scratch;
-        let directory = &self.directory;
-        scratch.clear();
-        for (c, ops) in per_core_ops.iter().enumerate() {
-            let bit = 1u64 << c;
-            for op in ops {
-                for line in lines_of_access(op.addr, op.size, line_size) {
-                    let mask = scratch
-                        .entry(line)
-                        .or_insert_with(|| directory.get(&line).copied().unwrap_or(0));
-                    *mask |= bit;
-                    if mask.count_ones() >= 2 {
-                        return false;
+        let page_shift = self.page_shift;
+        let bit = 1u64 << core;
+        // Page number → its other owners, direct-mapped on the page
+        // number: a kernel interleaves a handful of streams, so nearly
+        // every op finds its page here and costs one compare. Valid for
+        // the whole pass, during which no other core's bit is added.
+        const MEMO_SLOTS: usize = 16;
+        let mut memo = [(Addr::MAX, 0u64); MEMO_SLOTS];
+        for op in ops {
+            let last_byte = op.addr + op.size.max(1) as u64 - 1;
+            let last_page = last_byte >> page_shift;
+            let mut page = op.addr >> page_shift;
+            loop {
+                let slot = &mut memo[page as usize & (MEMO_SLOTS - 1)];
+                if slot.0 != page {
+                    *slot = (page, self.claim_page(core, page));
+                }
+                let others = slot.1;
+                if let (EpochScan::Check { several_active }, true) = (scan, others != 0) {
+                    // The op's bytes within this page, line by line.
+                    let from = op.addr.max(page << page_shift);
+                    let to = last_byte.min(((page + 1) << page_shift) - 1);
+                    for line in lines_of_access(from, (to - from + 1) as u32, line_size) {
+                        if self.held_by_any(others, line) {
+                            return false;
+                        }
+                        if several_active {
+                            let touched_by = self.epoch_lines.entry(line).or_insert(0);
+                            *touched_by |= bit;
+                            if *touched_by != bit {
+                                return false;
+                            }
+                        }
                     }
                 }
+                if page == last_page {
+                    break;
+                }
+                page += 1;
             }
         }
         true
@@ -908,105 +974,21 @@ impl MemorySystem {
         AccessResult { source: level, latency, tlb_miss: pr.tlb_miss }
     }
 
-    /// Phase 2 of an epoch for one whole core, in bulk: equivalent to
-    /// calling [`complete_access`](Self::complete_access) once per
-    /// operation with `now = now_base + index` and appending each
-    /// [`AccessResult`] to `out` — same results, same statistics — but
-    /// the request-less common case (private hits) is accumulated in
-    /// locals and flushed to the counters once. Returns the summed
-    /// latency of the epoch.
-    pub fn complete_epoch(
-        &mut self,
-        core: usize,
-        results: &[PrivateResult],
-        reqs: &[UncoreReq],
-        now_base: u64,
-        out: &mut Vec<AccessResult>,
-    ) -> u64 {
-        let mut served = [0u64; 4];
-        let mut total_latency = 0u64;
-        let mut cursor = 0usize;
-        out.reserve(results.len());
-        for (i, pr) in results.iter().enumerate() {
-            let mut level = pr.level;
-            let mut latency = pr.latency;
-            if pr.req_len > 0 {
-                let slice = &reqs[cursor..cursor + pr.req_len as usize];
-                cursor += pr.req_len as usize;
-                for &req in slice {
-                    if let Some((lvl, lat)) = self.apply_uncore_req(req, now_base + i as u64) {
-                        if lvl > level {
-                            level = lvl;
-                        }
-                        if lat > latency {
-                            latency = lat;
-                        }
-                    }
-                }
-            }
-            let latency = latency + pr.tlb_penalty;
-            served[level as usize] += 1;
-            total_latency += latency as u64;
-            out.push(AccessResult { source: level, latency, tlb_miss: pr.tlb_miss });
-        }
-        let st = &mut self.cores[core].stats;
-        st.served_l1 += served[MemLevel::L1 as usize];
-        st.served_l2 += served[MemLevel::L2 as usize];
-        st.served_l3 += served[MemLevel::L3 as usize];
-        st.served_dram += served[MemLevel::Dram as usize];
-        st.total_latency += total_latency;
-        total_latency
-    }
-
-    /// Bring the directory in sync with `core`'s private path for every
-    /// line whose presence may have changed (drains `touched`). Probes
-    /// the final private state, so it is safe to report a line multiple
-    /// times or after it was back-invalidated.
-    pub fn sync_directory(&mut self, core: usize, touched: &mut Vec<Addr>) {
-        let bit = 1u64 << core;
-        for line in touched.drain(..) {
-            if self.cores[core].holds(line) {
-                *self.directory.entry(line).or_insert(0) |= bit;
-            } else {
-                self.dir_clear(core, line);
-            }
-        }
-    }
-
-    fn dir_clear(&mut self, core: usize, line: Addr) {
-        if let Some(mask) = self.directory.get_mut(&line) {
-            *mask &= !(1u64 << core);
-            if *mask == 0 {
-                self.directory.remove(&line);
-            }
-        }
-    }
-
     /// Install a line into the shared L3; on eviction, back-invalidate
     /// every core that may hold it (inclusive L3) and write dirty data
     /// to DRAM.
     fn fill_l3(&mut self, line: Addr, dirty: bool, prefetched: bool, now: u64) {
         if let Some(ev) = self.l3.fill(line, dirty, prefetched) {
             let mut dirty_upper = ev.dirty;
-            if self.cores.len() == 1 {
-                let c = &mut self.cores[0];
-                if let Some(m) = c.l1d.invalidate(ev.addr) {
+            let mut mask = self.may_hold(ev.addr);
+            while mask != 0 {
+                let path = &mut self.cores[mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                if let Some(m) = path.l1d.invalidate(ev.addr) {
                     dirty_upper |= m.dirty;
                 }
-                if let Some(m) = c.l2.invalidate(ev.addr) {
+                if let Some(m) = path.l2.invalidate(ev.addr) {
                     dirty_upper |= m.dirty;
-                }
-            } else {
-                let mut mask = self.directory.remove(&ev.addr).unwrap_or(0);
-                while mask != 0 {
-                    let c = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    if let Some(m) = self.cores[c].l1d.invalidate(ev.addr) {
-                        dirty_upper |= m.dirty;
-                    }
-                    if let Some(m) = self.cores[c].l2.invalidate(ev.addr) {
-                        dirty_upper |= m.dirty;
-                    }
                 }
             }
             if dirty_upper {
@@ -1053,7 +1035,7 @@ impl MemorySystem {
             c.l2.flush();
         }
         self.l3.flush();
-        self.directory.clear();
+        self.owners.clear();
     }
 }
 
@@ -1061,6 +1043,7 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
+    use crate::replacement::ReplacementPolicy;
 
     fn sys(cores: usize) -> MemorySystem {
         MemorySystem::new(HierarchyConfig::small_test(), cores)
@@ -1317,18 +1300,14 @@ mod tests {
         assert!(s.dram_bytes > 4096 * 64, "writeback traffic present");
     }
 
-    // ---- directory / batch / epoch machinery ------------------------
+    // ---- page ownership / batch / epoch machinery --------------------
 
     /// A mixed 2-core workload with sharing, used to compare paths.
     fn mixed_ops(seed: u64) -> Vec<(usize, AccessKind, Addr, u32)> {
         let mut x = seed | 1;
         let mut ops = Vec::new();
         for i in 0..3000u64 {
-            // xorshift64*
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let r = xorshift(&mut x);
             let core = (r & 1) as usize;
             let kind = if r & 2 == 0 { AccessKind::Load } else { AccessKind::Store };
             // Mostly-private regions with a shared window on top.
@@ -1343,18 +1322,60 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn snoop_filter_is_behaviour_preserving() {
-        let mut with = sys(2);
-        let mut without = sys(2);
-        without.set_snoop_filter(false);
-        for (i, (core, kind, addr, size)) in mixed_ops(42).into_iter().enumerate() {
-            let a = with.access(core, kind, addr, size, i as u64 * 3);
-            let b = without.access(core, kind, addr, size, i as u64 * 3);
-            assert_eq!(a, b, "op {i} diverged");
+    /// xorshift64*
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x >> 12;
+        *x ^= *x << 25;
+        *x ^= *x >> 27;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// `small_test` with the prefetcher on — streams run across page
+    /// boundaries, so the prefetch page log has work — and its slow
+    /// obvious twin, which ignores page ownership and probes every core.
+    fn sys_and_oracle(cores: usize, l3_policy: ReplacementPolicy, l3_sets: u64) -> (MemorySystem, MemorySystem) {
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.prefetch.enabled = true;
+        cfg.l3.replacement = l3_policy;
+        cfg.l3.size_bytes = l3_sets * cfg.l3.associativity as u64 * cfg.l3.line_size as u64;
+        let mut oracle = MemorySystem::new(cfg.clone(), cores);
+        oracle.probe_every_core = true;
+        (MemorySystem::new(cfg, cores), oracle)
+    }
+
+    /// `small_test`'s L3, then two where ownership has to be in place
+    /// before an access's uncore traffic: a random L3 can evict a line
+    /// in the access that fills it into a core — with one set, even a
+    /// line that access prefetched across a page boundary.
+    const L3_VARIANTS: [(ReplacementPolicy, u64); 3] =
+        [(ReplacementPolicy::Lru, 32), (ReplacementPolicy::Random, 32), (ReplacementPolicy::Random, 1)];
+
+    /// The ownership invariant: every line a core holds lies in a page
+    /// whose mask has that core's bit.
+    fn assert_owners_cover_holders(m: &MemorySystem) {
+        for (c, path) in m.cores.iter().enumerate() {
+            for line in path.l1d.resident_lines().chain(path.l2.resident_lines()) {
+                let owners = m.owners.get(&(line >> m.page_shift)).copied().unwrap_or(0);
+                assert!(owners >> c & 1 == 1, "core {c} holds {line:#x}, its page's owners are {owners:#b}");
+            }
         }
-        assert_eq!(with.stats(), without.stats());
-        assert!(with.stats().coherence_invalidations > 0, "workload must exercise coherence");
+    }
+
+    #[test]
+    fn page_ownership_equals_probing_every_core() {
+        for (l3_policy, l3_sets) in L3_VARIANTS {
+            let (mut filtered, mut oracle) = sys_and_oracle(2, l3_policy, l3_sets);
+            for (i, (core, kind, addr, size)) in mixed_ops(42).into_iter().enumerate() {
+                let a = filtered.access(core, kind, addr, size, i as u64 * 3);
+                let b = oracle.access(core, kind, addr, size, i as u64 * 3);
+                assert_eq!(a, b, "{l3_policy:?} × {l3_sets}: op {i} diverged");
+                assert_owners_cover_holders(&filtered);
+            }
+            assert_eq!(filtered.stats(), oracle.stats(), "{l3_policy:?} × {l3_sets}");
+            let s = filtered.stats();
+            assert!(s.coherence_invalidations > 0, "workload must exercise coherence");
+            assert!(s.cores[0].l2.prefetch_fills > 0, "workload must exercise the prefetcher");
+        }
     }
 
     #[test]
@@ -1414,16 +1435,52 @@ mod tests {
         let mut m = sys(2);
         let load = |addr| BatchOp { kind: AccessKind::Load, addr, size: 8 };
         let store = |addr| BatchOp { kind: AccessKind::Store, addr, size: 8 };
-        // Disjoint lines: fine.
+        // Disjoint lines: fine, in different pages or in one.
         assert!(m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x2000)]]));
+        assert!(m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x1040)]]));
         // Same line from two cores: conflict, even load/load.
         assert!(!m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x1008)]]));
         assert!(!m.epoch_conflict_free(&[vec![store(0x1000)], vec![load(0x1000)]]));
         // A line another core already caches is a conflict too.
         m.access(1, AccessKind::Load, 0x3000, 8, 0);
         assert!(!m.epoch_conflict_free(&[vec![load(0x3000)], vec![]]));
-        // ... but the caching core itself may keep using it.
+        // ... but not its neighbour in the same page,
+        assert!(m.epoch_conflict_free(&[vec![load(0x3040)], vec![]]));
+        // ... and the caching core itself may keep using it.
         assert!(m.epoch_conflict_free(&[vec![], vec![load(0x3000)]]));
+    }
+
+    /// Run one epoch the way the machine does — two-phase when `free`,
+    /// one `access` at a time otherwise — in round-robin issue order.
+    fn run_epoch(m: &mut MemorySystem, per_core: &[Vec<BatchOp>], free: bool, now: u64) -> Vec<AccessResult> {
+        let n = per_core.len();
+        let mut results = vec![Vec::new(); n];
+        let mut reqs = vec![Vec::new(); n];
+        if free {
+            let cfg = m.config().clone();
+            for (c, path) in m.core_paths_mut().iter_mut().enumerate() {
+                path.simulate_private(&cfg, &per_core[c], &mut results[c], &mut reqs[c]);
+            }
+            m.merge_prefetch_pages();
+        }
+        let mut out = Vec::new();
+        let mut req_cursor = vec![0usize; n];
+        let longest = per_core.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..longest {
+            for c in 0..n {
+                let Some(op) = per_core[c].get(i) else { continue };
+                let now = now + (i * n + c) as u64;
+                out.push(if free {
+                    let pr = results[c][i];
+                    let slice = &reqs[c][req_cursor[c]..req_cursor[c] + pr.req_len as usize];
+                    req_cursor[c] += pr.req_len as usize;
+                    m.complete_access(c, &pr, slice, now)
+                } else {
+                    m.access(c, op.kind, op.addr, op.size, now)
+                });
+            }
+        }
+        out
     }
 
     #[test]
@@ -1446,82 +1503,98 @@ mod tests {
         };
         let per_core = [ops_of(0), ops_of(1)];
         assert!(epo.epoch_conflict_free(&per_core));
-
-        // Global order: round-robin between the cores.
-        let mut results = [Vec::new(), Vec::new()];
-        let mut reqs = [Vec::new(), Vec::new()];
-        let mut dirs = [Vec::new(), Vec::new()];
-        {
-            let cfg = epo.config().clone();
-            for (c, path) in epo.core_paths_mut().iter_mut().enumerate() {
-                path.simulate_private(&cfg, true, &per_core[c], &mut results[c], &mut reqs[c], &mut dirs[c]);
-            }
-        }
-        for c in 0..2 {
-            let mut touched = std::mem::take(&mut dirs[c]);
-            epo.sync_directory(c, &mut touched);
-        }
-        let mut cursor = [0usize; 2];
-        let mut req_cursor = [0usize; 2];
-        for i in 0..2000usize {
-            for c in 0..2usize {
-                let now = (i * 2 + c) as u64;
-                let op = per_core[c][i];
-                let want = seq.access(c, op.kind, op.addr, op.size, now);
-                let pr = results[c][cursor[c]];
-                let slice = &reqs[c][req_cursor[c]..req_cursor[c] + pr.req_len as usize];
-                let got = epo.complete_access(c, &pr, slice, now);
-                assert_eq!(got, want, "op {i} core {c} diverged");
-                cursor[c] += 1;
-                req_cursor[c] += pr.req_len as usize;
-            }
-        }
+        assert_eq!(run_epoch(&mut epo, &per_core, true, 0), run_epoch(&mut seq, &per_core, false, 0));
         assert_eq!(seq.stats(), epo.stats());
     }
 
-    #[test]
-    fn complete_epoch_matches_per_op_completion() {
-        // Bulk phase-2 completion must be indistinguishable from the
-        // per-op complete_access loop it replaces: same AccessResults,
-        // same statistics, same summed latency.
-        let mut per_op = sys(1);
-        let mut bulk = sys(1);
-        let ops: Vec<BatchOp> = (0..3000u64)
-            .map(|i| BatchOp {
-                kind: if i % 5 == 0 { AccessKind::Store } else { AccessKind::Load },
-                addr: 0x40_0000 + (i * 40) % 0x8_0000,
-                size: 8,
-            })
-            .collect();
-
-        let run_private = |m: &mut MemorySystem| -> (Vec<PrivateResult>, Vec<UncoreReq>) {
-            let cfg = m.config().clone();
-            let (mut results, mut reqs, mut dirs) = (Vec::new(), Vec::new(), Vec::new());
-            m.core_paths_mut()[0].simulate_private(&cfg, true, &ops, &mut results, &mut reqs, &mut dirs);
-            m.sync_directory(0, &mut dirs);
-            (results, reqs)
-        };
-        let (res_a, req_a) = run_private(&mut per_op);
-        let (res_b, req_b) = run_private(&mut bulk);
-        assert_eq!(req_a.len(), req_b.len());
-
-        let base = 77u64;
-        let mut want = Vec::new();
-        let mut want_lat = 0u64;
-        let mut cursor = 0usize;
-        for (i, pr) in res_a.iter().enumerate() {
-            let slice = &req_a[cursor..cursor + pr.req_len as usize];
-            cursor += pr.req_len as usize;
-            let r = per_op.complete_access(0, pr, slice, base + i as u64);
-            want_lat += r.latency as u64;
-            want.push(r);
+    /// What `epoch_conflict_free` must compute, read off its doc
+    /// comment: no line touched by two cores, none held by another.
+    fn brute_force_conflict_free(m: &MemorySystem, per_core: &[Vec<BatchOp>]) -> bool {
+        let mut touched_by: HashMap<Addr, usize> = HashMap::new();
+        for (c, ops) in per_core.iter().enumerate() {
+            for op in ops {
+                for line in lines_of_access(op.addr, op.size, m.cfg.line_size()) {
+                    if *touched_by.entry(line).or_insert(c) != c
+                        || (0..per_core.len()).any(|o| o != c && m.core_holds_line(o, line))
+                    {
+                        return false;
+                    }
+                }
+            }
         }
+        true
+    }
 
-        let mut got = Vec::new();
-        let got_lat = bulk.complete_epoch(0, &res_b, &req_b, base, &mut got);
+    /// Random 3-core epochs over three adjacent 3-page slabs and one
+    /// shared page: private streams (whose prefetches run on into the
+    /// next core's slab), the shared page, the neighbour's first lines,
+    /// accesses straddling a page boundary (the last one of a slab
+    /// straddles into the neighbour's). Some epochs have one active
+    /// core, some several.
+    fn random_epoch(x: &mut u64, cursors: &mut [u64; 3]) -> Vec<Vec<BatchOp>> {
+        const SLAB: u64 = 3 * 4096;
+        const BASE: u64 = 0x40_0000;
+        let sharing = xorshift(x) % 4 == 0;
+        (0..3u64)
+            .map(|c| {
+                let len = match xorshift(x) % 4 {
+                    0 => 0,
+                    _ => 1 + xorshift(x) % 48,
+                };
+                (0..len)
+                    .map(|_| {
+                        let r = xorshift(x);
+                        let kind = if r & 3 == 0 { AccessKind::Store } else { AccessKind::Load };
+                        let (addr, size) = match (r >> 2) % 16 {
+                            0 if sharing => (BASE + 3 * SLAB + (r >> 8) % 4096, 8),
+                            1 if sharing => (BASE + ((c + 1) % 3) * SLAB + (r >> 8) % 256, 8),
+                            2 => (BASE + c * SLAB + (1 + (r >> 8) % 3) * 4096 - 4, 8),
+                            _ => {
+                                cursors[c as usize] = (cursors[c as usize] + 8 + (r >> 8) % 72) % SLAB;
+                                (BASE + c * SLAB + cursors[c as usize], 1 + ((r >> 16) % 16) as u32)
+                            }
+                        };
+                        BatchOp { kind, addr, size }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
-        assert_eq!(got, want);
-        assert_eq!(got_lat, want_lat);
-        assert_eq!(bulk.stats(), per_op.stats());
+    #[test]
+    fn conflict_check_and_both_epoch_paths_equal_their_oracles() {
+        let (mut pipelined, mut several_active_free, mut sequential) = (0, 0, 0);
+        for seed in 1..=9u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut cursors = [0u64; 3];
+            let (l3_policy, l3_sets) = L3_VARIANTS[seed as usize % 3];
+            let (mut filtered, mut oracle) = sys_and_oracle(3, l3_policy, l3_sets);
+            for epoch in 0..400u64 {
+                let per_core = random_epoch(&mut x, &mut cursors);
+                let want = brute_force_conflict_free(&filtered, &per_core);
+                assert_eq!(filtered.epoch_conflict_free(&per_core), want, "seed {seed} epoch {epoch}");
+                assert_eq!(oracle.epoch_conflict_free(&per_core), want, "seed {seed} epoch {epoch} (oracle)");
+                let now = epoch * 1000;
+                assert_eq!(
+                    run_epoch(&mut filtered, &per_core, want, now),
+                    run_epoch(&mut oracle, &per_core, want, now),
+                    "seed {seed} epoch {epoch} (conflict-free: {want})"
+                );
+                assert_owners_cover_holders(&filtered);
+                let active = per_core.iter().filter(|ops| !ops.is_empty()).count();
+                match (want, active > 1) {
+                    (true, true) => several_active_free += 1,
+                    (true, false) => pipelined += 1,
+                    (false, _) => sequential += 1,
+                }
+            }
+            assert_eq!(filtered.stats(), oracle.stats(), "seed {seed}");
+            let s = filtered.stats();
+            assert!(s.coherence_invalidations > 0 && s.coherence_downgrades > 0, "seed {seed}: {s:?}");
+            assert!(s.cores.iter().all(|c| c.l2.prefetch_fills > 0), "seed {seed}: {s:?}");
+        }
+        // Every path has to have been taken often enough to mean something.
+        assert!(pipelined > 100 && several_active_free > 100 && sequential > 100,
+            "{pipelined} single-core, {several_active_free} multi-core conflict-free epochs, {sequential} conflicting");
     }
 }

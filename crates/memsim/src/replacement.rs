@@ -1,7 +1,8 @@
 //! Replacement policies for set-associative caches.
 //!
-//! The policy object is per-*set* state plus the victim-selection and
-//! touch-update logic. Four policies are provided:
+//! [`Replacement`] is the replacement state of *every* set of one
+//! cache, held in one flat array per policy, plus the touch-update and
+//! victim-selection logic. Four policies are provided:
 //!
 //! * [`ReplacementPolicy::Lru`] — true least-recently-used, tracked with
 //!   a per-line timestamp;
@@ -23,72 +24,118 @@ pub enum ReplacementPolicy {
     Random,
 }
 
-/// Per-set replacement state. One of these per cache set.
+/// Replacement state of all `sets × ways` lines of one cache.
 #[derive(Debug, Clone)]
-pub enum SetState {
-    /// Timestamp of the last touch of each way.
-    Lru { last_touch: Vec<u64> },
-    /// One bit per internal node of a complete binary tree whose leaves
-    /// are the ways; `ways` is rounded up to a power of two internally.
-    TreePlru { bits: Vec<bool>, ways: u32 },
-    /// Next way to replace.
-    Fifo { next: u32 },
-    /// xorshift64* state.
-    Random { state: u64 },
+pub struct Replacement {
+    ways: u32,
+    state: State,
 }
 
-impl SetState {
-    /// Create fresh state for a set with `ways` ways. `seed` is only
-    /// used by the random policy and must differ per set for decent
-    /// behaviour (the cache passes `set_index`-derived seeds).
-    pub fn new(policy: ReplacementPolicy, ways: u32, seed: u64) -> Self {
-        match policy {
-            ReplacementPolicy::Lru => SetState::Lru { last_touch: vec![0; ways as usize] },
+#[derive(Debug, Clone)]
+enum State {
+    /// Timestamp of the last touch, indexed `set * ways + way`.
+    Lru(Vec<u64>),
+    /// One word per set: bit `n` is internal node `n` of a complete
+    /// binary tree whose leaves are the ways (`ways` rounded up to a
+    /// power of two), in heap order (children of `n` are `2n + 1` and
+    /// `2n + 2`); a set bit sends the victim walk right. A touch
+    /// points every node on the way's root-to-leaf path *away* from
+    /// it, which is `bits & !clear | set` with the two masks of that
+    /// way — computed once here, not walked per access.
+    TreePlru { bits: Vec<u64>, masks: Vec<PathMasks> },
+    /// Next way to replace, per set.
+    Fifo(Vec<u32>),
+    /// xorshift64* state, per set.
+    Random(Vec<u64>),
+}
+
+/// The nodes on one way's root-to-leaf path (`clear`) and those of
+/// them where the path goes left, so the node must point right (`set`).
+#[derive(Debug, Clone, Copy)]
+struct PathMasks {
+    clear: u64,
+    set: u64,
+}
+
+/// Leaves of the PLRU tree over `ways` ways.
+fn plru_leaves(ways: u32) -> u32 {
+    ways.next_power_of_two().max(2)
+}
+
+/// Walk the PLRU tree from the root to a leaf; `go_right(node, mid)`
+/// picks the branch at internal node `node`, whose right half starts
+/// at leaf `mid`. Returns the leaf reached.
+fn plru_descend(leaves: u32, mut go_right: impl FnMut(u32, u32) -> bool) -> u32 {
+    let (mut node, mut lo, mut hi) = (0u32, 0u32, leaves);
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if go_right(node, mid) {
+            node = 2 * node + 2;
+            lo = mid;
+        } else {
+            node = 2 * node + 1;
+            hi = mid;
+        }
+    }
+    lo
+}
+
+impl Replacement {
+    /// Fresh state for a cache of `sets` sets with `ways` ways each.
+    pub fn new(policy: ReplacementPolicy, sets: usize, ways: u32) -> Self {
+        let state = match policy {
+            ReplacementPolicy::Lru => State::Lru(vec![0; sets * ways as usize]),
             ReplacementPolicy::TreePlru => {
-                let leaves = ways.next_power_of_two().max(2);
-                SetState::TreePlru { bits: vec![false; (leaves - 1) as usize], ways }
+                let leaves = plru_leaves(ways);
+                assert!(leaves <= 64, "tree-PLRU keeps a set's node bits in one 64-bit word");
+                let masks = (0..ways)
+                    .map(|way| {
+                        let mut m = PathMasks { clear: 0, set: 0 };
+                        plru_descend(leaves, |node, mid| {
+                            let right = way >= mid;
+                            m.clear |= 1 << node;
+                            if !right {
+                                m.set |= 1 << node;
+                            }
+                            right
+                        });
+                        m
+                    })
+                    .collect();
+                State::TreePlru { bits: vec![0; sets], masks }
             }
-            ReplacementPolicy::Fifo => SetState::Fifo { next: 0 },
-            ReplacementPolicy::Random => SetState::Random { state: seed | 1 },
+            ReplacementPolicy::Fifo => State::Fifo(vec![0; sets]),
+            // Mix the set index into the seed so sets decorrelate.
+            ReplacementPolicy::Random => {
+                State::Random((0..sets as u64).map(|i| (0x9E3779B97F4A7C15 ^ i) | 1).collect())
+            }
+        };
+        Self { ways, state }
+    }
+
+    /// Record that `way` of `set` was accessed at logical time `now`.
+    #[inline]
+    pub fn touch(&mut self, set: usize, way: u32, now: u64) {
+        match &mut self.state {
+            State::Lru(last_touch) => last_touch[set * self.ways as usize + way as usize] = now,
+            State::TreePlru { bits, masks } => {
+                let m = masks[way as usize];
+                bits[set] = bits[set] & !m.clear | m.set;
+            }
+            State::Fifo(_) | State::Random(_) => {}
         }
     }
 
-    /// Record that `way` was accessed at logical time `now`.
-    pub fn touch(&mut self, way: u32, now: u64) {
-        match self {
-            SetState::Lru { last_touch } => last_touch[way as usize] = now,
-            SetState::TreePlru { bits, ways } => {
-                // Walk from the root to the leaf `way`, flipping each
-                // node to point *away* from the taken path.
-                let leaves = ways.next_power_of_two().max(2);
-                let mut node = 0usize; // root
-                let mut lo = 0u32;
-                let mut hi = leaves; // exclusive
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let go_right = way >= mid;
-                    bits[node] = !go_right; // point to the other half
-                    node = 2 * node + if go_right { 2 } else { 1 };
-                    if go_right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-            }
-            SetState::Fifo { .. } => {}
-            SetState::Random { .. } => {}
-        }
-    }
-
-    /// Choose a victim way among `ways` ways (all full). Also advances
+    /// Choose a victim way in `set` (all ways full). Also advances
     /// internal state where the policy requires it.
-    pub fn victim(&mut self, ways: u32) -> u32 {
-        match self {
-            SetState::Lru { last_touch } => {
+    pub fn victim(&mut self, set: usize) -> u32 {
+        let ways = self.ways;
+        match &mut self.state {
+            State::Lru(last_touch) => {
+                let base = set * ways as usize;
                 let mut best = 0u32;
                 let mut best_t = u64::MAX;
-                for (i, &t) in last_touch.iter().enumerate().take(ways as usize) {
+                for (i, &t) in last_touch[base..base + ways as usize].iter().enumerate() {
                     if t < best_t {
                         best_t = t;
                         best = i as u32;
@@ -96,37 +143,24 @@ impl SetState {
                 }
                 best
             }
-            SetState::TreePlru { bits, ways: w } => {
-                let leaves = w.next_power_of_two().max(2);
-                let mut node = 0usize;
-                let mut lo = 0u32;
-                let mut hi = leaves;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let go_right = bits[node];
-                    node = 2 * node + if go_right { 2 } else { 1 };
-                    if go_right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
+            State::TreePlru { bits, .. } => {
+                let bits = bits[set];
                 // If ways is not a power of two the PLRU walk may land
                 // on a phantom leaf; clamp to a real way.
-                lo.min(ways - 1)
+                plru_descend(plru_leaves(ways), |node, _| bits >> node & 1 == 1).min(ways - 1)
             }
-            SetState::Fifo { next } => {
-                let v = *next % ways;
-                *next = (*next + 1) % ways;
+            State::Fifo(next) => {
+                let v = next[set] % ways;
+                next[set] = (v + 1) % ways;
                 v
             }
-            SetState::Random { state } => {
+            State::Random(state) => {
                 // xorshift64*
-                let mut x = *state;
+                let mut x = state[set];
                 x ^= x >> 12;
                 x ^= x << 25;
                 x ^= x >> 27;
-                *state = x;
+                state[set] = x;
                 ((x.wrapping_mul(0x2545F4914F6CDD1D)) >> 33) as u32 % ways
             }
         }
@@ -139,40 +173,50 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = SetState::new(ReplacementPolicy::Lru, 4, 0);
-        s.touch(0, 10);
-        s.touch(1, 20);
-        s.touch(2, 5);
-        s.touch(3, 30);
-        assert_eq!(s.victim(4), 2);
-        s.touch(2, 40);
-        assert_eq!(s.victim(4), 0);
+        let mut s = Replacement::new(ReplacementPolicy::Lru, 1, 4);
+        s.touch(0, 0, 10);
+        s.touch(0, 1, 20);
+        s.touch(0, 2, 5);
+        s.touch(0, 3, 30);
+        assert_eq!(s.victim(0), 2);
+        s.touch(0, 2, 40);
+        assert_eq!(s.victim(0), 0);
+    }
+
+    #[test]
+    fn sets_are_independent() {
+        let mut s = Replacement::new(ReplacementPolicy::Lru, 2, 2);
+        s.touch(0, 0, 1);
+        s.touch(0, 1, 2);
+        s.touch(1, 1, 3);
+        s.touch(1, 0, 4);
+        assert_eq!((s.victim(0), s.victim(1)), (0, 1));
     }
 
     #[test]
     fn fifo_cycles_through_ways() {
-        let mut s = SetState::new(ReplacementPolicy::Fifo, 3, 0);
-        assert_eq!(s.victim(3), 0);
-        assert_eq!(s.victim(3), 1);
-        assert_eq!(s.victim(3), 2);
-        assert_eq!(s.victim(3), 0);
+        let mut s = Replacement::new(ReplacementPolicy::Fifo, 1, 3);
+        assert_eq!(s.victim(0), 0);
+        assert_eq!(s.victim(0), 1);
+        assert_eq!(s.victim(0), 2);
+        assert_eq!(s.victim(0), 0);
     }
 
     #[test]
     fn plru_never_evicts_just_touched_way() {
-        let mut s = SetState::new(ReplacementPolicy::TreePlru, 8, 0);
+        let mut s = Replacement::new(ReplacementPolicy::TreePlru, 1, 8);
         for w in 0..8 {
-            s.touch(w, w as u64);
-            assert_ne!(s.victim(8), w, "PLRU must not victimize the MRU way");
+            s.touch(0, w, w as u64);
+            assert_ne!(s.victim(0), w, "PLRU must not victimize the MRU way");
         }
     }
 
     #[test]
     fn plru_handles_non_power_of_two_ways() {
-        let mut s = SetState::new(ReplacementPolicy::TreePlru, 20, 0);
+        let mut s = Replacement::new(ReplacementPolicy::TreePlru, 1, 20);
         for w in 0..20 {
-            s.touch(w, w as u64);
-            let v = s.victim(20);
+            s.touch(0, w, w as u64);
+            let v = s.victim(0);
             assert!(v < 20);
             assert_ne!(v, w);
         }
@@ -180,18 +224,18 @@ mod tests {
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let mut a = SetState::new(ReplacementPolicy::Random, 8, 42);
-        let mut b = SetState::new(ReplacementPolicy::Random, 8, 42);
+        let mut a = Replacement::new(ReplacementPolicy::Random, 4, 8);
+        let mut b = Replacement::new(ReplacementPolicy::Random, 4, 8);
         for _ in 0..100 {
-            assert_eq!(a.victim(8), b.victim(8));
+            assert_eq!(a.victim(3), b.victim(3));
         }
     }
 
     #[test]
     fn random_victims_in_range() {
-        let mut s = SetState::new(ReplacementPolicy::Random, 5, 7);
+        let mut s = Replacement::new(ReplacementPolicy::Random, 1, 5);
         for _ in 0..1000 {
-            assert!(s.victim(5) < 5);
+            assert!(s.victim(0) < 5);
         }
     }
 
@@ -200,12 +244,12 @@ mod tests {
         // Repeatedly evicting without touching must eventually visit
         // every way (tree PLRU flips towards unvisited halves only on
         // touch, but victim selection is stable; emulate fill pattern).
-        let mut s = SetState::new(ReplacementPolicy::TreePlru, 4, 0);
+        let mut s = Replacement::new(ReplacementPolicy::TreePlru, 1, 4);
         let mut seen = [false; 4];
         for i in 0..16 {
-            let v = s.victim(4);
+            let v = s.victim(0);
             seen[v as usize] = true;
-            s.touch(v, i);
+            s.touch(0, v, i);
         }
         assert!(seen.iter().all(|&x| x), "all ways should be used: {seen:?}");
     }

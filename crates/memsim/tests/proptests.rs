@@ -1,13 +1,185 @@
 //! Property-based tests for the memory-hierarchy simulator.
 
+use mempersp_memsim::cache::{Evicted, LookupOutcome};
 use mempersp_memsim::{
-    lines_of_access, AccessKind, Cache, CacheConfig, HierarchyConfig, MemorySystem,
-    ReplacementPolicy, WriteMissPolicy,
+    lines_of_access, AccessKind, Cache, CacheConfig, CacheStats, HierarchyConfig, LineMeta,
+    MemorySystem, ReplacementPolicy, WriteMissPolicy,
 };
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = AccessKind> {
     prop_oneof![Just(AccessKind::Load), Just(AccessKind::Store)]
+}
+
+/// The cache the way it is usually drawn, as the reference for the
+/// flat-array [`Cache`]: a `Vec<Option<LineMeta>>` per set, and per set
+/// the state of every policy in its textbook shape — a timestamp per
+/// way, a recursive walk over a `Vec<bool>` tree, a counter, a
+/// generator.
+struct NaiveCache {
+    policy: ReplacementPolicy,
+    ways: u32,
+    sets: Vec<NaiveSet>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+struct NaiveSet {
+    lines: Vec<Option<LineMeta>>,
+    last_touch: Vec<u64>,
+    /// Internal nodes of the PLRU tree in heap order; true = the
+    /// victim is to the right.
+    plru: Vec<bool>,
+    fifo_next: u32,
+    rng: u64,
+}
+
+const LINE: u64 = 64;
+
+fn plru_touch(bits: &mut [bool], node: usize, lo: u32, hi: u32, way: u32) {
+    if hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        // Point away from the half the way is in.
+        bits[node] = way < mid;
+        if way < mid {
+            plru_touch(bits, 2 * node + 1, lo, mid, way);
+        } else {
+            plru_touch(bits, 2 * node + 2, mid, hi, way);
+        }
+    }
+}
+
+fn plru_victim(bits: &[bool], node: usize, lo: u32, hi: u32) -> u32 {
+    if hi - lo <= 1 {
+        return lo;
+    }
+    let mid = (lo + hi) / 2;
+    if bits[node] {
+        plru_victim(bits, 2 * node + 2, mid, hi)
+    } else {
+        plru_victim(bits, 2 * node + 1, lo, mid)
+    }
+}
+
+impl NaiveCache {
+    fn new(policy: ReplacementPolicy, num_sets: u64, ways: u32) -> Self {
+        let leaves = ways.next_power_of_two().max(2);
+        let sets = (0..num_sets)
+            .map(|i| NaiveSet {
+                lines: vec![None; ways as usize],
+                last_touch: vec![0; ways as usize],
+                plru: vec![false; leaves as usize - 1],
+                fifo_next: 0,
+                rng: (0x9E3779B97F4A7C15 ^ i) | 1,
+            })
+            .collect();
+        Self { policy, ways, sets, clock: 0, stats: CacheStats::default() }
+    }
+
+    fn locate(&self, line: u64) -> (usize, u64) {
+        let n = self.sets.len() as u64;
+        ((line / LINE % n) as usize, line / LINE / n)
+    }
+
+    fn way_of(&self, set: usize, tag: u64) -> Option<usize> {
+        self.sets[set].lines.iter().position(|l| matches!(l, Some(m) if m.tag == tag))
+    }
+
+    fn touch(&mut self, set: usize, way: usize) {
+        let leaves = self.ways.next_power_of_two().max(2);
+        let s = &mut self.sets[set];
+        s.last_touch[way] = self.clock;
+        plru_touch(&mut s.plru, 0, 0, leaves, way as u32);
+    }
+
+    fn victim(&mut self, set: usize) -> usize {
+        let ways = self.ways;
+        let s = &mut self.sets[set];
+        let v = match self.policy {
+            ReplacementPolicy::Lru => {
+                // The oldest timestamp, the lowest way among equals.
+                (0..ways).min_by_key(|&w| (s.last_touch[w as usize], w)).unwrap()
+            }
+            ReplacementPolicy::TreePlru => {
+                plru_victim(&s.plru, 0, 0, ways.next_power_of_two().max(2)).min(ways - 1)
+            }
+            ReplacementPolicy::Fifo => {
+                s.fifo_next += 1;
+                (s.fifo_next - 1) % ways
+            }
+            ReplacementPolicy::Random => {
+                s.rng ^= s.rng >> 12;
+                s.rng ^= s.rng << 25;
+                s.rng ^= s.rng >> 27;
+                (s.rng.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as u32 % ways
+            }
+        };
+        v as usize
+    }
+
+    fn access(&mut self, line: u64, is_store: bool) -> LookupOutcome {
+        self.clock += 1;
+        let (set, tag) = self.locate(line);
+        let Some(way) = self.way_of(set, tag) else {
+            self.stats.misses += 1;
+            return LookupOutcome::Miss;
+        };
+        let meta = self.sets[set].lines[way].as_mut().unwrap();
+        let first = std::mem::take(&mut meta.prefetched);
+        meta.dirty |= is_store;
+        self.touch(set, way);
+        self.stats.hits += 1;
+        self.stats.prefetch_hits += first as u64;
+        LookupOutcome::Hit { first_demand_after_prefetch: first }
+    }
+
+    fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
+        self.clock += 1;
+        let (set, tag) = self.locate(line);
+        self.stats.fills += 1;
+        self.stats.prefetch_fills += prefetched as u64;
+        if let Some(way) = self.way_of(set, tag) {
+            self.sets[set].lines[way].as_mut().unwrap().dirty |= dirty;
+            self.touch(set, way);
+            return None;
+        }
+        let free = self.sets[set].lines.iter().position(Option::is_none);
+        let way = free.unwrap_or_else(|| self.victim(set));
+        let old = self.sets[set].lines[way].replace(LineMeta { tag, dirty, prefetched });
+        self.touch(set, way);
+        old.map(|old| {
+            self.stats.evictions += 1;
+            self.stats.writebacks += old.dirty as u64;
+            let n = self.sets.len() as u64;
+            Evicted { addr: (old.tag * n + set as u64) * LINE, dirty: old.dirty }
+        })
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<LineMeta> {
+        let (set, tag) = self.locate(line);
+        let way = self.way_of(set, tag)?;
+        self.sets[set].lines[way].take()
+    }
+
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        match self.way_of(set, tag) {
+            Some(way) => {
+                self.sets[set].lines[way].as_mut().unwrap().dirty = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn resident_lines(&self) -> Vec<u64> {
+        let n = self.sets.len() as u64;
+        let mut lines = Vec::new();
+        for (set, s) in self.sets.iter().enumerate() {
+            lines.extend(s.lines.iter().flatten().map(|m| (m.tag * n + set as u64) * LINE));
+        }
+        lines
+    }
 }
 
 proptest! {
@@ -30,6 +202,53 @@ proptest! {
         // First and last bytes covered.
         prop_assert_eq!(lines[0], addr & !(line as u64 - 1));
         prop_assert_eq!(*lines.last().unwrap(), (addr + size as u64 - 1) & !(line as u64 - 1));
+    }
+
+    /// The flat-array cache is the naive one, operation by operation:
+    /// same outcomes, same victims (with their dirty bits), same
+    /// counters, same contents in the same ways — for every policy, at
+    /// power-of-two and other associativities.
+    #[test]
+    fn flat_cache_equals_naive_reference(
+        ops in prop::collection::vec((0u32..7, 0u64..1 << 16, any::<bool>(), any::<bool>()), 1..600),
+    ) {
+        use ReplacementPolicy::*;
+        for policy in [Lru, TreePlru, Fifo, Random] {
+            for ways in [1u32, 2, 8, 20, 24] {
+                let num_sets = 4u64;
+                let mut flat = Cache::new(CacheConfig {
+                    size_bytes: num_sets * ways as u64 * LINE,
+                    associativity: ways,
+                    line_size: LINE as u32,
+                    hit_latency: 1,
+                    replacement: policy,
+                    write_miss: WriteMissPolicy::WriteAllocate,
+                });
+                let mut naive = NaiveCache::new(policy, num_sets, ways);
+                // Three times the capacity, so sets fill up and lines
+                // come back.
+                let footprint = 3 * num_sets * ways as u64;
+                for (i, &(op, r, a, b)) in ops.iter().enumerate() {
+                    let line = r % footprint * LINE;
+                    let at = format!("{policy:?} × {ways} ways, op {i}");
+                    match (op, flat.probe_way(line)) {
+                        // A hit through the caller-knows-the-way shortcut.
+                        (0, Some(way)) => {
+                            flat.touch_resident(line, way, a);
+                            prop_assert!(matches!(naive.access(line, a), LookupOutcome::Hit { .. }), "{}", at);
+                        }
+                        (0..=2, _) => prop_assert_eq!(flat.access(line, a), naive.access(line, a), "{}", at),
+                        (3 | 4, _) => prop_assert_eq!(flat.fill(line, a, b), naive.fill(line, a, b), "{}", at),
+                        (5, _) => prop_assert_eq!(flat.invalidate(line), naive.invalidate(line), "{}", at),
+                        _ => prop_assert_eq!(flat.mark_dirty(line), naive.mark_dirty(line), "{}", at),
+                    }
+                    let (set, tag) = naive.locate(line);
+                    prop_assert_eq!(flat.probe_way(line).map(|w| w as usize), naive.way_of(set, tag), "{}", at);
+                }
+                prop_assert_eq!(flat.stats(), naive.stats);
+                prop_assert_eq!(flat.resident_lines().collect::<Vec<_>>(), naive.resident_lines());
+            }
+        }
     }
 
     /// A cache never holds more lines than its capacity, whatever the
@@ -59,7 +278,7 @@ proptest! {
             if matches!(c.access(line, store), mempersp_memsim::cache::LookupOutcome::Miss) {
                 c.fill(line, store, false);
             }
-            prop_assert!(c.resident_lines() <= capacity_lines);
+            prop_assert!(c.resident_lines().count() <= capacity_lines);
         }
         let s = c.stats();
         prop_assert_eq!(s.hits + s.misses, s.accesses());
