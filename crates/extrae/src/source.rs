@@ -66,16 +66,17 @@ impl SourceMap {
         ip
     }
 
+    /// Registration number (`0..self.len()`) of the statement `ip`
+    /// names, if it names one: the key for a table kept per statement.
+    pub fn index_of(&self, ip: Ip) -> Option<usize> {
+        let off = ip.0.checked_sub(TEXT_BASE)?;
+        let idx = usize::try_from(off / IP_STRIDE).ok()?;
+        (off.is_multiple_of(IP_STRIDE) && idx < self.locations.len()).then_some(idx)
+    }
+
     /// Resolve an ip back to its location.
     pub fn resolve(&self, ip: Ip) -> Option<&CodeLocation> {
-        if ip.0 < TEXT_BASE {
-            return None;
-        }
-        let idx = (ip.0 - TEXT_BASE) / IP_STRIDE;
-        if !(ip.0 - TEXT_BASE).is_multiple_of(IP_STRIDE) {
-            return None;
-        }
-        self.locations.get(idx as usize)
+        self.index_of(ip).map(|idx| &self.locations[idx])
     }
 
     /// Number of registered statements.
@@ -127,6 +128,7 @@ mod tests {
         let b = m.intern(CodeLocation::new("f.cpp", 2, "f"));
         assert_ne!(a, b);
         assert_eq!(b.0 - a.0, IP_STRIDE);
+        assert_eq!((m.index_of(a), m.index_of(b)), (Some(0), Some(1)));
     }
 
     #[test]
@@ -143,6 +145,8 @@ mod tests {
         assert_eq!(m.resolve(Ip(0)), None);
         assert_eq!(m.resolve(Ip(TEXT_BASE)), None);
         assert_eq!(m.resolve(Ip(TEXT_BASE + 3)), None, "misaligned ip");
+        assert_eq!(m.index_of(Ip(TEXT_BASE)), None, "past the last registration");
+        assert_eq!(m.index_of(Ip(u64::MAX)), None);
     }
 
     #[test]

@@ -16,15 +16,17 @@ pub struct MonotoneCurve {
 }
 
 impl MonotoneCurve {
-    /// Build from interior knots; endpoints (0,0)/(1,1) are added and
-    /// values are clamped into [0, 1] and made non-decreasing.
-    /// `knots` must be strictly increasing in x within (0, 1).
-    pub fn from_knots(knots: &[(f64, f64)]) -> Self {
-        let mut xs = Vec::with_capacity(knots.len() + 2);
-        let mut ys = Vec::with_capacity(knots.len() + 2);
+    /// Build from the interior knots `(knot_xs[i], knot_ys[i])`;
+    /// endpoints (0,0)/(1,1) are added and values are clamped into
+    /// [0, 1] and made non-decreasing. `knot_xs` must be strictly
+    /// increasing within (0, 1) and as long as `knot_ys`.
+    pub fn from_knots(knot_xs: &[f64], knot_ys: &[f64]) -> Self {
+        assert_eq!(knot_xs.len(), knot_ys.len(), "one y per knot x");
+        let mut xs = Vec::with_capacity(knot_xs.len() + 2);
+        let mut ys = Vec::with_capacity(knot_xs.len() + 2);
         xs.push(0.0);
         ys.push(0.0);
-        for &(x, y) in knots {
+        for (&x, &y) in knot_xs.iter().zip(knot_ys) {
             assert!(x > 0.0 && x < 1.0, "interior knot x={x} out of (0,1)");
             assert!(
                 *xs.last().unwrap() < x,
@@ -41,7 +43,7 @@ impl MonotoneCurve {
 
     /// The identity curve (uniform progress).
     pub fn identity() -> Self {
-        Self::from_knots(&[])
+        Self::from_knots(&[], &[])
     }
 
     /// Evaluate y(x); x is clamped into [0, 1]. NaN input evaluates to
@@ -118,7 +120,7 @@ mod tests {
 
     #[test]
     fn eval_interpolates_knots() {
-        let c = MonotoneCurve::from_knots(&[(0.5, 0.8)]);
+        let c = MonotoneCurve::from_knots(&[0.5], &[0.8]);
         assert!((c.eval(0.25) - 0.4).abs() < 1e-12);
         assert!((c.eval(0.5) - 0.8).abs() < 1e-12);
         assert!((c.eval(0.75) - 0.9).abs() < 1e-12);
@@ -126,7 +128,7 @@ mod tests {
 
     #[test]
     fn slope_is_piecewise_constant() {
-        let c = MonotoneCurve::from_knots(&[(0.5, 0.8)]);
+        let c = MonotoneCurve::from_knots(&[0.5], &[0.8]);
         assert!((c.slope(0.2) - 1.6).abs() < 1e-12);
         assert!((c.slope(0.9) - 0.4).abs() < 1e-12);
         assert!((c.slope(1.0) - 0.4).abs() < 1e-12, "right endpoint uses last segment");
@@ -143,14 +145,14 @@ mod tests {
 
     #[test]
     fn nan_input_is_defined_not_a_panic() {
-        let c = MonotoneCurve::from_knots(&[(0.5, 0.8)]);
+        let c = MonotoneCurve::from_knots(&[0.5], &[0.8]);
         assert_eq!(c.eval(f64::NAN), 0.0);
         assert_eq!(c.slope(f64::NAN), 0.0);
     }
 
     #[test]
     fn non_monotone_knots_are_clamped() {
-        let c = MonotoneCurve::from_knots(&[(0.3, 0.6), (0.6, 0.4)]);
+        let c = MonotoneCurve::from_knots(&[0.3, 0.6], &[0.6, 0.4]);
         let (_, ys) = c.knots();
         assert!(ys.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(c.eval(0.6), 0.6, "second knot clamped up to the first");
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn sample_covers_unit_interval() {
-        let c = MonotoneCurve::from_knots(&[(0.5, 0.2)]);
+        let c = MonotoneCurve::from_knots(&[0.5], &[0.2]);
         let s = c.sample(11);
         assert_eq!(s.len(), 11);
         assert_eq!(s[0].0, 0.0);
@@ -169,12 +171,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn duplicate_knot_x_panics() {
-        let _ = MonotoneCurve::from_knots(&[(0.5, 0.2), (0.5, 0.3)]);
+        let _ = MonotoneCurve::from_knots(&[0.5, 0.5], &[0.2, 0.3]);
     }
 
     #[test]
     #[should_panic(expected = "out of (0,1)")]
     fn boundary_knot_panics() {
-        let _ = MonotoneCurve::from_knots(&[(0.0, 0.2)]);
+        let _ = MonotoneCurve::from_knots(&[0.0], &[0.2]);
     }
 }

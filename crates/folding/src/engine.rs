@@ -21,12 +21,13 @@ use crate::curve::MonotoneCurve;
 use crate::fold::{FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
 use crate::instances::{boundary_query, InstanceCollector, RegionInstance};
 use crate::pava::pava_nondecreasing;
-use crate::pool::{sample_query, sort_pairs_with, AddrPoint, LinePoint, PooledSamples, Pooler};
+use crate::pool::{sample_query, sort_by_x, sort_counter, AddrPoint, LinePoint, PooledSamples, Pooler};
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, Trace};
 use mempersp_pebs::EventKind;
 use std::convert::Infallible;
+use std::sync::Mutex;
 
 const NKINDS: usize = EventKind::ALL.len();
 
@@ -58,13 +59,11 @@ impl RegionRequest {
     }
 }
 
-/// Reusable scratch buffers for sorting and fitting one counter:
-/// amortizes the sort permutation, bin assignment and bin accumulator
-/// allocations across every (region, counter) work item a worker runs.
+/// Reusable scratch buffers for fitting one counter: amortizes the
+/// bin assignment and bin accumulator allocations across every
+/// (region, counter) work item a worker runs.
 #[derive(Debug, Default)]
 pub struct FitScratch {
-    order: Vec<u32>,
-    tmp: Vec<f64>,
     bin_of: Vec<u32>,
     sums_x: Vec<f64>,
     sums_y: Vec<f64>,
@@ -111,12 +110,12 @@ fn fit_sorted(xs: &[f64], ys: &[f64], bins: usize, fit: FitModel, s: &mut FitScr
             s.weights.push(s.counts[b]);
         }
     }
-    let fitted = match fit {
-        FitModel::Isotonic => pava_nondecreasing(&s.means, &s.weights),
-        FitModel::BinnedMean => s.means.clone(),
-    };
-    let knots: Vec<(f64, f64)> = s.knot_xs.iter().copied().zip(fitted).collect();
-    MonotoneCurve::from_knots(&knots)
+    match fit {
+        FitModel::Isotonic => {
+            MonotoneCurve::from_knots(&s.knot_xs, &pava_nondecreasing(&s.means, &s.weights))
+        }
+        FitModel::BinnedMean => MonotoneCurve::from_knots(&s.knot_xs, &s.means),
+    }
 }
 
 /// One independent unit of fold work. Items own their inputs (taken
@@ -144,7 +143,7 @@ impl Job {
     fn run(&mut self, scratch: &mut FitScratch) {
         match self {
             Job::Counter { kind, bins, fit, avg_total, xs, ys, out, .. } => {
-                sort_pairs_with(xs, ys, &mut scratch.order, &mut scratch.tmp);
+                sort_counter(xs, ys);
                 let curve = fit_sorted(xs, ys, *bins, *fit, scratch);
                 *out = Some(FoldedCounter {
                     kind: *kind,
@@ -153,38 +152,36 @@ impl Job {
                     points: xs.len(),
                 });
             }
-            Job::Addr { pts, .. } => {
-                pts.sort_by(|a, b| a.x.partial_cmp(&b.x).expect("no NaN coordinates"));
-            }
-            Job::Line { pts, .. } => {
-                pts.sort_by(|a, b| a.x.partial_cmp(&b.x).expect("no NaN coordinates"));
-            }
+            Job::Addr { pts, .. } => sort_by_x(pts, |p| p.x),
+            Job::Line { pts, .. } => sort_by_x(pts, |p| p.x),
         }
     }
 }
 
-/// Execute the work items on up to `threads` workers. Items are
-/// statically partitioned into contiguous chunks; each worker runs its
-/// chunk sequentially with one scratch buffer, so scheduling affects
-/// only *where* an item runs, never its result.
+/// Execute the work items on up to `threads` workers. Every worker
+/// pulls the next item off one shared iterator until none is left, so
+/// a region's large items spread over the workers instead of queueing
+/// behind one another; each worker runs its items sequentially with
+/// one scratch buffer, so scheduling affects only *where* an item
+/// runs, never its result.
 fn run_jobs(jobs: &mut [Job], threads: usize) {
-    if threads <= 1 || jobs.len() <= 1 {
+    let workers = threads.min(jobs.len());
+    let next = Mutex::new(jobs.iter_mut());
+    let work = || {
         let mut scratch = FitScratch::default();
-        for j in jobs.iter_mut() {
-            j.run(&mut scratch);
+        loop {
+            // The guard is dropped before the item runs.
+            let job = next.lock().expect("no worker panics while taking an item").next();
+            let Some(job) = job else { break };
+            job.run(&mut scratch);
         }
-        return;
-    }
-    let chunk = jobs.len().div_ceil(threads);
+    };
+    // The calling thread is one of the workers.
     std::thread::scope(|s| {
-        for part in jobs.chunks_mut(chunk) {
-            s.spawn(move || {
-                let mut scratch = FitScratch::default();
-                for j in part {
-                    j.run(&mut scratch);
-                }
-            });
+        for _ in 1..workers {
+            s.spawn(work);
         }
+        work();
     });
 }
 

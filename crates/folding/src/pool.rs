@@ -19,11 +19,11 @@
 
 use crate::instances::RegionInstance;
 use mempersp_extrae::query::{EventClass, Query};
-use mempersp_extrae::{scan_events, EventBatch, ObjectId, RowView, SourceMap, Trace};
+use mempersp_extrae::{scan_events, EventBatch, Ip, ObjectId, RowView, SourceMap, Trace};
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::EventKind;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 const NKINDS: usize = EventKind::ALL.len();
@@ -152,52 +152,152 @@ impl PooledSamples {
     /// consumers rely on: counter points by (x, y), address and line
     /// points by x (stable, preserving trace order among ties).
     pub fn sort_deterministic(&mut self) {
-        let mut order = Vec::new();
-        let mut tmp = Vec::new();
-        for k in 0..NKINDS {
-            sort_pairs_with(&mut self.counter_xs[k], &mut self.counter_ys[k], &mut order, &mut tmp);
+        for (xs, ys) in self.counter_xs.iter_mut().zip(&mut self.counter_ys) {
+            sort_counter(xs, ys);
         }
-        self.addr_points
-            .sort_by(|a, b| a.x.partial_cmp(&b.x).expect("no NaN coordinates"));
-        self.line_points
-            .sort_by(|a, b| a.x.partial_cmp(&b.x).expect("no NaN coordinates"));
+        sort_by_x(&mut self.addr_points, |p| p.x);
+        sort_by_x(&mut self.line_points, |p| p.x);
     }
 }
 
-/// Stable-sort the parallel (xs, ys) buffers by (x, y), reusing the
-/// caller's index/scratch buffers to avoid per-counter allocation.
-pub(crate) fn sort_pairs_with(
-    xs: &mut [f64],
-    ys: &mut [f64],
-    order: &mut Vec<u32>,
-    tmp: &mut Vec<f64>,
+/// Average number of points per bucket of `distribution_sort`.
+const BUCKET_POINTS: usize = 8;
+/// A bucket longer than this (many points on one `x`: a clock that
+/// stood still, zero-duration instances) is ordered by `sort_by`
+/// instead of by insertion.
+const INSERTION_MAX: usize = 32;
+/// `distribution_sort` orders a panel in this many rounds, each
+/// through a scratch buffer of that fraction of the panel.
+const ROUNDS: usize = 4;
+
+/// Reorder `v` as a stable `sort_by(cmp)` would, in O(n) for keys
+/// spread over `[0, 1]`: `x` is an item's normalized time, and `cmp`
+/// must not contradict it (`cmp(a, b)` is `Less` only if
+/// `x(a) <= x(b)`; no NaN).
+///
+/// `⌊x·B⌋` is monotone in `x`, so a stable counting pass into
+/// `B = n / 8` buckets leaves every item in a bucket that sorts wholly
+/// before the next one, its items still in input order, and a stable
+/// insertion pass inside each bucket finishes the job. The panel stays
+/// where it is: a round moves the topmost buckets still unordered (one
+/// [`ROUNDS`]th of the items) to the scratch buffer, closing the
+/// remainder up to the front in input order, and inserts them bucket
+/// by bucket into the gap that opened behind the remainder. Only a
+/// single bucket with more items than that makes the scratch buffer
+/// any longer.
+fn distribution_sort<T: Copy>(
+    v: &mut [T],
+    x: impl Fn(&T) -> f64,
+    cmp: impl Fn(&T, &T) -> Ordering,
 ) {
-    debug_assert_eq!(xs.len(), ys.len());
-    let n = xs.len();
-    if n <= 1 {
-        return;
+    let n = v.len();
+    let buckets = (n / BUCKET_POINTS).max(1);
+    // `as usize` saturates, so any x ≥ 1.0 lands in the last bucket.
+    let bucket_of = |item: &T| ((x(item) * buckets as f64) as usize).min(buckets - 1);
+
+    // at[b]: where bucket b starts in the ordered panel — and, once
+    // its items have been moved out, where it ends.
+    let mut at = vec![0usize; buckets];
+    for item in v.iter() {
+        at[bucket_of(item)] += 1;
     }
-    order.clear();
-    order.extend(0..n as u32);
-    order.sort_by(|&a, &b| {
-        let ka = (xs[a as usize], ys[a as usize]);
-        let kb = (xs[b as usize], ys[b as usize]);
-        ka.partial_cmp(&kb).expect("no NaN coordinates")
-    });
-    tmp.clear();
-    tmp.extend(order.iter().map(|&i| xs[i as usize]));
-    xs.copy_from_slice(tmp);
-    tmp.clear();
-    tmp.extend(order.iter().map(|&i| ys[i as usize]));
-    ys.copy_from_slice(tmp);
+    let mut start = 0;
+    for a in &mut at {
+        let count = *a;
+        *a = start;
+        start += count;
+    }
+
+    let room = n.div_ceil(ROUNDS);
+    let mut scratch: Vec<T> = Vec::new();
+    // v[..rest] holds the items of buckets ..hi, in input order.
+    let (mut rest, mut hi) = (n, buckets);
+    while rest > 0 {
+        // This round: buckets lo..hi — as many as `room` items, but at
+        // least one bucket —, which belong at v[base..rest].
+        let mut lo = hi - 1;
+        while lo > 0 && rest - at[lo - 1] <= room {
+            lo -= 1;
+        }
+        let base = at[lo];
+        if scratch.len() < rest - base {
+            scratch.resize(rest - base, v[0]);
+        }
+        let mut kept = 0;
+        for i in 0..rest {
+            let item = v[i];
+            let b = bucket_of(&item);
+            if b < lo {
+                v[kept] = item;
+                kept += 1;
+            } else {
+                scratch[at[b] - base] = item;
+                at[b] += 1;
+            }
+        }
+        debug_assert_eq!(kept, base);
+
+        // Back into the panel, each bucket put in order on the way.
+        let mut from = base;
+        for &to in &at[lo..hi] {
+            let (bucket, ordered) = (&scratch[from - base..to - base], &mut v[from..to]);
+            if bucket.len() > INSERTION_MAX {
+                ordered.copy_from_slice(bucket);
+                ordered.sort_by(&cmp);
+            } else {
+                for (i, item) in bucket.iter().enumerate() {
+                    let mut j = i;
+                    while j > 0 && cmp(&ordered[j - 1], item) == Ordering::Greater {
+                        ordered[j] = ordered[j - 1];
+                        j -= 1;
+                    }
+                    ordered[j] = *item;
+                }
+            }
+            from = to;
+        }
+        (rest, hi) = (base, lo);
+    }
 }
 
-/// Per-core interval index over one region's kept instances; replaces
-/// the per-sample linear scan with a binary search.
+/// Order one counter's parallel (xs, ys) buffers by (x, y), like a
+/// `sort_by` of the pairs but in linear time for `x` spread over
+/// `[0, 1]`. No NaN.
+pub fn sort_counter(xs: &mut [f64], ys: &mut [f64]) {
+    assert_eq!(xs.len(), ys.len(), "one y per x");
+    let mut points: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+    distribution_sort(&mut points, |p| p.0, |a, b| a.partial_cmp(b).expect("no NaN coordinates"));
+    for ((x, y), p) in xs.iter_mut().zip(ys.iter_mut()).zip(points) {
+        (*x, *y) = p;
+    }
+}
+
+/// Order a panel by `x`, ties staying in input (= trace) order, like
+/// a stable `sort_by` but in linear time for `x` spread over `[0, 1]`.
+/// No NaN.
+pub fn sort_by_x<T: Copy>(points: &mut [T], x: impl Fn(&T) -> f64) {
+    distribution_sort(points, &x, |a, b| x(a).partial_cmp(&x(b)).expect("no NaN coordinates"));
+}
+
+/// A maximal run of timestamps on one core with one answer: inside one
+/// instance, or in one gap between instances.
+#[derive(Clone, Copy)]
+struct Span {
+    lo: u64,
+    hi: u64,
+    /// Index into the instances slice; `None` in a gap.
+    inst: Option<u32>,
+}
+
+/// Per-core interval index over one region's kept instances: a binary
+/// search when a core's rows move to another span, a range check while
+/// they stay in the one they were in.
 struct InstanceIndex {
     /// Per core: (start, end, index into the instances slice), sorted
     /// by start. Top-level instances never overlap on one core.
     per_core: Vec<Vec<(u64, u64, u32)>>,
+    /// Per core: the span its last looked-up row fell in.
+    last: Vec<Span>,
 }
 
 impl InstanceIndex {
@@ -211,39 +311,62 @@ impl InstanceIndex {
         for v in &mut per_core {
             v.sort_by_key(|&(s, e, _)| (s, e));
         }
-        Self { per_core }
+        // An empty span: the first lookup on every core searches.
+        Self { per_core, last: vec![Span { lo: 1, hi: 0, inst: None }; num_cores] }
     }
 
-    /// First instance containing (core, cycles). On a shared boundary
-    /// (one instance ends where the next starts) the earlier instance
-    /// wins, matching the legacy first-containing linear scan.
-    fn find(&self, core: usize, cycles: u64) -> Option<usize> {
-        let v = self.per_core.get(core)?;
+    /// The span holding (core, cycles), and in it the first instance
+    /// containing the timestamp. On a shared boundary (one instance
+    /// ends where the next starts) the earlier instance wins, matching
+    /// the legacy first-containing linear scan — so a span starts past
+    /// the end of the instance before it.
+    fn find(&self, core: usize, cycles: u64) -> Span {
+        let v = &self.per_core[core];
         let i = v.partition_point(|&(_, e, _)| e < cycles);
-        let &(s, _, idx) = v.get(i)?;
-        (s <= cycles).then_some(idx as usize)
+        // Every instance before `i` ends before `cycles`.
+        let after_prev = if i == 0 { 0 } else { v[i - 1].1 + 1 };
+        match v.get(i) {
+            Some(&(s, e, idx)) if s <= cycles => Span { lo: s.max(after_prev), hi: e, inst: Some(idx) },
+            Some(&(s, ..)) => Span { lo: after_prev, hi: s - 1, inst: None },
+            None => Span { lo: after_prev, hi: u64::MAX, inst: None },
+        }
+    }
+
+    /// [`find`](Self::find)'s instance, searched for only when the row
+    /// left the span of the core's previous row (in either direction:
+    /// rows of one core may step backwards).
+    #[inline]
+    fn lookup(&mut self, core: usize, cycles: u64) -> Option<usize> {
+        let mut span = *self.last.get(core)?;
+        if cycles < span.lo || cycles > span.hi {
+            span = self.find(core, cycles);
+            self.last[core] = span;
+        }
+        span.inst.map(|i| i as usize)
     }
 }
 
-type LineMemo = HashMap<u64, (Option<FileId>, Option<u32>)>;
+/// Source coordinates of the statements one region has sampled so far,
+/// by [`SourceMap::index_of`]; a statement is resolved and its file
+/// interned the first time a sample names it (each region owns its
+/// string table, so ids are region-local and in first-appearance
+/// order).
+type LineTable = Vec<Option<(FileId, u32)>>;
 
-/// Resolve an ip to interned source coordinates, memoized per region
-/// (each region owns its string table, so ids are region-local).
 fn resolve_line(
     source: &SourceMap,
-    memo: &mut LineMemo,
+    table: &mut LineTable,
     samples: &mut PooledSamples,
     ip: u64,
 ) -> (Option<FileId>, Option<u32>) {
-    if let Some(&r) = memo.get(&ip) {
-        return r;
-    }
-    let r = match source.resolve(mempersp_extrae::Ip(ip)) {
-        Some(loc) => (Some(samples.intern_file(&loc.file)), Some(loc.line)),
-        None => (None, None),
+    let Some(i) = source.index_of(Ip(ip)) else {
+        return (None, None);
     };
-    memo.insert(ip, r);
-    r
+    let (file, line) = *table[i].get_or_insert_with(|| {
+        let loc = source.resolve(Ip(ip)).expect("index_of found it");
+        (samples.intern_file(&loc.file), loc.line)
+    });
+    (Some(file), Some(line))
 }
 
 /// The events pooling reads: counter and PEBS samples.
@@ -271,24 +394,35 @@ pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples>
 /// batch, **in trace order**, it appends to each slot's panels in that
 /// order — which, with the stable per-panel sorts downstream, is what
 /// keeps the address and line panels byte-identical across containers
-/// and chunkings. The accumulators and per-slot line memos carry
-/// across batches.
+/// and chunkings. The accumulators, per-core spans and per-slot line
+/// tables carry across batches.
 pub(crate) struct Pooler<'a> {
     source: &'a SourceMap,
     kept: &'a [&'a [RegionInstance]],
     indices: Vec<InstanceIndex>,
-    memos: Vec<LineMemo>,
+    /// Per slot, per kept instance: the counters that advanced in it,
+    /// as (kind, value at entry, value at exit).
+    advanced: Vec<Vec<Vec<(EventKind, u64, u64)>>>,
+    lines: Vec<LineTable>,
     out: Vec<PooledSamples>,
 }
 
 impl<'a> Pooler<'a> {
     /// `header` supplies the source map and the core count.
     pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]]) -> Self {
+        let advanced_in = |inst: &RegionInstance| {
+            EventKind::ALL
+                .into_iter()
+                .map(|kind| (kind, inst.counters_in.get(kind), inst.counters_out.get(kind)))
+                .filter(|&(_, c0, c1)| c1 > c0)
+                .collect()
+        };
         Self {
             source: &header.source,
             kept,
             indices: kept.iter().map(|k| InstanceIndex::new(k, header.meta.num_cores)).collect(),
-            memos: vec![LineMemo::new(); kept.len()],
+            advanced: kept.iter().map(|k| k.iter().map(advanced_in).collect()).collect(),
+            lines: vec![vec![None; header.source.len()]; kept.len()],
             out: kept.iter().map(|_| PooledSamples::default()).collect(),
         }
     }
@@ -302,31 +436,25 @@ impl<'a> Pooler<'a> {
                 RowView::Sample(s) => {
                     let mut payload = None;
                     for slot in 0..self.kept.len() {
-                        let Some(idx) = self.indices[slot].find(row.core, row.cycles) else {
+                        let Some(idx) = self.indices[slot].lookup(row.core, row.cycles) else {
                             continue;
                         };
                         let (ip, counters) = *payload.get_or_insert_with(|| (s.ip().0, s.counters()));
-                        let inst = &self.kept[slot][idx];
                         let out = &mut self.out[slot];
-                        let x = inst.normalize(row.cycles);
-                        for kind in EventKind::ALL {
-                            let c0 = inst.counters_in.get(kind);
-                            let c1 = inst.counters_out.get(kind);
-                            if c1 <= c0 {
-                                continue; // counter did not advance in this instance
-                            }
+                        let x = self.kept[slot][idx].normalize(row.cycles);
+                        for &(kind, c0, c1) in &self.advanced[slot][idx] {
                             let c = counters.get(kind).clamp(c0, c1);
                             let y = (c - c0) as f64 / (c1 - c0) as f64;
                             out.push_counter(kind, x, y);
                         }
-                        let (file, line) = resolve_line(self.source, &mut self.memos[slot], out, ip);
+                        let (file, line) = resolve_line(self.source, &mut self.lines[slot], out, ip);
                         out.line_points.push(LinePoint { x, ip, file, line });
                     }
                 }
                 RowView::Pebs(p) => {
                     let mut payload = None;
                     for slot in 0..self.kept.len() {
-                        let Some(idx) = self.indices[slot].find(row.core, row.cycles) else {
+                        let Some(idx) = self.indices[slot].lookup(row.core, row.cycles) else {
                             continue;
                         };
                         let (sample, object) =
@@ -344,7 +472,7 @@ impl<'a> Pooler<'a> {
                             instance: idx,
                         });
                         let (file, line) =
-                            resolve_line(self.source, &mut self.memos[slot], out, sample.ip);
+                            resolve_line(self.source, &mut self.lines[slot], out, sample.ip);
                         out.line_points.push(LinePoint { x, ip: sample.ip, file, line });
                     }
                 }
@@ -520,6 +648,68 @@ mod tests {
         let (ixs, _) = pooled[1].counter_xy(EventKind::Instructions);
         assert!((oxs[0] - 0.5).abs() < 1e-12);
         assert!((ixs[0] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memoised_lookup_equals_a_fresh_search_on_any_row_order() {
+        let inst = |core: usize, start: u64, end: u64| RegionInstance {
+            core,
+            start_cycles: start,
+            end_cycles: end,
+            counters_in: ctr(0),
+            counters_out: ctr(1),
+        };
+        // Core 0: a gap, three instances chained on shared boundary
+        // cycles (one of them of zero duration), a gap, one more.
+        // Core 1: an instance from cycle 0 and one up to u64::MAX.
+        // Core 2: nothing. Core 3 is not in the header.
+        let instances = vec![
+            inst(0, 10, 20),
+            inst(0, 20, 20),
+            inst(0, 20, 30),
+            inst(0, 40, 50),
+            inst(1, 0, 5),
+            inst(1, u64::MAX - 3, u64::MAX),
+            inst(3, 0, 100),
+        ];
+        let first_containing = |core: usize, cycles: u64| {
+            instances.iter().position(|i| core < 3 && i.core == core && i.contains(cycles))
+        };
+        let mut index = InstanceIndex::new(&instances, 3);
+        let fresh = InstanceIndex::new(&instances, 3);
+
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut cycles = [0u64; 5];
+        for step in 0..20_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let core = (rng >> 8) as usize % 5;
+            // Mostly the same timestamp again or a small step forward;
+            // sometimes a step backwards, sometimes a jump anywhere.
+            cycles[core] = match (rng >> 16) % 16 {
+                0..=5 => cycles[core],
+                6..=11 => cycles[core].saturating_add((rng >> 32) % 4),
+                12 | 13 => cycles[core].saturating_sub((rng >> 32) % 25),
+                14 => (rng >> 32) % 60,
+                _ => u64::MAX - (rng >> 32) % 6,
+            };
+            let want = first_containing(core, cycles[core]);
+            if core < 3 {
+                assert_eq!(fresh.find(core, cycles[core]).inst.map(|i| i as usize), want);
+            }
+            assert_eq!(
+                index.lookup(core, cycles[core]),
+                want,
+                "step {step}: core {core} at cycle {}",
+                cycles[core]
+            );
+        }
+        // Every boundary, from both sides, in both directions.
+        let edges = [0u64, 9, 10, 11, 19, 20, 21, 29, 30, 31, 39, 40, 50, 51, u64::MAX];
+        for &c in edges.iter().chain(edges.iter().rev()) {
+            assert_eq!(index.lookup(0, c), first_containing(0, c), "cycle {c}");
+        }
     }
 
     #[test]

@@ -2,11 +2,67 @@
 
 use mempersp_extrae::{Tracer, TracerConfig};
 use mempersp_folding::pava::pava_nondecreasing;
+use mempersp_folding::pool::{sort_by_x, sort_counter};
 use mempersp_folding::{fold_region, FoldingConfig, MonotoneCurve};
 use mempersp_pebs::{CounterSnapshot, EventKind};
 use proptest::prelude::*;
 
+/// A folded coordinate: spread over [0, 1], or one of the values a
+/// fold produces exactly and often — 0.0 (zero-duration instances),
+/// 1.0 (a sample on the exit cycle), a few fractions that repeat (a
+/// clock standing still) —, a subnormal, or crowded into the first
+/// percent (one skewed bucket).
+fn coordinate() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..0.01,
+        (0u32..=8).prop_map(|k| f64::from(k) / 8.0),
+        Just(0.0),
+        Just(1.0),
+        Just(5e-324),
+        Just(f64::MIN_POSITIVE / 2.0),
+    ]
+}
+
+/// Panels from empty to a few thousand points (several rounds, buckets
+/// past the insertion limit when keys repeat), or all on one key.
+fn coordinates() -> impl Strategy<Value = Vec<f64>> {
+    prop_oneof![
+        prop::collection::vec(coordinate(), 0..40),
+        prop::collection::vec(coordinate(), 0..4000),
+        (coordinate(), 0usize..2000).prop_map(|(x, n)| vec![x; n]),
+    ]
+}
+
 proptest! {
+    /// The distribution sort of a panel is the stable `sort_by` on x:
+    /// the payload (the input position, and a word of ballast to make
+    /// the item wider than its key) shows any tie that changed order.
+    #[test]
+    fn panel_sort_equals_stable_sort_by_x(xs in coordinates()) {
+        let mut got: Vec<(f64, usize, u64)> =
+            xs.iter().enumerate().map(|(i, &x)| (x, i, !(i as u64))).collect();
+        let mut want = got.clone();
+        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        sort_by_x(&mut got, |p| p.0);
+        prop_assert_eq!(got, want);
+    }
+
+    /// A counter's parallel buffers come out as `sort_by` on (x, y)
+    /// leaves the pairs; both repeat, so equal x are ordered by y.
+    #[test]
+    fn counter_sort_equals_sort_by_x_then_y(
+        pairs in prop::collection::vec((coordinate(), coordinate()), 0..4000),
+    ) {
+        let mut want = pairs.clone();
+        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+        sort_counter(&mut xs, &mut ys);
+        let got: Vec<(f64, f64)> = xs.into_iter().zip(ys).collect();
+        prop_assert_eq!(got, want);
+    }
+
     /// PAVA output is non-decreasing, length-preserving, and preserves
     /// the weighted mean.
     #[test]
@@ -51,7 +107,8 @@ proptest! {
         let mut knots = raw;
         knots.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         knots.dedup_by(|a, b| (a.0 - b.0).abs() < 1e-9);
-        let c = MonotoneCurve::from_knots(&knots);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = knots.into_iter().unzip();
+        let c = MonotoneCurve::from_knots(&xs, &ys);
         prop_assert_eq!(c.eval(0.0), 0.0);
         prop_assert_eq!(c.eval(1.0), 1.0);
         let mut prev = -1e-12;

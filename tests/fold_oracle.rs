@@ -13,8 +13,12 @@
 //! unbalanced enter/exit streams (exits with no enter, re-entered
 //! regions), timestamps that repeat across instance boundaries, core
 //! ids outside the header's range, and a chunk target small enough
-//! that instances straddle many chunks. CI runs the suite under every
-//! `MEMPERSP_NO_SIMD` × `MEMPERSP_NO_MMAP` combination.
+//! that instances straddle many chunks. Their panels hold a few hundred
+//! points, so one fixed trace of 69 000 events adds what only size
+//! shows: panels of tens of thousands of points, thousands of them on
+//! one normalized time, a region pooled into a single sort bucket. CI
+//! runs the suite under every `MEMPERSP_NO_SIMD` × `MEMPERSP_NO_MMAP`
+//! combination.
 
 use mempersp::extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp::extrae::trace_format::save_trace;
@@ -53,7 +57,29 @@ impl Rng {
 /// nesting, ~25 % counter samples, ~25 % PEBS samples, the rest user
 /// events. The clock often stands still; one event in twelve sits on a
 /// core the header does not have.
-fn build_trace(seed: u64, events: usize, cores: usize) -> Trace {
+/// A PEBS sample of `ip` at (clock, core) with a random address,
+/// latency, level and object.
+fn random_pebs(rng: &mut Rng, clock: u64, core: usize, ip: u64) -> EventPayload {
+    EventPayload::Pebs {
+        sample: PebsSample {
+            timestamp: clock,
+            core,
+            ip,
+            addr: 0x1000 + rng.below(1 << 20) * 8,
+            size: 8,
+            is_store: rng.below(3) == 0,
+            latency: 4 + rng.below(300) as u32,
+            source: [MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Dram][rng.below(4) as usize],
+            tlb_miss: rng.below(20) == 0,
+        },
+        object: (rng.below(4) != 0).then(|| ObjectId(rng.below(5) as u32)),
+    }
+}
+
+/// An event-less trace declaring [`REGIONS`], and the ips samples draw
+/// from: four source lines in three files and one that resolves to
+/// nothing.
+fn empty_trace(cores: usize) -> (Trace, Vec<u64>) {
     let mut t = Tracer::new(TracerConfig { freq_mhz: 2000, ..Default::default() }, cores);
     for r in REGIONS {
         t.region(r);
@@ -62,8 +88,12 @@ fn build_trace(seed: u64, events: usize, cores: usize) -> Trace {
         .iter()
         .map(|(file, line)| t.location(file, *line, "kernel").0)
         .collect();
-    ips.push(0x10); // resolves to no source line
-    let mut trace = t.finish("fold oracle trace");
+    ips.push(0x10);
+    (t.finish("fold oracle trace"), ips)
+}
+
+fn build_trace(seed: u64, events: usize, cores: usize) -> Trace {
+    let (mut trace, ips) = empty_trace(cores);
 
     let mut rng = Rng(seed | 1);
     let mut clock = 100u64;
@@ -92,26 +122,129 @@ fn build_trace(seed: u64, events: usize, cores: usize) -> Trace {
                 counters: snapshot(&mut rng),
                 stack: (0..rng.below(3)).map(|d| RegionId(d as u32)).collect(),
             },
-            65..=89 => EventPayload::Pebs {
-                sample: PebsSample {
-                    timestamp: clock,
-                    core,
-                    ip,
-                    addr: 0x1000 + rng.below(1 << 20) * 8,
-                    size: 8,
-                    is_store: rng.below(3) == 0,
-                    latency: 4 + rng.below(300) as u32,
-                    source: [MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Dram]
-                        [rng.below(4) as usize],
-                    tlb_miss: rng.below(20) == 0,
-                },
-                object: (rng.below(4) != 0).then(|| ObjectId(rng.below(5) as u32)),
-            },
+            65..=89 => random_pebs(&mut rng, clock, core, ip),
             _ => EventPayload::User { kind: 7, value: rng.next() },
         };
         trace.events.push(TraceEvent { cycles: clock, core, payload });
     }
     trace
+}
+
+/// Writes the fixed large trace event by event.
+struct Script {
+    trace: Trace,
+    ips: Vec<u64>,
+    rng: Rng,
+    clock: u64,
+    counters: [u64; NKINDS],
+}
+
+impl Script {
+    const CORES: usize = 4;
+
+    fn snapshot(&mut self) -> CounterSnapshot {
+        for (i, c) in self.counters.iter_mut().enumerate() {
+            *c += self.rng.below(3) * (10 + i as u64);
+        }
+        CounterSnapshot::from_values(self.counters)
+    }
+
+    /// All cores enter (or exit) `region` on the current cycle.
+    fn boundary(&mut self, enter: bool, region: RegionId) {
+        for core in 0..Self::CORES {
+            let counters = self.snapshot();
+            let payload = if enter {
+                EventPayload::RegionEnter { region, counters }
+            } else {
+                EventPayload::RegionExit { region, counters }
+            };
+            self.trace.events.push(TraceEvent { cycles: self.clock, core, payload });
+        }
+    }
+
+    /// A counter or a PEBS sample on the current cycle; one in twelve
+    /// names a core the header does not have.
+    fn sample(&mut self) {
+        let rng = &mut self.rng;
+        let core = if rng.below(12) == 0 {
+            Self::CORES + rng.below(3) as usize
+        } else {
+            rng.below(Self::CORES as u64) as usize
+        };
+        let ip = self.ips[rng.below(self.ips.len() as u64) as usize];
+        let payload = if rng.below(2) == 0 {
+            EventPayload::CounterSample { ip: Ip(ip), counters: self.snapshot(), stack: Vec::new() }
+        } else {
+            random_pebs(rng, self.clock, core, ip)
+        };
+        self.trace.events.push(TraceEvent { cycles: self.clock, core, payload });
+    }
+}
+
+/// The fixed large trace: seven rounds on four cores, about 69 000
+/// events. Every round all cores run `solve` at once, entering on the
+/// cycle the previous round's instances exit on (shared boundaries),
+/// and inside it
+/// - a long stretch of samples on a slow clock,
+/// - 2 500 samples while the clock stands still (one `x` per core),
+/// - nine `smooth` instances per core, every third of zero duration
+///   with its samples on that one cycle (`x = 0.0`), the others sampled
+///   on their exit cycle too (`x = 1.0`),
+/// - one `halo` instance per core, 100 000 cycles long and sampled only
+///   in its first 80 (every `x` below 0.001: one sort bucket),
+/// - samples on `solve`'s own exit cycle, before and after the exits.
+fn build_large_trace() -> Trace {
+    let (trace, ips) = empty_trace(Script::CORES);
+    let mut s = Script { trace, ips, rng: Rng(0x5EED_F01D), clock: 1_000, counters: [0; NKINDS] };
+    let [solve, smooth, halo] = [RegionId(0), RegionId(1), RegionId(2)];
+    for _round in 0..7 {
+        s.boundary(true, solve);
+        for _ in 0..4_000 {
+            s.clock += s.rng.below(3);
+            s.sample();
+        }
+        for _ in 0..2_500 {
+            s.sample();
+        }
+        for k in 0..9 {
+            s.boundary(true, smooth);
+            let exit = s.clock + if k % 3 == 0 { 0 } else { 120 + s.rng.below(5) };
+            for _ in 0..150 {
+                s.clock = (s.clock + s.rng.below(2)).min(exit);
+                s.sample();
+            }
+            s.clock = exit;
+            for _ in 0..6 {
+                s.sample();
+            }
+            s.boundary(false, smooth);
+            s.clock += 1 + s.rng.below(4);
+        }
+        s.boundary(true, halo);
+        let exit = s.clock + 100_000 + s.rng.below(50);
+        for i in 0..1_200 {
+            s.clock += u64::from(i % 15 == 14);
+            s.sample();
+        }
+        s.clock = exit;
+        s.boundary(false, halo);
+        s.clock += 1;
+        for _ in 0..600 {
+            s.clock += s.rng.below(3);
+            s.sample();
+        }
+        // The exit cycle: samples, the exits, more samples — all of
+        // them inside (the interval is closed), none in the next round.
+        s.clock += 5;
+        for _ in 0..40 {
+            s.sample();
+        }
+        s.boundary(false, solve);
+        for _ in 0..40 {
+            s.sample();
+        }
+    }
+    s.trace
 }
 
 // ------------------------------------------------------ the reference
@@ -221,14 +354,14 @@ fn ref_fit(points: &[(f64, f64)], bins: usize, fit: FitModel) -> MonotoneCurve {
         sums[b].2 += 1.0;
     }
     let populated: Vec<_> = sums.into_iter().filter(|s| s.2 > 0.0).collect();
-    let xs = populated.iter().map(|s| (s.0 / s.2).clamp(1e-9, 1.0 - 1e-9));
+    let xs: Vec<f64> = populated.iter().map(|s| (s.0 / s.2).clamp(1e-9, 1.0 - 1e-9)).collect();
     let means: Vec<f64> = populated.iter().map(|s| s.1 / s.2).collect();
     let weights: Vec<f64> = populated.iter().map(|s| s.2).collect();
     let fitted = match fit {
         FitModel::Isotonic => pava_nondecreasing(&means, &weights),
         FitModel::BinnedMean => means,
     };
-    MonotoneCurve::from_knots(&xs.zip(fitted).collect::<Vec<_>>())
+    MonotoneCurve::from_knots(&xs, &fitted)
 }
 
 /// Fold one region the slow way.
@@ -338,6 +471,75 @@ fn unique_path(ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mempersp_fold_oracle_{}_{n}.{ext}", std::process::id()))
 }
 
+/// The requests of both tests: every region; `solve` again with
+/// another config (slots accumulate independently); `smooth` with no
+/// outlier filter, so its zero-duration instances stay in; a region
+/// that does not exist.
+fn requests() -> Vec<RegionRequest> {
+    let mut requests: Vec<RegionRequest> = REGIONS.iter().map(|r| RegionRequest::new(*r)).collect();
+    requests.push(RegionRequest::with_cfg(
+        "solve",
+        FoldingConfig {
+            bins: 8,
+            fit: FitModel::BinnedMean,
+            filter: InstanceFilter::slowest_cluster(0.25),
+            min_instances: 2,
+        },
+    ));
+    requests.push(RegionRequest::with_cfg(
+        "smooth",
+        FoldingConfig {
+            filter: InstanceFilter { mad_k: f64::INFINITY, min_fraction_of_max: 0.0 },
+            ..FoldingConfig::default()
+        },
+    ));
+    requests.push(RegionRequest::new("no-such-region"));
+    requests
+}
+
+/// Fold `trace` in memory and from a `.prv`, an `.mps` of
+/// `chunk_target`-byte chunks and an `.mps.d` of `shard_events`-event
+/// shards, at 1, 2 and 4 threads each; the first rendering that is not
+/// `reference` is the error.
+fn check_every_path(
+    trace: &Trace,
+    requests: &[RegionRequest],
+    reference: &[String],
+    chunk_target: usize,
+    shard_events: u64,
+) -> Result<(), String> {
+    let differs = |got: Vec<String>, path: &str, threads: usize| match got == reference {
+        true => Ok(()),
+        false => {
+            let slot = got.iter().zip(reference).position(|(g, r)| g != r);
+            Err(format!("{path} fold, threads={threads}: request {slot:?} diverged from the reference"))
+        }
+    };
+    for threads in [1usize, 2, 4] {
+        differs(render(&fold_regions(trace, requests, threads)), "in-memory", threads)?;
+    }
+    for ext in ["prv", "mps", "mps.d"] {
+        let path = unique_path(ext);
+        match ext {
+            "prv" => save_trace(&path, trace).unwrap(),
+            "mps" => drop(write_store_chunked(&path, trace, chunk_target).unwrap()),
+            _ => drop(write_store_sharded(&path, trace, chunk_target, 1, shard_events).unwrap()),
+        }
+        let outcome = [1usize, 2, 4].into_iter().try_for_each(|threads| {
+            let mut src = open_trace_source(&path).unwrap();
+            let (results, _) = fold_regions_source(src.as_mut(), requests, threads).unwrap();
+            differs(render(&results), ext, threads)
+        });
+        if path.is_dir() {
+            std::fs::remove_dir_all(&path).ok();
+        } else {
+            std::fs::remove_file(&path).ok();
+        }
+        outcome?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -348,55 +550,43 @@ proptest! {
         cores in 1usize..4,
     ) {
         let trace = build_trace(seed, events, cores);
-        // Every region; one of them twice with another config (slots
-        // accumulate independently); one that does not exist.
-        let mut requests: Vec<RegionRequest> = REGIONS.iter().map(|r| RegionRequest::new(*r)).collect();
-        requests.push(RegionRequest::with_cfg(
-            "solve",
-            FoldingConfig {
-                bins: 8,
-                fit: FitModel::BinnedMean,
-                filter: InstanceFilter::slowest_cluster(0.25),
-                min_instances: 2,
-            },
-        ));
-        requests.push(RegionRequest::new("no-such-region"));
-
+        let requests = requests();
         let reference: Vec<String> =
             requests.iter().map(|r| format!("{:?}", ref_fold(&trace, r))).collect();
         prop_assert!(
             reference.iter().any(|r| r.starts_with("Ok")),
             "the generator should produce at least one foldable region"
         );
-
-        for threads in [1usize, 2, 4] {
-            let got = render(&fold_regions(&trace, &requests, threads));
-            prop_assert_eq!(&got, &reference, "in-memory fold, threads={}", threads);
-        }
-
         // 1 KiB chunks: tens of chunks, instances straddling them.
-        type Writer = fn(&std::path::Path, &Trace);
-        let containers: [(&str, Writer); 3] = [
-            ("prv", |p, t| save_trace(p, t).unwrap()),
-            ("mps", |p, t| { write_store_chunked(p, t, 1024).unwrap(); }),
-            ("mps.d", |p, t| { write_store_sharded(p, t, 1024, 1, 400).unwrap(); }),
-        ];
-        for (ext, write) in containers {
-            let path = unique_path(ext);
-            write(&path, &trace);
-            for threads in [1usize, 2, 4] {
-                let mut src = open_trace_source(&path).unwrap();
-                let (results, _) = fold_regions_source(src.as_mut(), &requests, threads).unwrap();
-                prop_assert_eq!(
-                    &render(&results), &reference,
-                    "source fold diverged: {} threads={}", ext, threads
-                );
-            }
-            if path.is_dir() {
-                std::fs::remove_dir_all(&path).ok();
-            } else {
-                std::fs::remove_file(&path).ok();
-            }
-        }
+        let outcome = check_every_path(&trace, &requests, &reference, 1024, 400);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
+}
+
+#[test]
+fn large_panels_match_the_naive_reference() {
+    let trace = build_large_trace();
+    assert!(trace.events.len() >= 60_000, "{} events", trace.events.len());
+    let requests = requests();
+    let folded: Vec<Result<View, FoldError>> = requests.iter().map(|r| ref_fold(&trace, r)).collect();
+
+    // The trace is what the doc comment of its builder promises.
+    let view = |slot: usize| folded[slot].as_ref().unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+    let (solve, smooth_default, halo, smooth_all) = (view(0), view(1), view(2), view(4));
+    assert!(solve.line_points.len() > 30_000 && solve.addr_points.len() > 15_000);
+    let most_on_one_x = |v: &View| {
+        v.line_points.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).max().unwrap_or(0)
+    };
+    assert!(most_on_one_x(solve) >= 500, "clock stood still");
+    assert!(solve.addr_points.last().unwrap().x == 1.0, "samples on the exit cycle");
+    assert!(smooth_all.instances_used > smooth_default.instances_used, "zero-duration instances kept");
+    assert!(most_on_one_x(smooth_all) >= 1_000);
+    assert_eq!(smooth_all.line_points[0].0, 0.0);
+    assert_eq!(smooth_all.line_points.last().unwrap().0, 1.0);
+    assert!(halo.line_points.len() > 4_000);
+    assert!(halo.line_points.last().unwrap().0 < 8.0 / halo.line_points.len() as f64, "one bucket");
+
+    let reference: Vec<String> = folded.iter().map(|r| format!("{r:?}")).collect();
+    // 16 KiB chunks, four shards.
+    check_every_path(&trace, &requests, &reference, 16 << 10, 20_000).unwrap();
 }
