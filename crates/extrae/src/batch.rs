@@ -363,14 +363,7 @@ impl<'a> EventBatch<'a> {
     /// The selected rows, in row (= trace) order.
     #[inline]
     pub fn rows(&self) -> impl Iterator<Item = Row<'_>> + '_ {
-        self.rows_in(0..self.sel.len())
-    }
-
-    /// The selected rows whose rank among the selection falls in
-    /// `range` (which must lie inside `0..self.len()`).
-    #[inline]
-    pub fn rows_in(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = Row<'_>> + '_ {
-        self.sel[range].iter().map(move |&(i, j)| {
+        self.sel.iter().map(move |&(i, j)| {
             let i = i as usize;
             let (cycles, core) = (self.cycles[i], self.cores[i] as usize);
             let class = EventClass::ALL[self.tags[i] as usize];

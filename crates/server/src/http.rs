@@ -16,7 +16,7 @@
 //! human-readable reason; the router maps them to `400`. Read
 //! timeouts surface as `TimedOut`/`WouldBlock` from the socket.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Request head cap: request line + all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -223,9 +223,29 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// `write_all` for a list of buffers: one `write_vectored` call when
+/// the peer takes everything, more only after a short write.
+fn write_all_vectored(stream: &mut dyn Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0); // drop leading empty buffers
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "failed to write the response"))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Serialize `resp`: Content-Length framing for small bodies, chunked
 /// transfer encoding above [`CHUNK_THRESHOLD`]. Returns the total
-/// bytes written (head + body + framing).
+/// bytes written (head + body + framing). Framing never costs a
+/// syscall of its own (the socket keeps Nagle on): a small response is
+/// one vectored write, a chunked one is one per chunk — the head rides
+/// with the first, the terminator with the last.
 pub fn write_response(stream: &mut dyn Write, resp: &Response) -> io::Result<u64> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nConnection: close\r\n",
@@ -242,21 +262,23 @@ pub fn write_response(stream: &mut dyn Write, resp: &Response) -> io::Result<u64
     let mut written = 0u64;
     if resp.body.len() > CHUNK_THRESHOLD {
         head.push_str("Transfer-Encoding: chunked\r\n\r\n");
-        stream.write_all(head.as_bytes())?;
-        written += head.len() as u64;
-        for chunk in resp.body.chunks(CHUNK_BYTES) {
-            let size_line = format!("{:x}\r\n", chunk.len());
-            stream.write_all(size_line.as_bytes())?;
-            stream.write_all(chunk)?;
-            stream.write_all(b"\r\n")?;
-            written += size_line.len() as u64 + chunk.len() as u64 + 2;
+        let last = resp.body.len().div_ceil(CHUNK_BYTES) - 1;
+        // What goes out ahead of a chunk: the head, then each earlier
+        // chunk's closing CRLF; always followed by the size line.
+        let mut lead = head;
+        for (i, chunk) in resp.body.chunks(CHUNK_BYTES).enumerate() {
+            lead.push_str(&format!("{:x}\r\n", chunk.len()));
+            let tail: &[u8] = if i == last { b"\r\n0\r\n\r\n" } else { b"" };
+            let mut bufs = [IoSlice::new(lead.as_bytes()), IoSlice::new(chunk), IoSlice::new(tail)];
+            write_all_vectored(stream, &mut bufs)?;
+            written += (lead.len() + chunk.len() + tail.len()) as u64;
+            lead.clear();
+            lead.push_str("\r\n");
         }
-        stream.write_all(b"0\r\n\r\n")?;
-        written += 5;
     } else {
         head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&resp.body)?;
+        let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(&resp.body)];
+        write_all_vectored(stream, &mut bufs)?;
         written += head.len() as u64 + resp.body.len() as u64;
     }
     stream.flush()?;
@@ -380,6 +402,76 @@ mod tests {
             rest = &tail[size + 2..];
         }
         assert_eq!(got, body);
+    }
+
+    /// A peer that counts calls and takes at most `cap` bytes of each.
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.cap - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn framing_costs_no_write_of_its_own() {
+        let small = Response::json(200, "{\"ok\":true}".into()).with_header("X-Memo", "hit");
+        // 150 KB (a rendered query page): three chunks, the last short;
+        // and a body that ends exactly on a chunk edge.
+        let large = Response::json(200, "x".repeat(150_000));
+        let edge = Response::json(200, "y".repeat(2 * CHUNK_BYTES));
+        for (resp, writes) in [(&small, 1), (&large, 3), (&edge, 2)] {
+            // The wire bytes, as an unbounded `Vec` takes them: past
+            // the head, a chunked body is `size CRLF chunk CRLF` per
+            // chunk and a zero-size terminator.
+            let mut want = Vec::new();
+            let n = write_response(&mut want, resp).unwrap();
+            assert_eq!(n as usize, want.len());
+            if resp.body.len() > CHUNK_THRESHOLD {
+                let at = want.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+                let mut framed = Vec::new();
+                for chunk in resp.body.chunks(CHUNK_BYTES) {
+                    framed.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                    framed.extend_from_slice(chunk);
+                    framed.extend_from_slice(b"\r\n");
+                }
+                framed.extend_from_slice(b"0\r\n\r\n");
+                assert!(want[at..] == framed[..], "chunk framing changed");
+            }
+
+            let mut peer = Counting { bytes: Vec::new(), calls: 0, cap: usize::MAX };
+            assert_eq!(write_response(&mut peer, resp).unwrap(), n);
+            assert_eq!(peer.calls, writes);
+            assert_eq!(peer.bytes, want);
+
+            // Short writes cost more calls, never a byte.
+            let mut slow = Counting { bytes: Vec::new(), calls: 0, cap: 1_000 };
+            assert_eq!(write_response(&mut slow, resp).unwrap(), n);
+            assert!(slow.calls >= want.len().div_ceil(1_000));
+            assert_eq!(slow.bytes, want);
+        }
+        let mut dead = Counting { bytes: Vec::new(), calls: 0, cap: 0 };
+        let err = write_response(&mut dead, &small).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, RwLock};
 
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{EventBatch, Query, Trace};
-use mempersp_store::{CacheStats, CancelToken, MpsSource, RecoveryMode};
+use mempersp_store::{CacheStats, CancelToken, MpsSource, RecoveryMode, ALL_MATCHES};
 
 fn bad_name(name: &str, why: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, format!("invalid trace name {name:?}: {why}"))
@@ -176,7 +176,7 @@ impl TraceSource for CancellableSource<'_> {
         query: &Query,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        self.src.scan_batches_cancel(query, self.cancel, sink).inspect_err(|e| {
+        self.src.scan_batches_cancel(query, &ALL_MATCHES, self.cancel, sink).inspect_err(|e| {
             self.last_err = Some(e.kind());
         })
     }

@@ -279,30 +279,27 @@ fn handle_query(app: &App, req: &Request) -> Response {
         Err(e) => return io_error_response(app, Some(&name), None, &e),
     };
 
-    // The sink counts every match but renders only the rows ranked
-    // `offset..end` among them, straight from the batch's columns.
-    let end = offset.saturating_add(limit.unwrap_or(usize::MAX));
-    let (mut total, mut returned) = (0usize, 0usize);
+    // The scan hands out only the matches ranked `offset..end` — and
+    // decodes payload only for them — while its stats count them all.
+    let page = offset..offset.saturating_add(limit.unwrap_or(usize::MAX));
+    let mut returned = 0usize;
     let mut events = String::new();
     let mut render = Duration::ZERO;
     let cancel = app.cancel_token();
     let started = Instant::now();
-    let scanned = src.scan_batches_cancel(&query, &cancel, &mut |batch| {
-        let first = total;
-        total += batch.len();
-        let lo = offset.saturating_sub(first).min(batch.len());
-        let hi = end.saturating_sub(first).min(batch.len());
-        if lo < hi {
-            let t = Instant::now();
-            for row in batch.rows_in(lo..hi) {
-                if returned > 0 {
-                    events.push(',');
-                }
-                write_row(&mut events, &row);
-                returned += 1;
-            }
-            render += t.elapsed();
+    let scanned = src.scan_batches_cancel(&query, &page, &cancel, &mut |batch| {
+        if batch.is_empty() {
+            return;
         }
+        let t = Instant::now();
+        for row in batch.rows() {
+            if returned > 0 {
+                events.push(',');
+            }
+            write_row(&mut events, &row);
+            returned += 1;
+        }
+        render += t.elapsed();
     });
     let scan = started.elapsed().saturating_sub(render);
     // A scan that failed part-way (deadline, corrupt chunk) answers
@@ -318,7 +315,7 @@ fn handle_query(app: &App, req: &Request) -> Response {
     let head = json!({
         "trace": name,
         "query": query_to_json(&query),
-        "total_matched": total,
+        "total_matched": stats.events_matched,
         "offset": offset,
         "limit": match limit { Some(n) => json!(n), None => Value::Null },
         "returned": returned,

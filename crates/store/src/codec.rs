@@ -39,17 +39,20 @@
 //! The scan ([`select_v4`]) **never builds rows**: it decodes only the
 //! tag, delta and core columns, evaluates the pushed-down
 //! time/core/kind predicates into a selection vector of `(row,
-//! class-occurrence)` pairs, decodes payload columns only for classes
-//! with selected rows — and only the control-byte groups covering the
-//! selected occurrence range — applies the PEBS object-id predicate to
-//! the decoded column, and lends the result out as an
-//! [`EventBatch`]. Whoever needs `TraceEvent`s calls
+//! class-occurrence)` pairs (64 rows at a time, from per-class bit
+//! masks of the tag column — `select.rs`), keeps of it the page of
+//! matches the caller asked for, decodes payload columns only for
+//! classes with selected rows — and only the control-byte groups
+//! covering the selected occurrence range — applies the PEBS
+//! object-id predicate to the decoded column, and lends the result out
+//! as an [`EventBatch`]. Whoever needs `TraceEvent`s calls
 //! [`EventBatch::materialize_into`]. The bytes actually read are
 //! counted into [`ScanOutcome::payload_bytes`], which is how the
 //! "filtered queries decode strictly fewer payload bytes" invariant is
 //! asserted.
 
-use crate::svb::{zigzag, ColBuf, SvbColumn};
+use crate::select::{select_rows, HeadCols, RowFilter};
+use crate::svb::{simd_level, zigzag, ColBuf, SvbColumn};
 use crate::varint::{get_u64, put_u64, CodecError};
 use mempersp_extrae::batch::{
     column_count, level_code, ClassColumns, EventBatch, PEBS_HAS_OBJECT,
@@ -57,6 +60,7 @@ use mempersp_extrae::batch::{
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp_extrae::query::{EventClass, KindMask, Query};
 use mempersp_pebs::{CounterSnapshot, EventKind};
+use std::ops::Range;
 
 /// Counters carried by every region/sample event.
 const NCOUNTERS: usize = EventKind::ALL.len();
@@ -65,6 +69,12 @@ const NSTREAMS: usize = EventClass::ALL.len();
 
 fn err(offset: usize, message: String) -> CodecError {
     CodecError { offset, message }
+}
+
+/// Core ids are 32 bits wide in every reader's columns; the writer
+/// refuses, and the reader rejects, one that is not.
+fn wide_core(row: usize, core: u64) -> CodecError {
+    err(row, format!("core id {core} of row {row} does not fit 32 bits"))
 }
 
 // ---------------------------------------------------------------- encode
@@ -199,13 +209,16 @@ impl ChunkBuilderV4 {
             + self.user.value.encoded_len()
     }
 
-    /// Append one event's fields to the columns.
-    pub fn push(&mut self, e: &TraceEvent) {
+    /// Append one event's fields to the columns. A core id that does
+    /// not fit the 32 bits every reader narrows it to is refused, and
+    /// the builder is left as it was.
+    pub fn push(&mut self, e: &TraceEvent) -> Result<(), CodecError> {
+        let core = u32::try_from(e.core).map_err(|_| wide_core(self.tags.len(), e.core as u64))?;
         let class = EventClass::of(&e.payload);
         self.tags.push(class as u8);
         self.deltas.push(zigzag(e.cycles.wrapping_sub(self.prev_cycles) as i64));
         self.prev_cycles = e.cycles;
-        self.cores.push(e.core as u64);
+        self.cores.push(u64::from(core));
         match &e.payload {
             EventPayload::RegionEnter { region, counters } => {
                 self.regions[0].push(*region, counters);
@@ -253,6 +266,7 @@ impl ChunkBuilderV4 {
                 self.user.value.push(*value);
             }
         }
+        Ok(())
     }
 
     fn write_stream(&self, k: usize, out: &mut Vec<u8>) {
@@ -380,15 +394,19 @@ impl ChunkBuilderV4 {
 }
 
 /// Encode a whole event slice as one v4 chunk payload.
-pub fn encode_events_v4(events: &[TraceEvent]) -> Vec<u8> {
+pub fn encode_events_v4(events: &[TraceEvent]) -> Result<Vec<u8>, CodecError> {
     let mut b = ChunkBuilderV4::new();
     for e in events {
-        b.push(e);
+        b.push(e)?;
     }
-    b.serialize()
+    Ok(b.serialize())
 }
 
 // ---------------------------------------------------------------- decode
+
+/// The page that hands out every match — what every scan but a
+/// paginated one asks for.
+pub const ALL_MATCHES: Range<usize> = 0..usize::MAX;
 
 /// Per-chunk counters a columnar scan reports upward into
 /// [`ScanStats`](mempersp_extrae::trace_source::ScanStats).
@@ -399,6 +417,8 @@ pub fn encode_events_v4(events: &[TraceEvent]) -> Vec<u8> {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutcome {
     pub scanned: u64,
+    /// Rows that satisfied the query, whether or not the page kept
+    /// them in the batch.
     pub matched: u64,
     pub payload_bytes: u64,
 }
@@ -410,8 +430,6 @@ pub struct ScanOutcome {
 pub struct DecodeScratch {
     cycles: Vec<u64>,
     cores: Vec<u32>,
-    /// Generic stream-vbyte decode target (core ids, class columns).
-    tmp: Vec<u64>,
     /// Selection vector of `(row, class-occurrence)` index pairs.
     sel: Vec<(u32, u32)>,
     /// Decoded numeric columns, per class. Indexed `[class][column]`;
@@ -613,17 +631,25 @@ fn decode_class<'a>(
 
 /// Select and decode a v4 chunk into a column batch. Decodes the
 /// tag/timestamp/core columns, builds a selection vector from the
-/// pushed-down time/core/kind predicates, decodes payload columns only
-/// for classes — and control-byte group ranges — with selected rows,
-/// then drops selected PEBS rows that fail the object-id predicate.
-/// The batch borrows `scratch` and `buf`; it is returned only once
-/// every selected row is known readable ([`EventBatch::new`]). With
-/// `query == None` every section is decoded and validated — the
-/// `materialize()` / deep-verify path.
+/// pushed-down time/core/kind predicates (the block-mask kernel in
+/// `select.rs`), decodes payload columns only for classes — and
+/// control-byte group ranges — with selected rows, then drops selected
+/// PEBS rows that fail the object-id predicate. The batch borrows
+/// `scratch` and `buf`; it is returned only once every selected row is
+/// known readable ([`EventBatch::new`]). With `query == None` every
+/// section is decoded and validated — the `materialize()` /
+/// deep-verify path.
+///
+/// `page` names the matches to hand out, by rank among this chunk's
+/// matches: the batch holds only those rows and payload is decoded
+/// only for them, while [`ScanOutcome::matched`] still counts every
+/// match. A chunk whose matches all rank inside the page decodes
+/// exactly as it would without one.
 pub fn select_v4<'a>(
     buf: &'a [u8],
     count: usize,
     query: Option<&Query>,
+    page: &Range<usize>,
     scratch: &'a mut DecodeScratch,
 ) -> Result<(EventBatch<'a>, ScanOutcome), CodecError> {
     let s = split_sections(buf, count)?;
@@ -640,20 +666,9 @@ pub fn select_v4<'a>(
     if pos != s.cores.len() {
         return Err(err(pos, "trailing bytes in core column".to_string()));
     }
-    ccol.decode_into(&mut scratch.tmp);
-    scratch.cores.clear();
-    scratch.cores.extend(scratch.tmp.iter().map(|&v| v as u32));
+    ccol.decode_u32_into(&mut scratch.cores).map_err(|(row, v)| wide_core(row, v))?;
 
-    // Class populations (needed to parse any payload section).
-    let mut nk = [0usize; NSTREAMS];
-    for (i, &t) in s.tags.iter().enumerate() {
-        if t as usize >= NSTREAMS {
-            return Err(err(i, format!("unknown event tag {t}")));
-        }
-        nk[t as usize] += 1;
-    }
-
-    let (time, mut kinds, core_set, object) = match query {
+    let (time, mut kinds, cores, object) = match query {
         Some(q) => (q.time, q.kinds, q.cores.as_deref(), q.object),
         None => (None, KindMask::ALL, None, None),
     };
@@ -663,53 +678,24 @@ pub fn select_v4<'a>(
     }
     let active: [bool; NSTREAMS] = std::array::from_fn(|k| kinds.0 & (1u8 << k) != 0);
 
-    // Selection pass: record (row, class-occurrence) for every row
-    // that survives the column predicates, and the occurrence hull
-    // per class so payload decode can stay range-bounded.
-    //
-    // Traces are written time-sorted, so the reconstructed cycles
-    // column is almost always non-decreasing and a time window is a
-    // contiguous row range found by binary search: rows before it
-    // only bump the occurrence counters, rows after it are never
-    // visited, and rows inside skip the per-row time compare. The
-    // format itself permits out-of-order timestamps (deltas are
-    // signed), so an unsorted column falls back to per-row checks.
-    let (ilo, ihi, row_time) = match time {
-        Some((lo, hi)) if scratch.cycles[..count].is_sorted() => {
-            let c = &scratch.cycles[..count];
-            (c.partition_point(|&x| x < lo), c.partition_point(|&x| x <= hi), None)
-        }
-        other => (0, count, other),
-    };
-    scratch.sel.clear();
-    let mut jmin = [usize::MAX; NSTREAMS];
-    let mut jmax = [0usize; NSTREAMS];
-    let mut occ = [0u32; NSTREAMS];
-    for i in 0..ilo {
-        occ[s.tags[i] as usize] += 1;
-    }
-    for i in ilo..ihi {
-        let k = s.tags[i] as usize;
-        let j = occ[k];
-        occ[k] += 1;
-        if !active[k] {
-            continue;
-        }
-        let keep = row_time.is_none_or(|(lo, hi)| {
-            let c = scratch.cycles[i];
-            c >= lo && c <= hi
-        }) && core_set.is_none_or(|cs| cs.contains(&(scratch.cores[i] as usize)));
-        if keep {
-            scratch.sel.push((i as u32, j));
-            jmin[k] = jmin[k].min(j as usize);
-            jmax[k] = j as usize;
-        }
-    }
+    // Selection pass: (row, class-occurrence) for every row that
+    // survives the column predicates and ranks inside the page, the
+    // class populations (needed to parse any payload section) and the
+    // occurrence hull per class so payload decode can stay
+    // range-bounded. The object predicate lives in the payload, so its
+    // matches can only be ranked after the decode below.
+    let kernel_page = if object.is_some() { ALL_MATCHES } else { page.clone() };
+    let head = HeadCols { tags: s.tags, cycles: &scratch.cycles, cores: &scratch.cores };
+    let filter = RowFilter { kinds: kinds.0, time, cores, page: kernel_page };
+    let picked = select_rows(simd_level(), &head, &filter, &mut scratch.sel)?;
+    let (nk, jmin, jmax) = (picked.nk, picked.jmin, picked.jmax);
+    let mut matched = picked.matched;
 
     // Payload decode: full scans touch every section (and validate
-    // classes with no events against stray bytes); filtered scans
-    // touch only classes with selected rows.
-    let full = query.is_none_or(|q| q.is_full_scan());
+    // classes with no events against stray bytes); filtered scans —
+    // and full ones a page cut short — touch only classes with
+    // selected rows.
+    let full = query.is_none_or(|q| q.is_full_scan()) && scratch.sel.len() == matched;
     let mut payload_bytes = 0u64;
     let mut views = [ClassView::default(); NSTREAMS];
     for k in 0..NSTREAMS {
@@ -748,6 +734,9 @@ pub fn select_v4<'a>(
             v.raw_a[j] & PEBS_HAS_OBJECT != 0
                 && objects.is_some_and(|col| col[j - v.base] as u32 == want.0)
         });
+        matched = scratch.sel.len();
+        scratch.sel.truncate(page.end.min(matched));
+        scratch.sel.drain(..page.start.min(scratch.sel.len()));
     }
 
     let scratch = &*scratch;
@@ -765,8 +754,7 @@ pub fn select_v4<'a>(
     });
     let batch = EventBatch::new(&scratch.cycles, &scratch.cores, s.tags, &scratch.sel, classes)
         .map_err(|message| err(0, message))?;
-    let outcome =
-        ScanOutcome { scanned: count as u64, matched: scratch.sel.len() as u64, payload_bytes };
+    let outcome = ScanOutcome { scanned: count as u64, matched: matched as u64, payload_bytes };
     Ok((batch, outcome))
 }
 
@@ -774,7 +762,7 @@ pub fn select_v4<'a>(
 pub fn decode_events_v4(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, CodecError> {
     let mut out = Vec::new();
     let mut scratch = DecodeScratch::default();
-    select_v4(buf, count, None, &mut scratch)?.0.materialize_into(&mut out);
+    select_v4(buf, count, None, &ALL_MATCHES, &mut scratch)?.0.materialize_into(&mut out);
     Ok(out)
 }
 
@@ -795,7 +783,7 @@ mod tests {
         scratch: &mut DecodeScratch,
         out: &mut Vec<TraceEvent>,
     ) -> Result<ScanOutcome, CodecError> {
-        let (batch, outcome) = select_v4(buf, count, query, scratch)?;
+        let (batch, outcome) = select_v4(buf, count, query, &ALL_MATCHES, scratch)?;
         batch.materialize_into(out);
         Ok(outcome)
     }
@@ -880,7 +868,7 @@ mod tests {
     #[test]
     fn v4_round_trip_every_payload_kind() {
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         let back = decode_events_v4(&buf, evs.len()).expect("decode v4");
         assert_eq!(back, evs);
     }
@@ -890,14 +878,14 @@ mod tests {
         let evs = events();
         let mut b = ChunkBuilderV4::new();
         for e in &evs {
-            b.push(e);
+            b.push(e).unwrap();
         }
         assert_eq!(b.events(), evs.len());
         let payload = b.serialize();
-        assert_eq!(payload, encode_events_v4(&evs));
+        assert_eq!(payload, encode_events_v4(&evs).unwrap());
         assert_eq!(b.events(), 0);
         for e in &evs {
-            b.push(e);
+            b.push(e).unwrap();
         }
         assert_eq!(b.serialize(), payload, "reset builder must re-encode identically");
     }
@@ -907,7 +895,7 @@ mod tests {
         let evs = events();
         let mut b = ChunkBuilderV4::new();
         for e in &evs {
-            b.push(e);
+            b.push(e).unwrap();
         }
         let polled = b.encoded_len();
         let payload = b.serialize();
@@ -922,7 +910,7 @@ mod tests {
     #[test]
     fn v4_filtered_scan_equals_decode_then_filter() {
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         let queries = [
             Query::all(),
             Query::all().in_time(1_000, 1_300),
@@ -948,7 +936,7 @@ mod tests {
     #[test]
     fn v4_filtered_scan_reads_fewer_payload_bytes() {
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         let mut scratch = DecodeScratch::default();
         let mut all = Vec::new();
         let full =
@@ -966,11 +954,121 @@ mod tests {
         assert!(filtered.payload_bytes > 0);
     }
 
+    /// A chunk long enough for pages to matter: PEBS samples (every
+    /// third with object 7) between user events and frees.
+    fn long_chunk() -> Vec<TraceEvent> {
+        let template = events();
+        (0..600u64)
+            .map(|i| {
+                let mut e = match i % 3 {
+                    0 => template[2].clone(),
+                    1 => template[3].clone(),
+                    _ => template[if i % 2 == 0 { 5 } else { 7 }].clone(),
+                };
+                e.cycles = 10_000 + 7 * i;
+                e.core = (i % 4) as usize;
+                if let EventPayload::Pebs { sample, .. } = &mut e.payload {
+                    (sample.timestamp, sample.core, sample.addr) = (e.cycles, e.core, 0x1000 + 8 * i);
+                }
+                e
+            })
+            .collect()
+    }
+
+    #[test]
+    fn v4_page_cuts_rows_and_payload_but_not_the_match_count() {
+        let evs = long_chunk();
+        let buf = encode_events_v4(&evs).unwrap();
+        let pebs = Query::all().with_kinds(&[EventClass::Pebs]);
+        let queries = [
+            (Query::all(), true),
+            (pebs.clone(), true),
+            (pebs.clone().in_time(10_500, 13_000).on_cores(&[1, 2]), true),
+            // The object predicate is checked against decoded payload:
+            // a page hands out fewer rows but decodes the same bytes.
+            (Query::all().touching_object(ObjectId(7)), false),
+        ];
+        let mut scratch = DecodeScratch::default();
+        for (q, saves) in &queries {
+            let want: Vec<_> = evs.iter().filter(|e| q.matches(e)).cloned().collect();
+            assert!(want.len() > 60, "{q:?}: {}", want.len());
+            let whole = select_v4(&buf, evs.len(), Some(q), &ALL_MATCHES, &mut scratch).unwrap().1;
+            assert_eq!(whole.matched, want.len() as u64);
+            let n = want.len();
+            for page in [0..0, 0..1, 0..10, 5..9, 40..n, n - 1..n + 3, n..n + 1, 3 * n..usize::MAX, 0..n] {
+                let (batch, o) = select_v4(&buf, evs.len(), Some(q), &page, &mut scratch).unwrap();
+                let mut got = Vec::new();
+                batch.materialize_into(&mut got);
+                let cut = page.start.min(n)..page.end.min(n);
+                assert_eq!(got, want[cut.clone()], "{q:?} page {page:?}");
+                assert_eq!((o.scanned, o.matched), (evs.len() as u64, n as u64), "{q:?} {page:?}");
+                if cut.len() == n || !saves {
+                    assert_eq!(o.payload_bytes, whole.payload_bytes, "{q:?} page {page:?}");
+                } else {
+                    assert!(o.payload_bytes < whole.payload_bytes, "{q:?} page {page:?}: {o:?}");
+                    assert_eq!(o.payload_bytes == 0, cut.is_empty(), "{q:?} page {page:?}");
+                }
+            }
+        }
+    }
+
+    /// A chunk of three `Free` events assembled by hand, so the core
+    /// column can hold what [`ChunkBuilderV4::push`] refuses to write.
+    fn free_chunk(cores: &[u64; 3]) -> Vec<u8> {
+        use crate::svb::encode_column;
+        let deltas = encode_column(&[zigzag(100), zigzag(10), zigzag(10)]);
+        let cores = encode_column(cores);
+        let bases = encode_column(&[1 << 40, 2 << 40, 3 << 40]);
+        let mut buf = Vec::new();
+        put_u64(&mut buf, deltas.len() as u64);
+        put_u64(&mut buf, cores.len() as u64);
+        for class in EventClass::ALL {
+            put_u64(&mut buf, if class == EventClass::Free { bases.len() as u64 } else { 0 });
+        }
+        buf.extend_from_slice(&[EventClass::Free as u8; 3]);
+        for section in [deltas, cores, bases] {
+            buf.extend_from_slice(&section);
+        }
+        buf
+    }
+
+    #[test]
+    fn core_ids_past_32_bits_are_refused_by_writer_and_reader() {
+        let wide = (1usize << 32) + 3;
+        let free = |cycles, core, base| TraceEvent { cycles, core, payload: EventPayload::Free { base } };
+        let evs = [free(100, 0, 1 << 40), free(110, wide, 2 << 40), free(120, 3, 3 << 40)];
+
+        // The writer refuses the event and stays usable.
+        let mut b = ChunkBuilderV4::new();
+        b.push(&evs[0]).unwrap();
+        let e = b.push(&evs[1]).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (1, "core id 4294967299 of row 1 does not fit 32 bits"));
+        assert_eq!(b.events(), 1);
+        b.push(&evs[2]).unwrap();
+        let kept = [evs[0].clone(), evs[2].clone()];
+        assert_eq!(b.serialize(), encode_events_v4(&kept).unwrap());
+        assert_eq!(encode_events_v4(&evs).unwrap_err(), e);
+
+        // The hand-assembled chunk is what the builder writes ...
+        let narrow = [evs[0].clone(), free(110, 3, 2 << 40), evs[2].clone()];
+        assert_eq!(free_chunk(&[0, 3, 3]), encode_events_v4(&narrow).unwrap());
+        // ... so with a wide id in it, a reader used to see core 3.
+        let hostile = free_chunk(&[0, wide as u64, 3]);
+        for q in [None, Some(Query::all().on_cores(&[3]))] {
+            let e = select_v4(&hostile, 3, q.as_ref(), &ALL_MATCHES, &mut DecodeScratch::default())
+                .map(|(_, o)| o)
+                .unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (1, "core id 4294967299 of row 1 does not fit 32 bits"));
+        }
+        // The largest id that fits still decodes.
+        assert_eq!(u32::MAX as usize, decode_events_v4(&free_chunk(&[0, u32::MAX as u64, 3]), 3).unwrap()[1].core);
+    }
+
     #[test]
     fn v4_scratch_reuse_is_deterministic() {
         // One scratch across chunks and queries — the reader pool path.
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         let mut scratch = DecodeScratch::default();
         for _ in 0..3 {
             for q in [Query::all(), Query::all().with_kinds(&[EventClass::Free])] {
@@ -985,7 +1083,7 @@ mod tests {
     #[test]
     fn v4_rejects_wrong_count_and_corrupt_sections() {
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         assert!(decode_events_v4(&buf, evs.len() - 1).is_err());
         assert!(decode_events_v4(&buf, evs.len() + 1).is_err());
         assert!(decode_events_v4(&buf[..buf.len() - 1], evs.len()).is_err());
@@ -1001,7 +1099,7 @@ mod tests {
     #[test]
     fn v4_truncation_never_panics() {
         let evs = events();
-        let buf = encode_events_v4(&evs);
+        let buf = encode_events_v4(&evs).unwrap();
         for cut in 0..buf.len() {
             let _ = decode_events_v4(&buf[..cut], evs.len());
         }
@@ -1009,7 +1107,7 @@ mod tests {
 
     #[test]
     fn v4_empty_chunk() {
-        let buf = encode_events_v4(&[]);
+        let buf = encode_events_v4(&[]).unwrap();
         assert_eq!(decode_events_v4(&buf, 0).unwrap(), Vec::new());
     }
 }

@@ -11,8 +11,9 @@
 //! - [`codec`] — columnar chunk encoding: tag/timestamp/core columns
 //!   plus per-field payload columns for each event class, all
 //!   stream-vbyte ([`svb`], SIMD-decoded), scanned through a selection
-//!   vector so only matching rows are decoded; [`lz`] — an in-tree
-//!   LZ77 pass over each chunk.
+//!   vector — built 64 rows at a time from per-class bit masks — so
+//!   only matching rows are decoded; [`lz`] — an in-tree LZ77 pass
+//!   over each chunk.
 //! - [`writer`] — [`writer::StoreWriter`] streams events into ~64 KiB
 //!   chunks, appending as it goes (O(chunk) memory), optionally
 //!   compressing on a bounded worker pool with deterministic in-order
@@ -45,9 +46,12 @@
 //!   whether payload CRCs are verified are fixed for the life of the
 //!   reader; the block cache has one size. [`open_trace_source`] opens
 //!   any container ([`sniff_store`] tells a store from a `.prv`).
-//! - **one scan** — `scan_batches_cancel(&Query, &CancelToken, sink)`
-//!   hands the sink one column batch per surviving chunk, in stored
-//!   order, checking the token at every chunk boundary.
+//! - **one scan** — `scan_batches_cancel(&Query, &page, &CancelToken,
+//!   sink)` hands the sink one column batch per surviving chunk, in
+//!   stored order, checking the token at every chunk boundary. `page`
+//!   is a range of match ranks ([`ALL_MATCHES`] for everything): the
+//!   batches carry those matches only and payload is decoded for
+//!   those only, while `ScanStats::events_matched` counts them all.
 //! - **rows on top of it** — `query` materializes the matches,
 //!   `materialize` the whole trace ([`StoreReader::materialize`], or
 //!   `TraceSource::materialize`/`filtered` for an [`MpsSource`]), and
@@ -108,6 +112,7 @@ pub mod lz;
 pub mod mmap;
 pub mod reader;
 pub mod recover;
+mod select;
 pub mod shard;
 pub mod source;
 pub mod svb;
@@ -117,6 +122,7 @@ pub mod writer;
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
 pub use cancel::CancelToken;
 pub use chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
+pub use codec::ALL_MATCHES;
 pub use crc::{crc32c, Crc32c};
 pub use fault::{FailingFile, FaultConfig, FaultPlan, StoreFile};
 pub use reader::{ChunkDamage, RecoveryMode, StoreReader};

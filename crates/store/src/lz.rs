@@ -106,22 +106,32 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompress a [`compress`]-produced stream; `expected_len` is the
 /// raw length recorded next to the block (the format always stores
-/// it), used to pre-size and to verify termination.
+/// it), used to size the output and to verify termination.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
     let err = |offset: usize, message: &str| CodecError { offset, message: message.into() };
-    let mut out = Vec::with_capacity(expected_len);
-    let mut i = 0usize;
-    while out.len() < expected_len {
+    let mut out = vec![0u8; expected_len];
+    // `i` reads `input`, `o` writes `out`.
+    let (mut i, mut o) = (0usize, 0usize);
+    while o < expected_len {
         let flags = *input.get(i).ok_or_else(|| err(i, "truncated control byte"))?;
         i += 1;
+        // Eight literals under one control byte: one copy. Anything
+        // short of that (input or output ending inside the run) takes
+        // the token loop below, which knows what to report.
+        if flags == 0 && i + 8 <= input.len() && o + 8 <= expected_len {
+            out[o..o + 8].copy_from_slice(&input[i..i + 8]);
+            i += 8;
+            o += 8;
+            continue;
+        }
         for bit in 0..8 {
-            if out.len() == expected_len {
+            if o == expected_len {
                 break;
             }
             if flags & (1 << bit) == 0 {
-                let b = *input.get(i).ok_or_else(|| err(i, "truncated literal"))?;
+                out[o] = *input.get(i).ok_or_else(|| err(i, "truncated literal"))?;
                 i += 1;
-                out.push(b);
+                o += 1;
             } else {
                 if i + 3 > input.len() {
                     return Err(err(i, "truncated match token"));
@@ -129,19 +139,24 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
                 let off = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
                 let len = input[i + 2] as usize + MIN_MATCH;
                 i += 3;
-                if off == 0 || off > out.len() {
+                if off == 0 || off > o {
                     return Err(err(i, "match offset out of range"));
                 }
-                if out.len() + len > expected_len {
+                if o + len > expected_len {
                     return Err(err(i, "match overruns declared length"));
                 }
-                let start = out.len() - off;
-                // Byte-by-byte: overlapping matches (off < len) are
-                // legal and replicate the just-written bytes, RLE-style.
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let start = o - off;
+                if off >= len {
+                    out.copy_within(start..start + len, o);
+                } else {
+                    // An overlapping match (off < len) is legal and
+                    // replicates the just-written bytes, RLE-style:
+                    // only a byte loop reads what it wrote.
+                    for k in 0..len {
+                        out[o + k] = out[start + k];
+                    }
                 }
+                o += len;
             }
         }
     }
@@ -154,6 +169,103 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The decoder as it was first written — one `push` per output
+    /// byte — kept as the reference: [`decompress`] must return the
+    /// same bytes or the same error on every stream.
+    fn decompress_bytewise(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CodecError> {
+        let err = |offset: usize, message: &str| CodecError { offset, message: message.into() };
+        let mut out = Vec::with_capacity(expected_len);
+        let mut i = 0usize;
+        while out.len() < expected_len {
+            let flags = *input.get(i).ok_or_else(|| err(i, "truncated control byte"))?;
+            i += 1;
+            for bit in 0..8 {
+                if out.len() == expected_len {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    let b = *input.get(i).ok_or_else(|| err(i, "truncated literal"))?;
+                    i += 1;
+                    out.push(b);
+                } else {
+                    if i + 3 > input.len() {
+                        return Err(err(i, "truncated match token"));
+                    }
+                    let off = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
+                    let len = input[i + 2] as usize + MIN_MATCH;
+                    i += 3;
+                    if off == 0 || off > out.len() {
+                        return Err(err(i, "match offset out of range"));
+                    }
+                    if out.len() + len > expected_len {
+                        return Err(err(i, "match overruns declared length"));
+                    }
+                    let start = out.len() - off;
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        if i != input.len() {
+            return Err(err(i, "trailing garbage after final token"));
+        }
+        Ok(out)
+    }
+
+    /// Bytes that compress into a mix of literal runs, plain matches
+    /// and overlapping (RLE-style) ones.
+    fn arb_compressible() -> BoxedStrategy<Vec<u8>> {
+        prop::collection::vec((prop::collection::vec(any::<u8>(), 1..24), 1usize..12, 0usize..20), 0..24)
+            .prop_map(|parts| {
+                let mut data = Vec::new();
+                for (unit, reps, run) in parts {
+                    for _ in 0..reps {
+                        data.extend_from_slice(&unit);
+                    }
+                    data.extend(std::iter::repeat_n(unit[0], run));
+                }
+                data
+            })
+            .boxed()
+    }
+
+    proptest! {
+        /// Valid streams, truncated ones, bit-flipped ones, streams
+        /// decoded against the wrong length and plain noise: the same
+        /// `Result` as the byte-wise decoder, error offsets included.
+        #[test]
+        fn decompress_equals_the_bytewise_decoder(
+            data in arb_compressible(),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            cut in any::<u16>(),
+            flip in (any::<u16>(), 0u8..8),
+            len_delta in 0usize..20,
+        ) {
+            let packed = compress(&data);
+            prop_assert_eq!(decompress(&packed, data.len()), Ok(data.clone()));
+            let mut streams = vec![packed.clone(), noise.clone()];
+            if !packed.is_empty() {
+                streams.push(packed[..cut as usize % packed.len()].to_vec());
+                let mut flipped = packed.clone();
+                flipped[flip.0 as usize % packed.len()] ^= 1 << flip.1;
+                streams.push(flipped);
+                streams.push([&packed[..], &noise[..]].concat());
+            }
+            for stream in &streams {
+                for len in [data.len(), data.len() + len_delta, data.len().saturating_sub(len_delta), noise.len() * 3] {
+                    prop_assert_eq!(
+                        decompress(stream, len),
+                        decompress_bytewise(stream, len),
+                        "{} bytes decoded as {}", stream.len(), len
+                    );
+                }
+            }
+        }
+    }
 
     fn round_trip(data: &[u8]) {
         let c = compress(data);

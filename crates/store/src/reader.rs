@@ -46,7 +46,7 @@
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::cancel::CancelToken;
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
-use crate::codec::{select_v4, DecodeScratch};
+use crate::codec::{select_v4, DecodeScratch, ALL_MATCHES};
 use crate::crc::{crc32c, Crc32c};
 use crate::lz;
 use crate::mmap::Mapping;
@@ -59,6 +59,7 @@ use mempersp_extrae::trace_source::ScanStats;
 use mempersp_extrae::tracer::{Trace, TraceMeta};
 use std::collections::BTreeSet;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -449,19 +450,21 @@ impl StoreReader {
     }
 
     /// Decode one chunk for `q` (`None`: every event, every section
-    /// validated) and hand its batch to `sink`, updating `stats`. The
-    /// sink runs only once the chunk is fully decoded and validated,
-    /// so in salvage mode a damaged chunk contributes nothing (and is
-    /// recorded) instead of failing the scan.
+    /// validated) and hand `sink` the batch of its matches ranked
+    /// inside `page`, updating `stats`. The sink runs only once the
+    /// chunk is fully decoded and validated, so in salvage mode a
+    /// damaged chunk contributes nothing (and is recorded) instead of
+    /// failing the scan.
     fn scan_chunk(
         &self,
         idx: usize,
         q: Option<&Query>,
+        page: &Range<usize>,
         scratch: &mut DecodeScratch,
         stats: &mut ScanStats,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<()> {
-        match self.scan_chunk_strict(idx, q, scratch, stats, sink) {
+        match self.scan_chunk_strict(idx, q, page, scratch, stats, sink) {
             Err(e) if self.mode == RecoveryMode::Salvage => {
                 stats.chunks_damaged += 1;
                 self.damage
@@ -478,6 +481,7 @@ impl StoreReader {
         &self,
         idx: usize,
         q: Option<&Query>,
+        page: &Range<usize>,
         scratch: &mut DecodeScratch,
         stats: &mut ScanStats,
         sink: &mut dyn FnMut(&EventBatch<'_>),
@@ -489,7 +493,7 @@ impl StoreReader {
             stats.chunks_cached += 1;
         }
         let m = &self.metas[idx];
-        let (batch, o) = select_v4(&data, m.events as usize, q, scratch)
+        let (batch, o) = select_v4(&data, m.events as usize, q, page, scratch)
             .map_err(|e| bad_data(format!("chunk {idx}: {e}")))?;
         stats.events_scanned += o.scanned;
         stats.events_matched += o.matched;
@@ -499,11 +503,14 @@ impl StoreReader {
     }
 
     /// Scan `candidates` in the order given with one pooled scratch,
-    /// checking `cancel` before every chunk.
+    /// checking `cancel` before every chunk. `page` ranks matches over
+    /// the whole call: each chunk sees it shifted by the matches the
+    /// chunks before it counted.
     pub(crate) fn scan_candidates(
         &self,
         candidates: impl IntoIterator<Item = usize>,
         q: &Query,
+        page: &Range<usize>,
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
@@ -511,7 +518,8 @@ impl StoreReader {
         let mut scratch = self.take_scratch();
         let res = candidates.into_iter().try_for_each(|idx| {
             cancel.check()?;
-            self.scan_chunk(idx, Some(q), &mut scratch, &mut stats, sink)
+            let rest = page_after(page, stats.events_matched);
+            self.scan_chunk(idx, Some(q), &rest, &mut scratch, &mut stats, sink)
         });
         self.put_scratch(scratch);
         res.map(|()| stats)
@@ -521,14 +529,23 @@ impl StoreReader {
     /// order, handing `sink` one column batch per chunk. `cancel` is
     /// checked at every chunk boundary: an expired deadline surfaces
     /// as `ErrorKind::TimedOut`, an explicit cancel as `Interrupted`.
+    ///
+    /// `page` picks the matches the batches carry, by rank in stored
+    /// order ([`ALL_MATCHES`]: every one). Matches outside it are
+    /// counted — `events_matched` is always the total — but their
+    /// payload is never decoded: a chunk with no match inside the page
+    /// pays for its tag, time and core columns only. (A query with an
+    /// `object` predicate finds its matches *in* the payload, so it
+    /// decodes as an unpaged scan does and only hands out less.)
     pub fn scan_batches_cancel(
         &self,
         q: &Query,
+        page: &Range<usize>,
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
         let (candidates, chunks_skipped) = self.candidates(q);
-        let stats = self.scan_candidates(candidates, q, cancel, sink)?;
+        let stats = self.scan_candidates(candidates, q, page, cancel, sink)?;
         Ok(ScanStats { chunks_skipped, ..stats })
     }
 
@@ -536,8 +553,9 @@ impl StoreReader {
     /// (trace) order plus the scan's cost accounting.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
         let mut out = Vec::new();
-        let stats =
-            self.scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut out))?;
+        let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
+            b.materialize_into(&mut out)
+        })?;
         Ok((out, stats))
     }
 
@@ -561,7 +579,14 @@ impl StoreReader {
         let mut scratch = self.take_scratch();
         for (idx, m) in self.metas.iter().enumerate() {
             let deep = self.check_chunk_memo(idx).and_then(|()| {
-                self.scan_chunk_strict(idx, None, &mut scratch, &mut ScanStats::default(), &mut |_| {})
+                self.scan_chunk_strict(
+                    idx,
+                    None,
+                    &ALL_MATCHES,
+                    &mut scratch,
+                    &mut ScanStats::default(),
+                    &mut |_| {},
+                )
             });
             if let Err(e) = deep {
                 let d = ChunkDamage::of_chunk(idx, m.offset, e.to_string());
@@ -573,6 +598,12 @@ impl StoreReader {
         self.put_scratch(scratch);
         all
     }
+}
+
+/// `page` as the scan sees it once `matched` matches are behind it.
+pub(crate) fn page_after(page: &Range<usize>, matched: u64) -> Range<usize> {
+    let done = usize::try_from(matched).unwrap_or(usize::MAX);
+    page.start.saturating_sub(done)..page.end.saturating_sub(done)
 }
 
 /// Accept the one magic this build reads; name the version of any

@@ -6,7 +6,8 @@
 
 use crate::cache::CacheStats;
 use crate::cancel::CancelToken;
-use crate::reader::{ChunkDamage, RecoveryMode, StoreReader};
+use crate::codec::ALL_MATCHES;
+use crate::reader::{page_after, ChunkDamage, RecoveryMode, StoreReader};
 use crate::shard::{is_shard_dir, open_shards, Shards};
 use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
@@ -14,6 +15,7 @@ use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::{MaterializedSource, ScanStats, TraceSource};
 use mempersp_extrae::tracer::Trace;
 use std::io::{self, Read as _};
+use std::ops::Range;
 use std::path::Path;
 
 /// Below this many surviving chunks a parallel query runs
@@ -122,16 +124,21 @@ impl MpsSource {
 
     /// Scan the store for `q`, handing `sink` one column batch per
     /// surviving chunk in stored order; `cancel` is checked at every
-    /// chunk boundary of every file.
+    /// chunk boundary of every file. The batches carry the matches
+    /// ranked inside `page` ([`ALL_MATCHES`]: every one) and only
+    /// those pay for payload decode, while `events_matched` counts
+    /// them all — see [`StoreReader::scan_batches_cancel`].
     pub fn scan_batches_cancel(
         &self,
         q: &Query,
+        page: &Range<usize>,
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
         let mut stats = ScanStats::default();
         for (_, r) in &self.shards {
-            stats.merge(&r.scan_batches_cancel(q, cancel, sink)?);
+            let rest = page_after(page, stats.events_matched);
+            stats.merge(&r.scan_batches_cancel(q, &rest, cancel, sink)?);
         }
         Ok(stats)
     }
@@ -140,8 +147,9 @@ impl MpsSource {
     /// (trace) order plus the scan's cost accounting.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
         let mut out = Vec::new();
-        let stats =
-            self.scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut out))?;
+        let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
+            b.materialize_into(&mut out)
+        })?;
         Ok((out, stats))
     }
 
@@ -179,9 +187,13 @@ impl MpsSource {
                         for run in slice.chunk_by(|a, b| a.0 == b.0) {
                             let reader = &self.shards[run[0].0].1;
                             let chunks = run.iter().map(|&(_, chunk)| chunk);
-                            stats.merge(&reader.scan_candidates(chunks, q, cancel, &mut |b| {
-                                b.materialize_into(&mut out)
-                            })?);
+                            stats.merge(&reader.scan_candidates(
+                                chunks,
+                                q,
+                                &ALL_MATCHES,
+                                cancel,
+                                &mut |b| b.materialize_into(&mut out),
+                            )?);
                         }
                         Ok((out, stats))
                     })
@@ -210,7 +222,7 @@ impl TraceSource for MpsSource {
         query: &Query,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        self.scan_batches_cancel(query, &CancelToken::new(), sink)
+        self.scan_batches_cancel(query, &ALL_MATCHES, &CancelToken::new(), sink)
     }
 
     fn format_name(&self) -> &'static str {

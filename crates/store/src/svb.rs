@@ -136,10 +136,14 @@ impl SimdLevel {
 }
 
 /// What the CPU supports, ignoring the `MEMPERSP_NO_SIMD` override.
+/// The AVX2 level also counts bits (`popcnt`, which every AVX2 part
+/// has): the selection kernel ranks rows with it.
 pub fn detected_simd_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
             return SimdLevel::Avx2;
         }
         if std::arch::is_x86_feature_detected!("ssse3") {
@@ -485,6 +489,80 @@ impl<'a> SvbColumn<'a> {
         self.decode_groups_scalar(i, end, off, out);
     }
 
+    /// Replace `out` with the whole column narrowed to `u32`, or
+    /// report the first value that does not fit as `(index, value)`.
+    /// Only a group with an 8-byte lane can hold such a value, so the
+    /// four-lane `pshufb` result is stored as it is — no widening, no
+    /// second pass.
+    pub fn decode_u32_into(&self, out: &mut Vec<u32>) -> Result<(), (usize, u64)> {
+        out.clear();
+        out.reserve(self.n);
+        match simd_level() {
+            SimdLevel::Scalar => self.decode_u32_scalar(0, 0, out),
+            // SAFETY: both SIMD levels include SSSE3.
+            #[cfg(target_arch = "x86_64")]
+            _ => unsafe { self.decode_u32_ssse3(out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => self.decode_u32_scalar(0, 0, out),
+        }
+    }
+
+    /// Narrow the first `lanes` values of the group coded `c`, which
+    /// starts at value `i` and data offset `*off`, with plain loads.
+    #[inline(always)]
+    fn narrow_lanes(
+        &self,
+        c: u8,
+        lanes: usize,
+        i: usize,
+        off: &mut usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), (usize, u64)> {
+        for l in 0..lanes {
+            let w = lane_width(c, l);
+            let v = load_le(self.data, *off, w);
+            out.push(u32::try_from(v).map_err(|_| (i + l, v))?);
+            *off += w;
+        }
+        Ok(())
+    }
+
+    /// Narrow values `[start, n)` (start group-aligned); `off` is the
+    /// data offset of `start`'s group.
+    fn decode_u32_scalar(
+        &self,
+        start: usize,
+        mut off: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<(), (usize, u64)> {
+        for i in (start..self.n).step_by(4) {
+            self.narrow_lanes(self.ctrl[i / 4], (self.n - i).min(4), i, &mut off, out)?;
+        }
+        Ok(())
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "ssse3")]
+    unsafe fn decode_u32_ssse3(&self, out: &mut Vec<u32>) -> Result<(), (usize, u64)> {
+        use std::arch::x86_64::*;
+        let (mut i, mut off) = (0usize, 0usize);
+        while i + 4 <= self.n && off + 16 <= self.data.len() {
+            let c = self.ctrl[i / 4] as usize;
+            if HAS_W8[c] {
+                self.narrow_lanes(c as u8, 4, i, &mut off, out)?;
+            } else {
+                let mask = _mm_loadu_si128(SHUFFLE[c].as_ptr() as *const __m128i);
+                let raw = _mm_loadu_si128(self.data.as_ptr().add(off) as *const __m128i);
+                let mut grp = [0u32; 4];
+                _mm_storeu_si128(grp.as_mut_ptr() as *mut __m128i, _mm_shuffle_epi8(raw, mask));
+                out.extend_from_slice(&grp);
+                off += GROUP_DATA_LEN[c] as usize;
+            }
+            i += 4;
+        }
+        self.decode_u32_scalar(i, off, out)
+    }
+
     /// Replace `out` with the column decoded as zig-zag deltas and
     /// prefix-summed into running values starting from `prev`: the
     /// timestamp column in one pass, no intermediate buffer.
@@ -755,6 +833,30 @@ mod tests {
         // Degenerate range decodes nothing.
         assert_eq!(col.decode_range_into(5, 5, &mut out), 0);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn u32_decode_narrows_or_names_the_first_wide_value() {
+        for n in 0..40usize {
+            let vals: Vec<u64> = (0..n as u64).map(|i| (i * 0x0101_0101) % (1 << 32) | (i % 3)).collect();
+            let buf = encode_column(&vals);
+            let col = SvbColumn::parse(&buf, &mut 0, n).unwrap();
+            let mut out = vec![9u32];
+            col.decode_u32_into(&mut out).unwrap();
+            assert_eq!(out, vals.iter().map(|&v| v as u32).collect::<Vec<_>>(), "n = {n}");
+            // The first of two wide values is the one reported, in a
+            // full SIMD group, the scalar tail and anywhere between.
+            for at in 0..n {
+                let mut wide = vals.clone();
+                wide[at] = (1 << 32) + 3;
+                if at + 1 < n {
+                    wide[n - 1] = u64::MAX;
+                }
+                let buf = encode_column(&wide);
+                let col = SvbColumn::parse(&buf, &mut 0, n).unwrap();
+                assert_eq!(col.decode_u32_into(&mut out), Err((at, (1 << 32) + 3)), "n = {n}");
+            }
+        }
     }
 
     #[test]

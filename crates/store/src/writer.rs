@@ -397,7 +397,9 @@ impl StoreWriter {
     /// encoding crosses the chunk target.
     pub fn append(&mut self, event: &TraceEvent) -> io::Result<()> {
         assert!(!self.finished, "append after finish");
-        self.builder.push(event);
+        self.builder
+            .push(event)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.message))?;
         self.open_meta.observe(event);
         self.open_meta.events += 1;
         self.total_events += 1;

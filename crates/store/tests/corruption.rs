@@ -15,7 +15,7 @@ use mempersp_store::chunk::{ChunkMeta, Compression};
 use mempersp_store::reader::RecoveryMode;
 use mempersp_store::svb::SvbColumn;
 use mempersp_store::writer::write_store_chunked;
-use mempersp_store::{CancelToken, MpsSource, StoreReader};
+use mempersp_store::{CancelToken, MpsSource, StoreReader, ALL_MATCHES};
 use proptest::prelude::*;
 
 fn trace(n: u64) -> mempersp_extrae::tracer::Trace {
@@ -535,7 +535,7 @@ proptest! {
                 Query::all().touching_object(mempersp_extrae::ObjectId(0)),
                 Query::all().on_cores(&[1]).with_kinds(&[EventClass::CounterSample, EventClass::MuxSwitch]),
             ] {
-                let _ = src.scan_batches_cancel(&q, &CancelToken::new(), &mut touch_every_accessor);
+                let _ = src.scan_batches_cancel(&q, &ALL_MATCHES, &CancelToken::new(), &mut touch_every_accessor);
             }
             let _ = fold_regions_source(&mut src, &[RegionRequest::new("R")], 2);
             let _ = src.materialize();

@@ -17,7 +17,7 @@ use mempersp_extrae::tracer::Trace;
 use mempersp_store::writer::write_store_chunked;
 use mempersp_store::{
     detected_simd_level, write_store_sharded, CancelToken, MpsSource, RecoveryMode, SimdLevel,
-    PARALLEL_MIN_CHUNKS,
+    ALL_MATCHES, PARALLEL_MIN_CHUNKS,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -213,7 +213,7 @@ fn assert_read_paths_agree(src: &mut MpsSource, q: &Query, want: &[TraceEvent]) 
     }
     let mut rows = Vec::new();
     let scan_stats = src
-        .scan_batches_cancel(q, &CancelToken::new(), &mut |b| b.materialize_into(&mut rows))
+        .scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| b.materialize_into(&mut rows))
         .expect("scan");
     assert_eq!(rows, want);
     assert_eq!(account(&scan_stats), account(&seq_stats));
@@ -339,6 +339,141 @@ fn read_paths_agree_on_a_salvaged_middle_shard() {
     remove_container(&path);
 }
 
+/// One paged scan: the rows handed out, the size of every non-empty
+/// batch, and the stats.
+fn paged_scan(
+    src: &MpsSource,
+    q: &Query,
+    page: &std::ops::Range<usize>,
+) -> std::io::Result<(Vec<TraceEvent>, Vec<usize>, ScanStats)> {
+    let (mut rows, mut lens) = (Vec::new(), Vec::new());
+    let stats = src.scan_batches_cancel(q, page, &CancelToken::new(), &mut |b| {
+        if !b.is_empty() {
+            lens.push(b.len());
+        }
+        b.materialize_into(&mut rows);
+    })?;
+    Ok((rows, lens, stats))
+}
+
+/// Every page of `q` over `src` is the slice `skip(offset).take(limit)`
+/// of the unpaged answer `want`; the stats still account for the
+/// whole scan; and payload is decoded for the page only — except for
+/// an object query, whose matches are found *in* the payload.
+fn assert_pages_are_slices(src: &MpsSource, q: &Query, want: &[TraceEvent]) {
+    let (all, lens, whole) = paged_scan(src, q, &ALL_MATCHES).expect("scan");
+    assert_eq!(all, want, "{q:?}");
+    let n = all.len();
+    assert!(lens.len() > 3, "{q:?}: matches per chunk {lens:?}");
+    let pages = [
+        0..0,
+        0..lens[0] / 2,                          // inside the first chunk
+        lens[0] / 2..lens[0],                    // up to its last match
+        lens[0] - 1..lens[0] + lens[1] + 1,      // across three chunks
+        lens[0] + lens[1]..lens[0] + lens[1] + lens[2], // exactly one later chunk
+        n - 3..n + 10,                           // over the end
+        n..n + 5,                                // past the total
+        n + 100..usize::MAX,
+        5..usize::MAX,
+        0..n,
+    ];
+    for page in pages {
+        let (rows, _, stats) = paged_scan(src, q, &page).expect("paged scan");
+        let cut = page.start.min(n)..page.end.min(n);
+        assert_eq!(rows, all[cut.clone()], "{q:?} page {page:?}");
+        let account = |s: &ScanStats| {
+            let visited = s.chunks_decoded + s.chunks_cached;
+            (s.events_matched, s.events_scanned, s.chunks_skipped, visited, s.chunks_damaged)
+        };
+        assert_eq!(account(&stats), account(&whole), "{q:?} page {page:?}");
+        let (paid, full) = (stats.payload_bytes_decoded, whole.payload_bytes_decoded);
+        if q.object.is_some() || cut.len() == n {
+            assert_eq!(paid, full, "{q:?} page {page:?}");
+        } else {
+            assert!(paid < full, "{q:?} page {page:?}: {paid} of {full} payload bytes");
+            assert_eq!(paid == 0, cut.is_empty(), "{q:?} page {page:?}");
+        }
+    }
+}
+
+/// The fixed queries, the samples of one object, and one core's
+/// samples.
+fn paging_queries() -> Vec<Query> {
+    let mut queries = fixed_queries().to_vec();
+    queries.push(Query::all().touching_object(ObjectId(7)).in_time(0, 150_000).on_cores(&[0, 1, 2, 3, 4, 5, 6]));
+    queries.push(Query::all().with_kinds(&[EventClass::Pebs]).on_cores(&[3]));
+    queries
+}
+
+/// Page pushdown over a file and over shards, strict and salvage.
+#[test]
+fn pages_are_slices_of_the_scan_and_decode_less() {
+    // Thirty object ids leave an object query a match every few
+    // chunks: fold them to two, so its pages straddle chunks too.
+    let mut events = fixed_events();
+    for e in &mut events {
+        if let EventPayload::Pebs { object: Some(o), .. } = &mut e.payload {
+            *o = ObjectId(6 + o.0 % 2);
+        }
+    }
+    for shards in [0, 4] {
+        let path = write_container("paging", 0, &events, shards);
+        for mode in [RecoveryMode::Strict, RecoveryMode::Salvage] {
+            let src = MpsSource::open_with_options(&path, mode, true).expect("open");
+            for q in paging_queries() {
+                let want: Vec<TraceEvent> = events.iter().filter(|e| q.matches(e)).cloned().collect();
+                assert_pages_are_slices(&src, &q, &want);
+            }
+        }
+        remove_container(&path);
+    }
+}
+
+/// A damaged chunk before, inside or after the page: a strict scan
+/// fails whatever the page, a salvage scan pages over the survivors
+/// — the damaged chunk adds nothing to the rows or to the count.
+#[test]
+fn pages_over_a_damaged_chunk() {
+    let events = fixed_events();
+    let q = Query::all().with_kinds(&[EventClass::Pebs, EventClass::User]);
+    let path = write_container("paging_damage", 0, &events, 0);
+    let clean_bytes = std::fs::read(&path).unwrap();
+    let chunks = MpsSource::open(&path).unwrap().reader().unwrap().chunks().to_vec();
+    let starts: Vec<usize> =
+        chunks.iter().scan(0, |at, m| Some(std::mem::replace(at, *at + m.events as usize))).collect();
+    let matches_before =
+        |chunk: usize| events[..starts[chunk]].iter().filter(|e| q.matches(e)).count();
+    // The page: the matches of chunks 10 and 11, less one row each end.
+    let page = matches_before(10) + 1..matches_before(12) - 1;
+    assert!(page.len() > 4, "{page:?}");
+
+    for victim in [3usize, 11, 20] {
+        let mut bytes = clean_bytes.clone();
+        bytes[chunks[victim].offset as usize + 5] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let strict = MpsSource::open(&path).expect("the footer is intact");
+        for page in [page.clone(), 0..1, ALL_MATCHES] {
+            let err = paged_scan(&strict, &q, &page).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "victim {victim} page {page:?}");
+        }
+
+        let mut survivors = events.clone();
+        survivors.drain(starts[victim]..starts[victim] + chunks[victim].events as usize);
+        let want: Vec<TraceEvent> = survivors.iter().filter(|e| q.matches(e)).cloned().collect();
+        let salvage = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let (all, _, whole) = paged_scan(&salvage, &q, &ALL_MATCHES).unwrap();
+        assert_eq!(all, want, "victim {victim}");
+        let (rows, _, stats) = paged_scan(&salvage, &q, &page).unwrap();
+        assert_eq!(rows, want[page.clone()], "victim {victim}");
+        assert_eq!(stats.events_matched as usize, want.len(), "victim {victim}");
+        assert_eq!((stats.chunks_damaged, whole.chunks_damaged), (1, 1), "victim {victim}");
+        assert!(stats.payload_bytes_decoded < whole.payload_bytes_decoded, "victim {victim}");
+        assert_eq!(salvage.damage_report().len(), 1, "{:?}", salvage.damage_report());
+    }
+    remove_container(&path);
+}
+
 /// Cancellation crosses file boundaries — the property the server's
 /// 503 path rests on. A token cancelled up front stops the scan before
 /// the sink runs once; a deadline that passes once the sink has seen
@@ -355,7 +490,7 @@ fn cancelled_scans_stop_at_the_next_chunk_boundary() {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let mut calls = 0;
-        let err = src.scan_batches_cancel(&q, &cancelled, &mut |_| calls += 1).unwrap_err();
+        let err = src.scan_batches_cancel(&q, &ALL_MATCHES, &cancelled, &mut |_| calls += 1).unwrap_err();
         assert_eq!((err.kind(), calls), (std::io::ErrorKind::Interrupted, 0));
 
         let (_, first) = src.shards().next().expect("a store has a file");
@@ -365,7 +500,7 @@ fn cancelled_scans_stop_at_the_next_chunk_boundary() {
         let deadline = CancelToken::with_timeout(std::time::Duration::from_millis(300));
         let (mut batches, mut rows) = (0, Vec::new());
         let err = src
-            .scan_batches_cancel(&q, &deadline, &mut |b| {
+            .scan_batches_cancel(&q, &ALL_MATCHES, &deadline, &mut |b| {
                 b.materialize_into(&mut rows);
                 batches += 1;
                 while batches == stop_after && !deadline.is_cancelled() {
@@ -386,7 +521,7 @@ proptest! {
     /// high core ids, full-width values.
     #[test]
     fn v4_codec_round_trips(events in prop::collection::vec(arb_event(), 0..200)) {
-        let buf = encode_events_v4(&events);
+        let buf = encode_events_v4(&events).expect("encode v4");
         let back = decode_events_v4(&buf, events.len()).expect("decode v4");
         prop_assert_eq!(back, events);
     }
