@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("phase_detection", |b| {
         b.iter(|| {
             black_box(iteration_phases(
-                black_box(trace),
+                &mut black_box(trace),
                 "CG_iteration",
                 "ComputeSYMGS_ref",
                 "ComputeSPMV_ref",

@@ -21,13 +21,15 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("object_stats_grouped", |b| {
         b.iter(|| {
-            let stats = object_stats(black_box(&grouped.report.trace), None);
+            let mut src = black_box(&grouped.report.trace);
+            let (stats, _) = object_stats(&mut src, None).expect("in-memory scan");
             black_box(resolved_fraction(&stats))
         })
     });
     g.bench_function("object_stats_ungrouped", |b| {
         b.iter(|| {
-            let stats = object_stats(black_box(&ungrouped.report.trace), None);
+            let mut src = black_box(&ungrouped.report.trace);
+            let (stats, _) = object_stats(&mut src, None).expect("in-memory scan");
             black_box(resolved_fraction(&stats))
         })
     });

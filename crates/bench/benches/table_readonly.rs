@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("table_readonly");
     g.bench_function("object_stats_windowed", |b| {
-        b.iter(|| black_box(object_stats(black_box(trace), window)))
+        b.iter(|| black_box(object_stats(&mut black_box(trace), window)))
     });
     g.finish();
 }

@@ -5,9 +5,12 @@
 //! the folded equivalent: latency percentiles and per-data-source
 //! histograms, per object or for the whole run.
 
-use mempersp_extrae::{ObjectId, Trace};
-use mempersp_memsim::MemLevel;
+use mempersp_extrae::batch::level_code;
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
+use mempersp_extrae::{ObjectId, RowView};
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// Latency distribution summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,15 +28,6 @@ pub struct LatencyProfile {
     pub mean_by_source: [Option<f64>; 4],
 }
 
-fn source_index(l: MemLevel) -> usize {
-    match l {
-        MemLevel::L1 => 0,
-        MemLevel::L2 => 1,
-        MemLevel::L3 => 2,
-        MemLevel::Dram => 3,
-    }
-}
-
 fn percentile(sorted: &[u32], p: f64) -> u32 {
     debug_assert!(!sorted.is_empty());
     let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
@@ -41,31 +35,35 @@ fn percentile(sorted: &[u32], p: f64) -> u32 {
 }
 
 /// Build the latency profile of PEBS load samples, optionally
-/// restricted to one object and/or to stores instead of loads.
+/// restricted to one object (pushed down into the scan) and/or to
+/// stores instead of loads. `None` when no sample qualifies.
 pub fn latency_profile(
-    trace: &Trace,
+    source: &mut dyn TraceSource,
     object: Option<ObjectId>,
     stores: bool,
-) -> Option<LatencyProfile> {
+) -> io::Result<(Option<LatencyProfile>, ScanStats)> {
     let mut lats: Vec<u32> = Vec::new();
     let mut sums = [0u64; 4];
     let mut counts = [0u64; 4];
-    for (_, s, obj) in trace.pebs_events() {
-        if s.is_store != stores {
-            continue;
-        }
-        if let Some(want) = object {
-            if obj != Some(want) {
+    let q = match object {
+        Some(id) => Query::all().touching_object(id),
+        None => Query::all().with_kinds(&[EventClass::Pebs]),
+    };
+    let stats = source.scan_batches(&q, &mut |batch| {
+        for row in batch.rows() {
+            let RowView::Pebs(p) = row.view else { continue };
+            let s = p.sample();
+            if s.is_store != stores {
                 continue;
             }
+            lats.push(s.latency);
+            let i = level_code(s.source) as usize;
+            sums[i] += s.latency as u64;
+            counts[i] += 1;
         }
-        lats.push(s.latency);
-        let i = source_index(s.source);
-        sums[i] += s.latency as u64;
-        counts[i] += 1;
-    }
+    })?;
     if lats.is_empty() {
-        return None;
+        return Ok((None, stats));
     }
     lats.sort_unstable();
     let mean = lats.iter().map(|&l| l as f64).sum::<f64>() / lats.len() as f64;
@@ -75,7 +73,7 @@ pub fn latency_profile(
             mean_by_source[i] = Some(sums[i] as f64 / counts[i] as f64);
         }
     }
-    Some(LatencyProfile {
+    let profile = LatencyProfile {
         samples: lats.len(),
         min: lats[0],
         p50: percentile(&lats, 0.50),
@@ -84,14 +82,20 @@ pub fn latency_profile(
         max: *lats.last().expect("non-empty"),
         mean,
         mean_by_source,
-    })
+    };
+    Ok((Some(profile), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempersp_extrae::{CodeLocation, Tracer, TracerConfig};
+    use mempersp_extrae::{CodeLocation, Trace, Tracer, TracerConfig};
+    use mempersp_memsim::MemLevel;
     use mempersp_pebs::PebsSample;
+
+    fn profile(tr: &Trace, object: Option<ObjectId>, stores: bool) -> Option<LatencyProfile> {
+        latency_profile(&mut &*tr, object, stores).unwrap().0
+    }
 
     fn trace_with_latencies(lats: &[(u32, MemLevel)]) -> Trace {
         let mut t = Tracer::new(TracerConfig::default(), 1);
@@ -116,7 +120,7 @@ mod tests {
     fn percentiles_and_means() {
         let lats: Vec<(u32, MemLevel)> = (1..=100).map(|i| (i, MemLevel::L2)).collect();
         let tr = trace_with_latencies(&lats);
-        let p = latency_profile(&tr, None, false).unwrap();
+        let p = profile(&tr, None, false).unwrap();
         assert_eq!(p.samples, 100);
         assert_eq!(p.min, 1);
         assert_eq!(p.max, 100);
@@ -136,7 +140,7 @@ mod tests {
             (6, MemLevel::L1),
             (200, MemLevel::Dram),
         ]);
-        let p = latency_profile(&tr, None, false).unwrap();
+        let p = profile(&tr, None, false).unwrap();
         assert_eq!(p.mean_by_source[0], Some(5.0));
         assert_eq!(p.mean_by_source[3], Some(200.0));
     }
@@ -144,7 +148,7 @@ mod tests {
     #[test]
     fn empty_selection_is_none() {
         let tr = trace_with_latencies(&[(4, MemLevel::L1)]);
-        assert!(latency_profile(&tr, None, true).is_none(), "no store samples");
-        assert!(latency_profile(&tr, Some(mempersp_extrae::ObjectId(99)), false).is_none());
+        assert!(profile(&tr, None, true).is_none(), "no store samples");
+        assert!(profile(&tr, Some(mempersp_extrae::ObjectId(99)), false).is_none());
     }
 }

@@ -3,12 +3,10 @@
 //! read during the execution phase, and for the data-source/latency
 //! breakdown per structure.
 
+use mempersp_extrae::batch::level_code;
 use mempersp_extrae::query::{EventClass, Query};
-use mempersp_extrae::objects::ObjectRegistry;
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::{ObjectId, RowView, Trace};
-use mempersp_memsim::MemLevel;
-use mempersp_pebs::PebsSample;
+use mempersp_extrae::{ObjectId, RowView};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -42,106 +40,15 @@ impl ObjectStat {
     }
 }
 
-fn source_index(l: MemLevel) -> usize {
-    match l {
-        MemLevel::L1 => 0,
-        MemLevel::L2 => 1,
-        MemLevel::L3 => 2,
-        MemLevel::Dram => 3,
-    }
-}
-
-/// Per-object accumulator behind [`object_stats`] and
-/// [`object_stats_source`].
-#[derive(Default)]
-struct ObjectAccs(BTreeMap<Option<u32>, Acc>);
-
-struct Acc {
-    loads: u64,
-    stores: u64,
-    lat_sum: u64,
-    by_source: [u64; 4],
-    addr_min: u64,
-    addr_max: u64,
-}
-
-impl ObjectAccs {
-    fn add(&mut self, s: &PebsSample, object: Option<ObjectId>) {
-        let acc = self.0.entry(object.map(|o| o.0)).or_insert(Acc {
-            loads: 0,
-            stores: 0,
-            lat_sum: 0,
-            by_source: [0; 4],
-            addr_min: u64::MAX,
-            addr_max: 0,
-        });
-        if s.is_store {
-            acc.stores += 1;
-        } else {
-            acc.loads += 1;
-        }
-        acc.lat_sum += s.latency as u64;
-        acc.by_source[source_index(s.source)] += 1;
-        acc.addr_min = acc.addr_min.min(s.addr);
-        acc.addr_max = acc.addr_max.max(s.addr);
-    }
-
-    /// Name the objects and sort by descending sample count.
-    fn finish(self, objects: &ObjectRegistry) -> Vec<ObjectStat> {
-        let mut out: Vec<ObjectStat> = self
-            .0
-            .into_iter()
-            .map(|(key, a)| {
-                let (id, name) = match key {
-                    Some(raw) => {
-                        let id = ObjectId(raw);
-                        let name = objects
-                            .get(id)
-                            .map(|o| o.name.clone())
-                            .unwrap_or_else(|| format!("<object {raw}>"));
-                        (Some(id), name)
-                    }
-                    None => (None, "<unresolved>".to_string()),
-                };
-                let total = a.loads + a.stores;
-                ObjectStat {
-                    id,
-                    name,
-                    loads: a.loads,
-                    stores: a.stores,
-                    mean_latency: if total == 0 { 0.0 } else { a.lat_sum as f64 / total as f64 },
-                    by_source: a.by_source,
-                    addr_min: a.addr_min,
-                    addr_max: a.addr_max,
-                }
-            })
-            .collect();
-        out.sort_by_key(|s| std::cmp::Reverse(s.total()));
-        out
-    }
-}
-
 /// Aggregate every PEBS sample in the trace by resolved object,
-/// sorted by descending sample count. Samples outside `window`
+/// sorted by descending sample count, read straight off the scan's
+/// PEBS columns — no event rows are built. Samples outside `window`
 /// (cycles) are ignored when a window is given — pass the execution
-/// phase's extent to reproduce the paper's setup-excluded analysis.
-pub fn object_stats(trace: &Trace, window: Option<(u64, u64)>) -> Vec<ObjectStat> {
-    let mut accs = ObjectAccs::default();
-    for (_, s, obj) in trace.pebs_events() {
-        if window.is_none_or(|(lo, hi)| (lo..=hi).contains(&s.timestamp)) {
-            accs.add(s, obj);
-        }
-    }
-    accs.finish(&trace.objects)
-}
-
-/// [`object_stats`] over any [`TraceSource`], read straight off the
-/// scan's PEBS columns — no event rows are built. Only PEBS events —
-/// the single kind this analysis reads — are scanned, and the window
-/// (when given) is pushed down as a time predicate, so an indexed
-/// `.mps` store decodes only the chunks that can contribute. Returns
-/// the stats together with the scan's cost accounting.
-pub fn object_stats_source(
+/// phase's extent to reproduce the paper's setup-excluded analysis;
+/// it is pushed down as a time predicate, so an indexed `.mps` store
+/// decodes only the chunks that can contribute. Returns the stats
+/// together with the scan's cost accounting.
+pub fn object_stats(
     source: &mut dyn TraceSource,
     window: Option<(u64, u64)>,
 ) -> std::io::Result<(Vec<ObjectStat>, ScanStats)> {
@@ -151,15 +58,55 @@ pub fn object_stats_source(
         // envelope-time predicate is exactly the sample window.
         q = q.in_time(lo, hi);
     }
-    let mut accs = ObjectAccs::default();
+    // Per object (`None` = unresolved): its stat so far, still
+    // unnamed, and its latency sum.
+    let mut accs: BTreeMap<Option<u32>, (ObjectStat, u64)> = BTreeMap::new();
     let stats = source.scan_batches(&q, &mut |batch| {
         for row in batch.rows() {
-            if let RowView::Pebs(p) = row.view {
-                accs.add(&p.sample(), p.object());
+            let RowView::Pebs(p) = row.view else { continue };
+            let (s, id) = (p.sample(), p.object());
+            let (acc, lat_sum) = accs.entry(id.map(|o| o.0)).or_insert_with(|| {
+                let empty = ObjectStat {
+                    id,
+                    name: String::new(),
+                    loads: 0,
+                    stores: 0,
+                    mean_latency: 0.0,
+                    by_source: [0; 4],
+                    addr_min: u64::MAX,
+                    addr_max: 0,
+                };
+                (empty, 0)
+            });
+            if s.is_store {
+                acc.stores += 1;
+            } else {
+                acc.loads += 1;
             }
+            *lat_sum += s.latency as u64;
+            acc.by_source[level_code(s.source) as usize] += 1;
+            acc.addr_min = acc.addr_min.min(s.addr);
+            acc.addr_max = acc.addr_max.max(s.addr);
         }
     })?;
-    Ok((accs.finish(&source.header()?.objects), stats))
+    // Name the objects and sort by descending sample count.
+    let objects = source.header()?.objects;
+    let mut out: Vec<ObjectStat> = accs
+        .into_values()
+        .map(|(mut stat, lat_sum)| {
+            stat.name = match stat.id {
+                Some(id) => objects
+                    .get(id)
+                    .map(|o| o.name.clone())
+                    .unwrap_or_else(|| format!("<object {}>", id.0)),
+                None => "<unresolved>".to_string(),
+            };
+            stat.mean_latency = lat_sum as f64 / stat.total() as f64;
+            stat
+        })
+        .collect();
+    out.sort_by_key(|s| std::cmp::Reverse(s.total()));
+    Ok((out, stats))
 }
 
 /// The fraction of samples that resolved to an object (the paper's
@@ -177,8 +124,13 @@ pub fn resolved_fraction(stats: &[ObjectStat]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempersp_extrae::{CodeLocation, Tracer, TracerConfig};
+    use mempersp_extrae::{CodeLocation, Trace, Tracer, TracerConfig};
+    use mempersp_memsim::MemLevel;
     use mempersp_pebs::PebsSample;
+
+    fn stats_of(tr: &Trace, window: Option<(u64, u64)>) -> Vec<ObjectStat> {
+        object_stats(&mut &*tr, window).unwrap().0
+    }
 
     fn sample(addr: u64, ts: u64, is_store: bool, latency: u32, source: MemLevel) -> PebsSample {
         PebsSample {
@@ -210,7 +162,7 @@ mod tests {
     #[test]
     fn aggregates_by_object() {
         let tr = make_trace();
-        let stats = object_stats(&tr, None);
+        let stats = stats_of(&tr, None);
         assert_eq!(stats.len(), 3);
         let a = stats.iter().find(|s| s.name == "gen.cpp:110").unwrap();
         assert_eq!(a.loads, 2);
@@ -228,7 +180,7 @@ mod tests {
     #[test]
     fn window_filters_samples() {
         let tr = make_trace();
-        let stats = object_stats(&tr, Some((25, 45)));
+        let stats = stats_of(&tr, Some((25, 45)));
         let total: u64 = stats.iter().map(|s| s.total()).sum();
         assert_eq!(total, 2, "only the two B samples fall in [25,45]");
     }
@@ -236,7 +188,7 @@ mod tests {
     #[test]
     fn resolved_fraction_counts_unresolved() {
         let tr = make_trace();
-        let stats = object_stats(&tr, None);
+        let stats = stats_of(&tr, None);
         assert!((resolved_fraction(&stats) - 0.8).abs() < 1e-12);
         assert_eq!(resolved_fraction(&[]), 0.0);
     }

@@ -12,8 +12,12 @@
 //! Boundaries are averaged over all kept iteration instances and
 //! expressed in the folded (normalized) time of the iteration.
 
-use mempersp_extrae::Trace;
+use mempersp_extrae::events::RegionId;
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
+use mempersp_extrae::RowView;
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// One detected phase in folded iteration time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,46 +60,85 @@ impl Phase {
     }
 }
 
-/// Sub-instances of `region` fully contained in `[s, e]` on `core`.
-fn nested_instances(trace: &Trace, region: &str, core: usize, s: u64, e: u64) -> Vec<(u64, u64)> {
-    let Some(id) = trace.region_id(region) else {
-        return Vec::new();
-    };
-    trace
-        .region_instances(id, core)
-        .into_iter()
-        .filter(|&(a, b)| a >= s && b <= e)
-        .collect()
+/// One region's `(start, end)` instances, in cycles.
+type Instances = Vec<(u64, u64)>;
+
+/// The top-level `(start, end)` instances of each of `regions` on
+/// `core`, in trace order, from **one** scan of that core's region
+/// boundaries (recursion counts once, as in
+/// [`mempersp_extrae::Trace::region_instances`]; a name the header
+/// does not define gets an empty list).
+pub(crate) fn region_instances(
+    source: &mut dyn TraceSource,
+    regions: &[&str],
+    core: usize,
+) -> io::Result<(Vec<Instances>, ScanStats)> {
+    let header = source.header()?;
+    let ids: Vec<Option<RegionId>> = regions.iter().map(|r| header.region_id(r)).collect();
+    let mut open = vec![(0u32, 0u64); regions.len()]; // (depth, start of the top-level instance)
+    let mut out = vec![Vec::new(); regions.len()];
+    let q = Query::all()
+        .with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit])
+        .on_cores(&[core]);
+    let stats = source.scan_batches(&q, &mut |batch| {
+        for row in batch.rows() {
+            let RowView::Boundary(b) = row.view else { continue };
+            let Some(k) = ids.iter().position(|&id| id == Some(b.region())) else { continue };
+            let (depth, start) = &mut open[k];
+            if b.enter {
+                if *depth == 0 {
+                    *start = row.cycles;
+                }
+                *depth += 1;
+            } else if *depth > 0 {
+                *depth -= 1;
+                if *depth == 0 {
+                    out[k].push((*start, row.cycles));
+                }
+            }
+        }
+    })?;
+    Ok((out, stats))
 }
 
 /// Detect the A–E phases of the `iteration_region` on `core`,
-/// averaged over all its instances. Returns an empty vector when the
-/// iteration or sub-regions are missing.
+/// averaged over all its instances, from one scan of that core's
+/// region boundaries. Returns an empty vector when the iteration or
+/// sub-regions are missing.
 pub fn iteration_phases(
-    trace: &Trace,
+    source: &mut dyn TraceSource,
     iteration_region: &str,
     symgs_region: &str,
     spmv_region: &str,
     core: usize,
+) -> io::Result<(Vec<Phase>, ScanStats)> {
+    let regions = [iteration_region, symgs_region, spmv_region];
+    let (instances, stats) = region_instances(source, &regions, core)?;
+    Ok((phases_of(&instances, symgs_region, spmv_region), stats))
+}
+
+/// The phases from the instance lists of the iteration, SYMGS and SpMV
+/// regions (`instances[0..3]`, as [`region_instances`] returns them).
+pub(crate) fn phases_of(
+    instances: &[Instances],
+    symgs_region: &str,
+    spmv_region: &str,
 ) -> Vec<Phase> {
-    let Some(iter_id) = trace.region_id(iteration_region) else {
-        return Vec::new();
+    // Sub-instances fully contained in `[s, e]`.
+    let nested = |all: &[(u64, u64)], s: u64, e: u64| -> Vec<(u64, u64)> {
+        all.iter().copied().filter(|&(a, b)| a >= s && b <= e).collect()
     };
-    let iterations = trace.region_instances(iter_id, core);
-    if iterations.is_empty() {
-        return Vec::new();
-    }
 
     // Accumulate normalized boundaries across iterations.
     let mut acc: Vec<(f64, f64)> = vec![(0.0, 0.0); 5]; // A..E
     let mut used = 0usize;
-    for &(s, e) in &iterations {
+    for &(s, e) in &instances[0] {
         let dur = (e - s) as f64;
         if dur <= 0.0 {
             continue;
         }
-        let symgs = nested_instances(trace, symgs_region, core, s, e);
-        let spmv = nested_instances(trace, spmv_region, core, s, e);
+        let symgs = nested(&instances[1], s, e);
+        let spmv = nested(&instances[2], s, e);
         if symgs.len() < 2 || spmv.len() < 2 {
             continue;
         }
@@ -144,7 +187,7 @@ pub fn iteration_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempersp_extrae::{Tracer, TracerConfig};
+    use mempersp_extrae::{Trace, Tracer, TracerConfig};
     use mempersp_pebs::CounterSnapshot;
 
     /// Synthesize a trace shaped like one HPCG iteration:
@@ -177,7 +220,8 @@ mod tests {
     #[test]
     fn detects_five_phases_in_order() {
         let tr = synthetic();
-        let phases = iteration_phases(&tr, "CG_iteration", "SYMGS", "SPMV", 0);
+        let src = &mut &tr;
+        let (phases, _) = iteration_phases(src, "CG_iteration", "SYMGS", "SPMV", 0).unwrap();
         assert_eq!(phases.len(), 5);
         let labels: Vec<&str> = phases.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["A", "B", "C", "D", "E"]);
@@ -195,8 +239,36 @@ mod tests {
     #[test]
     fn missing_region_yields_empty() {
         let tr = synthetic();
-        assert!(iteration_phases(&tr, "NOPE", "SYMGS", "SPMV", 0).is_empty());
-        assert!(iteration_phases(&tr, "CG_iteration", "NOPE", "SPMV", 0).is_empty());
+        let src = &mut &tr;
+        assert!(iteration_phases(src, "NOPE", "SYMGS", "SPMV", 0).unwrap().0.is_empty());
+        assert!(iteration_phases(src, "CG_iteration", "NOPE", "SPMV", 0).unwrap().0.is_empty());
+        assert!(iteration_phases(src, "CG_iteration", "SYMGS", "SPMV", 1).unwrap().0.is_empty());
+    }
+
+    /// The one-pass instance lists are `Trace::region_instances`'.
+    #[test]
+    fn region_instances_match_the_trace_walk() {
+        let mut t = Tracer::new(TracerConfig::default(), 2);
+        let c = CounterSnapshot::default();
+        t.enter(0, "rec", c, 0);
+        t.enter(0, "rec", c, 5);
+        t.enter(1, "rec", c, 6);
+        t.enter(0, "other", c, 7);
+        t.exit(0, "other", c, 8);
+        t.exit(0, "rec", c, 10);
+        t.exit(0, "rec", c, 20);
+        t.exit(1, "rec", c, 25);
+        t.enter(0, "rec", c, 30);
+        t.exit(0, "rec", c, 40);
+        let tr = t.finish("instances");
+        let src = &mut &tr;
+        let (lists, stats) = region_instances(src, &["other", "rec", "NOPE"], 0).unwrap();
+        assert_eq!(lists[1], vec![(0, 20), (30, 40)], "recursion counts once, core 1 ignored");
+        for (name, got) in ["other", "rec"].iter().zip(&lists) {
+            assert_eq!(*got, tr.region_instances(tr.region_id(name).unwrap(), 0));
+        }
+        assert!(lists[2].is_empty());
+        assert_eq!(stats.events_matched, 8);
     }
 
     #[test]

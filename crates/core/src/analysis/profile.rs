@@ -6,9 +6,11 @@
 //! member* the inclusive profile — the "source code" dimension of the
 //! paper's three-way view, aggregated.
 
-use mempersp_extrae::events::EventPayload;
-use mempersp_extrae::Trace;
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
+use mempersp_extrae::RowView;
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// One row of the profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,37 +34,58 @@ impl ProfileRow {
 }
 
 /// The flat profile of a trace (all cores), sorted by descending self
-/// samples. Returns `(rows, total_samples)`; samples taken outside
-/// any region are counted in the total but belong to no row.
-pub fn flat_profile(trace: &Trace) -> (Vec<ProfileRow>, u64) {
-    let n = trace.region_names.len();
+/// samples, from one scan of the timer samples' stack columns.
+/// Returns `(rows, total_samples)`; samples taken outside any region
+/// are counted in the total but belong to no row. A stack naming a
+/// region the header does not define is `InvalidData`.
+pub fn flat_profile(source: &mut dyn TraceSource) -> io::Result<((Vec<ProfileRow>, u64), ScanStats)> {
+    let region_names = source.header()?.region_names;
+    let n = region_names.len();
     let mut self_s = vec![0u64; n];
     let mut incl = vec![0u64; n];
     let mut total = 0u64;
-    for e in &trace.events {
-        if let EventPayload::CounterSample { stack, .. } = &e.payload {
+    // 1-based rank of the last sample counted into `incl[r]`: a
+    // recursive stack counts its region once.
+    let mut counted_at = vec![0u64; n];
+    let mut undefined = None;
+    let q = Query::all().with_kinds(&[EventClass::CounterSample]);
+    let stats = source.scan_batches(&q, &mut |batch| {
+        for row in batch.rows() {
+            let RowView::Sample(sample) = row.view else { continue };
             total += 1;
-            if let Some(inner) = stack.last() {
-                self_s[inner.0 as usize] += 1;
-            }
-            let mut seen = std::collections::HashSet::new();
-            for r in stack {
-                if seen.insert(r.0) {
-                    incl[r.0 as usize] += 1;
+            let mut inner = None;
+            for r in sample.stack().map(|r| r.0 as usize) {
+                if r >= n {
+                    undefined.get_or_insert((r, row.cycles));
+                    break;
                 }
+                if counted_at[r] != total {
+                    counted_at[r] = total;
+                    incl[r] += 1;
+                }
+                inner = Some(r);
+            }
+            if let Some(r) = inner {
+                self_s[r] += 1;
             }
         }
+    })?;
+    if let Some((id, cycles)) = undefined {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("timer sample at cycle {cycles} names region {id}, but the trace defines only {n}"),
+        ));
     }
     let mut rows: Vec<ProfileRow> = (0..n)
         .filter(|&i| incl[i] > 0)
         .map(|i| ProfileRow {
-            region: trace.region_names[i].clone(),
+            region: region_names[i].clone(),
             self_samples: self_s[i],
             inclusive_samples: incl[i],
         })
         .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.self_samples));
-    (rows, total)
+    Ok(((rows, total), stats))
 }
 
 #[cfg(test)]
@@ -86,8 +109,9 @@ mod tests {
         t.record_counter_sample(0, ip, c, 70); // no region
         let tr = t.finish("profile");
 
-        let (rows, total) = flat_profile(&tr);
+        let ((rows, total), stats) = flat_profile(&mut &tr).unwrap();
         assert_eq!(total, 4);
+        assert_eq!(stats.events_matched, 4, "only the timer samples are scanned for");
         let outer = rows.iter().find(|r| r.region == "outer").unwrap();
         let inner = rows.iter().find(|r| r.region == "inner").unwrap();
         assert_eq!(outer.self_samples, 1);
@@ -110,7 +134,7 @@ mod tests {
         t.exit(0, "rec", c, 30);
         t.exit(0, "rec", c, 40);
         let tr = t.finish("rec");
-        let (rows, _) = flat_profile(&tr);
+        let ((rows, _), _) = flat_profile(&mut &tr).unwrap();
         assert_eq!(rows[0].inclusive_samples, 1, "double-counted recursion");
         assert_eq!(rows[0].self_samples, 1);
     }
@@ -118,8 +142,30 @@ mod tests {
     #[test]
     fn empty_trace_profile() {
         let t = Tracer::new(TracerConfig::default(), 1);
-        let (rows, total) = flat_profile(&t.finish("empty"));
+        let ((rows, total), _) =
+            flat_profile(&mut t.finish("empty")).unwrap();
         assert!(rows.is_empty());
         assert_eq!(total, 0);
+    }
+
+    /// A stack naming a region the header lacks is an error naming the
+    /// id and the sample's cycle, not an out-of-bounds index.
+    #[test]
+    fn undefined_region_in_a_stack_is_invalid_data() {
+        let mut t = Tracer::new(TracerConfig::default(), 1);
+        let ip = t.location("f.c", 1, "f");
+        let c = CounterSnapshot::default();
+        t.enter(0, "only", c, 0);
+        t.record_counter_sample(0, ip, c, 10);
+        t.exit(0, "only", c, 20);
+        let mut tr = t.finish("hostile");
+        for e in &mut tr.events {
+            if let mempersp_extrae::EventPayload::CounterSample { stack, .. } = &mut e.payload {
+                stack[0] = mempersp_extrae::events::RegionId(7);
+            }
+        }
+        let err = flat_profile(&mut &tr).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("region 7") && err.to_string().contains("cycle 10"), "{err}");
     }
 }

@@ -9,9 +9,12 @@
 //! shape (Zhong et al.'s sampling argument), which is what locality
 //! diagnosis needs.
 
-use mempersp_extrae::Trace;
+use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
+use mempersp_extrae::RowView;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io;
 
 /// Histogram of sampled reuse distances in power-of-two buckets:
 /// bucket `i` counts reuses with distance in `[2^i, 2^(i+1))`
@@ -50,67 +53,138 @@ impl ReuseHistogram {
         }
         None
     }
-
-    /// Fraction of reuse pairs whose distance is below `lines`.
-    pub fn fraction_below(&self, lines: u64) -> f64 {
-        if self.reuses == 0 {
-            return 0.0;
-        }
-        let mut below = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if (1u64 << i) < lines {
-                below += c;
-            }
-        }
-        below as f64 / self.reuses as f64
-    }
 }
 
 /// Estimate the reuse-distance histogram of the PEBS samples on
-/// `core` (line granularity, `line_size` bytes).
-pub fn sampled_reuse_histogram(trace: &Trace, core: usize, line_size: u64) -> ReuseHistogram {
+/// `core` (line granularity, `line_size` bytes — a power of two), from
+/// one scan of that core's PEBS address column.
+pub fn sampled_reuse_histogram(
+    source: &mut dyn TraceSource,
+    core: usize,
+    line_size: u64,
+) -> io::Result<(ReuseHistogram, ScanStats)> {
     let mask = !(line_size - 1);
-    // last_seen: line -> index in the sampled sequence; between two
-    // touches of a line, count distinct lines via a per-line epoch set
-    // approximation: we track the sequence of sampled lines and use a
-    // tree-less counting pass (samples are few, so an O(n·d) scan with
-    // a small map is fine).
-    let lines: Vec<u64> = trace
-        .pebs_events()
-        .filter(|(_, s, _)| s.core == core)
-        .map(|(_, s, _)| s.addr & mask)
-        .collect();
-    let mut hist = ReuseHistogram::default();
-    let mut last_pos: HashMap<u64, usize> = HashMap::new();
-    // For distance counting, remember for each position the line; on a
-    // reuse at position j of a line last seen at i, distance = number
-    // of distinct lines in lines[i+1..j].
-    for (j, &line) in lines.iter().enumerate() {
-        if let Some(&i) = last_pos.get(&line) {
-            let distinct: std::collections::HashSet<u64> =
-                lines[i + 1..j].iter().copied().collect();
-            hist.record(distinct.len());
+    let mut lines: Vec<u64> = Vec::new();
+    let q = Query::all().with_kinds(&[EventClass::Pebs]).on_cores(&[core]);
+    let stats = source.scan_batches(&q, &mut |batch| {
+        for row in batch.rows() {
+            if let RowView::Pebs(p) = row.view {
+                lines.push(p.sample().addr & mask);
+            }
         }
-        last_pos.insert(line, j);
-    }
-    hist.cold = last_pos.len() as u64 - hist_reused_lines(&lines);
-    hist
+    })?;
+    Ok((reuse_histogram(&lines), stats))
 }
 
-fn hist_reused_lines(lines: &[u64]) -> u64 {
-    let mut counts: HashMap<u64, u64> = HashMap::new();
-    for &l in lines {
-        *counts.entry(l).or_insert(0) += 1;
+/// The histogram of a sampled line sequence, exactly, in O(n log n)
+/// (Olken's stack-distance algorithm): a Fenwick tree over sample
+/// positions holds a 1 at the latest sample of every line seen, so
+/// when a line last sampled at `i` recurs at `j`, the distinct lines
+/// sampled in between are the marks in `(i, j)`.
+fn reuse_histogram(lines: &[u64]) -> ReuseHistogram {
+    let mut tree = vec![0i32; lines.len() + 1];
+    let add = |tree: &mut [i32], pos: usize, delta: i32| {
+        let mut i = pos + 1;
+        while i < tree.len() {
+            tree[i] += delta;
+            i += i & i.wrapping_neg();
+        }
+    };
+    // Marks at positions `0..pos`.
+    let below = |tree: &[i32], pos: usize| {
+        let (mut i, mut sum) = (pos, 0);
+        while i > 0 {
+            sum += tree[i];
+            i &= i - 1;
+        }
+        sum as usize
+    };
+    let mut hist = ReuseHistogram::default();
+    // line -> (position of its latest sample, sampled more than once)
+    let mut last: HashMap<u64, (usize, bool)> = HashMap::new();
+    for (j, &line) in lines.iter().enumerate() {
+        if let Some((i, again)) = last.get_mut(&line) {
+            add(&mut tree, *i, -1);
+            hist.record(below(&tree, j) - below(&tree, *i));
+            (*i, *again) = (j, true);
+        } else {
+            last.insert(line, (j, false));
+        }
+        add(&mut tree, j, 1);
     }
-    counts.values().filter(|&&c| c > 1).count() as u64
+    hist.cold = last.values().filter(|(_, again)| !again).count() as u64;
+    hist
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempersp_extrae::{Tracer, TracerConfig};
+    use mempersp_extrae::{Trace, Tracer, TracerConfig};
     use mempersp_memsim::MemLevel;
     use mempersp_pebs::PebsSample;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The reference: the O(n·d) pass this module used to run — on a
+    /// reuse at position `j` of a line last seen at `i`, collect the
+    /// distinct lines of `lines[i+1..j]` into a set.
+    fn reuse_histogram_oracle(lines: &[u64]) -> ReuseHistogram {
+        let mut hist = ReuseHistogram::default();
+        let mut last_pos: HashMap<u64, usize> = HashMap::new();
+        for (j, &line) in lines.iter().enumerate() {
+            if let Some(&i) = last_pos.get(&line) {
+                let distinct: HashSet<u64> = lines[i + 1..j].iter().copied().collect();
+                hist.record(distinct.len());
+            }
+            last_pos.insert(line, j);
+        }
+        let mut counts: HashMap<u64, u64> = HashMap::new();
+        for &l in lines {
+            *counts.entry(l).or_insert(0) += 1;
+        }
+        hist.cold = counts.values().filter(|&&c| c == 1).count() as u64;
+        hist
+    }
+
+    proptest! {
+        /// The Fenwick pass returns the oracle's histogram for any
+        /// line sequence: empty (length 0), all-equal (`modulus` 1),
+        /// heavily reused, all-distinct (no modulus), at line sizes
+        /// down to 1.
+        #[test]
+        fn fenwick_pass_equals_the_quadratic_oracle(
+            addrs in prop::collection::vec(any::<u64>(), 0..300),
+            modulus in prop_oneof![Just(1u64), Just(7), Just(640), Just(u64::MAX)],
+            line_size in prop_oneof![Just(1u64), Just(8), Just(64)],
+        ) {
+            let lines: Vec<u64> = addrs.iter().map(|a| (a % modulus) & !(line_size - 1)).collect();
+            prop_assert_eq!(reuse_histogram(&lines), reuse_histogram_oracle(&lines));
+        }
+    }
+
+    #[test]
+    fn edge_sequences_match_the_oracle() {
+        let distinct: Vec<u64> = (0..500).collect();
+        let cyclic: Vec<u64> = (0..2000).map(|i| i % 37).collect();
+        for lines in [&[][..], &[5], &[5; 64], &distinct, &cyclic] {
+            assert_eq!(reuse_histogram(lines), reuse_histogram_oracle(lines));
+        }
+        assert_eq!(reuse_histogram(&distinct).cold, 500);
+        assert_eq!(reuse_histogram(&[5; 64]).buckets, vec![63]);
+    }
+
+    /// 100 k samples over 12.5 k lines: milliseconds, where the
+    /// quadratic pass took seconds.
+    #[test]
+    fn hundred_thousand_samples_take_milliseconds() {
+        let lines: Vec<u64> = (0..100_000u64).map(|i| (i * 2_654_435_761 % 12_500) * 64).collect();
+        let t = std::time::Instant::now();
+        let h = reuse_histogram(&lines);
+        let elapsed = t.elapsed();
+        eprintln!("reuse histogram of 100 000 samples over 12 500 lines: {elapsed:?}");
+        assert_eq!(h.reuses, 100_000 - 12_500);
+        assert!(elapsed.as_millis() < 2_000, "took {elapsed:?}");
+    }
 
     fn trace_of(addrs: &[u64]) -> Trace {
         let mut t = Tracer::new(TracerConfig::default(), 1);
@@ -134,7 +208,7 @@ mod tests {
     fn immediate_reuse_is_distance_zero_bucket() {
         // A A → one reuse with 0 distinct lines in between.
         let tr = trace_of(&[0x0, 0x8]);
-        let h = sampled_reuse_histogram(&tr, 0, 64);
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
         assert_eq!(h.reuses, 1);
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.cold, 0);
@@ -145,7 +219,7 @@ mod tests {
         // A B C B A: A reused with {B, C} in between (distance 2);
         // B reused with {C} (distance 1).
         let tr = trace_of(&[0x000, 0x040, 0x080, 0x040, 0x000]);
-        let h = sampled_reuse_histogram(&tr, 0, 64);
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
         assert_eq!(h.reuses, 2);
         // distance 1 -> bucket 0; distance 2 -> bucket 1.
         assert_eq!(h.buckets[0], 1);
@@ -157,14 +231,14 @@ mod tests {
     fn streaming_has_no_reuse() {
         let addrs: Vec<u64> = (0..100).map(|i| i * 64).collect();
         let tr = trace_of(&addrs);
-        let h = sampled_reuse_histogram(&tr, 0, 64);
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
         assert_eq!(h.reuses, 0);
         assert_eq!(h.cold, 100);
         assert!(h.typical_distance().is_none());
     }
 
     #[test]
-    fn typical_distance_and_fraction() {
+    fn typical_distance_is_the_median_bucket() {
         // Repeating scan over 8 lines, 5 times: every reuse distance 7.
         let mut addrs = Vec::new();
         for _ in 0..5 {
@@ -173,17 +247,16 @@ mod tests {
             }
         }
         let tr = trace_of(&addrs);
-        let h = sampled_reuse_histogram(&tr, 0, 64);
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
         assert_eq!(h.reuses, 32);
         assert_eq!(h.typical_distance(), Some(4), "distance 7 lands in bucket [4,8)");
-        assert_eq!(h.fraction_below(8), 1.0);
-        assert_eq!(h.fraction_below(4), 0.0);
+        assert_eq!(h.buckets, vec![0, 0, 32]);
     }
 
     #[test]
     fn other_cores_ignored() {
         let tr = trace_of(&[0x0, 0x0]);
-        let h = sampled_reuse_histogram(&tr, 1, 64);
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 1, 64).unwrap();
         assert_eq!(h.reuses, 0);
         assert_eq!(h.cold, 0);
     }

@@ -6,7 +6,7 @@
 //! with a robust Theil–Sen slope estimate.
 
 use mempersp_extrae::{ObjectId, Trace};
-use mempersp_folding::{AddrPoint, FoldedRegion};
+use mempersp_folding::FoldedRegion;
 use serde::{Deserialize, Serialize};
 
 /// Direction of an address sweep.
@@ -103,23 +103,6 @@ fn summarize(points: &[(f64, f64)]) -> SweepInfo {
         addr_min: points.iter().map(|p| p.1 as u64).min().unwrap_or(0),
         addr_max: points.iter().map(|p| p.1 as u64).max().unwrap_or(0),
     }
-}
-
-/// Filter the folded address points to loads over one object within
-/// an x-window, as `(x, addr)` pairs.
-pub fn object_points(
-    points: &[AddrPoint],
-    object: ObjectId,
-    x_range: (f64, f64),
-    include_stores: bool,
-) -> Vec<(f64, f64)> {
-    points
-        .iter()
-        .filter(|p| p.object == Some(object))
-        .filter(|p| p.x >= x_range.0 && p.x <= x_range.1)
-        .filter(|p| include_stores || !p.is_store)
-        .map(|p| (p.x, p.addr as f64))
-        .collect()
 }
 
 /// Split a folded SYMGS region's matrix-object samples into the

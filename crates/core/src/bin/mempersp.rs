@@ -27,18 +27,20 @@
 //! detected.
 
 use mempersp_core::analysis::latency::latency_profile;
-use mempersp_core::analysis::objects::object_stats_source;
+use mempersp_core::analysis::objects::object_stats;
 use mempersp_core::analysis::phases::iteration_phases;
+use mempersp_core::analysis::profile::flat_profile;
 use mempersp_core::analysis::reuse::sampled_reuse_histogram;
 use mempersp_core::report::{ascii, figure};
 use mempersp_core::{run_streaming_to_path, MachineConfig, StreamOptions};
 use mempersp_extrae::query::{EventClass, Query};
-use mempersp_extrae::trace_format::{event_record, save_trace};
+use mempersp_extrae::trace_format::{event_record, header_sections};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::{Trace, Workload};
-use mempersp_folding::{fold_region_source, fold_regions_source, FoldingConfig, RegionRequest};
+use mempersp_extrae::{TraceEvent, Workload};
+use mempersp_folding::{fold_regions_source, RegionRequest};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp_store::{open_trace_source, sniff_store, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
+use std::io::{self, Write as _};
 use mempersp_workloads::{PointerChase, Stencil7, StreamTriad, TiledMatmul};
 use std::process::exit;
 
@@ -97,6 +99,16 @@ fn threads_arg(args: &[String]) -> usize {
             })
             .max(1),
     }
+}
+
+/// `--shard-events`: roll a `.mps.d` shard every this many events.
+fn shard_events_arg(args: &[String]) -> Option<u64> {
+    arg_value(args, "--shard-events").map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--shard-events expects an event count, got {v:?}");
+            exit(1);
+        })
+    })
 }
 
 fn main() {
@@ -177,8 +189,7 @@ fn cmd_recover(args: &[String]) {
 
 /// Flat sampling profile.
 fn cmd_profile(args: &[String]) {
-    let t = load(args);
-    let (rows, total) = mempersp_core::analysis::profile::flat_profile(&t);
+    let ((rows, total), _) = scanned(args, flat_profile(load_source(args).as_mut()));
     println!("{total} timer samples");
     println!("{:<28} {:>8} {:>7} {:>9}", "region", "self", "self%", "inclusive");
     for r in rows {
@@ -192,9 +203,11 @@ fn cmd_profile(args: &[String]) {
     }
 }
 
-/// Export a trace to the Paraver `.prv/.pcf/.row` triple.
+/// Export a trace to the Paraver `.prv/.pcf/.row` triple — the one
+/// command that materializes: its output is the whole trace, and the
+/// Paraver header states the last timestamp before the first record.
 fn cmd_export(args: &[String]) {
-    let t = load(args);
+    let t = scanned(args, load_source(args).materialize());
     let dir = arg_value(args, "--dir").unwrap_or_else(|| "paraver".into());
     let prefix = arg_value(args, "--prefix").unwrap_or_else(|| "trace".into());
     let files = mempersp_extrae::paraver::export_paraver(std::path::Path::new(&dir), &prefix, &t)
@@ -232,12 +245,7 @@ fn cmd_run(args: &[String]) {
                 exit(1);
             })
         }),
-        shard_events: arg_value(args, "--shard-events").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--shard-events expects an event count, got {v:?}");
-                exit(1);
-            })
-        }),
+        shard_events: shard_events_arg(args),
     };
 
     let mut mcfg = if args.iter().any(|a| a == "--haswell") {
@@ -317,12 +325,10 @@ fn load_source(args: &[String]) -> Box<dyn TraceSource> {
         .unwrap_or_else(|e| die(&format!("cannot open {path}"), &e))
 }
 
-/// Fully materialize the trace (either format).
-fn load(args: &[String]) -> Trace {
-    let path = trace_path(args);
-    load_source(args)
-        .materialize()
-        .unwrap_or_else(|e| die(&format!("cannot load {path}"), &e))
+/// The value of a header read or scan of the trace named on the
+/// command line; a failure is reported through [`die`].
+fn scanned<T>(args: &[String], result: io::Result<T>) -> T {
+    result.unwrap_or_else(|e| die(&format!("cannot scan {}", trace_path(args)), &e))
 }
 
 fn print_scan_stats(stats: &ScanStats) {
@@ -349,41 +355,69 @@ fn cmd_convert(args: &[String]) {
         eprintln!("convert: {e}");
         exit(1);
     }
-    let t = load(args);
-    let threads = threads_arg(args);
-    let shard_events: Option<u64> =
-        arg_value(args, "--shard-events").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--shard-events expects an event count, got {v:?}");
-                exit(1);
-            })
+    let mut src = load_source(args);
+    let header = scanned(args, src.header());
+    let opts = StreamOptions {
+        force,
+        writer_threads: threads_arg(args),
+        max_inflight: None,
+        shard_events: shard_events_arg(args),
+    };
+    let to_store =
+        opts.shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) || out.ends_with(".mps");
+    let converted = if to_store {
+        // The store writers `run --out` streams into; `finish` seals.
+        mempersp_core::sink_for_path(out_path, &opts).and_then(|mut sink| {
+            copy_events(src.as_mut(), |e| sink.append_event(e))?;
+            sink.finish(&header)
+        })
+    } else {
+        // `run` merges a text trace's header in afterwards, through a
+        // writer thread; here it is known up front. Like a store: into
+        // a temp file, renamed once every event is read and written.
+        let tmp = mempersp_store::writer::tmp_path(out_path);
+        let written = std::fs::File::create(&tmp).and_then(|file| {
+            let mut text = io::BufWriter::new(file);
+            text.write_all(header_sections(&header).as_bytes())?;
+            copy_events(src.as_mut(), |e| text.write_all(event_record(e).as_bytes()))?;
+            text.flush()?;
+            std::fs::rename(&tmp, out_path)
         });
-    let report = |s: mempersp_store::StoreSummary| {
+        written.inspect_err(|_| drop(std::fs::remove_file(&tmp)))
+    };
+    if let Err(e) = converted {
+        die(&format!("cannot convert {} to {out}", trace_path(args)), &e);
+    }
+    if to_store {
+        // The summary line, read back off the index just sealed.
+        let store = MpsSource::open(out_path).unwrap_or_else(|e| die(&format!("cannot open {out}"), &e));
+        let chunks: Vec<_> = store.shards().flat_map(|(_, r)| r.chunks()).collect();
         eprintln!(
             "wrote {} events in {} chunks ({} raw -> {} stored bytes)",
-            s.events, s.chunks, s.raw_bytes, s.stored_bytes
+            store.num_events(),
+            chunks.len(),
+            chunks.iter().map(|m| m.raw_len as u64).sum::<u64>(),
+            chunks.iter().map(|m| m.stored_len as u64).sum::<u64>()
         );
-    };
-    let result = if shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) {
-        let per_shard = shard_events.unwrap_or(mempersp_store::shard::DEFAULT_EVENTS_PER_SHARD);
-        mempersp_store::write_store_sharded(
-            out_path,
-            &t,
-            mempersp_store::DEFAULT_CHUNK_BYTES,
-            threads,
-            per_shard,
-        )
-        .map(report)
-    } else if out.ends_with(".mps") {
-        mempersp_store::write_store_with(out_path, &t, mempersp_store::DEFAULT_CHUNK_BYTES, threads)
-            .map(report)
-    } else {
-        save_trace(out_path, &t)
-    };
-    if let Err(e) = result {
-        die(&format!("cannot write {out}"), &e);
     }
     eprintln!("converted {} -> {out}", trace_path(args));
+}
+
+/// Hand every event of `src` to `append`, one decoded batch at a time.
+fn copy_events(
+    src: &mut dyn TraceSource,
+    mut append: impl FnMut(&TraceEvent) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut events = Vec::new();
+    let mut appended = Ok(());
+    src.scan_batches(&Query::all(), &mut |batch| {
+        if appended.is_ok() {
+            events.clear();
+            batch.materialize_into(&mut events);
+            appended = events.iter().try_for_each(&mut append);
+        }
+    })?;
+    appended
 }
 
 fn parse_query(args: &[String]) -> Query {
@@ -548,20 +582,23 @@ fn cmd_serve(args: &[String]) {
     mempersp_server::serve_blocking(&cfg).unwrap_or_else(|e| die("serve", &e));
 }
 
+/// The header, the event count off the container's index, and the one
+/// pushed-down PEBS scan the `reuse` line needs.
 fn cmd_info(args: &[String]) {
-    let t = load(args);
+    let mut src = load_source(args);
+    let t = scanned(args, src.header());
     println!("description : {}", t.meta.description);
     println!("cores       : {}", t.meta.num_cores);
     println!("freq        : {} MHz", t.meta.freq_mhz);
     println!("ASLR slide  : 0x{:x}", t.meta.aslr_slide);
-    println!("events      : {}", t.num_events());
+    println!("events      : {}", scanned(args, src.num_events()));
     println!("regions     : {}", t.region_names.join(", "));
     println!("objects     : {}", t.objects.all().len());
     println!(
         "resolution  : {} resolved / {} unresolved PEBS samples",
         t.resolution.resolved, t.resolution.unresolved
     );
-    let reuse = sampled_reuse_histogram(&t, 0, 64);
+    let (reuse, _) = scanned(args, sampled_reuse_histogram(src.as_mut(), 0, 64));
     if let Some(d) = reuse.typical_distance() {
         println!("reuse       : typical sampled reuse distance ≈ {d} lines ({} reuses)", reuse.reuses);
     }
@@ -569,10 +606,7 @@ fn cmd_info(args: &[String]) {
 
 fn cmd_objects(args: &[String]) {
     let mut src = load_source(args);
-    let (stats, scan) = object_stats_source(src.as_mut(), None).unwrap_or_else(|e| {
-        eprintln!("cannot scan {}: {e}", trace_path(args));
-        exit(1);
-    });
+    let (stats, scan) = scanned(args, object_stats(src.as_mut(), None));
     println!(
         "{:<44} {:>8} {:>8} {:>9} {:>8}",
         "object", "loads", "stores", "mean lat", "flags"
@@ -587,16 +621,13 @@ fn cmd_objects(args: &[String]) {
             if o.is_read_only() { "RO" } else { "" }
         );
     }
-    // The PEBS-only re-read is served from the store's block cache
-    // after the scan above (free on a parsed .prv).
-    let pebs_only = Query::all().with_kinds(&[EventClass::Pebs]);
-    if let Ok((t, _)) = src.filtered(&pebs_only) {
-        if let Some(p) = latency_profile(&t, None, false) {
-            println!(
-                "\nload latency: min {} p50 {} p90 {} p99 {} max {} (mean {:.1})",
-                p.min, p.p50, p.p90, p.p99, p.max, p.mean
-            );
-        }
+    // The second PEBS scan is served from the store's block cache
+    // after the one above (free on a parsed .prv).
+    if let (Some(p), _) = scanned(args, latency_profile(src.as_mut(), None, false)) {
+        println!(
+            "\nload latency: min {} p50 {} p90 {} p99 {} max {} (mean {:.1})",
+            p.min, p.p50, p.p90, p.p99, p.max, p.mean
+        );
     }
     if args.iter().any(|a| a == "--stats") {
         print_scan_stats(&scan);
@@ -605,99 +636,34 @@ fn cmd_objects(args: &[String]) {
 
 /// Fold one region (`--region R`) or many regions from **one** trace
 /// pass (`--regions a,b,c` or `--regions all`), with the per-region
-/// fold work spread over `--threads N` deterministic workers.
+/// fold work spread over `--threads N` deterministic workers. The
+/// one-region spelling also shows the address panel and fails when its
+/// region does not fold.
 fn cmd_fold(args: &[String]) {
     let mut src = load_source(args);
-    let threads = threads_arg(args);
-
-    if let Some(spec) = arg_value(args, "--regions") {
-        cmd_fold_multi(args, src.as_mut(), &spec, threads);
-        return;
-    }
-
-    let region = arg_value(args, "--region").unwrap_or_else(|| usage());
-    let (folded, scan) = match fold_region_source(src.as_mut(), &region, &FoldingConfig::default())
-    {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fold failed: {e}");
-            exit(1);
+    let src = src.as_mut();
+    let header = scanned(args, src.header());
+    let regions = arg_value(args, "--regions");
+    let single = regions.is_none();
+    let names: Vec<String> = match regions.as_deref() {
+        Some("all") => header.region_names.clone(),
+        Some(spec) => {
+            spec.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
         }
-    };
-    println!(
-        "folded {} instances of {region:?} (rejected {}), mean {:.3} ms, mean {:.0} MIPS",
-        folded.instances_used,
-        folded.instances_rejected,
-        folded.duration_ms(),
-        folded.mean_mips()
-    );
-    print!("{}", ascii::address_panel(&folded, 96, 20));
-    print!("{}", ascii::performance_panel(&folded, 80));
-    if args.iter().any(|a| a == "--stats") {
-        print_scan_stats(&scan);
-    }
-
-    if let Some(dir) = arg_value(args, "--csv-dir") {
-        // The figure bundle wants the whole trace, not just the
-        // folded kinds.
-        let t = src.materialize().unwrap_or_else(|e| {
-            eprintln!("cannot load {}: {e}", trace_path(args));
-            exit(1);
-        });
-        let phases = iteration_phases(&t, &region, "ComputeSYMGS_ref", "ComputeSPMV_ref", 0);
-        let files = figure::write_figure_bundle(
-            std::path::Path::new(&dir),
-            "fold",
-            &format!("{} — folded {}", t.meta.description, region),
-            &folded,
-            &t,
-            &phases,
-        )
-        .expect("write bundle");
-        eprintln!("wrote {} files to {dir}", files.len());
-    }
-}
-
-/// A region name reduced to a filesystem-safe CSV prefix.
-fn csv_prefix(region: &str) -> String {
-    region
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
-        .collect()
-}
-
-/// The multi-region fold path: one scan of the source feeds every
-/// requested region's fold.
-fn cmd_fold_multi(args: &[String], src: &mut dyn TraceSource, spec: &str, threads: usize) {
-    let names: Vec<String> = if spec == "all" {
-        let header = src.header().unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", trace_path(args));
-            exit(1);
-        });
-        header.region_names.clone()
-    } else {
-        spec.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
+        None => vec![arg_value(args, "--region").unwrap_or_else(|| usage())],
     };
     if names.is_empty() {
         eprintln!("--regions selected no regions");
         exit(1);
     }
     let requests: Vec<RegionRequest> = names.iter().map(RegionRequest::new).collect();
-    let (results, scan) = match fold_regions_source(src, &requests, threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fold failed: {e}");
-            exit(1);
-        }
-    };
+    let folded = fold_regions_source(src, &requests, threads_arg(args));
+    let (results, scan) = folded.unwrap_or_else(|e| {
+        eprintln!("fold failed: {e}");
+        exit(1);
+    });
 
     let csv_dir = arg_value(args, "--csv-dir");
-    let trace_for_csv = csv_dir.as_ref().map(|_| {
-        src.materialize().unwrap_or_else(|e| {
-            eprintln!("cannot load {}: {e}", trace_path(args));
-            exit(1);
-        })
-    });
     for (region, result) in names.iter().zip(&results) {
         match result {
             Ok(folded) => {
@@ -708,21 +674,35 @@ fn cmd_fold_multi(args: &[String], src: &mut dyn TraceSource, spec: &str, thread
                     folded.duration_ms(),
                     folded.mean_mips()
                 );
+                if single {
+                    print!("{}", ascii::address_panel(folded, 96, 20));
+                }
                 print!("{}", ascii::performance_panel(folded, 80));
-                if let (Some(dir), Some(t)) = (&csv_dir, &trace_for_csv) {
-                    let phases =
-                        iteration_phases(t, region, "ComputeSYMGS_ref", "ComputeSPMV_ref", 0);
+                if let Some(dir) = &csv_dir {
+                    // Beyond the fold, the bundle reads the header and one
+                    // scan of core 0's region boundaries (the phase labels).
+                    let prefix =
+                        if single { "fold".into() } else { format!("fold_{}", csv_prefix(region)) };
+                    let (phases, _) = scanned(
+                        args,
+                        iteration_phases(src, region, "ComputeSYMGS_ref", "ComputeSPMV_ref", 0),
+                    );
                     let files = figure::write_figure_bundle(
                         std::path::Path::new(dir),
-                        &format!("fold_{}", csv_prefix(region)),
-                        &format!("{} — folded {}", t.meta.description, region),
+                        &prefix,
+                        &format!("{} — folded {}", header.meta.description, region),
                         folded,
-                        t,
+                        &header,
                         &phases,
                     )
                     .expect("write bundle");
-                    eprintln!("wrote {} files to {dir} for {region:?}", files.len());
+                    let what = if single { String::new() } else { format!(" for {region:?}") };
+                    eprintln!("wrote {} files to {dir}{what}", files.len());
                 }
+            }
+            Err(e) if single => {
+                eprintln!("fold failed: {e}");
+                exit(1);
             }
             Err(e) => println!("{region:?}: not folded ({e})"),
         }
@@ -730,4 +710,12 @@ fn cmd_fold_multi(args: &[String], src: &mut dyn TraceSource, spec: &str, thread
     if args.iter().any(|a| a == "--stats") {
         print_scan_stats(&scan);
     }
+}
+
+/// A region name reduced to a filesystem-safe CSV prefix.
+fn csv_prefix(region: &str) -> String {
+    region
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '-' { c } else { '_' })
+        .collect()
 }

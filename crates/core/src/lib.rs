@@ -31,5 +31,6 @@ pub use analysis::profile::{flat_profile, ProfileRow};
 pub use analysis::sweeps::{detect_sweep, symgs_sweeps, theil_sen_slope, SweepDirection, SweepInfo};
 pub use machine::{Machine, MachineConfig, PebsCoreSelect, RunReport, DEFAULT_EPOCH_CAP};
 pub use workflow::{
-    analyze_hpcg, run_streaming_to_path, sink_for_path, HpcgAnalysis, StreamOptions,
+    analyze_hpcg, analyze_hpcg_source, run_streaming_to_path, sink_for_path, HpcgAnalysis,
+    StreamOptions,
 };

@@ -190,23 +190,21 @@ pub fn write_figure_bundle(
     phases: &[Phase],
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let files = [
-        (format!("{prefix}_lines.csv"), lines_csv(folded)),
-        (format!("{prefix}_addresses.csv"), addresses_csv(folded, trace)),
-        (format!("{prefix}_perf.csv"), performance_csv(folded, 201)),
-        (format!("{prefix}_phases.csv"), phases_csv(folded, phases)),
-        (format!("{prefix}_objects.csv"), objects_csv(trace)),
-        (
-            format!("{prefix}.gp"),
-            gnuplot_script(prefix, title, phases, folded.duration_ms()),
-        ),
-    ];
     let mut out = Vec::new();
-    for (name, content) in files {
-        let path = dir.join(name);
+    // One file at a time: the sample panels of a dense fold are tens
+    // of MB of text each, and nothing needs two of them at once.
+    let mut write = |suffix: &str, content: String| {
+        let path = dir.join(format!("{prefix}{suffix}"));
         std::fs::write(&path, content)?;
         out.push(path);
-    }
+        std::io::Result::Ok(())
+    };
+    write("_lines.csv", lines_csv(folded))?;
+    write("_addresses.csv", addresses_csv(folded, trace))?;
+    write("_perf.csv", performance_csv(folded, 201))?;
+    write("_phases.csv", phases_csv(folded, phases))?;
+    write("_objects.csv", objects_csv(trace))?;
+    write(".gp", gnuplot_script(prefix, title, phases, folded.duration_ms()))?;
     Ok(out)
 }
 

@@ -1,18 +1,22 @@
-//! The paper's complete work-flow, packaged: run HPCG on the
-//! simulated node, fold the repetitive regions, and extract every
-//! quantitative observation of Section III.
+//! The paper's complete work-flow in two halves. *Produce*: run HPCG
+//! on the simulated node, its trace kept in memory ([`analyze_hpcg`])
+//! or streamed into a container ([`run_streaming_to_path`]). *Consume*:
+//! fold the repetitive regions and extract every quantitative
+//! observation of Section III from any [`TraceSource`]
+//! ([`analyze_hpcg_source`]), whichever container holds the trace.
 
 use crate::analysis::bandwidth::{phase_bandwidths, PhaseBandwidth};
 use crate::analysis::objects::{object_stats, resolved_fraction, ObjectStat};
-use crate::analysis::phases::{iteration_phases, Phase};
+use crate::analysis::phases::{phases_of, region_instances, Phase};
 use crate::analysis::sweeps::{sweep_split_x, symgs_sweeps, SweepInfo};
 use crate::machine::{Machine, MachineConfig, RunReport};
 use mempersp_extrae::stream_writer::PrvSink;
+use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::{EventSink, ObjectId, Workload};
 use mempersp_store::{ShardedWriter, StoreWriter, WriterOptions, SHARD_DIR_SUFFIX};
 use std::io;
 use std::path::Path;
-use mempersp_folding::{fold_regions, FoldedRegion, FoldingConfig, RegionRequest};
+use mempersp_folding::{fold_regions_source, FoldedRegion, FoldingConfig, RegionRequest};
 use mempersp_hpcg::generate::{expected_matrix_group_bytes, GROUP_MAP, GROUP_MATRIX};
 use mempersp_hpcg::kernels::{SYMGS_BWD_LINES, SYMGS_FILE, SYMGS_FWD_LINES};
 use mempersp_hpcg::{regions, Geometry, HpcgConfig, HpcgWorkload};
@@ -110,15 +114,36 @@ pub fn run_streaming_to_path(
     machine.run_streaming(workload, sink)
 }
 
-/// Run the benchmark and the full analysis.
+/// Run the benchmark with its trace kept in memory (*produce*) and
+/// analyse that trace through [`analyze_hpcg_source`] (*consume*).
 pub fn analyze_hpcg(machine_cfg: MachineConfig, hpcg_cfg: HpcgConfig) -> HpcgAnalysis {
-    let geom = Geometry::cube(hpcg_cfg.nx);
     // The simulator's worker count doubles as the fold engine's.
     let fold_threads = machine_cfg.threads.max(1);
     let mut machine = Machine::new(machine_cfg);
     let mut workload = HpcgWorkload::new(hpcg_cfg);
-    let report = machine.run(&mut workload);
-    let trace = &report.trace;
+    let mut report = machine.run(&mut workload);
+    // The analysis keeps `report` and reads the events through the
+    // source seam: lend it the trace, leaving `report` the header a
+    // streaming run reports, and put it back afterwards.
+    let header = (&report.trace).header().expect("an in-memory trace reads without I/O");
+    let mut trace = std::mem::replace(&mut report.trace, header);
+    let mut analysis = analyze_hpcg_source(&mut trace, report, &workload, fold_threads)
+        .expect("an in-memory trace scans without I/O");
+    analysis.report.trace = trace;
+    analysis
+}
+
+/// The *consume* half over any container: a handful of pushed-down
+/// scans of `source`, which holds the trace that `report`'s run of
+/// `workload` wrote (in memory, or streamed to a `.prv`/`.mps`/`.mps.d`
+/// by [`run_streaming_to_path`]). `report.trace`'s events are not read.
+pub fn analyze_hpcg_source(
+    source: &mut dyn TraceSource,
+    report: RunReport,
+    workload: &HpcgWorkload,
+    fold_threads: usize,
+) -> io::Result<HpcgAnalysis> {
+    let trace = &source.header()?;
 
     // Both regions fold from one pass over the trace. The SYMGS region
     // has instances at every MG level; fold only the slowest duration
@@ -127,19 +152,28 @@ pub fn analyze_hpcg(machine_cfg: MachineConfig, hpcg_cfg: HpcgConfig) -> HpcgAna
         filter: mempersp_folding::InstanceFilter::slowest_cluster(0.5),
         ..FoldingConfig::default()
     };
-    let mut folded = fold_regions(
-        trace,
+    let (mut folded, _) = fold_regions_source(
+        source,
         &[
             RegionRequest::new(regions::CG_ITERATION),
             RegionRequest::with_cfg(regions::SYMGS, symgs_cfg),
         ],
         fold_threads,
-    );
+    )
+    .map_err(io::Error::other)?;
     let folded_symgs = folded.pop().expect("two fold slots").expect("SYMGS instances present");
     let folded_iteration =
         folded.pop().expect("two fold slots").expect("CG iterations present");
 
-    let phases = iteration_phases(trace, regions::CG_ITERATION, regions::SYMGS, regions::SPMV, 0);
+    // One scan of core 0's region boundaries serves the phases and the
+    // execution window.
+    let (instances, _) = region_instances(
+        source,
+        &[regions::CG_ITERATION, regions::SYMGS, regions::SPMV, regions::EXECUTION],
+        0,
+    )?;
+    let phases = phases_of(&instances, regions::SYMGS, regions::SPMV);
+    let exec_window = instances[3].first().copied();
 
     let find_group = |name: &str| {
         trace
@@ -167,7 +201,7 @@ pub fn analyze_hpcg(machine_cfg: MachineConfig, hpcg_cfg: HpcgConfig) -> HpcgAna
     // Bandwidths: each SYMGS sweep and each SpMV traverses the matrix
     // structure once. The paper divides the structure size by the
     // phase duration.
-    let traversal_bytes = expected_matrix_group_bytes(geom);
+    let traversal_bytes = expected_matrix_group_bytes(Geometry::cube(workload.config.nx));
     let mut bandwidths = Vec::new();
     if let Some((fwd, bwd)) = &sweeps {
         let split = sweep_split_x(fwd, bwd);
@@ -188,14 +222,10 @@ pub fn analyze_hpcg(machine_cfg: MachineConfig, hpcg_cfg: HpcgConfig) -> HpcgAna
     bandwidths.extend(phase_bandwidths(&folded_iteration, &spmv_phases, traversal_bytes));
 
     // Per-object statistics within the execution phase on core 0.
-    let exec_window = trace
-        .region_id(regions::EXECUTION)
-        .map(|id| trace.region_instances(id, 0))
-        .and_then(|v| v.first().copied());
-    let objects = object_stats(trace, exec_window);
+    let (objects, _) = object_stats(source, exec_window)?;
     let resolved = resolved_fraction(&objects);
 
-    HpcgAnalysis {
+    Ok(HpcgAnalysis {
         solver: workload.results.clone(),
         folded_iteration,
         folded_symgs,
@@ -207,7 +237,7 @@ pub fn analyze_hpcg(machine_cfg: MachineConfig, hpcg_cfg: HpcgConfig) -> HpcgAna
         objects,
         resolved_fraction: resolved,
         report,
-    }
+    })
 }
 
 impl HpcgAnalysis {

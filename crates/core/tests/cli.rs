@@ -306,3 +306,154 @@ fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
 }
+
+/// Every file under `dir`, by name.
+fn dir_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| (e.file_name(), std::fs::read(e.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
+}
+
+fn ok(out: std::process::Output) -> std::process::Output {
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+/// One run as `.prv`, `.mps` and a many-shard `.mps.d`.
+fn three_containers(dir: &std::path::Path) -> [std::path::PathBuf; 3] {
+    let [prv, mps, mpsd] = ["t.prv", "t.mps", "t.mps.d"].map(|n| dir.join(n));
+    ok(bin()
+        .args(["run", "--workload", "hpcg", "--nx", "8", "--iters", "2", "--cores", "2", "-o"])
+        .arg(&prv)
+        .output()
+        .unwrap());
+    ok(bin().arg("convert").arg(&prv).arg("-o").arg(&mps).output().unwrap());
+    ok(bin().arg("convert").arg(&prv).arg("-o").arg(&mpsd).args(["--shard-events", "2000"]).output().unwrap());
+    [prv, mps, mpsd]
+}
+
+/// The commands that read a trace print the same bytes whichever
+/// container holds it — stdout and, for `fold --csv-dir`, the bundle.
+#[test]
+fn every_command_answers_the_same_from_every_container() {
+    let dir = tmpdir("every_command_answers_the_same_from_every_container");
+    let containers = three_containers(&dir);
+    assert!(std::fs::read_dir(&containers[2]).unwrap().count() > 3, "several shards");
+
+    for command in ["info", "profile", "objects"] {
+        let [on_prv, on_mps, on_mpsd] =
+            containers.each_ref().map(|c| ok(bin().arg(command).arg(c).output().unwrap()).stdout);
+        assert!(!on_prv.is_empty(), "{command}");
+        assert_eq!(String::from_utf8_lossy(&on_mps), String::from_utf8_lossy(&on_prv), "{command}");
+        assert_eq!(String::from_utf8_lossy(&on_mpsd), String::from_utf8_lossy(&on_prv), "{command}");
+    }
+
+    let folds: [&[&str]; 2] =
+        [&["--region", "CG_iteration"], &["--regions", "all", "--threads", "2"]];
+    for (i, fold) in folds.into_iter().enumerate() {
+        let [on_prv, on_mps, on_mpsd] = containers.each_ref().map(|c| {
+            let csv = dir.join(format!("csv{i}_{}", c.extension().unwrap().to_str().unwrap()));
+            let out = ok(bin().arg("fold").arg(c).args(fold).arg("--csv-dir").arg(&csv).output().unwrap());
+            (String::from_utf8(out.stdout).unwrap(), dir_bytes(&csv))
+        });
+        assert!(on_prv.0.contains("folded 4 instances of \"CG_iteration\""), "{}", on_prv.0);
+        assert!(on_prv.1.len() >= 6, "{fold:?} wrote {} files", on_prv.1.len());
+        assert!(on_mps == on_prv && on_mpsd == on_prv, "{fold:?} depends on the container");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `convert` streams between all three containers, every direction,
+/// and lands on the bytes a direct conversion writes.
+#[test]
+fn convert_round_trips_between_all_three_containers() {
+    let dir = tmpdir("convert_round_trips_between_all_three_containers");
+    let containers = three_containers(&dir);
+    let [prv, mps, mpsd] = containers.each_ref().map(|c| c.as_path());
+    for (i, from) in containers.iter().enumerate() {
+        let [to_prv, to_mps, to_mpsd] = ["prv", "mps", "mps.d"].map(|ext| dir.join(format!("from{i}.{ext}")));
+        let out = ok(bin().arg("convert").arg(from).arg("-o").arg(&to_prv).output().unwrap());
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("converted "));
+        assert_eq!(std::fs::read(&to_prv).unwrap(), std::fs::read(prv).unwrap(), "{i} -> prv");
+
+        let out = ok(bin().arg("convert").arg(from).arg("-o").arg(&to_mps).output().unwrap());
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("wrote "), "summary line kept");
+        assert_eq!(std::fs::read(&to_mps).unwrap(), std::fs::read(mps).unwrap(), "{i} -> mps");
+
+        let sharded = ["--shard-events", "2000", "--threads", "2"];
+        ok(bin().arg("convert").arg(from).arg("-o").arg(&to_mpsd).args(sharded).output().unwrap());
+        assert_eq!(dir_bytes(&to_mpsd), dir_bytes(mpsd), "{i} -> mps.d");
+    }
+    // Nothing but the outputs is left behind, and an existing output
+    // is refused before the input is read.
+    let mut left = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap());
+    assert!(left.all(|name| !name.ends_with(".tmp")));
+    let out = bin().arg("convert").arg(dir.join("missing.prv")).arg("-o").arg(mps).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("output already exists"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A timer sample whose stack names a region the trace never defines
+/// is an error naming the id and the cycle — from the text trace and
+/// from the store converted from it — not an out-of-bounds panic.
+#[test]
+fn profile_rejects_a_stack_naming_an_undefined_region() {
+    let dir = tmpdir("profile_rejects_a_stack_naming_an_undefined_region");
+    let [good, bad, bad_mps] = ["good.prv", "bad.prv", "bad.mps"].map(|n| dir.join(n));
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&good).output().unwrap());
+    let text = std::fs::read_to_string(&good).unwrap();
+    assert_eq!(text.lines().filter(|l| l.starts_with("REGION ")).count(), 1, "one region defined");
+    let sample = text.lines().find(|l| l.contains(" SAMP ") && l.ends_with(" 0")).expect("a sample in region 0");
+    let cycle = sample.split(' ').nth(1).unwrap();
+    let hostile = format!("{} 7", sample.strip_suffix(" 0").unwrap());
+    std::fs::write(&bad, text.replacen(sample, &hostile, 1)).unwrap();
+    ok(bin().arg("convert").arg(&bad).arg("-o").arg(&bad_mps).output().unwrap());
+
+    for trace in [&bad, &bad_mps] {
+        let out = bin().arg("profile").arg(trace).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{}: {stderr}", trace.display());
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("region 7") && stderr.contains(&format!("cycle {cycle}")), "{stderr}");
+        assert!(out.stdout.is_empty());
+        // The commands that never index by region id are unaffected.
+        ok(bin().arg("info").arg(trace).output().unwrap());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `objects` scans the PEBS samples twice (the table, then the latency
+/// line); a chunk that fails its checksum is corruption — exit 2
+/// through `die` — and no half-answer is printed.
+#[test]
+fn objects_reports_a_damaged_pebs_chunk_as_corruption() {
+    use mempersp_extrae::EventClass;
+    let dir = tmpdir("objects_reports_a_damaged_pebs_chunk_as_corruption");
+    let mps = dir.join("o.mps");
+    ok(bin().args(["run", "--workload", "hpcg", "--nx", "8", "--iters", "2", "-o"]).arg(&mps).output().unwrap());
+    let clean = ok(bin().arg("objects").arg(&mps).output().unwrap());
+    assert!(String::from_utf8_lossy(&clean.stdout).contains("\nload latency: "));
+
+    let chunk = mempersp_store::StoreReader::open(&mps)
+        .unwrap()
+        .chunks()
+        .iter()
+        .find(|m| m.kind_mask.contains(EventClass::Pebs))
+        .cloned()
+        .expect("a chunk with PEBS samples");
+    let mut bytes = std::fs::read(&mps).unwrap();
+    bytes[(chunk.offset + chunk.stored_len as u64 / 2) as usize] ^= 0x40;
+    std::fs::write(&mps, bytes).unwrap();
+
+    let out = bin().arg("objects").arg(&mps).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with(&format!("cannot scan {}: ", mps.display())), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -50,5 +50,5 @@ pub use query::{EventClass, KindMask, Query};
 pub use sim_alloc::SimAllocator;
 pub use source::{CodeLocation, Ip, SourceMap};
 pub use stream_writer::{EventSink, PrvSink, StreamWriter};
-pub use trace_source::{scan_events, MaterializedSource, ScanStats, TraceSource};
+pub use trace_source::{scan_events, ScanStats, TraceSource};
 pub use tracer::{LaneStats, Trace, TraceMeta, Tracer, TracerConfig};

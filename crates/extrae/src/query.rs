@@ -170,39 +170,6 @@ impl Query {
         self
     }
 
-    /// The least-upper-bound of several queries: a single predicate
-    /// that matches (at least) everything any input matches, so one
-    /// scan can serve many consumers. Conjuncts widen independently —
-    /// the time window becomes the hull, core sets union, kind masks
-    /// OR together, and the object constraint survives only when every
-    /// input agrees on it. An empty input yields a match-nothing query.
-    pub fn union_of(queries: &[Query]) -> Query {
-        let Some((first, rest)) = queries.split_first() else {
-            return Query { time: None, cores: None, kinds: KindMask::NONE, object: None };
-        };
-        let mut u = first.clone();
-        for q in rest {
-            u.time = match (u.time, q.time) {
-                (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
-                _ => None,
-            };
-            u.cores = match (u.cores.take(), &q.cores) {
-                (Some(mut a), Some(b)) => {
-                    a.extend_from_slice(b);
-                    a.sort_unstable();
-                    a.dedup();
-                    Some(a)
-                }
-                _ => None,
-            };
-            u.kinds = KindMask(u.kinds.0 | q.kinds.0);
-            if u.object != q.object {
-                u.object = None;
-            }
-        }
-        u
-    }
-
     /// Is this the unconstrained full-scan query?
     pub fn is_full_scan(&self) -> bool {
         self.time.is_none()
@@ -306,49 +273,6 @@ mod tests {
         assert!(!q.matches(&pebs(5, 0, None)), "unresolved sample");
         assert!(!q.matches(&pebs(5, 0, Some(ObjectId(1)))));
         assert!(q.matches(&pebs(5, 0, Some(ObjectId(2)))));
-    }
-
-    #[test]
-    fn union_is_a_superset_of_every_input() {
-        let qs = [
-            Query::all().in_time(10, 20).on_cores(&[0]).with_kinds(&[EventClass::Pebs]),
-            Query::all().in_time(50, 90).on_cores(&[2]).with_kinds(&[EventClass::RegionEnter]),
-        ];
-        let u = Query::union_of(&qs);
-        assert_eq!(u.time, Some((10, 90)));
-        assert_eq!(u.cores, Some(vec![0, 2]));
-        assert!(u.kinds.contains(EventClass::Pebs));
-        assert!(u.kinds.contains(EventClass::RegionEnter));
-        // Everything either input matches, the union matches.
-        for e in [pebs(15, 0, None), enter(55, 2)] {
-            assert!(qs.iter().any(|q| q.matches(&e)));
-            assert!(u.matches(&e));
-        }
-    }
-
-    #[test]
-    fn union_drops_unshared_conjuncts() {
-        let qs = [
-            Query::all().in_time(10, 20),
-            Query::all(), // unconstrained time: the hull must widen to None
-        ];
-        let u = Query::union_of(&qs);
-        assert_eq!(u.time, None);
-        assert_eq!(u.cores, None);
-        assert_eq!(u.kinds, KindMask::ALL);
-        // Disagreeing object constraints are dropped...
-        let a = Query::all().touching_object(ObjectId(1));
-        let b = Query::all().touching_object(ObjectId(2));
-        assert_eq!(Query::union_of(&[a.clone(), b]).object, None);
-        // ...but a shared one survives.
-        assert_eq!(Query::union_of(&[a.clone(), a]).object, Some(ObjectId(1)));
-    }
-
-    #[test]
-    fn union_of_nothing_matches_nothing() {
-        let u = Query::union_of(&[]);
-        assert!(u.kinds.is_empty());
-        assert!(!u.matches(&enter(0, 0)));
     }
 
     #[test]

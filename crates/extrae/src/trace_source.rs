@@ -12,13 +12,21 @@
 //! from the *event stream*, which may be orders of magnitude larger
 //! and is only touched through [`TraceSource::scan_batches`] with a
 //! [`Query`]: one [`EventBatch`] of decoded columns per surviving
-//! chunk. Consumers that need rows ([`TraceSource::filtered`], the
-//! store's `query*`) materialize them from the batches; folding and
-//! the object statistics read the columns directly.
+//! chunk.
+//!
+//! The rule every consumer follows: **an analysis is a [`Query`] plus
+//! a batch sink, and the header is the only thing it holds.** Folding,
+//! the phase/profile/latency/reuse/object analyses and `convert` push
+//! their filter (kinds, core, window, object) down as the query and
+//! read the columns; none builds an event list.
+//! [`TraceSource::filtered`] and [`TraceSource::materialize`] remain
+//! for the consumers whose *output* is rows — `query`'s printed
+//! records, the Paraver export — and for tests.
 
 use crate::batch::{transpose_batches, EventBatch};
 use crate::query::Query;
 use crate::tracer::Trace;
+use std::borrow::Borrow;
 use std::io;
 
 /// Cost accounting of one [`TraceSource::scan_batches`].
@@ -100,6 +108,13 @@ pub trait TraceSource {
     /// A human-readable name of the backing container ("prv", "mps").
     fn format_name(&self) -> &'static str;
 
+    /// Events in the trace. Containers that index their events (a
+    /// store's footer, a parsed trace) answer without touching them;
+    /// the default counts with a full scan.
+    fn num_events(&mut self) -> io::Result<u64> {
+        Ok(self.scan_batches(&Query::all(), &mut |_| {})?.events_matched)
+    }
+
     /// Materialize the whole trace in memory: header + full scan.
     fn materialize(&mut self) -> io::Result<Trace> {
         let (trace, _) = self.filtered(&Query::all())?;
@@ -107,8 +122,8 @@ pub trait TraceSource {
     }
 
     /// Materialize a query-filtered trace: the full header plus only
-    /// the matching events, for event-list consumers (`query`, text
-    /// export, the analyses that walk a [`Trace`]).
+    /// the matching events, for the consumers that print rows
+    /// (`query`, the Paraver export).
     fn filtered(&mut self, query: &Query) -> io::Result<(Trace, ScanStats)> {
         let mut trace = self.header()?;
         let mut events = Vec::new();
@@ -118,44 +133,20 @@ pub trait TraceSource {
     }
 }
 
-/// A fully-parsed in-memory trace acting as a source (the `.prv`
-/// path, and the natural wrapper for a trace produced by a live run).
-pub struct MaterializedSource {
-    trace: Trace,
-    format: &'static str,
-}
-
-impl MaterializedSource {
-    pub fn new(trace: Trace) -> Self {
-        Self { trace, format: "prv" }
-    }
-
-    /// Same, but reporting a different container name.
-    pub fn with_format(trace: Trace, format: &'static str) -> Self {
-        Self { trace, format }
-    }
-
-    /// Parse a `.prv` text trace from disk.
-    pub fn open(path: &std::path::Path) -> io::Result<Self> {
-        Ok(Self::new(crate::trace_format::load_trace(path)?))
-    }
-
-    /// The wrapped trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Unwrap.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl TraceSource for MaterializedSource {
+/// An in-memory trace is a source, owned or borrowed: the parsed
+/// `.prv` ([`crate::trace_format::load_trace`]) boxes a [`Trace`], and
+/// a live run's trace is read in place through `&mut &report.trace`.
+impl<T: Borrow<Trace>> TraceSource for T {
     fn header(&mut self) -> io::Result<Trace> {
-        let mut t = self.trace.clone();
-        t.events = Vec::new();
-        Ok(t)
+        let t = (*self).borrow();
+        Ok(Trace {
+            meta: t.meta.clone(),
+            events: Vec::new(),
+            source: t.source.clone(),
+            objects: t.objects.clone(),
+            region_names: t.region_names.clone(),
+            resolution: t.resolution,
+        })
     }
 
     fn scan_batches(
@@ -163,22 +154,26 @@ impl TraceSource for MaterializedSource {
         query: &Query,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        Ok(scan_events(&self.trace.events, query, sink))
+        Ok(scan_events(&(*self).borrow().events, query, sink))
     }
 
     fn format_name(&self) -> &'static str {
-        self.format
+        "prv"
+    }
+
+    fn num_events(&mut self) -> io::Result<u64> {
+        Ok((*self).borrow().events.len() as u64)
     }
 
     fn materialize(&mut self) -> io::Result<Trace> {
-        Ok(self.trace.clone())
+        Ok((*self).borrow().clone())
     }
 }
 
 /// Scan an in-memory event list: the events matching `query`,
 /// transposed into column batches. The in-memory counterpart of a
-/// store scan, shared by [`MaterializedSource`] and the `&Trace` entry
-/// points of the analyses.
+/// store scan, shared by the in-memory [`TraceSource`] and folding's
+/// `&Trace` entry points.
 pub fn scan_events(
     events: &[crate::events::TraceEvent],
     query: &Query,
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn header_carries_no_events() {
-        let mut s = MaterializedSource::new(trace());
+        let mut s = trace();
         let h = s.header().unwrap();
         assert!(h.events.is_empty());
         assert_eq!(h.region_names, vec!["R"]);
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn materialize_round_trips() {
         let t = trace();
-        let mut s = MaterializedSource::new(t.clone());
+        let mut s = t.clone();
         let m = s.materialize().unwrap();
         assert_eq!(m.events, t.events);
         assert_eq!(m.region_names, t.region_names);
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn filtered_keeps_only_matches() {
-        let mut s = MaterializedSource::new(trace());
+        let mut s = trace();
         let q = Query::all().with_kinds(&[EventClass::User]).in_time(0, 550);
         let (t, stats) = s.filtered(&q).unwrap();
         assert_eq!(t.events.len(), 6, "user events at 10,110,...,510");
@@ -271,8 +266,35 @@ mod tests {
     }
 
     #[test]
-    fn format_name_reported() {
-        let s = MaterializedSource::new(trace());
+    fn a_borrowed_trace_is_a_source_too() {
+        let t = trace();
+        let mut s = &t;
         assert_eq!(s.format_name(), "prv");
+        assert_eq!(TraceSource::num_events(&mut s).unwrap(), 30);
+        assert_eq!(s.header().unwrap().region_names, t.region_names);
+        let q = Query::all().with_kinds(&[EventClass::User]);
+        assert_eq!(s.filtered(&q).unwrap().0.events.len(), 10);
+    }
+
+    /// The trait's default `num_events` is a counting scan.
+    #[test]
+    fn default_num_events_counts_with_a_scan() {
+        struct Scanned(Trace);
+        impl TraceSource for Scanned {
+            fn header(&mut self) -> io::Result<Trace> {
+                (&self.0).header()
+            }
+            fn scan_batches(
+                &mut self,
+                query: &Query,
+                sink: &mut dyn FnMut(&EventBatch<'_>),
+            ) -> io::Result<ScanStats> {
+                Ok(scan_events(&self.0.events, query, sink))
+            }
+            fn format_name(&self) -> &'static str {
+                "test"
+            }
+        }
+        assert_eq!(Scanned(trace()).num_events().unwrap(), 30);
     }
 }

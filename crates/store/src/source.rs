@@ -12,7 +12,7 @@ use crate::shard::{is_shard_dir, open_shards, Shards};
 use mempersp_extrae::batch::EventBatch;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
-use mempersp_extrae::trace_source::{MaterializedSource, ScanStats, TraceSource};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::tracer::Trace;
 use std::io::{self, Read as _};
 use std::ops::Range;
@@ -232,6 +232,10 @@ impl TraceSource for MpsSource {
             "mps.d"
         }
     }
+
+    fn num_events(&mut self) -> io::Result<u64> {
+        Ok(MpsSource::num_events(self))
+    }
 }
 
 /// Is `path` a binary store — a directory with a shard manifest, or a
@@ -255,7 +259,7 @@ pub fn open_trace_source(path: &Path) -> io::Result<Box<dyn TraceSource>> {
     if sniff_store(path)? {
         return Ok(Box::new(MpsSource::open(path)?));
     }
-    Ok(Box::new(MaterializedSource::open(path)?))
+    Ok(Box::new(mempersp_extrae::trace_format::load_trace(path)?))
 }
 
 #[cfg(test)]

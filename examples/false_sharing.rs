@@ -21,7 +21,9 @@ fn run(padded: bool) {
     let mut w = FalseSharing::new(50_000, padded);
     let report = m.run(&mut w);
 
-    let lat = latency_profile(&report.trace, None, false).expect("samples");
+    let (lat, _) = latency_profile(&mut &report.trace, None, false)
+        .expect("in-memory scan");
+    let lat = lat.expect("samples");
     println!(
         "{:<12} wall {:>10} cycles | invalidations {:>6} | load cost mean {:>6.1} p99 {:>4} cycles",
         if padded { "padded" } else { "shared-line" },

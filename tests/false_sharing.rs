@@ -39,8 +39,10 @@ fn shared_line_pingpongs_padded_does_not() {
 fn sampled_latency_reveals_the_problem() {
     let (shared, _) = run(false);
     let (padded, _) = run(true);
-    let lat_shared = latency_profile(&shared.trace, None, false).expect("samples");
-    let lat_padded = latency_profile(&padded.trace, None, false).expect("samples");
+    let [lat_shared, lat_padded] = [&shared, &padded].map(|report| {
+        let src = &mut &report.trace;
+        latency_profile(src, None, false).unwrap().0.expect("samples")
+    });
     assert!(
         lat_shared.mean > 1.5 * lat_padded.mean,
         "shared-line loads cost more: {:.1} vs {:.1} cycles",

@@ -252,3 +252,51 @@ fn multiplexed_run_sees_loads_and_stores_in_one_address_space() {
     // recorded in the trace meta.
     assert!(pebs.iter().all(|(_, s, _)| s.core < 2));
 }
+
+/// The work-flow does not depend on the container: the fixture's run,
+/// streamed into a `.mps` and a sharded `.mps.d` while it simulates and
+/// analysed from the opened store, reports what the in-memory analysis
+/// reports — summary, JSON record and every file of the figure bundle,
+/// byte for byte, at either thread count.
+#[test]
+fn streamed_store_analysis_equals_the_in_memory_one() {
+    use mempersp::core::report::figure::write_figure_bundle;
+    use mempersp::core::{analyze_hpcg_source, run_streaming_to_path, StreamOptions};
+    use mempersp::hpcg::HpcgWorkload;
+    use mempersp::store::MpsSource;
+
+    let in_memory = analysis();
+    let dir = std::env::temp_dir().join(format!("mempersp_workflow_{}", std::process::id()));
+    let bundle = |a: &HpcgAnalysis, to: &std::path::Path| {
+        let files =
+            write_figure_bundle(to, "fig", "t", &a.folded_iteration, &a.report.trace, &a.phases).unwrap();
+        files.into_iter().map(|f| (f.file_name().unwrap().to_owned(), std::fs::read(f).unwrap())).collect::<Vec<_>>()
+    };
+    let want = bundle(in_memory, &dir.join("in_memory"));
+    assert_eq!(want.len(), 6);
+
+    for (store, threads) in [("s.mps", 1), ("s.mps", 2), ("s.mps.d", 1), ("s.mps.d", 2)] {
+        let mut mcfg = MachineConfig::small();
+        mcfg.cores = 2;
+        mcfg.threads = threads;
+        let mut workload = HpcgWorkload::new(HpcgConfig {
+            nx: 8,
+            max_iters: 4,
+            mg_levels: 3,
+            group_allocations: true,
+            use_mg: true,
+        });
+        let path = dir.join(store);
+        let opts = StreamOptions { shard_events: store.ends_with(".d").then_some(2500), ..Default::default() };
+        let report = run_streaming_to_path(mcfg, &mut workload, &path, &opts).unwrap();
+        assert!(report.trace.events.is_empty() && report.events_streamed > 0);
+
+        let mut source = MpsSource::open(&path).unwrap();
+        assert_eq!(source.num_shards() > 1, store.ends_with(".d"));
+        let streamed = analyze_hpcg_source(&mut source, report, &workload, threads).unwrap();
+        assert_eq!(streamed.summary(), in_memory.summary(), "{store} threads {threads}");
+        assert_eq!(streamed.json_summary(), in_memory.json_summary(), "{store} threads {threads}");
+        assert_eq!(bundle(&streamed, &dir.join("streamed")), want, "{store} threads {threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,8 +2,8 @@
 //! their PEBS signatures — the foundation for every insight the
 //! paper's tooling provides.
 
-use mempersp::core::analysis::reuse::sampled_reuse_histogram;
-use mempersp::core::{latency_profile, Machine, MachineConfig};
+use mempersp::core::analysis::reuse::{sampled_reuse_histogram, ReuseHistogram};
+use mempersp::core::{latency_profile, LatencyProfile, Machine, MachineConfig};
 use mempersp::extrae::Workload;
 use mempersp::memsim::MemLevel;
 use mempersp::workloads::{PointerChase, StreamTriad, TiledMatmul};
@@ -11,6 +11,15 @@ use mempersp::workloads::{PointerChase, StreamTriad, TiledMatmul};
 fn run(w: &mut dyn Workload) -> mempersp::core::RunReport {
     let mut machine = Machine::new(MachineConfig::small());
     machine.run(w)
+}
+
+fn load_latencies(report: &mempersp::core::RunReport) -> LatencyProfile {
+    let src = &mut &report.trace;
+    latency_profile(src, None, false).unwrap().0.expect("loads sampled")
+}
+
+fn core0_reuse(report: &mempersp::core::RunReport) -> ReuseHistogram {
+    sampled_reuse_histogram(&mut &report.trace, 0, 64).unwrap().0
 }
 
 fn dram_fraction(report: &mempersp::core::RunReport) -> f64 {
@@ -31,8 +40,8 @@ fn pointer_chase_is_latency_bound() {
         "random walk over a >L3 footprint misses everywhere: {}",
         dram_fraction(&chase)
     );
-    let chase_lat = latency_profile(&chase.trace, None, false).unwrap();
-    let triad_lat = latency_profile(&triad.trace, None, false).unwrap();
+    let chase_lat = load_latencies(&chase);
+    let triad_lat = load_latencies(&triad);
     assert!(
         chase_lat.mean > 2.0 * triad_lat.mean,
         "chase mean {} vs triad mean {}",
@@ -55,13 +64,13 @@ fn tiled_matmul_hits_cache() {
 #[test]
 fn stream_has_no_sampled_reuse_but_matmul_does() {
     let triad = run(&mut StreamTriad::new(1 << 14, 1));
-    let h_stream = sampled_reuse_histogram(&triad.trace, 0, 64);
+    let h_stream = core0_reuse(&triad);
     // Streaming: a line is touched once (8 consecutive doubles rarely
     // produce two samples on one line at period ~100).
     let stream_reuse = h_stream.reuses as f64 / (h_stream.reuses + h_stream.cold).max(1) as f64;
 
     let matmul = run(&mut TiledMatmul::new(40, 8));
-    let h_mm = sampled_reuse_histogram(&matmul.trace, 0, 64);
+    let h_mm = core0_reuse(&matmul);
     let mm_reuse = h_mm.reuses as f64 / (h_mm.reuses + h_mm.cold).max(1) as f64;
 
     assert!(
@@ -74,7 +83,7 @@ fn stream_has_no_sampled_reuse_but_matmul_does() {
 #[test]
 fn latencies_correlate_with_data_source() {
     let report = run(&mut PointerChase::new(1 << 13, 1 << 14, 7));
-    let p = latency_profile(&report.trace, None, false).unwrap();
+    let p = load_latencies(&report);
     // Per-source mean latencies are ordered L1 < L2 < L3 < DRAM where
     // present.
     let means: Vec<f64> = p.mean_by_source.iter().flatten().copied().collect();
