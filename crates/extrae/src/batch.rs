@@ -93,6 +93,20 @@ pub fn level_code(l: MemLevel) -> u8 {
     }
 }
 
+/// The first value of `col` past 32 bits, with its index.
+fn first_wide(col: &[u64]) -> Option<(usize, u64)> {
+    // One vectorizable OR over the column; the search runs only on
+    // failure.
+    if col.iter().fold(0, |acc, &v| acc | v) >> 32 == 0 {
+        return None;
+    }
+    col.iter().copied().enumerate().find(|&(_, v)| v >> 32 != 0)
+}
+
+fn wide(class: &str, field: &str, value: u64, occurrence: usize) -> String {
+    format!("{class} {field} {value} of occurrence {occurrence} does not fit 32 bits")
+}
+
 /// The payload columns of one event class. Element 0 of every
 /// per-occurrence column (numeric or raw) is occurrence `base`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -126,6 +140,19 @@ impl ClassColumns<'_> {
         if self.cols[..per_row].iter().any(|c| short(c.len())) {
             return Err(format!("{name} payload column is shorter than its selection"));
         }
+        // Fields the accessors narrow to 32 bits: a wider stored value
+        // would read as another id, size or kind.
+        let narrow: &[(usize, &str)] = match class {
+            EventClass::RegionEnter | EventClass::RegionExit => &[(0, "region")],
+            EventClass::Pebs => &[(2, "size"), (3, "latency"), (PEBS_OBJECT, "object")],
+            EventClass::User => &[(0, "kind")],
+            _ => &[],
+        };
+        for &(col, field) in narrow {
+            if let Some((i, v)) = first_wide(&self.cols[col][a..=b]) {
+                return Err(wide(name, field, v, lo + i));
+            }
+        }
         match class {
             EventClass::Pebs => {
                 if short(self.raw_a.len()) || short(self.raw_b.len()) {
@@ -145,6 +172,12 @@ impl ClassColumns<'_> {
                 let stack = self.cols[STACK].len() as u64;
                 if (a..=b).any(|j| offs[j].checked_add(lens[j]).is_none_or(|end| end > stack)) {
                     return Err("SAMP stack overruns its column".into());
+                }
+                for j in a..=b {
+                    let off = offs[j] as usize;
+                    if let Some((_, v)) = first_wide(&self.cols[STACK][off..off + lens[j] as usize]) {
+                        return Err(wide(name, "stack region", v, self.base + j));
+                    }
                 }
             }
             EventClass::MuxSwitch => {

@@ -85,12 +85,14 @@ struct RegionCols {
     counters: [ColBuf; NCOUNTERS],
 }
 
+/// Push each value onto its column; returns the bytes they add.
+fn push_all<'c>(cols: impl IntoIterator<Item = &'c mut ColBuf>, vals: &[u64]) -> usize {
+    cols.into_iter().zip(vals).map(|(col, &v)| col.push(v)).sum()
+}
+
 impl RegionCols {
-    fn push(&mut self, region: RegionId, counters: &CounterSnapshot) {
-        self.region.push(region.0 as u64);
-        for (col, v) in self.counters.iter_mut().zip(counters.values()) {
-            col.push(*v);
-        }
+    fn push(&mut self, region: RegionId, counters: &CounterSnapshot) -> usize {
+        self.region.push(region.0 as u64) + push_all(&mut self.counters, counters.values())
     }
 
     fn encoded_len(&self) -> usize {
@@ -157,6 +159,9 @@ struct UserCols {
 /// concatenates the columns.
 #[derive(Default)]
 pub struct ChunkBuilderV4 {
+    /// Encoded size of everything pushed since the last seal, kept as
+    /// events arrive so the writer's per-event poll is one load.
+    len: usize,
     tags: Vec<u8>,
     deltas: ColBuf,
     cores: ColBuf,
@@ -183,30 +188,7 @@ impl ChunkBuilderV4 {
     /// Raw encoded size if the chunk were sealed now (excluding the
     /// ~11-byte section-length prefix).
     pub fn encoded_len(&self) -> usize {
-        self.tags.len()
-            + self.deltas.encoded_len()
-            + self.cores.encoded_len()
-            + self.regions.iter().map(RegionCols::encoded_len).sum::<usize>()
-            + self.sample.ip.encoded_len()
-            + self.sample.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
-            + self.sample.stack_len.encoded_len()
-            + self.sample.stack.encoded_len()
-            + self.pebs.flags.len()
-            + self.pebs.ip.encoded_len()
-            + self.pebs.addr.encoded_len()
-            + self.pebs.size.encoded_len()
-            + self.pebs.latency.encoded_len()
-            + self.pebs.level.len()
-            + self.pebs.object.encoded_len()
-            + self.alloc.base.encoded_len()
-            + self.alloc.size.encoded_len()
-            + self.alloc.callsite.encoded_len()
-            + self.free.encoded_len()
-            + self.mux.event_index.encoded_len()
-            + self.mux.label_len.encoded_len()
-            + self.mux.labels.len()
-            + self.user.kind.encoded_len()
-            + self.user.value.encoded_len()
+        self.len
     }
 
     /// Append one event's fields to the columns. A core id that does
@@ -216,56 +198,49 @@ impl ChunkBuilderV4 {
         let core = u32::try_from(e.core).map_err(|_| wide_core(self.tags.len(), e.core as u64))?;
         let class = EventClass::of(&e.payload);
         self.tags.push(class as u8);
-        self.deltas.push(zigzag(e.cycles.wrapping_sub(self.prev_cycles) as i64));
+        // One tag byte, then whatever each column push adds.
+        let mut added = 1 + self.deltas.push(zigzag(e.cycles.wrapping_sub(self.prev_cycles) as i64));
         self.prev_cycles = e.cycles;
-        self.cores.push(u64::from(core));
-        match &e.payload {
-            EventPayload::RegionEnter { region, counters } => {
-                self.regions[0].push(*region, counters);
-            }
-            EventPayload::RegionExit { region, counters } => {
-                self.regions[1].push(*region, counters);
-            }
+        added += self.cores.push(u64::from(core));
+        added += match &e.payload {
+            EventPayload::RegionEnter { region, counters } => self.regions[0].push(*region, counters),
+            EventPayload::RegionExit { region, counters } => self.regions[1].push(*region, counters),
             EventPayload::CounterSample { ip, counters, stack } => {
-                self.sample.ip.push(ip.0);
-                for (col, v) in self.sample.counters.iter_mut().zip(counters.values()) {
-                    col.push(*v);
-                }
-                self.sample.stack_len.push(stack.len() as u64);
-                for r in stack {
-                    self.sample.stack.push(r.0 as u64);
-                }
+                let s = &mut self.sample;
+                s.ip.push(ip.0)
+                    + push_all(&mut s.counters, counters.values())
+                    + s.stack_len.push(stack.len() as u64)
+                    + stack.iter().map(|r| s.stack.push(r.0 as u64)).sum::<usize>()
             }
             EventPayload::Pebs { sample, object } => {
                 let flags = u8::from(sample.is_store)
                     | (u8::from(sample.tlb_miss) << 1)
                     | (u8::from(object.is_some()) << 2);
-                self.pebs.flags.push(flags);
-                self.pebs.ip.push(sample.ip);
-                self.pebs.addr.push(sample.addr);
-                self.pebs.size.push(sample.size as u64);
-                self.pebs.latency.push(sample.latency as u64);
-                self.pebs.level.push(level_code(sample.source));
-                self.pebs.object.push(object.map_or(0, |o| o.0 as u64));
+                let p = &mut self.pebs;
+                p.flags.push(flags);
+                p.level.push(level_code(sample.source));
+                2 + p.ip.push(sample.ip)
+                    + p.addr.push(sample.addr)
+                    + p.size.push(sample.size as u64)
+                    + p.latency.push(sample.latency as u64)
+                    + p.object.push(object.map_or(0, |o| o.0 as u64))
             }
             EventPayload::Alloc { base, size, callsite } => {
-                self.alloc.base.push(*base);
-                self.alloc.size.push(*size);
-                self.alloc.callsite.push(callsite.0);
+                let a = &mut self.alloc;
+                a.base.push(*base) + a.size.push(*size) + a.callsite.push(callsite.0)
             }
-            EventPayload::Free { base } => {
-                self.free.push(*base);
-            }
+            EventPayload::Free { base } => self.free.push(*base),
             EventPayload::MuxSwitch { event_index, label } => {
-                self.mux.event_index.push(*event_index as u64);
-                self.mux.label_len.push(label.len() as u64);
                 self.mux.labels.extend_from_slice(label.as_bytes());
+                label.len()
+                    + self.mux.event_index.push(*event_index as u64)
+                    + self.mux.label_len.push(label.len() as u64)
             }
             EventPayload::User { kind, value } => {
-                self.user.kind.push(*kind as u64);
-                self.user.value.push(*value);
+                self.user.kind.push(*kind as u64) + self.user.value.push(*value)
             }
-        }
+        };
+        self.len += added;
         Ok(())
     }
 
@@ -347,12 +322,16 @@ impl ChunkBuilderV4 {
     /// Serialize the accumulated columns as one chunk payload and
     /// reset the builder (buffers keep their capacity).
     pub fn serialize(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len() + 16);
+        let mut out = Vec::with_capacity(self.len + 16);
         put_u64(&mut out, self.deltas.encoded_len() as u64);
         put_u64(&mut out, self.cores.encoded_len() as u64);
+        let mut sections = self.tags.len() + self.deltas.encoded_len() + self.cores.encoded_len();
         for k in 0..NSTREAMS {
-            put_u64(&mut out, self.stream_len(k) as u64);
+            let len = self.stream_len(k);
+            sections += len;
+            put_u64(&mut out, len as u64);
         }
+        debug_assert_eq!(sections, self.len, "running size drifted from the columns");
         out.extend_from_slice(&self.tags);
         self.deltas.write_into(&mut out);
         self.cores.write_into(&mut out);
@@ -360,6 +339,7 @@ impl ChunkBuilderV4 {
             self.write_stream(k, &mut out);
         }
 
+        self.len = 0;
         self.tags.clear();
         self.deltas.clear();
         self.cores.clear();
@@ -1012,24 +992,28 @@ mod tests {
         }
     }
 
-    /// A chunk of three `Free` events assembled by hand, so the core
-    /// column can hold what [`ChunkBuilderV4::push`] refuses to write.
-    fn free_chunk(cores: &[u64; 3]) -> Vec<u8> {
+    /// A chunk of three `class` events assembled by hand around one
+    /// payload section, so its columns can hold what
+    /// [`ChunkBuilderV4::push`] refuses or cannot write.
+    fn hand_chunk(class: EventClass, cores: &[u64; 3], section: &[u8]) -> Vec<u8> {
         use crate::svb::encode_column;
         let deltas = encode_column(&[zigzag(100), zigzag(10), zigzag(10)]);
         let cores = encode_column(cores);
-        let bases = encode_column(&[1 << 40, 2 << 40, 3 << 40]);
         let mut buf = Vec::new();
         put_u64(&mut buf, deltas.len() as u64);
         put_u64(&mut buf, cores.len() as u64);
-        for class in EventClass::ALL {
-            put_u64(&mut buf, if class == EventClass::Free { bases.len() as u64 } else { 0 });
+        for c in EventClass::ALL {
+            put_u64(&mut buf, if c == class { section.len() as u64 } else { 0 });
         }
-        buf.extend_from_slice(&[EventClass::Free as u8; 3]);
-        for section in [deltas, cores, bases] {
-            buf.extend_from_slice(&section);
+        buf.extend_from_slice(&[class as u8; 3]);
+        for part in [&deltas[..], &cores, section] {
+            buf.extend_from_slice(part);
         }
         buf
+    }
+
+    fn free_chunk(cores: &[u64; 3]) -> Vec<u8> {
+        hand_chunk(EventClass::Free, cores, &crate::svb::encode_column(&[1 << 40, 2 << 40, 3 << 40]))
     }
 
     #[test]
@@ -1062,6 +1046,54 @@ mod tests {
         }
         // The largest id that fits still decodes.
         assert_eq!(u32::MAX as usize, decode_events_v4(&free_chunk(&[0, u32::MAX as u64, 3]), 3).unwrap()[1].core);
+    }
+
+    /// Every payload field a reader narrows to 32 bits — PEBS size,
+    /// latency and object, region ids, sample-stack ids, user kinds —
+    /// is refused past 32 bits instead of read modulo 2^32.
+    #[test]
+    fn narrowed_fields_past_32_bits_are_refused_by_the_reader() {
+        use crate::svb::encode_column;
+        type Section = Box<dyn Fn(u64) -> Vec<u8>>;
+        let col = |w: u64| encode_column(&[3, w, 4]);
+        let cols = |k: usize| (0..k).flat_map(|_| encode_column(&[5, 6, 7])).collect::<Vec<u8>>();
+        let pebs = move |size: u64, latency: u64, object: u64| {
+            [vec![PEBS_HAS_OBJECT; 3], cols(2), col(size), col(latency), vec![0; 3], col(object)].concat()
+        };
+        let cases: [(EventClass, &str, Section); 6] = [
+            (EventClass::Pebs, "object", Box::new(move |w| pebs(8, 9, w))),
+            (EventClass::Pebs, "size", Box::new(move |w| pebs(w, 9, 7))),
+            (EventClass::Pebs, "latency", Box::new(move |w| pebs(8, w, 7))),
+            (EventClass::RegionEnter, "region", Box::new(move |w| [col(w), cols(NCOUNTERS)].concat())),
+            (
+                EventClass::CounterSample,
+                "stack region",
+                Box::new(move |w| [cols(1 + NCOUNTERS), encode_column(&[1, 1, 1]), col(w)].concat()),
+            ),
+            (EventClass::User, "kind", Box::new(move |w| [col(w), cols(1)].concat())),
+        ];
+        let wide = (1u64 << 32) + 7;
+        for (class, field, section) in &cases {
+            let chunk = |w| hand_chunk(*class, &[0, 1, 2], &section(w));
+            // The hand-assembled chunk is what the builder writes, and
+            // the largest value that fits still decodes ...
+            let narrow = decode_events_v4(&chunk(7), 3).unwrap();
+            assert_eq!(encode_events_v4(&narrow).unwrap(), chunk(7), "{class:?} {field}");
+            decode_events_v4(&chunk(u64::from(u32::MAX)), 3).unwrap();
+            // ... so with a wide value in it, a reader used to see 7.
+            let hostile = chunk(wide);
+            let want = format!("{} {field} {wide} of occurrence 1 does not fit 32 bits", class.label());
+            let mut queries = vec![None, Some(Query::all().with_kinds(&[*class]))];
+            if *field == "object" {
+                queries.push(Some(Query::all().touching_object(ObjectId(7))));
+            }
+            for q in &queries {
+                let e = select_v4(&hostile, 3, q.as_ref(), &ALL_MATCHES, &mut DecodeScratch::default())
+                    .map(|(_, o)| o)
+                    .unwrap_err();
+                assert_eq!(e.message, want, "{q:?}");
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,18 @@
 //!
 //! The workspace builds offline, so the store cannot pull zstd/lz4;
 //! this module provides the "simple LZ-style codec" the chunk layer
-//! applies after varint encoding. Design goals are correctness and
-//! decode speed, not ratio records:
+//! applies after varint encoding. Design goals are correctness, decode
+//! speed, and an encoder that does not spend on data it cannot shrink
+//! — not ratio records:
 //!
-//! * greedy hash-chain matching over a 64 KiB window (chunks are
-//!   ~64 KiB, so the window always covers the whole block);
+//! * one hash probe per searched position over a 64 KiB window (chunks
+//!   are ~64 KiB, so the window always covers the whole block), with
+//!   LZ4-style skip acceleration: after every 2^`SKIP_BITS` failed
+//!   probes in a row the search step grows by one byte, and a match
+//!   resets it. A match is extended backwards into the pending
+//!   literals (the step may have jumped past its start), then forwards;
+//! * [`compress`] takes the longest stream its caller would keep and
+//!   stops with `None` as soon as the stream passes it;
 //! * token stream: a control byte carries 8 flags (LSB first;
 //!   0 = literal byte follows, 1 = match follows), a match is
 //!   `offset:u16le` + `len-MIN_MATCH:u8` (match lengths 4..=259);
@@ -26,82 +33,164 @@ const MAX_OFFSET: usize = u16::MAX as usize;
 
 const HASH_BITS: u32 = 15;
 
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+/// The search step is `1 + misses / 2^SKIP_BITS`, `misses` counting
+/// the failed probes since the last match. Smaller skips faster through
+/// incompressible chunks and finds fewer matches in compressible ones;
+/// DESIGN §9 has the measured trade per value.
+const SKIP_BITS: u32 = 7;
+
+fn read4(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte slice"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compress `input` into a token stream. The empty input compresses
-/// to the empty output.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    // head[h] = most recent position with hash h (+1; 0 = none).
-    let mut head = vec![0u32; 1 << HASH_BITS];
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max`, eight bytes per compare.
+fn common_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let mut l = 0;
+    while l + 8 <= max {
+        let x = u64::from_le_bytes(data[a + l..a + l + 8].try_into().expect("8-byte slice"))
+            ^ u64::from_le_bytes(data[b + l..b + l + 8].try_into().expect("8-byte slice"));
+        if x != 0 {
+            return l + (x.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
 
-    let mut flags_at = usize::MAX;
-    let mut flags = 0u8;
-    let mut nflags = 0u8;
-    let mut push_token = |out: &mut Vec<u8>, is_match: bool| {
-        if nflags == 0 {
-            flags_at = out.len();
-            out.push(0);
-            flags = 0;
-        }
-        if is_match {
-            flags |= 1 << nflags;
-        }
-        nflags += 1;
-        out[flags_at] = flags;
-        if nflags == 8 {
-            nflags = 0;
-        }
-    };
+/// A token stream being written into a buffer sized once for the
+/// worst case.
+struct Tokens {
+    out: Vec<u8>,
+    len: usize,
+    /// Where the open group's control byte sits.
+    ctrl: usize,
+    /// Tokens in the open group; 8 = none open.
+    nflags: u32,
+}
 
-    let mut i = 0usize;
-    while i < input.len() {
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        if i + MIN_MATCH <= input.len() {
-            let h = hash4(&input[i..]);
-            let cand = head[h] as usize;
-            head[h] = (i + 1) as u32;
-            if cand > 0 {
-                let cand = cand - 1;
-                let off = i - cand;
-                if off <= MAX_OFFSET && off > 0 {
-                    let limit = (input.len() - i).min(MAX_MATCH);
-                    let mut l = 0usize;
-                    while l < limit && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l >= MIN_MATCH {
-                        best_len = l;
-                        best_off = off;
-                    }
-                }
-            }
+impl Tokens {
+    fn new(input_len: usize) -> Tokens {
+        // All literals is the longest stream: a match token (3 bytes
+        // for at least 4) never costs more than the literals it saves.
+        Tokens { out: vec![0; input_len + input_len.div_ceil(8)], len: 0, ctrl: 0, nflags: 8 }
+    }
+
+    fn flag(&mut self, is_match: bool) {
+        if self.nflags == 8 {
+            self.ctrl = self.len;
+            self.out[self.len] = 0;
+            self.len += 1;
+            self.nflags = 0;
         }
-        if best_len >= MIN_MATCH {
-            push_token(&mut out, true);
-            out.extend_from_slice(&(best_off as u16).to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            // Seed the hash table inside the match so later data can
-            // reference positions we skipped over (bounded to keep the
-            // encoder O(n)).
-            let seed_end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH));
-            let mut j = i + 1;
-            while j < seed_end && j < i + 16 {
-                head[hash4(&input[j..])] = (j + 1) as u32;
-                j += 1;
-            }
-            i += best_len;
-        } else {
-            push_token(&mut out, false);
-            out.push(input[i]);
-            i += 1;
+        self.out[self.ctrl] |= u8::from(is_match) << self.nflags;
+        self.nflags += 1;
+    }
+
+    /// Literal tokens for `lits`: the open group first, then a control
+    /// byte and one eight-byte copy per whole group.
+    fn literals(&mut self, mut lits: &[u8]) {
+        while self.nflags < 8 {
+            let Some((&b, rest)) = lits.split_first() else { return };
+            self.out[self.len] = b;
+            self.len += 1;
+            self.nflags += 1;
+            lits = rest;
+        }
+        let mut groups = lits.chunks_exact(8);
+        for g in &mut groups {
+            self.out[self.len] = 0;
+            self.out[self.len + 1..self.len + 9].copy_from_slice(g);
+            self.len += 9;
+        }
+        for &b in groups.remainder() {
+            self.flag(false);
+            self.out[self.len] = b;
+            self.len += 1;
         }
     }
+
+    fn matched(&mut self, offset: usize, len: usize) {
+        self.flag(true);
+        let [lo, hi] = (offset as u16).to_le_bytes();
+        self.out[self.len..self.len + 3].copy_from_slice(&[lo, hi, (len - MIN_MATCH) as u8]);
+        self.len += 3;
+    }
+}
+
+thread_local! {
+    /// The match table, kept per thread: allocating 128 KiB per chunk
+    /// costs page faults, zeroing it does not.
+    static HEAD: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Compress `input` into a token stream, or return `None` if the
+/// stream would be longer than `limit` bytes — decided as soon as the
+/// written part passes `limit`, which is exact because the stream only
+/// grows. The empty input compresses to the empty output.
+pub fn compress(input: &[u8], limit: usize) -> Option<Vec<u8>> {
+    let mut head = HEAD.take();
+    head.clear();
+    head.resize(1 << HASH_BITS, 0);
+    let out = compress_with(&mut head, input, limit);
+    HEAD.set(head);
     out
+}
+
+/// [`compress`] over a zeroed table: `head[h]` = most recent probed
+/// position with hash `h`, plus one (0 = none).
+fn compress_with(head: &mut [u32], input: &[u8], limit: usize) -> Option<Vec<u8>> {
+    let n = input.len();
+    let mut t = Tokens::new(n);
+    // `input[anchor..i]` is searched but not yet written.
+    let (mut anchor, mut i) = (0usize, 0usize);
+    let mut misses = 0usize;
+    while i + MIN_MATCH <= n {
+        let v = read4(input, i);
+        let h = hash4(v);
+        let cand = head[h] as usize;
+        head[h] = (i + 1) as u32;
+        if cand == 0 || i - (cand - 1) > MAX_OFFSET || read4(input, cand - 1) != v {
+            i += 1 + (misses >> SKIP_BITS);
+            misses += 1;
+            continue;
+        }
+        misses = 0;
+        let (mut start, mut from) = (i, cand - 1);
+        while start > anchor
+            && from > 0
+            && input[start - 1] == input[from - 1]
+            && i - start < MAX_MATCH - MIN_MATCH
+        {
+            start -= 1;
+            from -= 1;
+        }
+        let forward = (n - i).min(MAX_MATCH - (i - start)) - MIN_MATCH;
+        let end = i + MIN_MATCH + common_len(input, cand - 1 + MIN_MATCH, i + MIN_MATCH, forward);
+        t.literals(&input[anchor..start]);
+        t.matched(start - from, end - start);
+        if t.len > limit {
+            return None;
+        }
+        // Seed the table near the match's end, so data that repeats
+        // what follows the match can find it.
+        if end + 2 <= n {
+            head[hash4(read4(input, end - 2))] = (end - 1) as u32;
+        }
+        (anchor, i) = (end, end);
+    }
+    t.literals(&input[anchor..]);
+    (t.len <= limit).then(|| {
+        t.out.truncate(t.len);
+        t.out
+    })
 }
 
 /// Decompress a [`compress`]-produced stream; `expected_len` is the
@@ -245,7 +334,7 @@ mod tests {
             flip in (any::<u16>(), 0u8..8),
             len_delta in 0usize..20,
         ) {
-            let packed = compress(&data);
+            let packed = compress(&data, usize::MAX).unwrap();
             prop_assert_eq!(decompress(&packed, data.len()), Ok(data.clone()));
             let mut streams = vec![packed.clone(), noise.clone()];
             if !packed.is_empty() {
@@ -268,7 +357,7 @@ mod tests {
     }
 
     fn round_trip(data: &[u8]) {
-        let c = compress(data);
+        let c = compress(data, usize::MAX).unwrap();
         let d = decompress(&c, data.len()).expect("decompress");
         assert_eq!(d, data);
     }
@@ -284,7 +373,7 @@ mod tests {
     #[test]
     fn repetitive_data_shrinks() {
         let data: Vec<u8> = b"E 100 0 ENTER 3 1,2,3,4,5,6,7,8,9,10,11,12\n".repeat(200);
-        let c = compress(&data);
+        let c = compress(&data, usize::MAX).unwrap();
         assert!(c.len() < data.len() / 3, "{} vs {}", c.len(), data.len());
         assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
@@ -292,7 +381,7 @@ mod tests {
     #[test]
     fn rle_overlapping_matches() {
         let data = vec![7u8; 10_000];
-        let c = compress(&data);
+        let c = compress(&data, usize::MAX).unwrap();
         assert!(c.len() < 200, "run-length-like compression: {}", c.len());
         assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
@@ -322,7 +411,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_rejected() {
         let data: Vec<u8> = b"abcdabcdabcdabcd".to_vec();
-        let mut c = compress(&data);
+        let mut c = compress(&data, usize::MAX).unwrap();
         c.pop();
         assert!(decompress(&c, data.len()).is_err());
     }
@@ -330,7 +419,7 @@ mod tests {
     #[test]
     fn wrong_expected_len_is_rejected() {
         let data = vec![1u8; 64];
-        let c = compress(&data);
+        let c = compress(&data, usize::MAX).unwrap();
         assert!(decompress(&c, 63).is_err(), "trailing token detected");
     }
 }

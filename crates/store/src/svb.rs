@@ -184,7 +184,8 @@ fn err(offset: usize, message: String) -> CodecError {
 
 /// Accumulates one column's values; [`ColBuf::write_into`] emits the
 /// control bytes followed by the data bytes. `encoded_len` is kept
-/// incrementally so chunk sealing can poll the running size cheaply.
+/// incrementally, and `push` reports what it added, so a chunk builder
+/// can keep its own running size.
 #[derive(Default, Clone)]
 pub struct ColBuf {
     vals: Vec<u64>,
@@ -192,12 +193,13 @@ pub struct ColBuf {
 }
 
 impl ColBuf {
-    pub fn push(&mut self, v: u64) {
-        if self.vals.len().is_multiple_of(4) {
-            self.bytes += 1; // a new control byte starts
-        }
-        self.bytes += code_width(width_code(v));
+    /// Append `v`; returns the bytes it adds to the encoding.
+    pub fn push(&mut self, v: u64) -> usize {
+        // A new control byte starts every fourth value.
+        let added = usize::from(self.vals.len().is_multiple_of(4)) + code_width(width_code(v));
+        self.bytes += added;
         self.vals.push(v);
+        added
     }
 
     pub fn len(&self) -> usize {

@@ -181,11 +181,9 @@ const MIN_COMPRESS_DENOM: usize = 8;
 /// worker pool run, so output bytes never depend on the thread count.
 fn compress_chunk(raw: Vec<u8>, mut meta: ChunkMeta) -> (Vec<u8>, Compression, u32, ChunkMeta) {
     meta.raw_len = raw.len() as u32;
-    let compressed = lz::compress(&raw);
-    let (payload, compression) = if compressed.len() <= raw.len() - raw.len() / MIN_COMPRESS_DENOM {
-        (compressed, Compression::Lz)
-    } else {
-        (raw, Compression::Raw)
+    let (payload, compression) = match lz::compress(&raw, raw.len() - raw.len() / MIN_COMPRESS_DENOM) {
+        Some(compressed) => (compressed, Compression::Lz),
+        None => (raw, Compression::Raw),
     };
     let payload_crc = crc32c(&payload);
     (payload, compression, payload_crc, meta)
@@ -494,12 +492,12 @@ impl StoreWriter {
         // closed by a CRC32C of both.
         let header_text = mempersp_extrae::trace_format::header_sections(trace_for_header);
         let header_raw = header_text.as_bytes();
-        let header_lz = lz::compress(header_raw);
+        // LZ only when strictly shorter.
+        let header_lz = header_raw.len().checked_sub(1).and_then(|limit| lz::compress(header_raw, limit));
         let header_off = *pos;
-        let (blob, code): (&[u8], u8) = if header_lz.len() < header_raw.len() {
-            (&header_lz, Compression::Lz.code())
-        } else {
-            (header_raw, Compression::Raw.code())
+        let (blob, code): (&[u8], u8) = match &header_lz {
+            Some(packed) => (packed, Compression::Lz.code()),
+            None => (header_raw, Compression::Raw.code()),
         };
         let header_crc = Crc32c::new().chain(&[code]).chain(blob).finish();
         out.write_all(&[code])?;

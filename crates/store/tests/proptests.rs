@@ -22,6 +22,41 @@ use mempersp_store::{
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
+/// Up to 80 KiB of LZ input: noise runs (up to 8 KiB, so the search
+/// skips), single-byte runs, and copies of earlier data from nearby or
+/// from more than 64 KiB back, past the window.
+fn arb_lz_block() -> impl Strategy<Value = Vec<u8>> {
+    const MAX: usize = 80 * 1024;
+    prop::collection::vec((0u8..4, any::<u64>(), 4usize..8192), 1..100).prop_map(|parts| {
+        let mut data: Vec<u8> = Vec::new();
+        for (kind, seed, len) in parts {
+            match kind {
+                0 => {
+                    let mut x = seed | 1;
+                    data.extend((0..len).map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x >> 32) as u8
+                    }));
+                }
+                1 => data.extend(std::iter::repeat_n(seed as u8, len % 600)),
+                _ if data.is_empty() => {}
+                near_or_far => {
+                    let back = seed as usize % data.len().min(4096);
+                    let back = if near_or_far == 3 && data.len() > 1 << 16 { back + (1 << 16) } else { back };
+                    let from = data.len() - 1 - back.min(data.len() - 1);
+                    for k in 0..len % 600 {
+                        data.push(data[from + k]);
+                    }
+                }
+            }
+        }
+        data.truncate(MAX);
+        data
+    })
+}
+
 fn arb_level() -> impl Strategy<Value = MemLevel> {
     (0u8..4).prop_map(|c| match c {
         0 => MemLevel::L1,
@@ -575,9 +610,31 @@ proptest! {
     /// The LZ pass is lossless on arbitrary bytes.
     #[test]
     fn lz_round_trips(data in prop::collection::vec(any::<u8>(), 0..4096)) {
-        let packed = lz::compress(&data);
+        let packed = lz::compress(&data, usize::MAX).expect("no limit");
         let back = lz::decompress(&packed, data.len()).expect("decompress");
         prop_assert_eq!(back, data);
+    }
+
+    /// ... and on chunk-sized inputs mixing noise long enough for the
+    /// search to skip, byte runs, and repeats from anywhere earlier —
+    /// inside the 64 KiB window and past it.
+    #[test]
+    fn lz_round_trips_mixed_blocks(data in arb_lz_block()) {
+        let packed = lz::compress(&data, usize::MAX).expect("no limit");
+        prop_assert_eq!(lz::decompress(&packed, data.len()).expect("decompress"), data);
+    }
+
+    /// The bail-out is exact: `compress(x, limit)` is `None` exactly
+    /// when the whole stream is longer than `limit`, and otherwise the
+    /// same bytes as without a limit.
+    #[test]
+    fn lz_limit_is_exact(data in arb_lz_block(), pick in any::<u64>()) {
+        let full = lz::compress(&data, usize::MAX).expect("no limit");
+        let n = full.len();
+        let limits = [0, n.saturating_sub(1), n, n + 1, data.len() - data.len() / 8, pick as usize % (n + 2)];
+        for limit in limits {
+            prop_assert_eq!(lz::compress(&data, limit), (n <= limit).then(|| full.clone()), "limit {}", limit);
+        }
     }
 
     /// ... and on highly repetitive input, where matches (including
@@ -588,7 +645,7 @@ proptest! {
         reps in 64usize..256,
     ) {
         let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
-        let packed = lz::compress(&data);
+        let packed = lz::compress(&data, usize::MAX).expect("no limit");
         prop_assert_eq!(lz::decompress(&packed, data.len()).expect("decompress"), data.clone());
         prop_assert!(packed.len() < data.len(), "{} !< {}", packed.len(), data.len());
     }
