@@ -2,12 +2,14 @@
 //! policy — and their effect on the reproduced HPCG behaviour
 //! (DRAM-served fraction, wall cycles). These are the design choices
 //! DESIGN.md §6 calls out.
+//!
+//! ```sh
+//! cargo run --release -p mempersp-bench --bin ablation_machine
+//! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mempersp_core::{Machine, MachineConfig, PebsCoreSelect};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp_memsim::ReplacementPolicy;
-use std::hint::black_box;
 
 fn run(cfg: MachineConfig) -> (u64, f64) {
     let mut m = Machine::new(cfg);
@@ -30,13 +32,12 @@ fn base_cfg() -> MachineConfig {
     cfg
 }
 
-fn bench(c: &mut Criterion) {
-    // Report the behavioural side once.
+fn main() {
     for pf in [true, false] {
         let mut cfg = base_cfg();
         cfg.hierarchy.prefetch.enabled = pf;
         let (cycles, dram) = run(cfg);
-        eprintln!("prefetch {pf:>5}: {cycles:>10} cycles, {:.1} % served by DRAM", dram * 100.0);
+        println!("prefetch {pf:>5}: {cycles:>10} cycles, {:.1} % served by DRAM", dram * 100.0);
     }
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::TreePlru, ReplacementPolicy::Fifo, ReplacementPolicy::Random] {
         let mut cfg = base_cfg();
@@ -44,22 +45,6 @@ fn bench(c: &mut Criterion) {
         cfg.hierarchy.l2.replacement = policy;
         cfg.hierarchy.l3.replacement = policy;
         let (cycles, dram) = run(cfg);
-        eprintln!("{policy:?}: {cycles} cycles, {:.1} % DRAM", dram * 100.0);
+        println!("{policy:?}: {cycles} cycles, {:.1} % DRAM", dram * 100.0);
     }
-
-    let mut g = c.benchmark_group("ablation_machine");
-    g.sample_size(10);
-    for pf in [true, false] {
-        g.bench_with_input(BenchmarkId::new("prefetch", pf), &pf, |b, &p| {
-            b.iter(|| {
-                let mut cfg = base_cfg();
-                cfg.hierarchy.prefetch.enabled = p;
-                black_box(run(cfg))
-            })
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

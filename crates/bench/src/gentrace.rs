@@ -1,7 +1,7 @@
-//! Deterministic synthetic trace generation for store benchmarks.
+//! Deterministic synthetic trace generation for the `gentrace` binary.
 //!
 //! The simulator produces realistic traces, but at ~100 K events/sec
-//! of *simulation* it cannot feed gigabyte-scale store benchmarks.
+//! of *simulation* it cannot feed gigabyte-scale stores.
 //! [`EventGen`] emits a configurable event mix — region boundaries,
 //! PEBS memory samples, counter samples, alloc/free pairs, user
 //! events, mux switches — from a seeded xorshift generator at tens of
@@ -188,15 +188,6 @@ impl Iterator for EventGen {
     }
 }
 
-/// Generate a fully materialized trace (header + events). Fine up to
-/// a few million events; stream [`GenConfig::events`] into an
-/// `EventSink` beyond that.
-pub fn generate(cfg: &GenConfig) -> Trace {
-    let mut t = cfg.header();
-    t.events = cfg.events().collect();
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,11 +222,9 @@ mod tests {
     #[test]
     fn header_supports_object_queries() {
         let cfg = GenConfig { events: 20_000, cores: 2, seed: 1 };
-        let t = generate(&cfg);
-        assert_eq!(t.events.len(), 20_000);
-        assert!(t.objects.all().len() >= NUM_OBJECTS as usize);
+        assert!(cfg.header().objects.all().len() >= NUM_OBJECTS as usize);
         let q = Query::all().touching_object(ObjectId(3));
-        let hits = t.events.iter().filter(|e| q.matches(e)).count();
+        let hits = cfg.events().filter(|e| q.matches(e)).count();
         assert!(hits > 0, "object 3 must receive samples");
     }
 }

@@ -1,7 +1,8 @@
-//! Shared helpers for the benchmark + experiment-regeneration
-//! harness. Each table/figure of the paper has one Criterion bench
-//! (timing the regeneration) and one binary (printing the
-//! paper-vs-measured rows recorded in EXPERIMENTS.md).
+//! Shared helpers for the experiment-regeneration binaries: each
+//! table/figure of the paper has one binary printing the
+//! paper-vs-measured rows recorded in EXPERIMENTS.md, and each
+//! ablation one printing its rows. Performance is measured by the
+//! repo benchmark (`benchmark/`), not here.
 
 use mempersp_core::workflow::{analyze_hpcg, HpcgAnalysis};
 use mempersp_core::MachineConfig;
@@ -96,82 +97,14 @@ pub fn run_ungrouped(scale: Scale) -> HpcgAnalysis {
     analyze_hpcg(scale.machine(), cfg)
 }
 
-/// Number of CPUs the host actually offers this process.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// The CPU model string, from `/proc/cpuinfo` where available.
-pub fn cpu_model() -> Option<String> {
-    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
-    info.lines()
-        .find(|l| l.starts_with("model name") || l.starts_with("Model"))
-        .and_then(|l| l.split_once(':'))
-        .map(|(_, v)| v.trim().to_string())
-}
-
-/// Does the host look like a VM/container guest? (`hypervisor` cpu
-/// flag — best-effort; bare-metal containers still report false.)
-pub fn is_virtualized() -> bool {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .map(|info| {
-            info.lines()
-                .filter(|l| l.starts_with("flags"))
-                .any(|l| l.split_whitespace().any(|f| f == "hypervisor"))
-        })
-        .unwrap_or(false)
-}
-
 /// Peak resident set of this process so far, in bytes (`VmHWM` from
 /// `/proc/self/status`). `None` where procfs is unavailable (non-Linux
-/// hosts). Note the high-water mark is monotone for the process
-/// lifetime: to compare scenarios within one run, measure the
-/// low-memory scenario first.
+/// hosts).
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Host block for the `BENCH_*.json` summaries, so numbers are never
-/// read without knowing what machine produced them: logical CPU
-/// count, CPU model, whether the run is virtualized, and the process
-/// peak RSS at emission time. A `host_cpus: 1` summary with null
-/// cross-thread ratios is a single-core runner, not a regression.
-pub fn host_info() -> serde_json::Value {
-    serde_json::json!({
-        "host_cpus": host_cpus(),
-        "cpu_model": cpu_model(),
-        "virtualized": is_virtualized(),
-        "peak_rss_bytes": peak_rss_bytes(),
-        "simd": mempersp_store::simd_level_name(),
-    })
-}
-
-/// Cross-thread speedup field for the BENCH_*.json summaries.
-///
-/// A `threads4 / threads1` ratio measured on a host with fewer CPUs
-/// than worker threads is noise, not a speedup — the workers time-share
-/// the same cores. In that case the metric is `null` and an explicit
-/// `*_skipped_reason` string records why, so downstream tooling never
-/// mistakes an oversubscribed run for a regression.
-pub fn cross_thread_speedup(
-    threads: usize,
-    faster: f64,
-    baseline: f64,
-) -> (serde_json::Value, Option<String>) {
-    let cpus = host_cpus();
-    if cpus < threads {
-        (
-            serde_json::Value::Null,
-            Some(format!(
-                "host_cpus {cpus} < threads {threads}: cross-thread ratio not meaningful"
-            )),
-        )
-    } else {
-        (serde_json::Value::from(faster / baseline), None)
-    }
 }
 
 /// Format a paper-vs-measured row.

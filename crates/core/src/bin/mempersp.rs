@@ -375,7 +375,7 @@ fn cmd_convert(args: &[String]) {
         // `run` merges a text trace's header in afterwards, through a
         // writer thread; here it is known up front. Like a store: into
         // a temp file, renamed once every event is read and written.
-        let tmp = mempersp_store::writer::tmp_path(out_path);
+        let tmp = mempersp_extrae::stream_writer::tmp_path(out_path);
         let written = std::fs::File::create(&tmp).and_then(|file| {
             let mut text = io::BufWriter::new(file);
             text.write_all(header_sections(&header).as_bytes())?;

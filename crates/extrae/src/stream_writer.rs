@@ -49,6 +49,16 @@ struct WorkerResult {
     sink: Option<Box<dyn EventSink>>,
 }
 
+/// The temp-file twin of a final output path (`trace.mps` →
+/// `trace.mps.tmp`): where a writer puts its bytes until one rename
+/// publishes them. Every writer of a finished trace — the `.prv` merge,
+/// text `convert` and the store writer — names its temp file here.
+pub fn tmp_path(dest: &Path) -> PathBuf {
+    let mut name = dest.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    dest.with_file_name(name)
+}
+
 /// Background streaming writer of trace event records.
 pub struct StreamWriter {
     tx: Sender<Msg>,
@@ -121,7 +131,8 @@ impl StreamWriter {
     }
 
     /// Stop the worker and merge header + streamed body into
-    /// `final_path`; the intermediate body file is removed afterwards.
+    /// `final_path` (through [`tmp_path`] and a rename); the
+    /// intermediate body file is removed afterwards.
     /// The `trace` provides the header sections (its own event list is
     /// ignored — the streamed body is the record of truth). If a sink
     /// was attached, it is sealed with the same header information.
@@ -135,12 +146,18 @@ impl StreamWriter {
             .join()
             .expect("writer thread must not panic")?;
 
-        let header = crate::trace_format::header_sections(trace_for_header);
-        let body = std::fs::read_to_string(&self.body_path)?;
-        let mut out = std::fs::File::create(final_path)?;
-        out.write_all(header.as_bytes())?;
-        out.write_all(body.as_bytes())?;
-        drop(out);
+        // The body is copied, never read whole, so the merge stays
+        // bounded-memory; it lands in a temp file renamed into place,
+        // so a crash never leaves a torn trace at `final_path`.
+        let tmp = tmp_path(final_path);
+        let merged = std::fs::File::create(&tmp).and_then(|file| {
+            let mut out = std::io::BufWriter::new(file);
+            out.write_all(crate::trace_format::header_sections(trace_for_header).as_bytes())?;
+            std::io::copy(&mut std::fs::File::open(&self.body_path)?, &mut out)?;
+            out.flush()?;
+            std::fs::rename(&tmp, final_path)
+        });
+        merged.inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
         if let Some(s) = sink.as_mut() {
             s.finish(trace_for_header)?;
         }
@@ -252,6 +269,33 @@ mod tests {
         assert_eq!(loaded.events, trace.events);
         assert_eq!(loaded.region_names, trace.region_names);
         assert!(!body.exists(), "intermediate body removed after merge");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn prv_sink_publishes_write_trace_and_leaves_no_intermediate_files() {
+        let dir = std::env::temp_dir().join(format!("mempersp_stream5_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let final_prv = dir.join("run.prv");
+        let mut t = Tracer::new(TracerConfig::default(), 2);
+        let c = CounterSnapshot::default();
+        for i in 0..300u64 {
+            t.enter((i % 2) as usize, "R", c, i * 10);
+            t.exit((i % 2) as usize, "R", c, i * 10 + 5);
+        }
+        let trace = t.finish("sink");
+
+        let mut sink = PrvSink::with_tee(&final_prv, 8, None).unwrap();
+        for e in &trace.events {
+            sink.append_event(e).unwrap();
+        }
+        sink.finish(&trace).unwrap();
+        assert_eq!(sink.lines(), 600);
+        let written = std::fs::read_to_string(&final_prv).unwrap();
+        assert_eq!(written, crate::trace_format::write_trace(&trace));
+        let mut left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        left.sort();
+        assert_eq!(left, ["run.prv"], "no .mpit body or .tmp merge file may remain");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,9 @@
 //! The top-level folding pipeline and the folded-region report.
 
 use crate::curve::MonotoneCurve;
-use crate::engine::{fold_regions, fold_regions_source, RegionRequest};
+use crate::engine::{fold_regions, RegionRequest};
 use crate::instances::InstanceFilter;
 use crate::pool::PooledSamples;
-use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::Trace;
 use mempersp_pebs::EventKind;
 use serde::{Deserialize, Serialize};
@@ -252,24 +251,6 @@ pub fn fold_region(trace: &Trace, region: &str, cfg: &FoldingConfig) -> Result<F
     fold_regions(trace, &[RegionRequest::with_cfg(region, *cfg)], 1)
         .pop()
         .expect("one result per request")
-}
-
-/// [`fold_region`] over any [`TraceSource`]. Only the event kinds
-/// folding consumes — region enter/exit, counter samples and PEBS
-/// samples — are pulled from the source, so an indexed `.mps` store
-/// skips chunks of pure allocation or mux traffic without decoding
-/// them. Returns the fold together with the scan's cost accounting.
-pub fn fold_region_source(
-    source: &mut dyn TraceSource,
-    region: &str,
-    cfg: &FoldingConfig,
-) -> Result<(FoldedRegion, ScanStats), FoldError> {
-    let (mut results, stats) =
-        fold_regions_source(source, &[RegionRequest::with_cfg(region, *cfg)], 1)?;
-    results
-        .pop()
-        .expect("one result per request")
-        .map(|folded| (folded, stats))
 }
 
 #[cfg(test)]

@@ -74,29 +74,18 @@ impl InstanceFilter {
     }
 }
 
-/// Extract the top-level instances of `region` on every core, with
-/// their boundary counter snapshots. Returns `(kept, rejected_count)`.
-pub fn collect_instances(
-    trace: &Trace,
-    region: RegionId,
-    filter: InstanceFilter,
-) -> (Vec<RegionInstance>, usize) {
-    collect_instances_multi(trace, &[region], &[filter])
-        .pop()
-        .expect("one slot per requested region")
-}
-
 /// The events instance collection reads: region boundaries.
 pub(crate) fn boundary_query() -> Query {
     Query::all().with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit])
 }
 
-/// [`collect_instances`] for many regions in **one pass** over the
-/// trace events.
+/// Extract the top-level instances of every region in `regions`, on
+/// every core, with their boundary counter snapshots, in **one pass**
+/// over the trace events.
 ///
 /// `regions[s]` and `filters[s]` describe slot `s`; the result keeps
-/// slot order. Duplicate region ids are allowed (each slot accumulates
-/// independently).
+/// slot order, one `(kept, rejected_count)` per slot. Duplicate region
+/// ids are allowed (each slot accumulates independently).
 pub fn collect_instances_multi(
     trace: &Trace,
     regions: &[RegionId],
@@ -243,6 +232,11 @@ mod tests {
     use super::*;
     use mempersp_extrae::{Tracer, TracerConfig};
 
+    /// `(kept, rejected_count)` for one region.
+    fn one_region(tr: &Trace, region: RegionId, filter: InstanceFilter) -> (Vec<RegionInstance>, usize) {
+        collect_instances_multi(tr, &[region], &[filter]).pop().expect("one slot")
+    }
+
     fn trace_with_durations(durations: &[u64]) -> Trace {
         let mut t = Tracer::new(TracerConfig::default(), 1);
         let c = CounterSnapshot::default();
@@ -259,7 +253,7 @@ mod tests {
     fn collects_all_without_filter() {
         let tr = trace_with_durations(&[100, 100, 100]);
         let id = tr.region_id("R").unwrap();
-        let (kept, rej) = collect_instances(
+        let (kept, rej) = one_region(
             &tr,
             id,
             InstanceFilter { mad_k: f64::INFINITY, ..InstanceFilter::default() },
@@ -272,7 +266,7 @@ mod tests {
     fn rejects_duration_outlier() {
         let tr = trace_with_durations(&[100, 101, 99, 102, 98, 5000]);
         let id = tr.region_id("R").unwrap();
-        let (kept, rej) = collect_instances(&tr, id, InstanceFilter::default());
+        let (kept, rej) = one_region(&tr, id, InstanceFilter::default());
         assert_eq!(kept.len(), 5);
         assert_eq!(rej, 1);
         assert!(kept.iter().all(|i| i.duration() < 200));
@@ -282,7 +276,7 @@ mod tests {
     fn identical_durations_all_kept() {
         let tr = trace_with_durations(&[100; 8]);
         let id = tr.region_id("R").unwrap();
-        let (kept, rej) = collect_instances(&tr, id, InstanceFilter::default());
+        let (kept, rej) = one_region(&tr, id, InstanceFilter::default());
         assert_eq!(kept.len(), 8);
         assert_eq!(rej, 0);
     }
@@ -291,7 +285,7 @@ mod tests {
     fn zero_mad_with_outlier_keeps_majority() {
         let tr = trace_with_durations(&[100, 100, 100, 100, 100, 9999]);
         let id = tr.region_id("R").unwrap();
-        let (kept, rej) = collect_instances(&tr, id, InstanceFilter::default());
+        let (kept, rej) = one_region(&tr, id, InstanceFilter::default());
         assert_eq!(kept.len(), 5);
         assert_eq!(rej, 1);
     }
@@ -322,7 +316,7 @@ mod tests {
         t.exit(1, "R", c, 105);
         let tr = t.finish("test");
         let id = tr.region_id("R").unwrap();
-        let (kept, _) = collect_instances(&tr, id, InstanceFilter::default());
+        let (kept, _) = one_region(&tr, id, InstanceFilter::default());
         assert_eq!(kept.len(), 2);
         assert_eq!(kept.iter().map(|i| i.core).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -345,8 +339,8 @@ mod tests {
         let b = tr.region_id("B").unwrap();
         let f = InstanceFilter::default();
         let multi = collect_instances_multi(&tr, &[a, b], &[f, f]);
-        assert_eq!(multi[0], collect_instances(&tr, a, f));
-        assert_eq!(multi[1], collect_instances(&tr, b, f));
+        assert_eq!(multi[0], one_region(&tr, a, f));
+        assert_eq!(multi[1], one_region(&tr, b, f));
         assert_eq!(multi[0].0.len(), 2);
         assert_eq!(multi[1].0.len(), 2);
     }
@@ -357,7 +351,7 @@ mod tests {
         // Region id 0 is "R"; a bogus id produces nothing rather than
         // panicking.
         let (kept, rej) =
-            collect_instances(&tr, mempersp_extrae::events::RegionId(7), InstanceFilter::default());
+            one_region(&tr, mempersp_extrae::events::RegionId(7), InstanceFilter::default());
         assert!(kept.is_empty());
         assert_eq!(rej, 0);
     }

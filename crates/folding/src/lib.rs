@@ -34,9 +34,6 @@ pub use cluster::{cluster_by_duration, DurationCluster};
 pub use curve::MonotoneCurve;
 pub use digest::{config_digest, fold_request_digest, Fnv64};
 pub use engine::{fold_regions, fold_regions_source, RegionRequest, FOLD_KINDS};
-pub use fold::{
-    fold_region, fold_region_source, FitModel, FoldError, FoldedCounter, FoldedRegion,
-    FoldingConfig,
-};
-pub use instances::{collect_instances, collect_instances_multi, InstanceFilter, RegionInstance};
-pub use pool::{pool_all, pool_samples, AddrPoint, FileId, LinePoint, PooledSamples};
+pub use fold::{fold_region, FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
+pub use instances::{collect_instances_multi, InstanceFilter, RegionInstance};
+pub use pool::{pool_all, AddrPoint, FileId, LinePoint, PooledSamples};

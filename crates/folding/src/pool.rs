@@ -486,14 +486,6 @@ impl<'a> Pooler<'a> {
     }
 }
 
-/// Pool every in-instance sample of the trace into folded coordinates
-/// for one region, deterministically sorted.
-pub fn pool_samples(trace: &Trace, instances: &[RegionInstance]) -> PooledSamples {
-    let mut out = pool_all(trace, &[instances]).pop().expect("one slot");
-    out.sort_deterministic();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,16 +526,28 @@ mod tests {
         t.finish("pool test")
     }
 
+    fn instances_of(trace: &Trace, region: &str) -> Vec<RegionInstance> {
+        let id = trace.region_id(region).unwrap();
+        let filter = crate::instances::InstanceFilter::default();
+        crate::instances::collect_instances_multi(trace, &[id], &[filter]).swap_remove(0).0
+    }
+
     fn kept(trace: &Trace) -> Vec<RegionInstance> {
-        let id = trace.region_id("R").unwrap();
-        crate::instances::collect_instances(trace, id, crate::instances::InstanceFilter::default()).0
+        instances_of(trace, "R")
+    }
+
+    /// One region's panels, deterministically sorted.
+    fn pool_one(trace: &Trace, instances: &[RegionInstance]) -> PooledSamples {
+        let mut out = pool_all(trace, &[instances]).swap_remove(0);
+        out.sort_deterministic();
+        out
     }
 
     #[test]
     fn normalizes_time_and_progress() {
         let tr = make_trace();
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         let pts: Vec<(f64, f64)> = p.counter_points(EventKind::Instructions).collect();
         assert_eq!(pts.len(), 2);
         // First instance: t=25 -> x=0.25, counters 250/1000.
@@ -558,7 +562,7 @@ mod tests {
     fn out_of_instance_samples_dropped() {
         let tr = make_trace();
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         // 2 counter samples inside instances (the t=150 one dropped).
         assert_eq!(p.counter_len(EventKind::Instructions), 2);
         // line points: 2 counter samples + 1 pebs = 3.
@@ -569,7 +573,7 @@ mod tests {
     fn pebs_points_carry_payload_and_instance() {
         let tr = make_trace();
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         assert_eq!(p.addr_points.len(), 1);
         let a = p.addr_points[0];
         assert_eq!(a.addr, 0xAAAA);
@@ -583,7 +587,7 @@ mod tests {
     fn line_points_resolve_source() {
         let tr = make_trace();
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         let lp = p.line_points[0];
         assert_eq!(lp.file_name(&p), Some("k.cpp"));
         assert_eq!(lp.line, Some(42));
@@ -594,7 +598,7 @@ mod tests {
     fn stalled_counter_contributes_no_points() {
         let tr = make_trace();
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         // Branches never advance in the synthetic trace.
         assert_eq!(p.counter_len(EventKind::Branches), 0);
         assert!(!p.is_empty());
@@ -611,7 +615,7 @@ mod tests {
         t.exit(0, "R", ctr(1000), 100);
         let tr = t.finish("clamp");
         let inst = kept(&tr);
-        let p = pool_samples(&tr, &inst);
+        let p = pool_one(&tr, &inst);
         let pts: Vec<(f64, f64)> = p.counter_points(EventKind::Instructions).collect();
         assert_eq!(pts.len(), 1);
         assert!(pts[0].1 <= 1.0);
@@ -628,17 +632,8 @@ mod tests {
         t.exit(0, "inner", ctr(200), 60);
         t.exit(0, "outer", ctr(1000), 100);
         let tr = t.finish("nested");
-        let get = |name: &str| {
-            let id = tr.region_id(name).unwrap();
-            crate::instances::collect_instances(
-                &tr,
-                id,
-                crate::instances::InstanceFilter::default(),
-            )
-            .0
-        };
-        let outer = get("outer");
-        let inner = get("inner");
+        let outer = instances_of(&tr, "outer");
+        let inner = instances_of(&tr, "inner");
         let pooled = pool_all(&tr, &[&outer, &inner]);
         assert_eq!(pooled.len(), 2);
         assert_eq!(pooled[0].counter_len(EventKind::Instructions), 1);
@@ -718,7 +713,7 @@ mod tests {
         let inst = kept(&tr);
         let mut multi = pool_all(&tr, &[&inst, &inst]).swap_remove(1);
         multi.sort_deterministic();
-        let single = pool_samples(&tr, &inst);
+        let single = pool_one(&tr, &inst);
         assert_eq!(format!("{multi:?}"), format!("{single:?}"));
     }
 }

@@ -132,6 +132,6 @@ pub use source::{open_trace_source, sniff_store, MpsSource, PARALLEL_MIN_CHUNKS}
 pub use svb::{detected_simd_level, simd_level, simd_level_name, SimdLevel};
 pub use varint::CodecError;
 pub use writer::{
-    write_store, write_store_chunked, write_store_with, StoreSummary, StoreWriter, WriterOptions,
-    DEFAULT_CHUNK_BYTES, DEFAULT_INFLIGHT_PER_THREAD,
+    write_store_chunked, write_store_with, StoreSummary, StoreWriter, WriterOptions, DEFAULT_CHUNK_BYTES,
+    DEFAULT_INFLIGHT_PER_THREAD,
 };

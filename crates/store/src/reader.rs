@@ -915,6 +915,20 @@ mod tests {
     }
 
     #[test]
+    fn sequential_queries_reuse_one_decode_scratch() {
+        let path = tmp("scratch.mps");
+        write_store_chunked(&path, &trace(), 4096).unwrap();
+        let r = StoreReader::open(&path).unwrap();
+        let window = Query::all().in_time(0, 5_000);
+        for q in [&window, &Query::all(), &window, &Query::all().with_kinds(&[mempersp_extrae::query::EventClass::User])] {
+            r.query(q).unwrap();
+        }
+        assert!(r.verify_all().is_empty());
+        assert_eq!(r.scratch_allocs_total(), 1, "every sequential scan must reuse the pooled scratch");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn open_rejects_non_store_files() {
         let path = tmp("bogus.mps");
         std::fs::write(&path, "#MEMPERSP-PRV 1\nMETA 2500 1 0 \"x\"\n").unwrap();

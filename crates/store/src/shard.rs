@@ -46,9 +46,9 @@
 //! would.
 
 use crate::reader::{RecoveryMode, StoreReader};
-use crate::writer::{sync_parent_dir, tmp_path, StoreSummary, StoreWriter, WriterOptions};
+use crate::writer::{sync_parent_dir, StoreSummary, StoreWriter, WriterOptions};
 use mempersp_extrae::events::TraceEvent;
-use mempersp_extrae::stream_writer::EventSink;
+use mempersp_extrae::stream_writer::{tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -61,7 +61,7 @@ use crate::crc::{crc32c, Crc32c};
 use crate::fault::StoreFile;
 use crate::lz;
 use mempersp_extrae::events::TraceEvent;
-use mempersp_extrae::stream_writer::EventSink;
+use mempersp_extrae::stream_writer::{tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
@@ -82,14 +82,6 @@ pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 /// not yet committed). The product `threads × this` bounds the
 /// pipelined writer's buffered chunks, and with it peak memory.
 pub const DEFAULT_INFLIGHT_PER_THREAD: usize = 2;
-
-/// The temp-file twin of a final store path (`trace.mps` →
-/// `trace.mps.tmp`): where a writer streams until its atomic rename.
-pub fn tmp_path(dest: &Path) -> PathBuf {
-    let mut name = dest.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    dest.with_file_name(name)
-}
 
 /// fsync the directory holding `entry`, making a just-renamed name
 /// durable. (An fsync of the file alone persists its *contents*; the
@@ -584,12 +576,8 @@ impl EventSink for StoreWriter {
     }
 }
 
-/// Write a complete in-memory trace as a store file.
-pub fn write_store(path: &Path, trace: &Trace) -> io::Result<StoreSummary> {
-    write_store_chunked(path, trace, DEFAULT_CHUNK_BYTES)
-}
-
-/// [`write_store`] with an explicit chunk target.
+/// Write a complete in-memory trace as a store file with an explicit
+/// chunk target.
 pub fn write_store_chunked(path: &Path, trace: &Trace, chunk_target: usize) -> io::Result<StoreSummary> {
     write_store_with(path, trace, chunk_target, 1)
 }
@@ -660,7 +648,7 @@ mod tests {
     fn compression_pays_off_on_repetitive_traces() {
         let path = tmp("ratio.mps");
         let t = trace(5000);
-        let s = write_store(&path, &t).unwrap();
+        let s = write_store_chunked(&path, &t, DEFAULT_CHUNK_BYTES).unwrap();
         assert!(
             s.stored_bytes < s.raw_bytes,
             "LZ pass should shrink repetitive region events: {} vs {}",
@@ -674,7 +662,7 @@ mod tests {
     fn empty_trace_still_produces_valid_container() {
         let path = tmp("empty.mps");
         let t = Tracer::new(TracerConfig::default(), 1).finish("empty");
-        let s = write_store(&path, &t).unwrap();
+        let s = write_store_chunked(&path, &t, DEFAULT_CHUNK_BYTES).unwrap();
         assert_eq!(s.events, 0);
         assert_eq!(s.chunks, 0);
         let bytes = std::fs::read(&path).unwrap();
@@ -717,7 +705,7 @@ mod tests {
     fn finish_leaves_no_temp_file() {
         let path = tmp("atomic.mps");
         let t = trace(500);
-        write_store(&path, &t).unwrap();
+        write_store_chunked(&path, &t, DEFAULT_CHUNK_BYTES).unwrap();
         assert!(path.exists());
         assert!(!tmp_path(&path).exists(), "finish must clean up the temp file via rename");
         std::fs::remove_file(&path).ok();

@@ -13,9 +13,10 @@
 //! first `k` bytes of the clean file, which is what makes the
 //! exact-prefix oracle checkable at all.
 
+use mempersp_extrae::stream_writer::tmp_path;
 use mempersp_extrae::tracer::{Trace, Tracer, TracerConfig};
 use mempersp_pebs::CounterSnapshot;
-use mempersp_store::writer::{tmp_path, write_store_chunked};
+use mempersp_store::writer::write_store_chunked;
 use mempersp_store::{
     recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter, WriterOptions,
 };

@@ -49,6 +49,12 @@ fn claim1_phase_order_is_a_b_c_d_e() {
     // And they cover a meaningful part of the iteration.
     let covered: f64 = a.phases.iter().map(|p| p.fraction()).sum();
     assert!(covered > 0.5, "phases cover {covered}");
+    // The phases are bands of their kernels' source lines: both
+    // kernels' files appear in Fig. 1's code-line panel.
+    let lines = mempersp::core::report::figure::lines_csv(&a.folded_iteration);
+    for file in ["ComputeSYMGS_ref.cpp", "ComputeSPMV_ref.cpp"] {
+        assert!(lines.contains(file), "code-line panel lacks {file}");
+    }
 }
 
 #[test]
