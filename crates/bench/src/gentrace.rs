@@ -129,7 +129,7 @@ impl Iterator for EventGen {
         let payload = if roll < 200 {
             let region = RegionId((r >> 10) as u32 % REGIONS.len() as u32);
             let counters = self.counters();
-            if roll % 2 == 0 {
+            if roll.is_multiple_of(2) {
                 EventPayload::RegionEnter { region, counters }
             } else {
                 EventPayload::RegionExit { region, counters }
@@ -139,7 +139,7 @@ impl Iterator for EventGen {
             let object = (obj < NUM_OBJECTS).then_some(ObjectId(obj));
             let addr = 0x10_0000
                 + u64::from(obj % NUM_OBJECTS) * 0x10_0000
-                + ((r >> 20) % 0x10_0000 & !7);
+                + (((r >> 20) % 0x10_0000) & !7);
             EventPayload::Pebs {
                 sample: PebsSample {
                     timestamp: cycles,
@@ -147,7 +147,7 @@ impl Iterator for EventGen {
                     ip: 0x40_0000 + (r >> 40) % 0x1000,
                     addr,
                     size: 8,
-                    is_store: roll % 4 == 0,
+                    is_store: roll.is_multiple_of(4),
                     latency: (10 + (r >> 15) % 300) as u32,
                     source: match (r >> 8) % 100 {
                         0..=59 => MemLevel::L1,
@@ -155,7 +155,7 @@ impl Iterator for EventGen {
                         85..=94 => MemLevel::L3,
                         _ => MemLevel::Dram,
                     },
-                    tlb_miss: (r >> 9) % 50 == 0,
+                    tlb_miss: (r >> 9).is_multiple_of(50),
                 },
                 object,
             }

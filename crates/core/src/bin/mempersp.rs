@@ -52,16 +52,15 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  mempersp run --workload <hpcg|stream|stencil|chase|matmul> \
          [--nx N] [--iters N] [--cores N] [--threads N|auto] [--no-group] [--haswell] \
-         [--shard-events N] [--max-inflight N] [--force] -o|--out <trace.prv|.mps|.mps.d>\n  \
+         [--shard-events N] [--force] -o|--out <trace.prv|.mps|.mps.d>\n  \
          mempersp info <trace>\n  mempersp objects <trace>\n  \
          mempersp fold <trace> --region <name> [--csv-dir <dir>] [--stats]\n  \
          mempersp fold <trace> --regions <a,b,...|all> [--threads N|auto] [--csv-dir <dir>] [--stats]\n  \
          mempersp export <trace> [--dir <dir>] [--prefix <name>]\n  \
          mempersp profile <trace>\n  \
-         mempersp convert <trace> -o <out.prv|out.mps|out.mps.d> \
-         [--shard-events N] [--threads N|auto] [--force]\n  \
+         mempersp convert <trace> -o <out.prv|out.mps|out.mps.d> [--shard-events N] [--force]\n  \
          mempersp query <trace> [--time lo:hi] [--cores 0,2] [--kinds ENTER,PEBS] \
-         [--object N] [--threads N|auto] [--print N] [--json] [--stats] [--no-verify]\n  \
+         [--object N] [--print N] [--json] [--stats] [--no-verify]\n  \
          mempersp serve --root <repo-dir> [--addr host:port] [--max-inflight N] \
          [--timeout-ms N] [--workers N] [--memo-cap N]\n  \
          mempersp fsck <trace.mps|trace.mps.d|trace.mps.tmp>\n  \
@@ -238,13 +237,6 @@ fn cmd_run(args: &[String]) {
     let group = !args.iter().any(|a| a == "--no-group");
     let opts = StreamOptions {
         force: args.iter().any(|a| a == "--force"),
-        writer_threads: threads,
-        max_inflight: arg_value(args, "--max-inflight").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--max-inflight expects a chunk count, got {v:?}");
-                exit(1);
-            })
-        }),
         shard_events: shard_events_arg(args),
     };
 
@@ -340,7 +332,7 @@ fn print_scan_stats(stats: &ScanStats) {
 /// sniffed, so `.mps → .mps` (re-chunking) and `.prv → .prv`
 /// (normalization) also work. `--shard-events N` (or a `.mps.d`
 /// output) writes a sharded store that rolls a new file every N
-/// events; `--threads` sizes the writer's compression pool.
+/// events.
 fn cmd_convert(args: &[String]) {
     // Unknown flags are ignored, so a leftover `--format v3` would
     // silently produce a v4 file.
@@ -357,12 +349,7 @@ fn cmd_convert(args: &[String]) {
     }
     let mut src = load_source(args);
     let header = scanned(args, src.header());
-    let opts = StreamOptions {
-        force,
-        writer_threads: threads_arg(args),
-        max_inflight: None,
-        shard_events: shard_events_arg(args),
-    };
+    let opts = StreamOptions { force, shard_events: shard_events_arg(args) };
     let to_store =
         opts.shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) || out.ends_with(".mps");
     let converted = if to_store {
@@ -372,9 +359,9 @@ fn cmd_convert(args: &[String]) {
             sink.finish(&header)
         })
     } else {
-        // `run` merges a text trace's header in afterwards, through a
-        // writer thread; here it is known up front. Like a store: into
-        // a temp file, renamed once every event is read and written.
+        // `run` merges a text trace's header in afterwards; here it is
+        // known up front. Like a store: into a temp file, renamed once
+        // every event is read and written.
         let tmp = mempersp_extrae::stream_writer::tmp_path(out_path);
         let written = std::fs::File::create(&tmp).and_then(|file| {
             let mut text = io::BufWriter::new(file);
@@ -467,14 +454,11 @@ fn parse_query(args: &[String]) -> Query {
 }
 
 /// Run a predicate query against either trace format. On a store the
-/// footer index prunes chunks before any decode; `--threads` spreads
-/// the surviving chunks over a deterministic parallel scan (`--json`
-/// streams one sequential scan instead: printing, not decoding, is
-/// what it waits for).
+/// footer index prunes chunks before any decode; `--json` streams the
+/// rows as the scan hands their batches over.
 fn cmd_query(args: &[String]) {
     let path = trace_path(args).clone();
     let q = parse_query(args);
-    let threads = threads_arg(args);
     let print: usize = arg_value(args, "--print").and_then(|v| v.parse().ok()).unwrap_or(0);
 
     let p = std::path::Path::new(&path);
@@ -523,7 +507,6 @@ fn cmd_query(args: &[String]) {
     }
 
     let (events, stats) = match store {
-        Some(src) if threads > 1 => src.query_parallel(&q, threads),
         Some(src) => src.query(&q),
         None => load_source(args).filtered(&q).map(|(t, s)| (t.events, s)),
     }

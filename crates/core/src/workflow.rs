@@ -13,7 +13,7 @@ use crate::machine::{Machine, MachineConfig, RunReport};
 use mempersp_extrae::stream_writer::PrvSink;
 use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::{EventSink, ObjectId, Workload};
-use mempersp_store::{ShardedWriter, StoreWriter, WriterOptions, SHARD_DIR_SUFFIX};
+use mempersp_store::{ShardedWriter, StoreWriter, DEFAULT_CHUNK_BYTES, SHARD_DIR_SUFFIX};
 use std::io;
 use std::path::Path;
 use mempersp_folding::{fold_regions_source, FoldedRegion, FoldingConfig, RegionRequest};
@@ -51,11 +51,6 @@ pub struct HpcgAnalysis {
 /// Options for [`run_streaming_to_path`]'s writer side.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Compressor threads of the store writer (ignored for `.prv`).
-    pub writer_threads: usize,
-    /// In-flight chunk budget; `None` takes the writer default
-    /// (`threads × DEFAULT_INFLIGHT_PER_THREAD`).
-    pub max_inflight: Option<usize>,
     /// Roll `.mps.d` shards every this many events. `Some` forces the
     /// sharded layout even without the `.mps.d` suffix.
     pub shard_events: Option<u64>,
@@ -67,7 +62,7 @@ pub struct StreamOptions {
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions { writer_threads: 1, max_inflight: None, shard_events: None, force: true }
+        StreamOptions { shard_events: None, force: true }
     }
 }
 
@@ -76,11 +71,6 @@ impl Default for StreamOptions {
 /// → single-file store, anything else → Paraver text via [`PrvSink`].
 pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn EventSink>> {
     mempersp_store::check_clobber(out, opts.force)?;
-    let writer_opts = WriterOptions {
-        threads: opts.writer_threads.max(1),
-        max_inflight: opts.max_inflight,
-        ..Default::default()
-    };
     let is_shard_dir = out
         .file_name()
         .and_then(|n| n.to_str())
@@ -88,10 +78,10 @@ pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn Eve
     if is_shard_dir || opts.shard_events.is_some() {
         let per_shard =
             opts.shard_events.unwrap_or(mempersp_store::DEFAULT_EVENTS_PER_SHARD);
-        return Ok(Box::new(ShardedWriter::new(out, writer_opts, per_shard)?));
+        return Ok(Box::new(ShardedWriter::new(out, DEFAULT_CHUNK_BYTES, per_shard)?));
     }
     if out.extension().is_some_and(|e| e == "mps") {
-        return Ok(Box::new(StoreWriter::new(out, writer_opts)?));
+        return Ok(Box::new(StoreWriter::new(out, DEFAULT_CHUNK_BYTES)?));
     }
     Ok(Box::new(PrvSink::create(out)?))
 }
@@ -102,7 +92,7 @@ pub fn sink_for_path(out: &Path, opts: &StreamOptions) -> io::Result<Box<dyn Eve
 /// epoch's events plus those above the watermark (the slowest core's
 /// clock), reported as [`RunReport::max_buffered_events`].
 /// The bytes written are identical to materializing the trace and
-/// converting it afterwards, for any writer thread count.
+/// converting it afterwards, for any [`MachineConfig::threads`].
 pub fn run_streaming_to_path(
     machine_cfg: MachineConfig,
     workload: &mut dyn Workload,

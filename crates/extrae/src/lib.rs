@@ -49,6 +49,6 @@ pub use objects::{ObjectId, ObjectKind, ObjectRegistry, ResolvedObject};
 pub use query::{EventClass, KindMask, Query};
 pub use sim_alloc::SimAllocator;
 pub use source::{CodeLocation, Ip, SourceMap};
-pub use stream_writer::{EventSink, PrvSink, StreamWriter};
+pub use stream_writer::{EventSink, PrvSink};
 pub use trace_source::{scan_events, ScanStats, TraceSource};
 pub use tracer::{LaneStats, Trace, TraceMeta, Tracer, TracerConfig};

@@ -1464,14 +1464,15 @@ mod tests {
             m.merge_prefetch_pages();
         }
         let mut out = Vec::new();
+        let mut results: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
         let mut req_cursor = vec![0usize; n];
         let longest = per_core.iter().map(Vec::len).max().unwrap_or(0);
         for i in 0..longest {
-            for c in 0..n {
-                let Some(op) = per_core[c].get(i) else { continue };
+            for (c, ops) in per_core.iter().enumerate() {
+                let Some(op) = ops.get(i) else { continue };
                 let now = now + (i * n + c) as u64;
                 out.push(if free {
-                    let pr = results[c][i];
+                    let pr = results[c].next().expect("one private result per op");
                     let slice = &reqs[c][req_cursor[c]..req_cursor[c] + pr.req_len as usize];
                     req_cursor[c] += pr.req_len as usize;
                     m.complete_access(c, &pr, slice, now)
@@ -1534,7 +1535,7 @@ mod tests {
     fn random_epoch(x: &mut u64, cursors: &mut [u64; 3]) -> Vec<Vec<BatchOp>> {
         const SLAB: u64 = 3 * 4096;
         const BASE: u64 = 0x40_0000;
-        let sharing = xorshift(x) % 4 == 0;
+        let sharing = xorshift(x).is_multiple_of(4);
         (0..3u64)
             .map(|c| {
                 let len = match xorshift(x) % 4 {

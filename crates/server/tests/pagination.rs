@@ -57,7 +57,7 @@ fn repo() -> PathBuf {
     let trace = t.finish("pagination test");
     write_store_chunked(&dir.join("t.mps"), &trace, 1024).unwrap();
     let per_shard = trace.events.len().div_ceil(4) as u64;
-    write_store_sharded(&dir.join("t.mps.d"), &trace, 1024, 1, per_shard).unwrap();
+    write_store_sharded(&dir.join("t.mps.d"), &trace, 1024, per_shard).unwrap();
     dir
 }
 

@@ -793,7 +793,7 @@ mod tests {
                         timestamp: 1_100,
                         core: 1,
                         ip: 0x400020,
-                        addr: 0xDEAD_BEEF_00,
+                        addr: 0xDE_ADBE_EF00,
                         size: 8,
                         is_store: true,
                         latency: 233,

@@ -15,11 +15,11 @@
 //!   only matching rows are decoded; [`lz`] — an in-tree LZ77 pass
 //!   over each chunk.
 //! - [`writer`] — [`writer::StoreWriter`] streams events into ~64 KiB
-//!   chunks, appending as it goes (O(chunk) memory), optionally
-//!   compressing on a bounded worker pool with deterministic in-order
-//!   commit, and seals the file with a footer index + header blob. It
-//!   implements `mempersp_extrae::stream_writer::EventSink`, so a live
-//!   `StreamWriter` run can tee a binary store next to its text trace.
+//!   chunks, compressing and appending each on the caller's thread as
+//!   it seals (O(chunk) memory), and seals the file with a footer
+//!   index + header blob. It implements
+//!   `mempersp_extrae::stream_writer::EventSink`, so a simulation run
+//!   streams straight into it.
 //! - [`chunk`] — the per-chunk [`chunk::ChunkMeta`] footer entry:
 //!   time range, core bitmap, event-kind bitmap, object-id range.
 //! - [`reader`] — [`reader::StoreReader`] `mmap`s one file
@@ -32,9 +32,9 @@
 //!   and the manifest.
 //! - [`source`] — [`source::MpsSource`], a store opened for reading:
 //!   the list of its files (one for a `.mps`, the shards of a
-//!   `.mps.d`) behind one API and the `TraceSource` trait, with the
-//!   parallel scan; [`source::open_trace_source`] sniffs the path and
-//!   serves `.prv` text the same way.
+//!   `.mps.d`) behind one API and the `TraceSource` trait;
+//!   [`source::open_trace_source`] sniffs the path and serves `.prv`
+//!   text the same way.
 //!
 //! # Reading a store
 //!
@@ -54,10 +54,9 @@
 //!   those only, while `ScanStats::events_matched` counts them all.
 //! - **rows on top of it** — `query` materializes the matches,
 //!   `materialize` the whole trace ([`StoreReader::materialize`], or
-//!   `TraceSource::materialize`/`filtered` for an [`MpsSource`]), and
-//!   [`MpsSource::query_parallel`] is `query` with the surviving
-//!   chunks of every file spread over worker threads — the one
-//!   fan-out on the read side.
+//!   `TraceSource::materialize`/`filtered` for an [`MpsSource`]). Every
+//!   read runs on the caller's thread; concurrent readers share one
+//!   [`StoreReader`] through `&self`.
 //! - **verification** — [`StoreReader::verify_all`] checks every
 //!   chunk's frame, CRC and decode whatever `verify` said.
 //! - **accessors** — `chunks`, `num_events`, `header`/`store_header`,
@@ -70,8 +69,11 @@
 //! against `MpsSource::{open, open_with_options, query, store_header,
 //! cache_stats, reader}`, `TraceSource::{filtered, materialize}` for
 //! `MpsSource`, `StoreReader::{verify_all, chunks, cache_stats,
-//! scratch_allocs_total}`, `StoreWriter::with_threads` and
-//! `write_store_chunked`: those signatures are pinned.
+//! scratch_allocs_total}`, `StoreWriter::{with_threads, append,
+//! finish}` (`with_threads` with a count of 1 only),
+//! `write_store_chunked`, `DEFAULT_CHUNK_BYTES` and
+//! `svb::{encode_column, zigzag, SvbColumn}`: those signatures are
+//! pinned.
 //!
 //! Round-trip guarantee: the store keeps the exact
 //! `header_sections()` text of the originating trace, and the chunk
@@ -128,10 +130,7 @@ pub use fault::{FailingFile, FaultConfig, FaultPlan, StoreFile};
 pub use reader::{ChunkDamage, RecoveryMode, StoreReader};
 pub use recover::{check_clobber, fsck_store, recover_store, FsckReport, RecoverReport};
 pub use shard::{write_store_sharded, ShardedWriter, DEFAULT_EVENTS_PER_SHARD, SHARD_DIR_SUFFIX};
-pub use source::{open_trace_source, sniff_store, MpsSource, PARALLEL_MIN_CHUNKS};
+pub use source::{open_trace_source, sniff_store, MpsSource};
 pub use svb::{detected_simd_level, simd_level, simd_level_name, SimdLevel};
 pub use varint::CodecError;
-pub use writer::{
-    write_store_chunked, write_store_with, StoreSummary, StoreWriter, WriterOptions, DEFAULT_CHUNK_BYTES,
-    DEFAULT_INFLIGHT_PER_THREAD,
-};
+pub use writer::{write_store_chunked, StoreSummary, StoreWriter, DEFAULT_CHUNK_BYTES};

@@ -20,9 +20,7 @@
 //!
 //! Every read is one scan, [`StoreReader::scan_batches_cancel`];
 //! [`StoreReader::query`] and [`StoreReader::materialize`] build rows
-//! on top of it. The parallel scan lives one level up, in
-//! [`crate::source::MpsSource::query_parallel`], which spreads the
-//! surviving chunks of every file of a store over worker threads.
+//! on top of it.
 //!
 //! # Integrity and recovery
 //!
@@ -434,21 +432,6 @@ impl StoreReader {
         }
     }
 
-    /// Indices of chunks the footer cannot rule out for `q`, and how
-    /// many it did rule out.
-    pub(crate) fn candidates(&self, q: &Query) -> (Vec<usize>, u64) {
-        let mut keep = Vec::new();
-        let mut skipped = 0u64;
-        for (i, m) in self.metas.iter().enumerate() {
-            if m.may_match(q) {
-                keep.push(i);
-            } else {
-                skipped += 1;
-            }
-        }
-        (keep, skipped)
-    }
-
     /// Decode one chunk for `q` (`None`: every event, every section
     /// validated) and hand `sink` the batch of its matches ranked
     /// inside `page`, updating `stats`. The sink runs only once the
@@ -502,29 +485,6 @@ impl StoreReader {
         Ok(())
     }
 
-    /// Scan `candidates` in the order given with one pooled scratch,
-    /// checking `cancel` before every chunk. `page` ranks matches over
-    /// the whole call: each chunk sees it shifted by the matches the
-    /// chunks before it counted.
-    pub(crate) fn scan_candidates(
-        &self,
-        candidates: impl IntoIterator<Item = usize>,
-        q: &Query,
-        page: &Range<usize>,
-        cancel: &CancelToken,
-        sink: &mut dyn FnMut(&EventBatch<'_>),
-    ) -> io::Result<ScanStats> {
-        let mut stats = ScanStats::default();
-        let mut scratch = self.take_scratch();
-        let res = candidates.into_iter().try_for_each(|idx| {
-            cancel.check()?;
-            let rest = page_after(page, stats.events_matched);
-            self.scan_chunk(idx, Some(q), &rest, &mut scratch, &mut stats, sink)
-        });
-        self.put_scratch(scratch);
-        res.map(|()| stats)
-    }
-
     /// Scan the chunks the footer cannot rule out for `q`, in stored
     /// order, handing `sink` one column batch per chunk. `cancel` is
     /// checked at every chunk boundary: an expired deadline surfaces
@@ -544,13 +504,25 @@ impl StoreReader {
         cancel: &CancelToken,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        let (candidates, chunks_skipped) = self.candidates(q);
-        let stats = self.scan_candidates(candidates, q, page, cancel, sink)?;
-        Ok(ScanStats { chunks_skipped, ..stats })
+        let mut stats = ScanStats::default();
+        let mut scratch = self.take_scratch();
+        let res = self.metas.iter().enumerate().try_for_each(|(idx, m)| {
+            if !m.may_match(q) {
+                stats.chunks_skipped += 1;
+                return Ok(());
+            }
+            cancel.check()?;
+            // `page` ranks matches over the whole file: each chunk sees
+            // it shifted by the matches the chunks before it counted.
+            let rest = page_after(page, stats.events_matched);
+            self.scan_chunk(idx, Some(q), &rest, &mut scratch, &mut stats, sink)
+        });
+        self.put_scratch(scratch);
+        res.map(|()| stats)
     }
 
-    /// Run a query sequentially. Returns matching events in stored
-    /// (trace) order plus the scan's cost accounting.
+    /// Run a query. Returns matching events in stored (trace) order
+    /// plus the scan's cost accounting.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
         let mut out = Vec::new();
         let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {

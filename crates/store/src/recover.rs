@@ -18,7 +18,7 @@
 
 use crate::reader::RecoveryMode;
 use crate::source::{damage_line, MpsSource};
-use crate::writer::{StoreWriter, WriterOptions};
+use crate::writer::{StoreWriter, DEFAULT_CHUNK_BYTES};
 use mempersp_extrae::events::{EventPayload, TraceEvent};
 use mempersp_extrae::query::Query;
 use mempersp_extrae::tracer::{Trace, TraceMeta};
@@ -105,7 +105,7 @@ pub fn recover_store(input: &Path, output: &Path) -> io::Result<RecoverReport> {
     let header_intact = src.shards().all(|(_, s)| s.header_intact());
     let header =
         if header_intact { src.store_header().clone() } else { synthesize_header(&events) };
-    let mut w = StoreWriter::new(output, WriterOptions::default())?;
+    let mut w = StoreWriter::new(output, DEFAULT_CHUNK_BYTES)?;
     for e in &events {
         w.append(e)?;
     }
@@ -200,7 +200,7 @@ mod tests {
         std::fs::remove_dir_all(&sharded).ok();
         let t = trace(2000);
         write_store_chunked(&single, &t, 4096).unwrap();
-        write_store_sharded(&sharded, &t, 4096, 1, 2500).unwrap();
+        write_store_sharded(&sharded, &t, 4096, 2500).unwrap();
         let rs = fsck_store(&single).unwrap();
         assert!(rs.is_clean(), "{:?}", rs.damage);
         assert_eq!((rs.format_version, rs.shards, rs.events), (4, 1, t.events.len() as u64));
@@ -280,7 +280,7 @@ mod tests {
         let out = tmp("holes_recovered.mps");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(2000);
-        write_store_sharded(&dir, &t, 4096, 1, 2500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 2500).unwrap();
         std::fs::remove_file(dir.join("shard-0001.mps")).unwrap();
         let report = recover_store(&dir, &out).unwrap();
         assert!(report.damage.iter().any(|d| d.contains("shard-0001")), "{:?}", report.damage);

@@ -407,14 +407,15 @@ mod tests {
         all
     }
 
+    /// What [`three_loops`] returns: the selection and the per-class
+    /// row counts.
+    type Selection = (Vec<(u32, u32)>, [usize; NCLASS]);
+
     /// The selection as it was written before the block-mask kernel:
     /// a histogram pass, an occurrence pass over the rows before the
     /// window, and a branch per row inside it. Pages did not exist;
     /// [`oracle`] cuts one out of this answer.
-    fn three_loops(
-        head: &HeadCols<'_>,
-        filter: &RowFilter<'_>,
-    ) -> Result<(Vec<(u32, u32)>, [usize; NCLASS]), CodecError> {
+    fn three_loops(head: &HeadCols<'_>, filter: &RowFilter<'_>) -> Result<Selection, CodecError> {
         let HeadCols { tags, cycles, cores } = *head;
         let count = tags.len();
         let mut nk = [0usize; NCLASS];
@@ -602,7 +603,8 @@ mod tests {
             total..total + 5,
             total + 9..usize::MAX,
             usize::MAX..usize::MAX,
-            7..3,
+            #[allow(clippy::reversed_empty_ranges)] // a reversed page must select nothing
+            (7..3),
         ] {
             check(&head, &filter(page));
         }

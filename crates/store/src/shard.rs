@@ -32,12 +32,12 @@
 //! deleted shard: the broken pieces are skipped and reported, the
 //! healthy shards' events come back in shard order.
 //!
-//! [`ShardedWriter`] keeps at most one compression pipeline active:
-//! rolling a shard drains its in-flight chunks
-//! ([`StoreWriter`]'s `seal_events`) but leaves the footer unwritten —
-//! the header (symbols, objects, region names) is only complete at the
-//! end of the run, at which point [`ShardedWriter::finish`] writes
-//! every shard's footer and the manifest.
+//! [`ShardedWriter`] keeps at most one chunk open: rolling a shard
+//! seals and writes the outgoing shard's last chunk but leaves its
+//! footer unwritten — the header (symbols, objects, region names) is
+//! only complete at the end of the run, at which point
+//! [`ShardedWriter::finish`] writes every shard's footer and the
+//! manifest.
 //!
 //! There is no sharded reader: `open_shards` hands
 //! [`crate::source::MpsSource`] one [`StoreReader`] per shard, and a
@@ -46,7 +46,7 @@
 //! would.
 
 use crate::reader::{RecoveryMode, StoreReader};
-use crate::writer::{sync_parent_dir, StoreSummary, StoreWriter, WriterOptions};
+use crate::writer::{sync_parent_dir, StoreSummary, StoreWriter};
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::stream_writer::{tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
@@ -79,8 +79,8 @@ pub fn is_shard_dir(path: &Path) -> bool {
 /// Writer of a sharded logical trace.
 pub struct ShardedWriter {
     dir: PathBuf,
-    /// Options of every shard's [`StoreWriter`].
-    opts: WriterOptions,
+    /// Chunk target of every shard's [`StoreWriter`].
+    chunk_target: usize,
     events_per_shard: u64,
     /// Every shard opened so far; footers are written at `finish`,
     /// when the header is finally known.
@@ -92,15 +92,15 @@ pub struct ShardedWriter {
 
 impl ShardedWriter {
     /// Create `dir` (the `trace.mps.d` directory) and a writer that
-    /// rolls a new shard, each written with `opts`, every
+    /// rolls a new shard, each chunked at `chunk_target` bytes, every
     /// `events_per_shard` events.
-    pub fn new(dir: &Path, opts: WriterOptions, events_per_shard: u64) -> io::Result<ShardedWriter> {
+    pub fn new(dir: &Path, chunk_target: usize, events_per_shard: u64) -> io::Result<ShardedWriter> {
         std::fs::create_dir_all(dir).map_err(|e| {
             io::Error::new(e.kind(), format!("creating shard dir {}: {e}", dir.display()))
         })?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
-            opts,
+            chunk_target,
             events_per_shard: events_per_shard.max(1),
             shards: Vec::new(),
             current_events: 0,
@@ -110,7 +110,7 @@ impl ShardedWriter {
 
     fn open_shard(&mut self) -> io::Result<()> {
         let name = shard_name(self.shards.len());
-        let w = StoreWriter::new(&self.dir.join(&name), self.opts)?;
+        let w = StoreWriter::new(&self.dir.join(&name), self.chunk_target)?;
         self.shards.push((name, w));
         self.current_events = 0;
         Ok(())
@@ -121,9 +121,9 @@ impl ShardedWriter {
         assert!(!self.finished, "append after finish");
         if self.shards.is_empty() || self.current_events >= self.events_per_shard {
             if let Some((_, w)) = self.shards.last_mut() {
-                // Drain the outgoing shard's pipeline so only one
-                // compressor pool is ever alive.
-                w.seal_events()?;
+                // Write the outgoing shard's last chunk now, so only
+                // one chunk is ever open.
+                w.seal_chunk()?;
             }
             self.open_shard()?;
         }
@@ -190,11 +190,9 @@ pub fn write_store_sharded(
     dir: &Path,
     trace: &Trace,
     chunk_target: usize,
-    threads: usize,
     events_per_shard: u64,
 ) -> io::Result<StoreSummary> {
-    let opts = WriterOptions { chunk_target, threads, max_inflight: None };
-    let mut w = ShardedWriter::new(dir, opts, events_per_shard)?;
+    let mut w = ShardedWriter::new(dir, chunk_target, events_per_shard)?;
     for e in &trace.events {
         w.append(e)?;
     }
@@ -348,7 +346,7 @@ mod tests {
         let dir = tmp("rt.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(4000);
-        let s = write_store_sharded(&dir, &t, 4096, 1, 5000).unwrap();
+        let s = write_store_sharded(&dir, &t, 4096, 5000).unwrap();
         assert_eq!(s.events, 12_000);
         let mut r = MpsSource::open(&dir).unwrap();
         assert_eq!(r.num_shards(), 3, "12000 events / 5000 per shard");
@@ -365,7 +363,7 @@ mod tests {
         let dir = tmp("solo.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(2000);
-        write_store_sharded(&dir, &t, 4096, 1, 2500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 2500).unwrap();
         let r = MpsSource::open(&dir).unwrap();
         assert!(r.num_shards() >= 2);
         // Open one shard directly with the plain reader: full header,
@@ -383,7 +381,7 @@ mod tests {
         let dir = tmp("bad.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(1000);
-        write_store_sharded(&dir, &t, 4096, 1, 1500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1500).unwrap();
         let manifest = dir.join(MANIFEST_NAME);
         let text = std::fs::read_to_string(&manifest).unwrap();
         std::fs::write(&manifest, text.replace("1500", "1400")).unwrap();
@@ -400,7 +398,7 @@ mod tests {
         let dir = tmp("atomic.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(1000);
-        write_store_sharded(&dir, &t, 4096, 1, 1500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1500).unwrap();
         for entry in std::fs::read_dir(&dir).unwrap() {
             let name = entry.unwrap().file_name();
             let name = name.to_str().unwrap().to_string();
@@ -417,7 +415,7 @@ mod tests {
         let dir = tmp("crashed.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = trace(1000);
-        write_store_sharded(&dir, &t, 4096, 1, 1500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1500).unwrap();
         std::fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
         assert!(MpsSource::open(&dir).is_err());
         let r = MpsSource::open_with_options(&dir, RecoveryMode::Salvage, true).unwrap();
@@ -433,28 +431,10 @@ mod tests {
         let dir = tmp("empty.mps.d");
         std::fs::remove_dir_all(&dir).ok();
         let t = Tracer::new(TracerConfig::default(), 2).finish("empty");
-        write_store_sharded(&dir, &t, 4096, 1, 1000).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1000).unwrap();
         let r = MpsSource::open(&dir).unwrap();
         assert_eq!((r.num_shards(), r.num_events()), (1, 0));
         assert_eq!(r.store_header().meta, t.meta);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pipelined_shards_match_serial_bytes() {
-        let dir1 = tmp("pipe1.mps.d");
-        let dir2 = tmp("pipe2.mps.d");
-        std::fs::remove_dir_all(&dir1).ok();
-        std::fs::remove_dir_all(&dir2).ok();
-        let t = trace(3000);
-        write_store_sharded(&dir1, &t, 4096, 1, 2000).unwrap();
-        write_store_sharded(&dir2, &t, 4096, 4, 2000).unwrap();
-        for i in 0..MpsSource::open(&dir1).unwrap().num_shards() {
-            let a = std::fs::read(dir1.join(shard_name(i))).unwrap();
-            let b = std::fs::read(dir2.join(shard_name(i))).unwrap();
-            assert_eq!(a, b, "shard {i} differs between serial and pipelined writers");
-        }
-        std::fs::remove_dir_all(&dir1).ok();
-        std::fs::remove_dir_all(&dir2).ok();
     }
 }

@@ -18,10 +18,6 @@ use std::io::{self, Read as _};
 use std::ops::Range;
 use std::path::Path;
 
-/// Below this many surviving chunks a parallel query runs
-/// sequentially: spawning + merging costs more than the scan.
-pub const PARALLEL_MIN_CHUNKS: usize = 64;
-
 /// A store is a list of files. Queries push predicates down into each
 /// file's chunk index instead of materializing the whole trace, and
 /// walk the files in order; a `trace.mps.d/` shard directory opens the
@@ -143,71 +139,13 @@ impl MpsSource {
         Ok(stats)
     }
 
-    /// Run a query sequentially. Returns matching events in stored
-    /// (trace) order plus the scan's cost accounting.
+    /// Run a query. Returns matching events in stored (trace) order
+    /// plus the scan's cost accounting.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
         let mut out = Vec::new();
         let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
             b.materialize_into(&mut out)
         })?;
-        Ok((out, stats))
-    }
-
-    /// Run a query with the surviving chunks of every file spread over
-    /// `threads` workers. The result is identical to
-    /// [`MpsSource::query`]: the `(shard, chunk)` candidates are
-    /// partitioned contiguously and re-concatenated in stored order,
-    /// so event order is preserved deterministically. Below
-    /// [`PARALLEL_MIN_CHUNKS`] surviving chunks the scan runs
-    /// sequentially — at that size thread spawn + merge dominates.
-    pub fn query_parallel(&self, q: &Query, threads: usize) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        let mut stats = ScanStats::default();
-        for (shard, (_, r)) in self.shards.iter().enumerate() {
-            let (keep, skipped) = r.candidates(q);
-            stats.chunks_skipped += skipped;
-            candidates.extend(keep.into_iter().map(|chunk| (shard, chunk)));
-        }
-        let threads = threads.clamp(1, candidates.len().max(1));
-        if threads <= 1 || candidates.len() < PARALLEL_MIN_CHUNKS {
-            return self.query(q);
-        }
-
-        let cancel = &CancelToken::new();
-        let per_worker = candidates.len().div_ceil(threads);
-        let parts: Vec<io::Result<(Vec<TraceEvent>, ScanStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(per_worker)
-                .map(|slice| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut stats = ScanStats::default();
-                        // One `scan_candidates` per run of chunks in
-                        // the same file.
-                        for run in slice.chunk_by(|a, b| a.0 == b.0) {
-                            let reader = &self.shards[run[0].0].1;
-                            let chunks = run.iter().map(|&(_, chunk)| chunk);
-                            stats.merge(&reader.scan_candidates(
-                                chunks,
-                                q,
-                                &ALL_MATCHES,
-                                cancel,
-                                &mut |b| b.materialize_into(&mut out),
-                            )?);
-                        }
-                        Ok((out, stats))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("scan worker panicked")).collect()
-        });
-
-        let mut out = Vec::new();
-        for part in parts {
-            let (events, p) = part?;
-            out.extend(events);
-            stats.merge(&p);
-        }
         Ok((out, stats))
     }
 }
@@ -316,7 +254,7 @@ mod tests {
         let t = trace();
         let dir = tmp("sniff.mps.d");
         std::fs::remove_dir_all(&dir).ok();
-        write_store_sharded(&dir, &t, 4096, 1, 1500).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1500).unwrap();
         let mut s = open_trace_source(&dir).unwrap();
         assert_eq!(s.format_name(), "mps.d");
         assert_eq!(s.materialize().unwrap().events, t.events);
@@ -360,7 +298,7 @@ mod tests {
         let prv_text = write_trace(&t);
         let dir = tmp("rt.mps.d");
         std::fs::remove_dir_all(&dir).ok();
-        write_store_sharded(&dir, &t, 4096, 2, 1000).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1000).unwrap();
         let mut m = open_trace_source(&dir).unwrap();
         let back = m.materialize().unwrap();
         assert_eq!(write_trace(&back), prv_text);

@@ -823,7 +823,7 @@ mod tests {
         let mut out = Vec::new();
         for (lo, hi) in [(0, 100), (3, 9), (4, 8), (97, 100), (50, 51), (0, 1)] {
             let base = col.decode_range_into(lo, hi, &mut out);
-            assert!(base <= lo && base % 4 == 0);
+            assert!(base <= lo && base.is_multiple_of(4));
             for v in lo..hi {
                 assert_eq!(out[v - base], vals[v], "value {v} in range [{lo},{hi})");
             }
@@ -840,7 +840,7 @@ mod tests {
     #[test]
     fn u32_decode_narrows_or_names_the_first_wide_value() {
         for n in 0..40usize {
-            let vals: Vec<u64> = (0..n as u64).map(|i| (i * 0x0101_0101) % (1 << 32) | (i % 3)).collect();
+            let vals: Vec<u64> = (0..n as u64).map(|i| ((i * 0x0101_0101) % (1 << 32)) | (i % 3)).collect();
             let buf = encode_column(&vals);
             let col = SvbColumn::parse(&buf, &mut 0, n).unwrap();
             let mut out = vec![9u32];

@@ -29,7 +29,8 @@
 //! per 64 KiB chunk). The header — symbols, objects, region names,
 //! which are only complete at the end of the run — goes *behind* the
 //! chunks, mirroring how Extrae's merger appends global information
-//! post-mortem.
+//! post-mortem. Each chunk is compressed and written on the caller's
+//! thread the moment it seals, so the writer holds one open chunk.
 //!
 //! # Crash safety
 //!
@@ -43,17 +44,6 @@
 //! checksummed footer are what make that salvage possible: a
 //! footer-less `.tmp` is recovered by forward-scanning frames, each
 //! self-validating via its own CRC32C. See `DESIGN.md` §12.
-//!
-//! # Pipelined compression
-//!
-//! With `threads ≥ 2` ([`WriterOptions::threads`]) the LZ pass
-//! comes off the ingest thread: sealed chunks are handed to a bounded
-//! pool of compressor workers, and a dedicated committer thread writes
-//! the finished payloads to the file **strictly in seal order**, so
-//! the produced bytes are identical at any thread count — ingest
-//! overlaps compression instead of stalling on it. Backpressure is the
-//! channel bound: at most a few chunks are ever in flight, keeping the
-//! writer's memory O(threads × chunk).
 
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
 use crate::codec::ChunkBuilderV4;
@@ -63,11 +53,8 @@ use crate::lz;
 use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::stream_writer::{tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
-use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 /// Leading file magic. The eighth byte is the format version; the
 /// reader names any other `MPSTORE?` version in its rejection.
@@ -78,10 +65,6 @@ pub const TRAILER_MAGIC: &[u8; 8] = b"MPSEND04";
 pub const TRAILER_LEN: usize = 20;
 /// Default target for one chunk's *raw* encoded payload.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
-/// Default in-flight chunk budget per compressor thread (sealed but
-/// not yet committed). The product `threads × this` bounds the
-/// pipelined writer's buffered chunks, and with it peak memory.
-pub const DEFAULT_INFLIGHT_PER_THREAD: usize = 2;
 
 /// fsync the directory holding `entry`, making a just-renamed name
 /// durable. (An fsync of the file alone persists its *contents*; the
@@ -96,33 +79,6 @@ pub fn sync_parent_dir(entry: &Path) -> io::Result<()> {
         .map_err(|e| io::Error::new(e.kind(), format!("fsync dir {}: {e}", parent.display())))
 }
 
-/// How a [`StoreWriter`] — or each shard of a
-/// [`ShardedWriter`](crate::shard::ShardedWriter) — chunks and
-/// pipelines its output. None of the three changes the bytes written
-/// for a given `chunk_target`; `threads` and `max_inflight` only move
-/// work and bound memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriterOptions {
-    /// Target for one chunk's raw encoded payload (floored at 1 KiB;
-    /// tests use small targets to force many chunks from small traces).
-    pub chunk_target: usize,
-    /// Compressor workers. `≤ 1` compresses inline on the caller
-    /// thread; more moves the LZ pass onto a bounded pool with a
-    /// deterministic in-order committer.
-    pub threads: usize,
-    /// At most this many sealed chunks wait in each of the pipeline's
-    /// two queues, so a producer that outruns the compressor pool
-    /// blocks in `append` instead of growing the heap. `None` takes
-    /// `threads × DEFAULT_INFLIGHT_PER_THREAD`.
-    pub max_inflight: Option<usize>,
-}
-
-impl Default for WriterOptions {
-    fn default() -> Self {
-        WriterOptions { chunk_target: DEFAULT_CHUNK_BYTES, threads: 1, max_inflight: None }
-    }
-}
-
 /// What a finished store contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreSummary {
@@ -132,30 +88,6 @@ pub struct StoreSummary {
     pub raw_bytes: u64,
     /// Total stored payload bytes (after compression).
     pub stored_bytes: u64,
-}
-
-/// A sealed chunk travelling to the compressor pool.
-struct Job {
-    seq: u64,
-    raw: Vec<u8>,
-    meta: ChunkMeta,
-}
-
-/// A compressed chunk travelling to the committer.
-struct Done {
-    seq: u64,
-    payload: Vec<u8>,
-    compression: Compression,
-    payload_crc: u32,
-    meta: ChunkMeta,
-}
-
-/// What the committer hands back once every chunk is on disk.
-struct CommitDone {
-    out: io::BufWriter<Box<dyn StoreFile>>,
-    pos: u64,
-    metas: Vec<ChunkMeta>,
-    raw_bytes: u64,
 }
 
 /// Minimum fraction of a chunk LZ must save before it beats `Raw`
@@ -169,8 +101,7 @@ const MIN_COMPRESS_DENOM: usize = 8;
 
 /// Compress one sealed chunk, keeping LZ only when it saves at least
 /// 1/[`MIN_COMPRESS_DENOM`] of the raw bytes, and checksum the stored
-/// bytes — the single pure function both the inline path and the
-/// worker pool run, so output bytes never depend on the thread count.
+/// bytes.
 fn compress_chunk(raw: Vec<u8>, mut meta: ChunkMeta) -> (Vec<u8>, Compression, u32, ChunkMeta) {
     meta.raw_len = raw.len() as u32;
     let (payload, compression) = match lz::compress(&raw, raw.len() - raw.len() / MIN_COMPRESS_DENOM) {
@@ -182,7 +113,7 @@ fn compress_chunk(raw: Vec<u8>, mut meta: ChunkMeta) -> (Vec<u8>, Compression, u
 }
 
 /// Write one framed chunk at `pos`, returning the finalized meta and
-/// the new position. Shared by the inline sink and the committer.
+/// the new position.
 fn write_framed_chunk(
     out: &mut impl io::Write,
     pos: u64,
@@ -206,104 +137,6 @@ fn write_framed_chunk(
     Ok((meta, pos + (FRAME_LEN + payload.len()) as u64))
 }
 
-struct Pipeline {
-    jobs: Option<mpsc::SyncSender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    committer: Option<std::thread::JoinHandle<io::Result<CommitDone>>>,
-    next_seq: u64,
-}
-
-impl Pipeline {
-    fn spawn(
-        out: io::BufWriter<Box<dyn StoreFile>>,
-        pos: u64,
-        threads: usize,
-        max_inflight: usize,
-    ) -> Pipeline {
-        // Two bounded hand-off points; together they cap how many
-        // sealed chunks can exist between the ingest thread and the
-        // committed file, which is what bounds the writer's RSS when a
-        // simulation streams into it. The bound never changes the
-        // bytes — only how early `append` feels backpressure.
-        let max_inflight = max_inflight.max(1);
-        let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Job>(max_inflight);
-        let (done_tx, done_rx) = mpsc::sync_channel::<Done>(max_inflight);
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let rx = Arc::clone(&jobs_rx);
-                let tx = done_tx.clone();
-                std::thread::spawn(move || loop {
-                    // Holding the lock across `recv` serializes job
-                    // *hand-off*, not compression, which runs after
-                    // the guard drops.
-                    let job = match rx.lock().expect("job queue poisoned").recv() {
-                        Ok(j) => j,
-                        Err(_) => return,
-                    };
-                    let (payload, compression, payload_crc, meta) = compress_chunk(job.raw, job.meta);
-                    if tx
-                        .send(Done { seq: job.seq, payload, compression, payload_crc, meta })
-                        .is_err()
-                    {
-                        return; // committer failed; drain and exit
-                    }
-                })
-            })
-            .collect();
-        drop(done_tx);
-
-        let committer = std::thread::spawn(move || -> io::Result<CommitDone> {
-            let mut out = out;
-            let mut pos = pos;
-            let mut metas = Vec::new();
-            let mut raw_bytes = 0u64;
-            let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
-            let mut next = 0u64;
-            for done in done_rx.iter() {
-                pending.insert(done.seq, done);
-                // Deterministic in-order commit: write only the
-                // contiguous prefix, hold later chunks until the gap
-                // fills (the channel bound caps how many can wait).
-                while let Some(d) = pending.remove(&next) {
-                    let (meta, new_pos) =
-                        write_framed_chunk(&mut out, pos, &d.payload, d.compression, d.payload_crc, d.meta)?;
-                    pos = new_pos;
-                    raw_bytes += meta.raw_len as u64;
-                    metas.push(meta);
-                    next += 1;
-                }
-            }
-            assert!(pending.is_empty(), "compressor pool dropped chunk {next}");
-            Ok(CommitDone { out, pos, metas, raw_bytes })
-        });
-
-        Pipeline { jobs: Some(jobs_tx), workers, committer: Some(committer), next_seq: 0 }
-    }
-
-    fn join(mut self) -> io::Result<CommitDone> {
-        drop(self.jobs.take());
-        for w in self.workers.drain(..) {
-            w.join().expect("compressor worker panicked");
-        }
-        self.committer
-            .take()
-            .expect("pipeline joined twice")
-            .join()
-            .expect("committer panicked")
-    }
-}
-
-enum Sink {
-    /// Chunks compressed and written on the caller thread.
-    Inline { out: io::BufWriter<Box<dyn StoreFile>>, pos: u64 },
-    /// Chunks compressed on the worker pool, committed in order.
-    Pipelined(Pipeline),
-    /// Transitional state while swapping sinks (and post-drop).
-    Draining,
-}
-
 /// Where the finished bytes land: the temp file they stream into and
 /// the final path `finish` renames onto.
 struct Target {
@@ -313,15 +146,16 @@ struct Target {
 
 /// Streaming writer of the chunked binary container.
 pub struct StoreWriter {
-    sink: Sink,
+    out: io::BufWriter<Box<dyn StoreFile>>,
+    /// File offset of the next byte `out` writes.
+    pos: u64,
     target: Option<Target>,
     chunk_target: usize,
     /// Columnar encoder of the open chunk.
     builder: ChunkBuilderV4,
     /// Summary of the open chunk.
     open_meta: ChunkMeta,
-    /// Sealed-chunk index entries, in commit order (populated lazily
-    /// for the pipelined sink — harvested when the pipeline drains).
+    /// Sealed-chunk index entries, in file order.
     metas: Vec<ChunkMeta>,
     total_events: u64,
     raw_bytes: u64,
@@ -329,20 +163,25 @@ pub struct StoreWriter {
 }
 
 impl StoreWriter {
-    /// Create a store at `path`. Bytes stream into `<path>.tmp` until
-    /// [`StoreWriter::finish`] renames it into place.
-    pub fn new(path: &Path, opts: WriterOptions) -> io::Result<StoreWriter> {
+    /// Create a store at `path` whose chunks seal once their raw
+    /// encoding reaches `chunk_target` bytes (floored at 1 KiB; tests
+    /// use small targets to force many chunks from small traces).
+    /// Bytes stream into `<path>.tmp` until [`StoreWriter::finish`]
+    /// renames it into place.
+    pub fn new(path: &Path, chunk_target: usize) -> io::Result<StoreWriter> {
         let tmp = tmp_path(path);
         let file = std::fs::File::create(&tmp).map_err(|e| {
             io::Error::new(e.kind(), format!("creating store {}: {e}", tmp.display()))
         })?;
-        Self::with_backend(Box::new(file), tmp, path.to_path_buf(), opts)
+        Self::with_backend(Box::new(file), tmp, path.to_path_buf(), chunk_target)
     }
 
-    /// [`StoreWriter::new`] with the default in-flight budget. Kept
-    /// as a named constructor because `benchmark/` calls it.
+    /// [`StoreWriter::new`] for callers that still name a thread count,
+    /// which must be 1: the writer has no compressor threads. Kept only
+    /// because `benchmark/` calls it; ROADMAP item 1(a) deletes it.
     pub fn with_threads(path: &Path, chunk_target: usize, threads: usize) -> io::Result<StoreWriter> {
-        Self::new(path, WriterOptions { chunk_target, threads, max_inflight: None })
+        assert!(threads <= 1, "the store writer is single-threaded (asked for {threads} threads)");
+        Self::new(path, chunk_target)
     }
 
     /// Build a writer over an explicit backing file — the seam the
@@ -354,7 +193,7 @@ impl StoreWriter {
         file: Box<dyn StoreFile>,
         tmp: PathBuf,
         dest: PathBuf,
-        opts: WriterOptions,
+        chunk_target: usize,
     ) -> io::Result<StoreWriter> {
         let mut out = io::BufWriter::new(file);
         if let Err(e) = out.write_all(MAGIC).and_then(|()| out.flush()) {
@@ -362,18 +201,11 @@ impl StoreWriter {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
-        let pos = MAGIC.len() as u64;
-        let sink = if opts.threads > 1 {
-            let max_inflight =
-                opts.max_inflight.unwrap_or(opts.threads * DEFAULT_INFLIGHT_PER_THREAD);
-            Sink::Pipelined(Pipeline::spawn(out, pos, opts.threads, max_inflight))
-        } else {
-            Sink::Inline { out, pos }
-        };
         Ok(StoreWriter {
-            sink,
+            out,
+            pos: MAGIC.len() as u64,
             target: Some(Target { tmp, dest }),
-            chunk_target: opts.chunk_target.max(1024),
+            chunk_target: chunk_target.max(1024),
             builder: ChunkBuilderV4::new(),
             open_meta: ChunkMeta::summarize(&[]),
             metas: Vec::new(),
@@ -399,70 +231,19 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Number of chunks sealed so far (for the pipelined sink this
-    /// counts chunks handed to the pool, including in-flight ones).
-    pub fn chunks_written(&self) -> usize {
-        match &self.sink {
-            Sink::Pipelined(p) => p.next_seq as usize,
-            _ => self.metas.len(),
-        }
-    }
-
-    fn seal_chunk(&mut self) -> io::Result<()> {
+    /// Compress and write the open chunk, if it holds any event.
+    pub(crate) fn seal_chunk(&mut self) -> io::Result<()> {
         if self.open_meta.events == 0 {
             return Ok(());
         }
         let meta = std::mem::replace(&mut self.open_meta, ChunkMeta::summarize(&[]));
         let raw = self.builder.serialize();
         self.raw_bytes += raw.len() as u64;
-        match &mut self.sink {
-            Sink::Inline { out, pos } => {
-                let (payload, compression, payload_crc, meta) = compress_chunk(raw, meta);
-                let (meta, new_pos) =
-                    write_framed_chunk(out, *pos, &payload, compression, payload_crc, meta)?;
-                *pos = new_pos;
-                self.metas.push(meta);
-                Ok(())
-            }
-            Sink::Pipelined(p) => {
-                let seq = p.next_seq;
-                let jobs = p.jobs.as_ref().expect("pipeline already drained");
-                if jobs.send(Job { seq, raw, meta }).is_err() {
-                    // The committer died (an I/O error); surface its
-                    // real error by draining now.
-                    self.drain_pipeline()?;
-                    return Err(io::Error::other(
-                        "chunk pipeline disconnected without reporting an error",
-                    ));
-                }
-                p.next_seq = seq + 1;
-                Ok(())
-            }
-            Sink::Draining => unreachable!("seal while draining"),
-        }
-    }
-
-    /// Seal the open chunk and, for a pipelined writer, wait for every
-    /// in-flight chunk to be compressed and committed. Afterwards the
-    /// writer behaves like an inline one (the footer path).
-    pub(crate) fn seal_events(&mut self) -> io::Result<()> {
-        self.seal_chunk()?;
-        self.drain_pipeline()
-    }
-
-    fn drain_pipeline(&mut self) -> io::Result<()> {
-        if matches!(self.sink, Sink::Pipelined(_)) {
-            let Sink::Pipelined(p) = std::mem::replace(&mut self.sink, Sink::Draining) else {
-                unreachable!()
-            };
-            let sealed = p.next_seq;
-            let done = p.join()?;
-            assert_eq!(done.metas.len() as u64, sealed, "committer lost chunks");
-            debug_assert!(self.metas.is_empty());
-            self.metas = done.metas;
-            debug_assert_eq!(self.raw_bytes, done.raw_bytes);
-            self.sink = Sink::Inline { out: done.out, pos: done.pos };
-        }
+        let (payload, compression, payload_crc, meta) = compress_chunk(raw, meta);
+        let (meta, pos) =
+            write_framed_chunk(&mut self.out, self.pos, &payload, compression, payload_crc, meta)?;
+        self.pos = pos;
+        self.metas.push(meta);
         Ok(())
     }
 
@@ -475,10 +256,8 @@ impl StoreWriter {
     /// (the streamed chunks are the record of truth).
     pub fn finish(&mut self, trace_for_header: &Trace) -> io::Result<StoreSummary> {
         assert!(!self.finished, "finish called twice");
-        self.seal_events()?;
-        let Sink::Inline { out, pos } = &mut self.sink else {
-            unreachable!("seal_events leaves an inline sink")
-        };
+        self.seal_chunk()?;
+        let out = &mut self.out;
 
         // Header blob: the text header behind a compression byte,
         // closed by a CRC32C of both.
@@ -486,7 +265,7 @@ impl StoreWriter {
         let header_raw = header_text.as_bytes();
         // LZ only when strictly shorter.
         let header_lz = header_raw.len().checked_sub(1).and_then(|limit| lz::compress(header_raw, limit));
-        let header_off = *pos;
+        let header_off = self.pos;
         let (blob, code): (&[u8], u8) = match &header_lz {
             Some(packed) => (packed, Compression::Lz.code()),
             None => (header_raw, Compression::Raw.code()),
@@ -495,10 +274,10 @@ impl StoreWriter {
         out.write_all(&[code])?;
         out.write_all(blob)?;
         out.write_all(&header_crc.to_le_bytes())?;
-        *pos += 1 + blob.len() as u64 + 4;
+        self.pos += 1 + blob.len() as u64 + 4;
 
         // Footer index, checksummed as one unit.
-        let index_off = *pos;
+        let index_off = self.pos;
         let mut index = Vec::with_capacity(self.metas.len() * 48 + 32);
         crate::varint::put_u64(&mut index, self.metas.len() as u64);
         for m in &self.metas {
@@ -544,7 +323,6 @@ impl StoreWriter {
     /// with [`crate::fault::FailingFile`] kill offsets and then point
     /// `recover` at the returned path.
     pub fn abandon(mut self) -> Option<PathBuf> {
-        let _ = self.drain_pipeline();
         self.finished = true; // disarm the Drop cleanup
         self.target.take().map(|t| t.tmp)
     }
@@ -555,11 +333,8 @@ impl Drop for StoreWriter {
         if self.finished {
             return;
         }
-        // An abandoned-by-error writer: release the file (the
-        // committer thread may still hold it) and remove the orphaned
-        // temp so failed runs don't litter the trace directory.
-        let _ = self.drain_pipeline();
-        self.sink = Sink::Draining;
+        // An abandoned-by-error writer: remove the orphaned temp so
+        // failed runs don't litter the trace directory.
         if let Some(t) = &self.target {
             let _ = std::fs::remove_file(&t.tmp);
         }
@@ -579,17 +354,7 @@ impl EventSink for StoreWriter {
 /// Write a complete in-memory trace as a store file with an explicit
 /// chunk target.
 pub fn write_store_chunked(path: &Path, trace: &Trace, chunk_target: usize) -> io::Result<StoreSummary> {
-    write_store_with(path, trace, chunk_target, 1)
-}
-
-/// [`write_store_chunked`] with a compressor pool of `threads`.
-pub fn write_store_with(
-    path: &Path,
-    trace: &Trace,
-    chunk_target: usize,
-    threads: usize,
-) -> io::Result<StoreSummary> {
-    let mut w = StoreWriter::with_threads(path, chunk_target, threads)?;
+    let mut w = StoreWriter::new(path, chunk_target)?;
     for e in &trace.events {
         w.append(e)?;
     }
@@ -671,37 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_writer_is_byte_identical_to_inline() {
-        let t = trace(6000);
-        let inline = tmp("pipe_inline.mps");
-        let s1 = write_store_with(&inline, &t, 4096, 1).unwrap();
-        let inline_bytes = std::fs::read(&inline).unwrap();
-        for threads in [2, 3, 8] {
-            let path = tmp(&format!("pipe_{threads}.mps"));
-            let s = write_store_with(&path, &t, 4096, threads).unwrap();
-            assert_eq!(s, s1, "summary must not depend on threads");
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                inline_bytes,
-                "threads={threads} produced different bytes"
-            );
-            std::fs::remove_file(&path).ok();
-        }
-        assert!(s1.chunks >= 8, "want many in-flight chunks, got {}", s1.chunks);
-        std::fs::remove_file(&inline).ok();
-    }
-
-    #[test]
-    fn pipelined_empty_trace() {
-        let path = tmp("pipe_empty.mps");
-        let t = Tracer::new(TracerConfig::default(), 1).finish("empty");
-        let mut w = StoreWriter::with_threads(&path, 4096, 4).unwrap();
-        let s = w.finish(&t).unwrap();
-        assert_eq!((s.events, s.chunks), (0, 0));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn finish_leaves_no_temp_file() {
         let path = tmp("atomic.mps");
         let t = trace(500);
@@ -717,7 +451,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let t = trace(500);
         {
-            let mut w = StoreWriter::with_threads(&path, 2048, 2).unwrap();
+            let mut w = StoreWriter::new(&path, 2048).unwrap();
             for e in &t.events {
                 w.append(e).unwrap();
             }
@@ -733,8 +467,7 @@ mod tests {
         let path = tmp("abandoned.mps");
         std::fs::remove_file(&path).ok();
         let t = trace(500);
-        let mut w =
-            StoreWriter::new(&path, WriterOptions { chunk_target: 1024, ..Default::default() }).unwrap();
+        let mut w = StoreWriter::new(&path, 1024).unwrap();
         for e in &t.events {
             w.append(e).unwrap();
         }

@@ -158,7 +158,7 @@ fn sharded_store(name: &str, iters: u64) -> (std::path::PathBuf, mempersp_extrae
     std::fs::remove_dir_all(&dir).ok();
     let t = trace(iters);
     let per_shard = (t.events.len() as u64).div_ceil(3);
-    mempersp_store::write_store_sharded(&dir, &t, 1024, 1, per_shard).expect("write sharded");
+    mempersp_store::write_store_sharded(&dir, &t, 1024, per_shard).expect("write sharded");
     (dir, t)
 }
 
@@ -501,7 +501,6 @@ proptest! {
                     // surface it as Err, never as a panic.
                     let q = Query::all().with_kinds(&[EventClass::RegionEnter]);
                     let _ = src.query(&q);
-                    let _ = src.query_parallel(&Query::all(), 4);
                     let _ = src.materialize();
                 }
             }

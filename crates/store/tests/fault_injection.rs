@@ -8,17 +8,17 @@
 //! A [`FailingFile`] slides under a real [`StoreWriter`] via
 //! `with_backend`, so these sweeps exercise the exact same code the
 //! CLI runs — not a test double of it. Because the writer's byte
-//! stream is deterministic (same chunking, same compression, in-order
-//! commit), a write torn at byte `k` leaves a temp file equal to the
-//! first `k` bytes of the clean file, which is what makes the
-//! exact-prefix oracle checkable at all.
+//! stream is deterministic (same chunking, same compression, chunks
+//! written in seal order), a write torn at byte `k` leaves a temp file
+//! equal to the first `k` bytes of the clean file, which is what makes
+//! the exact-prefix oracle checkable at all.
 
 use mempersp_extrae::stream_writer::tmp_path;
 use mempersp_extrae::tracer::{Trace, Tracer, TracerConfig};
 use mempersp_pebs::CounterSnapshot;
 use mempersp_store::writer::write_store_chunked;
 use mempersp_store::{
-    recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter, WriterOptions,
+    recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter,
 };
 use proptest::prelude::*;
 use std::io;
@@ -49,22 +49,12 @@ fn trace(iters: u64) -> Trace {
 /// schedule. Returns the `finish` outcome, the kept temp path when the
 /// write failed (`abandon`, i.e. what a `kill -9` leaves), and the
 /// observed fault plan.
-fn attempt(
-    dest: &Path,
-    config: FaultConfig,
-    tr: &Trace,
-    threads: usize,
-) -> (io::Result<()>, Option<PathBuf>, Arc<FaultPlan>) {
+fn attempt(dest: &Path, config: FaultConfig, tr: &Trace) -> (io::Result<()>, Option<PathBuf>, Arc<FaultPlan>) {
     let tmp = tmp_path(dest);
     let plan = FaultPlan::new(config);
     let file = std::fs::File::create(&tmp).unwrap();
     let backend = FailingFile::new(file, Arc::clone(&plan));
-    let mut w = match StoreWriter::with_backend(
-        Box::new(backend),
-        tmp,
-        dest.to_path_buf(),
-        WriterOptions { chunk_target: CHUNK_TARGET, threads, max_inflight: None },
-    ) {
+    let mut w = match StoreWriter::with_backend(Box::new(backend), tmp, dest.to_path_buf(), CHUNK_TARGET) {
         Ok(w) => w,
         Err(e) => return (Err(e), None, plan),
     };
@@ -92,9 +82,9 @@ struct Baseline {
     syncs: u64,
 }
 
-fn baseline(tr: &Trace, threads: usize) -> Baseline {
-    let dest = tmpdir().join(format!("baseline_t{threads}_{:?}.mps", std::thread::current().id()));
-    let (res, kept, plan) = attempt(&dest, FaultConfig::default(), tr, threads);
+fn baseline(tr: &Trace) -> Baseline {
+    let dest = tmpdir().join(format!("baseline_{:?}.mps", std::thread::current().id()));
+    let (res, kept, plan) = attempt(&dest, FaultConfig::default(), tr);
     res.expect("fault-free write must succeed");
     assert!(kept.is_none());
     assert!(!plan.tripped());
@@ -158,7 +148,7 @@ fn every_write_call_failure_is_atomic_and_salvageable() {
     // otherwise the whole store coalesces into two write calls and
     // the sweep has nothing to inject into.
     let tr = trace(3000);
-    let base = baseline(&tr, 1);
+    let base = baseline(&tr);
     assert!(base.writes >= 4, "want several write calls, saw {}", base.writes);
     for n in 0..base.writes {
         let dest = tmpdir().join(format!("failw_{n}.mps"));
@@ -166,7 +156,7 @@ fn every_write_call_failure_is_atomic_and_salvageable() {
             fail_write: Some((n, io::ErrorKind::StorageFull)),
             ..FaultConfig::default()
         };
-        let (res, kept, plan) = attempt(&dest, cfg, &tr, 1);
+        let (res, kept, plan) = attempt(&dest, cfg, &tr);
         let ctx = format!("fail_write at call {n}");
         let err = res.expect_err(&ctx);
         assert!(!err.to_string().is_empty(), "{ctx}: undescriptive error");
@@ -182,13 +172,13 @@ fn every_write_call_failure_is_atomic_and_salvageable() {
 #[test]
 fn every_fsync_failure_is_atomic() {
     let tr = trace(400);
-    let base = baseline(&tr, 1);
+    let base = baseline(&tr);
     assert!(base.syncs >= 1, "the writer must fsync before renaming");
     for n in 0..base.syncs {
         let dest = tmpdir().join(format!("fails_{n}.mps"));
         let cfg =
             FaultConfig { fail_sync: Some((n, io::ErrorKind::Other)), ..FaultConfig::default() };
-        let (res, kept, plan) = attempt(&dest, cfg, &tr, 1);
+        let (res, kept, plan) = attempt(&dest, cfg, &tr);
         let ctx = format!("fail_sync at call {n}");
         res.expect_err(&ctx);
         assert!(plan.tripped(), "{ctx}: fault never fired");
@@ -209,7 +199,7 @@ fn every_fsync_failure_is_atomic() {
 #[test]
 fn kill_at_byte_salvages_the_exact_chunk_prefix() {
     let tr = trace(400);
-    let base = baseline(&tr, 1);
+    let base = baseline(&tr);
     let clean_len = base.bytes.len() as u64;
     assert!(clean_len > 2000, "want a multi-chunk file, got {clean_len} bytes");
 
@@ -233,7 +223,7 @@ fn kill_at_byte_salvages_the_exact_chunk_prefix() {
     for &cut in &cuts {
         let dest = tmpdir().join(format!("kill_{cut}.mps"));
         let cfg = FaultConfig { kill_at_byte: Some(cut), ..FaultConfig::default() };
-        let (res, kept, plan) = attempt(&dest, cfg, &tr, 1);
+        let (res, kept, plan) = attempt(&dest, cfg, &tr);
         let ctx = format!("kill at byte {cut} of {clean_len}");
         res.expect_err(&ctx);
         assert!(plan.tripped(), "{ctx}: fault never fired");
@@ -260,54 +250,16 @@ fn kill_at_byte_salvages_the_exact_chunk_prefix() {
     std::fs::remove_file(&clean_path).ok();
 }
 
-/// The pipelined (multi-threaded) writer obeys the same invariant —
-/// an error on the committer thread still surfaces, still leaves the
-/// final path empty, and still tears at a salvageable prefix.
-#[test]
-fn pipelined_writer_holds_the_invariant() {
-    let tr = trace(3000);
-    let base = baseline(&tr, 2);
-    let clean_len = base.bytes.len() as u64;
-    for cut in [64, clean_len / 3, clean_len / 2, clean_len - 5] {
-        let dest = tmpdir().join(format!("pkill_{cut}.mps"));
-        let cfg = FaultConfig { kill_at_byte: Some(cut), ..FaultConfig::default() };
-        let (res, kept, _) = attempt(&dest, cfg, &tr, 2);
-        let ctx = format!("pipelined kill at byte {cut}");
-        res.expect_err(&ctx);
-        assert_crash_invariant(&dest, kept.as_deref(), &tr, &ctx);
-        if let Some(t) = &kept {
-            std::fs::remove_file(t).ok();
-        }
-    }
-    for n in [0u64, 1, 3] {
-        if n >= base.writes {
-            continue;
-        }
-        let dest = tmpdir().join(format!("pfailw_{n}.mps"));
-        let cfg = FaultConfig {
-            fail_write: Some((n, io::ErrorKind::StorageFull)),
-            ..FaultConfig::default()
-        };
-        let (res, kept, _) = attempt(&dest, cfg, &tr, 2);
-        let ctx = format!("pipelined fail_write at call {n}");
-        res.expect_err(&ctx);
-        assert_crash_invariant(&dest, kept.as_deref(), &tr, &ctx);
-        if let Some(t) = &kept {
-            std::fs::remove_file(t).ok();
-        }
-    }
-}
-
 /// A short write is *not* a fault: `write_all` loops, the store comes
 /// out byte-identical, and `finish` succeeds.
 #[test]
 fn short_writes_are_transparent() {
     let tr = trace(400);
-    let base = baseline(&tr, 1);
+    let base = baseline(&tr);
     for n in 0..base.writes.min(6) {
         let dest = tmpdir().join(format!("short_{n}.mps"));
         let cfg = FaultConfig { short_write: Some((n, 3)), ..FaultConfig::default() };
-        let (res, kept, plan) = attempt(&dest, cfg, &tr, 1);
+        let (res, kept, plan) = attempt(&dest, cfg, &tr);
         res.unwrap_or_else(|e| panic!("short write at call {n} must not fail finish: {e}"));
         assert!(kept.is_none());
         assert!(!plan.tripped());
@@ -319,22 +271,21 @@ fn short_writes_are_transparent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized tentpole sweep: any kill offset, any thread count —
-    /// `finish` errors with nothing at the final path, and a
-    /// salvageable temp recovers to an exact event prefix.
+    /// Randomized tentpole sweep: at any kill offset `finish` errors
+    /// with nothing at the final path, and a salvageable temp recovers
+    /// to an exact event prefix.
     #[test]
     fn any_kill_offset_is_atomic_and_prefix_salvageable(
         cut_seed in 0u64..u64::MAX,
-        threads in 1usize..=4,
         case in any::<u64>(),
     ) {
         let tr = trace(300);
-        let base = baseline(&tr, threads);
+        let base = baseline(&tr);
         let cut = cut_seed % (base.bytes.len() as u64 - 1);
         let dest = tmpdir().join(format!("prop_{case}.mps"));
         let cfg = FaultConfig { kill_at_byte: Some(cut), ..FaultConfig::default() };
-        let (res, kept, _) = attempt(&dest, cfg, &tr, threads);
-        let ctx = format!("prop kill at {cut}, {threads} threads");
+        let (res, kept, _) = attempt(&dest, cfg, &tr);
+        let ctx = format!("prop kill at {cut}");
         prop_assert!(res.is_err(), "{}: finish succeeded past a kill", ctx);
         prop_assert!(!dest.exists(), "{}: file at final path", ctx);
         if let Some(torn) = &kept {

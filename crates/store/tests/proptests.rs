@@ -1,7 +1,7 @@
 //! Property-based tests for the trace store: the chunk codec, the LZ
 //! pass, and every read path of both containers against a linear
-//! filter oracle — plus the fixed cases that oracle needs to reach the
-//! parallel fan-out, a salvaged shard and a cancelled scan.
+//! filter oracle — plus the fixed cases that oracle needs to reach
+//! many shard boundaries, a salvaged shard and a cancelled scan.
 
 use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp_extrae::objects::ObjectId;
@@ -17,7 +17,7 @@ use mempersp_extrae::tracer::Trace;
 use mempersp_store::writer::write_store_chunked;
 use mempersp_store::{
     detected_simd_level, write_store_sharded, CancelToken, MpsSource, RecoveryMode, SimdLevel,
-    ALL_MATCHES, PARALLEL_MIN_CHUNKS,
+    ALL_MATCHES,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -213,7 +213,7 @@ fn write_container(name: &str, case: u64, events: &[TraceEvent], shards: usize) 
         let path = dir.join(format!("{name}_{case}.mps.d"));
         std::fs::remove_dir_all(&path).ok();
         let per_shard = events.len().div_ceil(shards) as u64;
-        write_store_sharded(&path, &trace, 1024, 1, per_shard).expect("write sharded");
+        write_store_sharded(&path, &trace, 1024, per_shard).expect("write sharded");
         path
     }
 }
@@ -226,11 +226,9 @@ fn remove_container(path: &Path) {
     }
 }
 
-/// The differential check: `query`, `query_parallel` at 2 and 4
-/// threads, `scan_batches_cancel` + `materialize_into` and
-/// `TraceSource::filtered` must all return `want`, and the parallel
-/// scans must account for the same work as the sequential one.
-/// Returns the sequential scan's stats.
+/// The differential check: `query`, `scan_batches_cancel` +
+/// `materialize_into` and `TraceSource::filtered` must all return
+/// `want` and account for the same work. Returns `query`'s stats.
 fn assert_read_paths_agree(src: &mut MpsSource, q: &Query, want: &[TraceEvent]) -> ScanStats {
     // Which of a touched chunk's two counters moves depends on the
     // cache, so compare their sum.
@@ -238,28 +236,23 @@ fn assert_read_paths_agree(src: &mut MpsSource, q: &Query, want: &[TraceEvent]) 
         let visited = s.chunks_skipped + s.chunks_decoded + s.chunks_cached;
         (s.events_matched, s.events_scanned, visited, s.chunks_damaged)
     };
-    let (seq, seq_stats) = src.query(q).expect("query");
-    assert_eq!(seq, want);
-    assert_eq!(seq_stats.events_matched as usize, want.len());
-    for threads in [2, 4] {
-        let (par, par_stats) = src.query_parallel(q, threads).expect("parallel query");
-        assert_eq!(par, want, "threads={threads}");
-        assert_eq!(account(&par_stats), account(&seq_stats), "threads={threads}");
-    }
+    let (got, stats) = src.query(q).expect("query");
+    assert_eq!(got, want);
+    assert_eq!(stats.events_matched as usize, want.len());
     let mut rows = Vec::new();
     let scan_stats = src
         .scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| b.materialize_into(&mut rows))
         .expect("scan");
     assert_eq!(rows, want);
-    assert_eq!(account(&scan_stats), account(&seq_stats));
+    assert_eq!(account(&scan_stats), account(&stats));
     let (filtered, filtered_stats) = src.filtered(q).expect("filtered");
     assert_eq!(filtered.events, want);
-    assert_eq!(account(&filtered_stats), account(&seq_stats));
-    seq_stats
+    assert_eq!(account(&filtered_stats), account(&stats));
+    stats
 }
 
 /// A seeded mix of every event class with full-width fields — enough
-/// events that 1 KiB chunks clear [`PARALLEL_MIN_CHUNKS`].
+/// events for many 1 KiB chunks in each of four shards.
 fn fixed_events() -> Vec<TraceEvent> {
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut rnd = move || {
@@ -320,10 +313,10 @@ fn candidates_per_shard(src: &MpsSource, q: &Query) -> Vec<usize> {
 }
 
 /// The fixed cases, per container: the property above keeps every
-/// trace under [`PARALLEL_MIN_CHUNKS`] chunks, so these are what
-/// drive the real fan-out across shard boundaries.
+/// trace small, so these are what carry a full scan and a selective query
+/// across several shards that each hold candidates.
 #[test]
-fn read_paths_agree_through_the_parallel_fan_out() {
+fn read_paths_agree_across_shards() {
     let events = fixed_events();
     for shards in [0, 4] {
         let path = write_container("fanout", 0, &events, shards);
@@ -331,7 +324,6 @@ fn read_paths_agree_through_the_parallel_fan_out() {
         for q in fixed_queries() {
             let per_shard = candidates_per_shard(&src, &q);
             let total: usize = per_shard.iter().sum();
-            assert!(total >= PARALLEL_MIN_CHUNKS, "{shards} shards: only {total} candidates");
             if shards > 0 {
                 assert!(per_shard.iter().filter(|&&n| n > 0).count() >= 3, "{per_shard:?}");
             }

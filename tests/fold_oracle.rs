@@ -523,7 +523,7 @@ fn check_every_path(
         match ext {
             "prv" => save_trace(&path, trace).unwrap(),
             "mps" => drop(write_store_chunked(&path, trace, chunk_target).unwrap()),
-            _ => drop(write_store_sharded(&path, trace, chunk_target, 1, shard_events).unwrap()),
+            _ => drop(write_store_sharded(&path, trace, chunk_target, shard_events).unwrap()),
         }
         let outcome = [1usize, 2, 4].into_iter().try_for_each(|threads| {
             let mut src = open_trace_source(&path).unwrap();

@@ -54,7 +54,7 @@ fn repo() -> &'static PathBuf {
         });
         let hpcg = Machine::new(mcfg).run(&mut w);
         write_store_chunked(&dir.join("hpcg.mps"), &hpcg.trace, 8 * 1024).unwrap();
-        write_store_sharded(&dir.join("hpcg.mps.d"), &hpcg.trace, 8 * 1024, 1, SHARD_EVENTS).unwrap();
+        write_store_sharded(&dir.join("hpcg.mps.d"), &hpcg.trace, 8 * 1024, SHARD_EVENTS).unwrap();
 
         let stream = Machine::new(MachineConfig::small()).run(&mut StreamTriad::new(1 << 13, 3));
         write_store_chunked(&dir.join("stream.mps"), &stream.trace, 8 * 1024).unwrap();

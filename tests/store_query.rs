@@ -14,7 +14,7 @@ use mempersp::extrae::trace_source::{ScanStats, TraceSource};
 use mempersp::extrae::Trace;
 use mempersp::hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp::store::{
-    open_trace_source, write_store_chunked, write_store_sharded, MpsSource, StoreReader,
+    open_trace_source, write_store_chunked, write_store_sharded, StoreReader,
 };
 use std::path::PathBuf;
 
@@ -48,7 +48,7 @@ fn fixture() -> &'static (Trace, PathBuf, PathBuf, PathBuf) {
         let mpsd = dir.join("hpcg.mps.d");
         save_trace(&prv, &report.trace).unwrap();
         write_store_chunked(&mps, &report.trace, 8 * 1024).unwrap();
-        write_store_sharded(&mpsd, &report.trace, 8 * 1024, 1, 3000).unwrap();
+        write_store_sharded(&mpsd, &report.trace, 8 * 1024, 3000).unwrap();
         (report.trace, prv, mps, mpsd)
     })
 }
@@ -115,21 +115,6 @@ fn hpcg_prv_mps_prv_is_byte_identical() {
     let back = src.materialize().unwrap();
     assert_eq!(write_trace(&back), write_trace(trace));
     assert_eq!(write_trace(&back), std::fs::read_to_string(prv).unwrap());
-}
-
-/// Parallel store scans return exactly the sequential answer on a
-/// real trace, for any thread count.
-#[test]
-fn parallel_store_scan_is_deterministic() {
-    let (_, _, mps, _) = fixture();
-    let reader = MpsSource::open(mps).unwrap();
-    let q = Query::all().with_kinds(&[EventClass::Pebs]);
-    let (seq, _) = reader.query(&q).unwrap();
-    assert!(!seq.is_empty());
-    for threads in [2, 3, 5, 16] {
-        let (par, _) = reader.query_parallel(&q, threads).unwrap();
-        assert_eq!(par, seq, "threads={threads}");
-    }
 }
 
 /// Run `analysis` on the run held in memory and on its `.prv`, `.mps`

@@ -1,13 +1,13 @@
 //! The streaming trace-production pipeline must be invisible in the
-//! output: `run_streaming` writing straight to disk — any writer
+//! output: `run_streaming` writing straight to disk — any simulator
 //! thread count, any epoch cap, any container — produces exactly the
 //! bytes of the materialize-then-convert path it replaces.
 
 use mempersp::core::{run_streaming_to_path, Machine, MachineConfig, StreamOptions};
 use mempersp::extrae::trace_format::{save_trace, write_trace};
-use mempersp::extrae::{AppContext, CodeLocation, Trace, Workload};
+use mempersp::extrae::{AppContext, CodeLocation, EventSink, Trace, TraceEvent, Workload};
 use mempersp::hpcg::{HpcgConfig, HpcgWorkload};
-use mempersp::store::{write_store_sharded, write_store_with, DEFAULT_CHUNK_BYTES};
+use mempersp::store::{write_store_chunked, write_store_sharded, DEFAULT_CHUNK_BYTES};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -37,17 +37,18 @@ fn reference_trace() -> Trace {
 fn streaming_store_is_byte_identical_at_any_thread_count() {
     let reference = reference_trace();
     let ref_path = tmp("reference.mps");
-    write_store_with(&ref_path, &reference, DEFAULT_CHUNK_BYTES, 1).unwrap();
+    write_store_chunked(&ref_path, &reference, DEFAULT_CHUNK_BYTES).unwrap();
     let ref_bytes = std::fs::read(&ref_path).unwrap();
 
     for threads in [1usize, 2, 4] {
         let path = tmp(&format!("stream_t{threads}.mps"));
-        let opts = StreamOptions { writer_threads: threads, ..StreamOptions::default() };
+        let mut cfg = machine_config();
+        cfg.threads = threads;
         let report = run_streaming_to_path(
-            machine_config(),
+            cfg,
             &mut HpcgWorkload::new(hpcg_config()),
             &path,
-            &opts,
+            &StreamOptions::default(),
         )
         .unwrap();
         assert_eq!(report.events_streamed, reference.events.len() as u64);
@@ -56,7 +57,7 @@ fn streaming_store_is_byte_identical_at_any_thread_count() {
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(
             bytes, ref_bytes,
-            "streamed store differs from materialize+convert at {threads} writer threads"
+            "streamed store differs from materialize+convert at {threads} simulator threads"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -68,16 +69,11 @@ fn streaming_sharded_store_matches_materialized_sharding() {
     let reference = reference_trace();
     let ref_dir = tmp("reference.mps.d");
     std::fs::remove_dir_all(&ref_dir).ok();
-    write_store_sharded(&ref_dir, &reference, DEFAULT_CHUNK_BYTES, 1, 2_000).unwrap();
+    write_store_sharded(&ref_dir, &reference, DEFAULT_CHUNK_BYTES, 2_000).unwrap();
 
     let dir = tmp("stream.mps.d");
     std::fs::remove_dir_all(&dir).ok();
-    let opts = StreamOptions {
-        writer_threads: 2,
-        max_inflight: Some(2),
-        shard_events: Some(2_000),
-        ..StreamOptions::default()
-    };
+    let opts = StreamOptions { shard_events: Some(2_000), ..StreamOptions::default() };
     run_streaming_to_path(machine_config(), &mut HpcgWorkload::new(hpcg_config()), &dir, &opts)
         .unwrap();
 
@@ -117,6 +113,36 @@ fn streaming_prv_matches_save_trace() {
     );
     std::fs::remove_file(&ref_path).ok();
     std::fs::remove_file(&path).ok();
+}
+
+/// A sink whose writes fail from the `fail_at`-th event on, the way a
+/// full disk fails a `.prv` body or a store chunk.
+struct FailingSink {
+    fail_at: u64,
+    seen: u64,
+}
+
+impl EventSink for FailingSink {
+    fn append_event(&mut self, _event: &TraceEvent) -> std::io::Result<()> {
+        self.seen += 1;
+        if self.seen >= self.fail_at {
+            return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full"));
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, _trace_for_header: &Trace) -> std::io::Result<()> {
+        panic!("a sink whose append failed must not be sealed");
+    }
+}
+
+#[test]
+fn sink_write_error_comes_back_from_run_streaming() {
+    let sink = FailingSink { fail_at: 100, seen: 0 };
+    let err = Machine::new(machine_config())
+        .run_streaming(&mut HpcgWorkload::new(hpcg_config()), Box::new(sink))
+        .expect_err("a failed write must fail the run");
+    assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "{err}");
 }
 
 /// A deterministic two-core kernel with interleaved loads, stores,
@@ -214,19 +240,18 @@ fn rank_sequential_lag_streams_identically_and_linearly() {
     let events = reference.trace.events.len() as u64;
     assert_eq!(reference.max_buffered_events, events, "a materialized run holds everything");
     let ref_path = tmp("ranks_ref.mps");
-    write_store_with(&ref_path, &reference.trace, DEFAULT_CHUNK_BYTES, 1).unwrap();
+    write_store_chunked(&ref_path, &reference.trace, DEFAULT_CHUNK_BYTES).unwrap();
     let ref_bytes = std::fs::read(&ref_path).unwrap();
     std::fs::remove_file(&ref_path).ok();
 
     for cap in [1usize, 7, 32_768] {
         for threads in [1usize, 2] {
             let path = tmp(&format!("ranks_c{cap}_t{threads}.mps"));
-            let opts = StreamOptions { writer_threads: threads, ..StreamOptions::default() };
             let report = run_streaming_to_path(
                 rank_sequential_config(cap, threads),
                 &mut RankSequential { n: 5000 },
                 &path,
-                &opts,
+                &StreamOptions::default(),
             )
             .unwrap();
             let bytes = std::fs::read(&path).unwrap();
@@ -275,7 +300,7 @@ proptest! {
             machine.run(&mut TwoCore { n: 3000 }).trace
         };
         let ref_path = tmp("prop_ref.mps");
-        write_store_with(&ref_path, &reference, DEFAULT_CHUNK_BYTES, 1).unwrap();
+        write_store_chunked(&ref_path, &reference, DEFAULT_CHUNK_BYTES).unwrap();
         let ref_bytes = std::fs::read(&ref_path).unwrap();
 
         let path = tmp(&format!("prop_cap{cap}.mps"));
