@@ -39,6 +39,7 @@ use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{TraceEvent, Workload};
 use mempersp_folding::{fold_regions_source, RegionRequest};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
+use mempersp_memsim::MAX_CORES;
 use mempersp_store::{open_trace_source, sniff_store, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
 use std::io::{self, Write as _};
 use mempersp_workloads::{PointerChase, Stencil7, StreamTriad, TiledMatmul};
@@ -98,6 +99,17 @@ fn threads_arg(args: &[String]) -> usize {
             })
             .max(1),
     }
+}
+
+/// A count flag of `run`: `default` when absent; anything but a whole
+/// number is a usage error.
+fn count_arg(args: &[String], flag: &str, default: usize) -> usize {
+    arg_value(args, flag).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} expects a whole number, got {v:?}");
+            exit(1);
+        })
+    })
 }
 
 /// `--shard-events`: roll a `.mps.d` shard every this many events.
@@ -230,9 +242,13 @@ fn cmd_run(args: &[String]) {
     let out = arg_value(args, "-o")
         .or_else(|| arg_value(args, "--out"))
         .unwrap_or_else(|| "trace.prv".into());
-    let nx: usize = arg_value(args, "--nx").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let iters: usize = arg_value(args, "--iters").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let cores: usize = arg_value(args, "--cores").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let nx = count_arg(args, "--nx", 8);
+    let iters = count_arg(args, "--iters", 3);
+    let cores = count_arg(args, "--cores", 1);
+    if !(1..=MAX_CORES).contains(&cores) {
+        eprintln!("--cores must be from 1 to {MAX_CORES}, got {cores}");
+        exit(1);
+    }
     let threads = threads_arg(args);
     let group = !args.iter().any(|a| a == "--no-group");
     let opts = StreamOptions {
@@ -251,6 +267,11 @@ fn cmd_run(args: &[String]) {
     mcfg.counter_sample_period = mcfg.counter_sample_period.min(20_000);
 
     let mut workload: Box<dyn Workload> = match workload_name.as_str() {
+        // Two multigrid coarsenings halve the grid twice, down to 2³.
+        "hpcg" if nx < 8 || !nx.is_multiple_of(4) => {
+            eprintln!("--workload hpcg needs --nx to be a multiple of 4 and at least 8, got {nx}");
+            exit(1);
+        }
         "hpcg" => Box::new(HpcgWorkload::new(HpcgConfig {
             nx,
             max_iters: iters,

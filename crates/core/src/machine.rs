@@ -15,23 +15,21 @@
 //!
 //! Execution is *epoch-pipelined* (DESIGN.md §7): issued operations
 //! are buffered until an observation point (region boundary,
-//! malloc/free, barrier, clock read, buffer cap). If no line touched
-//! in the epoch is shared between cores, each core's private-path
-//! simulation runs independently — on up to
-//! [`MachineConfig::threads`] worker threads — and the shared L3/DRAM
-//! traffic plus all accounting is replayed afterwards in the original
-//! global issue order. Conflicting epochs fall back to exact
-//! sequential simulation. Results are bit-identical for any thread
-//! count, including 1.
+//! malloc/free, barrier, clock read, buffer cap). The memory side of
+//! an epoch belongs to memsim: the machine issues each memory
+//! operation with [`MemorySystem::issue`], opens the epoch with
+//! [`MemorySystem::begin_epoch`] (on up to [`MachineConfig::threads`]
+//! worker threads), and walks its own log of the epoch in global issue
+//! order, taking each access's result from
+//! [`MemorySystem::retire_next`] and accounting compute work in
+//! between. Results are bit-identical for any thread count, including
+//! 1.
 
 use mempersp_extrae::{
     AppContext, CodeLocation, EventSink, Ip, LaneStats, MemRequest, Trace, Tracer, TracerConfig,
     Workload,
 };
-use mempersp_memsim::{
-    AccessKind, AccessResult, BatchOp, HierarchyConfig, MemLevel, MemorySystem, PrivateResult,
-    UncoreReq,
-};
+use mempersp_memsim::{AccessKind, AccessResult, BatchOp, HierarchyConfig, MemLevel, MemorySystem};
 use mempersp_pebs::{
     EventKind, MemOp, MultiplexStats, Multiplexer, PebsEvent, Pmu, SamplingConfig,
 };
@@ -245,12 +243,6 @@ pub struct Machine {
     static_next: u64,
     /// Buffered operations of the open epoch, in global issue order.
     epoch: Vec<EpochOp>,
-    /// The same epoch's memory operations, grouped per issuing core
-    /// (the unit the private phase consumes).
-    epoch_mem: Vec<Vec<BatchOp>>,
-    /// Reused phase-1 output buffers, indexed by core.
-    ph_results: Vec<Vec<PrivateResult>>,
-    ph_reqs: Vec<Vec<UncoreReq>>,
     /// Streaming sink for the current [`Machine::run_streaming`] call;
     /// `None` during materialized runs.
     sink: Option<Box<dyn EventSink>>,
@@ -260,9 +252,9 @@ pub struct Machine {
     events_streamed: u64,
 }
 
-/// One buffered operation. Memory ops keep their addr/size in the
-/// per-core [`BatchOp`] stream; the global log only needs issue order
-/// and attribution.
+/// One buffered operation. Memory ops are issued to memsim, which
+/// hands each back with its result; the global log only needs issue
+/// order and attribution.
 #[derive(Debug, Clone, Copy)]
 enum EpochOp {
     Mem { core: u32, ip: Ip },
@@ -291,7 +283,6 @@ impl Machine {
                 last_mux_index: 0,
             })
             .collect();
-        let n = cfg.cores;
         Self {
             cfg,
             mem,
@@ -299,9 +290,6 @@ impl Machine {
             cores,
             static_next: 0x0060_0000,
             epoch: Vec::new(),
-            epoch_mem: vec![Vec::new(); n],
-            ph_results: vec![Vec::new(); n],
-            ph_reqs: vec![Vec::new(); n],
             sink: None,
             sink_error: None,
             events_streamed: 0,
@@ -427,38 +415,27 @@ impl Machine {
     /// Buffer one memory operation into the open epoch.
     fn push_mem(&mut self, core: usize, ip: Ip, addr: u64, size: u32, kind: AccessKind) {
         self.epoch.push(EpochOp::Mem { core: core as u32, ip });
-        self.epoch_mem[core].push(BatchOp { kind, addr, size });
+        self.mem.issue(core, BatchOp { kind, addr, size });
         if self.epoch.len() >= self.cfg.epoch_cap {
             self.flush_epoch();
         }
     }
 
-    /// Retire every buffered operation. Called at observation points
+    /// Retire every buffered operation, in global issue order, each
+    /// access at its core's clock. Called at observation points
     /// (region boundaries, allocation events, barriers, clock reads)
     /// and at the buffer cap, so that everything the tracer or the
     /// workload can observe is already accounted.
     fn flush_epoch(&mut self) {
-        if self.epoch.is_empty() {
-            self.drain_to_sink();
-            return;
-        }
-        let epoch = std::mem::take(&mut self.epoch);
-        let per_core = std::mem::take(&mut self.epoch_mem);
-
-        if self.mem.epoch_conflict_free(&per_core) {
-            self.run_epoch_pipelined(&epoch, &per_core);
-        } else {
-            // Cross-core sharing inside the epoch: replay exactly, one
-            // access at a time, in the original order.
-            let mut cursor = vec![0usize; self.cfg.cores];
+        if !self.epoch.is_empty() {
+            self.mem.begin_epoch(self.cfg.threads);
+            let mut epoch = std::mem::take(&mut self.epoch);
             for op in &epoch {
                 match *op {
                     EpochOp::Mem { core, ip } => {
                         let core = core as usize;
-                        let bop = per_core[core][cursor[core]];
-                        cursor[core] += 1;
                         let now = self.cores[core].clock();
-                        let res = self.mem.access(core, bop.kind, bop.addr, bop.size, now);
+                        let (bop, res) = self.mem.retire_next(core, now);
                         self.account_access(core, ip, bop.addr, bop.size, bop.kind, res);
                     }
                     EpochOp::Compute { core, ip, instructions, branches } => {
@@ -466,94 +443,11 @@ impl Machine {
                     }
                 }
             }
+            // Return the buffer, keeping its capacity.
+            epoch.clear();
+            self.epoch = epoch;
         }
-
-        // Return the buffers, keeping their capacity.
-        let mut epoch = epoch;
-        epoch.clear();
-        self.epoch = epoch;
-        let mut per_core = per_core;
-        for v in &mut per_core {
-            v.clear();
-        }
-        self.epoch_mem = per_core;
         self.drain_to_sink();
-    }
-
-    /// The two-phase path for a conflict-free epoch: parallel private
-    /// simulation, then a deterministic global replay of the shared
-    /// L3/DRAM traffic and all accounting.
-    fn run_epoch_pipelined(&mut self, epoch: &[EpochOp], per_core: &[Vec<BatchOp>]) {
-        let n = self.cfg.cores;
-        let mut results = std::mem::take(&mut self.ph_results);
-        let mut reqs = std::mem::take(&mut self.ph_reqs);
-
-        // Phase 1: every core's private path, in parallel when asked.
-        {
-            let hier = &self.cfg.hierarchy;
-            let threads = self.cfg.threads.clamp(1, n);
-            let paths = self.mem.core_paths_mut();
-            let mut work: Vec<_> = paths
-                .iter_mut()
-                .zip(per_core)
-                .zip(results.iter_mut().zip(reqs.iter_mut()))
-                .map(|((path, ops), (res, rq))| (path, ops, res, rq))
-                .filter(|(_, ops, ..)| !ops.is_empty())
-                .collect();
-            if threads <= 1 || work.len() <= 1 {
-                for (path, ops, res, rq) in &mut work {
-                    path.simulate_private(hier, ops, res, rq);
-                }
-            } else {
-                let per_chunk = work.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    for chunk in work.chunks_mut(per_chunk) {
-                        s.spawn(move || {
-                            for (path, ops, res, rq) in chunk {
-                                path.simulate_private(hier, ops, res, rq);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        // Page ownership must cover what phase 1 prefetched before any
-        // phase-2 back-invalidation consults it.
-        self.mem.merge_prefetch_pages();
-
-        // Phase 2: walk the global issue order; apply each op's uncore
-        // requests and account it at its core's current clock.
-        let mut cursor = vec![0usize; n];
-        let mut req_cursor = vec![0usize; n];
-        for op in epoch {
-            match *op {
-                EpochOp::Mem { core, ip } => {
-                    let core = core as usize;
-                    let i = cursor[core];
-                    let bop = per_core[core][i];
-                    let pr = results[core][i];
-                    let slice = &reqs[core][req_cursor[core]..req_cursor[core] + pr.req_len as usize];
-                    let now = self.cores[core].clock();
-                    let res = self.mem.complete_access(core, &pr, slice, now);
-                    cursor[core] += 1;
-                    req_cursor[core] += pr.req_len as usize;
-                    self.account_access(core, ip, bop.addr, bop.size, bop.kind, res);
-                }
-                EpochOp::Compute { core, ip, instructions, branches } => {
-                    self.account_compute(core as usize, ip, instructions, branches);
-                }
-            }
-        }
-
-        for v in &mut results {
-            v.clear();
-        }
-        for v in &mut reqs {
-            v.clear();
-        }
-        self.ph_results = results;
-        self.ph_reqs = reqs;
     }
 
     /// PMU/stall/PEBS/timer accounting of one completed access — the
@@ -700,11 +594,10 @@ impl AppContext for Machine {
     }
 
     fn access_batch(&mut self, core: usize, ops: &[MemRequest]) {
-        self.epoch_mem[core].reserve(ops.len());
         self.epoch.reserve(ops.len());
         for op in ops {
             self.epoch.push(EpochOp::Mem { core: core as u32, ip: op.ip });
-            self.epoch_mem[core].push(BatchOp {
+            self.mem.issue(core, BatchOp {
                 kind: if op.store { AccessKind::Store } else { AccessKind::Load },
                 addr: op.addr,
                 size: op.size,

@@ -301,6 +301,32 @@ fn bad_usage_exits_1() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// A count `run` cannot simulate is a usage error named on stderr,
+/// refused before anything is written — not a panic, and not a quiet
+/// run with the default.
+#[test]
+fn run_refuses_bad_counts() {
+    let dir = tmpdir("run_refuses_bad_counts");
+    let trace = dir.join("t.prv");
+    let cases: [(&[&str], &str); 6] = [
+        (&["--cores", "0"], "--cores must be from 1 to 64, got 0"),
+        (&["--cores", "65"], "--cores must be from 1 to 64, got 65"),
+        (&["--cores", "abc"], "--cores expects a whole number, got \"abc\""),
+        (&["--nx", "abc"], "--nx expects a whole number, got \"abc\""),
+        (&["--iters", "-1"], "--iters expects a whole number, got \"-1\""),
+        (&["--nx", "6"], "--workload hpcg needs --nx to be a multiple of 4 and at least 8, got 6"),
+    ];
+    for (flags, message) in cases {
+        let out = bin().args(["run", "--workload", "hpcg"]).args(flags).arg("-o").arg(&trace).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{flags:?} wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();

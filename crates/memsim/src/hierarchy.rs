@@ -1,20 +1,21 @@
 //! The assembled memory system: per-core private L1D + L2 + TLB +
 //! prefetcher, a shared inclusive L3, and the DRAM model.
 //!
-//! [`MemorySystem::access`] is the single entry point for one access:
-//! it walks the access down the hierarchy, performs
-//! fills/evictions/writebacks, lets the stream prefetcher run, and
-//! returns the PEBS-relevant facts — the serving [`MemLevel`] and the
-//! latency in cycles. [`MemorySystem::access_batch`] does the same for
-//! a stream of operations from one core, with same-line and same-page
-//! fast paths that skip redundant TLB/snoop work while producing
-//! byte-identical results and statistics.
+//! Two paths execute an access. [`MemorySystem::access`] walks one
+//! access down the hierarchy, performs fills/evictions/writebacks,
+//! lets the stream prefetcher run, and returns the PEBS-relevant facts
+//! — the serving [`MemLevel`] and the latency in cycles.
+//! [`MemorySystem::access_batch`] is a loop over it.
 //!
-//! The private part of the walk (TLB, L1, L2, prefetcher training) is
-//! factored into [`CorePath`] so that an epoch of accesses can be
-//! simulated per-core in parallel ([`CorePath::simulate_private`]) and
-//! the shared L3/DRAM side replayed afterwards in a deterministic
-//! global order ([`MemorySystem::complete_access`]).
+//! The epoch runs many cores' accesses at once.
+//! [`MemorySystem::issue`] buffers operations per core;
+//! [`MemorySystem::begin_epoch`] closes them into an epoch, and when
+//! no line it touches is shared between cores it runs each core's
+//! private part of the walk (TLB, L1, L2, prefetcher training) on up to
+//! `threads` threads; [`MemorySystem::retire_next`] then returns each
+//! operation's result in the caller's global issue order, replaying
+//! its shared L3/DRAM traffic at that point — or, in an epoch with
+//! sharing, running the exact `access`.
 //!
 //! Coherence keeps no per-line bookkeeping, only one mask per *page*:
 //! the cores that ever demand-touched it or prefetched into it, a
@@ -81,11 +82,15 @@ pub struct BatchOp {
     pub size: u32,
 }
 
+/// The most cores a [`MemorySystem`] simulates: a page's owner mask is
+/// one `u64`.
+pub const MAX_CORES: usize = 64;
+
 /// A request emitted by a core's private path toward the shared
 /// uncore (L3 + DRAM). Produced during the private phase of an epoch,
 /// applied later in deterministic global order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UncoreReq {
+enum UncoreReq {
     /// Demand fetch of a line that missed the private L2. The uncore
     /// decides whether L3 or DRAM serves it.
     Demand(Addr),
@@ -97,22 +102,55 @@ pub enum UncoreReq {
     Prefetch(Addr),
 }
 
-/// Private-path outcome of one batched operation, produced by
-/// [`CorePath::simulate_private`] and consumed by
-/// [`MemorySystem::complete_access`].
+/// Private-path outcome of one epoch operation, produced by
+/// `CorePath::simulate_private` and consumed by
+/// `MemorySystem::replay`.
 #[derive(Debug, Clone, Copy)]
-pub struct PrivateResult {
+struct PrivateResult {
     /// Deepest *private* level that served any line (L1 or L2); lines
-    /// that left the core appear as [`UncoreReq::Demand`] entries.
-    pub level: MemLevel,
+    /// that left the core appear as `UncoreReq::Demand` entries.
+    level: MemLevel,
     /// Worst private per-line latency (no TLB penalty, no uncore part).
-    pub latency: u32,
+    latency: u32,
     /// TLB-walk penalty of the whole operation.
-    pub tlb_penalty: u32,
+    tlb_penalty: u32,
     /// Whether any touched page missed the TLB.
-    pub tlb_miss: bool,
-    /// Number of [`UncoreReq`]s this operation appended.
-    pub req_len: u32,
+    tlb_miss: bool,
+    /// Number of `UncoreReq`s this operation appended.
+    req_len: u32,
+}
+
+/// One core's operations: the open epoch's (`ops[..end]`, of which
+/// `retired` have retired), then those issued since it began.
+#[derive(Default)]
+struct Lane {
+    ops: Vec<BatchOp>,
+    end: usize,
+    retired: usize,
+    /// A conflict-free epoch's private phase: one result per op, and
+    /// the uncore requests they emitted in order, of which `next_req`
+    /// is the first not yet replayed.
+    results: Vec<PrivateResult>,
+    reqs: Vec<UncoreReq>,
+    next_req: usize,
+}
+
+impl Lane {
+    /// The open epoch's operations.
+    #[inline]
+    fn epoch(&self) -> &[BatchOp] {
+        &self.ops[..self.end]
+    }
+
+    /// Drop the open epoch, once all of it has retired.
+    fn close(&mut self) {
+        self.ops.drain(..self.end);
+        self.end = 0;
+        self.retired = 0;
+        self.results.clear();
+        self.reqs.clear();
+        self.next_req = 0;
+    }
 }
 
 /// Hasher for page-number and line-address keys: one multiply +
@@ -149,7 +187,7 @@ enum PrivLookup {
 
 /// One core's private memory path: L1D, L2, TLB and the stream
 /// prefetcher, plus this core's counters.
-pub struct CorePath {
+struct CorePath {
     l1d: Cache,
     l2: Cache,
     tlb: Tlb,
@@ -163,7 +201,7 @@ pub struct CorePath {
     l1_evict_scratch: Vec<Addr>,
     /// Pages (by number) this core prefetched into while demanding a
     /// line of a *different* page — the prefetcher does not stop at
-    /// page boundaries — until [`MemorySystem::merge_prefetch_pages`]
+    /// page boundaries — until `MemorySystem::merge_prefetch_pages`
     /// makes the core an owner. Not kept on single-core systems.
     pf_pages: Vec<Addr>,
     log_pf_pages: bool,
@@ -309,26 +347,20 @@ impl CorePath {
     /// Phase 1 of an epoch: run this core's operations through the
     /// private path only. Demand misses, writebacks and prefetch
     /// installs that need the shared L3/DRAM are recorded as
-    /// [`UncoreReq`]s (one contiguous run per op, `req_len` each) for a
-    /// later deterministic replay via
-    /// [`MemorySystem::complete_access`]. Loads/stores and TLB counters
-    /// are updated here; served-level counters and latencies are
-    /// accounted during the replay.
+    /// `UncoreReq`s (one contiguous run per op, `req_len` each) for a
+    /// later deterministic replay via `MemorySystem::replay`.
+    /// Loads/stores and TLB counters are updated here; served-level
+    /// counters and latencies are accounted during the replay.
     ///
-    /// The caller must have established with
-    /// [`MemorySystem::epoch_conflict_free`] that no line touched in
-    /// the epoch is shared with another core, so coherence snoops are
-    /// no-ops and are skipped (that call also records this core as an
-    /// owner of every page `ops` touch), and must call
-    /// [`MemorySystem::merge_prefetch_pages`] once every core's phase 1
-    /// is done, before the replay.
-    pub fn simulate_private(
-        &mut self,
-        cfg: &HierarchyConfig,
-        ops: &[BatchOp],
-        results: &mut Vec<PrivateResult>,
-        reqs: &mut Vec<UncoreReq>,
-    ) {
+    /// `MemorySystem::epoch_conflict_free` must have established that
+    /// no line touched in the epoch is shared with another core, so
+    /// coherence snoops are no-ops and are skipped (that call also
+    /// records this core as an owner of every page `ops` touch), and
+    /// `MemorySystem::merge_prefetch_pages` must run once every core's
+    /// phase 1 is done, before the replay.
+    fn simulate_private(&mut self, cfg: &HierarchyConfig, lane: &mut Lane) {
+        let Lane { ops, end, results, reqs, .. } = lane;
+        let ops = &ops[..*end];
         let line_size = cfg.line_size();
         let line_mask = !(line_size as Addr - 1);
         let page_size = cfg.tlb.page_size;
@@ -507,6 +539,11 @@ pub struct MemorySystem {
     /// Conflict check, epochs with several active cores: lines of
     /// shared pages → the cores that touch them in the epoch.
     epoch_lines: CoreMaskMap,
+    /// Per core: its operations of the open epoch and the next.
+    lanes: Vec<Lane>,
+    /// Whether the open epoch passed the conflict check, so its
+    /// operations retire by replaying their private phase.
+    epoch_free: bool,
     /// The oracle the unit tests compare against (nothing else sets
     /// it): ignore `owners` and probe every core.
     probe_every_core: bool,
@@ -529,7 +566,7 @@ impl MemorySystem {
     pub fn new(cfg: HierarchyConfig, num_cores: usize) -> Self {
         cfg.validate();
         assert!(num_cores >= 1, "need at least one core");
-        assert!(num_cores <= 64, "a page's owner mask holds at most 64 cores");
+        assert!(num_cores <= MAX_CORES, "a page's owner mask holds at most {MAX_CORES} cores");
         let cores = (0..num_cores).map(|_| CorePath::new(&cfg, num_cores > 1)).collect();
         Self {
             l3: Cache::new(cfg.l3),
@@ -542,6 +579,8 @@ impl MemorySystem {
             owners: CoreMaskMap::default(),
             req_scratch: Vec::new(),
             epoch_lines: CoreMaskMap::default(),
+            lanes: (0..num_cores).map(|_| Lane::default()).collect(),
+            epoch_free: false,
             probe_every_core: false,
         }
     }
@@ -590,9 +629,9 @@ impl MemorySystem {
     }
 
     /// Fold every core's log of pages it prefetched into from outside
-    /// into the page ownership. Call between phase 1 and the replay of
-    /// a pipelined epoch: phase 2's back-invalidations rely on it.
-    pub fn merge_prefetch_pages(&mut self) {
+    /// into the page ownership. Runs between phase 1 and the replay of
+    /// a conflict-free epoch: phase 2's back-invalidations rely on it.
+    fn merge_prefetch_pages(&mut self) {
         for core in 0..self.cores.len() {
             self.merge_prefetch_pages_of(core);
         }
@@ -604,98 +643,17 @@ impl MemorySystem {
         }
     }
 
-    /// The per-core private paths, for parallel epoch simulation. The
-    /// shared L3/DRAM are *not* reachable through this — workers can
-    /// only touch private state.
-    pub fn core_paths_mut(&mut self) -> &mut [CorePath] {
-        &mut self.cores
-    }
-
     /// Issue one access from `core` at simulated cycle `now`.
     ///
     /// `size` is in bytes; accesses that straddle line boundaries touch
     /// every covered line and are charged the worst line's latency
     /// (the core would split them into uops anyway).
     pub fn access(&mut self, core: usize, kind: AccessKind, addr: Addr, size: u32, now: u64) -> AccessResult {
-        self.access_inner(core, kind, addr, size, now, false)
-    }
-
-    /// Issue a stream of operations from one core, appending one
-    /// [`AccessResult`] per op to `out`. Equivalent to calling
-    /// [`access`](Self::access) once per op — same results, same
-    /// statistics — but consecutive ops hitting the same L1 line or
-    /// the same page skip the redundant TLB/snoop/fill machinery.
-    pub fn access_batch(&mut self, core: usize, ops: &[BatchOp], now: u64, out: &mut Vec<AccessResult>) {
-        let line_mask = !(self.cfg.line_size() as Addr - 1);
-        let page_mask = !(self.cfg.tlb.page_size - 1);
-        let l1_lat = self.cfg.l1d.hit_latency;
-        let mut last_l1_line = Addr::MAX;
-        // The other cores that may hold `last_l1_line`; only this core
-        // runs during the batch, so it stays what it was when looked up.
-        let mut last_others = 0u64;
-        let mut last_page = Addr::MAX;
-        out.reserve(ops.len());
-
-        for op in ops {
-            let is_store = op.kind == AccessKind::Store;
-            let first_line = op.addr & line_mask;
-            let last_line = (op.addr + op.size.max(1) as u64 - 1) & line_mask;
-            let single_line = first_line == last_line;
-
-            if single_line && first_line == last_l1_line {
-                // The snoop must be a no-op for the fast path: no
-                // *other* core may hold the line.
-                if !self.held_by_any(last_others, first_line) {
-                    let _ = self.cores[core].l1d.access(first_line, is_store);
-                    let st = &mut self.cores[core].stats;
-                    st.tlb_hits += 1;
-                    if is_store {
-                        st.stores += 1;
-                    } else {
-                        st.loads += 1;
-                    }
-                    st.served_l1 += 1;
-                    st.total_latency += l1_lat as u64;
-                    out.push(AccessResult { source: MemLevel::L1, latency: l1_lat, tlb_miss: false });
-                    continue;
-                }
-            }
-
-            let first_page = op.addr & page_mask;
-            let end_page = (op.addr + op.size.max(1) as u64 - 1) & page_mask;
-            let skip_tlb = first_page == end_page && first_page == last_page;
-            let res = self.access_inner(core, op.kind, op.addr, op.size, now, skip_tlb);
-            last_page = end_page;
-            last_l1_line = Addr::MAX;
-            if single_line && self.cores[core].l1d.probe(first_line) {
-                last_l1_line = first_line;
-                last_others = self.may_hold(first_line) & !(1u64 << core);
-            }
-            out.push(res);
-        }
-    }
-
-    fn access_inner(
-        &mut self,
-        core: usize,
-        kind: AccessKind,
-        addr: Addr,
-        size: u32,
-        now: u64,
-        skip_tlb: bool,
-    ) -> AccessResult {
         let line_size = self.cfg.line_size();
         let is_store = kind == AccessKind::Store;
 
         // TLB: translate every distinct page the access touches.
-        // `skip_tlb` asserts the (single) page is the TLB's MRU entry,
-        // making the walk a guaranteed hit with no LRU movement.
-        let tlb_penalty = if skip_tlb {
-            self.cores[core].stats.tlb_hits += 1;
-            0
-        } else {
-            self.cores[core].tlb_walk(self.cfg.tlb.page_size, addr, size)
-        };
+        let tlb_penalty = self.cores[core].tlb_walk(self.cfg.tlb.page_size, addr, size);
 
         let mut worst_latency = 0u32;
         let mut deepest = MemLevel::L1;
@@ -725,6 +683,88 @@ impl MemorySystem {
         st.total_latency += latency as u64;
 
         AccessResult { source: deepest, latency, tlb_miss: tlb_penalty > 0 }
+    }
+
+    /// Issue a stream of operations from one core at cycle `now`,
+    /// appending one [`AccessResult`] per op to `out`: one
+    /// [`access`](Self::access) per op.
+    pub fn access_batch(&mut self, core: usize, ops: &[BatchOp], now: u64, out: &mut Vec<AccessResult>) {
+        out.extend(ops.iter().map(|op| self.access(core, op.kind, op.addr, op.size, now)));
+    }
+
+    /// Buffer `op` from `core` for the next epoch.
+    #[inline]
+    pub fn issue(&mut self, core: usize, op: BatchOp) {
+        self.lanes[core].ops.push(op);
+    }
+
+    /// Close everything issued since the last call into the open epoch
+    /// and classify it. When no line it touches is shared between
+    /// cores, each active core's private phase runs now, on up to
+    /// `threads` scoped threads (results do not depend on `threads`),
+    /// and [`retire_next`](Self::retire_next) replays only the shared
+    /// L3/DRAM side; otherwise every op retires through the exact
+    /// [`access`](Self::access).
+    ///
+    /// Panics if an op of the previous epoch has not retired.
+    pub fn begin_epoch(&mut self, threads: usize) {
+        for lane in &mut self.lanes {
+            assert_eq!(lane.end, 0, "the previous epoch has unretired operations");
+            lane.end = lane.ops.len();
+        }
+        let lanes = std::mem::take(&mut self.lanes);
+        self.epoch_free = self.epoch_conflict_free(lanes.iter().map(Lane::epoch));
+        self.lanes = lanes;
+        if !self.epoch_free {
+            return;
+        }
+
+        let cfg = &self.cfg;
+        let mut work: Vec<_> =
+            self.cores.iter_mut().zip(&mut self.lanes).filter(|(_, lane)| lane.end > 0).collect();
+        if threads <= 1 || work.len() <= 1 {
+            for (path, lane) in &mut work {
+                path.simulate_private(cfg, lane);
+            }
+        } else {
+            let per_chunk = work.len().div_ceil(threads);
+            std::thread::scope(|s| {
+                for chunk in work.chunks_mut(per_chunk) {
+                    s.spawn(move || {
+                        for (path, lane) in chunk {
+                            path.simulate_private(cfg, lane);
+                        }
+                    });
+                }
+            });
+        }
+        // Page ownership must cover what phase 1 prefetched before any
+        // phase-2 back-invalidation consults it.
+        self.merge_prefetch_pages();
+    }
+
+    /// Retire `core`'s next operation of the open epoch at simulated
+    /// cycle `now`, returning the op and its result. The caller retires
+    /// ops in its global issue order: that is the order in which the
+    /// shared L3/DRAM state evolves.
+    ///
+    /// Panics if `core` has no unretired op in the open epoch.
+    #[inline]
+    pub fn retire_next(&mut self, core: usize, now: u64) -> (BatchOp, AccessResult) {
+        let lane = &mut self.lanes[core];
+        let i = lane.retired;
+        let op = lane.epoch()[i];
+        lane.retired += 1;
+        let res = if self.epoch_free {
+            self.replay(core, i, now)
+        } else {
+            self.access(core, op.kind, op.addr, op.size, now)
+        };
+        let lane = &mut self.lanes[core];
+        if lane.retired == lane.end {
+            lane.close();
+        }
+        (op, res)
     }
 
     /// MESI-lite snoop: a store by `core` invalidates every other
@@ -876,22 +916,22 @@ impl MemorySystem {
     /// pages it touches (whether or not the epoch turns out free, so
     /// the ownership invariant holds for the private phase), and only
     /// lines of pages with another owner are looked at one by one.
-    pub fn epoch_conflict_free(&mut self, per_core_ops: &[Vec<BatchOp>]) -> bool {
+    fn epoch_conflict_free<'a>(&mut self, per_core_ops: impl Iterator<Item = &'a [BatchOp]> + Clone) -> bool {
         if self.cores.len() <= 1 {
             return true;
         }
         // With several active cores a page's other owners are only
         // known once every core has claimed its pages; a single active
         // core can claim and check in one pass.
-        let several_active = per_core_ops.iter().filter(|ops| !ops.is_empty()).count() > 1;
+        let several_active = per_core_ops.clone().filter(|ops| !ops.is_empty()).count() > 1;
         if several_active {
-            for (core, ops) in per_core_ops.iter().enumerate() {
+            for (core, ops) in per_core_ops.clone().enumerate() {
                 self.scan_epoch(core, ops, EpochScan::ClaimPages);
             }
             self.epoch_lines.clear();
         }
         let check = EpochScan::Check { several_active };
-        per_core_ops.iter().enumerate().all(|(core, ops)| self.scan_epoch(core, ops, check))
+        per_core_ops.enumerate().all(|(core, ops)| self.scan_epoch(core, ops, check))
     }
 
     /// One core's share of [`epoch_conflict_free`](Self::epoch_conflict_free);
@@ -942,17 +982,19 @@ impl MemorySystem {
         true
     }
 
-    /// Phase 2 of an epoch: complete one operation whose private phase
-    /// produced `pr` and the `reqs` slice (its `req_len` requests, in
-    /// emission order). Applies the uncore traffic against L3/DRAM at
-    /// cycle `now`, accounts the served-level counters and latency, and
-    /// returns the final [`AccessResult`] — identical to what
-    /// [`access`](Self::access) would have returned.
+    /// Phase 2 of a conflict-free epoch: complete `core`'s op `i`.
+    /// Applies the uncore requests its private phase emitted against
+    /// L3/DRAM at cycle `now`, accounts the served-level counters and
+    /// latency, and returns the final [`AccessResult`].
     #[inline]
-    pub fn complete_access(&mut self, core: usize, pr: &PrivateResult, reqs: &[UncoreReq], now: u64) -> AccessResult {
+    fn replay(&mut self, core: usize, i: usize, now: u64) -> AccessResult {
+        let pr = self.lanes[core].results[i];
         let mut level = pr.level;
         let mut latency = pr.latency;
-        for &req in reqs {
+        for _ in 0..pr.req_len {
+            let lane = &mut self.lanes[core];
+            let req = lane.reqs[lane.next_req];
+            lane.next_req += 1;
             if let Some((lvl, lat)) = self.apply_uncore_req(req, now) {
                 if lvl > level {
                     level = lvl;
@@ -1409,9 +1451,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_fast_path_repeated_line() {
+    fn access_batch_counts_every_op() {
         // Repeated accesses to one line: after the first, all are L1
-        // hits through the fast path, still counted in full.
+        // hits, each counted in full.
         let mut m = sys(1);
         let ops: Vec<BatchOp> = (0..100)
             .map(|i| BatchOp {
@@ -1430,58 +1472,77 @@ mod tests {
         assert_eq!(s.cores[0].tlb_hits + s.cores[0].tlb_misses, 100);
     }
 
+    /// The conflict check alone, on `per_core` (which it does not run).
+    fn conflict_free(m: &mut MemorySystem, per_core: &[Vec<BatchOp>]) -> bool {
+        m.epoch_conflict_free(per_core.iter().map(Vec::as_slice))
+    }
+
     #[test]
     fn epoch_conflict_detection() {
         let mut m = sys(2);
         let load = |addr| BatchOp { kind: AccessKind::Load, addr, size: 8 };
         let store = |addr| BatchOp { kind: AccessKind::Store, addr, size: 8 };
         // Disjoint lines: fine, in different pages or in one.
-        assert!(m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x2000)]]));
-        assert!(m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x1040)]]));
+        assert!(conflict_free(&mut m, &[vec![load(0x1000)], vec![load(0x2000)]]));
+        assert!(conflict_free(&mut m, &[vec![load(0x1000)], vec![load(0x1040)]]));
         // Same line from two cores: conflict, even load/load.
-        assert!(!m.epoch_conflict_free(&[vec![load(0x1000)], vec![load(0x1008)]]));
-        assert!(!m.epoch_conflict_free(&[vec![store(0x1000)], vec![load(0x1000)]]));
+        assert!(!conflict_free(&mut m, &[vec![load(0x1000)], vec![load(0x1008)]]));
+        assert!(!conflict_free(&mut m, &[vec![store(0x1000)], vec![load(0x1000)]]));
         // A line another core already caches is a conflict too.
         m.access(1, AccessKind::Load, 0x3000, 8, 0);
-        assert!(!m.epoch_conflict_free(&[vec![load(0x3000)], vec![]]));
+        assert!(!conflict_free(&mut m, &[vec![load(0x3000)], vec![]]));
         // ... but not its neighbour in the same page,
-        assert!(m.epoch_conflict_free(&[vec![load(0x3040)], vec![]]));
+        assert!(conflict_free(&mut m, &[vec![load(0x3040)], vec![]]));
         // ... and the caching core itself may keep using it.
-        assert!(m.epoch_conflict_free(&[vec![], vec![load(0x3000)]]));
+        assert!(conflict_free(&mut m, &[vec![], vec![load(0x3000)]]));
     }
 
-    /// Run one epoch the way the machine does — two-phase when `free`,
-    /// one `access` at a time otherwise — in round-robin issue order.
-    fn run_epoch(m: &mut MemorySystem, per_core: &[Vec<BatchOp>], free: bool, now: u64) -> Vec<AccessResult> {
+    /// Round-robin issue order over `per_core`: (core, op index, the
+    /// op's issue cycle after `now`).
+    fn round_robin(per_core: &[Vec<BatchOp>], now: u64) -> Vec<(usize, usize, u64)> {
         let n = per_core.len();
-        let mut results = vec![Vec::new(); n];
-        let mut reqs = vec![Vec::new(); n];
-        if free {
-            let cfg = m.config().clone();
-            for (c, path) in m.core_paths_mut().iter_mut().enumerate() {
-                path.simulate_private(&cfg, &per_core[c], &mut results[c], &mut reqs[c]);
-            }
-            m.merge_prefetch_pages();
-        }
-        let mut out = Vec::new();
-        let mut results: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
-        let mut req_cursor = vec![0usize; n];
         let longest = per_core.iter().map(Vec::len).max().unwrap_or(0);
-        for i in 0..longest {
-            for (c, ops) in per_core.iter().enumerate() {
-                let Some(op) = ops.get(i) else { continue };
-                let now = now + (i * n + c) as u64;
-                out.push(if free {
-                    let pr = results[c].next().expect("one private result per op");
-                    let slice = &reqs[c][req_cursor[c]..req_cursor[c] + pr.req_len as usize];
-                    req_cursor[c] += pr.req_len as usize;
-                    m.complete_access(c, &pr, slice, now)
-                } else {
-                    m.access(c, op.kind, op.addr, op.size, now)
-                });
+        (0..longest)
+            .flat_map(|i| (0..n).map(move |c| (c, i)))
+            .filter(|&(c, i)| i < per_core[c].len())
+            .map(|(c, i)| (c, i, now + (i * n + c) as u64))
+            .collect()
+    }
+
+    /// Run one epoch through the epoch API in round-robin issue order;
+    /// returns whether it was conflict-free, and every op's result.
+    fn run_epoch(
+        m: &mut MemorySystem,
+        per_core: &[Vec<BatchOp>],
+        threads: usize,
+        now: u64,
+    ) -> (bool, Vec<AccessResult>) {
+        for (c, ops) in per_core.iter().enumerate() {
+            for &op in ops {
+                m.issue(c, op);
             }
         }
-        out
+        m.begin_epoch(threads);
+        let out = round_robin(per_core, now)
+            .into_iter()
+            .map(|(c, i, now)| {
+                let (op, res) = m.retire_next(c, now);
+                assert_eq!(op, per_core[c][i], "ops retire in their core's issue order");
+                res
+            })
+            .collect();
+        (m.epoch_free, out)
+    }
+
+    /// The same issue order, one `access` at a time.
+    fn run_sequential(m: &mut MemorySystem, per_core: &[Vec<BatchOp>], now: u64) -> Vec<AccessResult> {
+        round_robin(per_core, now)
+            .into_iter()
+            .map(|(c, i, now)| {
+                let op = per_core[c][i];
+                m.access(c, op.kind, op.addr, op.size, now)
+            })
+            .collect()
     }
 
     #[test]
@@ -1503,8 +1564,9 @@ mod tests {
                 .collect()
         };
         let per_core = [ops_of(0), ops_of(1)];
-        assert!(epo.epoch_conflict_free(&per_core));
-        assert_eq!(run_epoch(&mut epo, &per_core, true, 0), run_epoch(&mut seq, &per_core, false, 0));
+        let (free, pipelined) = run_epoch(&mut epo, &per_core, 1, 0);
+        assert!(free);
+        assert_eq!(pipelined, run_sequential(&mut seq, &per_core, 0));
         assert_eq!(seq.stats(), epo.stats());
     }
 
@@ -1573,14 +1635,12 @@ mod tests {
             for epoch in 0..400u64 {
                 let per_core = random_epoch(&mut x, &mut cursors);
                 let want = brute_force_conflict_free(&filtered, &per_core);
-                assert_eq!(filtered.epoch_conflict_free(&per_core), want, "seed {seed} epoch {epoch}");
-                assert_eq!(oracle.epoch_conflict_free(&per_core), want, "seed {seed} epoch {epoch} (oracle)");
                 let now = epoch * 1000;
-                assert_eq!(
-                    run_epoch(&mut filtered, &per_core, want, now),
-                    run_epoch(&mut oracle, &per_core, want, now),
-                    "seed {seed} epoch {epoch} (conflict-free: {want})"
-                );
+                let (free, got) = run_epoch(&mut filtered, &per_core, 1, now);
+                let (oracle_free, oracle_got) = run_epoch(&mut oracle, &per_core, 1, now);
+                assert_eq!(free, want, "seed {seed} epoch {epoch}");
+                assert_eq!(oracle_free, want, "seed {seed} epoch {epoch} (oracle)");
+                assert_eq!(got, oracle_got, "seed {seed} epoch {epoch} (conflict-free: {want})");
                 assert_owners_cover_holders(&filtered);
                 let active = per_core.iter().filter(|ops| !ops.is_empty()).count();
                 match (want, active > 1) {
@@ -1597,5 +1657,31 @@ mod tests {
         // Every path has to have been taken often enough to mean something.
         assert!(pipelined > 100 && several_active_free > 100 && sequential > 100,
             "{pipelined} single-core, {several_active_free} multi-core conflict-free epochs, {sequential} conflicting");
+    }
+
+    #[test]
+    fn epoch_results_do_not_depend_on_threads() {
+        let mut parallel_epochs = 0;
+        for seed in 1..=3u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut cursors = [0u64; 3];
+            let (l3_policy, l3_sets) = L3_VARIANTS[seed as usize % 3];
+            let mut systems = [1, 2, 3].map(|threads| (threads, sys_and_oracle(3, l3_policy, l3_sets).0));
+            for epoch in 0..400u64 {
+                let per_core = random_epoch(&mut x, &mut cursors);
+                let [one, two, three] =
+                    systems.each_mut().map(|(threads, m)| run_epoch(m, &per_core, *threads, epoch * 1000));
+                assert_eq!(one, two, "seed {seed} epoch {epoch}: 1 vs 2 threads");
+                assert_eq!(one, three, "seed {seed} epoch {epoch}: 1 vs 3 threads");
+                let active = per_core.iter().filter(|ops| !ops.is_empty()).count();
+                if one.0 && active > 1 {
+                    parallel_epochs += 1;
+                }
+            }
+            let [a, b, c] = systems.each_ref().map(|(_, m)| m.stats());
+            assert_eq!(a, b, "seed {seed}");
+            assert_eq!(a, c, "seed {seed}");
+        }
+        assert!(parallel_epochs > 100, "{parallel_epochs} conflict-free epochs with several active cores");
     }
 }

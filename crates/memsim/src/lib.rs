@@ -20,6 +20,14 @@
 //! cycles — exactly the per-access information the PEBS hardware
 //! reports and that the paper's toolchain consumes.
 //!
+//! An access runs either alone ([`MemorySystem::access`]) or as part
+//! of an epoch: operations buffered per core with
+//! [`MemorySystem::issue`], classified by
+//! [`MemorySystem::begin_epoch`] (which simulates the cores' private
+//! caches in parallel when no line is shared between them) and handed
+//! back one by one, in the caller's issue order, by
+//! [`MemorySystem::retire_next`].
+//!
 //! ## Example
 //!
 //! ```
@@ -45,9 +53,7 @@ pub mod tlb;
 
 pub use cache::{Cache, LineMeta};
 pub use config::{CacheConfig, DramConfig, HierarchyConfig, PrefetchConfig, TlbConfig, WriteMissPolicy};
-pub use hierarchy::{
-    AccessKind, AccessResult, BatchOp, CorePath, MemLevel, MemorySystem, PrivateResult, UncoreReq,
-};
+pub use hierarchy::{AccessKind, AccessResult, BatchOp, MemLevel, MemorySystem, MAX_CORES};
 pub use prefetch::StreamPrefetcher;
 pub use replacement::ReplacementPolicy;
 pub use stats::{CacheStats, CoreStats, SystemStats};
