@@ -480,7 +480,7 @@ fn parse_query(args: &[String]) -> Query {
 fn cmd_query(args: &[String]) {
     let path = trace_path(args).clone();
     let q = parse_query(args);
-    let print: usize = arg_value(args, "--print").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let print = count_arg(args, "--print", 0);
 
     let p = std::path::Path::new(&path);
     let verify = !args.iter().any(|a| a == "--no-verify");
@@ -699,7 +699,10 @@ fn cmd_fold(args: &[String]) {
                         &header,
                         &phases,
                     )
-                    .expect("write bundle");
+                    .unwrap_or_else(|e| {
+                        eprintln!("cannot write figure bundle to {dir}: {e}");
+                        exit(1);
+                    });
                     let what = if single { String::new() } else { format!(" for {region:?}") };
                     eprintln!("wrote {} files to {dir}{what}", files.len());
                 }

@@ -327,6 +327,42 @@ fn run_refuses_bad_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `query --print` is a count like `run`'s: a value that is not a whole
+/// number is a usage error, not a quiet run that prints no record.
+#[test]
+fn query_refuses_a_bad_print_count() {
+    let dir = tmpdir("query_refuses_a_bad_print_count");
+    let trace = dir.join("t.prv");
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&trace).output().unwrap());
+    for value in ["abc", "-1"] {
+        let out = bin().arg("query").arg(&trace).args(["--print", value]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{value}: {stderr}");
+        assert!(stderr.contains(&format!("--print expects a whole number, got {value:?}")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{value}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--csv-dir` that cannot be created (it lies under a regular file)
+/// is named with the error, exit 1 — not a panic.
+#[test]
+fn fold_csv_dir_under_a_file_fails_cleanly() {
+    let dir = tmpdir("fold_csv_dir_under_a_file_fails_cleanly");
+    let trace = dir.join("t.prv");
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&trace).output().unwrap());
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let csv = file.join("csv");
+    let out = bin().arg("fold").arg(&trace).args(["--region", "triad", "--csv-dir"]).arg(&csv).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("cannot write figure bundle to {}: ", csv.display())), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();

@@ -5,9 +5,10 @@
 //! column batches with no event rows in between: the boundary scan
 //! feeds the instance-collection kernel once for every region, the
 //! sample scan feeds the pooling kernel, which dispatches each sample
-//! into every containing region; the per-(region, counter) curve fits
-//! plus the per-region address/line panel sorts then become
-//! independent **work items** executed on a deterministic worker pool.
+//! into every containing region; per region, the counter panels with
+//! their curve fits, the address panel sort and the line panel sort
+//! then become independent **work items** executed on a deterministic
+//! worker pool.
 //!
 //! Determinism: every work item owns its input buffers, is internally
 //! sequential, and writes only its own output slot; the thread count
@@ -21,15 +22,15 @@ use crate::curve::MonotoneCurve;
 use crate::fold::{FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
 use crate::instances::{boundary_query, InstanceCollector, RegionInstance};
 use crate::pava::pava_nondecreasing;
-use crate::pool::{sample_query, sort_by_x, sort_counter, AddrPoint, LinePoint, PooledSamples, Pooler};
+use crate::pool::{
+    sample_query, sort_by_x, AddrPoint, CounterPanels, CounterSamples, LinePoint, PooledSamples, Pooler,
+};
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, Trace};
 use mempersp_pebs::EventKind;
 use std::convert::Infallible;
 use std::sync::Mutex;
-
-const NKINDS: usize = EventKind::ALL.len();
 
 /// The event classes folding consumes; everything else (allocations,
 /// mux switches, user events) can stay undecoded in an indexed store.
@@ -61,7 +62,7 @@ impl RegionRequest {
 
 /// Reusable scratch buffers for fitting one counter: amortizes the
 /// bin assignment and bin accumulator allocations across every
-/// (region, counter) work item a worker runs.
+/// counter fit a worker runs.
 #[derive(Debug, Default)]
 pub struct FitScratch {
     bin_of: Vec<u32>,
@@ -121,17 +122,17 @@ fn fit_sorted(xs: &[f64], ys: &[f64], bins: usize, fit: FitModel, s: &mut FitScr
 /// One independent unit of fold work. Items own their inputs (taken
 /// out of the pooled buffers) and carry their outputs back, so workers
 /// never share mutable state.
-enum Job {
-    /// Sort + bin + fit one (region, counter) point cloud.
-    Counter {
+enum Job<'a> {
+    /// Build one region's twelve counter panels from one order of its
+    /// samples, then bin and fit each.
+    Counters {
         slot: usize,
-        kind: EventKind,
         bins: usize,
         fit: FitModel,
-        avg_total: f64,
-        xs: Vec<f64>,
-        ys: Vec<f64>,
-        out: Option<FoldedCounter>,
+        instances: &'a [RegionInstance],
+        samples: CounterSamples,
+        panels: CounterPanels,
+        out: Vec<FoldedCounter>,
     },
     /// Deterministic sort of one region's address panel.
     Addr { slot: usize, pts: Vec<AddrPoint> },
@@ -139,18 +140,24 @@ enum Job {
     Line { slot: usize, pts: Vec<LinePoint> },
 }
 
-impl Job {
+impl Job<'_> {
     fn run(&mut self, scratch: &mut FitScratch) {
         match self {
-            Job::Counter { kind, bins, fit, avg_total, xs, ys, out, .. } => {
-                sort_counter(xs, ys);
-                let curve = fit_sorted(xs, ys, *bins, *fit, scratch);
-                *out = Some(FoldedCounter {
-                    kind: *kind,
-                    curve,
-                    avg_total: *avg_total,
-                    points: xs.len(),
-                });
+            Job::Counters { bins, fit, instances, samples, panels, out, .. } => {
+                std::mem::take(samples).sort_into(panels);
+                let (xs, ys) = &*panels;
+                *out = EventKind::ALL
+                    .into_iter()
+                    .map(|kind| {
+                        let (xs, ys) = (&xs[kind.index()], &ys[kind.index()]);
+                        FoldedCounter {
+                            kind,
+                            curve: fit_sorted(xs, ys, *bins, *fit, scratch),
+                            avg_total: average_total(instances, kind),
+                            points: xs.len(),
+                        }
+                    })
+                    .collect();
             }
             Job::Addr { pts, .. } => sort_by_x(pts, |p| p.x),
             Job::Line { pts, .. } => sort_by_x(pts, |p| p.x),
@@ -248,7 +255,7 @@ fn fold_scans<E>(
 
     // Phase 2: samples. With nothing kept every slot already holds its
     // error — skip the scan.
-    let mut pooled = Vec::new();
+    let (mut pooled, mut samples) = (Vec::new(), Vec::new());
     if !kept.is_empty() {
         let instances = kept.iter().flat_map(|(_, v, _)| v.iter());
         let lo = instances.clone().map(|i| i.start_cycles).min().expect("kept is non-empty");
@@ -256,9 +263,9 @@ fn fold_scans<E>(
         let slices: Vec<&[RegionInstance]> = kept.iter().map(|(_, v, _)| v.as_slice()).collect();
         let mut pooler = Pooler::new(header, &slices);
         stats.merge(&scan(&sample_query().in_time(lo, hi), &mut |b| pooler.push(b))?);
-        pooled = pooler.finish();
+        (pooled, samples) = pooler.finish();
     }
-    Ok((fit_kept(header, requests, results, kept, pooled, threads), stats))
+    Ok((fit_kept(header, requests, results, kept, pooled, samples, threads), stats))
 }
 
 /// Fit the surviving slots' pooled samples and assemble the
@@ -269,43 +276,42 @@ fn fit_kept(
     mut results: Vec<Option<Result<FoldedRegion, FoldError>>>,
     kept: Vec<(usize, Vec<RegionInstance>, usize)>,
     mut pooled: Vec<PooledSamples>,
+    samples: Vec<CounterSamples>,
     threads: usize,
 ) -> Vec<Result<FoldedRegion, FoldError>> {
-    // Fan the fold out into independent work items: one per (region,
-    // counter) plus one per address/line panel, each owning its input
-    // buffers (taken from the pooled SoA storage, returned below).
-    let mut jobs: Vec<Job> = Vec::with_capacity(kept.len() * (NKINDS + 2));
-    for (k, (slot, instances, _)) in kept.iter().enumerate() {
+    // Fan the fold out into independent work items: per region one for
+    // its counter panels and one per address/line panel, each owning
+    // its input buffers (the panels go back to the pooled storage
+    // below).
+    let mut jobs: Vec<Job> = Vec::with_capacity(kept.len() * 3);
+    for ((k, (slot, instances, _)), samples) in kept.iter().enumerate().zip(samples) {
         let cfg = &requests[*slot].cfg;
         let p = &mut pooled[k];
-        for kind in EventKind::ALL {
-            jobs.push(Job::Counter {
-                slot: k,
-                kind,
-                bins: cfg.bins,
-                fit: cfg.fit,
-                avg_total: average_total(instances, kind),
-                xs: std::mem::take(&mut p.counter_xs[kind.index()]),
-                ys: std::mem::take(&mut p.counter_ys[kind.index()]),
-                out: None,
-            });
-        }
+        jobs.push(Job::Counters {
+            slot: k,
+            bins: cfg.bins,
+            fit: cfg.fit,
+            instances,
+            // Reserved here, so the panels live where the pooled
+            // buffers did, not in a worker's allocator arena.
+            panels: samples.reserve_panels(),
+            samples,
+            out: Vec::new(),
+        });
         jobs.push(Job::Addr { slot: k, pts: std::mem::take(&mut p.addr_points) });
         jobs.push(Job::Line { slot: k, pts: std::mem::take(&mut p.line_points) });
     }
 
     run_jobs(&mut jobs, threads);
 
-    // Reassemble: return the (now sorted) buffers to their pooled
-    // slots and gather the fitted counters in kind order.
-    let mut counters: Vec<Vec<Option<FoldedCounter>>> =
-        kept.iter().map(|_| (0..NKINDS).map(|_| None).collect()).collect();
+    // Reassemble: hand the (now ordered) panels back to their pooled
+    // slots and keep the fitted counters, in kind order.
+    let mut counters: Vec<Vec<FoldedCounter>> = kept.iter().map(|_| Vec::new()).collect();
     for job in jobs {
         match job {
-            Job::Counter { slot, kind, xs, ys, out, .. } => {
-                pooled[slot].counter_xs[kind.index()] = xs;
-                pooled[slot].counter_ys[kind.index()] = ys;
-                counters[slot][kind.index()] = out;
+            Job::Counters { slot, panels, out, .. } => {
+                (pooled[slot].counter_xs, pooled[slot].counter_ys) = panels;
+                counters[slot] = out;
             }
             Job::Addr { slot, pts } => pooled[slot].addr_points = pts,
             Job::Line { slot, pts } => pooled[slot].line_points = pts,
@@ -323,7 +329,7 @@ fn fit_kept(
             instances_rejected: rejected,
             avg_duration_cycles: avg_duration,
             freq_mhz: header.meta.freq_mhz,
-            counters: counters.into_iter().map(|c| c.expect("counter job ran")).collect(),
+            counters,
             pooled,
         }));
     }
@@ -335,7 +341,7 @@ fn fit_kept(
 }
 
 /// Fold every requested region of an in-memory trace, with the
-/// per-(region, counter, panel) fold work spread over `threads`
+/// per-(region, panel) fold work spread over `threads`
 /// deterministic workers. The result vector keeps request order; a
 /// failing region (unknown name, too few instances) fails only its own
 /// slot.
@@ -376,7 +382,7 @@ mod tests {
     use mempersp_pebs::CounterSnapshot;
 
     fn snap(inst: u64) -> CounterSnapshot {
-        let mut v = [0u64; NKINDS];
+        let mut v = [0u64; EventKind::ALL.len()];
         v[EventKind::Instructions.index()] = inst;
         v[EventKind::Cycles.index()] = inst * 2;
         v[EventKind::L1dMiss.index()] = inst / 7;

@@ -10,9 +10,10 @@
 //! Pooling is **single-pass and multi-region**: the `Pooler` column
 //! kernel is fed the trace's sample rows once, batch by batch, and
 //! dispatches every sample into the accumulators of all regions whose
-//! instances contain it. Counter points are stored as
-//! structure-of-arrays (`counter_xs` / `counter_ys`) so the binning
-//! pass in the fold engine streams two flat `f64` buffers, and source
+//! instances contain it. A counter sample is pooled once per region
+//! ([`CounterSamples`]), and its per-counter panels are derived from it
+//! as structure-of-arrays (`counter_xs` / `counter_ys`) so the binning
+//! pass in the fold engine streams two flat `f64` buffers; source
 //! files are interned into a per-region string table ([`FileId`]) so a
 //! dense code-line panel costs 4 bytes per sample instead of a cloned
 //! `String`.
@@ -111,12 +112,6 @@ impl PooledSamples {
         self.counter_xs[kind.index()].len()
     }
 
-    /// Append one counter point.
-    pub(crate) fn push_counter(&mut self, kind: EventKind, x: f64, y: f64) {
-        self.counter_xs[kind.index()].push(x);
-        self.counter_ys[kind.index()].push(y);
-    }
-
     /// Intern a source-file name, returning its id (existing entries
     /// are reused; the table is small — one entry per distinct file).
     pub fn intern_file(&mut self, name: &str) -> FileId {
@@ -157,6 +152,102 @@ impl PooledSamples {
         }
         sort_by_x(&mut self.addr_points, |p| p.x);
         sort_by_x(&mut self.line_points, |p| p.x);
+    }
+}
+
+/// Per counter kind (indexed by [`EventKind::index`]): the (times,
+/// progress) buffers of one region's counter panels.
+pub type CounterPanels = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+/// One region's in-instance counter samples, each pooled once: its
+/// normalized time, the counters that advanced in its instance (bit
+/// `k` for [`EventKind::index`] `k`) and one progress value per counter
+/// (`0.0`, and never read, where that counter did not advance). The
+/// twelve counter panels are derived from it, all from one order of
+/// the samples' times.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CounterSamples {
+    xs: Vec<f64>,
+    masks: Vec<u16>,
+    /// `NKINDS` values per sample.
+    ys: Vec<f64>,
+}
+
+impl CounterSamples {
+    /// Append one sample: time `x`, advanced-counter `mask`, and
+    /// `ys[k]`, counter `k`'s progress, wherever bit `k` is set.
+    pub fn push(&mut self, x: f64, mask: u16, ys: &[f64; NKINDS]) {
+        self.xs.push(x);
+        self.masks.push(mask);
+        self.ys.extend_from_slice(ys);
+    }
+
+    /// Number of samples pooled.
+    pub fn len(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// Whether no sample was pooled.
+    pub fn is_empty(&self) -> bool {
+        self.xs.is_empty()
+    }
+
+    /// Empty panels, each reserved to its exact length: the number of
+    /// samples whose mask has that counter's bit.
+    pub fn reserve_panels(&self) -> CounterPanels {
+        let (mut xs, mut ys): CounterPanels = (vec![Vec::new(); NKINDS], vec![Vec::new(); NKINDS]);
+        for k in 0..NKINDS {
+            let n = self.masks.iter().filter(|&&m| m & (1 << k) != 0).count();
+            xs[k].reserve_exact(n);
+            ys[k].reserve_exact(n);
+        }
+        (xs, ys)
+    }
+
+    /// The panels in trace order.
+    pub fn into_panels(self) -> CounterPanels {
+        let (mut panels, n) = (self.reserve_panels(), self.len());
+        self.gather(0..n, &mut panels);
+        panels
+    }
+
+    /// Append the panels to `panels` (empty, as [`Self::reserve_panels`]
+    /// makes them) in [`sort_counter`]'s (x, y) order, freeing the
+    /// samples. The samples are ordered once, stably by `x`, and each
+    /// panel takes its points in that order, so it only has to order
+    /// each run of equal `x` by `y`. A NaN-free multiset of pairs
+    /// without `-0.0` has one sorted sequence, so this is exactly
+    /// `sort_counter`'s result.
+    pub fn sort_into(self, panels: &mut CounterPanels) {
+        let mut order: Vec<(f64, usize)> = self.xs.iter().copied().zip(0..).collect();
+        sort_by_x(&mut order, |p| p.0);
+        self.gather(order.into_iter().map(|(_, i)| i), panels);
+        for (xs, ys) in panels.0.iter().zip(&mut panels.1) {
+            let mut start = 0;
+            for end in 1..=xs.len() {
+                if end == xs.len() || xs[end] != xs[start] {
+                    if end - start > 1 {
+                        ys[start..end].sort_by(|a, b| a.partial_cmp(b).expect("no NaN coordinates"));
+                    }
+                    start = end;
+                }
+            }
+        }
+    }
+
+    /// Append every counter's (x, y) points to `panels`, visiting the
+    /// samples in `order`. The samples are freed on return.
+    fn gather(self, order: impl Iterator<Item = usize>, (xs, ys): &mut CounterPanels) {
+        for i in order {
+            let (x, row) = (self.xs[i], &self.ys[i * NKINDS..][..NKINDS]);
+            let mut mask = self.masks[i];
+            while mask != 0 {
+                let k = mask.trailing_zeros() as usize;
+                xs[k].push(x);
+                ys[k].push(row[k]);
+                mask &= mask - 1;
+            }
+        }
     }
 }
 
@@ -380,14 +471,17 @@ pub(crate) fn sample_query() -> Query {
 /// whose instance contains it (nested regions pool concurrently).
 ///
 /// The returned panels are **unsorted** (trace order); callers sort
-/// via [`PooledSamples::sort_deterministic`] or the fold engine's
-/// per-panel work items.
+/// via [`PooledSamples::sort_deterministic`].
 pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples> {
     let mut pooler = Pooler::new(trace, kept);
     if !kept.is_empty() {
         scan_events(&trace.events, &sample_query(), &mut |b| pooler.push(b));
     }
-    pooler.finish()
+    let (mut out, counters) = pooler.finish();
+    for (p, c) in out.iter_mut().zip(counters) {
+        (p.counter_xs, p.counter_ys) = c.into_panels();
+    }
+    out
 }
 
 /// Pooling as a column kernel: fed the sample rows of a trace batch by
@@ -400,30 +494,42 @@ pub(crate) struct Pooler<'a> {
     source: &'a SourceMap,
     kept: &'a [&'a [RegionInstance]],
     indices: Vec<InstanceIndex>,
-    /// Per slot, per kept instance: the counters that advanced in it,
-    /// as (kind, value at entry, value at exit).
-    advanced: Vec<Vec<Vec<(EventKind, u64, u64)>>>,
+    /// Per slot, per kept instance: the counters that advanced in it.
+    advanced: Vec<Vec<Advanced>>,
     lines: Vec<LineTable>,
     out: Vec<PooledSamples>,
+    counters: Vec<CounterSamples>,
+}
+
+/// The counters that advanced in one instance: as a mask over
+/// [`EventKind::index`], and as (kind, value at entry, value at exit).
+struct Advanced {
+    mask: u16,
+    counters: Vec<(EventKind, u64, u64)>,
+}
+
+impl Advanced {
+    fn new(inst: &RegionInstance) -> Self {
+        let counters: Vec<(EventKind, u64, u64)> = EventKind::ALL
+            .into_iter()
+            .map(|kind| (kind, inst.counters_in.get(kind), inst.counters_out.get(kind)))
+            .filter(|&(_, c0, c1)| c1 > c0)
+            .collect();
+        Self { mask: counters.iter().fold(0, |m, &(kind, ..)| m | 1 << kind.index()), counters }
+    }
 }
 
 impl<'a> Pooler<'a> {
     /// `header` supplies the source map and the core count.
     pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]]) -> Self {
-        let advanced_in = |inst: &RegionInstance| {
-            EventKind::ALL
-                .into_iter()
-                .map(|kind| (kind, inst.counters_in.get(kind), inst.counters_out.get(kind)))
-                .filter(|&(_, c0, c1)| c1 > c0)
-                .collect()
-        };
         Self {
             source: &header.source,
             kept,
             indices: kept.iter().map(|k| InstanceIndex::new(k, header.meta.num_cores)).collect(),
-            advanced: kept.iter().map(|k| k.iter().map(advanced_in).collect()).collect(),
+            advanced: kept.iter().map(|k| k.iter().map(Advanced::new).collect()).collect(),
             lines: vec![vec![None; header.source.len()]; kept.len()],
             out: kept.iter().map(|_| PooledSamples::default()).collect(),
+            counters: kept.iter().map(|_| CounterSamples::default()).collect(),
         }
     }
 
@@ -442,10 +548,14 @@ impl<'a> Pooler<'a> {
                         let (ip, counters) = *payload.get_or_insert_with(|| (s.ip().0, s.counters()));
                         let out = &mut self.out[slot];
                         let x = self.kept[slot][idx].normalize(row.cycles);
-                        for &(kind, c0, c1) in &self.advanced[slot][idx] {
-                            let c = counters.get(kind).clamp(c0, c1);
-                            let y = (c - c0) as f64 / (c1 - c0) as f64;
-                            out.push_counter(kind, x, y);
+                        let advanced = &self.advanced[slot][idx];
+                        if advanced.mask != 0 {
+                            let mut ys = [0.0; NKINDS];
+                            for &(kind, c0, c1) in &advanced.counters {
+                                let c = counters.get(kind).clamp(c0, c1);
+                                ys[kind.index()] = (c - c0) as f64 / (c1 - c0) as f64;
+                            }
+                            self.counters[slot].push(x, advanced.mask, &ys);
                         }
                         let (file, line) = resolve_line(self.source, &mut self.lines[slot], out, ip);
                         out.line_points.push(LinePoint { x, ip, file, line });
@@ -481,8 +591,10 @@ impl<'a> Pooler<'a> {
         }
     }
 
-    pub(crate) fn finish(self) -> Vec<PooledSamples> {
-        self.out
+    /// Per slot: the address and line panels, and the counter samples
+    /// the counter panels are derived from.
+    pub(crate) fn finish(self) -> (Vec<PooledSamples>, Vec<CounterSamples>) {
+        (self.out, self.counters)
     }
 }
 
@@ -705,6 +817,30 @@ mod tests {
         for &c in edges.iter().chain(edges.iter().rev()) {
             assert_eq!(index.lookup(0, c), first_containing(0, c), "cycle {c}");
         }
+    }
+
+    /// `len()` counts one point per advancing counter per counter
+    /// sample, plus the address and line points: the figure the
+    /// benchmark reports as points pooled.
+    #[test]
+    fn pooled_len_counts_every_panel_point() {
+        let tr = make_trace();
+        let inst = kept(&tr);
+        let lens: Vec<usize> = pool_all(&tr, &[&inst, &inst]).iter().map(PooledSamples::len).collect();
+        // 2 samples × 2 advancing counters + 1 address + 3 line points.
+        assert_eq!(lens, [8, 8]);
+
+        let mut t = Tracer::new(TracerConfig::default(), 1);
+        let ip = t.location("k.cpp", 7, "k");
+        t.enter(0, "outer", ctr(0), 0);
+        t.enter(0, "inner", ctr(100), 40);
+        t.record_counter_sample(0, ip, ctr(150), 50);
+        t.exit(0, "inner", ctr(200), 60);
+        t.exit(0, "outer", ctr(1000), 100);
+        let tr = t.finish("nested");
+        let (outer, inner) = (instances_of(&tr, "outer"), instances_of(&tr, "inner"));
+        let lens: Vec<usize> = pool_all(&tr, &[&outer, &inner]).iter().map(PooledSamples::len).collect();
+        assert_eq!(lens, [3, 3]);
     }
 
     #[test]

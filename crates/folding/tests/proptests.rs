@@ -2,7 +2,7 @@
 
 use mempersp_extrae::{Tracer, TracerConfig};
 use mempersp_folding::pava::pava_nondecreasing;
-use mempersp_folding::pool::{sort_by_x, sort_counter};
+use mempersp_folding::pool::{sort_by_x, sort_counter, CounterSamples};
 use mempersp_folding::{fold_region, FoldingConfig, MonotoneCurve};
 use mempersp_pebs::{CounterSnapshot, EventKind};
 use proptest::prelude::*;
@@ -35,6 +35,26 @@ fn coordinates() -> impl Strategy<Value = Vec<f64>> {
     ]
 }
 
+const NKINDS: usize = EventKind::ALL.len();
+
+/// One pooled counter sample: its time, the counters that advanced in
+/// its instance — one, all twelve, or any mix — and a progress value
+/// per counter (0.0 where the counter did not advance).
+fn counter_sample() -> impl Strategy<Value = (f64, u16, [f64; NKINDS])> {
+    let all = (1u16 << NKINDS) - 1;
+    let mask = prop_oneof![(0..NKINDS).prop_map(|k| 1u16 << k), Just(all), 1..=all];
+    let ys = prop::collection::vec(coordinate(), NKINDS..NKINDS + 1);
+    (coordinate(), mask, ys).prop_map(|(x, mask, ys)| {
+        let mut row = [0.0; NKINDS];
+        for k in 0..NKINDS {
+            if mask & (1 << k) != 0 {
+                row[k] = ys[k];
+            }
+        }
+        (x, mask, row)
+    })
+}
+
 proptest! {
     /// The distribution sort of a panel is the stable `sort_by` on x:
     /// the payload (the input position, and a word of ballast to make
@@ -60,6 +80,48 @@ proptest! {
         let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
         sort_counter(&mut xs, &mut ys);
         let got: Vec<(f64, f64)> = xs.into_iter().zip(ys).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// A region's twelve counter panels, built from one order of its
+    /// samples, are each exactly what `sort_counter` makes of that
+    /// counter's points. Times and progress values repeat (so do whole
+    /// (x, y) pairs), masks range from one counter to all twelve, and
+    /// in most cases one counter (`dead`) advances in no instance.
+    #[test]
+    fn shared_order_panels_equal_per_counter_sort(
+        samples in prop_oneof![
+            prop::collection::vec(counter_sample(), 0..40),
+            prop::collection::vec(counter_sample(), 0..3000),
+        ],
+        dead in 0..NKINDS + 1,
+    ) {
+        let mut pooled = CounterSamples::default();
+        let mut want: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); NKINDS];
+        for (x, mask, ys) in &samples {
+            let (mut mask, mut ys) = (*mask, *ys);
+            if dead < NKINDS {
+                mask &= !(1 << dead);
+                ys[dead] = 0.0;
+            }
+            pooled.push(*x, mask, &ys);
+            for (k, (xs, ks)) in want.iter_mut().enumerate() {
+                if mask & (1 << k) != 0 {
+                    xs.push(*x);
+                    ks.push(ys[k]);
+                }
+            }
+        }
+        prop_assert_eq!(pooled.len(), samples.len());
+        for (xs, ys) in &mut want {
+            sort_counter(xs, ys);
+        }
+        let mut panels = pooled.reserve_panels();
+        pooled.sort_into(&mut panels);
+        let got: Vec<(Vec<f64>, Vec<f64>)> = panels.0.into_iter().zip(panels.1).collect();
+        if dead < NKINDS {
+            prop_assert!(want[dead].0.is_empty());
+        }
         prop_assert_eq!(got, want);
     }
 
