@@ -438,6 +438,10 @@ fn parse_query(args: &[String]) -> Query {
                 eprintln!("--time expects <lo>:<hi> cycles, got {t:?}");
                 exit(1);
             });
+        if lo > hi {
+            eprintln!("--time window is inverted: [{lo}, {hi}]");
+            exit(1);
+        }
         q = q.in_time(lo, hi);
     }
     if let Some(c) = arg_value(args, "--cores") {

@@ -187,13 +187,6 @@ pub struct RunReport {
     pub lane_stats: LaneStats,
 }
 
-impl RunReport {
-    /// Wall-clock seconds at the nominal frequency.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_cycles as f64 / (self.trace.meta.freq_mhz as f64 * 1e6)
-    }
-}
-
 struct CoreState {
     pmu: Pmu,
     /// Clock with sub-cycle remainder.
@@ -684,7 +677,6 @@ mod tests {
         let rep = m.run(&mut Micro { n: 4096 });
         assert!(rep.trace.num_events() > 10);
         assert!(rep.wall_cycles > 0);
-        assert!(rep.wall_seconds() > 0.0);
         let total = rep.stats.total_cores();
         assert_eq!(total.loads, 4096);
         assert_eq!(total.stores, 4096);

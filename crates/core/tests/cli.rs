@@ -345,6 +345,23 @@ fn query_refuses_a_bad_print_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `query --time lo:hi` with `lo > hi` is a usage error worded like
+/// the service's 400, not a scan that quietly matches nothing.
+#[test]
+fn query_refuses_an_inverted_window() {
+    let dir = tmpdir("query_refuses_an_inverted_window");
+    let (prv, mps) = (dir.join("t.prv"), dir.join("t.mps"));
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&prv).output().unwrap());
+    ok(bin().arg("convert").arg(&prv).arg("-o").arg(&mps).output().unwrap());
+    let out = bin().arg("query").arg(&mps).args(["--time", "100000:5", "--stats"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--time window is inverted: [100000, 5]"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A `--csv-dir` that cannot be created (it lies under a regular file)
 /// is named with the error, exit 1 — not a panic.
 #[test]

@@ -47,14 +47,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Is this a region boundary event?
-    pub fn is_region_boundary(&self) -> bool {
-        matches!(
-            self.payload,
-            EventPayload::RegionEnter { .. } | EventPayload::RegionExit { .. }
-        )
-    }
-
     /// The PEBS sample carried, if any.
     pub fn pebs(&self) -> Option<&PebsSample> {
         match &self.payload {
@@ -69,7 +61,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn boundary_detection() {
+    fn only_a_pebs_event_carries_a_sample() {
         let e = TraceEvent {
             cycles: 0,
             core: 0,
@@ -78,9 +70,8 @@ mod tests {
                 counters: CounterSnapshot::default(),
             },
         };
-        assert!(e.is_region_boundary());
+        assert!(e.pebs().is_none());
         let u = TraceEvent { cycles: 0, core: 0, payload: EventPayload::User { kind: 1, value: 2 } };
-        assert!(!u.is_region_boundary());
         assert!(u.pebs().is_none());
     }
 }

@@ -174,11 +174,6 @@ impl ObjectRegistry {
         &self.objects
     }
 
-    /// Count of currently resolvable objects.
-    pub fn resolvable_count(&self) -> usize {
-        self.groups.len() + self.dynamics.len() + self.statics.len()
-    }
-
     /// Rebuild the interval maps after deserialization (the maps are
     /// serialized, so this is only needed for hand-built registries).
     pub fn rebuild(&mut self) {
@@ -283,17 +278,6 @@ mod tests {
         assert_eq!(human_bytes(89_000_000), "89 MB");
         assert_eq!(human_bytes(1_500_000_000), "1.5 GB");
         assert_eq!(human_bytes(2_000), "2 KB");
-    }
-
-    #[test]
-    fn resolvable_count_tracks_kinds() {
-        let mut r = ObjectRegistry::new();
-        r.register_static("s", 0, 10);
-        r.register_dynamic("d:1", 100, 10);
-        r.register_group("g", 200, 10, 10);
-        assert_eq!(r.resolvable_count(), 3);
-        r.remove_dynamic(100);
-        assert_eq!(r.resolvable_count(), 2);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * small requests come from a contiguous "heap arena" (sbrk-style),
 //!   so consecutive small allocations are adjacent — the property that
 //!   makes HPCG's per-row allocations form one dense region;
-//! * requests at or above `mmap_threshold` are placed in a separate,
-//!   page-aligned "mmap zone" higher in the address space, mirroring
-//!   glibc's `M_MMAP_THRESHOLD`;
+//! * requests at or above [`DEFAULT_MMAP_THRESHOLD`] are placed in a
+//!   separate, page-aligned "mmap zone" higher in the address space,
+//!   mirroring glibc's `M_MMAP_THRESHOLD`;
 //! * the whole layout is shifted by a seeded **ASLR slide**, so two
 //!   allocators with different seeds produce disjoint address spaces
 //!   for the same allocation sequence — the reason the paper needs
@@ -43,12 +43,8 @@ pub struct SimAllocator {
     slide: u64,
     heap_next: u64,
     mmap_next: u64,
-    mmap_threshold: u64,
     /// Live allocations by base address.
     live: BTreeMap<u64, Allocation>,
-    /// Total bytes ever allocated / freed.
-    allocated_bytes: u64,
-    freed_bytes: u64,
 }
 
 impl SimAllocator {
@@ -66,16 +62,8 @@ impl SimAllocator {
             slide,
             heap_next: HEAP_BASE + slide,
             mmap_next: MMAP_BASE + slide,
-            mmap_threshold: DEFAULT_MMAP_THRESHOLD,
             live: BTreeMap::new(),
-            allocated_bytes: 0,
-            freed_bytes: 0,
         }
-    }
-
-    /// Change the mmap threshold (tests and ablations).
-    pub fn set_mmap_threshold(&mut self, t: u64) {
-        self.mmap_threshold = t;
     }
 
     /// The ASLR slide applied to this address space.
@@ -86,7 +74,7 @@ impl SimAllocator {
     /// Allocate `size` bytes; returns the simulated base address.
     pub fn malloc(&mut self, size: u64) -> u64 {
         let rounded = round_up(size.max(1), ALIGNMENT);
-        let (base, mmapped) = if size >= self.mmap_threshold {
+        let (base, mmapped) = if size >= DEFAULT_MMAP_THRESHOLD {
             let b = round_up(self.mmap_next, 4096);
             self.mmap_next = b + round_up(rounded, 4096);
             (b, true)
@@ -96,18 +84,13 @@ impl SimAllocator {
             (b, false)
         };
         self.live.insert(base, Allocation { base, size, mmapped });
-        self.allocated_bytes += size;
         base
     }
 
     /// Free a previous allocation. Returns the record, or `None` for
     /// an unknown base (double free / wild pointer).
     pub fn free(&mut self, base: u64) -> Option<Allocation> {
-        let a = self.live.remove(&base);
-        if let Some(a) = a {
-            self.freed_bytes += a.size;
-        }
-        a
+        self.live.remove(&base)
     }
 
     /// Reallocate: new block + implicit free, like glibc when growth
@@ -129,11 +112,6 @@ impl SimAllocator {
     /// Live allocation count.
     pub fn live_count(&self) -> usize {
         self.live.len()
-    }
-
-    /// Live bytes (allocated − freed).
-    pub fn live_bytes(&self) -> u64 {
-        self.allocated_bytes - self.freed_bytes
     }
 
     /// Iterate live allocations in address order.
@@ -208,7 +186,6 @@ mod tests {
         assert!(a.free(base).is_some());
         assert!(a.containing(base).is_none());
         assert!(a.free(base).is_none(), "double free detected");
-        assert_eq!(a.live_bytes(), 0);
     }
 
     #[test]
@@ -219,7 +196,6 @@ mod tests {
         assert_ne!(p, q);
         assert!(a.containing(p).is_none());
         assert_eq!(a.containing(q).unwrap().size, 200);
-        assert_eq!(a.live_bytes(), 200);
         assert!(a.realloc(0xdead, 10).is_none());
     }
 
@@ -232,12 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn mmap_threshold_is_configurable() {
+    fn mmap_threshold_splits_the_zones() {
         let mut a = SimAllocator::new(1);
-        a.set_mmap_threshold(64);
-        let p = a.malloc(64);
+        let p = a.malloc(DEFAULT_MMAP_THRESHOLD);
         assert!(a.containing(p).unwrap().mmapped);
-        let q = a.malloc(63);
+        let q = a.malloc(DEFAULT_MMAP_THRESHOLD - 1);
         assert!(!a.containing(q).unwrap().mmapped);
     }
 }

@@ -95,17 +95,6 @@ impl SourceMap {
             .enumerate()
             .map(|(i, l)| (Ip(TEXT_BASE + i as u64 * IP_STRIDE), l))
     }
-
-    /// Rebuild the reverse index (needed after deserialization, where
-    /// the HashMap is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.by_location = self
-            .locations
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.clone(), Ip(TEXT_BASE + i as u64 * IP_STRIDE)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -156,21 +145,5 @@ mod tests {
         m.intern(CodeLocation::new("b.cpp", 2, "b"));
         let files: Vec<&str> = m.iter().map(|(_, l)| l.file.as_str()).collect();
         assert_eq!(files, vec!["a.cpp", "b.cpp"]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_interning() {
-        // Simulate the post-deserialization state: `locations` intact
-        // but the `#[serde(skip)]` reverse index empty.
-        let mut m = SourceMap::new();
-        let loc = CodeLocation::new("x.cpp", 3, "x");
-        let ip = m.intern(loc.clone());
-        let mut m2 = SourceMap {
-            locations: m.locations.clone(),
-            by_location: HashMap::new(),
-        };
-        m2.rebuild_index();
-        assert_eq!(m2.intern(loc), ip);
-        assert_eq!(m2.len(), 1, "re-interning must not duplicate");
     }
 }

@@ -107,11 +107,6 @@ impl PooledSamples {
         xs.iter().copied().zip(ys.iter().copied())
     }
 
-    /// Number of points pooled for one counter.
-    pub fn counter_len(&self, kind: EventKind) -> usize {
-        self.counter_xs[kind.index()].len()
-    }
-
     /// Intern a source-file name, returning its id (existing entries
     /// are reused; the table is small — one entry per distinct file).
     pub fn intern_file(&mut self, name: &str) -> FileId {
@@ -676,7 +671,7 @@ mod tests {
         let inst = kept(&tr);
         let p = pool_one(&tr, &inst);
         // 2 counter samples inside instances (the t=150 one dropped).
-        assert_eq!(p.counter_len(EventKind::Instructions), 2);
+        assert_eq!(p.counter_xy(EventKind::Instructions).0.len(), 2);
         // line points: 2 counter samples + 1 pebs = 3.
         assert_eq!(p.line_points.len(), 3);
     }
@@ -712,7 +707,7 @@ mod tests {
         let inst = kept(&tr);
         let p = pool_one(&tr, &inst);
         // Branches never advance in the synthetic trace.
-        assert_eq!(p.counter_len(EventKind::Branches), 0);
+        assert_eq!(p.counter_xy(EventKind::Branches).0.len(), 0);
         assert!(!p.is_empty());
     }
 
@@ -748,8 +743,8 @@ mod tests {
         let inner = instances_of(&tr, "inner");
         let pooled = pool_all(&tr, &[&outer, &inner]);
         assert_eq!(pooled.len(), 2);
-        assert_eq!(pooled[0].counter_len(EventKind::Instructions), 1);
-        assert_eq!(pooled[1].counter_len(EventKind::Instructions), 1);
+        assert_eq!(pooled[0].counter_xy(EventKind::Instructions).0.len(), 1);
+        assert_eq!(pooled[1].counter_xy(EventKind::Instructions).0.len(), 1);
         // outer: x = 50/100; inner: x = (50-40)/20.
         let (oxs, _) = pooled[0].counter_xy(EventKind::Instructions);
         let (ixs, _) = pooled[1].counter_xy(EventKind::Instructions);

@@ -56,11 +56,6 @@ impl SimVector {
     pub fn fill(&mut self, v: f64) {
         self.data.iter_mut().for_each(|x| *x = v);
     }
-
-    /// Euclidean norm computed host-side (for validation only).
-    pub fn norm2_host(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// The 27-point stencil operator in HPCG's reference layout: one value
@@ -102,11 +97,6 @@ impl SparseMatrix {
 
     pub fn nrows(&self) -> usize {
         self.nrows
-    }
-
-    /// Total stored nonzeros.
-    pub fn total_nnz(&self) -> usize {
-        self.nnz.iter().map(|&n| n as usize).sum()
     }
 
     /// Define row `i`: its column indices and values (`cols` must be
@@ -216,7 +206,6 @@ mod tests {
         m.set_row(1, &[(0, -1.0), (1, 26.0), (2, -1.0)], 0x1100, 0x2100);
         m.set_row(2, &[(1, -1.0), (2, 26.0)], 0x1200, 0x2200);
         assert_eq!(m.nrows(), 3);
-        assert_eq!(m.total_nnz(), 7);
         assert_eq!(m.row_nnz(1), 3);
         assert_eq!(m.diag(1), 26.0);
         assert_eq!(m.row_cols(2), &[1, 2]);

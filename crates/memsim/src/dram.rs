@@ -58,11 +58,6 @@ impl Dram {
     pub fn transfers(&self) -> u64 {
         self.transfers
     }
-
-    /// The earliest cycle by which every channel is idle.
-    pub fn drained_at(&self) -> u64 {
-        self.free_at.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -111,11 +106,10 @@ mod tests {
     #[test]
     fn sustained_bandwidth_matches_config() {
         let mut d = Dram::new(DramConfig { base_latency: 50, bytes_per_cycle: 16.0, channels: 4 });
-        // Saturate: issue 1000 line transfers all at cycle 0.
-        for i in 0..1000u64 {
-            d.transfer(i * 64, 64, 0);
-        }
-        let cycles = d.drained_at();
+        // Saturate: issue 1000 line transfers all at cycle 0; the last
+        // to finish has waited out every channel's queue.
+        let slowest = (0..1000u64).map(|i| d.transfer(i * 64, 64, 0)).max().unwrap();
+        let cycles = u64::from(slowest) - 50;
         let achieved = d.bytes() as f64 / cycles as f64;
         assert!(
             (achieved - 16.0).abs() / 16.0 < 0.05,

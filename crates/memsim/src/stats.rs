@@ -32,16 +32,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Miss ratio in [0, 1]; 0 when no accesses were made.
-    pub fn miss_ratio(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses as f64 / a as f64
-        }
-    }
-
     /// Component-wise difference `self - earlier`.
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
@@ -177,17 +167,6 @@ impl SystemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn miss_ratio_empty_is_zero() {
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn miss_ratio_computes() {
-        let s = CacheStats { hits: 3, misses: 1, ..Default::default() };
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn delta_subtracts() {

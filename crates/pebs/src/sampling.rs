@@ -97,14 +97,6 @@ pub struct SamplingConfig {
     pub seed: u64,
 }
 
-impl SamplingConfig {
-    /// A sensible default: sample every 1009 matching ops (prime, to
-    /// stay out of phase with loop bodies) with 10 % jitter.
-    pub fn with_event(event: PebsEvent) -> Self {
-        Self { event, period: 1009, randomization: 0.1, seed: 0xBEB5 }
-    }
-}
-
 /// A captured PEBS record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PebsSample {

@@ -164,7 +164,7 @@ impl Metrics {
         );
 
         // Info-style gauge: which stream-vbyte decode kernel this
-        // process selected at startup (avx2 / ssse3 / scalar).
+        // process selected at startup (avx2 / scalar).
         out.push_str(
             "# HELP mempersp_decode_simd Active stream-vbyte decode kernel (constant 1, level in the label).\n",
         );

@@ -136,11 +136,6 @@ impl TraceRepo {
             .map(|s| s.cache_stats())
             .fold(CacheStats::default(), CacheStats::merged)
     }
-
-    /// Number of stores currently held open.
-    pub fn open_count(&self) -> usize {
-        self.open.read().expect("repo poisoned").len()
-    }
 }
 
 /// A per-request [`TraceSource`] view of a shared reader that threads

@@ -33,11 +33,6 @@ impl CancelToken {
         CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Instant::now().checked_add(timeout) }
     }
 
-    /// A token that expires at `deadline`.
-    pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Some(deadline) }
-    }
-
     /// Trip the explicit cancel flag (visible to every clone).
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);

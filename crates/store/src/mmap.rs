@@ -144,15 +144,6 @@ impl Mapping {
             Backing::Heap(v) => v,
         }
     }
-
-    /// Is this a real `mmap` (as opposed to the buffered fallback)?
-    pub fn is_mmap(&self) -> bool {
-        match &self.backing {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Backing::Map { .. } => true,
-            Backing::Heap(_) => false,
-        }
-    }
 }
 
 impl Drop for Mapping {
@@ -186,7 +177,7 @@ mod tests {
         let m = Mapping::of_file(&f, data.len() as u64).unwrap();
         assert_eq!(m.bytes(), &data[..]);
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        assert!(m.is_mmap() || std::env::var_os("MEMPERSP_NO_MMAP").is_some());
+        assert!(matches!(m.backing, Backing::Map { .. }) || std::env::var_os("MEMPERSP_NO_MMAP").is_some());
         std::fs::remove_file(&path).ok();
     }
 
@@ -197,7 +188,7 @@ mod tests {
         let f = std::fs::File::open(&path).unwrap();
         let m = Mapping::of_file(&f, 0).unwrap();
         assert!(m.bytes().is_empty());
-        assert!(!m.is_mmap());
+        assert!(matches!(m.backing, Backing::Heap(_)));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -22,9 +22,10 @@
 //!   popcount of its mask below the bit.
 //!
 //! A **page** of match ranks is applied while emitting: blocks whose
-//! matches fall outside it only count. Every level ([`SimdLevel`])
-//! runs this one algorithm; the levels differ in how a block's masks
-//! and core bits are computed, and produce identical output.
+//! matches fall outside it only count. Both levels ([`SimdLevel`]) run
+//! this one algorithm; they differ only in how a block's masks and core
+//! bits are computed (AVX2 compares and `movemask`s, or a scalar loop),
+//! and produce identical output.
 
 use crate::svb::SimdLevel;
 use crate::varint::CodecError;
@@ -86,25 +87,6 @@ fn tag_masks_scalar(tags: &[u8; BLOCK]) -> [u64; NCLASS] {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-#[inline]
-unsafe fn tag_masks_ssse3(tags: &[u8; BLOCK]) -> [u64; NCLASS] {
-    use std::arch::x86_64::*;
-    let p = tags.as_ptr() as *const __m128i;
-    // SAFETY: four unaligned 16-byte loads cover exactly the 64 tags.
-    let q = [_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)), _mm_loadu_si128(p.add(2)), _mm_loadu_si128(p.add(3))];
-    let mut masks = [0u64; NCLASS];
-    for (k, mask) in masks.iter_mut().enumerate() {
-        let class = _mm_set1_epi8(k as i8);
-        for (i, &v) in q.iter().enumerate() {
-            let eq = _mm_movemask_epi8(_mm_cmpeq_epi8(v, class)) as u32;
-            *mask |= u64::from(eq) << (16 * i);
-        }
-    }
-    masks
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn tag_masks_avx2(tags: &[u8; BLOCK]) -> [u64; NCLASS] {
@@ -133,8 +115,6 @@ unsafe fn tag_masks_avx2(tags: &[u8; BLOCK]) -> [u64; NCLASS] {
 #[inline(always)]
 unsafe fn tag_masks(level: SimdLevel, tags: &[u8; BLOCK]) -> [u64; NCLASS] {
     match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => tag_masks_ssse3(tags),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => tag_masks_avx2(tags),
         _ => tag_masks_scalar(tags),
@@ -337,16 +317,6 @@ unsafe fn select_blocks(
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3")]
-unsafe fn select_ssse3(
-    head: &HeadCols<'_>,
-    filter: &RowFilter<'_>,
-    sel: &mut Vec<(u32, u32)>,
-) -> Result<Selected, CodecError> {
-    select_blocks(SimdLevel::Ssse3, head, filter, sel)
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
 unsafe fn select_avx2(
     head: &HeadCols<'_>,
@@ -369,12 +339,6 @@ pub(crate) fn select_rows(
     sel: &mut Vec<(u32, u32)>,
 ) -> Result<Selected, CodecError> {
     match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => {
-            assert!(std::arch::is_x86_feature_detected!("ssse3"), "ssse3 unsupported");
-            // SAFETY: the feature was just detected.
-            unsafe { select_ssse3(head, filter, sel) }
-        }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             assert!(
@@ -399,10 +363,7 @@ mod tests {
     fn levels() -> Vec<SimdLevel> {
         let mut all = vec![SimdLevel::Scalar];
         if detected_simd_level() != SimdLevel::Scalar {
-            all.push(SimdLevel::Ssse3);
-        }
-        if detected_simd_level() == SimdLevel::Avx2 {
-            all.push(SimdLevel::Avx2);
+            all.push(detected_simd_level());
         }
         all
     }

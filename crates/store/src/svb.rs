@@ -16,14 +16,15 @@
 //! its control bytes — that's what lets a reader skip whole columns
 //! (and whole groups within a column) without touching their data.
 //!
-//! Decoding runs 4 values per step: one 16-byte load, one SSSE3
-//! `pshufb` through a 256-entry shuffle table, one widening store
-//! (AVX2 uses `vpmovzxdq` to widen all four lanes at once). Groups
-//! containing an 8-byte lane — rare: full-range addresses — fall back
-//! to scalar loads for that group only. The kernel is picked once per
-//! process via `is_x86_feature_detected!`; `MEMPERSP_NO_SIMD=1` forces
-//! the scalar path (the CI fallback leg), and every kernel produces
-//! bit-identical output (asserted by proptest).
+//! There are two kernels ([`SimdLevel`]). The AVX2 one decodes 4
+//! values per step: one 16-byte load, one `pshufb` through a 256-entry
+//! shuffle table, one `vpmovzxdq` widening all four lanes at once.
+//! Groups containing an 8-byte lane — rare: full-range addresses —
+//! fall back to scalar loads for that group only. The scalar kernel is
+//! the oracle and the fallback: it runs on hosts without AVX2 (aarch64
+//! included) and under `MEMPERSP_NO_SIMD=1` (the CI fallback leg). The
+//! kernel is picked once per process via `is_x86_feature_detected!`,
+//! and both produce bit-identical output (asserted by proptest).
 
 use crate::varint::CodecError;
 use std::sync::OnceLock;
@@ -121,7 +122,6 @@ static SHUFFLE: [[u8; 16]; 256] = build_shuffle();
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
     Scalar,
-    Ssse3,
     Avx2,
 }
 
@@ -129,15 +129,15 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Ssse3 => "ssse3",
             SimdLevel::Avx2 => "avx2",
         }
     }
 }
 
-/// What the CPU supports, ignoring the `MEMPERSP_NO_SIMD` override.
-/// The AVX2 level also counts bits (`popcnt`, which every AVX2 part
-/// has): the selection kernel ranks rows with it.
+/// What the CPU supports, ignoring the `MEMPERSP_NO_SIMD` override:
+/// AVX2, or scalar on any host without it. The AVX2 level also counts
+/// bits (`popcnt`, which every AVX2 part has): the selection kernel
+/// ranks rows with it.
 pub fn detected_simd_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
@@ -145,9 +145,6 @@ pub fn detected_simd_level() -> SimdLevel {
             && std::arch::is_x86_feature_detected!("popcnt")
         {
             return SimdLevel::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            return SimdLevel::Ssse3;
         }
     }
     SimdLevel::Scalar
@@ -319,6 +316,7 @@ impl<'a> SvbColumn<'a> {
     /// Data bytes of the groups covering values `[lo, hi)` — what a
     /// range decode actually reads (plus all control bytes).
     pub fn range_data_len(&self, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(self.n);
         if lo >= hi {
             return 0;
         }
@@ -353,10 +351,10 @@ impl<'a> SvbColumn<'a> {
     /// skipped via the control-byte length table without being read.
     pub fn decode_range_into(&self, lo: usize, hi: usize, out: &mut Vec<u64>) -> usize {
         out.clear();
-        if lo >= hi || self.n == 0 {
+        let hi = hi.min(self.n);
+        if lo >= hi {
             return 0;
         }
-        let hi = hi.min(self.n);
         let g0 = lo / 4;
         let base = g0 * 4;
         let end = ((hi - 1) / 4 * 4 + 4).min(self.n);
@@ -364,8 +362,6 @@ impl<'a> SvbColumn<'a> {
         out.reserve(end - base);
         match simd_level() {
             SimdLevel::Scalar => self.decode_groups_scalar(base, end, off, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Ssse3 => unsafe { self.decode_groups_ssse3(base, end, off, out) },
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => unsafe { self.decode_groups_avx2(base, end, off, out) },
             #[cfg(not(target_arch = "x86_64"))]
@@ -383,11 +379,6 @@ impl<'a> SvbColumn<'a> {
         out.reserve(self.n);
         match level {
             SimdLevel::Scalar => self.decode_groups_scalar(0, self.n, 0, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Ssse3 => {
-                assert!(std::arch::is_x86_feature_detected!("ssse3"), "ssse3 unsupported");
-                unsafe { self.decode_groups_ssse3(0, self.n, 0, out) }
-            }
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => {
                 assert!(std::arch::is_x86_feature_detected!("avx2"), "avx2 unsupported");
@@ -412,49 +403,6 @@ impl<'a> SvbColumn<'a> {
             }
             i += lanes;
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn decode_groups_ssse3(
-        &self,
-        start: usize,
-        end: usize,
-        mut off: usize,
-        out: &mut Vec<u64>,
-    ) {
-        use std::arch::x86_64::*;
-        let mut i = start;
-        let zero = _mm_setzero_si128();
-        while i + 4 <= end && off + 16 <= self.data.len() {
-            let c = self.ctrl[i / 4] as usize;
-            if HAS_W8[c] {
-                for l in 0..4 {
-                    let w = lane_width(c as u8, l);
-                    out.push(load_le(self.data, off, w));
-                    off += w;
-                }
-            } else {
-                let mask = _mm_loadu_si128(SHUFFLE[c].as_ptr() as *const __m128i);
-                let raw = _mm_loadu_si128(self.data.as_ptr().add(off) as *const __m128i);
-                let packed = _mm_shuffle_epi8(raw, mask); // 4 × u32
-                let mut grp = [0u64; 4];
-                _mm_storeu_si128(
-                    grp.as_mut_ptr() as *mut __m128i,
-                    _mm_unpacklo_epi32(packed, zero),
-                );
-                _mm_storeu_si128(
-                    grp.as_mut_ptr().add(2) as *mut __m128i,
-                    _mm_unpackhi_epi32(packed, zero),
-                );
-                out.extend_from_slice(&grp);
-                off += GROUP_DATA_LEN[c] as usize;
-            }
-            i += 4;
-        }
-        // Tail: groups without 16 bytes of load slack, plus any
-        // partial final group.
-        self.decode_groups_scalar(i, end, off, out);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -501,9 +449,9 @@ impl<'a> SvbColumn<'a> {
         out.reserve(self.n);
         match simd_level() {
             SimdLevel::Scalar => self.decode_u32_scalar(0, 0, out),
-            // SAFETY: both SIMD levels include SSSE3.
+            // SAFETY: `simd_level()` is `Avx2` only on a CPU with AVX2.
             #[cfg(target_arch = "x86_64")]
-            _ => unsafe { self.decode_u32_ssse3(out) },
+            SimdLevel::Avx2 => unsafe { self.decode_u32_avx2(out) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => self.decode_u32_scalar(0, 0, out),
         }
@@ -544,8 +492,8 @@ impl<'a> SvbColumn<'a> {
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn decode_u32_ssse3(&self, out: &mut Vec<u32>) -> Result<(), (usize, u64)> {
+    #[target_feature(enable = "avx2")]
+    unsafe fn decode_u32_avx2(&self, out: &mut Vec<u32>) -> Result<(), (usize, u64)> {
         use std::arch::x86_64::*;
         let (mut i, mut off) = (0usize, 0usize);
         while i + 4 <= self.n && off + 16 <= self.data.len() {
@@ -572,19 +520,18 @@ impl<'a> SvbColumn<'a> {
         out.clear();
         out.reserve(self.n);
         match simd_level() {
-            SimdLevel::Scalar => self.zigzag_prefix_scalar(prev, out),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Ssse3 => unsafe { self.zigzag_prefix_ssse3(prev, out) },
+            SimdLevel::Scalar => self.zigzag_prefix_scalar(0, 0, prev, out),
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => unsafe { self.zigzag_prefix_avx2(prev, out) },
             #[cfg(not(target_arch = "x86_64"))]
-            _ => self.zigzag_prefix_scalar(prev, out),
+            _ => self.zigzag_prefix_scalar(0, 0, prev, out),
         }
     }
 
-    fn zigzag_prefix_scalar(&self, mut prev: u64, out: &mut Vec<u64>) {
-        let mut off = 0usize;
-        let mut i = 0usize;
+    /// Prefix-sum values `[start, n)` (start group-aligned) onto
+    /// `prev`; `off` is the data offset of `start`'s group.
+    fn zigzag_prefix_scalar(&self, start: usize, mut off: usize, mut prev: u64, out: &mut Vec<u64>) {
+        let mut i = start;
         while i < self.n {
             let c = self.ctrl[i / 4];
             let lanes = (self.n - i).min(4);
@@ -595,68 +542,6 @@ impl<'a> SvbColumn<'a> {
                 off += w;
             }
             i += lanes;
-        }
-    }
-
-    /// SSSE3 kernel: `pshufb` group decode, then zig-zag undo and the
-    /// intra-group prefix sum on 2×u64 SSE2 lanes with a serial carry
-    /// between pairs.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "ssse3")]
-    unsafe fn zigzag_prefix_ssse3(&self, mut prev: u64, out: &mut Vec<u64>) {
-        use std::arch::x86_64::*;
-        let zero = _mm_setzero_si128();
-        let one = _mm_set1_epi64x(1);
-        let mut off = 0usize;
-        let mut i = 0usize;
-        while i + 4 <= self.n && off + 16 <= self.data.len() {
-            let c = self.ctrl[i / 4] as usize;
-            if HAS_W8[c] {
-                for l in 0..4 {
-                    let w = lane_width(c as u8, l);
-                    prev = prev.wrapping_add(unzigzag(load_le(self.data, off, w)));
-                    out.push(prev);
-                    off += w;
-                }
-            } else {
-                let mask = _mm_loadu_si128(SHUFFLE[c].as_ptr() as *const __m128i);
-                let raw = _mm_loadu_si128(self.data.as_ptr().add(off) as *const __m128i);
-                let packed = _mm_shuffle_epi8(raw, mask);
-                let mut grp = [0u64; 4];
-                for (slot, half) in [
-                    _mm_unpacklo_epi32(packed, zero),
-                    _mm_unpackhi_epi32(packed, zero),
-                ]
-                .into_iter()
-                .enumerate()
-                {
-                    // unzigzag: (x >> 1) ^ -(x & 1), two u64 lanes
-                    let neg = _mm_sub_epi64(zero, _mm_and_si128(half, one));
-                    let d = _mm_xor_si128(_mm_srli_epi64::<1>(half), neg);
-                    // inclusive prefix within the pair: [a, a+b]
-                    let s = _mm_add_epi64(d, _mm_slli_si128::<8>(d));
-                    let r = _mm_add_epi64(s, _mm_set1_epi64x(prev as i64));
-                    _mm_storeu_si128(grp.as_mut_ptr().add(slot * 2) as *mut __m128i, r);
-                    prev = grp[slot * 2 + 1];
-                }
-                out.extend_from_slice(&grp);
-                off += GROUP_DATA_LEN[c] as usize;
-            }
-            i += 4;
-        }
-        // Scalar remainder.
-        let mut o = off;
-        let mut j = i;
-        while j < self.n {
-            let c = self.ctrl[j / 4];
-            let lanes = (self.n - j).min(4);
-            for l in 0..lanes {
-                let w = lane_width(c, l);
-                prev = prev.wrapping_add(unzigzag(load_le(self.data, o, w)));
-                out.push(prev);
-                o += w;
-            }
-            j += lanes;
         }
     }
 
@@ -702,20 +587,7 @@ impl<'a> SvbColumn<'a> {
             }
             i += 4;
         }
-        // Scalar remainder.
-        let mut o = off;
-        let mut j = i;
-        while j < self.n {
-            let c = self.ctrl[j / 4];
-            let lanes = (self.n - j).min(4);
-            for l in 0..lanes {
-                let w = lane_width(c, l);
-                prev = prev.wrapping_add(unzigzag(load_le(self.data, o, w)));
-                out.push(prev);
-                o += w;
-            }
-            j += lanes;
-        }
+        self.zigzag_prefix_scalar(i, off, prev, out);
     }
 }
 
@@ -746,20 +618,15 @@ mod tests {
         let col = SvbColumn::parse(&buf, &mut pos, vals.len()).expect("parse");
         assert_eq!(pos, buf.len(), "column must consume its exact bytes");
         let mut out = Vec::new();
-        col.decode_into_with(SimdLevel::Scalar, &mut out);
-        assert_eq!(out, vals, "scalar");
         col.decode_into(&mut out);
         assert_eq!(out, vals, "dispatch");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                col.decode_into_with(SimdLevel::Ssse3, &mut out);
-                assert_eq!(out, vals, "ssse3");
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                col.decode_into_with(SimdLevel::Avx2, &mut out);
-                assert_eq!(out, vals, "avx2");
-            }
+        let mut levels = vec![SimdLevel::Scalar];
+        if detected_simd_level() != SimdLevel::Scalar {
+            levels.push(detected_simd_level());
+        }
+        for level in levels {
+            col.decode_into_with(level, &mut out);
+            assert_eq!(out, vals, "{level:?}");
         }
     }
 
@@ -891,7 +758,8 @@ mod tests {
 
     #[test]
     fn level_name_is_stable() {
-        assert!(["scalar", "ssse3", "avx2"].contains(&simd_level_name()));
+        assert!(["scalar", "avx2"].contains(&simd_level_name()));
+        assert_eq!(SimdLevel::Scalar.name(), "scalar");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
     }
 }

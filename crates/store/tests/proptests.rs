@@ -179,15 +179,23 @@ fn arb_col_value() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// The SIMD kernels this host can actually run (hardware detection,
-/// ignoring the `MEMPERSP_NO_SIMD` override).
+/// Data bytes stream-vbyte spends on `v`.
+fn svb_width(v: u64) -> usize {
+    match v {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
+/// The kernels this host can actually run: scalar, plus the vector
+/// level when the hardware has it (ignoring the `MEMPERSP_NO_SIMD`
+/// override).
 fn runnable_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Scalar];
     if detected_simd_level() != SimdLevel::Scalar {
-        levels.push(SimdLevel::Ssse3);
-    }
-    if detected_simd_level() == SimdLevel::Avx2 {
-        levels.push(SimdLevel::Avx2);
+        levels.push(detected_simd_level());
     }
     levels
 }
@@ -557,10 +565,15 @@ proptest! {
     /// columns byte-identically to the scalar reference — including
     /// max-width values, empty columns, and lengths that leave 1–3
     /// values in the tail group or cross the 32-value SIMD block
-    /// boundary.
+    /// boundary. A range decode of `[lo, hi)` with the process kernel
+    /// (empty, starting and ending mid-group, running into the tail
+    /// group or past the column end) is the scalar decode sliced from
+    /// its returned base, and charges exactly the data bytes of the
+    /// groups it decoded.
     #[test]
     fn svb_kernels_agree_with_scalar(
         vals in prop::collection::vec(arb_col_value(), 0..150),
+        range in (0u8..4, any::<u32>(), any::<u32>()),
     ) {
         let stream = encode_column(&vals);
         let mut pos = 0usize;
@@ -574,6 +587,24 @@ proptest! {
             col.decode_into_with(level, &mut out);
             prop_assert_eq!(&out, &scalar, "kernel {:?} diverged", level);
         }
+
+        let n = vals.len();
+        let (a, b) = (range.1 as usize % (n + 5), range.2 as usize % (n + 5));
+        let (lo, hi) = match range.0 {
+            0 => (a, a),
+            1 => (a.min(n), n),
+            _ => (a.min(b), a.max(b)),
+        };
+        let mut out = vec![7u64];
+        let base = col.decode_range_into(lo, hi, &mut out);
+        let last = hi.min(n);
+        let end = if lo < last { ((last - 1) / 4 * 4 + 4).min(n) } else { base };
+        prop_assert!(base <= lo && base.is_multiple_of(4), "base {} for [{}, {})", base, lo, hi);
+        prop_assert_eq!(&out[..], &scalar[base..end], "range [{}, {})", lo, hi);
+        let data_len = col.total_len() - col.ctrl_len();
+        let want: usize = scalar[base..end].iter().map(|&v| svb_width(v)).sum();
+        prop_assert_eq!(col.range_data_len(lo, hi), want, "range [{}, {})", lo, hi);
+        prop_assert!(want <= data_len);
     }
 
     /// The fused zigzag-undo + prefix-sum kernel equals the obvious
