@@ -37,7 +37,7 @@ use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_format::{event_record, header_sections};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{TraceEvent, Workload};
-use mempersp_folding::{fold_regions_source, RegionRequest};
+use mempersp_folding::{fold_performance_source, fold_regions_source, RegionRequest};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp_memsim::MAX_CORES;
 use mempersp_store::{open_trace_source, sniff_store, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
@@ -665,13 +665,16 @@ fn cmd_fold(args: &[String]) {
         exit(1);
     }
     let requests: Vec<RegionRequest> = names.iter().map(RegionRequest::new).collect();
-    let folded = fold_regions_source(src, &requests, threads_arg(args));
-    let (results, scan) = folded.unwrap_or_else(|e| {
+    let csv_dir = arg_value(args, "--csv-dir");
+    // `--region` prints the address panel and the bundle writes the
+    // line and address panels; otherwise only the performance panel
+    // is printed, so only it is folded.
+    let fold = if single || csv_dir.is_some() { fold_regions_source } else { fold_performance_source };
+    let (results, scan) = fold(src, &requests, threads_arg(args)).unwrap_or_else(|e| {
         eprintln!("fold failed: {e}");
         exit(1);
     });
 
-    let csv_dir = arg_value(args, "--csv-dir");
     for (region, result) in names.iter().zip(&results) {
         match result {
             Ok(folded) => {
@@ -720,6 +723,10 @@ fn cmd_fold(args: &[String]) {
     }
     if args.iter().any(|a| a == "--stats") {
         print_scan_stats(&scan);
+    }
+    if results.iter().all(Result::is_err) {
+        eprintln!("fold failed: none of the requested regions folded");
+        exit(1);
     }
 }
 

@@ -380,6 +380,27 @@ fn fold_csv_dir_under_a_file_fails_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--regions` that folds none of its regions exits 1 after naming
+/// each of them; one folded region is enough to succeed.
+#[test]
+fn fold_regions_fails_when_nothing_folds() {
+    let dir = tmpdir("fold_regions_fails_when_nothing_folds");
+    let trace = dir.join("t.prv");
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&trace).output().unwrap());
+
+    let out = bin().arg("fold").arg(&trace).args(["--regions", "NOPE"]).output().unwrap();
+    let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stdout.contains("\"NOPE\": not folded (region \"NOPE\" not present in trace)"), "{stdout}");
+    assert!(stderr.contains("fold failed: none of the requested regions folded"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let out = ok(bin().arg("fold").arg(&trace).args(["--regions", "NOPE,triad"]).output().unwrap());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"NOPE\": not folded") && stdout.contains("of \"triad\""), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();

@@ -10,6 +10,14 @@
 //! then become independent **work items** executed on a deterministic
 //! worker pool.
 //!
+//! A fold fills the three panels of the paper's Fig. 1, or only the
+//! one a consumer renders: [`fold_performance_source`] projects the
+//! fold onto the performance panel. Its sample scan asks for counter
+//! samples alone, so an indexed store never decodes a PEBS row for
+//! it, and the pooling kernel resolves no source line; what it does
+//! pool, fit and report is what the full fold pools, fits and reports
+//! for the counters.
+//!
 //! Determinism: every work item owns its input buffers, is internally
 //! sequential, and writes only its own output slot; the thread count
 //! decides *which worker* runs an item, never the item's inputs or its
@@ -23,23 +31,14 @@ use crate::fold::{FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfi
 use crate::instances::{boundary_query, InstanceCollector, RegionInstance};
 use crate::pava::pava_nondecreasing;
 use crate::pool::{
-    sample_query, sort_by_x, AddrPoint, CounterPanels, CounterSamples, LinePoint, PooledSamples, Pooler,
+    sort_by_x, AddrPoint, CounterPanels, CounterSamples, LinePoint, Panels, PooledSamples, Pooler,
 };
-use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, Trace};
 use mempersp_pebs::EventKind;
 use std::convert::Infallible;
 use std::sync::Mutex;
-
-/// The event classes folding consumes; everything else (allocations,
-/// mux switches, user events) can stay undecoded in an indexed store.
-pub const FOLD_KINDS: [EventClass; 4] = [
-    EventClass::RegionEnter,
-    EventClass::RegionExit,
-    EventClass::CounterSample,
-    EventClass::Pebs,
-];
 
 /// One region to fold, with its folding parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,15 +207,18 @@ fn average_total(instances: &[RegionInstance], kind: EventKind) -> f64 {
 ///
 /// Phase 1 scans only the region **boundary** events — on an indexed
 /// `.mps` store every sample-only chunk is skipped outright — into the
-/// instance collector. Phase 2 scans only the **sample** events,
+/// instance collector. Phase 2 scans only the **sample** events the
+/// `panels` read (counter and PEBS samples, or counter samples alone),
 /// time-bounded to the hull of the kept instances, into the pooler, so
-/// chunks wholly outside any folded region and chunks with no samples
-/// are never decoded. Both kernels see rows in trace order whatever the
-/// container or chunking, so every path yields byte-identical folds.
+/// chunks wholly outside any folded region and chunks with no such
+/// samples are never decoded. Both kernels see rows in trace order
+/// whatever the container or chunking, so every path yields
+/// byte-identical folds.
 fn fold_scans<E>(
     header: &Trace,
     requests: &[RegionRequest],
     threads: usize,
+    panels: Panels,
     mut scan: impl FnMut(&Query, &mut dyn FnMut(&EventBatch<'_>)) -> Result<ScanStats, E>,
 ) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), E> {
     let n = requests.len();
@@ -261,8 +263,8 @@ fn fold_scans<E>(
         let lo = instances.clone().map(|i| i.start_cycles).min().expect("kept is non-empty");
         let hi = instances.map(|i| i.end_cycles).max().expect("kept is non-empty");
         let slices: Vec<&[RegionInstance]> = kept.iter().map(|(_, v, _)| v.as_slice()).collect();
-        let mut pooler = Pooler::new(header, &slices);
-        stats.merge(&scan(&sample_query().in_time(lo, hi), &mut |b| pooler.push(b))?);
+        let mut pooler = Pooler::new(header, &slices, panels);
+        stats.merge(&scan(&panels.sample_query().in_time(lo, hi), &mut |b| pooler.push(b))?);
         (pooled, samples) = pooler.finish();
     }
     Ok((fit_kept(header, requests, results, kept, pooled, samples, threads), stats))
@@ -280,9 +282,9 @@ fn fit_kept(
     threads: usize,
 ) -> Vec<Result<FoldedRegion, FoldError>> {
     // Fan the fold out into independent work items: per region one for
-    // its counter panels and one per address/line panel, each owning
-    // its input buffers (the panels go back to the pooled storage
-    // below).
+    // its counter panels and one per non-empty address/line panel, each
+    // owning its input buffers (the panels go back to the pooled
+    // storage below).
     let mut jobs: Vec<Job> = Vec::with_capacity(kept.len() * 3);
     for ((k, (slot, instances, _)), samples) in kept.iter().enumerate().zip(samples) {
         let cfg = &requests[*slot].cfg;
@@ -298,8 +300,12 @@ fn fit_kept(
             samples,
             out: Vec::new(),
         });
-        jobs.push(Job::Addr { slot: k, pts: std::mem::take(&mut p.addr_points) });
-        jobs.push(Job::Line { slot: k, pts: std::mem::take(&mut p.line_points) });
+        if !p.addr_points.is_empty() {
+            jobs.push(Job::Addr { slot: k, pts: std::mem::take(&mut p.addr_points) });
+        }
+        if !p.line_points.is_empty() {
+            jobs.push(Job::Line { slot: k, pts: std::mem::take(&mut p.line_points) });
+        }
     }
 
     run_jobs(&mut jobs, threads);
@@ -353,7 +359,7 @@ pub fn fold_regions(
     let scan = |q: &Query, sink: &mut dyn FnMut(&EventBatch<'_>)| {
         Ok::<_, Infallible>(scan_events(&trace.events, q, sink))
     };
-    match fold_scans(trace, requests, threads, scan) {
+    match fold_scans(trace, requests, threads, Panels::All, scan) {
         Ok((results, _)) => results,
         Err(never) => match never {},
     }
@@ -369,9 +375,34 @@ pub fn fold_regions_source(
     requests: &[RegionRequest],
     threads: usize,
 ) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
+    fold_source(source, requests, threads, Panels::All)
+}
+
+/// [`fold_regions_source`] projected onto the performance panel, for a
+/// consumer that renders nothing else. Each region's `counters`,
+/// instance figures and counter panels ([`PooledSamples::counter_xy`])
+/// equal the full fold's, and so does everything derived from them
+/// ([`FoldedRegion::performance_series`]); its address panel, line
+/// panel and file table are **empty**. The sample scan reads counter
+/// samples only, so the returned [`ScanStats`] counts no PEBS row.
+pub fn fold_performance_source(
+    source: &mut dyn TraceSource,
+    requests: &[RegionRequest],
+    threads: usize,
+) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
+    fold_source(source, requests, threads, Panels::Performance)
+}
+
+fn fold_source(
+    source: &mut dyn TraceSource,
+    requests: &[RegionRequest],
+    threads: usize,
+    panels: Panels,
+) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
     let io_err = |e: std::io::Error| FoldError::Io(e.to_string());
     let header = source.header().map_err(io_err)?;
-    fold_scans(&header, requests, threads, |q, sink| source.scan_batches(q, sink)).map_err(io_err)
+    fold_scans(&header, requests, threads, panels, |q, sink| source.scan_batches(q, sink))
+        .map_err(io_err)
 }
 
 #[cfg(test)]

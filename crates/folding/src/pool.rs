@@ -17,6 +17,11 @@
 //! files are interned into a per-region string table ([`FileId`]) so a
 //! dense code-line panel costs 4 bytes per sample instead of a cloned
 //! `String`.
+//!
+//! A performance-only fold pools only what that panel reads: its
+//! sample scan delivers counter samples alone, and the kernel pools
+//! each into [`CounterSamples`] without resolving its source line, so
+//! the address panel, the line panel and the file table stay empty.
 
 use crate::instances::RegionInstance;
 use mempersp_extrae::query::{EventClass, Query};
@@ -455,9 +460,24 @@ fn resolve_line(
     (Some(file), Some(line))
 }
 
-/// The events pooling reads: counter and PEBS samples.
-pub(crate) fn sample_query() -> Query {
-    Query::all().with_kinds(&[EventClass::CounterSample, EventClass::Pebs])
+/// The panels a fold fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Panels {
+    /// Code lines, addresses and performance.
+    All,
+    /// Performance only: the counter panels.
+    Performance,
+}
+
+impl Panels {
+    /// The events pooling reads for these panels: counter and PEBS
+    /// samples, or counter samples alone.
+    pub(crate) fn sample_query(self) -> Query {
+        match self {
+            Panels::All => Query::all().with_kinds(&[EventClass::CounterSample, EventClass::Pebs]),
+            Panels::Performance => Query::all().with_kinds(&[EventClass::CounterSample]),
+        }
+    }
 }
 
 /// Pool every in-instance sample of the trace into folded coordinates
@@ -468,9 +488,9 @@ pub(crate) fn sample_query() -> Query {
 /// The returned panels are **unsorted** (trace order); callers sort
 /// via [`PooledSamples::sort_deterministic`].
 pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples> {
-    let mut pooler = Pooler::new(trace, kept);
+    let mut pooler = Pooler::new(trace, kept, Panels::All);
     if !kept.is_empty() {
-        scan_events(&trace.events, &sample_query(), &mut |b| pooler.push(b));
+        scan_events(&trace.events, &Panels::All.sample_query(), &mut |b| pooler.push(b));
     }
     let (mut out, counters) = pooler.finish();
     for (p, c) in out.iter_mut().zip(counters) {
@@ -487,6 +507,8 @@ pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples>
 /// tables carry across batches.
 pub(crate) struct Pooler<'a> {
     source: &'a SourceMap,
+    /// Under [`Panels::Performance`] no line point is pooled.
+    panels: Panels,
     kept: &'a [&'a [RegionInstance]],
     indices: Vec<InstanceIndex>,
     /// Per slot, per kept instance: the counters that advanced in it.
@@ -516,9 +538,10 @@ impl Advanced {
 
 impl<'a> Pooler<'a> {
     /// `header` supplies the source map and the core count.
-    pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]]) -> Self {
+    pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]], panels: Panels) -> Self {
         Self {
             source: &header.source,
+            panels,
             kept,
             indices: kept.iter().map(|k| InstanceIndex::new(k, header.meta.num_cores)).collect(),
             advanced: kept.iter().map(|k| k.iter().map(Advanced::new).collect()).collect(),
@@ -530,7 +553,8 @@ impl<'a> Pooler<'a> {
 
     /// Consume the counter-sample and PEBS rows of one batch (other
     /// rows are ignored). Payload columns are read only for rows that
-    /// fall inside a kept instance.
+    /// fall inside a kept instance, and a counter sample's line only
+    /// when the line panel is filled.
     pub(crate) fn push(&mut self, batch: &EventBatch<'_>) {
         for row in batch.rows() {
             match row.view {
@@ -552,8 +576,10 @@ impl<'a> Pooler<'a> {
                             }
                             self.counters[slot].push(x, advanced.mask, &ys);
                         }
-                        let (file, line) = resolve_line(self.source, &mut self.lines[slot], out, ip);
-                        out.line_points.push(LinePoint { x, ip, file, line });
+                        if self.panels == Panels::All {
+                            let (file, line) = resolve_line(self.source, &mut self.lines[slot], out, ip);
+                            out.line_points.push(LinePoint { x, ip, file, line });
+                        }
                     }
                 }
                 RowView::Pebs(p) => {

@@ -18,9 +18,11 @@
 //! Fold responses are memoized by content digest; a repeat fold is
 //! answered from the memo with the *byte-identical* body and an
 //! `X-Memo: hit` header (the hit marker lives in a header precisely
-//! so memoization can never change a body). Query and fold answers
-//! say where their time went the same way:
-//! `Server-Timing: scan;dur=<ms>, render;dur=<ms>`.
+//! so memoization can never change a body). A fold body carries the
+//! performance panel alone, so the fold behind it is the
+//! performance-only projection and its `"stats"` count only what that
+//! fold read. Query and fold answers say where their time went the
+//! same way: `Server-Timing: scan;dur=<ms>, render;dur=<ms>`.
 
 use std::io;
 use std::path::Path;
@@ -29,11 +31,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mempersp_extrae::json::{query_from_json, query_to_json, scan_stats_to_json, write_row};
-use mempersp_extrae::trace_source::TraceSource;
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::Query;
 use mempersp_folding::{
-    fold_regions_source, fold_request_digest, FitModel, FoldedRegion, FoldingConfig, Fnv64,
-    RegionRequest,
+    fold_performance_source, fold_request_digest, FitModel, FoldError, FoldedRegion,
+    FoldingConfig, Fnv64, RegionRequest,
 };
 use mempersp_store::{CancelToken, MpsSource};
 use serde_json::{json, to_string, Value};
@@ -391,6 +393,32 @@ fn folded_region_to_json(fr: &FoldedRegion, points: usize) -> Value {
     })
 }
 
+/// The `/v1/fold` body: every requested region's performance panel, or
+/// its error, in request order, then what the fold read.
+fn fold_body(
+    name: &str,
+    points: usize,
+    requests: &[RegionRequest],
+    folded: &[Result<FoldedRegion, FoldError>],
+    stats: &ScanStats,
+) -> String {
+    let regions_json: Vec<Value> = requests
+        .iter()
+        .zip(folded)
+        .map(|(req, result)| match result {
+            Ok(fr) => folded_region_to_json(fr, points),
+            Err(e) => json!({ "region": req.region.clone(), "error": e.to_string() }),
+        })
+        .collect();
+    let body = json!({
+        "trace": name,
+        "points": points,
+        "regions": Value::Array(regions_json),
+        "stats": scan_stats_to_json(stats),
+    });
+    to_string(&body).unwrap()
+}
+
 fn handle_fold(app: &App, req: &Request) -> Response {
     let obj = match parse_object(req) {
         Ok(o) => o,
@@ -485,7 +513,8 @@ fn handle_fold(app: &App, req: &Request) -> Response {
     let cancel = app.cancel_token();
     let mut csrc = CancellableSource::new(&src, &cancel);
     let started = Instant::now();
-    let outcome = fold_regions_source(&mut csrc, &requests, threads);
+    // The body renders the performance panel only, so only it is folded.
+    let outcome = fold_performance_source(&mut csrc, &requests, threads);
     let scan = started.elapsed();
     let last_kind = csrc.last_err_kind();
     let (folded, stats) = match outcome {
@@ -505,21 +534,7 @@ fn handle_fold(app: &App, req: &Request) -> Response {
     };
 
     let started = Instant::now();
-    let regions_json: Vec<Value> = requests
-        .iter()
-        .zip(&folded)
-        .map(|(req, result)| match result {
-            Ok(fr) => folded_region_to_json(fr, points),
-            Err(e) => json!({ "region": req.region.clone(), "error": e.to_string() }),
-        })
-        .collect();
-    let body = json!({
-        "trace": name,
-        "points": points,
-        "regions": Value::Array(regions_json),
-        "stats": scan_stats_to_json(&stats),
-    });
-    let text = Arc::new(to_string(&body).unwrap());
+    let text = Arc::new(fold_body(&name, points, &requests, &folded, &stats));
     app.memo.insert(digest, Arc::clone(&text));
     Response::json(200, (*text).clone())
         .with_header("X-Memo", "miss")
@@ -529,6 +544,7 @@ fn handle_fold(app: &App, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempersp_folding::fold_regions_source;
 
     fn app() -> App {
         let dir = std::env::temp_dir().join(format!("mempersp-router-{:p}", &()));
@@ -623,6 +639,101 @@ mod tests {
         let (_, resp) = handle(&app, &request("GET", "/v1/traces", ""));
         assert_eq!(resp.status, 200);
         assert!(String::from_utf8(resp.body).unwrap().contains("\"count\":0"));
+    }
+
+    /// A store shaped like an HPCG trace: on two cores, twelve
+    /// `CG_iteration`s, each running `ComputeSYMGS_ref` then
+    /// `ComputeSPMV_ref` with their own counter rates, sampled by
+    /// counter and PEBS samples.
+    fn hpcg_like_repo(dir: &Path) {
+        use mempersp_extrae::{Tracer, TracerConfig};
+        use mempersp_memsim::MemLevel;
+        use mempersp_pebs::{CounterSnapshot, PebsSample};
+
+        let mut t = Tracer::new(TracerConfig::default(), 2);
+        let ips = [t.location("symgs.cpp", 70, "symgs"), t.location("spmv.cpp", 60, "spmv")];
+        let mut counters = [[0u64; 12]; 2];
+        let mut now = [0u64; 2];
+        for iter in 0..12u64 {
+            for core in 0..2 {
+                let snap = |c: &[u64; 12]| CounterSnapshot::from_values(*c);
+                t.enter(core, "CG_iteration", snap(&counters[core]), now[core]);
+                for (phase, region) in ["ComputeSYMGS_ref", "ComputeSPMV_ref"].into_iter().enumerate() {
+                    t.enter(core, region, snap(&counters[core]), now[core]);
+                    for k in 0..40u64 {
+                        let dt = 50 + (iter * 7 + k * 13 + core as u64) % 40;
+                        now[core] += dt;
+                        for (i, c) in counters[core].iter_mut().enumerate() {
+                            *c += dt * (1 + (i as u64 + phase as u64 * 3 + k / 10) % 5);
+                        }
+                        if k % 3 == 0 {
+                            t.record_counter_sample(core, ips[phase], snap(&counters[core]), now[core]);
+                        } else {
+                            t.record_pebs(PebsSample {
+                                timestamp: now[core],
+                                core,
+                                ip: ips[phase].0,
+                                addr: 0x10_0000 + 64 * (iter * 40 + k),
+                                size: 8,
+                                is_store: k % 4 == 0,
+                                latency: (k * 17 % 200) as u32,
+                                source: MemLevel::L2,
+                                tlb_miss: false,
+                            });
+                        }
+                    }
+                    now[core] += 20;
+                    t.exit(core, region, snap(&counters[core]), now[core]);
+                }
+                now[core] += 30;
+                t.exit(core, "CG_iteration", snap(&counters[core]), now[core]);
+            }
+        }
+        let trace = t.finish("hpcg-like router test");
+        mempersp_store::write_store_chunked(&dir.join("hpcg.mps"), &trace, 4096).unwrap();
+    }
+
+    /// `/v1/fold` folds the performance panel only; its body up to the
+    /// `"stats"` is the one the full fold renders, for every setting
+    /// that changes the fold or its rendering. The stats show that it
+    /// read less.
+    #[test]
+    fn fold_body_equals_the_full_fold_rendered() {
+        let dir = std::env::temp_dir().join(format!("mempersp-router-fold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        hpcg_like_repo(&dir);
+        let stat = |body: &str, name: &str| {
+            serde_json::from_str(body).unwrap()["stats"][name].as_u64().unwrap()
+        };
+        let fit = FoldingConfig { fit: FitModel::BinnedMean, ..FoldingConfig::default() };
+        for (extra, cfg, points, threads) in [
+            ("", FoldingConfig::default(), DEFAULT_FOLD_POINTS, 1),
+            (",\"bins\":7", FoldingConfig { bins: 7, ..FoldingConfig::default() }, DEFAULT_FOLD_POINTS, 1),
+            (",\"fit\":\"binned_mean\"", fit, DEFAULT_FOLD_POINTS, 1),
+            (",\"points\":9", FoldingConfig::default(), 9, 1),
+            (",\"threads\":2", FoldingConfig::default(), DEFAULT_FOLD_POINTS, 2),
+        ] {
+            // A fresh app per body: the memo key leaves out the threads.
+            let app = App::new(&dir, None, 8).unwrap();
+            let body = format!("{{\"trace\":\"hpcg.mps\"{extra}}}");
+            let (_, resp) = handle(&app, &request("POST", "/v1/fold", &body));
+            assert_eq!(resp.status, 200, "{body}");
+            assert!(resp.extra_headers.contains(&("X-Memo".into(), "miss".into())), "{body}");
+            let got = String::from_utf8(resp.body).unwrap();
+
+            let mut src = MpsSource::open(&dir.join("hpcg.mps")).unwrap();
+            let names = src.store_header().region_names.clone();
+            let requests: Vec<RegionRequest> = names.iter().map(|r| RegionRequest::with_cfg(r, cfg)).collect();
+            let (folded, stats) = fold_regions_source(&mut src, &requests, threads).unwrap();
+            assert!(folded.iter().all(Result::is_ok), "{body}");
+            let want = fold_body("hpcg.mps", points, &requests, &folded, &stats);
+
+            let cut = |s: &str| s[..s.find(",\"stats\":").unwrap()].to_string();
+            assert_eq!(cut(&got), cut(&want), "{body}");
+            assert!(stat(&got, "events_matched") < stat(&want, "events_matched"), "{body}");
+            assert!(stat(&got, "payload_bytes_decoded") < stat(&want, "payload_bytes_decoded"), "{body}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //! containment search, no interval index, no batches, its own outlier
 //! filter and curve fit — and requires every engine path (in memory,
 //! `.prv`, `.mps`, sharded `.mps.d`; 1, 2 and 4 threads) to
-//! render byte-identically to it.
+//! render byte-identically to it. The performance-only fold
+//! (`fold_performance_source`, 1 and 2 threads, every container) must
+//! render its counters, instance figures, counter panels and
+//! performance series identically to the reference and to the full
+//! fold, hold no address or line panel, and decode fewer payload bytes
+//! from a store than the full fold whenever that pooled a PEBS sample.
 //!
 //! The traces are deliberately hostile to instance collection:
 //! unbalanced enter/exit streams (exits with no enter, re-entered
@@ -22,11 +27,14 @@
 
 use mempersp::extrae::events::{EventPayload, RegionId, TraceEvent};
 use mempersp::extrae::trace_format::save_trace;
+use mempersp::extrae::trace_source::TraceSource;
 use mempersp::extrae::{Ip, ObjectId, Trace, Tracer, TracerConfig};
+use mempersp::folding::fold::PerfPoint;
 use mempersp::folding::pava::pava_nondecreasing;
 use mempersp::folding::{
-    fold_regions, fold_regions_source, AddrPoint, FitModel, FoldError, FoldedCounter,
-    FoldedRegion, FoldingConfig, InstanceFilter, MonotoneCurve, RegionInstance, RegionRequest,
+    fold_performance_source, fold_regions, fold_regions_source, AddrPoint, FitModel, FoldError,
+    FoldedCounter, FoldedRegion, FoldingConfig, InstanceFilter, MonotoneCurve, PooledSamples,
+    RegionInstance, RegionRequest,
 };
 use mempersp::memsim::MemLevel;
 use mempersp::pebs::{CounterSnapshot, EventKind, PebsSample};
@@ -306,7 +314,7 @@ fn ref_instances(trace: &Trace, region: RegionId, filter: InstanceFilter) -> (Ve
 
 /// Everything a fold reports, in a shape both the engine's
 /// [`FoldedRegion`] and the reference can fill.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[allow(dead_code)] // fields are read through Debug
 struct View {
     region: String,
@@ -340,6 +348,24 @@ fn view_of(f: &FoldedRegion) -> View {
             .collect(),
         files: f.pooled.files().iter().map(|s| s.to_string()).collect(),
     }
+}
+
+/// What a performance-only fold of the region `v` views must report:
+/// `v` without its address and line panels and file table, and the
+/// performance series, which derives from the counters and instance
+/// figures alone.
+fn performance_of(mut v: View) -> (View, Vec<PerfPoint>) {
+    (v.addr_points, v.line_points, v.files) = (Vec::new(), Vec::new(), Vec::new());
+    let folded = FoldedRegion {
+        region: v.region.clone(),
+        instances_used: v.instances_used,
+        instances_rejected: v.instances_rejected,
+        avg_duration_cycles: v.avg_duration_cycles,
+        freq_mhz: v.freq_mhz,
+        counters: v.counters.clone(),
+        pooled: PooledSamples::default(),
+    };
+    (v, folded.performance_series(17))
 }
 
 fn ref_fit(points: &[(f64, f64)], bins: usize, fit: FitModel) -> MonotoneCurve {
@@ -465,6 +491,57 @@ fn render(results: &[Result<FoldedRegion, FoldError>]) -> Vec<String> {
     results.iter().map(|r| format!("{:?}", r.as_ref().map(view_of))).collect()
 }
 
+/// A performance-only fold as it is, panels included.
+fn render_performance(results: &[Result<FoldedRegion, FoldError>]) -> Vec<String> {
+    let rendered = |f: &FoldedRegion| (view_of(f), f.performance_series(17));
+    results.iter().map(|r| format!("{:?}", r.as_ref().map(rendered))).collect()
+}
+
+/// The reference renderings of a full and of a performance-only fold.
+fn references(folded: &[Result<View, FoldError>]) -> (Vec<String>, Vec<String>) {
+    let full = folded.iter().map(|r| format!("{r:?}")).collect();
+    let performance =
+        folded.iter().map(|r| format!("{:?}", r.as_ref().map(|v| performance_of(v.clone())))).collect();
+    (full, performance)
+}
+
+/// Fold `source` performance-only at `threads` and compare it, panels
+/// included, with `reference` and with `full`, the full fold of the
+/// same source, both projected by [`performance_of`]: its address and
+/// line panels and file table must be empty. On a store, `full_bytes`
+/// is the payload the full fold decoded: the performance fold may not
+/// decode more, and decodes less when the full fold pooled a PEBS
+/// sample.
+fn check_performance(
+    source: &mut dyn TraceSource,
+    requests: &[RegionRequest],
+    reference: &[String],
+    full: &[Result<FoldedRegion, FoldError>],
+    full_bytes: Option<u64>,
+    path: &str,
+    threads: usize,
+) -> Result<(), String> {
+    let at = format!("{path} performance fold, threads={threads}");
+    let (results, stats) = fold_performance_source(source, requests, threads).unwrap();
+    let got = render_performance(&results);
+    if let Some(slot) = got.iter().zip(reference).position(|(g, r)| g != r) {
+        return Err(format!("{at}: request {slot} diverged from the reference"));
+    }
+    let projected: Vec<String> =
+        full.iter().map(|r| format!("{:?}", r.as_ref().map(|f| performance_of(view_of(f))))).collect();
+    if got != projected {
+        return Err(format!("{at}: diverged from the full fold"));
+    }
+    if let Some(full_bytes) = full_bytes {
+        let paid = stats.payload_bytes_decoded;
+        let pebs_pooled = full.iter().flatten().any(|f| !f.pooled.addr_points.is_empty());
+        if paid > full_bytes || (pebs_pooled && paid == full_bytes) {
+            return Err(format!("{at}: decoded {paid} payload bytes, the full fold {full_bytes}"));
+        }
+    }
+    Ok(())
+}
+
 fn unique_path(ext: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -499,12 +576,14 @@ fn requests() -> Vec<RegionRequest> {
 
 /// Fold `trace` in memory and from a `.prv`, an `.mps` of
 /// `chunk_target`-byte chunks and an `.mps.d` of `shard_events`-event
-/// shards, at 1, 2 and 4 threads each; the first rendering that is not
-/// `reference` is the error.
+/// shards, at 1, 2 and 4 threads each, and performance-only at 1 and 2
+/// threads ([`check_performance`]); the first rendering that is not
+/// `reference` (`perf_reference`) is the error.
 fn check_every_path(
     trace: &Trace,
     requests: &[RegionRequest],
     reference: &[String],
+    perf_reference: &[String],
     chunk_target: usize,
     shard_events: u64,
 ) -> Result<(), String> {
@@ -516,7 +595,11 @@ fn check_every_path(
         }
     };
     for threads in [1usize, 2, 4] {
-        differs(render(&fold_regions(trace, requests, threads)), "in-memory", threads)?;
+        let full = fold_regions(trace, requests, threads);
+        differs(render(&full), "in-memory", threads)?;
+        if threads <= 2 {
+            check_performance(&mut &*trace, requests, perf_reference, &full, None, "in-memory", threads)?;
+        }
     }
     for ext in ["prv", "mps", "mps.d"] {
         let path = unique_path(ext);
@@ -527,8 +610,14 @@ fn check_every_path(
         }
         let outcome = [1usize, 2, 4].into_iter().try_for_each(|threads| {
             let mut src = open_trace_source(&path).unwrap();
-            let (results, _) = fold_regions_source(src.as_mut(), requests, threads).unwrap();
-            differs(render(&results), ext, threads)
+            let (results, stats) = fold_regions_source(src.as_mut(), requests, threads).unwrap();
+            differs(render(&results), ext, threads)?;
+            if threads > 2 {
+                return Ok(());
+            }
+            let full_bytes = (ext != "prv").then_some(stats.payload_bytes_decoded);
+            let mut src = open_trace_source(&path).unwrap();
+            check_performance(src.as_mut(), requests, perf_reference, &results, full_bytes, ext, threads)
         });
         if path.is_dir() {
             std::fs::remove_dir_all(&path).ok();
@@ -551,14 +640,14 @@ proptest! {
     ) {
         let trace = build_trace(seed, events, cores);
         let requests = requests();
-        let reference: Vec<String> =
-            requests.iter().map(|r| format!("{:?}", ref_fold(&trace, r))).collect();
+        let folded: Vec<Result<View, FoldError>> = requests.iter().map(|r| ref_fold(&trace, r)).collect();
+        let (reference, perf_reference) = references(&folded);
         prop_assert!(
             reference.iter().any(|r| r.starts_with("Ok")),
             "the generator should produce at least one foldable region"
         );
         // 1 KiB chunks: tens of chunks, instances straddling them.
-        let outcome = check_every_path(&trace, &requests, &reference, 1024, 400);
+        let outcome = check_every_path(&trace, &requests, &reference, &perf_reference, 1024, 400);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }
@@ -586,7 +675,7 @@ fn large_panels_match_the_naive_reference() {
     assert!(halo.line_points.len() > 4_000);
     assert!(halo.line_points.last().unwrap().0 < 8.0 / halo.line_points.len() as f64, "one bucket");
 
-    let reference: Vec<String> = folded.iter().map(|r| format!("{r:?}")).collect();
     // 16 KiB chunks, four shards.
-    check_every_path(&trace, &requests, &reference, 16 << 10, 20_000).unwrap();
+    let (reference, perf_reference) = references(&folded);
+    check_every_path(&trace, &requests, &reference, &perf_reference, 16 << 10, 20_000).unwrap();
 }
