@@ -60,7 +60,7 @@ pub fn phase_streams(folded: &FoldedRegion, trace: &Trace, phases: &[Phase]) -> 
                 points: Vec<(f64, f64)>,
             }
             let mut by_obj: BTreeMap<Option<u32>, Acc> = BTreeMap::new();
-            for p in &folded.pooled.addr_points {
+            for p in folded.pooled.addr_points() {
                 if p.x < phase.x_start || p.x > phase.x_end {
                     continue;
                 }
@@ -141,10 +141,7 @@ mod tests {
     use mempersp_memsim::MemLevel;
     use mempersp_pebs::EventKind;
 
-    #[allow(clippy::field_reassign_with_default)]
     fn folded_with(points: Vec<AddrPoint>) -> FoldedRegion {
-        let mut pooled = PooledSamples::default();
-        pooled.addr_points = points;
         FoldedRegion {
             region: "it".into(),
             instances_used: 1,
@@ -160,7 +157,7 @@ mod tests {
                     points: 0,
                 })
                 .collect(),
-            pooled,
+            pooled: PooledSamples::from_points(&[], &points, &[]),
         }
     }
 

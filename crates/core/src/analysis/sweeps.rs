@@ -125,7 +125,7 @@ pub fn symgs_sweeps(
 ) -> Option<(SweepInfo, SweepInfo)> {
     let mut fwd: Vec<(f64, f64)> = Vec::new();
     let mut bwd: Vec<(f64, f64)> = Vec::new();
-    for p in &folded.pooled.addr_points {
+    for p in folded.pooled.addr_points() {
         if p.object != Some(object) {
             continue;
         }

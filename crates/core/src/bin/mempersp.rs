@@ -82,8 +82,18 @@ fn die(context: &str, e: &std::io::Error) -> ! {
     exit(if e.kind() == std::io::ErrorKind::InvalidData { EXIT_CORRUPT } else { 1 });
 }
 
+/// The value given to `flag`, if the flag is given. A flag that is last,
+/// or followed by another `--` flag, is a usage error: its value is
+/// missing, and taking the next flag for it would swallow that flag.
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => {
+            eprintln!("{flag} expects a value");
+            exit(1);
+        }
+    }
 }
 
 /// `--threads`: a worker count, or `auto` to use every host CPU.
@@ -218,9 +228,9 @@ fn cmd_profile(args: &[String]) {
 /// command that materializes: its output is the whole trace, and the
 /// Paraver header states the last timestamp before the first record.
 fn cmd_export(args: &[String]) {
-    let t = scanned(args, load_source(args).materialize());
     let dir = arg_value(args, "--dir").unwrap_or_else(|| "paraver".into());
     let prefix = arg_value(args, "--prefix").unwrap_or_else(|| "trace".into());
+    let t = scanned(args, load_source(args).materialize());
     let files = mempersp_extrae::paraver::export_paraver(std::path::Path::new(&dir), &prefix, &t)
         .unwrap_or_else(|e| {
             eprintln!("export failed: {e}");

@@ -18,13 +18,13 @@ use std::fmt::Write as _;
 /// else into single rows.
 pub fn address_panel(folded: &FoldedRegion, width: usize, height: usize) -> String {
     assert!(width >= 2 && height >= 2);
-    let pts = &folded.pooled.addr_points;
-    if pts.is_empty() {
+    let pts = folded.pooled.addr_points();
+    if pts.clone().next().is_none() {
         return "(no address samples)\n".to_string();
     }
 
     // ---- band detection over the sampled addresses ----------------
-    let mut addrs: Vec<u64> = pts.iter().map(|p| p.addr).collect();
+    let mut addrs: Vec<u64> = pts.clone().map(|p| p.addr).collect();
     addrs.sort_unstable();
     addrs.dedup();
     let total_content: u64 = addrs.last().unwrap() - addrs[0];
@@ -76,7 +76,7 @@ pub fn address_panel(folded: &FoldedRegion, width: usize, height: usize) -> Stri
         let h = rows[bi];
         let span = (b_hi - b_lo).max(1) as f64;
         let mut grid = vec![vec![b' '; width]; h];
-        for p in pts {
+        for p in pts.clone() {
             if p.addr < b_lo || p.addr > b_hi {
                 continue;
             }
@@ -115,8 +115,8 @@ pub fn address_panel(folded: &FoldedRegion, width: usize, height: usize) -> Stri
 /// first), with `*` marks where samples fall in folded time.
 pub fn lines_panel(folded: &FoldedRegion, width: usize, max_rows: usize) -> String {
     assert!(width >= 2);
-    let pts = &folded.pooled.line_points;
-    if pts.is_empty() {
+    let pts = folded.pooled.line_points();
+    if pts.len() == 0 {
         return "(no line samples)\n".to_string();
     }
     // Collect distinct lines with sample counts; file names stay
@@ -212,10 +212,7 @@ mod tests {
     use mempersp_folding::{AddrPoint, FoldedCounter, MonotoneCurve, PooledSamples};
     use mempersp_memsim::MemLevel;
 
-    #[allow(clippy::field_reassign_with_default)]
     fn folded_with_points(points: Vec<AddrPoint>) -> FoldedRegion {
-        let mut pooled = PooledSamples::default();
-        pooled.addr_points = points;
         FoldedRegion {
             region: "it".into(),
             instances_used: 1,
@@ -231,7 +228,7 @@ mod tests {
                     points: 0,
                 })
                 .collect(),
-            pooled,
+            pooled: PooledSamples::from_points(&[], &points, &[]),
         }
     }
 
@@ -287,15 +284,15 @@ mod tests {
 
     #[test]
     fn lines_panel_rows_and_marks() {
-        use mempersp_folding::LinePoint;
+        use mempersp_folding::{FileId, LinePoint};
         let mut f = folded_with_points(vec![]);
-        let a = f.pooled.intern_file("a.cpp");
-        let b = f.pooled.intern_file("b.cpp");
-        f.pooled.line_points = vec![
+        let (a, b) = (FileId(0), FileId(1));
+        let lines = [
             LinePoint { x: 0.1, ip: 1, file: Some(a), line: Some(10) },
             LinePoint { x: 0.9, ip: 1, file: Some(a), line: Some(10) },
             LinePoint { x: 0.5, ip: 2, file: Some(b), line: Some(20) },
         ];
+        f.pooled = PooledSamples::from_points(&["a.cpp", "b.cpp"], &[], &lines);
         let s = lines_panel(&f, 20, 10);
         assert!(s.contains("a.cpp:10"));
         assert!(s.contains("b.cpp:20"));
@@ -305,21 +302,22 @@ mod tests {
 
     #[test]
     fn lines_panel_truncates_to_busiest() {
-        use mempersp_folding::LinePoint;
+        use mempersp_folding::{FileId, LinePoint};
         let mut f = folded_with_points(vec![]);
-        let fcpp = f.pooled.intern_file("f.cpp");
+        let mut lines = Vec::new();
         for i in 0..20u32 {
             // line 0 gets many samples, others one each.
             let reps = if i == 0 { 10 } else { 1 };
             for r in 0..reps {
-                f.pooled.line_points.push(LinePoint {
+                lines.push(LinePoint {
                     x: (r as f64) / 10.0,
                     ip: i as u64,
-                    file: Some(fcpp),
+                    file: Some(FileId(0)),
                     line: Some(i),
                 });
             }
         }
+        f.pooled = PooledSamples::from_points(&["f.cpp"], &[], &lines);
         let s = lines_panel(&f, 20, 5);
         let rows = s.lines().filter(|l| l.contains("f.cpp:")).count();
         assert_eq!(rows, 5);

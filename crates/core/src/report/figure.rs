@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 pub fn lines_csv(folded: &FoldedRegion) -> String {
     let mut out = String::from("x,t_ms,file,line,ip\n");
     let dur_ms = folded.duration_ms();
-    for p in &folded.pooled.line_points {
+    for p in folded.pooled.line_points() {
         let _ = writeln!(
             out,
             "{:.6},{:.6},{},{},0x{:x}",
@@ -35,7 +35,7 @@ pub fn lines_csv(folded: &FoldedRegion) -> String {
 pub fn addresses_csv(folded: &FoldedRegion, trace: &Trace) -> String {
     let mut out = String::from("x,t_ms,addr,kind,latency,source,object\n");
     let dur_ms = folded.duration_ms();
-    for p in &folded.pooled.addr_points {
+    for p in folded.pooled.addr_points() {
         let object = p
             .object
             .and_then(|id| trace.objects.get(id))
@@ -262,7 +262,7 @@ mod tests {
         let trace = tr.finish("csv test");
 
         let mut f = empty_folded();
-        f.pooled.addr_points = vec![
+        let points = [
             AddrPoint {
                 x: 0.25,
                 addr: base + 64,
@@ -284,6 +284,7 @@ mod tests {
                 instance: 1,
             },
         ];
+        f.pooled = PooledSamples::from_points(&[], &points, &[]);
         let csv = addresses_csv(&f, &trace);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);

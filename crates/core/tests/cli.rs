@@ -401,6 +401,36 @@ fn fold_regions_fails_when_nothing_folds() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A flag given without its value — last, or followed by another flag
+/// — exits 1 naming the flag, before any file or directory is made:
+/// it is neither ignored nor allowed to swallow the next flag.
+#[test]
+fn a_flag_without_its_value_is_refused() {
+    let dir = tmpdir("a_flag_without_its_value_is_refused");
+    let trace = dir.join("t.mps");
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&trace).output().unwrap());
+    let cwd = dir.join("cwd");
+    std::fs::create_dir(&cwd).unwrap();
+    let t = trace.to_str().unwrap();
+    let spellings: [(&str, &[&str]); 5] = [
+        ("--csv-dir", &["fold", t, "--regions", "all", "--csv-dir", "--stats"]),
+        ("-o", &["run", "--workload", "stream", "-o"]),
+        ("--kinds", &["query", t, "--kinds"]),
+        ("--dir", &["export", t, "--dir"]),
+        ("--csv-dir", &["fold", t, "--regions", "all", "--csv-dir"]),
+    ];
+    for (flag, args) in spellings {
+        let out = bin().args(args).current_dir(&cwd).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} expects a value")), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let made: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(made.is_empty(), "{args:?} made {made:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();

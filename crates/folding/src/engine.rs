@@ -4,11 +4,15 @@
 //! regions from two pruned scans of the trace**, both consumed as
 //! column batches with no event rows in between: the boundary scan
 //! feeds the instance-collection kernel once for every region, the
-//! sample scan feeds the pooling kernel, which dispatches each sample
-//! into every containing region; per region, the counter panels with
-//! their curve fits, the address panel sort and the line panel sort
-//! then become independent **work items** executed on a deterministic
-//! worker pool.
+//! sample scan feeds the pooling kernel, which records each sample once
+//! per fold and gives every containing region one entry for it. Each
+//! region then becomes **one work item**, executed on a deterministic
+//! worker pool: it orders the region's entries once, stably by folded
+//! time, and takes all three panels from that order — the line panel is
+//! every entry, the address panel the PEBS entries and the counter
+//! samples' order the entries that pool one (a stable sort restricted
+//! to a subsequence is the stable sort of that subsequence) — before
+//! it builds, bins and fits the twelve counter panels.
 //!
 //! A fold fills the three panels of the paper's Fig. 1, or only the
 //! one a consumer renders: [`fold_performance_source`] projects the
@@ -18,21 +22,20 @@
 //! pool, fit and report is what the full fold pools, fits and reports
 //! for the counters.
 //!
-//! Determinism: every work item owns its input buffers, is internally
-//! sequential, and writes only its own output slot; the thread count
-//! decides *which worker* runs an item, never the item's inputs or its
-//! floating-point summation order (counter points are sorted by (x, y)
-//! before binning in every path). Output is therefore byte-identical
-//! at any `--threads N` — the same replay discipline as the memory
-//! simulator's epoch pipeline.
+//! Determinism: every work item owns its input buffers (the entries
+//! only name records of the shared sample table, which nothing writes
+//! once pooling ends), is internally sequential, and writes only its
+//! own output slot; the thread count decides *which worker* runs an
+//! item, never the item's inputs or its floating-point summation order
+//! (counter points are sorted by (x, y) before binning in every path).
+//! Output is therefore byte-identical at any `--threads N` — the same
+//! replay discipline as the memory simulator's epoch pipeline.
 
 use crate::curve::MonotoneCurve;
 use crate::fold::{FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
 use crate::instances::{boundary_query, InstanceCollector, RegionInstance};
 use crate::pava::pava_nondecreasing;
-use crate::pool::{
-    sort_by_x, AddrPoint, CounterPanels, CounterSamples, LinePoint, Panels, PooledSamples, Pooler,
-};
+use crate::pool::{sort_by_x, CounterPanels, CounterSamples, Entry, Panels, PooledSamples, Pooler};
 use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, Trace};
@@ -118,49 +121,47 @@ fn fit_sorted(xs: &[f64], ys: &[f64], bins: usize, fit: FitModel, s: &mut FitScr
     }
 }
 
-/// One independent unit of fold work. Items own their inputs (taken
-/// out of the pooled buffers) and carry their outputs back, so workers
-/// never share mutable state.
-enum Job<'a> {
-    /// Build one region's twelve counter panels from one order of its
-    /// samples, then bin and fit each.
-    Counters {
-        slot: usize,
-        bins: usize,
-        fit: FitModel,
-        instances: &'a [RegionInstance],
-        samples: CounterSamples,
-        panels: CounterPanels,
-        out: Vec<FoldedCounter>,
-    },
-    /// Deterministic sort of one region's address panel.
-    Addr { slot: usize, pts: Vec<AddrPoint> },
-    /// Deterministic sort of one region's code-line panel.
-    Line { slot: usize, pts: Vec<LinePoint> },
+/// One independent unit of fold work: one region, ordered once. Items
+/// own their inputs (taken out of the pooled buffers) and carry their
+/// outputs back, so workers never share mutable state.
+struct Job<'a> {
+    slot: usize,
+    bins: usize,
+    fit: FitModel,
+    instances: &'a [RegionInstance],
+    /// The region's entries: its line panel, in trace order until the
+    /// job orders them.
+    entries: Vec<Entry>,
+    samples: CounterSamples,
+    panels: CounterPanels,
+    out: Vec<FoldedCounter>,
 }
 
 impl Job<'_> {
+    /// Order the region's entries once, stably by `x`, and derive every
+    /// panel from that order: the restriction of a stable sort to a
+    /// subsequence is the stable sort of that subsequence, so the
+    /// address panel (the PEBS entries), the line panel (all entries)
+    /// and the counter samples' x-order (the entries that pool one)
+    /// all come out of it. Then build the twelve counter panels and
+    /// bin and fit each.
     fn run(&mut self, scratch: &mut FitScratch) {
-        match self {
-            Job::Counters { bins, fit, instances, samples, panels, out, .. } => {
-                std::mem::take(samples).sort_into(panels);
-                let (xs, ys) = &*panels;
-                *out = EventKind::ALL
-                    .into_iter()
-                    .map(|kind| {
-                        let (xs, ys) = (&xs[kind.index()], &ys[kind.index()]);
-                        FoldedCounter {
-                            kind,
-                            curve: fit_sorted(xs, ys, *bins, *fit, scratch),
-                            avg_total: average_total(instances, kind),
-                            points: xs.len(),
-                        }
-                    })
-                    .collect();
-            }
-            Job::Addr { pts, .. } => sort_by_x(pts, |p| p.x),
-            Job::Line { pts, .. } => sort_by_x(pts, |p| p.x),
-        }
+        sort_by_x(&mut self.entries, |e| e.x);
+        let by_x = self.entries.iter().filter_map(Entry::counter_sample);
+        std::mem::take(&mut self.samples).sort_into(by_x, &mut self.panels);
+        let (xs, ys) = &self.panels;
+        self.out = EventKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let (xs, ys) = (&xs[kind.index()], &ys[kind.index()]);
+                FoldedCounter {
+                    kind,
+                    curve: fit_sorted(xs, ys, self.bins, self.fit, scratch),
+                    avg_total: average_total(self.instances, kind),
+                    points: xs.len(),
+                }
+            })
+            .collect();
     }
 }
 
@@ -257,7 +258,7 @@ fn fold_scans<E>(
 
     // Phase 2: samples. With nothing kept every slot already holds its
     // error — skip the scan.
-    let (mut pooled, mut samples) = (Vec::new(), Vec::new());
+    let mut pooled = (Vec::new(), Vec::new());
     if !kept.is_empty() {
         let instances = kept.iter().flat_map(|(_, v, _)| v.iter());
         let lo = instances.clone().map(|i| i.start_cycles).min().expect("kept is non-empty");
@@ -265,9 +266,9 @@ fn fold_scans<E>(
         let slices: Vec<&[RegionInstance]> = kept.iter().map(|(_, v, _)| v.as_slice()).collect();
         let mut pooler = Pooler::new(header, &slices, panels);
         stats.merge(&scan(&panels.sample_query().in_time(lo, hi), &mut |b| pooler.push(b))?);
-        (pooled, samples) = pooler.finish();
+        pooled = pooler.finish();
     }
-    Ok((fit_kept(header, requests, results, kept, pooled, samples, threads), stats))
+    Ok((fit_kept(header, requests, results, kept, pooled, panels, threads), stats))
 }
 
 /// Fit the surviving slots' pooled samples and assemble the
@@ -277,51 +278,43 @@ fn fit_kept(
     requests: &[RegionRequest],
     mut results: Vec<Option<Result<FoldedRegion, FoldError>>>,
     kept: Vec<(usize, Vec<RegionInstance>, usize)>,
-    mut pooled: Vec<PooledSamples>,
-    samples: Vec<CounterSamples>,
+    (mut pooled, samples): (Vec<PooledSamples>, Vec<CounterSamples>),
+    panels: Panels,
     threads: usize,
 ) -> Vec<Result<FoldedRegion, FoldError>> {
-    // Fan the fold out into independent work items: per region one for
-    // its counter panels and one per non-empty address/line panel, each
-    // owning its input buffers (the panels go back to the pooled
-    // storage below).
-    let mut jobs: Vec<Job> = Vec::with_capacity(kept.len() * 3);
+    // Fan the fold out into one work item per region, owning its input
+    // buffers (the panels go back to the pooled storage below).
+    let mut jobs: Vec<Job> = Vec::with_capacity(kept.len());
     for ((k, (slot, instances, _)), samples) in kept.iter().enumerate().zip(samples) {
         let cfg = &requests[*slot].cfg;
-        let p = &mut pooled[k];
-        jobs.push(Job::Counters {
+        jobs.push(Job {
             slot: k,
             bins: cfg.bins,
             fit: cfg.fit,
             instances,
+            entries: std::mem::take(&mut pooled[k].entries),
             // Reserved here, so the panels live where the pooled
             // buffers did, not in a worker's allocator arena.
             panels: samples.reserve_panels(),
             samples,
             out: Vec::new(),
         });
-        if !p.addr_points.is_empty() {
-            jobs.push(Job::Addr { slot: k, pts: std::mem::take(&mut p.addr_points) });
-        }
-        if !p.line_points.is_empty() {
-            jobs.push(Job::Line { slot: k, pts: std::mem::take(&mut p.line_points) });
-        }
     }
 
     run_jobs(&mut jobs, threads);
 
-    // Reassemble: hand the (now ordered) panels back to their pooled
-    // slots and keep the fitted counters, in kind order.
+    // Reassemble: hand the ordered panels back to their pooled slots and
+    // keep the fitted counters, in kind order. A performance-only fold
+    // keeps no line panel, so its entries go once they have ordered the
+    // counter samples.
     let mut counters: Vec<Vec<FoldedCounter>> = kept.iter().map(|_| Vec::new()).collect();
-    for job in jobs {
-        match job {
-            Job::Counters { slot, panels, out, .. } => {
-                (pooled[slot].counter_xs, pooled[slot].counter_ys) = panels;
-                counters[slot] = out;
-            }
-            Job::Addr { slot, pts } => pooled[slot].addr_points = pts,
-            Job::Line { slot, pts } => pooled[slot].line_points = pts,
+    for Job { slot, entries, panels: counter_panels, out, .. } in jobs {
+        let p = &mut pooled[slot];
+        (p.counter_xs, p.counter_ys) = counter_panels;
+        if panels == Panels::All {
+            p.entries = entries;
         }
+        counters[slot] = out;
     }
 
     for (((slot, instances, rejected), pooled), counters) in
@@ -347,7 +340,7 @@ fn fit_kept(
 }
 
 /// Fold every requested region of an in-memory trace, with the
-/// per-(region, panel) fold work spread over `threads`
+/// per-region fold work spread over `threads`
 /// deterministic workers. The result vector keeps request order; a
 /// failing region (unknown name, too few instances) fails only its own
 /// slot.

@@ -10,26 +10,38 @@
 //! Pooling is **single-pass and multi-region**: the `Pooler` column
 //! kernel is fed the trace's sample rows once, batch by batch, and
 //! dispatches every sample into the accumulators of all regions whose
-//! instances contain it. A counter sample is pooled once per region
-//! ([`CounterSamples`]), and its per-counter panels are derived from it
-//! as structure-of-arrays (`counter_xs` / `counter_ys`) so the binning
-//! pass in the fold engine streams two flat `f64` buffers; source
-//! files are interned into a per-region string table ([`FileId`]) so a
-//! dense code-line panel costs 4 bytes per sample instead of a cloned
-//! `String`.
+//! instances contain it. Each sample is **stored once per fold**: the
+//! first time a row lands in any kept instance, its payload becomes one
+//! record of a fold-wide table (a PEBS sample's ip, address, latency,
+//! store flag, source and object; a counter sample's ip), which the
+//! fold's regions share. Each containing region then gets one 16-byte
+//! entry `(x, sample, aux)`: the sample's folded time there, the record
+//! it names, and the instance holding a PEBS sample or the index of a
+//! counter sample in the region's [`CounterSamples`] (none where no
+//! counter advanced). The address and line panels are **views** over a
+//! region's entries ([`PooledSamples::addr_points`],
+//! [`PooledSamples::line_points`]): the line panel is every entry, the
+//! address panel the PEBS entries. The twelve counter panels are
+//! derived from the counter samples as structure-of-arrays
+//! (`counter_xs` / `counter_ys`), so the binning pass in the fold
+//! engine streams two flat `f64` buffers. Source files are interned
+//! into a per-region string table ([`FileId`]) as samples first name
+//! them, so the table keeps first-appearance order.
 //!
 //! A performance-only fold pools only what that panel reads: its
-//! sample scan delivers counter samples alone, and the kernel pools
-//! each into [`CounterSamples`] without resolving its source line, so
-//! the address panel, the line panel and the file table stay empty.
+//! sample scan delivers counter samples alone, the kernel records no
+//! sample and resolves no source line, and the engine drops the
+//! entries once it has ordered the counter samples, so the address
+//! panel, the line panel and the file table stay empty.
 
 use crate::instances::RegionInstance;
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::{scan_events, EventBatch, Ip, ObjectId, RowView, SourceMap, Trace};
 use mempersp_memsim::MemLevel;
-use mempersp_pebs::EventKind;
+use mempersp_pebs::{EventKind, PebsSample};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
 const NKINDS: usize = EventKind::ALL.len();
@@ -74,16 +86,132 @@ impl LinePoint {
     }
 }
 
+/// "None" in a `u32` field of an [`Entry`] or a record.
+const NONE: u32 = u32::MAX;
+/// The bit of [`Entry::sample`] that marks a PEBS record.
+const PEBS: u32 = 1 << 31;
+/// The [`Entry::sample`] of a counter sample a performance-only fold
+/// pooled: it names no record.
+const UNRECORDED: u32 = !PEBS;
+
+/// A PEBS sample's payload, recorded once per fold.
+#[derive(Debug, Clone, Copy)]
+struct PebsRecord {
+    ip: u64,
+    addr: u64,
+    object: Option<ObjectId>,
+    latency: u32,
+    /// The statement `ip` names ([`SourceMap::index_of`]), or [`NONE`].
+    stmt: u32,
+    is_store: bool,
+    source: MemLevel,
+}
+
+/// A counter sample's code location, recorded once per fold.
+#[derive(Debug, Clone, Copy)]
+struct CounterRecord {
+    ip: u64,
+    /// As [`PebsRecord::stmt`].
+    stmt: u32,
+}
+
+/// The sample rows one fold pooled, each recorded once however many
+/// of its regions contain it. The fold's regions share it.
+#[derive(Debug, Default)]
+struct SampleTable {
+    pebs: Vec<PebsRecord>,
+    counter: Vec<CounterRecord>,
+}
+
+/// A sample table at least this large hands the allocator's free pages
+/// back to the system when it is dropped. A smaller fold (the paper's
+/// sampling pools a few thousand samples, in milliseconds) frees too
+/// little to matter, and the release walks every free list and makes
+/// the next allocations fault their pages in again.
+const RELEASE_BYTES: usize = 4 << 20;
+
+/// The table goes with the last region of its fold, after every other
+/// buffer of that fold's result. Those buffers are tens of MiB below
+/// glibc's dynamic mmap threshold, so glibc serves them from its heap
+/// and, once they are freed, keeps them resident: up to twice that
+/// threshold at the top of the heap, and any amount below a live
+/// allocation. What a process held after a large fold then depended on
+/// what it had allocated before; returning the free pages makes it the
+/// same every time.
+impl Drop for SampleTable {
+    fn drop(&mut self) {
+        let bytes = size_of_val(&*self.pebs) + size_of_val(&*self.counter);
+        (self.pebs, self.counter) = (Vec::new(), Vec::new());
+        if bytes >= RELEASE_BYTES {
+            release_free_memory();
+        }
+    }
+}
+
+/// Return the allocator's free pages to the system: glibc's
+/// `malloc_trim`; nothing where the allocator is another one.
+fn release_free_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and only gives back
+        // pages of chunks that are already free.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// One sample as pooled into one region.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    /// The sample's normalized time in the instance holding it.
+    pub(crate) x: f64,
+    /// Index of its record: in [`SampleTable::pebs`] when the
+    /// [`PEBS`] bit is set, else in [`SampleTable::counter`] (or
+    /// [`UNRECORDED`]).
+    sample: u32,
+    /// A PEBS sample: the index of the instance holding it. A counter
+    /// sample: its index in the region's [`CounterSamples`], or [`NONE`]
+    /// where no counter advanced in its instance.
+    aux: u32,
+}
+
+impl Entry {
+    fn is_pebs(&self) -> bool {
+        self.sample & PEBS != 0
+    }
+
+    /// The index of the counter sample this entry pools, if it pools
+    /// one that some counter panel reads.
+    pub(crate) fn counter_sample(&self) -> Option<usize> {
+        (!self.is_pebs() && self.aux != NONE).then_some(self.aux as usize)
+    }
+}
+
 /// All pooled samples of one folded region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality compares the panels ([`Self::counter_xy`],
+/// [`Self::addr_points`], [`Self::line_points`], [`Self::files`]), not
+/// how they are stored: two regions of one fold share a sample table.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct PooledSamples {
     /// Per counter kind (indexed by [`EventKind::index`]): normalized
     /// sample times. `counter_xs[k][i]` pairs with `counter_ys[k][i]`.
     pub(crate) counter_xs: Vec<Vec<f64>>,
     /// Normalized counter progress, parallel to `counter_xs`.
     pub(crate) counter_ys: Vec<Vec<f64>>,
-    pub addr_points: Vec<AddrPoint>,
-    pub line_points: Vec<LinePoint>,
+    /// One per sample pooled into this region, in trace order until the
+    /// fold orders them by `x`: the line panel, and where they name a
+    /// PEBS record the address panel.
+    pub(crate) entries: Vec<Entry>,
+    /// The records `entries` name.
+    table: Arc<SampleTable>,
+    /// Per statement a sample of this region named: its interned file
+    /// and line (indexed by a record's `stmt`).
+    lines: Vec<Option<(FileId, u32)>>,
     /// Interned source-file names referenced by [`LinePoint::file`].
     pub(crate) files: Vec<Arc<str>>,
 }
@@ -93,14 +221,86 @@ impl Default for PooledSamples {
         Self {
             counter_xs: vec![Vec::new(); NKINDS],
             counter_ys: vec![Vec::new(); NKINDS],
-            addr_points: Vec::new(),
-            line_points: Vec::new(),
+            entries: Vec::new(),
+            table: Arc::default(),
+            lines: Vec::new(),
             files: Vec::new(),
         }
     }
 }
 
+/// A view printed as the `Vec` it stands for.
+struct DebugList<I>(I);
+
+impl<I: Iterator<Item: fmt::Debug> + Clone> fmt::Debug for DebugList<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.clone()).finish()
+    }
+}
+
+/// The text a struct of the five panels prints: the views print as the
+/// `Vec`s they stand for.
+impl fmt::Debug for PooledSamples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PooledSamples")
+            .field("counter_xs", &self.counter_xs)
+            .field("counter_ys", &self.counter_ys)
+            .field("addr_points", &DebugList(self.addr_points()))
+            .field("line_points", &DebugList(self.line_points()))
+            .field("files", &self.files)
+            .finish()
+    }
+}
+
+impl PartialEq for PooledSamples {
+    fn eq(&self, other: &Self) -> bool {
+        self.counter_xs == other.counter_xs
+            && self.counter_ys == other.counter_ys
+            && self.addr_points().eq(other.addr_points())
+            && self.line_points().eq(other.line_points())
+            && self.files == other.files
+    }
+}
+
 impl PooledSamples {
+    /// Panels built from explicit points, pooled as a fold would pool
+    /// them: each address point is a PEBS sample, so it is also a point
+    /// of the line panel (with its ip, and file and line unresolved),
+    /// and each line point is a counter sample that advanced no
+    /// counter. The line panel lists the address points' lines, then
+    /// `line_points`. `files` is the table [`LinePoint::file`] indexes;
+    /// a line point names both a file and a line, or neither.
+    pub fn from_points(files: &[&str], addr_points: &[AddrPoint], line_points: &[LinePoint]) -> Self {
+        let mut out = Self { files: files.iter().map(|&f| Arc::from(f)).collect(), ..Self::default() };
+        let mut table = SampleTable::default();
+        for (i, p) in addr_points.iter().enumerate() {
+            table.pebs.push(PebsRecord {
+                ip: p.ip,
+                addr: p.addr,
+                object: p.object,
+                latency: p.latency,
+                stmt: NONE,
+                is_store: p.is_store,
+                source: p.source,
+            });
+            out.entries.push(Entry { x: p.x, sample: PEBS | i as u32, aux: p.instance as u32 });
+        }
+        for (i, p) in line_points.iter().enumerate() {
+            let stmt = match (p.file, p.line) {
+                (Some(file), Some(line)) => {
+                    out.lines.push(Some((file, line)));
+                    (out.lines.len() - 1) as u32
+                }
+                (None, None) => NONE,
+                _ => panic!("a line point names both a file and a line, or neither"),
+            };
+            table.counter.push(CounterRecord { ip: p.ip, stmt });
+            out.entries.push(Entry { x: p.x, sample: i as u32, aux: NONE });
+        }
+        out.table = Arc::new(table);
+        out
+    }
+
     /// The (times, progress) SoA buffers pooled for one counter.
     pub fn counter_xy(&self, kind: EventKind) -> (&[f64], &[f64]) {
         (&self.counter_xs[kind.index()], &self.counter_ys[kind.index()])
@@ -110,6 +310,45 @@ impl PooledSamples {
     pub fn counter_points(&self, kind: EventKind) -> impl Iterator<Item = (f64, f64)> + '_ {
         let (xs, ys) = self.counter_xy(kind);
         xs.iter().copied().zip(ys.iter().copied())
+    }
+
+    /// The address panel: one point per PEBS sample pooled, ordered by
+    /// `x` (ties in trace order) once the fold has run.
+    pub fn addr_points(&self) -> impl Iterator<Item = AddrPoint> + Clone + '_ {
+        self.entries.iter().filter(|e| e.is_pebs()).map(|e| {
+            let r = &self.table.pebs[(e.sample & !PEBS) as usize];
+            AddrPoint {
+                x: e.x,
+                addr: r.addr,
+                ip: r.ip,
+                is_store: r.is_store,
+                latency: r.latency,
+                source: r.source,
+                object: r.object,
+                instance: e.aux as usize,
+            }
+        })
+    }
+
+    /// The code-line panel: one point per sample pooled, PEBS and
+    /// counter samples alike, ordered by `x` (ties in trace order) once
+    /// the fold has run.
+    pub fn line_points(&self) -> impl ExactSizeIterator<Item = LinePoint> + Clone + '_ {
+        self.entries.iter().map(|e| {
+            let index = (e.sample & !PEBS) as usize;
+            let (ip, stmt) = if e.is_pebs() {
+                let r = &self.table.pebs[index];
+                (r.ip, r.stmt)
+            } else {
+                let r = &self.table.counter[index];
+                (r.ip, r.stmt)
+            };
+            let (file, line) = match self.lines.get(stmt as usize) {
+                Some(&Some((file, line))) => (Some(file), Some(line)),
+                _ => (None, None),
+            };
+            LinePoint { x: e.x, ip, file, line }
+        })
     }
 
     /// Intern a source-file name, returning its id (existing entries
@@ -134,9 +373,8 @@ impl PooledSamples {
 
     /// Total pooled sample count (all panels).
     pub fn len(&self) -> usize {
-        self.counter_xs.iter().map(Vec::len).sum::<usize>()
-            + self.addr_points.len()
-            + self.line_points.len()
+        let addr_len = self.entries.iter().filter(|e| e.is_pebs()).count();
+        self.counter_xs.iter().map(Vec::len).sum::<usize>() + addr_len + self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -150,8 +388,7 @@ impl PooledSamples {
         for (xs, ys) in self.counter_xs.iter_mut().zip(&mut self.counter_ys) {
             sort_counter(xs, ys);
         }
-        sort_by_x(&mut self.addr_points, |p| p.x);
-        sort_by_x(&mut self.line_points, |p| p.x);
+        sort_by_x(&mut self.entries, |e| e.x);
     }
 }
 
@@ -213,15 +450,13 @@ impl CounterSamples {
 
     /// Append the panels to `panels` (empty, as [`Self::reserve_panels`]
     /// makes them) in [`sort_counter`]'s (x, y) order, freeing the
-    /// samples. The samples are ordered once, stably by `x`, and each
-    /// panel takes its points in that order, so it only has to order
-    /// each run of equal `x` by `y`. A NaN-free multiset of pairs
-    /// without `-0.0` has one sorted sequence, so this is exactly
-    /// `sort_counter`'s result.
-    pub fn sort_into(self, panels: &mut CounterPanels) {
-        let mut order: Vec<(f64, usize)> = self.xs.iter().copied().zip(0..).collect();
-        sort_by_x(&mut order, |p| p.0);
-        self.gather(order.into_iter().map(|(_, i)| i), panels);
+    /// samples. `by_x` lists every sample's index in a stable order of
+    /// the samples by `x`, and each panel takes its points in that
+    /// order, so it only has to order each run of equal `x` by `y`. A
+    /// NaN-free multiset of pairs without `-0.0` has one sorted
+    /// sequence, so this is exactly `sort_counter`'s result.
+    pub fn sort_into(self, by_x: impl Iterator<Item = usize>, panels: &mut CounterPanels) {
+        self.gather(by_x, panels);
         for (xs, ys) in panels.0.iter().zip(&mut panels.1) {
             let mut start = 0;
             for end in 1..=xs.len() {
@@ -437,27 +672,17 @@ impl InstanceIndex {
     }
 }
 
-/// Source coordinates of the statements one region has sampled so far,
-/// by [`SourceMap::index_of`]; a statement is resolved and its file
-/// interned the first time a sample names it (each region owns its
-/// string table, so ids are region-local and in first-appearance
-/// order).
-type LineTable = Vec<Option<(FileId, u32)>>;
-
-fn resolve_line(
-    source: &SourceMap,
-    table: &mut LineTable,
-    samples: &mut PooledSamples,
-    ip: u64,
-) -> (Option<FileId>, Option<u32>) {
-    let Some(i) = source.index_of(Ip(ip)) else {
-        return (None, None);
-    };
-    let (file, line) = *table[i].get_or_insert_with(|| {
+/// Make sure region `out` knows the statement `stmt` names: the first
+/// time one of its samples names it, resolve it and intern its file
+/// (each region owns its string table, so ids are region-local and in
+/// first-appearance order). A region with no statement table (a
+/// performance-only fold) and a statement of [`NONE`] resolve nothing.
+fn resolve_line(source: &SourceMap, out: &mut PooledSamples, ip: u64, stmt: u32) {
+    if let Some(None) = out.lines.get(stmt as usize) {
         let loc = source.resolve(Ip(ip)).expect("index_of found it");
-        (samples.intern_file(&loc.file), loc.line)
-    });
-    (Some(file), Some(line))
+        let file = out.intern_file(&loc.file);
+        out.lines[stmt as usize] = Some((file, loc.line));
+    }
 }
 
 /// The panels a fold fills.
@@ -500,20 +725,21 @@ pub fn pool_all(trace: &Trace, kept: &[&[RegionInstance]]) -> Vec<PooledSamples>
 }
 
 /// Pooling as a column kernel: fed the sample rows of a trace batch by
-/// batch, **in trace order**, it appends to each slot's panels in that
-/// order — which, with the stable per-panel sorts downstream, is what
-/// keeps the address and line panels byte-identical across containers
-/// and chunkings. The accumulators, per-core spans and per-slot line
-/// tables carry across batches.
+/// batch, **in trace order**, it records each sample the first time it
+/// lands in a kept instance and appends one entry per containing region
+/// in that order — which, with the stable order by `x` downstream, is
+/// what keeps the panels byte-identical across containers and
+/// chunkings. The table, the per-core spans and the per-region
+/// statement tables carry across batches.
 pub(crate) struct Pooler<'a> {
     source: &'a SourceMap,
-    /// Under [`Panels::Performance`] no line point is pooled.
+    /// Under [`Panels::Performance`] no sample is recorded.
     panels: Panels,
     kept: &'a [&'a [RegionInstance]],
     indices: Vec<InstanceIndex>,
     /// Per slot, per kept instance: the counters that advanced in it.
     advanced: Vec<Vec<Advanced>>,
-    lines: Vec<LineTable>,
+    table: SampleTable,
     out: Vec<PooledSamples>,
     counters: Vec<CounterSamples>,
 }
@@ -539,22 +765,55 @@ impl Advanced {
 impl<'a> Pooler<'a> {
     /// `header` supplies the source map and the core count.
     pub(crate) fn new(header: &'a Trace, kept: &'a [&'a [RegionInstance]], panels: Panels) -> Self {
+        let statements = if panels == Panels::All { header.source.len() } else { 0 };
         Self {
             source: &header.source,
             panels,
             kept,
             indices: kept.iter().map(|k| InstanceIndex::new(k, header.meta.num_cores)).collect(),
             advanced: kept.iter().map(|k| k.iter().map(Advanced::new).collect()).collect(),
-            lines: vec![vec![None; header.source.len()]; kept.len()],
-            out: kept.iter().map(|_| PooledSamples::default()).collect(),
+            table: SampleTable::default(),
+            out: kept
+                .iter()
+                .map(|_| PooledSamples { lines: vec![None; statements], ..PooledSamples::default() })
+                .collect(),
             counters: kept.iter().map(|_| CounterSamples::default()).collect(),
         }
     }
 
+    fn stmt(&self, ip: u64) -> u32 {
+        self.source.index_of(Ip(ip)).map_or(NONE, |i| i as u32)
+    }
+
+    /// Record a counter sample: its `sample` field and statement
+    /// ([`UNRECORDED`] and [`NONE`] under [`Panels::Performance`]).
+    fn record_counter(&mut self, ip: u64) -> (u32, u32) {
+        if self.panels == Panels::Performance {
+            return (UNRECORDED, NONE);
+        }
+        let stmt = self.stmt(ip);
+        self.table.counter.push(CounterRecord { ip, stmt });
+        (record_index(self.table.counter.len()), stmt)
+    }
+
+    /// Record a PEBS sample: its `sample` field and statement.
+    fn record_pebs(&mut self, sample: PebsSample, object: Option<ObjectId>) -> (u32, u32) {
+        let stmt = self.stmt(sample.ip);
+        self.table.pebs.push(PebsRecord {
+            ip: sample.ip,
+            addr: sample.addr,
+            object,
+            latency: sample.latency,
+            stmt,
+            is_store: sample.is_store,
+            source: sample.source,
+        });
+        (PEBS | record_index(self.table.pebs.len()), stmt)
+    }
+
     /// Consume the counter-sample and PEBS rows of one batch (other
-    /// rows are ignored). Payload columns are read only for rows that
-    /// fall inside a kept instance, and a counter sample's line only
-    /// when the line panel is filled.
+    /// rows are ignored). Payload columns are read, and the sample
+    /// recorded, only for rows that fall inside a kept instance.
     pub(crate) fn push(&mut self, batch: &EventBatch<'_>) {
         for row in batch.rows() {
             match row.view {
@@ -564,22 +823,25 @@ impl<'a> Pooler<'a> {
                         let Some(idx) = self.indices[slot].lookup(row.core, row.cycles) else {
                             continue;
                         };
-                        let (ip, counters) = *payload.get_or_insert_with(|| (s.ip().0, s.counters()));
-                        let out = &mut self.out[slot];
+                        let (ip, counters, (sample, stmt)) = *payload.get_or_insert_with(|| {
+                            let ip = s.ip().0;
+                            (ip, s.counters(), self.record_counter(ip))
+                        });
                         let x = self.kept[slot][idx].normalize(row.cycles);
                         let advanced = &self.advanced[slot][idx];
+                        let mut aux = NONE;
                         if advanced.mask != 0 {
                             let mut ys = [0.0; NKINDS];
                             for &(kind, c0, c1) in &advanced.counters {
                                 let c = counters.get(kind).clamp(c0, c1);
                                 ys[kind.index()] = (c - c0) as f64 / (c1 - c0) as f64;
                             }
+                            aux = self.counters[slot].len() as u32;
                             self.counters[slot].push(x, advanced.mask, &ys);
                         }
-                        if self.panels == Panels::All {
-                            let (file, line) = resolve_line(self.source, &mut self.lines[slot], out, ip);
-                            out.line_points.push(LinePoint { x, ip, file, line });
-                        }
+                        let out = &mut self.out[slot];
+                        resolve_line(self.source, out, ip, stmt);
+                        out.entries.push(Entry { x, sample, aux });
                     }
                 }
                 RowView::Pebs(p) => {
@@ -588,23 +850,14 @@ impl<'a> Pooler<'a> {
                         let Some(idx) = self.indices[slot].lookup(row.core, row.cycles) else {
                             continue;
                         };
-                        let (sample, object) =
-                            *payload.get_or_insert_with(|| (p.sample(), p.object()));
+                        let (ip, (sample, stmt)) = *payload.get_or_insert_with(|| {
+                            let sample = p.sample();
+                            (sample.ip, self.record_pebs(sample, p.object()))
+                        });
                         let out = &mut self.out[slot];
                         let x = self.kept[slot][idx].normalize(row.cycles);
-                        out.addr_points.push(AddrPoint {
-                            x,
-                            addr: sample.addr,
-                            ip: sample.ip,
-                            is_store: sample.is_store,
-                            latency: sample.latency,
-                            source: sample.source,
-                            object,
-                            instance: idx,
-                        });
-                        let (file, line) =
-                            resolve_line(self.source, &mut self.lines[slot], out, sample.ip);
-                        out.line_points.push(LinePoint { x, ip: sample.ip, file, line });
+                        resolve_line(self.source, out, ip, stmt);
+                        out.entries.push(Entry { x, sample, aux: idx as u32 });
                     }
                 }
                 _ => {}
@@ -612,11 +865,33 @@ impl<'a> Pooler<'a> {
         }
     }
 
-    /// Per slot: the address and line panels, and the counter samples
-    /// the counter panels are derived from.
-    pub(crate) fn finish(self) -> (Vec<PooledSamples>, Vec<CounterSamples>) {
-        (self.out, self.counters)
+    /// Per slot: the entries in trace order, sharing the fold's sample
+    /// table, and the counter samples the counter panels are derived
+    /// from. Each buffer first gives back its growth slack (a `Vec`
+    /// grown by doubling may hold up to twice what it uses), so the
+    /// counter panels are reserved next to buffers of their exact size
+    /// and a fold's result holds no slack for as long as it lives.
+    pub(crate) fn finish(mut self) -> (Vec<PooledSamples>, Vec<CounterSamples>) {
+        self.table.pebs.shrink_to_fit();
+        self.table.counter.shrink_to_fit();
+        for p in &mut self.out {
+            p.entries.shrink_to_fit();
+        }
+        for c in &mut self.counters {
+            c.xs.shrink_to_fit();
+            c.masks.shrink_to_fit();
+            c.ys.shrink_to_fit();
+        }
+        let table = Arc::new(self.table);
+        let out = self.out.into_iter().map(|p| PooledSamples { table: Arc::clone(&table), ..p }).collect();
+        (out, self.counters)
     }
+}
+
+/// The index of the last of `len` records, which must leave the
+/// [`PEBS`] bit clear.
+fn record_index(len: usize) -> u32 {
+    u32::try_from(len - 1).ok().filter(|&i| i & PEBS == 0).expect("fewer than 2^31 samples per fold")
 }
 
 #[cfg(test)]
@@ -699,7 +974,7 @@ mod tests {
         // 2 counter samples inside instances (the t=150 one dropped).
         assert_eq!(p.counter_xy(EventKind::Instructions).0.len(), 2);
         // line points: 2 counter samples + 1 pebs = 3.
-        assert_eq!(p.line_points.len(), 3);
+        assert_eq!(p.line_points().len(), 3);
     }
 
     #[test]
@@ -707,8 +982,8 @@ mod tests {
         let tr = make_trace();
         let inst = kept(&tr);
         let p = pool_one(&tr, &inst);
-        assert_eq!(p.addr_points.len(), 1);
-        let a = p.addr_points[0];
+        assert_eq!(p.addr_points().count(), 1);
+        let a = p.addr_points().next().unwrap();
         assert_eq!(a.addr, 0xAAAA);
         assert!(a.is_store);
         assert_eq!(a.source, MemLevel::L2);
@@ -721,7 +996,7 @@ mod tests {
         let tr = make_trace();
         let inst = kept(&tr);
         let p = pool_one(&tr, &inst);
-        let lp = p.line_points[0];
+        let lp = p.line_points().next().unwrap();
         assert_eq!(lp.file_name(&p), Some("k.cpp"));
         assert_eq!(lp.line, Some(42));
         assert_eq!(p.files().len(), 1, "one distinct file interned once");
@@ -864,6 +1139,87 @@ mod tests {
         assert_eq!(lens, [3, 3]);
     }
 
+    /// Two nested regions on one core: `inner` runs twice inside each
+    /// of two `outer` instances, and both see counter samples (one in an
+    /// instance where no counter advances) and PEBS samples from two
+    /// source files, some outside `inner`.
+    fn nested_trace() -> Trace {
+        let mut t = Tracer::new(TracerConfig::default(), 1);
+        let (a, b) = (t.location("a.cpp", 1, "a"), t.location("b.cpp", 2, "b"));
+        let pebs = |t: &mut Tracer, ip: mempersp_extrae::Ip, at: u64| {
+            t.record_pebs(PebsSample {
+                timestamp: at,
+                core: 0,
+                ip: ip.0,
+                addr: 0x1000 + at,
+                size: 8,
+                is_store: at.is_multiple_of(3),
+                latency: at as u32 % 50,
+                source: MemLevel::L3,
+                tlb_miss: false,
+            })
+        };
+        for k in 0..2u64 {
+            let (t0, c0) = (k * 1000, k * 10_000);
+            t.enter(0, "outer", ctr(c0), t0);
+            pebs(&mut t, b, t0 + 50);
+            for j in 0..2u64 {
+                let (s, c) = (t0 + 100 + j * 300, c0 + 1000 + j * 3000);
+                // The second inner instance of each outer advances no
+                // counter: its counter sample pools into no panel.
+                let end = if j == 0 { c + 2000 } else { c };
+                t.enter(0, "inner", ctr(c), s);
+                t.record_counter_sample(0, a, ctr(c + if j == 0 { 500 } else { 0 }), s + 100);
+                pebs(&mut t, a, s + 100);
+                pebs(&mut t, b, s + 150);
+                t.exit(0, "inner", ctr(end), s + 200);
+            }
+            t.record_counter_sample(0, b, ctr(c0 + 9000), t0 + 900);
+            t.exit(0, "outer", ctr(c0 + 10_000), t0 + 1000);
+        }
+        t.finish("nested")
+    }
+
+    /// `{:?}` and `{:#?}` of a fold, and `==`, are what they were when
+    /// the panels were fields: the views print as the `Vec`s they stand
+    /// for, in the order of the derived `Debug` of those fields.
+    #[test]
+    fn debug_text_is_the_derived_text_of_the_five_panels() {
+        mod mirror {
+            use super::{AddrPoint, Arc, LinePoint};
+            #[derive(Debug)]
+            #[allow(dead_code)] // read only through Debug
+            pub struct PooledSamples {
+                pub counter_xs: Vec<Vec<f64>>,
+                pub counter_ys: Vec<Vec<f64>>,
+                pub addr_points: Vec<AddrPoint>,
+                pub line_points: Vec<LinePoint>,
+                pub files: Vec<Arc<str>>,
+            }
+        }
+        let mirror = |p: &PooledSamples| mirror::PooledSamples {
+            counter_xs: p.counter_xs.clone(),
+            counter_ys: p.counter_ys.clone(),
+            addr_points: p.addr_points().collect(),
+            line_points: p.line_points().collect(),
+            files: p.files.clone(),
+        };
+        let tr = nested_trace();
+        let (outer, inner) = (instances_of(&tr, "outer"), instances_of(&tr, "inner"));
+        for mut p in pool_all(&tr, &[&outer, &inner]) {
+            p.sort_deterministic();
+            assert!(p.addr_points().count() > 0 && p.line_points().len() > p.addr_points().count());
+            assert!(!p.counter_xs[EventKind::Instructions.index()].is_empty());
+            assert_eq!(p.files().len(), 2);
+            assert_eq!(format!("{p:?}"), format!("{:?}", mirror(&p)));
+            assert_eq!(format!("{p:#?}"), format!("{:#?}", mirror(&p)));
+            assert_eq!(p, p.clone());
+        }
+        let empty = PooledSamples::default();
+        assert_eq!(format!("{empty:?}"), format!("{:?}", mirror(&empty)));
+        assert_eq!(format!("{empty:#?}"), format!("{:#?}", mirror(&empty)));
+    }
+
     #[test]
     fn pool_all_matches_per_region_pooling() {
         let tr = make_trace();
@@ -872,5 +1228,22 @@ mod tests {
         multi.sort_deterministic();
         let single = pool_one(&tr, &inst);
         assert_eq!(format!("{multi:?}"), format!("{single:?}"));
+        assert_eq!(multi, single);
+
+        // `inner` pooled beside `outer` names records in a table that
+        // also holds `outer`'s own samples; alone, it names its own.
+        let tr = nested_trace();
+        let (outer, inner) = (instances_of(&tr, "outer"), instances_of(&tr, "inner"));
+        let mut both = pool_all(&tr, &[&outer, &inner]);
+        assert!(Arc::ptr_eq(&both[0].table, &both[1].table));
+        assert!(both[1].table.pebs.len() > both[1].addr_points().count());
+        for (slot, instances) in [(0, &outer), (1, &inner)] {
+            let shared = &mut both[slot];
+            shared.sort_deterministic();
+            let alone = pool_one(&tr, instances);
+            assert_eq!(format!("{shared:?}"), format!("{alone:?}"));
+            assert_eq!(*shared, alone);
+        }
+        assert_ne!(both[0], both[1]);
     }
 }

@@ -1,10 +1,14 @@
 //! Property-based tests for the Folding mechanism.
 
-use mempersp_extrae::{Tracer, TracerConfig};
+use mempersp_extrae::{CodeLocation, EventPayload, Ip, Trace, Tracer, TracerConfig};
 use mempersp_folding::pava::pava_nondecreasing;
 use mempersp_folding::pool::{sort_by_x, sort_counter, CounterSamples};
-use mempersp_folding::{fold_region, FoldingConfig, MonotoneCurve};
-use mempersp_pebs::{CounterSnapshot, EventKind};
+use mempersp_folding::{
+    collect_instances_multi, fold_performance_source, fold_region, fold_regions, AddrPoint,
+    FoldingConfig, InstanceFilter, MonotoneCurve, RegionRequest,
+};
+use mempersp_memsim::MemLevel;
+use mempersp_pebs::{CounterSnapshot, EventKind, PebsSample};
 use proptest::prelude::*;
 
 /// A folded coordinate: spread over [0, 1], or one of the values a
@@ -53,6 +57,198 @@ fn counter_sample() -> impl Strategy<Value = (f64, u16, [f64; NKINDS])> {
         }
         (x, mask, row)
     })
+}
+
+/// One sample of an `outer` instance: its offset from the instance's
+/// entry cycle (0..=40; on the entry or exit cycle, or on an `inner`
+/// boundary, often), whether it is a PEBS sample, which of three
+/// statements it names (the third is not in the source map), and a
+/// jitter on its counter readings.
+type Sample = (u64, bool, usize, u64);
+
+fn sample() -> impl Strategy<Value = Sample> {
+    let offset = prop_oneof![
+        0u64..41,
+        0u64..41,
+        Just(0),
+        Just(40),
+        Just(8),
+        Just(24),
+        Just(26),
+        Just(38)
+    ];
+    (offset, any::<bool>(), 0usize..3, 0u64..3)
+}
+
+/// One `outer` instance: whether its counters stand still (then none
+/// of its counter samples advances a counter, in `outer` or `inner`),
+/// and its samples in time order.
+fn outer_instance() -> impl Strategy<Value = (bool, Vec<Sample>)> {
+    (
+        (0u32..4).prop_map(|r| r == 0),
+        prop::collection::vec(sample(), 0..14),
+    )
+        .prop_map(|(stalled, mut samples)| {
+            samples.sort_by_key(|s| s.0);
+            (stalled, samples)
+        })
+}
+
+/// Two cores run the same number of `outer` instances, 100 cycles
+/// apart and 3 cycles out of step, so their rows interleave and equal
+/// folded times abound across cores. Each `outer` (40 cycles) holds
+/// two `inner` instances, [8, 24] and [26, 38]. Counter `k` advances
+/// `k % 3` per cycle, so four counters never advance.
+fn nested_two_core_trace(outers: &[(bool, Vec<Sample>)]) -> Trace {
+    let mut t = Tracer::new(TracerConfig::default(), 2);
+    let ips = [
+        t.location("a.cpp", 10, "a"),
+        t.location("b.cpp", 20, "b"),
+        Ip(0xdead_0000),
+    ];
+    let base = t.malloc(1 << 16, &CodeLocation::new("alloc.cpp", 5, "alloc"), 0);
+    let per_core = outers.len().div_ceil(2);
+    for k in 0..per_core {
+        for core in 0..2 {
+            let Some((stalled, samples)) = outers.get(2 * k + core) else {
+                continue;
+            };
+            let t0 = k as u64 * 100 + core as u64 * 3;
+            let reading = |at: u64, jitter: u64| {
+                let mut v = [0u64; NKINDS];
+                for (i, v) in v.iter_mut().enumerate() {
+                    *v = 1000 * k as u64
+                        + if *stalled {
+                            0
+                        } else {
+                            (i % 3) as u64 * (at - t0) + jitter
+                        };
+                }
+                CounterSnapshot::from_values(v)
+            };
+            // 0: enter outer, 1: enter inner, 2: exit inner, 3: exit outer.
+            let events = [
+                (t0, 0),
+                (t0 + 8, 1),
+                (t0 + 24, 2),
+                (t0 + 26, 1),
+                (t0 + 38, 2),
+                (t0 + 40, 3),
+            ];
+            let mut samples = samples.iter().peekable();
+            for (at, what) in events {
+                // Samples on an entry cycle follow the entry; on an exit
+                // cycle they precede the exit.
+                while let Some(&&(off, pebs, ip, jitter)) = samples.peek() {
+                    if t0 + off > at || (t0 + off == at && what == 0) {
+                        break;
+                    }
+                    samples.next();
+                    let now = t0 + off;
+                    if pebs {
+                        t.record_pebs(PebsSample {
+                            timestamp: now,
+                            core,
+                            ip: ips[ip].0,
+                            addr: if off % 2 == 0 {
+                                base + off * 8
+                            } else {
+                                0x10 + off
+                            },
+                            size: 8,
+                            is_store: jitter == 0,
+                            latency: off as u32,
+                            source: MemLevel::L2,
+                            tlb_miss: false,
+                        });
+                    } else {
+                        t.record_counter_sample(core, ips[ip], reading(now, jitter), now);
+                    }
+                }
+                match what {
+                    0 => drop(t.enter(core, "outer", reading(at, 0), at)),
+                    1 => drop(t.enter(core, "inner", reading(at, 0), at)),
+                    2 => t.exit(core, "inner", reading(at, 0), at),
+                    _ => t.exit(core, "outer", reading(at, 0), at),
+                }
+            }
+        }
+    }
+    t.finish("nested, two cores")
+}
+
+/// A code-line point with its file resolved to a name.
+type Line = (f64, u64, Option<String>, Option<u32>);
+
+/// One region's three panels.
+struct Panels {
+    addrs: Vec<AddrPoint>,
+    lines: Vec<Line>,
+    /// Per counter kind, (x, y) points.
+    counters: Vec<Vec<(f64, f64)>>,
+}
+
+/// One region's three panels as independent stable sorts make them:
+/// the address and line points by `x`, each counter's points by
+/// (x, y), all starting from trace order.
+fn stable_sorted_panels(trace: &Trace, region: &str) -> Panels {
+    let id = trace.region_id(region).unwrap();
+    let keep_all = InstanceFilter {
+        mad_k: f64::INFINITY,
+        min_fraction_of_max: 0.0,
+    };
+    let (instances, _) = collect_instances_multi(trace, &[id], &[keep_all]).swap_remove(0);
+    let (mut addrs, mut lines, mut counters) = (Vec::new(), Vec::new(), vec![Vec::new(); NKINDS]);
+    for e in &trace.events {
+        let Some(instance) = instances
+            .iter()
+            .position(|i| i.core == e.core && i.contains(e.cycles))
+        else {
+            continue;
+        };
+        let inst = &instances[instance];
+        let x = inst.normalize(e.cycles);
+        let ip = match &e.payload {
+            EventPayload::CounterSample {
+                ip, counters: c, ..
+            } => {
+                for kind in EventKind::ALL {
+                    let (c0, c1) = (inst.counters_in.get(kind), inst.counters_out.get(kind));
+                    if c1 > c0 {
+                        let y = (c.get(kind).clamp(c0, c1) - c0) as f64 / (c1 - c0) as f64;
+                        counters[kind.index()].push((x, y));
+                    }
+                }
+                ip.0
+            }
+            EventPayload::Pebs { sample, object } => {
+                addrs.push(AddrPoint {
+                    x,
+                    addr: sample.addr,
+                    ip: sample.ip,
+                    is_store: sample.is_store,
+                    latency: sample.latency,
+                    source: sample.source,
+                    object: *object,
+                    instance,
+                });
+                sample.ip
+            }
+            _ => continue,
+        };
+        let loc = trace.source.resolve(Ip(ip));
+        lines.push((x, ip, loc.map(|l| l.file.clone()), loc.map(|l| l.line)));
+    }
+    addrs.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap());
+    lines.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    for c in &mut counters {
+        c.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    Panels {
+        addrs,
+        lines,
+        counters,
+    }
 }
 
 proptest! {
@@ -116,13 +312,55 @@ proptest! {
         for (xs, ys) in &mut want {
             sort_counter(xs, ys);
         }
+        let mut by_x: Vec<(f64, usize)> = samples.iter().map(|s| s.0).zip(0..).collect();
+        by_x.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         let mut panels = pooled.reserve_panels();
-        pooled.sort_into(&mut panels);
+        pooled.sort_into(by_x.into_iter().map(|(_, i)| i), &mut panels);
         let got: Vec<(Vec<f64>, Vec<f64>)> = panels.0.into_iter().zip(panels.1).collect();
         if dead < NKINDS {
             prop_assert!(want[dead].0.is_empty());
         }
         prop_assert_eq!(got, want);
+    }
+
+    /// A fold orders each region once, and its three panels come out of
+    /// that one order: the address panel, the line panel and the twelve
+    /// counter panels of both nested regions each equal an independent
+    /// stable sort of that panel, at one worker and at two. Folded times
+    /// repeat (0.0, 1.0, inner boundaries, the same offset on both
+    /// cores, a counter and a PEBS sample on one cycle), some counter
+    /// samples advance no counter, and a PEBS sample in `inner` sits in
+    /// `outer` too, in an instance of another index. A performance-only
+    /// fold, which orders its counter samples the same way, has the same
+    /// counter panels and no address or line panel.
+    #[test]
+    fn one_order_gives_three_panels(outers in prop::collection::vec(outer_instance(), 1..9)) {
+        let trace = nested_two_core_trace(&outers);
+        let keep_all = InstanceFilter { mad_k: f64::INFINITY, min_fraction_of_max: 0.0 };
+        let cfg = FoldingConfig { filter: keep_all, ..FoldingConfig::default() };
+        let requests = [RegionRequest::with_cfg("outer", cfg), RegionRequest::with_cfg("inner", cfg)];
+        for threads in [1, 2] {
+            let folds = fold_regions(&trace, &requests, threads);
+            let (perf, _) = fold_performance_source(&mut &trace, &requests, threads).unwrap();
+            for ((req, fold), perf) in requests.iter().zip(folds).zip(perf) {
+                let (pooled, perf) = (fold.unwrap().pooled, perf.unwrap().pooled);
+                let want = stable_sorted_panels(&trace, &req.region);
+                let at = format!("{} at {threads} thread(s)", req.region);
+                prop_assert_eq!(pooled.addr_points().collect::<Vec<_>>(), want.addrs, "{}", at);
+                let got: Vec<Line> = pooled
+                    .line_points()
+                    .map(|l| (l.x, l.ip, l.file_name(&pooled).map(str::to_string), l.line))
+                    .collect();
+                prop_assert_eq!(got, want.lines, "{}", at);
+                for kind in EventKind::ALL {
+                    let got: Vec<(f64, f64)> = pooled.counter_points(kind).collect();
+                    prop_assert_eq!(&got, &want.counters[kind.index()], "{} {:?}", at, kind);
+                    prop_assert_eq!(perf.counter_xy(kind), pooled.counter_xy(kind), "{} {:?}", at, kind);
+                }
+                prop_assert_eq!(perf.addr_points().count() + perf.line_points().len(), 0);
+                prop_assert!(perf.files().is_empty());
+            }
+        }
     }
 
     /// PAVA output is non-decreasing, length-preserving, and preserves

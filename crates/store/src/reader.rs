@@ -522,9 +522,13 @@ impl StoreReader {
     }
 
     /// Run a query. Returns matching events in stored (trace) order
-    /// plus the scan's cost accounting.
+    /// plus the scan's cost accounting. A full scan reserves its result
+    /// once, from the index's event count: grown by doubling, the last
+    /// two buffers would be resident together, and by how much depends
+    /// on whether the allocator serves them from its heap or maps them.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut out = Vec::new();
+        let mut out =
+            if q.is_full_scan() { Vec::with_capacity(self.num_events() as usize) } else { Vec::new() };
         let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
             b.materialize_into(&mut out)
         })?;

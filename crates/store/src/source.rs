@@ -140,9 +140,13 @@ impl MpsSource {
     }
 
     /// Run a query. Returns matching events in stored (trace) order
-    /// plus the scan's cost accounting.
+    /// plus the scan's cost accounting. A full scan reserves its result
+    /// once, from the index's event count: grown by doubling, the last
+    /// two buffers would be resident together, and by how much depends
+    /// on whether the allocator serves them from its heap or maps them.
     pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut out = Vec::new();
+        let mut out =
+            if q.is_full_scan() { Vec::with_capacity(self.num_events() as usize) } else { Vec::new() };
         let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
             b.materialize_into(&mut out)
         })?;
@@ -278,6 +282,26 @@ mod tests {
         assert!(sm.chunks_skipped > 0, "selective query should prune chunks: {sm:?}");
         std::fs::remove_file(&prv).ok();
         std::fs::remove_file(&mps).ok();
+    }
+
+    #[test]
+    fn full_scan_reserves_its_result_once() {
+        let t = trace();
+        let mps = tmp("once.mps");
+        let dir = tmp("once.mps.d");
+        std::fs::remove_dir_all(&dir).ok();
+        write_store_chunked(&mps, &t, 4096).unwrap();
+        write_store_sharded(&dir, &t, 4096, 1500).unwrap();
+        for path in [&mps, &dir] {
+            let (events, _) = MpsSource::open(path).unwrap().query(&Query::all()).unwrap();
+            assert_eq!(events, t.events);
+            assert_eq!(events.capacity(), events.len(), "{}", path.display());
+        }
+        let src = MpsSource::open(&mps).unwrap();
+        let (events, _) = src.reader().unwrap().query(&Query::all()).unwrap();
+        assert_eq!(events.capacity(), events.len());
+        std::fs::remove_file(&mps).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

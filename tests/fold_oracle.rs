@@ -339,11 +339,10 @@ fn view_of(f: &FoldedRegion) -> View {
         freq_mhz: f.freq_mhz,
         counters: f.counters.clone(),
         counter_points: EventKind::ALL.iter().map(|k| f.pooled.counter_points(*k).collect()).collect(),
-        addr_points: f.pooled.addr_points.clone(),
+        addr_points: f.pooled.addr_points().collect(),
         line_points: f
             .pooled
-            .line_points
-            .iter()
+            .line_points()
             .map(|l| (l.x, l.ip, l.file.map(|id| id.0), l.line))
             .collect(),
         files: f.pooled.files().iter().map(|s| s.to_string()).collect(),
@@ -534,7 +533,7 @@ fn check_performance(
     }
     if let Some(full_bytes) = full_bytes {
         let paid = stats.payload_bytes_decoded;
-        let pebs_pooled = full.iter().flatten().any(|f| !f.pooled.addr_points.is_empty());
+        let pebs_pooled = full.iter().flatten().any(|f| f.pooled.addr_points().next().is_some());
         if paid > full_bytes || (pebs_pooled && paid == full_bytes) {
             return Err(format!("{at}: decoded {paid} payload bytes, the full fold {full_bytes}"));
         }

@@ -28,7 +28,7 @@ fn stream_trace_roundtrip_preserves_folding() {
     let b = fold_region(&loaded, "triad", &cfg).unwrap();
     assert_eq!(a.instances_used, b.instances_used);
     assert_eq!(a.avg_duration_cycles, b.avg_duration_cycles);
-    assert_eq!(a.pooled.addr_points, b.pooled.addr_points);
+    assert_eq!(a.pooled.addr_points().collect::<Vec<_>>(), b.pooled.addr_points().collect::<Vec<_>>());
     for (ca, cb) in a.counters.iter().zip(&b.counters) {
         assert_eq!(ca.curve, cb.curve);
         assert_eq!(ca.avg_total, cb.avg_total);
