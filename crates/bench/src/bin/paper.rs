@@ -1,0 +1,371 @@
+//! Regenerate the paper: Fig. 1 (ASCII panels plus the CSV + gnuplot
+//! bundle under `target/fig1/`), the derived tables T-A, T-B and T-C,
+//! and the ablations of DESIGN.md §6, printed as five sections in that
+//! order. HPCG is simulated once with grouped allocations (every
+//! section but T-B's ungrouped row reads it) and once without.
+//! EXPERIMENTS.md quotes this program's output.
+//!
+//! ```sh
+//! MEMPERSP_SCALE=large cargo run --release -p mempersp-bench --bin paper
+//! ```
+
+use mempersp_core::report::{ascii, figure};
+use mempersp_core::workflow::{analyze_hpcg, HpcgAnalysis};
+use mempersp_core::{Machine, MachineConfig, PebsCoreSelect};
+use mempersp_folding::{fold_region, FitModel, FoldingConfig};
+use mempersp_hpcg::generate::{expected_map_group_bytes, expected_matrix_group_bytes};
+use mempersp_hpcg::{Geometry, HpcgConfig, HpcgWorkload};
+use mempersp_memsim::ReplacementPolicy;
+use mempersp_workloads::StreamTriad;
+
+fn main() {
+    let scale = Scale::from_env();
+    eprintln!("regenerating the paper at {scale:?} scale ...");
+    let a = run_analysis(scale);
+    let ungrouped = run_ungrouped(scale);
+
+    println!("==> Fig. 1 <==");
+    fig1(&a);
+    println!("\n==> T-A <==");
+    table_a(&a);
+    println!("\n==> T-B <==");
+    table_b(scale.hpcg().nx, &a, &ungrouped);
+    println!("\n==> T-C <==");
+    table_c(&a);
+    println!("\n==> Ablations <==");
+    ablation_sampling();
+    ablation_machine();
+    // The fit-model rows always fold the quick-scale analysis.
+    match scale {
+        Scale::Quick => ablation_folding(&a),
+        Scale::Large => ablation_folding(&run_analysis(Scale::Quick)),
+    }
+}
+
+/// The HPCG problem size `MEMPERSP_SCALE` picks.
+#[derive(Debug, Clone, Copy)]
+enum Scale {
+    /// Seconds-fast: nx=8, 3 iterations, 2 cores (CI-friendly).
+    Quick,
+    /// The scale EXPERIMENTS.md quotes, closer to the paper's setup:
+    /// nx=48, 4 iterations, 4 cores.
+    Large,
+}
+
+impl Scale {
+    /// `MEMPERSP_SCALE=large` is [`Scale::Large`]; anything else,
+    /// unset included, is [`Scale::Quick`].
+    fn from_env() -> Self {
+        match std::env::var("MEMPERSP_SCALE").as_deref() {
+            Ok("large") => Scale::Large,
+            _ => Scale::Quick,
+        }
+    }
+
+    fn hpcg(&self) -> HpcgConfig {
+        let (nx, max_iters, mg_levels) = match self {
+            Scale::Quick => (8, 3, 3),
+            Scale::Large => (48, 4, 4),
+        };
+        HpcgConfig { nx, max_iters, mg_levels, group_allocations: true, use_mg: true }
+    }
+
+    fn machine(&self) -> MachineConfig {
+        match self {
+            Scale::Quick => {
+                let mut m = MachineConfig::small();
+                m.cores = 2;
+                m
+            }
+            Scale::Large => {
+                let mut m = MachineConfig::haswell(4);
+                m.counter_sample_period = 20_000;
+                m.mux_slice_cycles = 50_000;
+                // Cores are simulated through their solves one after
+                // another, so the traced rank would otherwise enjoy the
+                // whole shared L3; give it its per-core slice instead,
+                // which also restores the paper's matrix:LLC capacity
+                // ratio (60 MB : 6 MB ≈ the paper's 617 MB : 30 MB).
+                m.hierarchy.l3.size_bytes = 6 * 1024 * 1024;
+                m
+            }
+        }
+    }
+}
+
+/// Run the full work-flow at a given scale.
+fn run_analysis(scale: Scale) -> HpcgAnalysis {
+    analyze_hpcg(scale.machine(), scale.hpcg())
+}
+
+/// Run with grouping disabled (experiment T-B).
+fn run_ungrouped(scale: Scale) -> HpcgAnalysis {
+    let mut cfg = scale.hpcg();
+    cfg.group_allocations = false;
+    analyze_hpcg(scale.machine(), cfg)
+}
+
+/// Format a paper-vs-measured row.
+fn row(metric: &str, paper: &str, measured: &str, verdict: &str) -> String {
+    format!("{metric:<44} | {paper:>18} | {measured:>18} | {verdict}")
+}
+
+/// Header for the comparison tables.
+fn header() -> String {
+    format!(
+        "{}\n{}",
+        row("metric", "paper", "measured", "shape holds?"),
+        "-".repeat(100)
+    )
+}
+
+/// Fig. 1: the summary, the three folded panels, and the bundle.
+fn fig1(a: &HpcgAnalysis) {
+    println!("{}", a.summary());
+    println!("-- folded code-line panel (top panel of Fig. 1) -------------");
+    print!("{}", ascii::lines_panel(&a.folded_iteration, 96, 24));
+    println!("-- folded address panel (middle panel of Fig. 1) -----------");
+    print!("{}", ascii::address_panel(&a.folded_iteration, 96, 20));
+    println!("-- folded performance panel (bottom panel of Fig. 1) -------");
+    print!("{}", ascii::performance_panel(&a.folded_iteration, 80));
+
+    let dir = std::path::Path::new("target/fig1");
+    let files = figure::write_figure_bundle(
+        dir,
+        "fig1",
+        "HPCG — folded CG iteration (Servat et al. ICPP'17, Fig. 1)",
+        &a.folded_iteration,
+        &a.report.trace,
+        &a.phases,
+    )
+    .expect("write bundle");
+    std::fs::write(
+        dir.join("fig1_summary.json"),
+        serde_json::to_string_pretty(&a.json_summary()).expect("serialize"),
+    )
+    .expect("write json summary");
+    eprintln!("wrote {} files (+ fig1_summary.json) under {}", files.len(), dir.display());
+}
+
+/// T-A: per-phase traversal bandwidths (Section III's 4197 / 4315 /
+/// 6427 MB/s numbers).
+fn table_a(a: &HpcgAnalysis) {
+    let a1 = a.bandwidth("a1").unwrap_or(0.0);
+    let a2 = a.bandwidth("a2").unwrap_or(0.0);
+    let b = a.bandwidth("B").unwrap_or(0.0);
+    let e = a.bandwidth("E").unwrap_or(0.0);
+
+    println!("T-A: traversal bandwidths of the folded phases");
+    println!("{}", header());
+    println!("{}", row("a1 (SYMGS forward sweep) MB/s", "4197", &format!("{a1:.0}"), "-"));
+    println!("{}", row("a2 (SYMGS backward sweep) MB/s", "4315", &format!("{a2:.0}"), "-"));
+    println!("{}", row("B (SpMV) MB/s", "6427", &format!("{b:.0}"), "-"));
+    println!("{}", row("E (SpMV, CG level) MB/s", "n/a", &format!("{e:.0}"), "-"));
+    let paper_ratio = 6427.0 / 4197.0f64.max(4315.0);
+    let ratio = b / a1.max(a2);
+    println!(
+        "{}",
+        row(
+            "SpMV / SYMGS bandwidth ratio",
+            &format!("{paper_ratio:.2}"),
+            &format!("{ratio:.2}"),
+            if ratio > 1.1 { "yes (SpMV wins)" } else { "NO" },
+        )
+    );
+    let paper_sweeps = 4315.0 / 4197.0;
+    let sweeps = a1.max(a2) / a1.min(a2).max(1e-9);
+    println!(
+        "{}",
+        row(
+            "fwd vs bwd sweep ratio",
+            &format!("{paper_sweeps:.3}"),
+            &format!("{sweeps:.3}"),
+            if sweeps < 1.6 { "yes (comparable)" } else { "NO" },
+        )
+    );
+    println!(
+        "\nmean MIPS {:.0} (paper plateau ≈1500); IPC at nominal {:.2} (paper ≈0.6)",
+        a.folded_iteration.mean_mips(),
+        a.folded_iteration.mean_mips() / (a.report.trace.meta.freq_mhz as f64)
+    );
+}
+
+/// T-B: object resolution before/after allocation grouping (the
+/// paper's "preliminary analysis" and its 617 MB / 89 MB labels).
+fn table_b(nx: usize, grouped: &HpcgAnalysis, ungrouped: &HpcgAnalysis) {
+    println!("T-B: PEBS sample → data-object resolution (nx = {nx})");
+    println!("{}", header());
+    println!(
+        "{}",
+        row(
+            "resolved fraction, reference allocation",
+            "\"most not associated\"",
+            &format!("{:.1} %", 100.0 * ungrouped.resolved_fraction),
+            if ungrouped.resolved_fraction < 0.6 { "yes (mostly unresolved)" } else { "NO" },
+        )
+    );
+    println!(
+        "{}",
+        row(
+            "resolved fraction, grouped allocations",
+            "(figure resolves)",
+            &format!("{:.1} %", 100.0 * grouped.resolved_fraction),
+            if grouped.resolved_fraction > 0.9 { "yes" } else { "NO" },
+        )
+    );
+
+    // Group sizes: the formulas evaluated at the paper's nx=104
+    // reproduce its labels exactly; at the harness scale we print both.
+    let m104 = expected_matrix_group_bytes(Geometry::cube(104)) as f64 / 1e6;
+    let p104 = expected_map_group_bytes(Geometry::cube(104)) as f64 / 1e6;
+    let m = expected_matrix_group_bytes(Geometry::cube(nx)) as f64 / 1e6;
+    let p = expected_map_group_bytes(Geometry::cube(nx)) as f64 / 1e6;
+    println!(
+        "{}",
+        row(
+            "matrix group size at nx=104 (MB)",
+            "617",
+            &format!("{m104:.0}"),
+            if (m104 - 617.0).abs() < 15.0 { "yes" } else { "NO" },
+        )
+    );
+    println!(
+        "{}",
+        row(
+            "map group size at nx=104 (MB)",
+            "89",
+            &format!("{p104:.0}"),
+            if (p104 - 89.0).abs() < 5.0 { "yes" } else { "NO" },
+        )
+    );
+    println!("{}", row(&format!("matrix group size at nx={nx} (MB)"), "-", &format!("{m:.1}"), "-"));
+    println!("{}", row(&format!("map group size at nx={nx} (MB)"), "-", &format!("{p:.1}"), "-"));
+
+    if let Some(id) = grouped.matrix_object {
+        let o = grouped.report.trace.objects.get(id).expect("the analysis names objects of its own trace");
+        println!("\nfigure label reproduced: {}", o.figure_label());
+    }
+    if let Some(id) = grouped.map_object {
+        let o = grouped.report.trace.objects.get(id).expect("the analysis names objects of its own trace");
+        println!("figure label reproduced: {}", o.figure_label());
+    }
+}
+
+/// T-C: the read-only region — no store samples land in the matrix
+/// structure during the execution phase, while the vector region sees
+/// loads and stores (Fig. 1's "no black points in the lower part").
+fn table_c(a: &HpcgAnalysis) {
+    println!("T-C: load/store split per data object (execution phase)");
+    println!("{}", header());
+    let (loads, stores) = a.matrix_stats().map(|m| (m.loads, m.stores)).unwrap_or((0, 0));
+    println!(
+        "{}",
+        row(
+            "store samples in matrix region",
+            "0 (no black points)",
+            &stores.to_string(),
+            if stores == 0 && loads > 0 { "yes" } else { "NO" },
+        )
+    );
+    println!("{}", row("load samples in matrix region", ">0", &loads.to_string(), "-"));
+    let vec_stores: u64 = a
+        .objects
+        .iter()
+        .filter(|o| o.name.starts_with("CG_ref.cpp") || o.name.starts_with("GenerateCoarse"))
+        .map(|o| o.stores)
+        .sum();
+    println!(
+        "{}",
+        row(
+            "store samples in vector region",
+            ">0",
+            &vec_stores.to_string(),
+            if vec_stores > 0 { "yes" } else { "NO" },
+        )
+    );
+
+    println!("\nper-object detail:");
+    for o in a.objects.iter().take(8) {
+        println!(
+            "  {:<44} loads {:>6} stores {:>6}{}",
+            o.name,
+            o.loads,
+            o.stores,
+            if o.is_read_only() { "  [read-only → NVM candidate, as §IV notes]" } else { "" }
+        );
+    }
+}
+
+/// PEBS sampling period and multiplexing slice: how many samples a
+/// STREAM triad run yields at each — the precision side of the
+/// precision-vs-overhead trade-off (the paper's pitch is that coarse
+/// sampling suffices).
+fn ablation_sampling() {
+    let samples_at = |period: u64, slice: u64| {
+        let mut cfg = MachineConfig::small();
+        for e in &mut cfg.pebs_events {
+            e.period = period;
+        }
+        cfg.mux_slice_cycles = slice;
+        let rep = Machine::new(cfg).run(&mut StreamTriad::new(1 << 14, 8));
+        (rep.trace.pebs_events().count(), rep.wall_cycles)
+    };
+    for period in [31u64, 127, 509, 2053] {
+        let (n, cycles) = samples_at(period, 5_000);
+        println!("period {period:>5}: {n:>6} PEBS samples, {cycles} cycles");
+    }
+    for slice in [1_000u64, 10_000, 100_000] {
+        let (n, _) = samples_at(127, slice);
+        println!("mux slice {slice:>7}: {n:>6} PEBS samples");
+    }
+}
+
+/// Machine-model knobs — prefetcher on/off and replacement policy —
+/// and their effect on a small HPCG run (wall cycles, DRAM-served
+/// fraction).
+fn ablation_machine() {
+    let run = |tune: &dyn Fn(&mut MachineConfig)| {
+        let mut cfg = MachineConfig::small();
+        cfg.pebs_cores = PebsCoreSelect::Only(0);
+        tune(&mut cfg);
+        let hcfg = HpcgConfig { nx: 8, max_iters: 2, mg_levels: 2, group_allocations: true, use_mg: true };
+        let rep = Machine::new(cfg).run(&mut HpcgWorkload::new(hcfg));
+        let t = rep.stats.total_cores();
+        (rep.wall_cycles, t.served_dram as f64 / t.accesses().max(1) as f64)
+    };
+    for pf in [true, false] {
+        let (cycles, dram) = run(&|cfg| cfg.hierarchy.prefetch.enabled = pf);
+        println!("prefetch {pf:>5}: {cycles:>10} cycles, {:.1} % served by DRAM", dram * 100.0);
+    }
+    use ReplacementPolicy::{Fifo, Lru, Random, TreePlru};
+    for policy in [Lru, TreePlru, Fifo, Random] {
+        let (cycles, dram) = run(&|cfg| {
+            cfg.hierarchy.l1d.replacement = policy;
+            cfg.hierarchy.l2.replacement = policy;
+            cfg.hierarchy.l3.replacement = policy;
+        });
+        println!("{policy:?}: {cycles} cycles, {:.1} % DRAM", dram * 100.0);
+    }
+}
+
+/// Folding-model choices — fit model (isotonic vs binned mean) over
+/// `quick`'s folded iteration — and the tracer's allocation-tracking
+/// threshold on a small ungrouped HPCG run.
+fn ablation_folding(quick: &HpcgAnalysis) {
+    for fit in [FitModel::Isotonic, FitModel::BinnedMean] {
+        let cfg = FoldingConfig { fit, ..Default::default() };
+        let f = fold_region(&quick.report.trace, "CG_iteration", &cfg)
+            .expect("the quick run folds CG_iteration");
+        println!("{fit:?}: mean MIPS {:.0}", f.mean_mips());
+    }
+    for threshold in [64u64, 1024, 1 << 20] {
+        let mut mcfg = MachineConfig::small();
+        mcfg.tracer.alloc_threshold = threshold;
+        let hcfg = HpcgConfig { nx: 8, max_iters: 2, mg_levels: 2, group_allocations: false, use_mg: true };
+        let a = analyze_hpcg(mcfg, hcfg);
+        println!(
+            "threshold {threshold:>8} B: {:.1} % samples resolved (ungrouped run)",
+            100.0 * a.resolved_fraction
+        );
+    }
+}

@@ -10,8 +10,8 @@ use mempersp_folding::FoldedRegion;
 use mempersp_pebs::EventKind;
 use serde::{Deserialize, Serialize};
 
-/// Cycles-per-instruction decomposition at one folded time (or as an
-/// aggregate over the whole folded instance).
+/// Cycles-per-instruction decomposition of the whole folded instance
+/// or of a folded sub-interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CpiStack {
     /// Total cycles per instruction.
@@ -46,17 +46,6 @@ fn stack_from(cycles: f64, inst: f64, l2: f64, l3: f64, dram: f64) -> CpiStack {
     let l3 = l3 / inst;
     let dram = dram / inst;
     CpiStack { total, base: (total - l2 - l3 - dram).max(0.0), l2, l3, dram }
-}
-
-/// Instantaneous CPI stack at folded time `x`.
-pub fn cpi_stack_at(folded: &FoldedRegion, x: f64) -> CpiStack {
-    stack_from(
-        folded.counter(EventKind::Cycles).rate_at(x),
-        folded.counter(EventKind::Instructions).rate_at(x),
-        folded.counter(EventKind::StallL2).rate_at(x),
-        folded.counter(EventKind::StallL3).rate_at(x),
-        folded.counter(EventKind::StallDram).rate_at(x),
-    )
 }
 
 /// Aggregate CPI stack over the whole folded instance.
@@ -160,19 +149,5 @@ mod tests {
         let s = cpi_stack_mean(&f);
         assert_eq!(s.total, 0.0);
         assert_eq!(s.memory_bound_fraction(), 0.0);
-    }
-
-    #[test]
-    fn instantaneous_stack_positive() {
-        let f = folded([
-            (EventKind::Instructions, 500.0),
-            (EventKind::Cycles, 1000.0),
-            (EventKind::StallL2, 100.0),
-            (EventKind::StallL3, 0.0),
-            (EventKind::StallDram, 200.0),
-        ]);
-        let s = cpi_stack_at(&f, 0.5);
-        assert!(s.total > 0.0);
-        assert!(s.base >= 0.0);
     }
 }

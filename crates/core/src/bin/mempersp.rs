@@ -391,17 +391,18 @@ fn cmd_convert(args: &[String]) {
         })
     } else {
         // `run` merges a text trace's header in afterwards; here it is
-        // known up front. Like a store: into a temp file, renamed once
+        // known up front. Like a store: into a temp file, published once
         // every event is read and written.
         let tmp = mempersp_extrae::stream_writer::tmp_path(out_path);
         let written = std::fs::File::create(&tmp).and_then(|file| {
             let mut text = io::BufWriter::new(file);
             text.write_all(header_sections(&header).as_bytes())?;
             copy_events(src.as_mut(), |e| text.write_all(event_record(e).as_bytes()))?;
-            text.flush()?;
-            std::fs::rename(&tmp, out_path)
+            text.flush()
         });
-        written.inspect_err(|_| drop(std::fs::remove_file(&tmp)))
+        written
+            .inspect_err(|_| drop(std::fs::remove_file(&tmp)))
+            .and_then(|()| mempersp_extrae::stream_writer::publish(&tmp, out_path))
     };
     if let Err(e) = converted {
         die(&format!("cannot convert {} to {out}", trace_path(args)), &e);
@@ -510,6 +511,10 @@ fn cmd_query(args: &[String]) {
         })
     });
 
+    let mut src: Box<dyn TraceSource> = match store {
+        Some(src) => Box::new(src),
+        None => load_source(args),
+    };
     if args.iter().any(|a| a == "--json") {
         // One JSON object per line, the exact record schema the
         // service's `/v1/query` puts in its `events` array — so
@@ -517,10 +522,6 @@ fn cmd_query(args: &[String]) {
         // Rows are written as the scan hands their batches over; no
         // event list is built.
         use std::io::Write;
-        let mut src: Box<dyn TraceSource> = match store {
-            Some(src) => Box::new(src),
-            None => load_source(args),
-        };
         let stdout = std::io::stdout();
         let mut out = std::io::BufWriter::new(stdout.lock());
         let mut line = String::new();
@@ -541,24 +542,26 @@ fn cmd_query(args: &[String]) {
         return;
     }
 
-    let (events, stats) = match store {
-        Some(src) => src.query(&q),
-        None => load_source(args).filtered(&q).map(|(t, s)| (t.events, s)),
-    }
-    .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
-
+    // Count every match by class off the tag column; only the first
+    // `--print` rows become events.
     let mut by_kind = [0u64; EventClass::ALL.len()];
-    for e in &events {
-        by_kind[EventClass::of(&e.payload) as usize] += 1;
-    }
-    println!("{} matching events", events.len());
+    let mut shown = Vec::new();
+    let stats = src
+        .scan_batches(&q, &mut |batch| {
+            for class in batch.classes() {
+                by_kind[class as usize] += 1;
+            }
+            batch.head(print - shown.len()).materialize_into(&mut shown);
+        })
+        .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
+    println!("{} matching events", by_kind.iter().sum::<u64>());
     for kind in EventClass::ALL {
         let n = by_kind[kind as usize];
         if n > 0 {
             println!("  {:<6} {n}", kind.label());
         }
     }
-    for e in events.iter().take(print) {
+    for e in &shown {
         println!("{}", event_record(e));
     }
     if args.iter().any(|a| a == "--stats") {

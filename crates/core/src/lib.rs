@@ -21,7 +21,7 @@ pub mod report;
 pub mod workflow;
 
 pub use analysis::bandwidth::{phase_bandwidths, PhaseBandwidth};
-pub use analysis::cpi::{cpi_stack_at, cpi_stack_mean, cpi_stack_window, CpiStack};
+pub use analysis::cpi::{cpi_stack_mean, cpi_stack_window, CpiStack};
 pub use analysis::latency::{latency_profile, LatencyProfile};
 pub use analysis::reuse::{sampled_reuse_histogram, ReuseHistogram};
 pub use analysis::streams::{phase_streams, streams_report, PhaseStreams, StreamActivity};

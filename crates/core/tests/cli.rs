@@ -482,6 +482,20 @@ fn every_command_answers_the_same_from_every_container() {
         assert_eq!(String::from_utf8_lossy(&on_mpsd), String::from_utf8_lossy(&on_prv), "{command}");
     }
 
+    // `query` prints the first `--print` matches, also when they span
+    // many chunks and shards.
+    for (filter, print) in [(&["--kinds", "PEBS"][..], 3), (&[][..], 5000)] {
+        let [on_prv, on_mps, on_mpsd] = containers.each_ref().map(|c| {
+            let out = bin().arg("query").arg(c).args(filter).args(["--print", &print.to_string()]).output();
+            String::from_utf8(ok(out.unwrap()).stdout).unwrap()
+        });
+        let records: Vec<_> = on_prv.lines().filter(|l| l.starts_with("E ")).collect();
+        assert_eq!(records.len(), print, "{filter:?}: {on_prv}");
+        assert!(filter.is_empty() || records.iter().all(|r| r.contains(" PEBS ")), "{on_prv}");
+        assert_eq!(on_mps, on_prv, "{filter:?}");
+        assert_eq!(on_mpsd, on_prv, "{filter:?}");
+    }
+
     let folds: [&[&str]; 2] =
         [&["--region", "CG_iteration"], &["--regions", "all", "--threads", "2"]];
     for (i, fold) in folds.into_iter().enumerate() {

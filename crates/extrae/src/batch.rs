@@ -413,6 +413,18 @@ impl<'a> EventBatch<'a> {
         })
     }
 
+    /// The class of each selected row, in row order (reads only the
+    /// tag column).
+    pub fn classes(&self) -> impl Iterator<Item = EventClass> + '_ {
+        self.sel.iter().map(|&(i, _)| EventClass::ALL[self.tags[i as usize] as usize])
+    }
+
+    /// The first `n` selected rows (all of them when there are fewer)
+    /// as a batch of their own.
+    pub fn head(&self, n: usize) -> EventBatch<'a> {
+        EventBatch { sel: &self.sel[..n.min(self.sel.len())], ..*self }
+    }
+
     /// Append the selected rows to `out` as [`TraceEvent`]s.
     pub fn materialize_into(&self, out: &mut Vec<TraceEvent>) {
         // `extend` over the exact-size row iterator reserves once and

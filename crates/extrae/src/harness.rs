@@ -80,10 +80,10 @@ pub trait AppContext {
 
     /// Retire a batch of memory operations from `core`, equivalent to
     /// calling [`load`](Self::load)/[`store`](Self::store) once per
-    /// request in order. Hot kernels should prefer this: contexts that
-    /// simulate the memory hierarchy override it to skip per-call
-    /// dispatch and exploit same-line/same-page locality within the
-    /// batch.
+    /// request in order. Hot kernels should prefer this: contexts
+    /// override it to skip the per-call dispatch (the machine queues the
+    /// whole batch into its epoch with one reservation; the null
+    /// context counts it in one step).
     fn access_batch(&mut self, core: usize, ops: &[MemRequest]) {
         for op in ops {
             if op.store {

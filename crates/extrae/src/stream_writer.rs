@@ -36,13 +36,46 @@ pub trait EventSink: Send {
 }
 
 /// The temp-file twin of a final output path (`trace.mps` →
-/// `trace.mps.tmp`): where a writer puts its bytes until one rename
-/// publishes them. Every writer of a finished trace — the `.prv` merge,
-/// text `convert` and the store writer — names its temp file here.
+/// `trace.mps.tmp`): where a writer puts its bytes until [`publish`]
+/// renames them into place. Every writer of a finished trace — the
+/// `.prv` merge, text `convert`, the store writer and the shard
+/// manifest — names its temp file here.
 pub fn tmp_path(dest: &Path) -> PathBuf {
     let mut name = dest.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     dest.with_file_name(name)
+}
+
+/// Publish the finished file `tmp` as `dest`, durably: fsync its
+/// contents, rename it onto `dest`, then fsync the directory so the
+/// new name survives a crash too. A crash leaves either the old `dest`
+/// or the whole new file, never an empty or torn one. On error the
+/// bytes are removed from whichever of the two paths held them, so
+/// only an `Ok` leaves a file at `dest`.
+pub fn publish(tmp: &Path, dest: &Path) -> io::Result<()> {
+    let renamed = File::open(tmp).and_then(|f| f.sync_all()).and_then(|()| {
+        std::fs::rename(tmp, dest).map_err(|e| {
+            io::Error::new(e.kind(), format!("renaming {} -> {}: {e}", tmp.display(), dest.display()))
+        })
+    });
+    if let Err(e) = renamed {
+        let _ = std::fs::remove_file(tmp);
+        return Err(e);
+    }
+    sync_parent_dir(dest).inspect_err(|_| drop(std::fs::remove_file(dest)))
+}
+
+/// fsync the directory holding `entry`, making a just-renamed name
+/// durable. (An fsync of the file alone persists its *contents*; the
+/// directory entry pointing at them needs its own.)
+fn sync_parent_dir(entry: &Path) -> io::Result<()> {
+    let parent = match entry.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(parent)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io::Error::new(e.kind(), format!("fsync dir {}: {e}", parent.display())))
 }
 
 /// The Paraver text trace as an [`EventSink`]: event records stream
@@ -99,7 +132,7 @@ impl EventSink for PrvSink {
     }
 
     /// Merge header + streamed body into `final_path` (through
-    /// [`tmp_path`] and a rename), then remove the intermediate body.
+    /// [`tmp_path`] and [`publish`]), then remove the intermediate body.
     /// `trace_for_header` provides the header sections; its own event
     /// list is ignored — the streamed body is the record of truth.
     fn finish(&mut self, trace_for_header: &Trace) -> io::Result<()> {
@@ -107,17 +140,17 @@ impl EventSink for PrvSink {
         body.into_inner().map_err(io::IntoInnerError::into_error)?;
 
         // The body is copied, never read whole, so the merge stays
-        // bounded-memory; it lands in a temp file renamed into place,
+        // bounded-memory; it lands in a temp file published into place,
         // so a crash never leaves a torn trace at `final_path`.
         let tmp = tmp_path(&self.final_path);
         let merged = File::create(&tmp).and_then(|file| {
             let mut out = BufWriter::new(file);
             out.write_all(crate::trace_format::header_sections(trace_for_header).as_bytes())?;
             io::copy(&mut File::open(&self.body_path)?, &mut out)?;
-            out.flush()?;
-            std::fs::rename(&tmp, &self.final_path)
+            out.flush()
         });
         merged.inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
+        publish(&tmp, &self.final_path)?;
         // The merger consumed the intermediate file; leaving it behind
         // doubles the disk footprint of every run.
         std::fs::remove_file(&self.body_path)
@@ -182,6 +215,23 @@ mod tests {
         let mut left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
         left.sort();
         assert_eq!(left, ["run.prv"], "no .mpit body or .tmp merge file may remain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_publish_is_an_error_and_leaves_neither_file() {
+        let dir = scratch_dir("publish_fail");
+        let tmp = dir.join("run.prv.tmp");
+        // The rename fails: the destination's directory does not exist.
+        std::fs::write(&tmp, "finished bytes").unwrap();
+        let dest = dir.join("missing").join("run.prv");
+        let err = publish(&tmp, &dest).expect_err("rename into a missing directory");
+        assert!(err.to_string().contains("run.prv"), "error names the paths: {err}");
+        assert!(!dest.exists() && !tmp.exists(), "a failed publish leaves no file behind");
+        // A temp file that is not there cannot be published either.
+        assert!(publish(&tmp, &dir.join("run.prv")).is_err());
+        assert!(!dir.join("run.prv").exists());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

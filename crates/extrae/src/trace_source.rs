@@ -19,9 +19,11 @@
 //! the phase/profile/latency/reuse/object analyses and `convert` push
 //! their filter (kinds, core, window, object) down as the query and
 //! read the columns; none builds an event list.
+//! `query` counts its matches off the tag column and materializes only
+//! the rows it prints ([`EventBatch::head`]).
 //! [`TraceSource::filtered`] and [`TraceSource::materialize`] remain
-//! for the consumers whose *output* is rows — `query`'s printed
-//! records, the Paraver export — and for tests.
+//! for the one consumer whose *output* is every row — the Paraver
+//! export — and for tests and the benchmark.
 
 use crate::batch::{transpose_batches, EventBatch};
 use crate::query::Query;

@@ -66,13 +66,6 @@ fn write_config(h: &mut Fnv64, cfg: &FoldingConfig) {
     });
 }
 
-/// Digest of one [`FoldingConfig`] alone.
-pub fn config_digest(cfg: &FoldingConfig) -> u64 {
-    let mut h = Fnv64::new();
-    write_config(&mut h, cfg);
-    h.finish()
-}
-
 /// Digest of a full fold request: an opaque trace identity (the caller
 /// encodes path/name, event count and format version) plus every
 /// region request **in order** — per-region results come back in
@@ -97,6 +90,10 @@ mod tests {
         vec![RegionRequest::new("CG_ITERATION"), RegionRequest::new("SYMGS")]
     }
 
+    fn digest_of(cfg: FoldingConfig) -> u64 {
+        fold_request_digest("t", &[RegionRequest::with_cfg("r", cfg)])
+    }
+
     #[test]
     fn digest_is_stable_for_equal_requests() {
         assert_eq!(
@@ -108,7 +105,7 @@ mod tests {
     #[test]
     fn every_config_field_perturbs_the_digest() {
         let base = FoldingConfig::default();
-        let base_d = config_digest(&base);
+        let base_d = digest_of(base);
         let variants = [
             FoldingConfig { bins: base.bins + 1, ..base },
             FoldingConfig { min_instances: base.min_instances + 1, ..base },
@@ -123,7 +120,7 @@ mod tests {
             },
         ];
         for v in variants {
-            assert_ne!(config_digest(&v), base_d, "{v:?}");
+            assert_ne!(digest_of(v), base_d, "{v:?}");
         }
     }
 
@@ -151,7 +148,7 @@ mod tests {
             filter: InstanceFilter { mad_k: f64::INFINITY, min_fraction_of_max: 0.0 },
             ..FoldingConfig::default()
         };
-        assert_ne!(config_digest(&inf), config_digest(&FoldingConfig::default()));
-        assert_eq!(config_digest(&inf), config_digest(&inf));
+        assert_ne!(digest_of(inf), digest_of(FoldingConfig::default()));
+        assert_eq!(digest_of(inf), digest_of(inf));
     }
 }

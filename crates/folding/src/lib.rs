@@ -21,7 +21,6 @@
 //! *counter / instruction* curves (branches and L1D/L2/L3 misses per
 //! instruction) and achieved MIPS over the folded time axis.
 
-pub mod cluster;
 pub mod curve;
 pub mod digest;
 pub mod engine;
@@ -30,9 +29,8 @@ pub mod instances;
 pub mod pava;
 pub mod pool;
 
-pub use cluster::{cluster_by_duration, DurationCluster};
 pub use curve::MonotoneCurve;
-pub use digest::{config_digest, fold_request_digest, Fnv64};
+pub use digest::{fold_request_digest, Fnv64};
 pub use engine::{fold_performance_source, fold_regions, fold_regions_source, RegionRequest};
 pub use fold::{fold_region, FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
 pub use instances::{collect_instances_multi, InstanceFilter, RegionInstance};

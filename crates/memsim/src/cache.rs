@@ -261,11 +261,6 @@ impl Cache {
             .filter(|(_, &tag)| tag != EMPTY)
             .map(|(i, &tag)| self.line_addr_from(i / self.ways, tag))
     }
-
-    /// Drop all lines, keeping counters and replacement state.
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
-    }
 }
 
 #[cfg(test)]
@@ -391,15 +386,5 @@ mod tests {
             let tag = c.tag(a);
             assert_eq!(c.line_addr_from(set, tag), a & !63);
         }
-    }
-
-    #[test]
-    fn flush_empties_cache() {
-        let mut c = tiny(2, 2);
-        c.fill(0x0, false, false);
-        c.fill(0x40, false, false);
-        assert_eq!(c.resident_lines().collect::<Vec<_>>(), [0x0, 0x40]);
-        c.flush();
-        assert_eq!(c.resident_lines().count(), 0);
     }
 }

@@ -530,8 +530,8 @@ pub struct MemorySystem {
     /// demand-touched the page or prefetched into it. Invariant: every
     /// line in a core's L1D/L2 lies in a page whose mask has that
     /// core's bit, so the mask is a superset of the line's holders.
-    /// Bits are only ever added (until `flush_all`). Only maintained
-    /// on multi-core systems.
+    /// Bits are only ever added. Only maintained on multi-core
+    /// systems.
     owners: CoreMaskMap,
     page_shift: u32,
     /// Reused buffer for the sequential access path.
@@ -1068,17 +1068,6 @@ impl MemorySystem {
             coherence_downgrades: self.coherence_downgrades,
         }
     }
-
-    /// Drop every cached line in the system (e.g. between experiment
-    /// phases); counters are preserved.
-    pub fn flush_all(&mut self) {
-        for c in &mut self.cores {
-            c.l1d.flush();
-            c.l2.flush();
-        }
-        self.l3.flush();
-        self.owners.clear();
-    }
 }
 
 #[cfg(test)]
@@ -1241,15 +1230,6 @@ mod tests {
         let d = m.stats().delta(&snap);
         assert_eq!(d.cores[0].loads, 0);
         assert_eq!(d.cores[0].stores, 50);
-    }
-
-    #[test]
-    fn flush_all_forgets_lines() {
-        let mut m = sys(1);
-        m.access(0, AccessKind::Load, 0x0, 8, 0);
-        m.flush_all();
-        let r = m.access(0, AccessKind::Load, 0x0, 8, 100);
-        assert_eq!(r.source, MemLevel::Dram);
     }
 
     #[test]

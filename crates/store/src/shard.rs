@@ -46,9 +46,9 @@
 //! would.
 
 use crate::reader::{RecoveryMode, StoreReader};
-use crate::writer::{sync_parent_dir, StoreSummary, StoreWriter};
+use crate::writer::{StoreSummary, StoreWriter};
 use mempersp_extrae::events::TraceEvent;
-use mempersp_extrae::stream_writer::{tmp_path, EventSink};
+use mempersp_extrae::stream_writer::{publish, tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -162,14 +162,8 @@ impl ShardedWriter {
         // the rename leaves either the old state or the new one.
         let manifest_path = self.dir.join(MANIFEST_NAME);
         let tmp = tmp_path(&manifest_path);
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(manifest.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &manifest_path)?;
-        sync_parent_dir(&manifest_path)?;
+        std::fs::write(&tmp, manifest).inspect_err(|_| drop(std::fs::remove_file(&tmp)))?;
+        publish(&tmp, &manifest_path)?;
         self.finished = true;
         Ok(total)
     }

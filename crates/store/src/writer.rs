@@ -51,7 +51,7 @@ use crate::crc::{crc32c, Crc32c};
 use crate::fault::StoreFile;
 use crate::lz;
 use mempersp_extrae::events::TraceEvent;
-use mempersp_extrae::stream_writer::{tmp_path, EventSink};
+use mempersp_extrae::stream_writer::{publish, tmp_path, EventSink};
 use mempersp_extrae::tracer::Trace;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -65,19 +65,6 @@ pub const TRAILER_MAGIC: &[u8; 8] = b"MPSEND04";
 pub const TRAILER_LEN: usize = 20;
 /// Default target for one chunk's *raw* encoded payload.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
-
-/// fsync the directory holding `entry`, making a just-renamed name
-/// durable. (An fsync of the file alone persists its *contents*; the
-/// directory entry pointing at them needs its own.)
-pub fn sync_parent_dir(entry: &Path) -> io::Result<()> {
-    let parent = match entry.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    std::fs::File::open(&parent)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| io::Error::new(e.kind(), format!("fsync dir {}: {e}", parent.display())))
-}
 
 /// What a finished store contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,10 +235,9 @@ impl StoreWriter {
     }
 
     /// Seal the open chunk, append the header blob + footer index +
-    /// trailer, fsync, and atomically rename the temp file onto the
-    /// final path (then fsync the directory). Only a `finish` that
-    /// returns `Ok` puts a file at the final path; every earlier
-    /// failure leaves the destination untouched. `trace_for_header`
+    /// trailer, fsync, and [`publish`] the temp file at the final path.
+    /// Only a `finish` that returns `Ok` puts a file at the final path;
+    /// every earlier failure leaves the destination untouched. `trace_for_header`
     /// contributes only its header sections; its event list is ignored
     /// (the streamed chunks are the record of truth).
     pub fn finish(&mut self, trace_for_header: &Trace) -> io::Result<StoreSummary> {
@@ -294,18 +280,12 @@ impl StoreWriter {
         out.write_all(TRAILER_MAGIC)?;
         out.flush()?;
 
-        // Durability, then atomicity: contents hit stable storage
-        // before the rename publishes them, and the directory fsync
-        // makes the new name itself survive a crash.
+        // The fsync goes through the backing file first, so a failed
+        // one strands a byte-complete temp file for `abandon` and
+        // `recover`; `publish`'s own fsync then finds nothing to write.
         out.get_mut().sync_all()?;
         if let Some(t) = &self.target {
-            std::fs::rename(&t.tmp, &t.dest).map_err(|e| {
-                io::Error::new(
-                    e.kind(),
-                    format!("renaming {} -> {}: {e}", t.tmp.display(), t.dest.display()),
-                )
-            })?;
-            sync_parent_dir(&t.dest)?;
+            publish(&t.tmp, &t.dest)?;
         }
         self.finished = true;
 
