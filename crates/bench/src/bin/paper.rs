@@ -16,6 +16,7 @@ use mempersp_folding::{fold_region, FitModel, FoldingConfig};
 use mempersp_hpcg::generate::{expected_map_group_bytes, expected_matrix_group_bytes};
 use mempersp_hpcg::{Geometry, HpcgConfig, HpcgWorkload};
 use mempersp_memsim::ReplacementPolicy;
+use mempersp_pebs::EventKind;
 use mempersp_workloads::StreamTriad;
 
 fn main() {
@@ -352,12 +353,27 @@ fn ablation_machine() {
 /// `quick`'s folded iteration — and the tracer's allocation-tracking
 /// threshold on a small ungrouped HPCG run.
 fn ablation_folding(quick: &HpcgAnalysis) {
-    for fit in [FitModel::Isotonic, FitModel::BinnedMean] {
+    let fold = |fit| {
         let cfg = FoldingConfig { fit, ..Default::default() };
-        let f = fold_region(&quick.report.trace, "CG_iteration", &cfg)
-            .expect("the quick run folds CG_iteration");
-        println!("{fit:?}: mean MIPS {:.0}", f.mean_mips());
+        fold_region(&quick.report.trace, "CG_iteration", &cfg).expect("the quick run folds CG_iteration")
+    };
+    let fits = [FitModel::Isotonic, FitModel::BinnedMean].map(|fit| (fit, fold(fit)));
+    for (fit, f) in &fits {
+        let rmse = f.fit_rmse(EventKind::Instructions).unwrap_or(f64::NAN);
+        println!("{fit:?}: instructions fit RMSE {rmse:.6}");
     }
+    // The largest distance between the two models' progress curves,
+    // over the twelve counters, on a 1001-point grid of folded time.
+    let (gap, kind) = EventKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let (a, b) = (&fits[0].1.counter(kind).curve, &fits[1].1.counter(kind).curve);
+            let gap = (0..=1000).map(|i| (a.eval(i as f64 / 1e3) - b.eval(i as f64 / 1e3)).abs());
+            (gap.fold(0.0, f64::max), kind)
+        })
+        .max_by(|x, y| x.0.total_cmp(&y.0))
+        .expect("twelve counters");
+    println!("largest curve gap between the fits: {gap:.1e} ({kind:?})");
     for threshold in [64u64, 1024, 1 << 20] {
         let mut mcfg = MachineConfig::small();
         mcfg.tracer.alloc_threshold = threshold;

@@ -34,9 +34,10 @@ impl ObjectStat {
     }
 
     /// An object the execution phase never writes (figure: "no stores
-    /// in the lower part of the address space").
+    /// in the lower part of the address space"). The unresolved bucket
+    /// is no object, so it is never read-only.
     pub fn is_read_only(&self) -> bool {
-        self.stores == 0 && self.loads > 0
+        self.id.is_some() && self.stores == 0 && self.loads > 0
     }
 }
 
@@ -175,6 +176,17 @@ mod tests {
         let u = stats.iter().find(|s| s.id.is_none()).unwrap();
         assert_eq!(u.name, "<unresolved>");
         assert_eq!(u.total(), 1);
+    }
+
+    /// Samples that resolved to no object are not an allocation, so
+    /// the bucket is never flagged read-only (an NVM candidate), even
+    /// when all of its samples are loads.
+    #[test]
+    fn unresolved_bucket_is_never_read_only() {
+        let stats = stats_of(&make_trace(), None);
+        let u = stats.iter().find(|s| s.id.is_none()).unwrap();
+        assert_eq!((u.loads, u.stores), (1, 0));
+        assert!(!u.is_read_only());
     }
 
     #[test]

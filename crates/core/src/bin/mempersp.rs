@@ -34,14 +34,14 @@ use mempersp_core::analysis::reuse::sampled_reuse_histogram;
 use mempersp_core::report::{ascii, figure};
 use mempersp_core::{run_streaming_to_path, MachineConfig, StreamOptions};
 use mempersp_extrae::query::{EventClass, Query};
-use mempersp_extrae::trace_format::{event_record, header_sections};
+use mempersp_extrae::trace_format::event_record;
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{TraceEvent, Workload};
 use mempersp_folding::{fold_performance_source, fold_regions_source, RegionRequest};
 use mempersp_hpcg::{HpcgConfig, HpcgWorkload};
 use mempersp_memsim::MAX_CORES;
 use mempersp_store::{open_trace_source, sniff_store, MpsSource, RecoveryMode, SHARD_DIR_SUFFIX};
-use std::io::{self, Write as _};
+use std::io;
 use mempersp_workloads::{PointerChase, Stencil7, StreamTriad, TiledMatmul};
 use std::process::exit;
 
@@ -381,32 +381,17 @@ fn cmd_convert(args: &[String]) {
     let mut src = load_source(args);
     let header = scanned(args, src.header());
     let opts = StreamOptions { force, shard_events: shard_events_arg(args) };
-    let to_store =
-        opts.shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) || out.ends_with(".mps");
-    let converted = if to_store {
-        // The store writers `run --out` streams into; `finish` seals.
-        mempersp_core::sink_for_path(out_path, &opts).and_then(|mut sink| {
-            copy_events(src.as_mut(), |e| sink.append_event(e))?;
-            sink.finish(&header)
-        })
-    } else {
-        // `run` merges a text trace's header in afterwards; here it is
-        // known up front. Like a store: into a temp file, published once
-        // every event is read and written.
-        let tmp = mempersp_extrae::stream_writer::tmp_path(out_path);
-        let written = std::fs::File::create(&tmp).and_then(|file| {
-            let mut text = io::BufWriter::new(file);
-            text.write_all(header_sections(&header).as_bytes())?;
-            copy_events(src.as_mut(), |e| text.write_all(event_record(e).as_bytes()))?;
-            text.flush()
-        });
-        written
-            .inspect_err(|_| drop(std::fs::remove_file(&tmp)))
-            .and_then(|()| mempersp_extrae::stream_writer::publish(&tmp, out_path))
-    };
+    // The sinks `run --out` streams into: `finish` merges a text
+    // trace's header in, or seals a store, and publishes the file.
+    let converted = mempersp_core::sink_for_path(out_path, &opts).and_then(|mut sink| {
+        copy_events(src.as_mut(), |e| sink.append_event(e))?;
+        sink.finish(&header)
+    });
     if let Err(e) = converted {
         die(&format!("cannot convert {} to {out}", trace_path(args)), &e);
     }
+    let to_store =
+        opts.shard_events.is_some() || out.ends_with(SHARD_DIR_SUFFIX) || out.ends_with(".mps");
     if to_store {
         // The summary line, read back off the index just sealed.
         let store = MpsSource::open(out_path).unwrap_or_else(|e| die(&format!("cannot open {out}"), &e));

@@ -47,12 +47,12 @@ pub const NCOUNTERS: usize = EventKind::ALL.len();
 const NCLASSES: usize = EventClass::ALL.len();
 
 // Field positions inside `ClassColumns::cols`.
-const STACK_LEN: usize = 1 + NCOUNTERS;
-const STACK: usize = STACK_LEN + 1;
-const STACK_OFF: usize = STACK + 1;
-const PEBS_OBJECT: usize = 4;
-const MUX_LABEL_LEN: usize = 1;
-const MUX_LABEL_OFF: usize = 2;
+pub const STACK_LEN: usize = 1 + NCOUNTERS;
+pub const STACK: usize = STACK_LEN + 1;
+pub const STACK_OFF: usize = STACK + 1;
+pub const PEBS_OBJECT: usize = 4;
+pub const MUX_LABEL_LEN: usize = 1;
+pub const MUX_LABEL_OFF: usize = 2;
 
 /// PEBS flag bits (`raw_a`).
 pub const PEBS_IS_STORE: u8 = 0b001;
@@ -60,7 +60,7 @@ pub const PEBS_TLB_MISS: u8 = 0b010;
 pub const PEBS_HAS_OBJECT: u8 = 0b100;
 
 /// Number of numeric columns a class carries.
-pub fn column_count(class: EventClass) -> usize {
+pub const fn column_count(class: EventClass) -> usize {
     match class {
         EventClass::RegionEnter | EventClass::RegionExit => 1 + NCOUNTERS,
         EventClass::CounterSample => STACK_OFF + 1,
@@ -552,16 +552,22 @@ impl Transposer {
         }
     }
 
+    /// The buffered columns, unchecked: the envelope (`cycles`,
+    /// `cores`, `tags`) and class `k`'s payload columns, as
+    /// [`Transposer::batch`] lends them out.
+    pub fn columns(&self, k: usize) -> (&[u64], &[u32], &[u8], ClassColumns<'_>) {
+        let (raw_a, raw_b): (&[u8], &[u8]) = match EventClass::ALL[k] {
+            EventClass::Pebs => (&self.pebs_flags, &self.pebs_level),
+            EventClass::MuxSwitch => (&self.mux_labels, &[]),
+            _ => (&[], &[]),
+        };
+        let class = ClassColumns { base: 0, cols: &self.cols[k], raw_a, raw_b };
+        (&self.cycles, &self.cores, &self.tags, class)
+    }
+
     /// The buffered rows as a batch, all selected.
     pub fn batch(&self) -> EventBatch<'_> {
-        let classes = std::array::from_fn(|k| {
-            let (raw_a, raw_b): (&[u8], &[u8]) = match EventClass::ALL[k] {
-                EventClass::Pebs => (&self.pebs_flags, &self.pebs_level),
-                EventClass::MuxSwitch => (&self.mux_labels, &[]),
-                _ => (&[], &[]),
-            };
-            ClassColumns { base: 0, cols: &self.cols[k], raw_a, raw_b }
-        });
+        let classes = std::array::from_fn(|k| self.columns(k).3);
         EventBatch::new(&self.cycles, &self.cores, &self.tags, &self.sel, classes)
             .expect("transposed columns are consistent by construction")
     }

@@ -157,6 +157,16 @@ impl EventSink for PrvSink {
     }
 }
 
+impl Drop for PrvSink {
+    /// A sink dropped before its `finish` completed (an error unwound
+    /// past it) removes its body, so a later run toward the same path
+    /// can create one again.
+    fn drop(&mut self) {
+        drop(self.body.take());
+        let _ = std::fs::remove_file(&self.body_path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +277,9 @@ mod tests {
         assert!(sink.finish(&trace).is_err(), "finish must not publish a torn body");
         assert!(!final_prv.exists());
         assert!(sink.append_event(&trace.events[0]).is_err(), "append after finish is an error");
+        drop(sink);
+        assert!(!dir.join("run.prv.mpit").exists(), "a dropped sink removes its body");
+        PrvSink::create(&final_prv).expect("a retry can create the body again");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,7 +20,8 @@
 //!                      label bytes — stay raw byte runs)
 //! ```
 //!
-//! Per-class field columns (`n` = class-k events in the chunk):
+//! Per-class field columns, in the order the `LAYOUT` table stores
+//! them (`n` = class-k events in the chunk):
 //!
 //! * RegionEnter/Exit: `region`, 12 counter columns
 //! * CounterSample: `ip`, 12 counters, `stack_len`, then one flattened
@@ -30,6 +31,12 @@
 //! * Alloc: `base`, `size`, `callsite` — Free: `base`
 //! * MuxSwitch: `event_index`, `label_len`, raw concatenated labels
 //! * User: `kind`, `value`
+//!
+//! The encoder ([`ChunkBuilderV4`]) keeps no columns of its own: a
+//! [`Transposer`] — the row→column adapter of `extrae::batch`, which
+//! alone decides which field sits in which column — buffers the
+//! chunk, and sealing writes its columns out in `LAYOUT` order. The
+//! scan reads its sections through the same table.
 //!
 //! Timestamps are delta-encoded because consecutive events are close
 //! in time. Deltas are *signed* (zig-zag folded): a streamed body is
@@ -52,18 +59,16 @@
 //! asserted.
 
 use crate::select::{select_rows, HeadCols, RowFilter};
-use crate::svb::{simd_level, zigzag, ColBuf, SvbColumn};
+use crate::svb::{simd_level, value_len, write_column, zigzag, SvbColumn};
 use crate::varint::{get_u64, put_u64, CodecError};
 use mempersp_extrae::batch::{
-    column_count, level_code, ClassColumns, EventBatch, PEBS_HAS_OBJECT,
+    column_count, ClassColumns, EventBatch, Transposer, MUX_LABEL_LEN, MUX_LABEL_OFF, PEBS_HAS_OBJECT,
+    PEBS_OBJECT, STACK, STACK_LEN, STACK_OFF,
 };
-use mempersp_extrae::events::{EventPayload, RegionId, TraceEvent};
+use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::{EventClass, KindMask, Query};
-use mempersp_pebs::{CounterSnapshot, EventKind};
 use std::ops::Range;
 
-/// Counters carried by every region/sample event.
-const NCOUNTERS: usize = EventKind::ALL.len();
 /// Number of payload streams (one per [`EventClass`]).
 const NSTREAMS: usize = EventClass::ALL.len();
 
@@ -77,102 +82,64 @@ fn wide_core(row: usize, core: u64) -> CodecError {
     err(row, format!("core id {core} of row {row} does not fit 32 bits"))
 }
 
+// ---------------------------------------------------------------- layout
+
+/// One stored field of a class section: the class's numeric columns
+/// `lo..hi` (one stream-vbyte column each, in that order), or its raw
+/// byte column A or B.
+#[derive(Clone, Copy)]
+enum Field {
+    Cols(usize, usize),
+    A,
+    B,
+}
+
+/// What a class section stores, in stored order. With a `run` of
+/// (length column, offset column) the last field is flattened:
+/// occurrence `j` owns `cols[len][j]` of its values (or bytes), from
+/// `cols[off][j]` on, and the offset column itself is not stored.
+struct Layout {
+    fields: &'static [Field],
+    run: Option<(usize, usize)>,
+}
+
+impl Layout {
+    /// The run's (length, offset) columns if field `f` is the run.
+    fn run_at(&self, f: usize) -> Option<(usize, usize)> {
+        self.run.filter(|_| f + 1 == self.fields.len())
+    }
+}
+
+/// The one stored order of every class section, indexed by
+/// [`EventClass`]: the encoder writes it and [`decode_class`] reads
+/// it. Which field sits in which column is `extrae::batch`'s to say.
+const LAYOUT: [Layout; NSTREAMS] = {
+    use Field::{Cols, A, B};
+    [
+        Layout { fields: &[Cols(0, column_count(EventClass::RegionEnter))], run: None },
+        Layout { fields: &[Cols(0, column_count(EventClass::RegionExit))], run: None },
+        Layout { fields: &[Cols(0, STACK), Cols(STACK, STACK + 1)], run: Some((STACK_LEN, STACK_OFF)) },
+        Layout { fields: &[A, Cols(0, PEBS_OBJECT), B, Cols(PEBS_OBJECT, PEBS_OBJECT + 1)], run: None },
+        Layout { fields: &[Cols(0, column_count(EventClass::Alloc))], run: None },
+        Layout { fields: &[Cols(0, column_count(EventClass::Free))], run: None },
+        Layout { fields: &[Cols(0, MUX_LABEL_OFF), A], run: Some((MUX_LABEL_LEN, MUX_LABEL_OFF)) },
+        Layout { fields: &[Cols(0, column_count(EventClass::User))], run: None },
+    ]
+};
+
 // ---------------------------------------------------------------- encode
 
-#[derive(Default)]
-struct RegionCols {
-    region: ColBuf,
-    counters: [ColBuf; NCOUNTERS],
-}
-
-/// Push each value onto its column; returns the bytes they add.
-fn push_all<'c>(cols: impl IntoIterator<Item = &'c mut ColBuf>, vals: &[u64]) -> usize {
-    cols.into_iter().zip(vals).map(|(col, &v)| col.push(v)).sum()
-}
-
-impl RegionCols {
-    fn push(&mut self, region: RegionId, counters: &CounterSnapshot) -> usize {
-        self.region.push(region.0 as u64) + push_all(&mut self.counters, counters.values())
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.region.encoded_len()
-            + self.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
-    }
-
-    fn write_into(&self, out: &mut Vec<u8>) {
-        self.region.write_into(out);
-        for c in &self.counters {
-            c.write_into(out);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.region.clear();
-        for c in &mut self.counters {
-            c.clear();
-        }
-    }
-}
-
-#[derive(Default)]
-struct SampleCols {
-    ip: ColBuf,
-    counters: [ColBuf; NCOUNTERS],
-    stack_len: ColBuf,
-    stack: ColBuf,
-}
-
-#[derive(Default)]
-struct PebsCols {
-    flags: Vec<u8>,
-    ip: ColBuf,
-    addr: ColBuf,
-    size: ColBuf,
-    latency: ColBuf,
-    level: Vec<u8>,
-    object: ColBuf,
-}
-
-#[derive(Default)]
-struct AllocCols {
-    base: ColBuf,
-    size: ColBuf,
-    callsite: ColBuf,
-}
-
-#[derive(Default)]
-struct MuxCols {
-    event_index: ColBuf,
-    label_len: ColBuf,
-    labels: Vec<u8>,
-}
-
-#[derive(Default)]
-struct UserCols {
-    kind: ColBuf,
-    value: ColBuf,
-}
-
 /// Incremental encoder of one chunk: the writer feeds it events one
-/// at a time, each field lands in its own column, and sealing
-/// concatenates the columns.
+/// at a time, a [`Transposer`] files each field into its column, and
+/// sealing writes the columns out in `LAYOUT` order.
 #[derive(Default)]
 pub struct ChunkBuilderV4 {
-    /// Encoded size of everything pushed since the last seal, kept as
-    /// events arrive so the writer's per-event poll is one load.
+    rows: Transposer,
+    /// Encoded bytes of the delta and core sections and of each class
+    /// section, kept as events arrive so the writer's per-event poll
+    /// is one load and sealing knows the section table up front.
+    lens: [usize; 2 + NSTREAMS],
     len: usize,
-    tags: Vec<u8>,
-    deltas: ColBuf,
-    cores: ColBuf,
-    prev_cycles: u64,
-    regions: [RegionCols; 2],
-    sample: SampleCols,
-    pebs: PebsCols,
-    alloc: AllocCols,
-    free: ColBuf,
-    mux: MuxCols,
-    user: UserCols,
 }
 
 impl ChunkBuilderV4 {
@@ -182,7 +149,7 @@ impl ChunkBuilderV4 {
 
     /// Events appended since the last [`ChunkBuilderV4::serialize`].
     pub fn events(&self) -> usize {
-        self.tags.len()
+        self.rows.len()
     }
 
     /// Raw encoded size if the chunk were sealed now (excluding the
@@ -195,182 +162,86 @@ impl ChunkBuilderV4 {
     /// not fit the 32 bits every reader narrows it to is refused, and
     /// the builder is left as it was.
     pub fn push(&mut self, e: &TraceEvent) -> Result<(), CodecError> {
-        let core = u32::try_from(e.core).map_err(|_| wide_core(self.tags.len(), e.core as u64))?;
-        let class = EventClass::of(&e.payload);
-        self.tags.push(class as u8);
-        // One tag byte, then whatever each column push adds.
-        let mut added = 1 + self.deltas.push(zigzag(e.cycles.wrapping_sub(self.prev_cycles) as i64));
-        self.prev_cycles = e.cycles;
-        added += self.cores.push(u64::from(core));
-        added += match &e.payload {
-            EventPayload::RegionEnter { region, counters } => self.regions[0].push(*region, counters),
-            EventPayload::RegionExit { region, counters } => self.regions[1].push(*region, counters),
-            EventPayload::CounterSample { ip, counters, stack } => {
-                let s = &mut self.sample;
-                s.ip.push(ip.0)
-                    + push_all(&mut s.counters, counters.values())
-                    + s.stack_len.push(stack.len() as u64)
-                    + stack.iter().map(|r| s.stack.push(r.0 as u64)).sum::<usize>()
-            }
-            EventPayload::Pebs { sample, object } => {
-                let flags = u8::from(sample.is_store)
-                    | (u8::from(sample.tlb_miss) << 1)
-                    | (u8::from(object.is_some()) << 2);
-                let p = &mut self.pebs;
-                p.flags.push(flags);
-                p.level.push(level_code(sample.source));
-                2 + p.ip.push(sample.ip)
-                    + p.addr.push(sample.addr)
-                    + p.size.push(sample.size as u64)
-                    + p.latency.push(sample.latency as u64)
-                    + p.object.push(object.map_or(0, |o| o.0 as u64))
-            }
-            EventPayload::Alloc { base, size, callsite } => {
-                let a = &mut self.alloc;
-                a.base.push(*base) + a.size.push(*size) + a.callsite.push(callsite.0)
-            }
-            EventPayload::Free { base } => self.free.push(*base),
-            EventPayload::MuxSwitch { event_index, label } => {
-                self.mux.labels.extend_from_slice(label.as_bytes());
-                label.len()
-                    + self.mux.event_index.push(*event_index as u64)
-                    + self.mux.label_len.push(label.len() as u64)
-            }
-            EventPayload::User { kind, value } => {
-                self.user.kind.push(*kind as u64) + self.user.value.push(*value)
-            }
-        };
-        self.len += added;
+        let row = self.rows.len();
+        if u32::try_from(e.core).is_err() {
+            return Err(wide_core(row, e.core as u64));
+        }
+        self.rows.push(e);
+        let k = EventClass::of(&e.payload) as usize;
+        let (cycles, cores, _, c) = self.rows.columns(k);
+        let delta = value_len(row, stored_delta(cycles, row));
+        let core = value_len(row, u64::from(cores[row]));
+        let payload = appended_len(&LAYOUT[k], &c);
+        self.lens[0] += delta;
+        self.lens[1] += core;
+        self.lens[2 + k] += payload;
+        // One tag byte, then whatever each column gained.
+        self.len += 1 + delta + core + payload;
         Ok(())
-    }
-
-    fn write_stream(&self, k: usize, out: &mut Vec<u8>) {
-        match EventClass::ALL[k] {
-            EventClass::RegionEnter => self.regions[0].write_into(out),
-            EventClass::RegionExit => self.regions[1].write_into(out),
-            EventClass::CounterSample => {
-                self.sample.ip.write_into(out);
-                for c in &self.sample.counters {
-                    c.write_into(out);
-                }
-                self.sample.stack_len.write_into(out);
-                self.sample.stack.write_into(out);
-            }
-            EventClass::Pebs => {
-                out.extend_from_slice(&self.pebs.flags);
-                self.pebs.ip.write_into(out);
-                self.pebs.addr.write_into(out);
-                self.pebs.size.write_into(out);
-                self.pebs.latency.write_into(out);
-                out.extend_from_slice(&self.pebs.level);
-                self.pebs.object.write_into(out);
-            }
-            EventClass::Alloc => {
-                self.alloc.base.write_into(out);
-                self.alloc.size.write_into(out);
-                self.alloc.callsite.write_into(out);
-            }
-            EventClass::Free => self.free.write_into(out),
-            EventClass::MuxSwitch => {
-                self.mux.event_index.write_into(out);
-                self.mux.label_len.write_into(out);
-                out.extend_from_slice(&self.mux.labels);
-            }
-            EventClass::User => {
-                self.user.kind.write_into(out);
-                self.user.value.write_into(out);
-            }
-        }
-    }
-
-    fn stream_len(&self, k: usize) -> usize {
-        match EventClass::ALL[k] {
-            EventClass::RegionEnter => self.regions[0].encoded_len(),
-            EventClass::RegionExit => self.regions[1].encoded_len(),
-            EventClass::CounterSample => {
-                self.sample.ip.encoded_len()
-                    + self.sample.counters.iter().map(ColBuf::encoded_len).sum::<usize>()
-                    + self.sample.stack_len.encoded_len()
-                    + self.sample.stack.encoded_len()
-            }
-            EventClass::Pebs => {
-                self.pebs.flags.len()
-                    + self.pebs.ip.encoded_len()
-                    + self.pebs.addr.encoded_len()
-                    + self.pebs.size.encoded_len()
-                    + self.pebs.latency.encoded_len()
-                    + self.pebs.level.len()
-                    + self.pebs.object.encoded_len()
-            }
-            EventClass::Alloc => {
-                self.alloc.base.encoded_len()
-                    + self.alloc.size.encoded_len()
-                    + self.alloc.callsite.encoded_len()
-            }
-            EventClass::Free => self.free.encoded_len(),
-            EventClass::MuxSwitch => {
-                self.mux.event_index.encoded_len()
-                    + self.mux.label_len.encoded_len()
-                    + self.mux.labels.len()
-            }
-            EventClass::User => {
-                self.user.kind.encoded_len() + self.user.value.encoded_len()
-            }
-        }
     }
 
     /// Serialize the accumulated columns as one chunk payload and
     /// reset the builder (buffers keep their capacity).
     pub fn serialize(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len + 16);
-        put_u64(&mut out, self.deltas.encoded_len() as u64);
-        put_u64(&mut out, self.cores.encoded_len() as u64);
-        let mut sections = self.tags.len() + self.deltas.encoded_len() + self.cores.encoded_len();
-        for k in 0..NSTREAMS {
-            let len = self.stream_len(k);
-            sections += len;
-            put_u64(&mut out, len as u64);
+        for &l in &self.lens {
+            put_u64(&mut out, l as u64);
         }
-        debug_assert_eq!(sections, self.len, "running size drifted from the columns");
-        out.extend_from_slice(&self.tags);
-        self.deltas.write_into(&mut out);
-        self.cores.write_into(&mut out);
-        for k in 0..NSTREAMS {
-            self.write_stream(k, &mut out);
+        let table = out.len();
+        let (cycles, cores, tags, _) = self.rows.columns(0);
+        out.extend_from_slice(tags);
+        write_column((0..cycles.len()).map(|i| stored_delta(cycles, i)), &mut out);
+        write_column(cores.iter().map(|&c| u64::from(c)), &mut out);
+        for (k, layout) in LAYOUT.iter().enumerate() {
+            let c = self.rows.columns(k).3;
+            if c.cols.is_empty() {
+                continue; // a class never pushed has an empty section
+            }
+            for field in layout.fields {
+                match *field {
+                    Field::Cols(lo, hi) => {
+                        for col in &c.cols[lo..hi] {
+                            write_column(col.iter().copied(), &mut out);
+                        }
+                    }
+                    Field::A => out.extend_from_slice(c.raw_a),
+                    Field::B => out.extend_from_slice(c.raw_b),
+                }
+            }
         }
-
+        debug_assert_eq!(out.len() - table, self.len, "running size drifted from the columns");
+        self.rows.clear();
+        self.lens = [0; 2 + NSTREAMS];
         self.len = 0;
-        self.tags.clear();
-        self.deltas.clear();
-        self.cores.clear();
-        self.prev_cycles = 0;
-        for r in &mut self.regions {
-            r.clear();
-        }
-        self.sample.ip.clear();
-        for c in &mut self.sample.counters {
-            c.clear();
-        }
-        self.sample.stack_len.clear();
-        self.sample.stack.clear();
-        self.pebs.flags.clear();
-        self.pebs.ip.clear();
-        self.pebs.addr.clear();
-        self.pebs.size.clear();
-        self.pebs.latency.clear();
-        self.pebs.level.clear();
-        self.pebs.object.clear();
-        self.alloc.base.clear();
-        self.alloc.size.clear();
-        self.alloc.callsite.clear();
-        self.free.clear();
-        self.mux.event_index.clear();
-        self.mux.label_len.clear();
-        self.mux.labels.clear();
-        self.user.kind.clear();
-        self.user.value.clear();
         out
     }
+}
+
+/// Row `i`'s stored timestamp: the zig-zag delta from the row before
+/// it (from 0 for a chunk's first row).
+fn stored_delta(cycles: &[u64], i: usize) -> u64 {
+    let prev = if i == 0 { 0 } else { cycles[i - 1] };
+    zigzag(cycles[i].wrapping_sub(prev) as i64)
+}
+
+/// Bytes the last occurrence `j` of a class added to its section:
+/// each stored column's tail value and raw byte, and the run, which is
+/// the tail of its column from the occurrence's offset on.
+fn appended_len(layout: &Layout, c: &ClassColumns<'_>) -> usize {
+    let j = c.cols[0].len() - 1;
+    let mut len = 0;
+    for (f, &field) in layout.fields.iter().enumerate() {
+        len += match (field, layout.run_at(f)) {
+            (Field::Cols(lo, hi), None) => c.cols[lo..hi].iter().map(|col| value_len(j, col[j])).sum(),
+            (Field::Cols(lo, _), Some((_, off))) => {
+                let from = c.cols[off][j] as usize;
+                c.cols[lo][from..].iter().zip(from..).map(|(&v, i)| value_len(i, v)).sum()
+            }
+            (_, Some((run_len, _))) => c.cols[run_len][j] as usize,
+            (_, None) => 1,
+        };
+    }
+    len
 }
 
 /// Encode a whole event slice as one v4 chunk payload.
@@ -533,7 +404,9 @@ struct ClassView<'a> {
 }
 
 /// Decode the payload columns of class `k` (fully, or the groups
-/// covering `range`) into `scratch.class_cols[k]`.
+/// covering `range`) into `cols`, walking [`LAYOUT`]. A class with a
+/// run decodes fully: the run's length is only known once its whole
+/// length column has decoded.
 fn decode_class<'a>(
     k: usize,
     sec: &'a [u8],
@@ -542,65 +415,31 @@ fn decode_class<'a>(
     cols: &mut [Vec<u64>],
     bytes: &mut u64,
 ) -> Result<ClassView<'a>, CodecError> {
-    let mut pos = 0usize;
-    let mut view = ClassView::default();
-    let raw_cols = |range: Option<(usize, usize)>, n: usize, cols: usize| -> u64 {
-        match range {
-            None => (cols * n) as u64,
-            Some((lo, hi)) => (cols * (hi.min(n).saturating_sub(lo))) as u64,
-        }
-    };
-    match EventClass::ALL[k] {
-        EventClass::RegionEnter | EventClass::RegionExit => {
-            for col in cols.iter_mut().take(1 + NCOUNTERS) {
-                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
+    let layout = &LAYOUT[k];
+    let range = range.filter(|_| layout.run.is_none());
+    let (mut pos, mut view) = (0usize, ClassView::default());
+    for (f, field) in layout.fields.iter().enumerate() {
+        let (count, read) = match layout.run_at(f) {
+            Some((len, off)) => {
+                let (head, tail) = cols.split_at_mut(off);
+                let total = prefix_offsets(&head[len], &mut tail[0])?;
+                (total, total)
             }
-        }
-        EventClass::CounterSample => {
-            // The flattened stack column's length is only known after
-            // the stack_len column decodes, so this class always
-            // decodes fully (`range` is ignored by the caller).
-            for col in cols.iter_mut().take(1 + NCOUNTERS + 1) {
-                decode_col(sec, &mut pos, n, None, col, bytes)?;
+            None => (n, range.map_or(n, |(lo, hi)| hi.min(n).saturating_sub(lo))),
+        };
+        let raw = match *field {
+            Field::Cols(lo, hi) => {
+                for col in &mut cols[lo..hi] {
+                    view.base = decode_col(sec, &mut pos, count, range, col, bytes)?;
+                }
+                continue;
             }
-            let (head, tail) = cols.split_at_mut(1 + NCOUNTERS + 1);
-            let total = prefix_offsets(&head[1 + NCOUNTERS], &mut tail[1])?;
-            decode_col(sec, &mut pos, total, None, &mut tail[0], bytes)?;
-        }
-        EventClass::Pebs => {
-            let flags = take_raw(sec, &mut pos, n)?;
-            for col in cols.iter_mut().take(4) {
-                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
-            }
-            let level = take_raw(sec, &mut pos, n)?;
-            decode_col(sec, &mut pos, n, range, &mut cols[4], bytes)?;
-            *bytes += raw_cols(range, n, 2);
-            view.raw_a = flags;
-            view.raw_b = level;
-        }
-        EventClass::Alloc => {
-            for col in cols.iter_mut().take(3) {
-                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
-            }
-        }
-        EventClass::Free => {
-            view.base = decode_col(sec, &mut pos, n, range, &mut cols[0], bytes)?;
-        }
-        EventClass::MuxSwitch => {
-            // Label offsets require the whole length column; decoded
-            // fully like CounterSample.
-            decode_col(sec, &mut pos, n, None, &mut cols[0], bytes)?;
-            decode_col(sec, &mut pos, n, None, &mut cols[1], bytes)?;
-            let (head, tail) = cols.split_at_mut(2);
-            let total = prefix_offsets(&head[1], &mut tail[0])?;
-            view.raw_a = take_raw(sec, &mut pos, total)?;
-            *bytes += total as u64;
-        }
-        EventClass::User => {
-            for col in cols.iter_mut().take(2) {
-                view.base = decode_col(sec, &mut pos, n, range, col, bytes)?;
-            }
-        }
+            Field::A => &mut view.raw_a,
+            Field::B => &mut view.raw_b,
+        };
+        *raw = take_raw(sec, &mut pos, count)?;
+        // A ranged scan is charged only the occurrences it reads.
+        *bytes += read as u64;
     }
     // Every column walk above ends exactly at the section end: column
     // lengths are functions of their control bytes, so any slack or
@@ -688,16 +527,8 @@ pub fn select_v4<'a>(
                 continue;
             }
         }
-        // Classes with flattened sub-columns can't range-decode
-        // without their whole length column; everything else decodes
-        // just the groups covering the selected occurrence hull.
-        let range = if full
-            || matches!(EventClass::ALL[k], EventClass::CounterSample | EventClass::MuxSwitch)
-        {
-            None
-        } else {
-            Some((jmin[k], jmax[k] + 1))
-        };
+        // Decode just the groups covering the selected occurrence hull.
+        let range = (!full).then(|| (jmin[k], jmax[k] + 1));
         let cols = &mut scratch.class_cols[k];
         cols.resize_with(column_count(EventClass::ALL[k]), Vec::new);
         views[k] = decode_class(k, s.streams[k], nk[k], range, cols, &mut payload_bytes)?;
@@ -708,7 +539,7 @@ pub fn select_v4<'a>(
     // PEBS row here — `kinds` was narrowed above).
     if let Some(want) = object {
         let k = EventClass::Pebs as usize;
-        let (v, objects) = (views[k], scratch.class_cols[k].get(4));
+        let (v, objects) = (views[k], scratch.class_cols[k].get(PEBS_OBJECT));
         scratch.sel.retain(|&(_, j)| {
             let j = j as usize;
             v.raw_a[j] & PEBS_HAS_OBJECT != 0
@@ -749,13 +580,15 @@ pub fn decode_events_v4(buf: &[u8], count: usize) -> Result<Vec<TraceEvent>, Cod
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempersp_extrae::batch::NCOUNTERS;
+    use mempersp_extrae::events::{EventPayload, RegionId};
     use mempersp_extrae::objects::ObjectId;
     use mempersp_extrae::query::EventClass;
     use mempersp_extrae::source::Ip;
     use mempersp_memsim::MemLevel;
-    use mempersp_pebs::PebsSample;
+    use mempersp_pebs::{CounterSnapshot, PebsSample};
 
-    /// Select + materialize: what `StoreReader::query` does per chunk.
+    /// Select + materialize: what `MpsSource::query` does per chunk.
     fn scan_events_v4(
         buf: &[u8],
         count: usize,

@@ -52,11 +52,11 @@
 //!   is a range of match ranks ([`ALL_MATCHES`] for everything): the
 //!   batches carry those matches only and payload is decoded for
 //!   those only, while `ScanStats::events_matched` counts them all.
-//! - **rows on top of it** — `query` materializes the matches,
-//!   `materialize` the whole trace ([`StoreReader::materialize`], or
-//!   `TraceSource::materialize`/`filtered` for an [`MpsSource`]). Every
-//!   read runs on the caller's thread; concurrent readers share one
-//!   [`StoreReader`] through `&self`.
+//! - **rows on top of it**, for an [`MpsSource`] only —
+//!   [`MpsSource::query`] materializes the matches,
+//!   `TraceSource::materialize`/`filtered` the whole or a filtered
+//!   trace. Every read runs on the caller's thread; concurrent readers
+//!   share one [`StoreReader`] through `&self`.
 //! - **verification** — [`StoreReader::verify_all`] checks every
 //!   chunk's frame, CRC and decode whatever `verify` said.
 //! - **accessors** — `chunks`, `num_events`, `header`/`store_header`,

@@ -7,8 +7,9 @@
 //! the file bounds up front, so a corrupt index is an open error, not
 //! a scan-time panic.
 //!
-//! [`StoreReader::query`] walks the index, skips every chunk whose
-//! [`ChunkMeta`] proves it cannot match, and scans the survivors:
+//! Every read is one scan, [`StoreReader::scan_batches_cancel`]: it
+//! walks the index, skips every chunk whose [`ChunkMeta`] proves it
+//! cannot match, and scans the survivors:
 //!
 //! - **Raw chunks** decode straight out of the mapping — zero copies,
 //!   zero cache traffic.
@@ -18,9 +19,8 @@
 //!   `chunks_cached` covers both cache hits and raw-from-mapping
 //!   chunks (neither pays a decompression).
 //!
-//! Every read is one scan, [`StoreReader::scan_batches_cancel`];
-//! [`StoreReader::query`] and [`StoreReader::materialize`] build rows
-//! on top of it.
+//! Rows are built on top of the scan by the store that owns the file
+//! ([`crate::source::MpsSource`]).
 //!
 //! # Integrity and recovery
 //!
@@ -51,7 +51,6 @@ use crate::mmap::Mapping;
 use crate::varint::get_u64;
 use crate::writer::{MAGIC, TRAILER_LEN, TRAILER_MAGIC};
 use mempersp_extrae::batch::EventBatch;
-use mempersp_extrae::events::TraceEvent;
 use mempersp_extrae::query::Query;
 use mempersp_extrae::trace_source::ScanStats;
 use mempersp_extrae::tracer::{Trace, TraceMeta};
@@ -521,29 +520,6 @@ impl StoreReader {
         res.map(|()| stats)
     }
 
-    /// Run a query. Returns matching events in stored (trace) order
-    /// plus the scan's cost accounting. A full scan reserves its result
-    /// once, from the index's event count: grown by doubling, the last
-    /// two buffers would be resident together, and by how much depends
-    /// on whether the allocator serves them from its heap or maps them.
-    pub fn query(&self, q: &Query) -> io::Result<(Vec<TraceEvent>, ScanStats)> {
-        let mut out =
-            if q.is_full_scan() { Vec::with_capacity(self.num_events() as usize) } else { Vec::new() };
-        let stats = self.scan_batches_cancel(q, &ALL_MATCHES, &CancelToken::new(), &mut |b| {
-            b.materialize_into(&mut out)
-        })?;
-        Ok((out, stats))
-    }
-
-    /// Materialize the whole trace: header plus every event, in
-    /// stored order.
-    pub fn materialize(&self) -> io::Result<Trace> {
-        let (events, _) = self.query(&Query::all())?;
-        let mut t = self.header.clone();
-        t.events = events;
-        Ok(t)
-    }
-
     /// Verify the whole file — every chunk's frame + payload CRC
     /// plus a full decode of every payload — and return one entry per
     /// defect, whether or not the reader was opened with `verify`.
@@ -810,7 +786,9 @@ fn find_magic(haystack: &[u8], needle: &[u8; 4]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::MpsSource;
     use crate::writer::{write_store_chunked, TRAILER_LEN};
+    use mempersp_extrae::trace_source::TraceSource;
     use mempersp_extrae::tracer::{Tracer, TracerConfig};
     use mempersp_pebs::CounterSnapshot;
 
@@ -841,9 +819,10 @@ mod tests {
         let path = tmp("mat.mps");
         let t = trace();
         write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
+        let mut src = MpsSource::open(&path).unwrap();
+        let back = src.materialize().unwrap();
+        let r = src.reader().unwrap();
         assert_eq!(r.format_version(), 4);
-        let back = r.materialize().unwrap();
         assert_eq!(back.events, t.events);
         assert_eq!(back.meta, t.meta);
         assert_eq!(back.region_names, t.region_names);
@@ -857,10 +836,11 @@ mod tests {
         let path = tmp("window.mps");
         let t = trace();
         write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
+        let src = MpsSource::open(&path).unwrap();
+        let r = src.reader().unwrap();
         assert!(r.chunks().len() >= 8, "need many chunks, got {}", r.chunks().len());
         let q = Query::all().in_time(0, 5_000);
-        let (events, stats) = r.query(&q).unwrap();
+        let (events, stats) = src.query(&q).unwrap();
         let expect: Vec<_> = t.events.iter().filter(|e| q.matches(e)).cloned().collect();
         assert_eq!(events, expect);
         assert!(stats.chunks_skipped > 0, "{stats:?}");
@@ -878,12 +858,13 @@ mod tests {
         let path = tmp("cache.mps");
         let t = trace();
         write_store_chunked(&path, &t, 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
+        let src = MpsSource::open(&path).unwrap();
+        let r = src.reader().unwrap();
         let q = Query::all().in_time(0, 5_000);
-        let (_, cold) = r.query(&q).unwrap();
+        let (_, cold) = src.query(&q).unwrap();
         assert!(cold.chunks_decoded > 0);
         assert_eq!(cold.chunks_cached, 0);
-        let (_, warm) = r.query(&q).unwrap();
+        let (_, warm) = src.query(&q).unwrap();
         assert_eq!(warm.chunks_decoded, 0, "everything cached: {warm:?}");
         assert_eq!(warm.chunks_cached, cold.chunks_decoded);
         assert_eq!(r.chunks_decoded_total(), cold.chunks_decoded);
@@ -894,10 +875,11 @@ mod tests {
     fn sequential_queries_reuse_one_decode_scratch() {
         let path = tmp("scratch.mps");
         write_store_chunked(&path, &trace(), 4096).unwrap();
-        let r = StoreReader::open(&path).unwrap();
+        let src = MpsSource::open(&path).unwrap();
+        let r = src.reader().unwrap();
         let window = Query::all().in_time(0, 5_000);
         for q in [&window, &Query::all(), &window, &Query::all().with_kinds(&[mempersp_extrae::query::EventClass::User])] {
-            r.query(q).unwrap();
+            src.query(q).unwrap();
         }
         assert!(r.verify_all().is_empty());
         assert_eq!(r.scratch_allocs_total(), 1, "every sequential scan must reuse the pooled scratch");
@@ -978,14 +960,15 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         // Strict: the full scan errors when it reaches the bad chunk.
-        let r = StoreReader::open(&path).unwrap();
-        let err = r.query(&Query::all()).unwrap_err();
+        let src = MpsSource::open(&path).unwrap();
+        let err = src.query(&Query::all()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Salvage: the scan completes, skipping exactly one chunk.
-        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
-        let (events, stats) = s.query(&Query::all()).unwrap();
+        let salvage = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let s = salvage.reader().unwrap();
+        let (events, stats) = salvage.query(&Query::all()).unwrap();
         assert_eq!(stats.chunks_damaged, 1, "{stats:?}");
         assert!(events.len() < t.events.len());
         assert!(!events.is_empty(), "undamaged chunks must survive");
@@ -993,7 +976,7 @@ mod tests {
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].chunk, Some(0));
         // Re-query: memoized verdict, damage not duplicated.
-        let (_, stats2) = s.query(&Query::all()).unwrap();
+        let (_, stats2) = salvage.query(&Query::all()).unwrap();
         assert_eq!(stats2.chunks_damaged, 1);
         assert_eq!(s.damage_report().len(), 1);
         std::fs::remove_file(&path).ok();
@@ -1008,8 +991,8 @@ mod tests {
         // Corrupt a payload byte in a way LZ decompression tolerates?
         // Not guaranteed — so instead verify the *happy* path: with
         // verification off a clean store still answers correctly.
-        let r = StoreReader::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
-        let (events, _) = r.query(&Query::all()).unwrap();
+        let src = MpsSource::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
+        let (events, _) = src.query(&Query::all()).unwrap();
         assert_eq!(events, t.events);
 
         // And the CRC path is genuinely off: flip a payload byte and
@@ -1018,8 +1001,8 @@ mod tests {
         let victim = 8 + FRAME_LEN + 5;
         bytes[victim] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let r2 = StoreReader::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
-        if let Err(e) = r2.query(&Query::all()) {
+        let src = MpsSource::open_with_options(&path, RecoveryMode::Strict, false).unwrap();
+        if let Err(e) = src.query(&Query::all()) {
             assert!(!e.to_string().contains("checksum mismatch"), "{e}");
         }
         std::fs::remove_file(&path).ok();
@@ -1042,10 +1025,11 @@ mod tests {
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
         assert!(StoreReader::open(&path).is_err(), "strict must reject a footer-less file");
-        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let salvage = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let s = salvage.reader().unwrap();
         assert_eq!(s.chunks().len(), chunks, "every full chunk is recoverable");
         assert!(!s.header_intact());
-        let (events, stats) = s.query(&Query::all()).unwrap();
+        let (events, stats) = salvage.query(&Query::all()).unwrap();
         assert_eq!(events, t.events, "salvage recovers every event of every full chunk");
         assert_eq!(stats.chunks_damaged, 0);
         std::fs::remove_file(&path).ok();
@@ -1066,9 +1050,10 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
-        let s = StoreReader::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let salvage = MpsSource::open_with_options(&path, RecoveryMode::Salvage, true).unwrap();
+        let s = salvage.reader().unwrap();
         assert_eq!(s.chunks().len(), 2, "two complete chunks precede the tear");
-        let (events, _) = s.query(&Query::all()).unwrap();
+        let (events, _) = salvage.query(&Query::all()).unwrap();
         assert_eq!(events.len() as u64, expect_events);
         assert_eq!(events[..], t.events[..events.len()], "salvaged events are an exact prefix");
         assert!(

@@ -172,6 +172,7 @@ mod tests {
     use crate::reader::StoreReader;
     use crate::shard::write_store_sharded;
     use crate::writer::write_store_chunked;
+    use mempersp_extrae::trace_source::TraceSource;
     use mempersp_extrae::tracer::{Tracer, TracerConfig};
     use mempersp_pebs::CounterSnapshot;
 
@@ -242,8 +243,7 @@ mod tests {
         let report = recover_store(&path, &out).unwrap();
         assert!(!report.header_intact);
         assert!(report.events > 0);
-        let recovered = StoreReader::open(&out).unwrap();
-        let back = recovered.materialize().unwrap();
+        let back = MpsSource::open(&out).unwrap().materialize().unwrap();
         assert!(
             t.events.starts_with(&back.events),
             "recovered events must be an exact prefix ({} of {})",
@@ -266,7 +266,7 @@ mod tests {
         let report = recover_store(&path, &out).unwrap();
         assert!(report.header_intact);
         assert_eq!(report.events, t.events.len() as u64);
-        let back = StoreReader::open(&out).unwrap().materialize().unwrap();
+        let back = MpsSource::open(&out).unwrap().materialize().unwrap();
         assert_eq!(back.events, t.events);
         assert_eq!(back.region_names, t.region_names);
         assert_eq!(back.meta, t.meta);
@@ -284,7 +284,7 @@ mod tests {
         std::fs::remove_file(dir.join("shard-0001.mps")).unwrap();
         let report = recover_store(&dir, &out).unwrap();
         assert!(report.damage.iter().any(|d| d.contains("shard-0001")), "{:?}", report.damage);
-        let back = StoreReader::open(&out).unwrap().materialize().unwrap();
+        let back = MpsSource::open(&out).unwrap().materialize().unwrap();
         // Shards 0 and 2 survive: first 2500 events + last 1000.
         assert_eq!(back.events.len(), t.events.len() - 2500);
         assert_eq!(back.events[..2500], t.events[..2500]);

@@ -360,10 +360,10 @@ mod tests {
         write_store_sharded(&dir, &t, 4096, 2500).unwrap();
         let r = MpsSource::open(&dir).unwrap();
         assert!(r.num_shards() >= 2);
-        // Open one shard directly with the plain reader: full header,
+        // Open one shard directly as a store of its own: full header,
         // its slice of the events.
-        let first = StoreReader::open(&dir.join(shard_name(0))).unwrap();
-        assert_eq!(first.header().region_names, t.region_names);
+        let first = MpsSource::open(&dir.join(shard_name(0))).unwrap();
+        assert_eq!(first.store_header().region_names, t.region_names);
         assert_eq!(first.num_events(), 2500);
         let (events, _) = first.query(&Query::all()).unwrap();
         assert_eq!(events[..], t.events[..2500]);

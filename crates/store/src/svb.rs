@@ -16,6 +16,11 @@
 //! its control bytes — that's what lets a reader skip whole columns
 //! (and whole groups within a column) without touching their data.
 //!
+//! Encoding is one function, [`write_column`], which appends a column
+//! of any exact-size run of values; [`encode_column`] wraps it for a
+//! slice. [`value_len`] is what one value adds to a column, which is
+//! how a chunk builder knows its encoded size before it encodes.
+//!
 //! There are two kernels ([`SimdLevel`]). The AVX2 one decodes 4
 //! values per step: one 16-byte load, one `pshufb` through a 256-entry
 //! shuffle table, one `vpmovzxdq` widening all four lanes at once.
@@ -179,67 +184,29 @@ fn err(offset: usize, message: String) -> CodecError {
 
 // ------------------------------------------------------------ encode
 
-/// Accumulates one column's values; [`ColBuf::write_into`] emits the
-/// control bytes followed by the data bytes. `encoded_len` is kept
-/// incrementally, and `push` reports what it added, so a chunk builder
-/// can keep its own running size.
-#[derive(Default, Clone)]
-pub struct ColBuf {
-    vals: Vec<u64>,
-    bytes: usize,
+/// Bytes value `v` adds to a column as its `i`-th value: its data
+/// width, plus a control byte when it opens a group of four. What a
+/// chunk builder sums to know its encoded size without encoding.
+#[inline(always)]
+pub fn value_len(i: usize, v: u64) -> usize {
+    usize::from(i.is_multiple_of(4)) + code_width(width_code(v))
 }
 
-impl ColBuf {
-    /// Append `v`; returns the bytes it adds to the encoding.
-    pub fn push(&mut self, v: u64) -> usize {
-        // A new control byte starts every fourth value.
-        let added = usize::from(self.vals.len().is_multiple_of(4)) + code_width(width_code(v));
-        self.bytes += added;
-        self.vals.push(v);
-        added
-    }
-
-    pub fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
-    }
-
-    /// Exact serialized size (control + data bytes).
-    pub fn encoded_len(&self) -> usize {
-        self.bytes
-    }
-
-    /// Append `ctrl || data` to `out`.
-    pub fn write_into(&self, out: &mut Vec<u8>) {
-        let nctrl = self.vals.len().div_ceil(4);
-        let ctrl_start = out.len();
-        out.resize(ctrl_start + nctrl, 0u8);
-        for (i, &v) in self.vals.iter().enumerate() {
-            out[ctrl_start + i / 4] |= width_code(v) << (2 * (i % 4));
-        }
-        for &v in &self.vals {
-            let w = code_width(width_code(v));
-            out.extend_from_slice(&v.to_le_bytes()[..w]);
-        }
-    }
-
-    pub fn clear(&mut self) {
-        self.vals.clear();
-        self.bytes = 0;
+/// Append `vals` to `out` as one column: `ctrl || data`.
+pub fn write_column(vals: impl ExactSizeIterator<Item = u64>, out: &mut Vec<u8>) {
+    let ctrl = out.len();
+    out.resize(ctrl + vals.len().div_ceil(4), 0u8);
+    for (i, v) in vals.enumerate() {
+        let code = width_code(v);
+        out[ctrl + i / 4] |= code << (2 * (i % 4));
+        out.extend_from_slice(&v.to_le_bytes()[..code_width(code)]);
     }
 }
 
-/// Encode a slice as one standalone column (tests, proptests).
+/// Encode a slice as one standalone column.
 pub fn encode_column(vals: &[u64]) -> Vec<u8> {
-    let mut b = ColBuf::default();
-    for &v in vals {
-        b.push(v);
-    }
-    let mut out = Vec::with_capacity(b.encoded_len());
-    b.write_into(&mut out);
+    let mut out = Vec::new();
+    write_column(vals.iter().copied(), &mut out);
     out
 }
 

@@ -14,11 +14,12 @@
 //! the exact-prefix oracle checkable at all.
 
 use mempersp_extrae::stream_writer::tmp_path;
+use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::tracer::{Trace, Tracer, TracerConfig};
 use mempersp_pebs::CounterSnapshot;
 use mempersp_store::writer::write_store_chunked;
 use mempersp_store::{
-    recover_store, FailingFile, FaultConfig, FaultPlan, StoreReader, StoreWriter,
+    recover_store, FailingFile, FaultConfig, FaultPlan, MpsSource, StoreReader, StoreWriter,
 };
 use proptest::prelude::*;
 use std::io;
@@ -127,7 +128,7 @@ fn assert_crash_invariant(
         }
         Ok(r) => r,
     };
-    let back = StoreReader::open(&out).unwrap().materialize().unwrap();
+    let back = MpsSource::open(&out).unwrap().materialize().unwrap();
     assert!(
         tr.events.starts_with(&back.events),
         "{ctx}: recovered {} events are not a prefix of the {} ground-truth events",

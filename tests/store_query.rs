@@ -13,9 +13,7 @@ use mempersp::extrae::trace_format::{load_trace, save_trace, write_trace};
 use mempersp::extrae::trace_source::{ScanStats, TraceSource};
 use mempersp::extrae::Trace;
 use mempersp::hpcg::{HpcgConfig, HpcgWorkload};
-use mempersp::store::{
-    open_trace_source, write_store_chunked, write_store_sharded, StoreReader,
-};
+use mempersp::store::{open_trace_source, write_store_chunked, write_store_sharded, MpsSource};
 use std::path::PathBuf;
 
 fn tmpdir() -> std::path::PathBuf {
@@ -61,7 +59,8 @@ fn fixture() -> &'static (Trace, PathBuf, PathBuf, PathBuf) {
 fn filtered_store_query_equals_prv_filter_with_fewer_decodes() {
     let (_, prv, mps, _) = fixture();
     let parsed = load_trace(prv).unwrap();
-    let reader = StoreReader::open(mps).unwrap();
+    let src = MpsSource::open(mps).unwrap();
+    let reader = src.reader().unwrap();
     let total_chunks = reader.chunks().len() as u64;
     assert!(total_chunks >= 4, "need several chunks to prune, got {total_chunks}");
 
@@ -72,7 +71,7 @@ fn filtered_store_query_equals_prv_filter_with_fewer_decodes() {
         Query::all().in_time(span / 2, span).with_kinds(&[EventClass::Pebs]).on_cores(&[1]),
     ];
     for q in &queries {
-        let (got, stats) = reader.query(q).unwrap();
+        let (got, stats) = src.query(q).unwrap();
         let want: Vec<_> = parsed.events.iter().filter(|e| q.matches(e)).cloned().collect();
         assert_eq!(got, want, "store answer differs from .prv filter for {q:?}");
         assert!(
@@ -92,15 +91,15 @@ fn filtered_store_query_equals_prv_filter_with_fewer_decodes() {
 #[test]
 fn repeated_query_is_served_from_the_cache() {
     let (_, _, mps, _) = fixture();
-    let reader = StoreReader::open(mps).unwrap();
+    let src = MpsSource::open(mps).unwrap();
     let q = Query::all().with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit]);
-    let (first, cold) = reader.query(&q).unwrap();
-    let (second, warm) = reader.query(&q).unwrap();
+    let (first, cold) = src.query(&q).unwrap();
+    let (second, warm) = src.query(&q).unwrap();
     assert_eq!(first, second);
     assert!(cold.chunks_decoded > 0);
     assert_eq!(warm.chunks_decoded, 0, "warm scan hit the codec: {warm:?}");
     assert_eq!(warm.chunks_cached, cold.chunks_decoded + cold.chunks_cached);
-    let cs = reader.cache_stats();
+    let cs = src.cache_stats();
     assert!(cs.hits >= warm.chunks_cached, "{cs:?}");
 }
 
