@@ -10,12 +10,13 @@
 //! * **E** — the last `ComputeSPMV_ref` call (the CG `A·p`).
 //!
 //! Boundaries are averaged over all kept iteration instances and
-//! expressed in the folded (normalized) time of the iteration.
+//! expressed in the folded (normalized) time of the iteration. The
+//! instances come from the fold's own instance collector
+//! ([`mempersp_folding::collect_core_instances`]), so a phase and a
+//! fold pair enter/exit events the same way.
 
-use mempersp_extrae::events::RegionId;
-use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
-use mempersp_extrae::RowView;
+use mempersp_folding::collect_core_instances;
 use serde::{Deserialize, Serialize};
 use std::io;
 
@@ -65,40 +66,20 @@ type Instances = Vec<(u64, u64)>;
 
 /// The top-level `(start, end)` instances of each of `regions` on
 /// `core`, in trace order, from **one** scan of that core's region
-/// boundaries (recursion counts once, as in
-/// [`mempersp_extrae::Trace::region_instances`]; a name the header
-/// does not define gets an empty list).
+/// boundaries through the folding engine's instance collector
+/// ([`collect_core_instances`]: recursion counts once; a name the
+/// header does not define gets an empty list).
 pub(crate) fn region_instances(
     source: &mut dyn TraceSource,
     regions: &[&str],
     core: usize,
 ) -> io::Result<(Vec<Instances>, ScanStats)> {
-    let header = source.header()?;
-    let ids: Vec<Option<RegionId>> = regions.iter().map(|r| header.region_id(r)).collect();
-    let mut open = vec![(0u32, 0u64); regions.len()]; // (depth, start of the top-level instance)
-    let mut out = vec![Vec::new(); regions.len()];
-    let q = Query::all()
-        .with_kinds(&[EventClass::RegionEnter, EventClass::RegionExit])
-        .on_cores(&[core]);
-    let stats = source.scan_batches(&q, &mut |batch| {
-        for row in batch.rows() {
-            let RowView::Boundary(b) = row.view else { continue };
-            let Some(k) = ids.iter().position(|&id| id == Some(b.region())) else { continue };
-            let (depth, start) = &mut open[k];
-            if b.enter {
-                if *depth == 0 {
-                    *start = row.cycles;
-                }
-                *depth += 1;
-            } else if *depth > 0 {
-                *depth -= 1;
-                if *depth == 0 {
-                    out[k].push((*start, row.cycles));
-                }
-            }
-        }
-    })?;
-    Ok((out, stats))
+    let (lists, stats) = collect_core_instances(source, regions, core)?;
+    let spans = lists
+        .iter()
+        .map(|l| l.iter().map(|i| (i.start_cycles, i.end_cycles)).collect())
+        .collect();
+    Ok((spans, stats))
 }
 
 /// Detect the A–E phases of the `iteration_region` on `core`,
@@ -245,7 +226,8 @@ mod tests {
         assert!(iteration_phases(src, "CG_iteration", "SYMGS", "SPMV", 1).unwrap().0.is_empty());
     }
 
-    /// The one-pass instance lists are `Trace::region_instances`'.
+    /// The one-pass instance lists pair each region's enter/exit events
+    /// on the one core asked for.
     #[test]
     fn region_instances_match_the_trace_walk() {
         let mut t = Tracer::new(TracerConfig::default(), 2);
@@ -264,9 +246,7 @@ mod tests {
         let src = &mut &tr;
         let (lists, stats) = region_instances(src, &["other", "rec", "NOPE"], 0).unwrap();
         assert_eq!(lists[1], vec![(0, 20), (30, 40)], "recursion counts once, core 1 ignored");
-        for (name, got) in ["other", "rec"].iter().zip(&lists) {
-            assert_eq!(*got, tr.region_instances(tr.region_id(name).unwrap(), 0));
-        }
+        assert_eq!(lists[0], vec![(7, 8)], "a nested other region is its own");
         assert!(lists[2].is_empty());
         assert_eq!(stats.events_matched, 8);
     }

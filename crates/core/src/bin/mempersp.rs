@@ -668,10 +668,7 @@ fn cmd_fold(args: &[String]) {
     // line and address panels; otherwise only the performance panel
     // is printed, so only it is folded.
     let fold = if single || csv_dir.is_some() { fold_regions_source } else { fold_performance_source };
-    let (results, scan) = fold(src, &requests, threads_arg(args)).unwrap_or_else(|e| {
-        eprintln!("fold failed: {e}");
-        exit(1);
-    });
+    let (results, scan) = scanned(args, fold(src, &requests, threads_arg(args)));
 
     for (region, result) in names.iter().zip(&results) {
         match result {

@@ -149,8 +149,7 @@ pub fn analyze_hpcg_source(
             RegionRequest::with_cfg(regions::SYMGS, symgs_cfg),
         ],
         fold_threads,
-    )
-    .map_err(io::Error::other)?;
+    )?;
     let folded_symgs = folded.pop().expect("two fold slots").expect("SYMGS instances present");
     let folded_iteration =
         folded.pop().expect("two fold slots").expect("CG iterations present");

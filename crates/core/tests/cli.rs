@@ -601,3 +601,38 @@ fn objects_reports_a_damaged_pebs_chunk_as_corruption() {
     assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fold whose scan meets a chunk that fails its checksum reports
+/// corruption like every other reader: exit 2 through `die`, the chunk
+/// named on stderr, and no half-answer on stdout — for the one-region
+/// full fold and the many-region performance-only fold alike.
+#[test]
+fn fold_reports_a_damaged_chunk_as_corruption() {
+    use mempersp_extrae::EventClass;
+    let dir = tmpdir("fold_reports_a_damaged_chunk_as_corruption");
+    let mps = dir.join("f.mps");
+    ok(bin().args(["run", "--workload", "hpcg", "--nx", "8", "--iters", "2", "-o"]).arg(&mps).output().unwrap());
+    let folds: [&[&str]; 2] = [&["--region", "CG_iteration"], &["--regions", "all"]];
+    for fold in folds {
+        ok(bin().arg("fold").arg(&mps).args(fold).output().unwrap());
+    }
+
+    let chunks = mempersp_store::StoreReader::open(&mps).unwrap().chunks().to_vec();
+    let idx = chunks
+        .iter()
+        .position(|m| m.kind_mask.contains(EventClass::Pebs))
+        .expect("a chunk with PEBS samples");
+    let mut bytes = std::fs::read(&mps).unwrap();
+    bytes[(chunks[idx].offset + chunks[idx].stored_len as u64 / 2) as usize] ^= 0x40;
+    std::fs::write(&mps, bytes).unwrap();
+
+    for fold in folds {
+        let out = bin().arg("fold").arg(&mps).args(fold).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{fold:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("cannot scan {}: ", mps.display())), "{stderr}");
+        assert!(stderr.contains(&format!("chunk {idx}: ")), "{fold:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{fold:?}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -102,39 +102,6 @@ impl Trace {
         cycles as f64 * 1000.0 / self.meta.freq_mhz as f64
     }
 
-    /// All `(start_cycles, end_cycles)` instances of a region on a
-    /// given core, from matching enter/exit pairs (nested instances of
-    /// *other* regions are ignored; recursive instances of the same
-    /// region are matched innermost-first and only top-level pairs are
-    /// returned).
-    pub fn region_instances(&self, region: RegionId, core: usize) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut depth = 0u32;
-        let mut start = 0u64;
-        for e in &self.events {
-            if e.core != core {
-                continue;
-            }
-            match &e.payload {
-                EventPayload::RegionEnter { region: r, .. } if *r == region => {
-                    if depth == 0 {
-                        start = e.cycles;
-                    }
-                    depth += 1;
-                }
-                EventPayload::RegionExit { region: r, .. } if *r == region
-                    && depth > 0 => {
-                        depth -= 1;
-                        if depth == 0 {
-                            out.push((start, e.cycles));
-                        }
-                    }
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Iterate PEBS events with their resolved object ids.
     pub fn pebs_events(&self) -> impl Iterator<Item = (&TraceEvent, &PebsSample, Option<ObjectId>)> {
         self.events.iter().filter_map(|e| match &e.payload {
@@ -579,34 +546,14 @@ mod tests {
     }
 
     #[test]
-    fn region_lifecycle_and_instances() {
+    fn region_names_resolve_both_ways() {
         let mut t = Tracer::new(TracerConfig::default(), 1);
         let c = CounterSnapshot::default();
-        for i in 0..3u64 {
-            t.enter(0, "ComputeSYMGS_ref", c, i * 100);
-            t.exit(0, "ComputeSYMGS_ref", c, i * 100 + 50);
-        }
+        t.enter(0, "ComputeSYMGS_ref", c, 0);
+        t.exit(0, "ComputeSYMGS_ref", c, 50);
         let tr = t.finish("test");
         let id = tr.region_id("ComputeSYMGS_ref").unwrap();
-        assert_eq!(tr.region_instances(id, 0), vec![(0, 50), (100, 150), (200, 250)]);
         assert_eq!(tr.region_name(id), "ComputeSYMGS_ref");
-    }
-
-    #[test]
-    fn nested_and_recursive_regions() {
-        let mut t = Tracer::new(TracerConfig::default(), 1);
-        let c = CounterSnapshot::default();
-        t.enter(0, "MG", c, 0);
-        t.enter(0, "SYMGS", c, 10);
-        t.exit(0, "SYMGS", c, 20);
-        t.enter(0, "MG", c, 30); // recursion
-        t.exit(0, "MG", c, 40);
-        t.exit(0, "MG", c, 50);
-        let tr = t.finish("test");
-        let mg = tr.region_id("MG").unwrap();
-        assert_eq!(tr.region_instances(mg, 0), vec![(0, 50)], "only top-level pair");
-        let sy = tr.region_id("SYMGS").unwrap();
-        assert_eq!(tr.region_instances(sy, 0), vec![(10, 20)]);
     }
 
     #[test]

@@ -35,9 +35,19 @@ fn golden_trace_parses_with_expected_content() {
     assert_eq!(objs[2].kind, ObjectKind::Static);
 
     assert_eq!(t.num_events(), 11);
-    // Region instance reconstruction.
+    // The one iteration's boundaries, on core 0.
     let iter = t.region_id("CG_iteration").unwrap();
-    assert_eq!(t.region_instances(iter, 0), vec![(100, 300)]);
+    let bounds: Vec<(bool, u64)> = t
+        .events
+        .iter()
+        .filter(|e| e.core == 0)
+        .filter_map(|e| match e.payload {
+            EventPayload::RegionEnter { region, .. } if region == iter => Some((true, e.cycles)),
+            EventPayload::RegionExit { region, .. } if region == iter => Some((false, e.cycles)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(bounds, vec![(true, 100), (false, 300)]);
 
     // Sample stack parsed.
     let stacks: Vec<&Vec<RegionId>> = t

@@ -41,6 +41,7 @@ use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, Trace};
 use mempersp_pebs::EventKind;
 use std::convert::Infallible;
+use std::io;
 use std::sync::Mutex;
 
 /// One region to fold, with its folding parameters.
@@ -367,7 +368,7 @@ pub fn fold_regions_source(
     source: &mut dyn TraceSource,
     requests: &[RegionRequest],
     threads: usize,
-) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
+) -> io::Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats)> {
     fold_source(source, requests, threads, Panels::All)
 }
 
@@ -382,7 +383,7 @@ pub fn fold_performance_source(
     source: &mut dyn TraceSource,
     requests: &[RegionRequest],
     threads: usize,
-) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
+) -> io::Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats)> {
     fold_source(source, requests, threads, Panels::Performance)
 }
 
@@ -391,11 +392,9 @@ fn fold_source(
     requests: &[RegionRequest],
     threads: usize,
     panels: Panels,
-) -> Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats), FoldError> {
-    let io_err = |e: std::io::Error| FoldError::Io(e.to_string());
-    let header = source.header().map_err(io_err)?;
+) -> io::Result<(Vec<Result<FoldedRegion, FoldError>>, ScanStats)> {
+    let header = source.header()?;
     fold_scans(&header, requests, threads, panels, |q, sink| source.scan_batches(q, sink))
-        .map_err(io_err)
 }
 
 #[cfg(test)]

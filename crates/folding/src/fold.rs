@@ -51,8 +51,6 @@ pub enum FoldError {
     UnknownRegion(String),
     /// Fewer kept instances than `min_instances`.
     TooFewInstances { found: usize, need: usize },
-    /// Reading from the trace source failed (message of the I/O error).
-    Io(String),
 }
 
 impl std::fmt::Display for FoldError {
@@ -62,7 +60,6 @@ impl std::fmt::Display for FoldError {
             FoldError::TooFewInstances { found, need } => {
                 write!(f, "only {found} instance(s) kept, need {need}")
             }
-            FoldError::Io(msg) => write!(f, "trace source error: {msg}"),
         }
     }
 }

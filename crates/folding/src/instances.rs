@@ -7,9 +7,11 @@
 
 use mempersp_extrae::events::RegionId;
 use mempersp_extrae::query::{EventClass, Query};
+use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::{scan_events, EventBatch, RowView, Trace};
 use mempersp_pebs::CounterSnapshot;
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// One dynamic execution of the folded region.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,6 +96,29 @@ pub fn collect_instances_multi(
     let mut collector = InstanceCollector::new(regions, trace.meta.num_cores);
     scan_events(&trace.events, &boundary_query(), &mut |b| collector.push(b));
     collector.finish(filters)
+}
+
+/// The top-level instances of each region named in `regions` on `core`
+/// alone, unfiltered and in trace order, from **one** scan of that
+/// core's region boundaries: recursion counts once, a nested instance
+/// of another region is that region's own, and a name the header does
+/// not define gets an empty list.
+pub fn collect_core_instances(
+    source: &mut dyn TraceSource,
+    regions: &[&str],
+    core: usize,
+) -> io::Result<(Vec<Vec<RegionInstance>>, ScanStats)> {
+    let header = source.header()?;
+    let (slots, ids): (Vec<usize>, Vec<RegionId>) =
+        regions.iter().enumerate().filter_map(|(k, r)| Some((k, header.region_id(r)?))).unzip();
+    let mut collector = InstanceCollector::new(&ids, header.meta.num_cores);
+    let stats = source.scan_batches(&boundary_query().on_cores(&[core]), &mut |b| collector.push(b))?;
+    let keep_all = InstanceFilter { mad_k: f64::INFINITY, min_fraction_of_max: 0.0 };
+    let mut out = vec![Vec::new(); regions.len()];
+    for (slot, (kept, _)) in slots.into_iter().zip(collector.finish(&vec![keep_all; ids.len()])) {
+        out[slot] = kept;
+    }
+    Ok((out, stats))
 }
 
 /// Instance collection as a column kernel: fed the boundary rows of a
@@ -232,6 +257,8 @@ mod tests {
     use super::*;
     use mempersp_extrae::{Tracer, TracerConfig};
 
+    const KEEP_ALL: InstanceFilter = InstanceFilter { mad_k: f64::INFINITY, min_fraction_of_max: 0.0 };
+
     /// `(kept, rejected_count)` for one region.
     fn one_region(tr: &Trace, region: RegionId, filter: InstanceFilter) -> (Vec<RegionInstance>, usize) {
         collect_instances_multi(tr, &[region], &[filter]).pop().expect("one slot")
@@ -253,11 +280,7 @@ mod tests {
     fn collects_all_without_filter() {
         let tr = trace_with_durations(&[100, 100, 100]);
         let id = tr.region_id("R").unwrap();
-        let (kept, rej) = one_region(
-            &tr,
-            id,
-            InstanceFilter { mad_k: f64::INFINITY, ..InstanceFilter::default() },
-        );
+        let (kept, rej) = one_region(&tr, id, KEEP_ALL);
         assert_eq!(kept.len(), 3);
         assert_eq!(rej, 0);
     }
@@ -343,6 +366,45 @@ mod tests {
         assert_eq!(multi[1], one_region(&tr, b, f));
         assert_eq!(multi[0].0.len(), 2);
         assert_eq!(multi[1].0.len(), 2);
+    }
+
+    /// `(start, end)` of each region's instances on `core`.
+    fn spans_on_core(tr: &Trace, regions: &[&str], core: usize) -> Vec<Vec<(u64, u64)>> {
+        let (lists, _) = collect_core_instances(&mut &*tr, regions, core).unwrap();
+        lists.iter().map(|l| l.iter().map(|i| (i.start_cycles, i.end_cycles)).collect()).collect()
+    }
+
+    #[test]
+    fn region_lifecycle_and_instances() {
+        let mut t = Tracer::new(TracerConfig::default(), 1);
+        let c = CounterSnapshot::default();
+        for i in 0..3u64 {
+            t.enter(0, "ComputeSYMGS_ref", c, i * 100);
+            t.exit(0, "ComputeSYMGS_ref", c, i * 100 + 50);
+        }
+        let tr = t.finish("test");
+        let spans = spans_on_core(&tr, &["ComputeSYMGS_ref"], 0);
+        assert_eq!(spans, [vec![(0, 50), (100, 150), (200, 250)]]);
+    }
+
+    #[test]
+    fn nested_and_recursive_regions() {
+        let mut t = Tracer::new(TracerConfig::default(), 1);
+        let c = CounterSnapshot::default();
+        t.enter(0, "MG", c, 0);
+        t.enter(0, "SYMGS", c, 10);
+        t.exit(0, "SYMGS", c, 20);
+        t.enter(0, "MG", c, 30); // recursion
+        t.exit(0, "MG", c, 40);
+        t.exit(0, "MG", c, 50);
+        let tr = t.finish("test");
+        let [mg, symgs] = <[_; 2]>::try_from(spans_on_core(&tr, &["MG", "SYMGS"], 0)).unwrap();
+        assert_eq!(mg, [(0, 50)], "recursion counts once: only the top-level pair");
+        assert_eq!(symgs, [(10, 20)], "a nested other region is separate");
+        // The filtered trace-wide collector pairs them the same way.
+        let (mg_id, symgs_id) = (tr.region_id("MG").unwrap(), tr.region_id("SYMGS").unwrap());
+        assert_eq!(one_region(&tr, mg_id, KEEP_ALL).0.len(), 1);
+        assert_eq!(one_region(&tr, symgs_id, KEEP_ALL).0.len(), 1);
     }
 
     #[test]

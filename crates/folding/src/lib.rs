@@ -33,5 +33,5 @@ pub use curve::MonotoneCurve;
 pub use digest::{fold_request_digest, Fnv64};
 pub use engine::{fold_performance_source, fold_regions, fold_regions_source, RegionRequest};
 pub use fold::{fold_region, FitModel, FoldError, FoldedCounter, FoldedRegion, FoldingConfig};
-pub use instances::{collect_instances_multi, InstanceFilter, RegionInstance};
+pub use instances::{collect_core_instances, collect_instances_multi, InstanceFilter, RegionInstance};
 pub use pool::{pool_all, AddrPoint, FileId, LinePoint, PooledSamples};

@@ -90,13 +90,23 @@ fn region_instance_counts_match_the_algorithm() {
     let iters = cfg.max_iters;
     let levels = cfg.mg_levels;
     let (_, trace) = run(cfg, 1);
-    let instances = |name: &str| trace.region_instances(trace.region_id(name).unwrap(), 0).len();
+    // Calls of a region on core 0: its enter events there.
+    let instances = |name: &str| {
+        let id = trace.region_id(name).unwrap();
+        trace
+            .events
+            .iter()
+            .filter(|e| {
+                e.core == 0 && matches!(e.payload, EventPayload::RegionEnter { region, .. } if region == id)
+            })
+            .count()
+    };
 
     assert_eq!(instances(regions::CG_ITERATION), iters);
     assert_eq!(instances(regions::EXECUTION), 1);
-    // MG: one top-level call per iteration (recursive calls are folded
-    // into the top-level instance by the matcher).
-    assert_eq!(instances(regions::MG), iters);
+    // MG: the V-cycle recurses once per level, every iteration (the
+    // instance collector counts each iteration's recursion once).
+    assert_eq!(instances(regions::MG), iters * levels);
     // SYMGS per iteration: 2 per non-coarsest level + 1 at coarsest.
     assert_eq!(instances(regions::SYMGS), iters * (2 * (levels - 1) + 1));
     // SPMV: setup 1 + per iteration (1 per non-coarsest level + 1 CG-level).

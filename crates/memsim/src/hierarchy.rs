@@ -28,11 +28,11 @@ use crate::config::{HierarchyConfig, WriteMissPolicy};
 use crate::dram::Dram;
 use crate::prefetch::StreamPrefetcher;
 use crate::stats::{CoreStats, SystemStats};
-use crate::tlb::Tlb;
+use crate::tlb::{AddrHasher, Tlb};
 use crate::{lines_of_access, Addr};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Load or store, as retired by the simulated core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -150,28 +150,6 @@ impl Lane {
         self.results.clear();
         self.reqs.clear();
         self.next_req = 0;
-    }
-}
-
-/// Hasher for page-number and line-address keys: one multiply +
-/// xor-shift so they spread over the whole bucket range.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
     }
 }
 

@@ -10,13 +10,14 @@ use crate::Addr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// One-multiply hasher for virtual page numbers: the TLB lookup is on
-/// the per-access critical path of the whole simulator, so SipHash is
-/// too expensive and a Fibonacci-style mix is plenty for page keys.
+/// Hasher for page-number and line-address keys (the TLB's pages, the
+/// hierarchy's core masks): the lookups are on the per-access critical
+/// path of the whole simulator, so SipHash is too expensive, and one
+/// multiply + xor-shift spreads the keys over the whole bucket range.
 #[derive(Default)]
-struct VpnHasher(u64);
+pub(crate) struct AddrHasher(u64);
 
-impl Hasher for VpnHasher {
+impl Hasher for AddrHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -45,7 +46,7 @@ pub struct Tlb {
     cfg: TlbConfig,
     page_shift: u32,
     /// virtual page number → last-touch clock
-    entries: HashMap<u64, u64, BuildHasherDefault<VpnHasher>>,
+    entries: HashMap<u64, u64, BuildHasherDefault<AddrHasher>>,
     clock: u64,
     hits: u64,
     misses: u64,

@@ -1,11 +1,13 @@
-//! Minimal, robust HTTP/1.1: a request parser and a
-//! chunked/Content-Length responder over plain `Read`/`Write`.
+//! Minimal, robust HTTP/1.1: a request parser and a Content-Length
+//! responder over plain `Read`/`Write`.
 //!
 //! The service speaks one request per connection (`Connection: close`
 //! on every response) — clients here are analysis scripts and `curl`,
 //! not browsers holding keep-alive pools, and one-shot connections
 //! make admission control exact: one accepted connection == one
-//! in-flight request.
+//! in-flight request. Every response body is already a finished
+//! buffer in memory, so every response is framed by `Content-Length`
+//! and goes out as one vectored write of head and body.
 //!
 //! Hard limits protect the worker pool from hostile or broken peers:
 //! the request head (request line + headers) is capped, the body is
@@ -24,11 +26,6 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// room for huge explicit core lists without letting a peer balloon
 /// worker memory.
 pub const MAX_BODY_BYTES: usize = 2 * 1024 * 1024;
-/// Response bodies above this are sent with chunked transfer encoding
-/// (each chunk a bounded write), below it with Content-Length.
-pub const CHUNK_THRESHOLD: usize = 64 * 1024;
-/// Chunk size of a chunked response.
-pub const CHUNK_BYTES: usize = 64 * 1024;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -56,8 +53,8 @@ impl Request {
 
 /// Read and parse one request. Enforces the head/body caps while
 /// reading. `Content-Length` bodies only — a request with
-/// `Transfer-Encoding` is rejected (the *responder* speaks chunked,
-/// the clients this service has don't need to).
+/// `Transfer-Encoding` is rejected (the clients this service has
+/// don't need it).
 pub fn read_request(stream: &mut dyn Read) -> io::Result<Request> {
     let head = read_head(stream)?;
     let text = std::str::from_utf8(&head.bytes[..head.len])
@@ -240,12 +237,9 @@ fn write_all_vectored(stream: &mut dyn Write, mut bufs: &mut [IoSlice<'_>]) -> i
     Ok(())
 }
 
-/// Serialize `resp`: Content-Length framing for small bodies, chunked
-/// transfer encoding above [`CHUNK_THRESHOLD`]. Returns the total
-/// bytes written (head + body + framing). Framing never costs a
-/// syscall of its own (the socket keeps Nagle on): a small response is
-/// one vectored write, a chunked one is one per chunk — the head rides
-/// with the first, the terminator with the last.
+/// Serialize `resp` with Content-Length framing, head and body in one
+/// vectored write (more only after a short write). Returns the total
+/// bytes written (head + body).
 pub fn write_response(stream: &mut dyn Write, resp: &Response) -> io::Result<u64> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nConnection: close\r\n",
@@ -259,30 +253,11 @@ pub fn write_response(stream: &mut dyn Write, resp: &Response) -> io::Result<u64
         head.push_str(value);
         head.push_str("\r\n");
     }
-    let mut written = 0u64;
-    if resp.body.len() > CHUNK_THRESHOLD {
-        head.push_str("Transfer-Encoding: chunked\r\n\r\n");
-        let last = resp.body.len().div_ceil(CHUNK_BYTES) - 1;
-        // What goes out ahead of a chunk: the head, then each earlier
-        // chunk's closing CRLF; always followed by the size line.
-        let mut lead = head;
-        for (i, chunk) in resp.body.chunks(CHUNK_BYTES).enumerate() {
-            lead.push_str(&format!("{:x}\r\n", chunk.len()));
-            let tail: &[u8] = if i == last { b"\r\n0\r\n\r\n" } else { b"" };
-            let mut bufs = [IoSlice::new(lead.as_bytes()), IoSlice::new(chunk), IoSlice::new(tail)];
-            write_all_vectored(stream, &mut bufs)?;
-            written += (lead.len() + chunk.len() + tail.len()) as u64;
-            lead.clear();
-            lead.push_str("\r\n");
-        }
-    } else {
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-        let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(&resp.body)];
-        write_all_vectored(stream, &mut bufs)?;
-        written += head.len() as u64 + resp.body.len() as u64;
-    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
+    let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(&resp.body)];
+    write_all_vectored(stream, &mut bufs)?;
     stream.flush()?;
-    Ok(written)
+    Ok(head.len() as u64 + resp.body.len() as u64)
 }
 
 #[cfg(test)]
@@ -370,38 +345,19 @@ mod tests {
     }
 
     #[test]
-    fn small_responses_use_content_length() {
-        let mut out = Vec::new();
-        let n = write_response(&mut out, &Response::json(200, "{\"ok\":true}".into())).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("{\"ok\":true}"));
-        assert_eq!(n as usize, text.len());
-    }
-
-    #[test]
-    fn large_responses_are_chunked_and_reassemble() {
-        let body: String = "x".repeat(CHUNK_THRESHOLD + CHUNK_BYTES + 17);
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, body.clone())).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(!text.contains("Content-Length"));
-        // De-chunk and compare.
-        let payload = text.split("\r\n\r\n").nth(1).unwrap();
-        let mut rest = payload;
-        let mut got = String::new();
-        while let Some((size_line, tail)) = rest.split_once("\r\n") {
-            let size = usize::from_str_radix(size_line, 16).unwrap();
-            if size == 0 {
-                break;
-            }
-            got.push_str(&tail[..size]);
-            rest = &tail[size + 2..];
+    fn every_response_uses_content_length() {
+        // Past 64 KiB (a rendered query page) the framing is the same.
+        for body in ["{\"ok\":true}".to_string(), "x".repeat(150_017)] {
+            let mut out = Vec::new();
+            let n = write_response(&mut out, &Response::json(200, body.clone())).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+            assert!(text.contains(&format!("Content-Length: {}\r\n", body.len())));
+            assert!(text.contains("Connection: close\r\n"));
+            assert!(!text.contains("Transfer-Encoding"));
+            assert_eq!(text.split_once("\r\n\r\n").unwrap().1, body);
+            assert_eq!(n as usize, text.len());
         }
-        assert_eq!(got, body);
     }
 
     /// A peer that counts calls and takes at most `cap` bytes of each.
@@ -435,32 +391,18 @@ mod tests {
     #[test]
     fn framing_costs_no_write_of_its_own() {
         let small = Response::json(200, "{\"ok\":true}".into()).with_header("X-Memo", "hit");
-        // 150 KB (a rendered query page): three chunks, the last short;
-        // and a body that ends exactly on a chunk edge.
         let large = Response::json(200, "x".repeat(150_000));
-        let edge = Response::json(200, "y".repeat(2 * CHUNK_BYTES));
-        for (resp, writes) in [(&small, 1), (&large, 3), (&edge, 2)] {
-            // The wire bytes, as an unbounded `Vec` takes them: past
-            // the head, a chunked body is `size CRLF chunk CRLF` per
-            // chunk and a zero-size terminator.
+        for resp in [&small, &large] {
+            // The wire bytes, as an unbounded `Vec` takes them: the
+            // head, then the body verbatim.
             let mut want = Vec::new();
             let n = write_response(&mut want, resp).unwrap();
             assert_eq!(n as usize, want.len());
-            if resp.body.len() > CHUNK_THRESHOLD {
-                let at = want.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-                let mut framed = Vec::new();
-                for chunk in resp.body.chunks(CHUNK_BYTES) {
-                    framed.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-                    framed.extend_from_slice(chunk);
-                    framed.extend_from_slice(b"\r\n");
-                }
-                framed.extend_from_slice(b"0\r\n\r\n");
-                assert!(want[at..] == framed[..], "chunk framing changed");
-            }
+            assert!(want.ends_with(&resp.body));
 
             let mut peer = Counting { bytes: Vec::new(), calls: 0, cap: usize::MAX };
             assert_eq!(write_response(&mut peer, resp).unwrap(), n);
-            assert_eq!(peer.calls, writes);
+            assert_eq!(peer.calls, 1, "head and body go out in one write");
             assert_eq!(peer.bytes, want);
 
             // Short writes cost more calls, never a byte.

@@ -27,7 +27,6 @@
 //! See [`router`] for the endpoint table and status-code contract.
 
 pub mod http;
-pub mod memo;
 pub mod metrics;
 pub mod repo;
 pub mod router;
@@ -430,7 +429,7 @@ mod tests {
         let text = handle.app().metrics.render(
             handle.app().started,
             handle.app().repo.cache_stats(),
-            handle.app().memo.stats(),
+            &handle.app().memo,
         );
         let sum: f64 = text
             .lines()

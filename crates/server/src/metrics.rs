@@ -3,17 +3,15 @@
 //! Everything on the hot path is an atomic or a short-held mutex over
 //! a small map; rendering happens only when `/metrics` is scraped.
 //! Block-cache and fold-memo counters live with their owners (the
-//! store readers and [`crate::memo::FoldMemo`]) and are passed in at
-//! render time, so this module never reaches into the repository.
+//! store readers and the router's memo) and are passed in at render
+//! time, so this module never reaches into the repository.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mempersp_store::CacheStats;
-
-use crate::memo::MemoStats;
+use mempersp_store::{CacheStats, ShardedCache};
 
 /// Latency histogram bucket upper bounds, in seconds. Cumulative
 /// (Prometheus `le` semantics); an implicit `+Inf` bucket follows.
@@ -48,7 +46,7 @@ pub struct Metrics {
     inflight: AtomicU64,
     /// Connections turned away at the door with `429`.
     rejected: AtomicU64,
-    /// Response bytes written, including heads and chunk framing.
+    /// Response bytes written, heads included.
     bytes_served: AtomicU64,
     /// `(endpoint, status) -> count`.
     requests: Mutex<HashMap<(&'static str, u16), u64>>,
@@ -113,7 +111,7 @@ impl Metrics {
 
     /// Render the text exposition. `started` is the server's launch
     /// instant; cache and memo counters come from their owners.
-    pub fn render(&self, started: Instant, cache: CacheStats, memo: MemoStats) -> String {
+    pub fn render(&self, started: Instant, cache: CacheStats, memo: &ShardedCache<Arc<String>>) -> String {
         fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
@@ -147,20 +145,21 @@ impl Metrics {
         counter(
             &mut out,
             "mempersp_bytes_served_total",
-            "Response bytes written (heads, bodies and chunk framing).",
+            "Response bytes written (heads and bodies).",
             self.bytes_served.load(Ordering::Relaxed),
         );
         counter(&mut out, "mempersp_block_cache_hits_total", "Block-cache hits across all open stores.", cache.hits);
         counter(&mut out, "mempersp_block_cache_misses_total", "Block-cache misses across all open stores.", cache.misses);
         counter(&mut out, "mempersp_block_cache_evictions_total", "Block-cache evictions across all open stores.", cache.evictions);
         counter(&mut out, "mempersp_block_cache_insertions_total", "Block-cache insertions across all open stores.", cache.insertions);
-        counter(&mut out, "mempersp_fold_memo_hits_total", "Fold requests answered from the memo cache.", memo.hits);
-        counter(&mut out, "mempersp_fold_memo_misses_total", "Fold requests computed from the trace.", memo.misses);
+        let memo_stats = memo.stats();
+        counter(&mut out, "mempersp_fold_memo_hits_total", "Fold requests answered from the memo cache.", memo_stats.hits);
+        counter(&mut out, "mempersp_fold_memo_misses_total", "Fold requests computed from the trace.", memo_stats.misses);
         gauge(
             &mut out,
             "mempersp_fold_memo_entries",
             "Fold results currently memoized.",
-            memo.entries as f64,
+            memo.len() as f64,
         );
 
         // Info-style gauge: which stream-vbyte decode kernel this
@@ -248,10 +247,16 @@ mod tests {
         m.record("/v1/query", 200, Duration::from_millis(3), 512);
         m.record("/v1/query", 400, Duration::from_micros(80), 64);
         m.record_rejected();
+        let memo = ShardedCache::new(1, 4);
+        assert!(memo.get(9).is_none());
+        memo.insert(9, Arc::new(String::new()));
+        for _ in 0..4 {
+            memo.get(9);
+        }
         let text = m.render(
             Instant::now(),
             CacheStats { hits: 7, misses: 2, evictions: 1, insertions: 2 },
-            MemoStats { hits: 4, misses: 1, entries: 1 },
+            &memo,
         );
         for needle in [
             "mempersp_uptime_seconds",

@@ -139,25 +139,15 @@ impl TraceRepo {
 }
 
 /// A per-request [`TraceSource`] view of a shared reader that threads
-/// a [`CancelToken`] into every scan, and remembers the `ErrorKind`
-/// of the last scan failure. The folding engine flattens I/O errors
-/// to strings ([`mempersp_folding::FoldError::Io`]); the recorded
-/// kind lets the router still distinguish a deadline (`503`) from
-/// corruption (`502`) after a failed fold.
+/// a [`CancelToken`] into every scan.
 pub struct CancellableSource<'a> {
     src: &'a MpsSource,
     cancel: &'a CancelToken,
-    last_err: Option<io::ErrorKind>,
 }
 
 impl<'a> CancellableSource<'a> {
     pub fn new(src: &'a MpsSource, cancel: &'a CancelToken) -> CancellableSource<'a> {
-        CancellableSource { src, cancel, last_err: None }
-    }
-
-    /// `ErrorKind` of the most recent failed scan, if any.
-    pub fn last_err_kind(&self) -> Option<io::ErrorKind> {
-        self.last_err
+        CancellableSource { src, cancel }
     }
 }
 
@@ -171,9 +161,7 @@ impl TraceSource for CancellableSource<'_> {
         query: &Query,
         sink: &mut dyn FnMut(&EventBatch<'_>),
     ) -> io::Result<ScanStats> {
-        self.src.scan_batches_cancel(query, &ALL_MATCHES, self.cancel, sink).inspect_err(|e| {
-            self.last_err = Some(e.kind());
-        })
+        self.src.scan_batches_cancel(query, &ALL_MATCHES, self.cancel, sink)
     }
 
     fn format_name(&self) -> &'static str {

@@ -15,7 +15,12 @@
 //! damage summary, anything else `500`. Error bodies are always
 //! `{"error": ...}` JSON.
 //!
-//! Fold responses are memoized by content digest; a repeat fold is
+//! Fold responses are memoized by content digest: a fold's result for
+//! a given (trace identity, region set, config) is immutable — stores
+//! are write-once and the engine is deterministic at any thread count
+//! — so the finished body is kept as an `Arc<String>` in a one-shard
+//! [`ShardedCache`] keyed by the request digest, LRU-bounded by
+//! `--memo-cap` (many-region bodies reach megabytes). A repeat fold is
 //! answered from the memo with the *byte-identical* body and an
 //! `X-Memo: hit` header (the hit marker lives in a header precisely
 //! so memoization can never change a body). A fold body carries the
@@ -37,11 +42,10 @@ use mempersp_folding::{
     fold_performance_source, fold_request_digest, FitModel, FoldError, FoldedRegion,
     FoldingConfig, Fnv64, RegionRequest,
 };
-use mempersp_store::{CancelToken, MpsSource};
+use mempersp_store::{CancelToken, MpsSource, ShardedCache};
 use serde_json::{json, to_string, Value};
 
 use crate::http::{Request, Response};
-use crate::memo::FoldMemo;
 use crate::metrics::Metrics;
 use crate::repo::{trace_identity, CancellableSource, TraceRepo};
 
@@ -56,7 +60,8 @@ pub const DEFAULT_FOLD_POINTS: usize = 64;
 pub struct App {
     pub repo: TraceRepo,
     pub metrics: Metrics,
-    pub memo: FoldMemo,
+    /// Finished fold bodies by request digest.
+    pub memo: ShardedCache<Arc<String>>,
     /// Per-request deadline; `None` disables it.
     pub timeout: Option<Duration>,
     /// Set by `/admin/shutdown` (and SIGTERM); the accept loop drains
@@ -73,7 +78,7 @@ impl App {
         Ok(App {
             repo: TraceRepo::new(root)?,
             metrics: Metrics::new(),
-            memo: FoldMemo::new(memo_cap),
+            memo: ShardedCache::new(1, memo_cap),
             timeout,
             shutdown: Arc::new(AtomicBool::new(false)),
             wake: std::sync::OnceLock::new(),
@@ -167,7 +172,7 @@ fn handle_healthz() -> Response {
 }
 
 fn handle_metrics(app: &App) -> Response {
-    Response::text(200, app.metrics.render(app.started, app.repo.cache_stats(), app.memo.stats()))
+    Response::text(200, app.metrics.render(app.started, app.repo.cache_stats(), &app.memo))
 }
 
 fn handle_shutdown(app: &App) -> Response {
@@ -514,24 +519,11 @@ fn handle_fold(app: &App, req: &Request) -> Response {
     let mut csrc = CancellableSource::new(&src, &cancel);
     let started = Instant::now();
     // The body renders the performance panel only, so only it is folded.
-    let outcome = fold_performance_source(&mut csrc, &requests, threads);
-    let scan = started.elapsed();
-    let last_kind = csrc.last_err_kind();
-    let (folded, stats) = match outcome {
+    let (folded, stats) = match fold_performance_source(&mut csrc, &requests, threads) {
         Ok(r) => r,
-        Err(e) => {
-            // The engine flattens I/O failures to strings; recover the
-            // kind recorded by the source adapter so deadlines stay
-            // 503 and corruption stays 502.
-            let kind = last_kind.unwrap_or(io::ErrorKind::Other);
-            return io_error_response(
-                app,
-                Some(&name),
-                Some(&src),
-                &io::Error::new(kind, e.to_string()),
-            );
-        }
+        Err(e) => return io_error_response(app, Some(&name), Some(&src), &e),
     };
+    let scan = started.elapsed();
 
     let started = Instant::now();
     let text = Arc::new(fold_body(&name, points, &requests, &folded, &stats));

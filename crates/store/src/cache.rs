@@ -1,41 +1,25 @@
-//! A sharded LRU cache of decompressed chunk payloads.
+//! A sharded LRU cache: the store's block cache of decompressed chunk
+//! payloads, and the service's memo of finished fold bodies.
 //!
-//! The cache holds **bytes**, not decoded events: only LZ-compressed
-//! chunks earn a slot (their decompressed payload), because
-//! uncompressed chunks already decode zero-copy straight out of the
-//! reader's file mapping — caching them would just duplicate the page
-//! cache. Bytes are also ~5–10x smaller than materialized
+//! The block cache holds **bytes**, not decoded events: only
+//! LZ-compressed chunks earn a slot (their decompressed payload),
+//! because uncompressed chunks already decode zero-copy straight out of
+//! the reader's file mapping — caching them would just duplicate the
+//! page cache. Bytes are also ~5–10x smaller than materialized
 //! `TraceEvent`s, so the same memory budget keeps far more of a
 //! gigabyte-scale trace warm. The cache is sharded — each shard is its
 //! own mutex + map — so the parallel scan path contends only when two
 //! workers touch chunks of the same shard, not on one global lock.
-//! Eviction is LRU per shard via monotone access stamps.
+//! Eviction is LRU per shard via monotone access stamps. Keys are
+//! `u64`, so a 64-bit request digest is a key as it stands.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-/// Cache sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Number of independent shards (lock domains).
-    pub shards: usize,
-    /// Decoded chunks retained per shard.
-    pub chunks_per_shard: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        // 8 × 32 = 256 resident decompressed payloads ≈ 16 MiB at the
-        // default chunk target — bounded regardless of trace size, and
-        // cheap now that entries are bytes rather than fat events.
-        CacheConfig { shards: 8, chunks_per_shard: 32 }
-    }
-}
-
-struct Shard {
-    /// chunk index → (last-access stamp, decoded events).
-    map: HashMap<usize, (u64, Arc<Vec<u8>>)>,
+struct Shard<V> {
+    /// key → (last-access stamp, value).
+    map: HashMap<u64, (u64, V)>,
     tick: u64,
 }
 
@@ -63,9 +47,10 @@ impl CacheStats {
     }
 }
 
-/// The sharded block cache.
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
+/// The sharded LRU cache. Values are handed out by clone, so they are
+/// meant to be cheap handles (`Arc`s).
+pub struct ShardedCache<V> {
+    shards: Vec<Mutex<Shard<V>>>,
     cap_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -73,14 +58,15 @@ pub struct ShardedCache {
     insertions: AtomicU64,
 }
 
-impl ShardedCache {
-    pub fn new(cfg: CacheConfig) -> ShardedCache {
-        let shards = cfg.shards.max(1);
+impl<V: Clone> ShardedCache<V> {
+    /// `shards` independent lock domains of at most `per_shard` entries
+    /// each (both at least 1).
+    pub fn new(shards: usize, per_shard: usize) -> ShardedCache<V> {
         ShardedCache {
-            shards: (0..shards)
+            shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Shard { map: HashMap::new(), tick: 0 }))
                 .collect(),
-            cap_per_shard: cfg.chunks_per_shard.max(1),
+            cap_per_shard: per_shard.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -88,12 +74,12 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: usize) -> &Mutex<Shard> {
-        &self.shards[key % self.shards.len()]
+    fn shard(&self, key: u64) -> &Mutex<Shard<V>> {
+        &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    /// Look a chunk up, refreshing its recency on hit.
-    pub fn get(&self, key: usize) -> Option<Arc<Vec<u8>>> {
+    /// Look an entry up, refreshing its recency on hit.
+    pub fn get(&self, key: u64) -> Option<V> {
         let mut s = self.shard(key).lock().expect("cache shard poisoned");
         s.tick += 1;
         let tick = s.tick;
@@ -110,9 +96,9 @@ impl ShardedCache {
         }
     }
 
-    /// Insert a decompressed chunk payload, evicting the shard's
-    /// least-recently used entry when full.
-    pub fn insert(&self, key: usize, value: Arc<Vec<u8>>) {
+    /// Insert an entry, evicting the shard's least-recently used entry
+    /// when full.
+    pub fn insert(&self, key: u64, value: V) {
         let mut s = self.shard(key).lock().expect("cache shard poisoned");
         s.tick += 1;
         let tick = s.tick;
@@ -150,6 +136,7 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn ev(tag: u64) -> Arc<Vec<u8>> {
         Arc::new(tag.to_le_bytes().to_vec())
@@ -157,7 +144,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let c = ShardedCache::new(CacheConfig { shards: 2, chunks_per_shard: 2 });
+        let c = ShardedCache::new(2, 2);
         assert!(c.get(0).is_none());
         c.insert(0, ev(0));
         assert!(c.get(0).is_some());
@@ -168,7 +155,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_entry() {
         // One shard so every key collides into the same LRU domain.
-        let c = ShardedCache::new(CacheConfig { shards: 1, chunks_per_shard: 2 });
+        let c = ShardedCache::new(1, 2);
         c.insert(1, ev(1));
         c.insert(2, ev(2));
         assert!(c.get(1).is_some(), "refresh 1 so 2 becomes LRU");
@@ -194,7 +181,7 @@ mod tests {
 
     #[test]
     fn reinsert_does_not_evict() {
-        let c = ShardedCache::new(CacheConfig { shards: 1, chunks_per_shard: 2 });
+        let c = ShardedCache::new(1, 2);
         c.insert(1, ev(1));
         c.insert(2, ev(2));
         c.insert(2, ev(22));
@@ -206,10 +193,57 @@ mod tests {
 
     #[test]
     fn shards_are_independent() {
-        let c = ShardedCache::new(CacheConfig { shards: 4, chunks_per_shard: 1 });
+        let c = ShardedCache::new(4, 1);
         for k in 0..4 {
-            c.insert(k, ev(k as u64));
+            c.insert(k, ev(k));
         }
         assert_eq!(c.len(), 4, "one entry per shard, no cross-shard eviction");
+    }
+
+    // The fold memo's uses: one shard of shared response bodies keyed
+    // by a 64-bit request digest.
+
+    #[test]
+    fn hit_returns_the_same_body() {
+        let memo = ShardedCache::new(1, 4);
+        assert!(memo.get(1).is_none());
+        memo.insert(1, Arc::new("body".to_string()));
+        let got = memo.get(1).unwrap();
+        assert_eq!(*got, "body");
+        assert_eq!(memo.stats(), CacheStats { hits: 1, misses: 1, evictions: 0, insertions: 1 });
+        assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn memo_evicts_least_recently_used_at_capacity() {
+        let memo = ShardedCache::new(1, 2);
+        memo.insert(1, Arc::new("a".to_string()));
+        memo.insert(2, Arc::new("b".to_string()));
+        memo.get(1); // 2 is now the LRU
+        memo.insert(3, Arc::new("c".to_string()));
+        assert!(memo.get(1).is_some());
+        assert!(memo.get(2).is_none(), "LRU entry should have been evicted");
+        assert!(memo.get(3).is_some());
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn memo_reinsert_replaces_the_body() {
+        let memo = ShardedCache::new(1, 2);
+        memo.insert(1, Arc::new("a".to_string()));
+        memo.insert(2, Arc::new("b".to_string()));
+        memo.insert(2, Arc::new("b2".to_string()));
+        assert_eq!(*memo.get(2).unwrap(), "b2");
+        assert!(memo.get(1).is_some());
+    }
+
+    #[test]
+    fn keys_differing_above_bit_32_are_distinct() {
+        let memo = ShardedCache::new(1, 4);
+        memo.insert(1, Arc::new("low".to_string()));
+        memo.insert(1 + (1 << 32), Arc::new("high".to_string()));
+        assert_eq!(memo.len(), 2);
+        assert_eq!(*memo.get(1).unwrap(), "low");
+        assert_eq!(*memo.get(1 + (1 << 32)).unwrap(), "high");
     }
 }

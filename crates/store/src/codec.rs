@@ -59,13 +59,13 @@
 //! asserted.
 
 use crate::select::{select_rows, HeadCols, RowFilter};
-use crate::svb::{simd_level, value_len, write_column, zigzag, SvbColumn};
+use crate::svb::{simd_level, values_len, write_column, zigzag, SvbColumn};
 use crate::varint::{get_u64, put_u64, CodecError};
 use mempersp_extrae::batch::{
     column_count, ClassColumns, EventBatch, Transposer, MUX_LABEL_LEN, MUX_LABEL_OFF, PEBS_HAS_OBJECT,
     PEBS_OBJECT, STACK, STACK_LEN, STACK_OFF,
 };
-use mempersp_extrae::events::TraceEvent;
+use mempersp_extrae::events::{EventPayload, TraceEvent};
 use mempersp_extrae::query::{EventClass, KindMask, Query};
 use std::ops::Range;
 
@@ -136,10 +136,14 @@ const LAYOUT: [Layout; NSTREAMS] = {
 pub struct ChunkBuilderV4 {
     rows: Transposer,
     /// Encoded bytes of the delta and core sections and of each class
-    /// section, kept as events arrive so the writer's per-event poll
-    /// is one load and sealing knows the section table up front.
+    /// section, for the occurrences of each class counted so far, so
+    /// sealing knows the section table up front.
     lens: [usize; 2 + NSTREAMS],
+    occurrences: [usize; NSTREAMS],
+    /// Exact encoded size of the counted rows, and an upper bound on
+    /// that of all rows: `len` plus a cheap bound per uncounted row.
     len: usize,
+    bound: usize,
 }
 
 impl ChunkBuilderV4 {
@@ -154,35 +158,64 @@ impl ChunkBuilderV4 {
 
     /// Raw encoded size if the chunk were sealed now (excluding the
     /// ~11-byte section-length prefix).
-    pub fn encoded_len(&self) -> usize {
+    pub fn encoded_len(&mut self) -> usize {
+        self.count_new_rows();
         self.len
+    }
+
+    /// Whether the encoded size has reached `target`: exactly
+    /// `encoded_len() >= target`, but the rows are counted only once
+    /// the running bound says the target may have been reached.
+    pub fn reached(&mut self, target: usize) -> bool {
+        self.bound >= target && self.encoded_len() >= target
     }
 
     /// Append one event's fields to the columns. A core id that does
     /// not fit the 32 bits every reader narrows it to is refused, and
     /// the builder is left as it was.
     pub fn push(&mut self, e: &TraceEvent) -> Result<(), CodecError> {
-        let row = self.rows.len();
         if u32::try_from(e.core).is_err() {
-            return Err(wide_core(row, e.core as u64));
+            return Err(wide_core(self.rows.len(), e.core as u64));
         }
         self.rows.push(e);
-        let k = EventClass::of(&e.payload) as usize;
-        let (cycles, cores, _, c) = self.rows.columns(k);
-        let delta = value_len(row, stored_delta(cycles, row));
-        let core = value_len(row, u64::from(cores[row]));
-        let payload = appended_len(&LAYOUT[k], &c);
-        self.lens[0] += delta;
-        self.lens[1] += core;
-        self.lens[2 + k] += payload;
-        // One tag byte, then whatever each column gained.
-        self.len += 1 + delta + core + payload;
+        // At most 9 bytes (a control byte and a full 8-byte value) per
+        // column (delta, core, every class column and run value), plus
+        // one spare for the tag and raw bytes: PEBS's two flag bytes,
+        // or each label byte.
+        let run = match &e.payload {
+            EventPayload::CounterSample { stack, .. } => stack.len(),
+            EventPayload::MuxSwitch { label, .. } => label.len(),
+            _ => 0,
+        };
+        self.bound += 9 * (3 + column_count(EventClass::of(&e.payload)) + run);
         Ok(())
+    }
+
+    /// Add the rows pushed since the last count to `lens` and `len`,
+    /// one column slice at a time, and tighten the bound to the exact
+    /// size.
+    fn count_new_rows(&mut self) {
+        let (from, to) = (self.occurrences.iter().sum(), self.rows.len());
+        let (cycles, cores, _, _) = self.rows.columns(0);
+        self.lens[0] += values_len(from, (from..to).map(|i| stored_delta(cycles, i)));
+        self.lens[1] += values_len(from, cores[from..].iter().map(|&c| u64::from(c)));
+        for (k, layout) in LAYOUT.iter().enumerate() {
+            let c = self.rows.columns(k).3;
+            let (from, to) = (self.occurrences[k], c.cols.first().map_or(0, Vec::len));
+            if from < to {
+                self.lens[2 + k] += appended_len(layout, &c, from);
+                self.occurrences[k] = to;
+            }
+        }
+        // One tag byte per row, then every section.
+        self.len = to + self.lens.iter().sum::<usize>();
+        self.bound = self.len;
     }
 
     /// Serialize the accumulated columns as one chunk payload and
     /// reset the builder (buffers keep their capacity).
     pub fn serialize(&mut self) -> Vec<u8> {
+        self.count_new_rows();
         let mut out = Vec::with_capacity(self.len + 16);
         for &l in &self.lens {
             put_u64(&mut out, l as u64);
@@ -211,8 +244,7 @@ impl ChunkBuilderV4 {
         }
         debug_assert_eq!(out.len() - table, self.len, "running size drifted from the columns");
         self.rows.clear();
-        self.lens = [0; 2 + NSTREAMS];
-        self.len = 0;
+        *self = ChunkBuilderV4 { rows: std::mem::take(&mut self.rows), ..Self::default() };
         out
     }
 }
@@ -224,21 +256,18 @@ fn stored_delta(cycles: &[u64], i: usize) -> u64 {
     zigzag(cycles[i].wrapping_sub(prev) as i64)
 }
 
-/// Bytes the last occurrence `j` of a class added to its section:
-/// each stored column's tail value and raw byte, and the run, which is
-/// the tail of its column from the occurrence's offset on.
-fn appended_len(layout: &Layout, c: &ClassColumns<'_>) -> usize {
-    let j = c.cols[0].len() - 1;
+/// Bytes the occurrences of a class from `j` on added to its section:
+/// each stored column's tail from `j` and raw bytes, and the run, which
+/// is the tail of its column from occurrence `j`'s offset on.
+fn appended_len(layout: &Layout, c: &ClassColumns<'_>, j: usize) -> usize {
+    let tail = |col: &[u64], from: usize| values_len(from, col[from..].iter().copied());
     let mut len = 0;
     for (f, &field) in layout.fields.iter().enumerate() {
         len += match (field, layout.run_at(f)) {
-            (Field::Cols(lo, hi), None) => c.cols[lo..hi].iter().map(|col| value_len(j, col[j])).sum(),
-            (Field::Cols(lo, _), Some((_, off))) => {
-                let from = c.cols[off][j] as usize;
-                c.cols[lo][from..].iter().zip(from..).map(|(&v, i)| value_len(i, v)).sum()
-            }
-            (_, Some((run_len, _))) => c.cols[run_len][j] as usize,
-            (_, None) => 1,
+            (Field::Cols(lo, hi), None) => c.cols[lo..hi].iter().map(|col| tail(col, j)).sum(),
+            (Field::Cols(lo, _), Some((_, off))) => tail(&c.cols[lo], c.cols[off][j] as usize),
+            (_, Some((run_len, _))) => c.cols[run_len][j..].iter().sum::<u64>() as usize,
+            (_, None) => c.cols[0].len() - j,
         };
     }
     len
@@ -718,6 +747,23 @@ mod tests {
             crate::varint::get_u64(&payload, &mut pos).unwrap();
         }
         assert_eq!(polled, payload.len() - pos);
+    }
+
+    /// The bound only defers counting: `reached` answers what the exact
+    /// size polled after every push answers, so a chunk seals at the
+    /// same row.
+    #[test]
+    fn v4_reached_agrees_with_the_exact_size_at_every_row() {
+        let evs: Vec<TraceEvent> = (0..40).flat_map(|_| events()).collect();
+        for target in [1, 60, 333, 1_000, 4_096, 1 << 20] {
+            let (mut lazy, mut exact) = (ChunkBuilderV4::new(), ChunkBuilderV4::new());
+            for e in &evs {
+                lazy.push(e).unwrap();
+                exact.push(e).unwrap();
+                assert_eq!(lazy.reached(target), exact.encoded_len() >= target, "target {target}");
+            }
+            assert_eq!(lazy.serialize(), exact.serialize());
+        }
     }
 
     #[test]

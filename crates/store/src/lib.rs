@@ -121,7 +121,7 @@ pub mod svb;
 pub mod varint;
 pub mod writer;
 
-pub use cache::{CacheConfig, CacheStats, ShardedCache};
+pub use cache::{CacheStats, ShardedCache};
 pub use cancel::CancelToken;
 pub use chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
 pub use codec::ALL_MATCHES;

@@ -41,7 +41,7 @@
 //!   footer never made it to disk (a killed run) is recovered by
 //!   forward-scanning the self-delimiting chunk frames.
 
-use crate::cache::{CacheConfig, CacheStats, ShardedCache};
+use crate::cache::{CacheStats, ShardedCache};
 use crate::cancel::CancelToken;
 use crate::chunk::{ChunkFrame, ChunkMeta, Compression, FRAME_LEN};
 use crate::codec::{select_v4, DecodeScratch, ALL_MATCHES};
@@ -67,6 +67,11 @@ const MAX_CHUNK_RAW: u32 = 256 * 1024 * 1024;
 
 /// Upper bound on the header blob's claimed raw size, same rationale.
 const MAX_HEADER_RAW: usize = 256 * 1024 * 1024;
+
+/// Block-cache sizing: 8 × 32 = 256 decompressed payloads ≈ 16 MiB at
+/// the default chunk target, whatever the trace size.
+const CACHE_SHARDS: usize = 8;
+const CACHE_CHUNKS_PER_SHARD: usize = 32;
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -185,7 +190,7 @@ pub struct StoreReader {
     /// Was the header blob readable (vs. synthesized by salvage)?
     header_intact: bool,
     damage: Mutex<DamageLog>,
-    cache: ShardedCache,
+    cache: ShardedCache<Arc<Vec<u8>>>,
     /// Lifetime count of chunk payloads actually decompressed (cache
     /// misses on LZ chunks); the acceptance counter for "decoded
     /// strictly fewer chunks than a full scan".
@@ -225,7 +230,8 @@ impl StoreReader {
 
     /// Open with an explicit [`RecoveryMode`] and lazy payload-CRC
     /// verification on or off. Both are facts of the reader from here
-    /// on; the block cache is sized by [`CacheConfig::default`].
+    /// on; the block cache holds `CACHE_SHARDS` × `CACHE_CHUNKS_PER_SHARD`
+    /// decompressed payloads.
     pub fn open_with_options(
         path: &Path,
         mode: RecoveryMode,
@@ -283,7 +289,7 @@ impl StoreReader {
             header,
             header_intact,
             damage: Mutex::new(damage),
-            cache: ShardedCache::new(CacheConfig::default()),
+            cache: ShardedCache::new(CACHE_SHARDS, CACHE_CHUNKS_PER_SHARD),
             decoded_total: AtomicU64::new(0),
             scratch_pool: Mutex::new(Vec::new()),
             scratch_allocs: AtomicU64::new(0),
@@ -420,11 +426,11 @@ impl StoreReader {
         match m.compression {
             Compression::Raw => Ok((ChunkData::Mapped(stored), false)),
             Compression::Lz => {
-                if let Some(hit) = self.cache.get(idx) {
+                if let Some(hit) = self.cache.get(idx as u64) {
                     return Ok((ChunkData::Cached(hit), false));
                 }
                 let raw = Arc::new(lz::decompress(stored, m.raw_len as usize)?);
-                self.cache.insert(idx, raw.clone());
+                self.cache.insert(idx as u64, raw.clone());
                 self.decoded_total.fetch_add(1, Ordering::Relaxed);
                 Ok((ChunkData::Cached(raw), true))
             }

@@ -212,7 +212,7 @@ impl StoreWriter {
         self.open_meta.observe(event);
         self.open_meta.events += 1;
         self.total_events += 1;
-        if self.builder.encoded_len() >= self.chunk_target {
+        if self.builder.reached(self.chunk_target) {
             self.seal_chunk()?;
         }
         Ok(())

@@ -8,7 +8,7 @@ use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::TraceSource;
 use mempersp_extrae::tracer::{Tracer, TracerConfig};
 use mempersp_extrae::{EventBatch, RowView};
-use mempersp_folding::{fold_regions_source, FoldError, RegionRequest};
+use mempersp_folding::{fold_regions_source, RegionRequest};
 use mempersp_memsim::MemLevel;
 use mempersp_pebs::{CounterSnapshot, PebsSample};
 use mempersp_store::chunk::{ChunkMeta, Compression};
@@ -381,7 +381,7 @@ fn corrupt(path: &std::path::Path, at: usize, value: u8) {
 fn unverified_fold(
     path: &std::path::Path,
     mode: RecoveryMode,
-) -> Result<mempersp_extrae::trace_source::ScanStats, FoldError> {
+) -> std::io::Result<mempersp_extrae::trace_source::ScanStats> {
     let mut src = MpsSource::open_with_options(path, mode, false).expect("open is lazy");
     fold_regions_source(&mut src, &[RegionRequest::new("R")], 1).map(|(results, stats)| {
         assert!(results[0].is_ok(), "{:?}", results[0].as_ref().err());
@@ -408,8 +408,11 @@ fn corrupt_v4_columns_fail_a_strict_fold_and_are_skipped_by_salvage() {
         corrupt(&path, pick(&offsets), value);
 
         match unverified_fold(&path, RecoveryMode::Strict) {
-            Err(FoldError::Io(msg)) => assert!(msg.contains(expect), "{name}: {msg}"),
-            other => panic!("{name}: strict fold must fail with FoldError::Io, got {other:?}"),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{name}: {e}");
+                assert!(e.to_string().contains(expect), "{name}: {e}");
+            }
+            other => panic!("{name}: strict fold must fail with an I/O error, got {other:?}"),
         }
         let salvaged = unverified_fold(&path, RecoveryMode::Salvage).expect("salvage folds the rest");
         // The damaged chunk is met by the boundary scan, the sample

@@ -70,7 +70,7 @@ impl Workload for FalseSharing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempersp_extrae::NullContext;
+    use mempersp_extrae::{EventPayload, NullContext};
 
     #[test]
     fn counts_are_exact() {
@@ -79,7 +79,11 @@ mod tests {
         w.run(&mut ctx);
         assert_eq!(w.total, 300);
         let trace = ctx.finish("fs");
-        assert_eq!(trace.region_instances(trace.region_id("worker").unwrap(), 2).len(), 1);
+        let id = trace.region_id("worker").unwrap();
+        let enters = trace.events.iter().filter(|e| {
+            e.core == 2 && matches!(e.payload, EventPayload::RegionEnter { region, .. } if region == id)
+        });
+        assert_eq!(enters.count(), 1);
     }
 
     #[test]

@@ -90,7 +90,8 @@ fn launch(max_inflight: usize, workers: usize, timeout_ms: u64) -> mempersp::ser
 }
 
 /// A minimal HTTP/1.1 client: one request, read to EOF (the server
-/// closes every connection), de-chunk if needed.
+/// closes every connection); the body must be exactly the
+/// `Content-Length` it announces.
 fn http(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).unwrap();
     let body = body.unwrap_or("");
@@ -106,21 +107,13 @@ fn http(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u1
     let raw = String::from_utf8(raw).unwrap();
     let (head, payload) = raw.split_once("\r\n\r\n").expect("no header terminator");
     let status: u16 = head.split(' ').nth(1).unwrap().parse().unwrap();
-    let body = if head.to_ascii_lowercase().contains("transfer-encoding: chunked") {
-        let mut rest = payload;
-        let mut out = String::new();
-        while let Some((size_line, tail)) = rest.split_once("\r\n") {
-            let size = usize::from_str_radix(size_line.trim(), 16).unwrap();
-            if size == 0 {
-                break;
-            }
-            out.push_str(&tail[..size]);
-            rest = &tail[size + 2..];
-        }
-        out
-    } else {
-        payload.to_string()
-    };
+    let length = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("every response carries Content-Length");
+    assert_eq!(length.parse::<usize>().unwrap(), payload.len(), "Content-Length matches the body");
+    assert!(!head.to_ascii_lowercase().contains("transfer-encoding"), "{head}");
+    let body = payload.to_string();
     (status, head.to_string(), body)
 }
 
