@@ -52,6 +52,10 @@ fn main() {
         }
     }
     let out = out.unwrap_or_else(|| usage());
+    if shard_events == Some(0) {
+        eprintln!("--shard-events expects an event count of at least 1, got 0");
+        std::process::exit(1);
+    }
 
     let start = std::time::Instant::now();
     let header = cfg.header();

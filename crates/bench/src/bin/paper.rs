@@ -335,7 +335,7 @@ fn ablation_machine() {
         (rep.wall_cycles, t.served_dram as f64 / t.accesses().max(1) as f64)
     };
     for pf in [true, false] {
-        let (cycles, dram) = run(&|cfg| cfg.hierarchy.prefetch.enabled = pf);
+        let (cycles, dram) = run(&|cfg| cfg.hierarchy.prefetch = pf);
         println!("prefetch {pf:>5}: {cycles:>10} cycles, {:.1} % served by DRAM", dram * 100.0);
     }
     use ReplacementPolicy::{Fifo, Lru, Random, TreePlru};

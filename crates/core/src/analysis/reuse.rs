@@ -12,6 +12,7 @@
 use mempersp_extrae::query::{EventClass, Query};
 use mempersp_extrae::trace_source::{ScanStats, TraceSource};
 use mempersp_extrae::RowView;
+use mempersp_memsim::LINE_SIZE;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -56,14 +57,13 @@ impl ReuseHistogram {
 }
 
 /// Estimate the reuse-distance histogram of the PEBS samples on
-/// `core` (line granularity, `line_size` bytes — a power of two), from
-/// one scan of that core's PEBS address column.
+/// `core` at the simulator's cache-line granularity
+/// ([`LINE_SIZE`]), from one scan of that core's PEBS address column.
 pub fn sampled_reuse_histogram(
     source: &mut dyn TraceSource,
     core: usize,
-    line_size: u64,
 ) -> io::Result<(ReuseHistogram, ScanStats)> {
-    let mask = !(line_size - 1);
+    let mask = !(LINE_SIZE - 1);
     let mut lines: Vec<u64> = Vec::new();
     let q = Query::all().with_kinds(&[EventClass::Pebs]).on_cores(&[core]);
     let stats = source.scan_batches(&q, &mut |batch| {
@@ -208,7 +208,7 @@ mod tests {
     fn immediate_reuse_is_distance_zero_bucket() {
         // A A → one reuse with 0 distinct lines in between.
         let tr = trace_of(&[0x0, 0x8]);
-        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0).unwrap();
         assert_eq!(h.reuses, 1);
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.cold, 0);
@@ -219,7 +219,7 @@ mod tests {
         // A B C B A: A reused with {B, C} in between (distance 2);
         // B reused with {C} (distance 1).
         let tr = trace_of(&[0x000, 0x040, 0x080, 0x040, 0x000]);
-        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0).unwrap();
         assert_eq!(h.reuses, 2);
         // distance 1 -> bucket 0; distance 2 -> bucket 1.
         assert_eq!(h.buckets[0], 1);
@@ -231,7 +231,7 @@ mod tests {
     fn streaming_has_no_reuse() {
         let addrs: Vec<u64> = (0..100).map(|i| i * 64).collect();
         let tr = trace_of(&addrs);
-        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0).unwrap();
         assert_eq!(h.reuses, 0);
         assert_eq!(h.cold, 100);
         assert!(h.typical_distance().is_none());
@@ -247,7 +247,7 @@ mod tests {
             }
         }
         let tr = trace_of(&addrs);
-        let (h, _) = sampled_reuse_histogram(&mut &tr, 0, 64).unwrap();
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 0).unwrap();
         assert_eq!(h.reuses, 32);
         assert_eq!(h.typical_distance(), Some(4), "distance 7 lands in bucket [4,8)");
         assert_eq!(h.buckets, vec![0, 0, 32]);
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn other_cores_ignored() {
         let tr = trace_of(&[0x0, 0x0]);
-        let (h, _) = sampled_reuse_histogram(&mut &tr, 1, 64).unwrap();
+        let (h, _) = sampled_reuse_histogram(&mut &tr, 1).unwrap();
         assert_eq!(h.reuses, 0);
         assert_eq!(h.cold, 0);
     }

@@ -82,6 +82,20 @@ fn die(context: &str, e: &std::io::Error) -> ! {
     exit(if e.kind() == std::io::ErrorKind::InvalidData { EXIT_CORRUPT } else { 1 });
 }
 
+/// `print!` for a command's output: a closed stdout (`| head`) is an
+/// IO error reported through [`die`], not a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        io::Write::write_fmt(&mut io::stdout(), format_args!($($arg)*))
+            .unwrap_or_else(|e| die("writing output", &e))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 /// The value given to `flag`, if the flag is given. A flag that is last,
 /// or followed by another `--` flag, is a usage error: its value is
 /// missing, and taking the next flag for it would swallow that flag.
@@ -122,13 +136,15 @@ fn count_arg(args: &[String], flag: &str, default: usize) -> usize {
     })
 }
 
-/// `--shard-events`: roll a `.mps.d` shard every this many events.
+/// `--shard-events`: roll a `.mps.d` shard every this many events
+/// (at least one).
 fn shard_events_arg(args: &[String]) -> Option<u64> {
-    arg_value(args, "--shard-events").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--shard-events expects an event count, got {v:?}");
+    arg_value(args, "--shard-events").map(|v| match v.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => {
+            eprintln!("--shard-events expects an event count of at least 1, got {v:?}");
             exit(1);
-        })
+        }
     })
 }
 
@@ -157,7 +173,7 @@ fn cmd_fsck(args: &[String]) {
     let path = trace_path(args);
     let report = mempersp_store::fsck_store(std::path::Path::new(path))
         .unwrap_or_else(|e| die(&format!("fsck {path}"), &e));
-    println!(
+    outln!(
         "{}: format v{}, {} shard{}, {} chunks, {} events",
         path,
         report.format_version,
@@ -167,15 +183,15 @@ fn cmd_fsck(args: &[String]) {
         report.events
     );
     if !report.header_intact {
-        println!("header: LOST (salvage will synthesize one)");
+        outln!("header: LOST (salvage will synthesize one)");
     }
     if report.is_clean() {
-        println!("clean: every frame, payload, header and index checksum verified");
+        outln!("clean: every frame, payload, header and index checksum verified");
         return;
     }
-    println!("damage ({} finding{}):", report.damage.len(), if report.damage.len() == 1 { "" } else { "s" });
+    outln!("damage ({} finding{}):", report.damage.len(), if report.damage.len() == 1 { "" } else { "s" });
     for d in &report.damage {
-        println!("  {d}");
+        outln!("  {d}");
     }
     exit(EXIT_CORRUPT);
 }
@@ -211,10 +227,10 @@ fn cmd_recover(args: &[String]) {
 /// Flat sampling profile.
 fn cmd_profile(args: &[String]) {
     let ((rows, total), _) = scanned(args, flat_profile(load_source(args).as_mut()));
-    println!("{total} timer samples");
-    println!("{:<28} {:>8} {:>7} {:>9}", "region", "self", "self%", "inclusive");
+    outln!("{total} timer samples");
+    outln!("{:<28} {:>8} {:>7} {:>9}", "region", "self", "self%", "inclusive");
     for r in rows {
-        println!(
+        outln!(
             "{:<28} {:>8} {:>6.1}% {:>9}",
             r.region,
             r.self_samples,
@@ -237,7 +253,7 @@ fn cmd_export(args: &[String]) {
             exit(1);
         });
     for f in files {
-        println!("{}", f.display());
+        outln!("{}", f.display());
     }
 }
 
@@ -539,15 +555,15 @@ fn cmd_query(args: &[String]) {
             batch.head(print - shown.len()).materialize_into(&mut shown);
         })
         .unwrap_or_else(|e| die(&format!("query failed on {path}"), &e));
-    println!("{} matching events", by_kind.iter().sum::<u64>());
+    outln!("{} matching events", by_kind.iter().sum::<u64>());
     for kind in EventClass::ALL {
         let n = by_kind[kind as usize];
         if n > 0 {
-            println!("  {:<6} {n}", kind.label());
+            outln!("  {:<6} {n}", kind.label());
         }
     }
     for e in &shown {
-        println!("{}", event_record(e));
+        outln!("{}", event_record(e));
     }
     if args.iter().any(|a| a == "--stats") {
         print_scan_stats(&stats);
@@ -593,32 +609,32 @@ fn cmd_serve(args: &[String]) {
 fn cmd_info(args: &[String]) {
     let mut src = load_source(args);
     let t = scanned(args, src.header());
-    println!("description : {}", t.meta.description);
-    println!("cores       : {}", t.meta.num_cores);
-    println!("freq        : {} MHz", t.meta.freq_mhz);
-    println!("ASLR slide  : 0x{:x}", t.meta.aslr_slide);
-    println!("events      : {}", scanned(args, src.num_events()));
-    println!("regions     : {}", t.region_names.join(", "));
-    println!("objects     : {}", t.objects.all().len());
-    println!(
+    outln!("description : {}", t.meta.description);
+    outln!("cores       : {}", t.meta.num_cores);
+    outln!("freq        : {} MHz", t.meta.freq_mhz);
+    outln!("ASLR slide  : 0x{:x}", t.meta.aslr_slide);
+    outln!("events      : {}", scanned(args, src.num_events()));
+    outln!("regions     : {}", t.region_names.join(", "));
+    outln!("objects     : {}", t.objects.all().len());
+    outln!(
         "resolution  : {} resolved / {} unresolved PEBS samples",
         t.resolution.resolved, t.resolution.unresolved
     );
-    let (reuse, _) = scanned(args, sampled_reuse_histogram(src.as_mut(), 0, 64));
+    let (reuse, _) = scanned(args, sampled_reuse_histogram(src.as_mut(), 0));
     if let Some(d) = reuse.typical_distance() {
-        println!("reuse       : typical sampled reuse distance ≈ {d} lines ({} reuses)", reuse.reuses);
+        outln!("reuse       : typical sampled reuse distance ≈ {d} lines ({} reuses)", reuse.reuses);
     }
 }
 
 fn cmd_objects(args: &[String]) {
     let mut src = load_source(args);
     let (stats, scan) = scanned(args, object_stats(src.as_mut(), None));
-    println!(
+    outln!(
         "{:<44} {:>8} {:>8} {:>9} {:>8}",
         "object", "loads", "stores", "mean lat", "flags"
     );
     for o in &stats {
-        println!(
+        outln!(
             "{:<44} {:>8} {:>8} {:>9.1} {:>8}",
             o.name,
             o.loads,
@@ -630,7 +646,7 @@ fn cmd_objects(args: &[String]) {
     // The second PEBS scan is served from the store's block cache
     // after the one above (free on a parsed .prv).
     if let (Some(p), _) = scanned(args, latency_profile(src.as_mut(), None, false)) {
-        println!(
+        outln!(
             "\nload latency: min {} p50 {} p90 {} p99 {} max {} (mean {:.1})",
             p.min, p.p50, p.p90, p.p99, p.max, p.mean
         );
@@ -673,7 +689,7 @@ fn cmd_fold(args: &[String]) {
     for (region, result) in names.iter().zip(&results) {
         match result {
             Ok(folded) => {
-                println!(
+                outln!(
                     "folded {} instances of {region:?} (rejected {}), mean {:.3} ms, mean {:.0} MIPS",
                     folded.instances_used,
                     folded.instances_rejected,
@@ -681,9 +697,9 @@ fn cmd_fold(args: &[String]) {
                     folded.mean_mips()
                 );
                 if single {
-                    print!("{}", ascii::address_panel(folded, 96, 20));
+                    out!("{}", ascii::address_panel(folded, 96, 20));
                 }
-                print!("{}", ascii::performance_panel(folded, 80));
+                out!("{}", ascii::performance_panel(folded, 80));
                 if let Some(dir) = &csv_dir {
                     // Beyond the fold, the bundle reads the header and one
                     // scan of core 0's region boundaries (the phase labels).
@@ -713,7 +729,7 @@ fn cmd_fold(args: &[String]) {
                 eprintln!("fold failed: {e}");
                 exit(1);
             }
-            Err(e) => println!("{region:?}: not folded ({e})"),
+            Err(e) => outln!("{region:?}: not folded ({e})"),
         }
     }
     if args.iter().any(|a| a == "--stats") {

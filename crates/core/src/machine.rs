@@ -2,13 +2,14 @@
 //!
 //! Timing model (documented in DESIGN.md):
 //!
-//! * non-memory instructions retire at `base_cpi` cycles each;
-//! * an L1-hit access costs `l1_hit_cost` cycles (store-to-load
+//! * non-memory instructions retire at [`BASE_CPI`] cycles each;
+//! * an L1-hit access costs [`L1_HIT_COST`] cycles (store-to-load
 //!   forwarding and pipelining hide most of the 4-cycle latency);
 //! * a miss costs `latency / overlap`, where `overlap` is the
 //!   workload-declared memory-level parallelism of the running kernel
 //!   (dependent Gauss–Seidel sweeps overlap ~2 misses, streaming SpMV
-//!   ~6) — the stand-in for an out-of-order window;
+//!   ~6; [`DEFAULT_OVERLAP`] until the workload's first declaration) —
+//!   the stand-in for an out-of-order window;
 //! * the cycle clock is per core; [`AppContext::barrier`] aligns all
 //!   clocks to the maximum (idle cycles still advance the cycle
 //!   counter, as a busy-wait would).
@@ -39,6 +40,16 @@ use mempersp_pebs::{
 /// phase within cache-friendly batch sizes.
 pub const DEFAULT_EPOCH_CAP: usize = 32_768;
 
+/// Cycles per non-memory instruction.
+pub const BASE_CPI: f64 = 0.25;
+
+/// Effective cycles charged for an L1-hit access.
+pub const L1_HIT_COST: f64 = 0.5;
+
+/// Memory-level parallelism assumed before the workload's first
+/// `set_overlap` call.
+pub const DEFAULT_OVERLAP: f64 = 4.0;
+
 /// Which cores capture PEBS samples.
 ///
 /// The paper's figure shows one process's address space, so the
@@ -64,13 +75,6 @@ pub struct MachineConfig {
     pub cores: usize,
     pub hierarchy: HierarchyConfig,
     pub tracer: TracerConfig,
-    /// Cycles per non-memory instruction.
-    pub base_cpi: f64,
-    /// Effective cycles charged for an L1-hit access.
-    pub l1_hit_cost: f64,
-    /// Memory-level parallelism assumed before the workload's first
-    /// `set_overlap` call.
-    pub default_overlap: f64,
     /// Period of the Extrae-style timer sampling, in cycles.
     pub counter_sample_period: u64,
     /// PEBS events to multiplex (empty disables memory sampling).
@@ -104,9 +108,6 @@ impl MachineConfig {
             cores: 1,
             hierarchy: HierarchyConfig::small_test(),
             tracer: TracerConfig { freq_mhz: 2000, ..Default::default() },
-            base_cpi: 0.25,
-            l1_hit_cost: 0.5,
-            default_overlap: 4.0,
             counter_sample_period: 2_000,
             pebs_events: vec![
                 SamplingConfig {
@@ -136,9 +137,6 @@ impl MachineConfig {
             cores,
             hierarchy: HierarchyConfig::haswell_like(),
             tracer: TracerConfig { freq_mhz: 2500, ..Default::default() },
-            base_cpi: 0.25,
-            l1_hit_cost: 0.5,
-            default_overlap: 4.0,
             counter_sample_period: 100_000,
             pebs_events: vec![
                 SamplingConfig {
@@ -257,8 +255,6 @@ enum EpochOp {
 impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         assert!(cfg.cores >= 1);
-        assert!(cfg.base_cpi > 0.0 && cfg.l1_hit_cost >= 0.0);
-        assert!(cfg.default_overlap >= 1.0, "overlap < 1 would amplify latencies");
         assert!(cfg.epoch_cap >= 1, "an epoch holds at least one operation");
         let mem = MemorySystem::new(cfg.hierarchy.clone(), cfg.cores);
         let tracer = Tracer::new(cfg.tracer, cfg.cores);
@@ -266,7 +262,7 @@ impl Machine {
             .map(|c| CoreState {
                 pmu: Pmu::new(),
                 clock_f: 0.0,
-                overlap: cfg.default_overlap,
+                overlap: DEFAULT_OVERLAP,
                 next_sample_at: cfg.counter_sample_period.max(1),
                 mux: if cfg.pebs_cores.includes(c) && !cfg.pebs_events.is_empty() {
                     Some(Multiplexer::new(cfg.pebs_events.clone(), cfg.mux_slice_cycles))
@@ -474,10 +470,10 @@ impl Machine {
         // to round, and `f64::round` is a library call on baseline
         // x86-64).
         if res.source == MemLevel::L1 && !res.tlb_miss {
-            self.advance(core, self.cfg.l1_hit_cost);
+            self.advance(core, L1_HIT_COST);
         } else {
-            let stall = (res.latency as f64 / self.cores[core].overlap).max(self.cfg.l1_hit_cost);
-            let stall_cycles = (stall - self.cfg.l1_hit_cost).max(0.0).round() as u64;
+            let stall = (res.latency as f64 / self.cores[core].overlap).max(L1_HIT_COST);
+            let stall_cycles = (stall - L1_HIT_COST).max(0.0).round() as u64;
             if stall_cycles > 0 {
                 let kind = match res.source {
                     MemLevel::L1 | MemLevel::L2 => EventKind::StallL2,
@@ -523,7 +519,7 @@ impl Machine {
             pmu.add(EventKind::Instructions, instructions);
             pmu.add(EventKind::Branches, branches);
         }
-        self.advance(core, instructions as f64 * self.cfg.base_cpi);
+        self.advance(core, instructions as f64 * BASE_CPI);
         self.poll_timer(core, ip);
     }
 }

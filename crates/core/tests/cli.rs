@@ -431,6 +431,67 @@ fn a_flag_without_its_value_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--shard-events 0` would roll a shard for every event: `run` and
+/// `convert` refuse it naming the flag, exit 1, before anything is
+/// created.
+#[test]
+fn zero_shard_events_is_refused() {
+    let dir = tmpdir("zero_shard_events_is_refused");
+    let trace = dir.join("t.prv");
+    ok(bin().args(["run", "--workload", "stream", "--nx", "32", "-o"]).arg(&trace).output().unwrap());
+    let cwd = dir.join("cwd");
+    std::fs::create_dir(&cwd).unwrap();
+    let t = trace.to_str().unwrap();
+    let commands: [&[&str]; 3] = [
+        &["run", "--workload", "hpcg", "--nx", "8", "--iters", "1", "--shard-events", "0", "-o", "x.mps.d"],
+        &["convert", t, "-o", "c.mps.d", "--shard-events", "0"],
+        &["convert", t, "-o", "c.prv", "--shard-events", "0"],
+    ];
+    for args in commands {
+        let out = bin().args(args).current_dir(&cwd).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("--shard-events expects an event count of at least 1, got \"0\""), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let made: Vec<_> = std::fs::read_dir(&cwd).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(made.is_empty(), "{args:?} made {made:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that has gone away (`| head`) is an IO error like any
+/// other for every command that prints a result: exit 1 with `writing
+/// output` on stderr, not a panic.
+#[test]
+fn a_closed_stdout_is_an_io_error_not_a_panic() {
+    let dir = tmpdir("a_closed_stdout_is_an_io_error_not_a_panic");
+    let trace = dir.join("t.mps");
+    ok(bin().args(["run", "--workload", "hpcg", "--nx", "8", "--iters", "2", "-o"]).arg(&trace).output().unwrap());
+    let (t, paraver) = (trace.to_str().unwrap(), dir.join("paraver"));
+    let commands: [&[&str]; 9] = [
+        &["info", t],
+        &["objects", t],
+        &["profile", t],
+        &["fold", t, "--region", "CG_iteration"],
+        &["fold", t, "--regions", "all"],
+        &["query", t, "--kinds", "PEBS"],
+        &["query", t, "--json"],
+        &["fsck", t],
+        &["export", t, "--dir", paraver.to_str().unwrap()],
+    ];
+    for args in commands {
+        // No reader: every write to the pipe fails with EPIPE.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = bin().args(args).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("writing output: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn info_on_missing_file_fails() {
     let out = bin().args(["info", "/nonexistent/file.prv"]).output().unwrap();

@@ -8,13 +8,14 @@
 //!   so consecutive small allocations are adjacent — the property that
 //!   makes HPCG's per-row allocations form one dense region;
 //! * requests at or above [`DEFAULT_MMAP_THRESHOLD`] are placed in a
-//!   separate, page-aligned "mmap zone" higher in the address space,
-//!   mirroring glibc's `M_MMAP_THRESHOLD`;
+//!   separate "mmap zone" higher in the address space, aligned to the
+//!   simulator's [`PAGE_SIZE`], mirroring glibc's `M_MMAP_THRESHOLD`;
 //! * the whole layout is shifted by a seeded **ASLR slide**, so two
 //!   allocators with different seeds produce disjoint address spaces
 //!   for the same allocation sequence — the reason the paper needs
 //!   load/store multiplexing within a single run.
 
+use mempersp_memsim::PAGE_SIZE;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -57,7 +58,7 @@ impl SimAllocator {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        let slide = (z % (1 << 28)) << 12; // up to ~1 TiB, page aligned
+        let slide = (z % (1 << 28)) * PAGE_SIZE; // up to ~1 TiB, page aligned
         Self {
             slide,
             heap_next: HEAP_BASE + slide,
@@ -75,8 +76,8 @@ impl SimAllocator {
     pub fn malloc(&mut self, size: u64) -> u64 {
         let rounded = round_up(size.max(1), ALIGNMENT);
         let (base, mmapped) = if size >= DEFAULT_MMAP_THRESHOLD {
-            let b = round_up(self.mmap_next, 4096);
-            self.mmap_next = b + round_up(rounded, 4096);
+            let b = round_up(self.mmap_next, PAGE_SIZE);
+            self.mmap_next = b + round_up(rounded, PAGE_SIZE);
             (b, true)
         } else {
             let b = self.heap_next;
@@ -147,7 +148,7 @@ mod tests {
         let big = a.malloc(1 << 20);
         assert!(a.containing(big).unwrap().mmapped);
         assert!(big > small + (1 << 38), "mmap zone far above heap");
-        assert_eq!(big % 4096, 0, "mmap allocations page aligned");
+        assert_eq!(big % PAGE_SIZE, 0, "mmap allocations page aligned");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::config::CacheConfig;
 use crate::replacement::Replacement;
 use crate::stats::CacheStats;
-use crate::Addr;
+use crate::{Addr, LINE_SIZE};
 
 /// Metadata of one resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ pub struct Evicted {
 }
 
 /// Tag of a free way. No line has it: a tag is an address shifted
-/// right by at least one bit (asserted in [`Cache::new`]).
+/// right by at least the [`LINE_SIZE`] offset bits.
 const EMPTY: u64 = u64::MAX;
 const DIRTY: u8 = 1;
 const PREFETCHED: u8 = 2;
@@ -73,9 +73,8 @@ impl Cache {
         cfg.validate("cache");
         let num_sets = cfg.num_sets();
         let ways = cfg.associativity as usize;
-        let set_shift = cfg.line_size.trailing_zeros();
+        let set_shift = LINE_SIZE.trailing_zeros();
         let set_bits = num_sets.trailing_zeros();
-        assert!(set_shift + set_bits >= 1, "a one-byte, one-set cache leaves no spare tag value");
         Self {
             tags: vec![EMPTY; num_sets as usize * ways],
             flags: vec![0; num_sets as usize * ways],
@@ -266,17 +265,14 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WriteMissPolicy;
     use crate::replacement::ReplacementPolicy;
 
     fn tiny(assoc: u32, sets: u64) -> Cache {
         Cache::new(CacheConfig {
             size_bytes: 64 * assoc as u64 * sets,
             associativity: assoc,
-            line_size: 64,
             hit_latency: 1,
             replacement: ReplacementPolicy::Lru,
-            write_miss: WriteMissPolicy::WriteAllocate,
         })
     }
 

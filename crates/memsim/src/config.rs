@@ -5,55 +5,49 @@
 //! * [`HierarchyConfig::haswell_like`] — sized after the Intel Xeon
 //!   E5-2680 v3 (Haswell) nodes of the Jureca system used in the
 //!   paper's evaluation: 32 KiB / 8-way L1D, 256 KiB / 8-way L2,
-//!   2.5 MiB-per-core shared L3, ~2.5 GHz nominal frequency;
+//!   2.5 MiB-per-core shared L3, latencies in cycles of a ~2.5 GHz
+//!   clock;
 //! * [`HierarchyConfig::small_test`] — a tiny hierarchy for unit tests
 //!   where evictions are easy to provoke.
+//!
+//! What both presets share is not a setting: every level has
+//! [`LINE_SIZE`]-byte lines and is write-back + write-allocate, the
+//! TLB maps [`PAGE_SIZE`](crate::PAGE_SIZE)-byte pages, and the stream
+//! prefetcher's training threshold, degree and stream count are
+//! constants of [`crate::prefetch`]. A hierarchy only chooses whether
+//! that prefetcher runs.
 
 use crate::replacement::ReplacementPolicy;
+use crate::LINE_SIZE;
 use serde::{Deserialize, Serialize};
-
-/// What a write that misses the cache does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WriteMissPolicy {
-    /// Fetch the line and install it (the common choice; all levels of
-    /// the modelled Haswell hierarchy do this).
-    WriteAllocate,
-    /// Forward the write to the next level without installing the line.
-    NoWriteAllocate,
-}
 
 /// Geometry and timing of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be a multiple of
-    /// `associativity * line_size`.
+    /// `associativity * LINE_SIZE`.
     pub size_bytes: u64,
     /// Number of ways per set.
     pub associativity: u32,
-    /// Line size in bytes (power of two).
-    pub line_size: u32,
     /// Latency to serve a hit, in core cycles (includes tag check).
     pub hit_latency: u32,
     /// Replacement policy for the sets.
     pub replacement: ReplacementPolicy,
-    /// Write-miss behaviour.
-    pub write_miss: WriteMissPolicy,
 }
 
 impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.associativity as u64 * self.line_size as u64)
+        self.size_bytes / (self.associativity as u64 * LINE_SIZE)
     }
 
     /// Panics with a descriptive message if the geometry is invalid.
     pub fn validate(&self, name: &str) {
-        assert!(self.line_size.is_power_of_two(), "{name}: line size must be a power of two");
         assert!(self.associativity >= 1, "{name}: associativity must be >= 1");
         assert_eq!(
-            self.size_bytes % (self.associativity as u64 * self.line_size as u64),
+            self.size_bytes % (self.associativity as u64 * LINE_SIZE),
             0,
-            "{name}: size must be a multiple of associativity * line_size"
+            "{name}: size must be a multiple of associativity * LINE_SIZE"
         );
         let sets = self.num_sets();
         assert!(sets.is_power_of_two(), "{name}: number of sets ({sets}) must be a power of two");
@@ -78,31 +72,11 @@ pub struct DramConfig {
 /// Data-TLB parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TlbConfig {
-    /// Number of entries (fully associative).
+    /// Number of entries (fully associative) of
+    /// [`PAGE_SIZE`](crate::PAGE_SIZE)-byte pages.
     pub entries: u32,
-    /// Page size in bytes (power of two).
-    pub page_size: u64,
     /// Extra cycles charged for a TLB miss (page-table walk).
     pub walk_latency: u32,
-}
-
-/// Stream-prefetcher parameters (attached to the L2 of each core).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PrefetchConfig {
-    /// Master enable.
-    pub enabled: bool,
-    /// Consecutive same-stride line accesses required to train a stream.
-    pub train_threshold: u32,
-    /// How many lines ahead a trained stream prefetches.
-    pub degree: u32,
-    /// How many concurrent streams the prefetcher tracks.
-    pub streams: u32,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        Self { enabled: true, train_threshold: 2, degree: 4, streams: 16 }
-    }
 }
 
 /// Full hierarchy description.
@@ -116,11 +90,8 @@ pub struct HierarchyConfig {
     pub l3: CacheConfig,
     pub dram: DramConfig,
     pub tlb: TlbConfig,
-    pub prefetch: PrefetchConfig,
-    /// Nominal core frequency in MHz; used by consumers to convert
-    /// cycles to wall-clock time (the paper quotes MIPS at nominal
-    /// frequency).
-    pub freq_mhz: u32,
+    /// Whether each core's L2 stream prefetcher runs.
+    pub prefetch: bool,
     /// Extra cycles charged when an access must snoop another core's
     /// private cache (cache-to-cache intervention on a line held
     /// modified elsewhere, or an invalidating store that finds remote
@@ -138,26 +109,20 @@ impl HierarchyConfig {
             l1d: CacheConfig {
                 size_bytes: 32 * 1024,
                 associativity: 8,
-                line_size: 64,
                 hit_latency: 4,
                 replacement: ReplacementPolicy::TreePlru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             l2: CacheConfig {
                 size_bytes: 256 * 1024,
                 associativity: 8,
-                line_size: 64,
                 hit_latency: 12,
                 replacement: ReplacementPolicy::TreePlru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             l3: CacheConfig {
                 size_bytes: 24 * 1024 * 1024,
                 associativity: 24,
-                line_size: 64,
                 hit_latency: 36,
                 replacement: ReplacementPolicy::Lru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             dram: DramConfig {
                 // ~85 ns at 2.5 GHz.
@@ -166,9 +131,8 @@ impl HierarchyConfig {
                 bytes_per_cycle: 24.0,
                 channels: 4,
             },
-            tlb: TlbConfig { entries: 64, page_size: 4096, walk_latency: 30 },
-            prefetch: PrefetchConfig::default(),
-            freq_mhz: 2500,
+            tlb: TlbConfig { entries: 64, walk_latency: 30 },
+            prefetch: true,
             snoop_latency: 45,
         }
     }
@@ -180,31 +144,24 @@ impl HierarchyConfig {
             l1d: CacheConfig {
                 size_bytes: 1024,
                 associativity: 2,
-                line_size: 64,
                 hit_latency: 4,
                 replacement: ReplacementPolicy::Lru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             l2: CacheConfig {
                 size_bytes: 4096,
                 associativity: 4,
-                line_size: 64,
                 hit_latency: 12,
                 replacement: ReplacementPolicy::Lru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             l3: CacheConfig {
                 size_bytes: 16 * 1024,
                 associativity: 8,
-                line_size: 64,
                 hit_latency: 30,
                 replacement: ReplacementPolicy::Lru,
-                write_miss: WriteMissPolicy::WriteAllocate,
             },
             dram: DramConfig { base_latency: 100, bytes_per_cycle: 16.0, channels: 2 },
-            tlb: TlbConfig { entries: 8, page_size: 4096, walk_latency: 20 },
-            prefetch: PrefetchConfig { enabled: false, ..PrefetchConfig::default() },
-            freq_mhz: 2000,
+            tlb: TlbConfig { entries: 8, walk_latency: 20 },
+            prefetch: false,
             snoop_latency: 20,
         }
     }
@@ -214,16 +171,8 @@ impl HierarchyConfig {
         self.l1d.validate("L1D");
         self.l2.validate("L2");
         self.l3.validate("L3");
-        assert_eq!(self.l1d.line_size, self.l2.line_size, "line sizes must match across levels");
-        assert_eq!(self.l2.line_size, self.l3.line_size, "line sizes must match across levels");
-        assert!(self.tlb.page_size.is_power_of_two(), "page size must be a power of two");
         assert!(self.dram.channels >= 1, "at least one DRAM channel");
         assert!(self.dram.bytes_per_cycle > 0.0, "DRAM bandwidth must be positive");
-    }
-
-    /// The common line size of the hierarchy.
-    pub fn line_size(&self) -> u32 {
-        self.l1d.line_size
     }
 }
 
@@ -249,23 +198,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn invalid_line_size_panics() {
-        let mut c = HierarchyConfig::small_test();
-        c.l1d.line_size = 48;
-        c.l1d.validate("L1D");
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of associativity")]
     fn invalid_size_panics() {
         let c = CacheConfig {
             size_bytes: 1000,
             associativity: 2,
-            line_size: 64,
             hit_latency: 1,
             replacement: ReplacementPolicy::Lru,
-            write_miss: WriteMissPolicy::WriteAllocate,
         };
         c.validate("X");
     }

@@ -24,12 +24,12 @@
 //! cores' caches — for a page one core owns, none.
 
 use crate::cache::{Cache, LookupOutcome};
-use crate::config::{HierarchyConfig, WriteMissPolicy};
+use crate::config::HierarchyConfig;
 use crate::dram::Dram;
 use crate::prefetch::StreamPrefetcher;
 use crate::stats::{CoreStats, SystemStats};
 use crate::tlb::{AddrHasher, Tlb};
-use crate::{lines_of_access, Addr};
+use crate::{lines_of_access, Addr, LINE_SIZE, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -85,6 +85,9 @@ pub struct BatchOp {
 /// The most cores a [`MemorySystem`] simulates: a page's owner mask is
 /// one `u64`.
 pub const MAX_CORES: usize = 64;
+
+/// Page number of an address: `addr >> PAGE_SHIFT`.
+const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
 
 /// A request emitted by a core's private path toward the shared
 /// uncore (L3 + DRAM). Produced during the private phase of an epoch,
@@ -191,7 +194,7 @@ impl CorePath {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             tlb: Tlb::new(cfg.tlb),
-            prefetcher: StreamPrefetcher::new(cfg.prefetch, cfg.line_size()),
+            prefetcher: StreamPrefetcher::new(cfg.prefetch),
             stats: CoreStats::default(),
             pf_scratch: Vec::new(),
             l1_evict_scratch: Vec::new(),
@@ -207,8 +210,8 @@ impl CorePath {
 
     /// Translate every distinct page the access touches, updating TLB
     /// counters. Returns the accumulated walk penalty.
-    fn tlb_walk(&mut self, page_size: u64, addr: Addr, size: u32) -> u32 {
-        let page_mask = !(page_size - 1);
+    fn tlb_walk(&mut self, addr: Addr, size: u32) -> u32 {
+        let page_mask = !(PAGE_SIZE - 1);
         let first_page = addr & page_mask;
         let last_page = (addr + size.max(1) as u64 - 1) & page_mask;
         let mut penalty = 0u32;
@@ -224,7 +227,7 @@ impl CorePath {
             if page == last_page {
                 break;
             }
-            page += page_size;
+            page += PAGE_SIZE;
         }
         penalty
     }
@@ -246,43 +249,24 @@ impl CorePath {
     /// After the serving level of `line` is known, perform the private
     /// fills and issue the pending prefetches. Uncore-side effects
     /// (writebacks, prefetch installs) are appended to `reqs`.
-    fn finish_line(
-        &mut self,
-        cfg: &HierarchyConfig,
-        line: Addr,
-        is_store: bool,
-        from_uncore: bool,
-        reqs: &mut Vec<UncoreReq>,
-    ) {
+    fn finish_line(&mut self, line: Addr, is_store: bool, from_uncore: bool, reqs: &mut Vec<UncoreReq>) {
         if from_uncore {
-            let allocate = !is_store || cfg.l2.write_miss == WriteMissPolicy::WriteAllocate;
-            if allocate {
-                self.fill_l2_private(cfg, line, false, false, reqs);
-            }
-            self.stats.bytes_from_uncore += cfg.line_size() as u64;
+            self.fill_l2_private(line, false, false, reqs);
+            self.stats.bytes_from_uncore += LINE_SIZE;
         }
-        {
-            let allocate = !is_store || cfg.l1d.write_miss == WriteMissPolicy::WriteAllocate;
-            if allocate {
-                self.fill_l1_private(cfg, line, is_store, reqs);
-            } else if is_store {
-                // Write-through to L2 without allocating in L1.
-                self.l2.mark_dirty(line);
-            }
-        }
+        self.fill_l1_private(line, is_store, reqs);
         // Issue the prefetches decided during lookup (off the critical
         // path). The L2 side is private; the L3/DRAM side becomes a
         // Prefetch request.
         let pfs = std::mem::take(&mut self.pf_scratch);
-        let page_shift = cfg.tlb.page_size.trailing_zeros();
         for &pf in &pfs {
             if self.l2.probe(pf) {
                 continue;
             }
             reqs.push(UncoreReq::Prefetch(pf));
-            self.fill_l2_private(cfg, pf, false, true, reqs);
-            let page = pf >> page_shift;
-            if self.log_pf_pages && page != line >> page_shift && self.pf_pages.last() != Some(&page) {
+            self.fill_l2_private(pf, false, true, reqs);
+            let page = pf >> PAGE_SHIFT;
+            if self.log_pf_pages && page != line >> PAGE_SHIFT && self.pf_pages.last() != Some(&page) {
                 self.pf_pages.push(page);
             }
         }
@@ -292,31 +276,24 @@ impl CorePath {
     }
 
     /// Install a line into L1, handling the eviction cascade.
-    fn fill_l1_private(&mut self, cfg: &HierarchyConfig, line: Addr, dirty: bool, reqs: &mut Vec<UncoreReq>) {
+    fn fill_l1_private(&mut self, line: Addr, dirty: bool, reqs: &mut Vec<UncoreReq>) {
         if let Some(ev) = self.l1d.fill(line, dirty, false) {
             self.l1_evict_scratch.push(ev.addr);
             if ev.dirty {
                 // Writeback to L2; L2 is expected to hold the line
                 // (inclusive-ish), otherwise install it dirty.
                 if !self.l2.mark_dirty(ev.addr) {
-                    self.fill_l2_private(cfg, ev.addr, true, false, reqs);
+                    self.fill_l2_private(ev.addr, true, false, reqs);
                 }
             }
         }
     }
 
     /// Install a line into L2, handling the eviction.
-    fn fill_l2_private(
-        &mut self,
-        cfg: &HierarchyConfig,
-        line: Addr,
-        dirty: bool,
-        prefetched: bool,
-        reqs: &mut Vec<UncoreReq>,
-    ) {
+    fn fill_l2_private(&mut self, line: Addr, dirty: bool, prefetched: bool, reqs: &mut Vec<UncoreReq>) {
         if let Some(ev) = self.l2.fill(line, dirty, prefetched) {
             if ev.dirty {
-                self.stats.bytes_from_uncore += cfg.line_size() as u64;
+                self.stats.bytes_from_uncore += LINE_SIZE;
                 reqs.push(UncoreReq::Writeback(ev.addr));
             }
         }
@@ -339,10 +316,8 @@ impl CorePath {
     fn simulate_private(&mut self, cfg: &HierarchyConfig, lane: &mut Lane) {
         let Lane { ops, end, results, reqs, .. } = lane;
         let ops = &ops[..*end];
-        let line_size = cfg.line_size();
-        let line_mask = !(line_size as Addr - 1);
-        let page_size = cfg.tlb.page_size;
-        let page_mask = !(page_size - 1);
+        let line_mask = !(LINE_SIZE - 1);
+        let page_mask = !(PAGE_SIZE - 1);
         let l1_lat = cfg.l1d.hit_latency;
         let l2_lat = cfg.l2.hit_latency;
         // L1-residency memo: (line, way) pairs known to still sit in
@@ -358,8 +333,7 @@ impl CorePath {
         // streams a kernel interleaves (SpMV: cols/vals/x/y) with few
         // collisions.
         const MEMO_SLOTS: usize = 16;
-        let line_shift = line_size.trailing_zeros();
-        let memo_slot = |line: Addr| ((line >> line_shift) as usize) & (MEMO_SLOTS - 1);
+        let memo_slot = |line: Addr| ((line / LINE_SIZE) as usize) & (MEMO_SLOTS - 1);
         let mut memo = [(Addr::MAX, 0u32); MEMO_SLOTS];
         results.reserve(ops.len());
         // The page the previous op translated last (= TLB MRU, so
@@ -422,7 +396,7 @@ impl CorePath {
                 tlb_hits += 1;
                 0
             } else {
-                self.tlb_walk(page_size, op.addr, op.size)
+                self.tlb_walk(op.addr, op.size)
             };
             last_page = end_page;
 
@@ -440,17 +414,17 @@ impl CorePath {
                         if MemLevel::L2 > level {
                             level = MemLevel::L2;
                         }
-                        self.finish_line(cfg, line, is_store, false, reqs);
+                        self.finish_line(line, is_store, false, reqs);
                     }
                     PrivLookup::Uncore => {
                         reqs.push(UncoreReq::Demand(line));
-                        self.finish_line(cfg, line, is_store, true, reqs);
+                        self.finish_line(line, is_store, true, reqs);
                     }
                 }
                 if line == last_line {
                     break;
                 }
-                line += line_size as u64;
+                line += LINE_SIZE;
             }
 
             if !self.l1_evict_scratch.is_empty() {
@@ -467,9 +441,8 @@ impl CorePath {
                 self.l1_evict_scratch.clear();
             }
             if single_line {
-                // Memoize the line (and its way) if the op left it in
-                // L1 — a hit kept it there, a write-allocate fill just
-                // installed it; a no-allocate store miss probes None.
+                // Memoize the line (and its way): a hit kept it in L1,
+                // a fill just installed it.
                 if let Some(way) = self.l1d.probe_way(first_line) {
                     memo[memo_slot(first_line)] = (first_line, way);
                 }
@@ -511,7 +484,6 @@ pub struct MemorySystem {
     /// Bits are only ever added. Only maintained on multi-core
     /// systems.
     owners: CoreMaskMap,
-    page_shift: u32,
     /// Reused buffer for the sequential access path.
     req_scratch: Vec<UncoreReq>,
     /// Conflict check, epochs with several active cores: lines of
@@ -549,7 +521,6 @@ impl MemorySystem {
         Self {
             l3: Cache::new(cfg.l3),
             dram: Dram::new(cfg.dram),
-            page_shift: cfg.tlb.page_size.trailing_zeros(),
             cfg,
             cores,
             coherence_invalidations: 0,
@@ -582,7 +553,7 @@ impl MemorySystem {
         if self.cores.len() == 1 || self.probe_every_core {
             return self.all_cores();
         }
-        self.owners.get(&(line >> self.page_shift)).copied().unwrap_or(0)
+        self.owners.get(&(line >> PAGE_SHIFT)).copied().unwrap_or(0)
     }
 
     /// Record `core` as an owner of `page` (a page number); returns
@@ -627,15 +598,14 @@ impl MemorySystem {
     /// every covered line and are charged the worst line's latency
     /// (the core would split them into uops anyway).
     pub fn access(&mut self, core: usize, kind: AccessKind, addr: Addr, size: u32, now: u64) -> AccessResult {
-        let line_size = self.cfg.line_size();
         let is_store = kind == AccessKind::Store;
 
         // TLB: translate every distinct page the access touches.
-        let tlb_penalty = self.cores[core].tlb_walk(self.cfg.tlb.page_size, addr, size);
+        let tlb_penalty = self.cores[core].tlb_walk(addr, size);
 
         let mut worst_latency = 0u32;
         let mut deepest = MemLevel::L1;
-        for line in lines_of_access(addr, size, line_size) {
+        for line in lines_of_access(addr, size) {
             let (lvl, lat) = self.access_line(core, line, is_store, now);
             if lat > worst_latency {
                 worst_latency = lat;
@@ -814,7 +784,7 @@ impl MemorySystem {
         // must observe remote modifications. (Skipped entirely on
         // single-core systems.)
         let snoop_lat = if self.cores.len() > 1 {
-            let others = self.claim_page(core, line >> self.page_shift);
+            let others = self.claim_page(core, line >> PAGE_SHIFT);
             self.snoop(line, is_store, others)
         } else {
             0
@@ -833,7 +803,7 @@ impl MemorySystem {
         // the prefetches decided during lookup; apply the resulting
         // uncore traffic (writebacks, prefetch installs) immediately.
         let mut reqs = std::mem::take(&mut self.req_scratch);
-        self.cores[core].finish_line(&self.cfg, line, is_store, level > MemLevel::L2, &mut reqs);
+        self.cores[core].finish_line(line, is_store, level > MemLevel::L2, &mut reqs);
         // Before the uncore traffic: an L3 eviction it causes must
         // find this core among the owners of what it just prefetched.
         self.merge_prefetch_pages_of(core);
@@ -852,14 +822,13 @@ impl MemorySystem {
     /// [`UncoreReq::Demand`] the serving level and full demand latency
     /// (L1+L2+L3, plus DRAM) are returned.
     fn apply_uncore_req(&mut self, req: UncoreReq, now: u64) -> Option<(MemLevel, u32)> {
-        let line_size = self.cfg.line_size();
         match req {
             UncoreReq::Demand(line) => {
                 let base = self.cfg.l1d.hit_latency + self.cfg.l2.hit_latency + self.cfg.l3.hit_latency;
                 Some(match self.l3.access(line, false) {
                     LookupOutcome::Hit { .. } => (MemLevel::L3, base),
                     LookupOutcome::Miss => {
-                        let dram_lat = self.dram.transfer(line, line_size, now);
+                        let dram_lat = self.dram.transfer(line, now);
                         // Install into L3 (inclusive) and handle its
                         // eviction.
                         self.fill_l3(line, false, false, now);
@@ -875,7 +844,7 @@ impl MemorySystem {
             }
             UncoreReq::Prefetch(line) => {
                 if !self.l3.probe(line) {
-                    self.dram.transfer(line, line_size, now);
+                    self.dram.transfer(line, now);
                     self.fill_l3(line, false, true, now);
                 }
                 None
@@ -915,8 +884,6 @@ impl MemorySystem {
     /// One core's share of [`epoch_conflict_free`](Self::epoch_conflict_free);
     /// false on the first conflicting line.
     fn scan_epoch(&mut self, core: usize, ops: &[BatchOp], scan: EpochScan) -> bool {
-        let line_size = self.cfg.line_size();
-        let page_shift = self.page_shift;
         let bit = 1u64 << core;
         // Page number → its other owners, direct-mapped on the page
         // number: a kernel interleaves a handful of streams, so nearly
@@ -926,8 +893,8 @@ impl MemorySystem {
         let mut memo = [(Addr::MAX, 0u64); MEMO_SLOTS];
         for op in ops {
             let last_byte = op.addr + op.size.max(1) as u64 - 1;
-            let last_page = last_byte >> page_shift;
-            let mut page = op.addr >> page_shift;
+            let last_page = last_byte >> PAGE_SHIFT;
+            let mut page = op.addr >> PAGE_SHIFT;
             loop {
                 let slot = &mut memo[page as usize & (MEMO_SLOTS - 1)];
                 if slot.0 != page {
@@ -936,9 +903,9 @@ impl MemorySystem {
                 let others = slot.1;
                 if let (EpochScan::Check { several_active }, true) = (scan, others != 0) {
                     // The op's bytes within this page, line by line.
-                    let from = op.addr.max(page << page_shift);
-                    let to = last_byte.min(((page + 1) << page_shift) - 1);
-                    for line in lines_of_access(from, (to - from + 1) as u32, line_size) {
+                    let from = op.addr.max(page << PAGE_SHIFT);
+                    let to = last_byte.min(((page + 1) << PAGE_SHIFT) - 1);
+                    for line in lines_of_access(from, (to - from + 1) as u32) {
                         if self.held_by_any(others, line) {
                             return false;
                         }
@@ -1014,7 +981,7 @@ impl MemorySystem {
             if dirty_upper {
                 // Writeback consumes DRAM bandwidth but is off the
                 // demand critical path.
-                self.dram.transfer(ev.addr, self.cfg.line_size(), now);
+                self.dram.transfer(ev.addr, now);
             }
         }
     }
@@ -1022,7 +989,7 @@ impl MemorySystem {
     /// Does `core`'s private path (L1D or L2) hold the line containing
     /// `addr`? Diagnostic/verification helper; does not disturb state.
     pub fn core_holds_line(&self, core: usize, addr: Addr) -> bool {
-        let line = addr & !(self.cfg.line_size() as Addr - 1);
+        let line = addr & !(LINE_SIZE - 1);
         self.cores[core].holds(line)
     }
 
@@ -1182,9 +1149,9 @@ mod tests {
     #[test]
     fn prefetcher_reduces_dram_served_ratio_on_stream() {
         let mut cfg = HierarchyConfig::small_test();
-        cfg.prefetch.enabled = true;
+        cfg.prefetch = true;
         let mut with_pf = MemorySystem::new(cfg.clone(), 1);
-        cfg.prefetch.enabled = false;
+        cfg.prefetch = false;
         let mut without = MemorySystem::new(cfg, 1);
         for i in 0..4096u64 {
             with_pf.access(0, AccessKind::Load, i * 8, 8, i * 4);
@@ -1274,32 +1241,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn no_write_allocate_l1_keeps_line_out() {
-        let mut cfg = HierarchyConfig::small_test();
-        cfg.l1d.write_miss = crate::config::WriteMissPolicy::NoWriteAllocate;
-        let mut m = MemorySystem::new(cfg, 1);
-        // Store miss: line is installed in L2/L3 but not L1.
-        m.access(0, AccessKind::Store, 0x5000, 8, 0);
-        let r = m.access(0, AccessKind::Load, 0x5000, 8, 10);
-        assert_eq!(r.source, MemLevel::L2, "load finds the line in L2, not L1");
-    }
-
-    #[test]
-    fn no_write_allocate_store_still_reaches_dirty_state() {
-        let mut cfg = HierarchyConfig::small_test();
-        cfg.l1d.write_miss = crate::config::WriteMissPolicy::NoWriteAllocate;
-        let mut m = MemorySystem::new(cfg, 1);
-        m.access(0, AccessKind::Store, 0x6000, 8, 0);
-        // Evict everything from L2/L3 by streaming; the dirty line must
-        // eventually be written back to DRAM (bytes > pure demand).
-        for i in 0..4096u64 {
-            m.access(0, AccessKind::Load, 0x100_0000 + i * 64, 8, 100 + i);
-        }
-        let s = m.stats();
-        assert!(s.dram_bytes > 4096 * 64, "writeback traffic present");
-    }
-
     // ---- page ownership / batch / epoch machinery --------------------
 
     /// A mixed 2-core workload with sharing, used to compare paths.
@@ -1335,9 +1276,9 @@ mod tests {
     /// obvious twin, which ignores page ownership and probes every core.
     fn sys_and_oracle(cores: usize, l3_policy: ReplacementPolicy, l3_sets: u64) -> (MemorySystem, MemorySystem) {
         let mut cfg = HierarchyConfig::small_test();
-        cfg.prefetch.enabled = true;
+        cfg.prefetch = true;
         cfg.l3.replacement = l3_policy;
-        cfg.l3.size_bytes = l3_sets * cfg.l3.associativity as u64 * cfg.l3.line_size as u64;
+        cfg.l3.size_bytes = l3_sets * cfg.l3.associativity as u64 * LINE_SIZE;
         let mut oracle = MemorySystem::new(cfg.clone(), cores);
         oracle.probe_every_core = true;
         (MemorySystem::new(cfg, cores), oracle)
@@ -1355,7 +1296,7 @@ mod tests {
     fn assert_owners_cover_holders(m: &MemorySystem) {
         for (c, path) in m.cores.iter().enumerate() {
             for line in path.l1d.resident_lines().chain(path.l2.resident_lines()) {
-                let owners = m.owners.get(&(line >> m.page_shift)).copied().unwrap_or(0);
+                let owners = m.owners.get(&(line >> PAGE_SHIFT)).copied().unwrap_or(0);
                 assert!(owners >> c & 1 == 1, "core {c} holds {line:#x}, its page's owners are {owners:#b}");
             }
         }
@@ -1534,7 +1475,7 @@ mod tests {
         let mut touched_by: HashMap<Addr, usize> = HashMap::new();
         for (c, ops) in per_core.iter().enumerate() {
             for op in ops {
-                for line in lines_of_access(op.addr, op.size, m.cfg.line_size()) {
+                for line in lines_of_access(op.addr, op.size) {
                     if *touched_by.entry(line).or_insert(c) != c
                         || (0..per_core.len()).any(|o| o != c && m.core_holds_line(o, line))
                     {

@@ -52,7 +52,7 @@ pub mod stats;
 pub mod tlb;
 
 pub use cache::{Cache, LineMeta};
-pub use config::{CacheConfig, DramConfig, HierarchyConfig, PrefetchConfig, TlbConfig, WriteMissPolicy};
+pub use config::{CacheConfig, DramConfig, HierarchyConfig, TlbConfig};
 pub use hierarchy::{AccessKind, AccessResult, BatchOp, MemLevel, MemorySystem, MAX_CORES};
 pub use prefetch::StreamPrefetcher;
 pub use replacement::ReplacementPolicy;
@@ -62,17 +62,24 @@ pub use tlb::Tlb;
 /// A simulated virtual address.
 pub type Addr = u64;
 
+/// The line size of every cache level, in bytes, as on the modelled
+/// Haswell node.
+pub const LINE_SIZE: u64 = 64;
+
+/// The page size of the TLB and of the hierarchy's page masks, in
+/// bytes: 4 KiB base pages.
+pub const PAGE_SIZE: u64 = 4096;
+
 /// Split an access of `size` bytes at `addr` into the cache lines it
 /// touches. Returns the line-aligned addresses.
 ///
 /// Accesses in the suite are at most a few dozen bytes, so at most a
 /// handful of lines are produced.
-pub fn lines_of_access(addr: Addr, size: u32, line_size: u32) -> impl Iterator<Item = Addr> {
-    let mask = !(line_size as Addr - 1);
+pub fn lines_of_access(addr: Addr, size: u32) -> impl Iterator<Item = Addr> {
+    let mask = !(LINE_SIZE - 1);
     let first = addr & mask;
     let last = (addr + size.max(1) as Addr - 1) & mask;
-    let step = line_size as Addr;
-    (0..).map(move |i| first + i * step).take_while(move |&a| a <= last)
+    (0..).map(move |i| first + i * LINE_SIZE).take_while(move |&a| a <= last)
 }
 
 #[cfg(test)]
@@ -81,31 +88,31 @@ mod tests {
 
     #[test]
     fn single_line_access() {
-        let lines: Vec<Addr> = lines_of_access(0x40, 8, 64).collect();
+        let lines: Vec<Addr> = lines_of_access(0x40, 8).collect();
         assert_eq!(lines, vec![0x40]);
     }
 
     #[test]
     fn straddling_access() {
-        let lines: Vec<Addr> = lines_of_access(0x7c, 8, 64).collect();
+        let lines: Vec<Addr> = lines_of_access(0x7c, 8).collect();
         assert_eq!(lines, vec![0x40, 0x80]);
     }
 
     #[test]
     fn zero_size_access_touches_one_line() {
-        let lines: Vec<Addr> = lines_of_access(0x100, 0, 64).collect();
+        let lines: Vec<Addr> = lines_of_access(0x100, 0).collect();
         assert_eq!(lines, vec![0x100]);
     }
 
     #[test]
     fn large_access_touches_every_line() {
-        let lines: Vec<Addr> = lines_of_access(0, 256, 64).collect();
+        let lines: Vec<Addr> = lines_of_access(0, 256).collect();
         assert_eq!(lines, vec![0, 64, 128, 192]);
     }
 
     #[test]
     fn unaligned_large_access() {
-        let lines: Vec<Addr> = lines_of_access(60, 70, 64).collect();
+        let lines: Vec<Addr> = lines_of_access(60, 70).collect();
         assert_eq!(lines, vec![0, 64, 128]);
     }
 }

@@ -3,7 +3,7 @@
 use mempersp_memsim::cache::{Evicted, LookupOutcome};
 use mempersp_memsim::{
     lines_of_access, AccessKind, Cache, CacheConfig, CacheStats, HierarchyConfig, LineMeta,
-    MemorySystem, ReplacementPolicy, WriteMissPolicy,
+    MemorySystem, ReplacementPolicy, LINE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ struct NaiveSet {
     rng: u64,
 }
 
-const LINE: u64 = 64;
+const LINE: u64 = LINE_SIZE;
 
 fn plru_touch(bits: &mut [bool], node: usize, lo: u32, hi: u32, way: u32) {
     if hi - lo > 1 {
@@ -187,21 +187,20 @@ proptest! {
     /// every returned line intersects the access.
     #[test]
     fn lines_cover_access_exactly(addr in 0u64..1u64 << 40, size in 1u32..512) {
-        let line = 64u32;
-        let lines: Vec<u64> = lines_of_access(addr, size, line).collect();
+        let lines: Vec<u64> = lines_of_access(addr, size).collect();
         prop_assert!(!lines.is_empty());
         // Lines are line-aligned, ascending, contiguous.
         for w in lines.windows(2) {
-            prop_assert_eq!(w[1], w[0] + line as u64);
+            prop_assert_eq!(w[1], w[0] + LINE);
         }
         for &l in &lines {
-            prop_assert_eq!(l % line as u64, 0);
+            prop_assert_eq!(l % LINE, 0);
             // Intersects [addr, addr+size).
-            prop_assert!(l < addr + size as u64 && l + line as u64 > addr);
+            prop_assert!(l < addr + size as u64 && l + LINE > addr);
         }
         // First and last bytes covered.
-        prop_assert_eq!(lines[0], addr & !(line as u64 - 1));
-        prop_assert_eq!(*lines.last().unwrap(), (addr + size as u64 - 1) & !(line as u64 - 1));
+        prop_assert_eq!(lines[0], addr & !(LINE - 1));
+        prop_assert_eq!(*lines.last().unwrap(), (addr + size as u64 - 1) & !(LINE - 1));
     }
 
     /// The flat-array cache is the naive one, operation by operation:
@@ -219,10 +218,8 @@ proptest! {
                 let mut flat = Cache::new(CacheConfig {
                     size_bytes: num_sets * ways as u64 * LINE,
                     associativity: ways,
-                    line_size: LINE as u32,
                     hit_latency: 1,
                     replacement: policy,
-                    write_miss: WriteMissPolicy::WriteAllocate,
                 });
                 let mut naive = NaiveCache::new(policy, num_sets, ways);
                 // Three times the capacity, so sets fill up and lines
@@ -266,12 +263,10 @@ proptest! {
         let cfg = CacheConfig {
             size_bytes: 2048,
             associativity: 4,
-            line_size: 64,
             hit_latency: 1,
             replacement: policy,
-            write_miss: WriteMissPolicy::WriteAllocate,
         };
-        let capacity_lines = (cfg.size_bytes / cfg.line_size as u64) as usize;
+        let capacity_lines = (cfg.size_bytes / LINE) as usize;
         let mut c = Cache::new(cfg);
         for (addr, store) in ops {
             let line = addr & !63;

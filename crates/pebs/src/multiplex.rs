@@ -209,7 +209,7 @@ mod tests {
     fn single_event_mux_behaves_like_engine() {
         let mut m = Multiplexer::new(
             vec![SamplingConfig {
-                event: PebsEvent::AllMemOps,
+                event: PebsEvent::LoadLatency { threshold: 0 },
                 period: 5,
                 randomization: 0.0,
                 seed: 3,

@@ -10,7 +10,6 @@
 //! latency and the data source. The counter is then re-armed with a new
 //! period (optionally randomized).
 
-use crate::counters::EventKind;
 use mempersp_memsim::{AccessKind, MemLevel};
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +31,8 @@ pub struct MemOp {
     pub tlb_miss: bool,
 }
 
-/// Which PEBS event the counter is programmed with.
+/// Which PEBS event the counter is programmed with: the two that the
+/// paper's Haswell runs multiplex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PebsEvent {
     /// `MEM_TRANS_RETIRED.LOAD_LATENCY`: retired loads with latency
@@ -41,12 +41,6 @@ pub enum PebsEvent {
     LoadLatency { threshold: u32 },
     /// `MEM_UOPS_RETIRED.ALL_STORES`: all retired stores.
     AllStores,
-    /// All retired memory operations (loads + stores); not available on
-    /// every part — kept for experiments.
-    AllMemOps,
-    /// `MEM_UOPS_RETIRED.STLB_MISS_*`: memory operations that missed
-    /// the (S)TLB — samples page-locality problems directly.
-    TlbMissOps,
 }
 
 impl PebsEvent {
@@ -58,8 +52,6 @@ impl PebsEvent {
                 op.kind == AccessKind::Load && op.latency >= *threshold
             }
             PebsEvent::AllStores => op.kind == AccessKind::Store,
-            PebsEvent::AllMemOps => true,
-            PebsEvent::TlbMissOps => op.tlb_miss,
         }
     }
 
@@ -68,18 +60,6 @@ impl PebsEvent {
         match self {
             PebsEvent::LoadLatency { threshold } => format!("loads(lat>={threshold})"),
             PebsEvent::AllStores => "stores".to_string(),
-            PebsEvent::AllMemOps => "mem-ops".to_string(),
-            PebsEvent::TlbMissOps => "tlb-miss-ops".to_string(),
-        }
-    }
-
-    /// The counter this event is counted on (for PMU cross-checks).
-    pub fn counter(&self) -> EventKind {
-        match self {
-            PebsEvent::LoadLatency { .. } => EventKind::Loads,
-            PebsEvent::AllStores => EventKind::Stores,
-            PebsEvent::AllMemOps => EventKind::Loads,
-            PebsEvent::TlbMissOps => EventKind::TlbMiss,
         }
     }
 }
@@ -257,7 +237,7 @@ mod tests {
     #[test]
     fn captures_every_period_plus_one() {
         // Period 10: ops 1..=10 count (overflow at 10), op 11 captured.
-        let mut e = engine(PebsEvent::AllMemOps, 10);
+        let mut e = engine(PebsEvent::LoadLatency { threshold: 0 }, 10);
         let mut captures = Vec::new();
         for i in 0..33u64 {
             if let Some(s) = e.observe(0, &load(i * 8, 4), i) {
@@ -293,7 +273,7 @@ mod tests {
 
     #[test]
     fn sample_carries_op_payload() {
-        let mut e = engine(PebsEvent::AllMemOps, 1);
+        let mut e = engine(PebsEvent::LoadLatency { threshold: 0 }, 1);
         e.observe(1, &load(0xAAA, 7), 5);
         let op = MemOp {
             ip: 0x1234,
@@ -316,7 +296,7 @@ mod tests {
     #[test]
     fn randomized_periods_stay_in_bounds_and_are_deterministic() {
         let cfg = SamplingConfig {
-            event: PebsEvent::AllMemOps,
+            event: PebsEvent::LoadLatency { threshold: 0 },
             period: 100,
             randomization: 0.1,
             seed: 42,
@@ -350,7 +330,7 @@ mod tests {
     #[test]
     fn mean_rate_matches_period() {
         let mut e = PebsEngine::new(SamplingConfig {
-            event: PebsEvent::AllMemOps,
+            event: PebsEvent::LoadLatency { threshold: 0 },
             period: 50,
             randomization: 0.2,
             seed: 7,
@@ -368,24 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn tlb_miss_event_filters() {
-        let mut e = engine(PebsEvent::TlbMissOps, 1);
-        let hit = load(0, 4);
-        let miss = MemOp { tlb_miss: true, ..load(8, 40) };
-        assert!(e.observe(0, &hit, 0).is_none());
-        assert_eq!(e.matched(), 0, "TLB hits do not count");
-        assert!(e.observe(0, &miss, 1).is_none(), "first miss overflows");
-        let s = e.observe(0, &miss, 2).expect("second miss captured");
-        assert!(s.tlb_miss);
-        assert_eq!(PebsEvent::TlbMissOps.counter(), EventKind::TlbMiss);
-        assert_eq!(PebsEvent::TlbMissOps.label(), "tlb-miss-ops");
-    }
-
-    #[test]
     #[should_panic(expected = "period must be >= 1")]
     fn zero_period_rejected() {
         let _ = PebsEngine::new(SamplingConfig {
-            event: PebsEvent::AllMemOps,
+            event: PebsEvent::LoadLatency { threshold: 0 },
             period: 0,
             randomization: 0.0,
             seed: 1,

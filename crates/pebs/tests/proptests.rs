@@ -26,7 +26,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut e = PebsEngine::new(SamplingConfig {
-            event: PebsEvent::AllMemOps,
+            event: PebsEvent::LoadLatency { threshold: 0 },
             period,
             randomization,
             seed,
@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn multiplexer_slices_are_disjoint(slice in 10u64..10_000) {
         let cfg = |seed| SamplingConfig {
-            event: PebsEvent::AllMemOps,
+            event: PebsEvent::LoadLatency { threshold: 0 },
             period: 10,
             randomization: 0.0,
             seed,

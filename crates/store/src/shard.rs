@@ -93,15 +93,19 @@ pub struct ShardedWriter {
 impl ShardedWriter {
     /// Create `dir` (the `trace.mps.d` directory) and a writer that
     /// rolls a new shard, each chunked at `chunk_target` bytes, every
-    /// `events_per_shard` events.
+    /// `events_per_shard` events. Zero events per shard is
+    /// `InvalidInput`, refused before `dir` is created.
     pub fn new(dir: &Path, chunk_target: usize, events_per_shard: u64) -> io::Result<ShardedWriter> {
+        if events_per_shard == 0 {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "a shard holds at least one event"));
+        }
         std::fs::create_dir_all(dir).map_err(|e| {
             io::Error::new(e.kind(), format!("creating shard dir {}: {e}", dir.display()))
         })?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
             chunk_target,
-            events_per_shard: events_per_shard.max(1),
+            events_per_shard,
             shards: Vec::new(),
             current_events: 0,
             finished: false,
@@ -350,6 +354,15 @@ mod tests {
         assert_eq!(back.meta, t.meta);
         assert_eq!(back.region_names, t.region_names);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_events_per_shard_is_refused_before_the_dir_exists() {
+        let dir = tmp("zero.mps.d");
+        std::fs::remove_dir_all(&dir).ok();
+        let e = ShardedWriter::new(&dir, 4096, 0).err().expect("0 events per shard is refused");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "nothing created");
     }
 
     #[test]

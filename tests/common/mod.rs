@@ -66,7 +66,7 @@ impl Workload for Sharing {
 pub fn sharing_config(threads: usize, epoch_cap: usize) -> MachineConfig {
     let mut cfg = MachineConfig::small();
     cfg.cores = 4;
-    cfg.hierarchy.prefetch.enabled = true;
+    cfg.hierarchy.prefetch = true;
     cfg.threads = threads;
     cfg.epoch_cap = epoch_cap;
     cfg

@@ -229,7 +229,7 @@ fn sampled_reuse_histogram_agrees_across_sources() {
     use mempersp::core::sampled_reuse_histogram;
     let (trace, ..) = fixture();
     for core in [0, 1] {
-        let (h, stores) = on_every_source(|src| sampled_reuse_histogram(src, core, 64));
+        let (h, stores) = on_every_source(|src| sampled_reuse_histogram(src, core));
         let samples = trace.pebs_events().filter(|(e, ..)| e.core == core).count() as u64;
         assert!(h.reuses > 0, "core {core}");
         assert_eq!(stores[0].events_matched, samples);

@@ -19,7 +19,7 @@ fn load_latencies(report: &mempersp::core::RunReport) -> LatencyProfile {
 }
 
 fn core0_reuse(report: &mempersp::core::RunReport) -> ReuseHistogram {
-    sampled_reuse_histogram(&mut &report.trace, 0, 64).unwrap().0
+    sampled_reuse_histogram(&mut &report.trace, 0).unwrap().0
 }
 
 fn dram_fraction(report: &mempersp::core::RunReport) -> f64 {
