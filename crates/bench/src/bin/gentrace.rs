@@ -20,7 +20,8 @@ fn usage() -> ! {
         "usage: gentrace [--events N] [--cores N] [--seed N] [--shard-events N] \
          -o OUT[.mps|.mps.d]"
     );
-    std::process::exit(2);
+    // 1, like `mempersp`: 2 means a damaged store.
+    std::process::exit(1);
 }
 
 fn main() {

@@ -559,6 +559,7 @@ fn every_command_answers_the_same_from_every_container() {
 
     let folds: [&[&str]; 2] =
         [&["--region", "CG_iteration"], &["--regions", "all", "--threads", "2"]];
+    let mut full = Default::default();
     for (i, fold) in folds.into_iter().enumerate() {
         let [on_prv, on_mps, on_mpsd] = containers.each_ref().map(|c| {
             let csv = dir.join(format!("csv{i}_{}", c.extension().unwrap().to_str().unwrap()));
@@ -568,7 +569,20 @@ fn every_command_answers_the_same_from_every_container() {
         assert!(on_prv.0.contains("folded 4 instances of \"CG_iteration\""), "{}", on_prv.0);
         assert!(on_prv.1.len() >= 6, "{fold:?} wrote {} files", on_prv.1.len());
         assert!(on_mps == on_prv && on_mpsd == on_prv, "{fold:?} depends on the container");
+        full = on_prv; // the `--regions all` fold's, once the loop ends
     }
+
+    // Without `--csv-dir` a `--regions` fold is performance-only and
+    // prints the same; the full fold does not depend on `--threads`.
+    for c in &containers {
+        let out = ok(bin().arg("fold").arg(c).args(["--regions", "all"]).output().unwrap());
+        assert_eq!(String::from_utf8_lossy(&out.stdout), full.0, "{}: performance-only fold", c.display());
+    }
+    let csv = dir.join("csv_threads1");
+    let one_thread = ["--regions", "all", "--threads", "1", "--csv-dir"];
+    let out = ok(bin().arg("fold").arg(&containers[1]).args(one_thread).arg(&csv).output().unwrap());
+    let on_one = (String::from_utf8(out.stdout).unwrap(), dir_bytes(&csv));
+    assert!(on_one == full, "--threads 1 and 2 differ");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -592,6 +606,10 @@ fn convert_round_trips_between_all_three_containers() {
         let sharded = ["--shard-events", "2000", "--threads", "2"];
         ok(bin().arg("convert").arg(from).arg("-o").arg(&to_mpsd).args(sharded).output().unwrap());
         assert_eq!(dir_bytes(&to_mpsd), dir_bytes(mpsd), "{i} -> mps.d");
+    }
+    for store in [mps, mpsd] {
+        let out = ok(bin().arg("fsck").arg(store).output().unwrap());
+        assert!(String::from_utf8_lossy(&out.stdout).contains("\nclean: "), "{}", store.display());
     }
     // Nothing but the outputs is left behind, and an existing output
     // is refused before the input is read.
@@ -666,7 +684,9 @@ fn objects_reports_a_damaged_pebs_chunk_as_corruption() {
 /// A fold whose scan meets a chunk that fails its checksum reports
 /// corruption like every other reader: exit 2 through `die`, the chunk
 /// named on stderr, and no half-answer on stdout — for the one-region
-/// full fold and the many-region performance-only fold alike.
+/// full fold and the many-region performance-only fold alike. `fsck`
+/// passes the store before the flip and names the chunk after it,
+/// exit 2.
 #[test]
 fn fold_reports_a_damaged_chunk_as_corruption() {
     use mempersp_extrae::EventClass;
@@ -677,6 +697,7 @@ fn fold_reports_a_damaged_chunk_as_corruption() {
     for fold in folds {
         ok(bin().arg("fold").arg(&mps).args(fold).output().unwrap());
     }
+    ok(bin().arg("fsck").arg(&mps).output().unwrap());
 
     let chunks = mempersp_store::StoreReader::open(&mps).unwrap().chunks().to_vec();
     let idx = chunks
@@ -694,6 +715,31 @@ fn fold_reports_a_damaged_chunk_as_corruption() {
         assert!(stderr.starts_with(&format!("cannot scan {}: ", mps.display())), "{stderr}");
         assert!(stderr.contains(&format!("chunk {idx}: ")), "{fold:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{fold:?}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    let out = bin().arg("fsck").arg(&mps).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{stdout}");
+    assert!(stdout.contains(&format!("damage (1 finding):\n  chunk {idx} @ offset ")), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run` streams a store as it simulates, byte-identical to the `.prv`
+/// of the same run converted afterwards: a one-core run, and a
+/// four-core HPCG whose ranks run one after another, so most of its
+/// trace waits in the tracer's lanes.
+#[test]
+fn a_streamed_store_equals_run_then_convert() {
+    let dir = tmpdir("a_streamed_store_equals_run_then_convert");
+    let runs: [&[&str]; 2] = [
+        &["--workload", "stream", "--nx", "32"],
+        &["--workload", "hpcg", "--nx", "8", "--iters", "2", "--cores", "4"],
+    ];
+    for (i, run) in runs.into_iter().enumerate() {
+        let [streamed, prv, converted] = ["s.mps", "p.prv", "c.mps"].map(|n| dir.join(format!("{i}{n}")));
+        ok(bin().arg("run").args(run).args(["--threads", "2", "--out"]).arg(&streamed).output().unwrap());
+        ok(bin().arg("run").args(run).args(["--threads", "2", "-o"]).arg(&prv).output().unwrap());
+        ok(bin().arg("convert").arg(&prv).arg("-o").arg(&converted).output().unwrap());
+        assert!(std::fs::read(&streamed).unwrap() == std::fs::read(&converted).unwrap(), "{run:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

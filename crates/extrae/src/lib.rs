@@ -9,10 +9,10 @@
 //!   ([`Tracer::record_counter_sample`]);
 //! * **PEBS memory samples** — address / latency / data-source records
 //!   forwarded from the PMU model ([`Tracer::record_pebs`]);
-//! * **dynamic-allocation interposition** — `malloc`/`realloc`/`free`
-//!   wrappers that register every allocation **at or above a size
-//!   threshold** as a data object identified by its allocation
-//!   call-site ([`Tracer::malloc`]);
+//! * **dynamic-allocation interposition** — `malloc`/`free` wrappers
+//!   that register every allocation **at or above a size threshold**
+//!   as a data object identified by its allocation call-site
+//!   ([`Tracer::malloc`]);
 //! * **static objects** — registered by name, mimicking the binary
 //!   symbol-table scan ([`Tracer::register_static`]);
 //! * **manual allocation grouping** — the work-around the authors

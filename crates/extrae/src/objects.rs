@@ -173,23 +173,6 @@ impl ObjectRegistry {
     pub fn all(&self) -> &[ObjectDesc] {
         &self.objects
     }
-
-    /// Rebuild the interval maps after deserialization (the maps are
-    /// serialized, so this is only needed for hand-built registries).
-    pub fn rebuild(&mut self) {
-        self.memo = None;
-        self.groups.clear();
-        self.dynamics.clear();
-        self.statics.clear();
-        for (i, o) in self.objects.iter().enumerate() {
-            let map = match o.kind {
-                ObjectKind::Group => &mut self.groups,
-                ObjectKind::Dynamic => &mut self.dynamics,
-                ObjectKind::Static => &mut self.statics,
-            };
-            map.insert(o.base, i as u32);
-        }
-    }
 }
 
 /// Format a byte count the way the paper's figure labels do
@@ -308,14 +291,5 @@ mod tests {
         assert!(r2.resolve_id(0x4000).is_some());
         r2.remove_dynamic(0x4000);
         assert_eq!(r2.resolve_id(0x4000), None);
-    }
-
-    #[test]
-    fn rebuild_restores_maps() {
-        let mut r = ObjectRegistry::new();
-        r.register_static("s", 0x100, 0x10);
-        let mut r2 = r.clone();
-        r2.rebuild();
-        assert_eq!(r2.resolve(0x105).unwrap().name, "s");
     }
 }

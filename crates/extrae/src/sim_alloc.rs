@@ -94,13 +94,6 @@ impl SimAllocator {
         self.live.remove(&base)
     }
 
-    /// Reallocate: new block + implicit free, like glibc when growth
-    /// in place is impossible (the conservative model).
-    pub fn realloc(&mut self, base: u64, new_size: u64) -> Option<u64> {
-        self.free(base)?;
-        Some(self.malloc(new_size))
-    }
-
     /// The allocation containing `addr`, if any.
     pub fn containing(&self, addr: u64) -> Option<&Allocation> {
         self.live
@@ -187,17 +180,6 @@ mod tests {
         assert!(a.free(base).is_some());
         assert!(a.containing(base).is_none());
         assert!(a.free(base).is_none(), "double free detected");
-    }
-
-    #[test]
-    fn realloc_moves_and_preserves_accounting() {
-        let mut a = SimAllocator::new(3);
-        let p = a.malloc(100);
-        let q = a.realloc(p, 200).unwrap();
-        assert_ne!(p, q);
-        assert!(a.containing(p).is_none());
-        assert_eq!(a.containing(q).unwrap().size, 200);
-        assert!(a.realloc(0xdead, 10).is_none());
     }
 
     #[test]

@@ -159,8 +159,6 @@ pub struct Tracer {
     region_stacks: Vec<Vec<RegionId>>,
     group: Option<GroupCapture>,
     resolution: ResolutionStats,
-    /// Call-site of each live tracked allocation (for realloc naming).
-    alloc_sites: HashMap<u64, Ip>,
 }
 
 impl Tracer {
@@ -182,7 +180,6 @@ impl Tracer {
             region_stacks: vec![Vec::new(); num_cores],
             group: None,
             resolution: ResolutionStats::default(),
-            alloc_sites: HashMap::new(),
         }
     }
 
@@ -300,7 +297,6 @@ impl Tracer {
         }
         if size >= self.cfg.alloc_threshold {
             self.objects.register_dynamic(&callsite.file_line(), base, size);
-            self.alloc_sites.insert(base, ip);
             self.push(self.num_cores, TraceEvent {
                 cycles: now,
                 core: 0,
@@ -313,19 +309,9 @@ impl Tracer {
     /// Interposed `free`. Unknown bases are ignored (like glibc's
     /// tolerance is *not*, but the tracer must not crash the app).
     pub fn free(&mut self, base: u64, now: u64) {
-        if self.alloc.free(base).is_some()
-            && self.objects.remove_dynamic(base).is_some() {
-                self.alloc_sites.remove(&base);
-                self.push(self.num_cores, TraceEvent { cycles: now, core: 0, payload: EventPayload::Free { base } });
-            }
-    }
-
-    /// Interposed `realloc`: move + rename, keeping the original
-    /// call-site identity as real Extrae does.
-    pub fn realloc(&mut self, base: u64, new_size: u64, callsite: &CodeLocation, now: u64) -> Option<u64> {
-        self.alloc.containing(base)?;
-        self.free(base, now);
-        Some(self.malloc(new_size, callsite, now))
+        if self.alloc.free(base).is_some() && self.objects.remove_dynamic(base).is_some() {
+            self.push(self.num_cores, TraceEvent { cycles: now, core: 0, payload: EventPayload::Free { base } });
+        }
     }
 
     /// Begin capturing allocations into a named group (the paper's
@@ -633,17 +619,6 @@ mod tests {
         assert_eq!(t.resolution().unresolved, 1);
         // Double free is a no-op.
         t.free(p, 3);
-    }
-
-    #[test]
-    fn realloc_keeps_callsite_name() {
-        let mut t = Tracer::new(TracerConfig::default(), 1);
-        let p = t.malloc(4096, &loc(7), 0);
-        let q = t.realloc(p, 8192, &loc(7), 1).unwrap();
-        assert_ne!(p, q);
-        t.record_pebs(sample(q + 100, 2));
-        assert_eq!(t.resolution().resolved, 1);
-        assert!(t.realloc(0xbad, 10, &loc(7), 2).is_none());
     }
 
     #[test]

@@ -134,3 +134,33 @@ pub use source::{open_trace_source, sniff_store, MpsSource};
 pub use svb::{detected_simd_level, simd_level, simd_level_name, SimdLevel};
 pub use varint::CodecError;
 pub use writer::{write_store_chunked, StoreSummary, StoreWriter, DEFAULT_CHUNK_BYTES};
+
+/// Whether the fallback switch `name` (`MEMPERSP_NO_SIMD`,
+/// `MEMPERSP_NO_MMAP`) is on: set to anything but empty, `0`, `false`,
+/// `no` or `off` (in any case).
+pub(crate) fn fallback_forced(name: &str) -> bool {
+    switch_is_on(std::env::var_os(name).as_deref())
+}
+
+fn switch_is_on(value: Option<&std::ffi::OsStr>) -> bool {
+    value.is_some_and(|v| {
+        let v = v.to_string_lossy();
+        !["", "0", "false", "no", "off"].iter().any(|off| v.eq_ignore_ascii_case(off))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::switch_is_on;
+
+    #[test]
+    fn both_fallback_switches_read_one_way() {
+        for on in ["1", "true", "TRUE", "yes", "on", "scalar"] {
+            assert!(switch_is_on(Some(on.as_ref())), "{on:?}");
+        }
+        for off in ["", "0", "false", "False", "no", "off", "OFF"] {
+            assert!(!switch_is_on(Some(off.as_ref())), "{off:?}");
+        }
+        assert!(!switch_is_on(None));
+    }
+}

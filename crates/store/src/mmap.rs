@@ -106,8 +106,7 @@ impl Mapping {
         })?;
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
         {
-            let forced_off = std::env::var_os("MEMPERSP_NO_MMAP").is_some_and(|v| v == "1");
-            if len_usize > 0 && !forced_off {
+            if len_usize > 0 && !crate::fallback_forced("MEMPERSP_NO_MMAP") {
                 use std::os::unix::io::AsRawFd;
                 let ret = unsafe { sys::mmap_readonly(file.as_raw_fd(), len_usize) };
                 // The kernel signals failure with a negative errno in
@@ -177,7 +176,7 @@ mod tests {
         let m = Mapping::of_file(&f, data.len() as u64).unwrap();
         assert_eq!(m.bytes(), &data[..]);
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        assert!(matches!(m.backing, Backing::Map { .. }) || std::env::var_os("MEMPERSP_NO_MMAP").is_some());
+        assert!(matches!(m.backing, Backing::Map { .. }) || crate::fallback_forced("MEMPERSP_NO_MMAP"));
         std::fs::remove_file(&path).ok();
     }
 

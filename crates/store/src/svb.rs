@@ -157,15 +157,12 @@ pub fn detected_simd_level() -> SimdLevel {
 }
 
 /// The kernel every decode in this process uses: best detected level,
-/// unless `MEMPERSP_NO_SIMD` is set (any non-empty value other than
-/// `0`), which forces the portable scalar path. Resolved once.
+/// unless the `MEMPERSP_NO_SIMD` switch is on, which forces the
+/// portable scalar path. Resolved once.
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        let forced_off = std::env::var("MEMPERSP_NO_SIMD")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if forced_off {
+        if crate::fallback_forced("MEMPERSP_NO_SIMD") {
             SimdLevel::Scalar
         } else {
             detected_simd_level()

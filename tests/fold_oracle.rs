@@ -7,19 +7,21 @@
 //! containment search, no interval index, no batches, its own outlier
 //! filter and curve fit — and requires every engine path (in memory,
 //! `.prv`, `.mps`, sharded `.mps.d`; 1, 2 and 4 threads) to
-//! render byte-identically to it. The performance-only fold
-//! (`fold_performance_source`, 1 and 2 threads, every container) must
-//! render its counters, instance figures, counter panels and
-//! performance series identically to the reference and to the full
-//! fold, hold no address or line panel, and decode fewer payload bytes
-//! from a store than the full fold whenever that pooled a PEBS sample.
+//! render byte-identically to it; every trace ends in a tail of user
+//! events no fold reads, which a store fold must skip chunks of. The
+//! performance-only fold (`fold_performance_source`, 1 and 2 threads,
+//! every container) must render its counters, instance figures,
+//! counter panels and performance series identically to the reference
+//! and to the full fold, hold no address or line panel, and decode
+//! fewer payload bytes from a store than the full fold whenever that
+//! pooled a PEBS sample.
 //!
 //! The traces are deliberately hostile to instance collection:
 //! unbalanced enter/exit streams (exits with no enter, re-entered
 //! regions), timestamps that repeat across instance boundaries, core
 //! ids outside the header's range, and a chunk target small enough
 //! that instances straddle many chunks. Their panels hold a few hundred
-//! points, so one fixed trace of 69 000 events adds what only size
+//! points, so one fixed trace of 77 000 events adds what only size
 //! shows: panels of tens of thousands of points, thousands of them on
 //! one normalized time, a region pooled into a single sort bucket. CI
 //! runs the suite under every `MEMPERSP_NO_SIMD` × `MEMPERSP_NO_MMAP`
@@ -135,6 +137,17 @@ fn build_trace(seed: u64, events: usize, cores: usize) -> Trace {
         };
         trace.events.push(TraceEvent { cycles: clock, core, payload });
     }
+    fold_free_tail(trace, 400)
+}
+
+/// `trace` followed by `events` user events on core 0: whole chunks a
+/// pruned store fold never decodes.
+fn fold_free_tail(mut trace: Trace, events: u64) -> Trace {
+    let clock = trace.events.last().map_or(0, |e| e.cycles);
+    for u in 0..events {
+        let payload = EventPayload::User { kind: 42, value: u };
+        trace.events.push(TraceEvent { cycles: clock + u, core: 0, payload });
+    }
     trace
 }
 
@@ -190,9 +203,9 @@ impl Script {
 }
 
 /// The fixed large trace: seven rounds on four cores, about 69 000
-/// events. Every round all cores run `solve` at once, entering on the
-/// cycle the previous round's instances exit on (shared boundaries),
-/// and inside it
+/// events, then the fold-free tail. Every round all cores run `solve`
+/// at once, entering on the cycle the previous round's instances exit
+/// on (shared boundaries), and inside it
 /// - a long stretch of samples on a slow clock,
 /// - 2 500 samples while the clock stands still (one `x` per core),
 /// - nine `smooth` instances per core, every third of zero duration
@@ -252,7 +265,7 @@ fn build_large_trace() -> Trace {
             s.sample();
         }
     }
-    s.trace
+    fold_free_tail(s.trace, 8_000)
 }
 
 // ------------------------------------------------------ the reference
@@ -577,7 +590,8 @@ fn requests() -> Vec<RegionRequest> {
 /// `chunk_target`-byte chunks and an `.mps.d` of `shard_events`-event
 /// shards, at 1, 2 and 4 threads each, and performance-only at 1 and 2
 /// threads ([`check_performance`]); the first rendering that is not
-/// `reference` (`perf_reference`) is the error.
+/// `reference` (`perf_reference`), or a store fold that skips no chunk,
+/// is the error.
 fn check_every_path(
     trace: &Trace,
     requests: &[RegionRequest],
@@ -611,6 +625,9 @@ fn check_every_path(
             let mut src = open_trace_source(&path).unwrap();
             let (results, stats) = fold_regions_source(src.as_mut(), requests, threads).unwrap();
             differs(render(&results), ext, threads)?;
+            if ext != "prv" && stats.chunks_skipped == 0 {
+                return Err(format!("{ext} fold, threads={threads}: skipped no chunk ({stats:?})"));
+            }
             if threads > 2 {
                 return Ok(());
             }
